@@ -1,7 +1,7 @@
 //! Covert-channel scenario runner: one call from payload to metrics.
 
 use emsc_covert::adapt::RateStep;
-use emsc_covert::frame::{deframe, Deframed, FrameConfig};
+use emsc_covert::frame::{try_deframe, Deframed, FrameConfig};
 use emsc_covert::metrics::{align_semiglobal, Alignment};
 use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
 use emsc_covert::stream::StreamingReceiver;
@@ -156,7 +156,7 @@ impl CovertScenario {
             Err(e) => (RxReport::empty(0.0), Some(e)),
         };
         let alignment = align_semiglobal(&tx_bits, &report.bits);
-        let deframed = deframe(&report.bits, self.tx.frame, 1);
+        let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
 
         // Rate: on-air bits over the air time they actually took.
         let air_time = chain_run.trace.duration_s() - 2.0 * LEAD_SILENCE_S - WARMUP_S;
@@ -211,7 +211,7 @@ impl CovertScenario {
             };
         let (trace, _train) = stream.into_trace_train();
         let alignment = align_semiglobal(&tx_bits, &report.bits);
-        let deframed = deframe(&report.bits, self.tx.frame, 1);
+        let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
 
         let air_time = trace.duration_s() - 2.0 * LEAD_SILENCE_S - WARMUP_S;
         let transmission_rate_bps =
@@ -229,8 +229,9 @@ impl CovertScenario {
 
     /// Transmits a raw, already-framed bit sequence (e.g. the output
     /// of [`emsc_covert::packets::packetize`]) and returns the
-    /// demodulated bits plus the receiver report. No deframing is
-    /// attempted — the caller owns the framing.
+    /// demodulated bits plus the receiver report (the empty report
+    /// when the capture cannot be decoded). No deframing is attempted
+    /// — the caller owns the framing.
     pub fn run_bits(&self, bits: &[u8], seed: u64) -> (Vec<u8>, RxReport) {
         let transmitter = Transmitter::new(self.tx);
         let mut program = Program::new();
@@ -240,7 +241,7 @@ impl CovertScenario {
         program.sleep(LEAD_SILENCE_S);
         let chain_run = self.chain.run_program(&program, seed);
         let receiver = Receiver::new(self.rx.clone());
-        let report = receiver.demodulate(&chain_run.capture);
+        let report = receiver.receive(&chain_run.capture).unwrap_or_else(|_| RxReport::empty(0.0));
         (report.bits.clone(), report)
     }
 

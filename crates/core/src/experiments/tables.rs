@@ -343,8 +343,8 @@ fn multicore_background_cell(
         tr_bps: tx_bits.len() as f64 / (air - 24e-3).max(1e-6),
         ip: alignment.insertion_probability(),
         dp: alignment.deletion_probability(),
-        recovered: emsc_covert::frame::deframe(&report.bits, tx.frame, 1)
-            .is_some_and(|d| d.payload == payload),
+        recovered: emsc_covert::frame::try_deframe(&report.bits, tx.frame, 1)
+            .is_ok_and(|d| d.payload == payload),
         decode_failed,
     }
 }

@@ -79,7 +79,7 @@ impl FingerprintScenario {
 
         let run = self.chain.run_events(end, &events, seed);
         let detector = Detector::new(self.detector.clone());
-        let report = detector.detect(&run.capture);
+        let report = detector.try_detect(&run.capture).unwrap_or_default();
         ObservedVisit {
             label: site.name.clone(),
             features: FeatureVector::from_bursts(&report.bursts),

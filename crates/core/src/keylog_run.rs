@@ -63,8 +63,10 @@ impl KeylogScenario {
         let events = self.bursts.events_for(&keystrokes, end, &mut rng);
         let chain_run = self.chain.run_events(end, &events, seed);
 
+        // A chain capture is always analysable; should detection fail
+        // anyway, the run scores an empty report instead of panicking.
         let detector = Detector::new(self.detector.clone());
-        let detection = detector.detect(&chain_run.capture);
+        let detection = detector.try_detect(&chain_run.capture).unwrap_or_default();
 
         let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
         let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);
@@ -115,7 +117,13 @@ impl KeylogScenario {
                 .collect();
             let mut run = self.chain.run_events(chunk_dur, &chunk_events, seed ^ (chunk_idx << 17));
             run.capture.samples.truncate(chunk_samples);
-            Detector::new(self.detector.clone()).window_energies(&run.capture)
+            // One StreamingDetector push per chunk; only its window
+            // energies are kept (a chunk that cannot be analysed adds
+            // none).
+            Detector::new(self.detector.clone())
+                .try_detect(&run.capture)
+                .map(|report| report.window_energy)
+                .unwrap_or_default()
         });
         let energies: Vec<f64> = chunk_energies.into_iter().flatten().collect();
 

@@ -12,9 +12,9 @@ use crate::coding::{
 };
 use crate::interleave::Interleaver;
 use crate::marker::{
-    blind_lock, marker_encode, segments_for, MarkerConfig, MarkerStats, MarkerStream,
-    SEGMENT_MARKER,
+    blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream, SEGMENT_MARKER,
 };
+use crate::stream::{Deframer, FrameEvent};
 
 /// Default number of alternating sync bits (long enough for the
 /// victim's DVFS governor to settle at its steady state).
@@ -150,69 +150,42 @@ impl std::error::Error for FrameError {}
 
 /// Locates the start marker in a received bit stream (tolerating up to
 /// `max_marker_errors` bit errors in the marker itself) and decodes
-/// the payload that follows. Returns `None` if no marker is found.
+/// the first frame that follows, reporting *why* recovery failed so
+/// experiments can distinguish "no transmission detected" from
+/// "transmission cut off mid-frame".
 ///
-/// Thin wrapper over [`try_deframe`] for callers that only care
-/// whether a frame was recovered, not why it was not.
-pub fn deframe(received: &[u8], config: FrameConfig, max_marker_errors: usize) -> Option<Deframed> {
-    try_deframe(received, config, max_marker_errors).ok()
-}
-
-/// Fallible deframing: like [`deframe`] but reporting *why* recovery
-/// failed, so experiments can distinguish "no transmission detected"
-/// from "transmission cut off mid-frame".
+/// One push of the whole stream into a [`Deframer`], then
+/// [`Deframer::finish`]: the first frame they emit is the result, and
+/// the loss they report is the error.
 ///
 /// # Errors
 ///
 /// [`FrameError::MarkerNotFound`] when no start marker matches within
 /// `max_marker_errors`; [`FrameError::TruncatedHeader`] when the
-/// stream ends inside the length header.
+/// stream ends inside the length header;
+/// [`FrameError::ImplausibleLength`] when every anchor candidate of a
+/// marker-coded frame declares a body the stream cannot hold.
 pub fn try_deframe(
     received: &[u8],
     config: FrameConfig,
     max_marker_errors: usize,
 ) -> Result<Deframed, FrameError> {
-    let m = START_MARKER.len();
-    if received.len() < m {
-        return Err(FrameError::MarkerNotFound);
-    }
-    if let Some(mcfg) = config.marker {
-        // Marker-coded frames: decode ranked anchor candidates in
-        // order. A spurious lock betrays itself — its garbled header
-        // declares an implausible length — and the chain falls
-        // through to the next candidate instead of failing outright.
-        // When every candidate fails, report the top-ranked one's
-        // error: it is the most likely true anchor.
-        let mut first_err: Option<FrameError> = None;
-        for pos in ranked_marker_anchors(received, mcfg, max_marker_errors) {
-            let payload_start = pos + m;
-            match decode_body(&received[payload_start..], config) {
-                Ok(body) => return Ok(body.into_deframed(payload_start)),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        return Err(first_err.unwrap_or(FrameError::MarkerNotFound));
-    }
-    let mut best: Option<(usize, usize)> = None; // (errors, position)
-    for pos in 0..=received.len() - m {
-        let errors = marker_errors_at(received, pos);
-        if errors <= max_marker_errors && best.is_none_or(|(e, _)| errors < e) {
-            best = Some((errors, pos));
-            if errors == 0 {
-                break;
-            }
+    let mut deframer = Deframer::new(config, max_marker_errors);
+    let mut events = deframer.push(received);
+    events.extend(deframer.finish());
+    let mut lost = FrameError::MarkerNotFound;
+    for event in events {
+        match event {
+            FrameEvent::Frame(frame) => return Ok(frame),
+            FrameEvent::Lost(e) => lost = e,
+            FrameEvent::MarkerFound { .. } => {}
         }
     }
-    let (_, pos) = best.ok_or(FrameError::MarkerNotFound)?;
-    let payload_start = pos + m;
-    let body = decode_body(&received[payload_start..], config)?;
-    Ok(body.into_deframed(payload_start))
+    Err(lost)
 }
 
 /// Segment markers consulted when ranking start-marker candidates of a
-/// marker-coded frame (see [`best_marker_anchor`]).
+/// marker-coded frame (see [`ranked_marker_anchors`]).
 pub(crate) const LATTICE_PROBE_MARKERS: usize = 4;
 
 /// Extra start-marker bit errors tolerated for marker-coded frames
@@ -320,9 +293,10 @@ pub(crate) fn lattice_score(received: &[u8], body_at: usize, mcfg: MarkerConfig)
 /// Ranking alone cannot always identify the true anchor — inside a
 /// marker-coded body *every* position on the segment lattice scores
 /// well, and a bad lock shows up only when its decoded header
-/// declares an implausible length. [`try_deframe`] therefore decodes
-/// candidates in this order until one yields a plausible frame; the
-/// list is capped at [`MAX_ANCHOR_CANDIDATES`] to bound that work.
+/// declares an implausible length. [`Deframer::finish`] therefore
+/// decodes candidates in this order until one yields a plausible
+/// frame; the list is capped at [`MAX_ANCHOR_CANDIDATES`] to bound
+/// that work.
 pub(crate) fn ranked_marker_anchors(
     received: &[u8],
     mcfg: MarkerConfig,
@@ -353,9 +327,6 @@ pub(crate) fn ranked_marker_anchors(
 
 /// Number of marker-bit mismatches when [`START_MARKER`] is laid over
 /// `received` at `pos` (bits compared on their LSB, as on air).
-///
-/// Shared by [`try_deframe`] and the streaming
-/// [`crate::stream::Deframer`] so both judge candidates identically.
 pub(crate) fn marker_errors_at(received: &[u8], pos: usize) -> usize {
     received[pos..pos + START_MARKER.len()]
         .iter()
@@ -461,78 +432,31 @@ pub(crate) fn peek_declared_rigid(rigid: &[u8], config: FrameConfig) -> Option<u
 pub(crate) struct BodyDecode {
     pub payload: Vec<u8>,
     pub coding: CodingStats,
-    pub marker: Option<MarkerStats>,
 }
 
 impl BodyDecode {
-    pub(crate) fn into_deframed(self, payload_start: usize) -> Deframed {
+    /// The frame at `payload_start`, with the marker decoder's
+    /// statistics when its body was marker-coded.
+    pub(crate) fn into_deframed(
+        self,
+        payload_start: usize,
+        marker: Option<MarkerStats>,
+    ) -> Deframed {
         Deframed {
             payload: self.payload,
             payload_start,
             corrections: self.coding.corrected,
             coding: self.coding,
-            marker: self.marker,
+            marker,
         }
     }
 }
 
-/// Decodes the frame body that follows a located marker: unwraps the
-/// marker code (when configured), undoes the interleaving, reads the
-/// 16-bit length header, then exactly the declared number of payload
-/// bytes — anything after belongs to the channel (or the next
-/// packet), not to this frame.
-///
-/// Shared by [`try_deframe`] and the streaming
-/// [`crate::stream::Deframer`], which hands it the same bit span the
-/// batch path would see.
-pub(crate) fn decode_body(body: &[u8], config: FrameConfig) -> Result<BodyDecode, FrameError> {
-    match config.marker {
-        Some(mcfg) => {
-            let (rigid, stats) = recover_rigid(body, mcfg, config)?;
-            let mut decoded = decode_rigid_body(&rigid, config)?;
-            decoded.marker = Some(stats);
-            Ok(decoded)
-        }
-        None => decode_rigid_body(body, config),
-    }
-}
-
-/// Unwraps the marker layer: pumps segments until the declared length
-/// can be read, then exactly as many further segments as the declared
-/// body needs, zero-padding whatever the stream no longer covers so
-/// the rigid grid keeps its nominal length.
-fn recover_rigid(
-    on_air: &[u8],
-    mcfg: MarkerConfig,
-    config: FrameConfig,
-) -> Result<(Vec<u8>, MarkerStats), FrameError> {
-    let mut ms = MarkerStream::new(mcfg);
-    ms.push(on_air);
-    let mut rigid = Vec::new();
-    let need = peek_need(config);
-    while rigid.len() < need && ms.next_segment(&mut rigid, true) {}
-    let declared = peek_declared_rigid(&rigid, config).ok_or(FrameError::TruncatedHeader)?;
-    let want = segments_for(mcfg, rigid_body_span(config, declared)) * mcfg.segment_len;
-    ms.expect_segments(want / mcfg.segment_len);
-    while rigid.len() < want && ms.next_segment(&mut rigid, true) {}
-    let mut stats = ms.stats();
-    if rigid.len() < want {
-        // A garbled header can declare an absurd body. Genuine
-        // truncation (a capture cut off mid-frame) still materialises
-        // most of its declared segments; when less than half ever
-        // arrives, the header was garbage, not a frame.
-        if rigid.len() * 2 < want {
-            return Err(FrameError::ImplausibleLength { declared });
-        }
-        stats.truncated_bits += want - rigid.len();
-        rigid.resize(want, 0);
-    }
-    rigid.truncate(want);
-    Ok((rigid, stats))
-}
-
-/// Decodes a rigid (marker-free) coded body: deinterleave, header,
-/// declared payload. The pre-marker decode path, unchanged.
+/// Decodes a rigid coded body — a rigid frame's on-air body, or a
+/// marker-coded one after the marker layer is unwrapped: undoes the
+/// interleaving, reads the 16-bit length header, then exactly the
+/// declared number of payload bytes — anything after belongs to the
+/// channel (or the next packet), not to this frame.
 pub(crate) fn decode_rigid_body(
     body: &[u8],
     config: FrameConfig,
@@ -573,7 +497,7 @@ pub(crate) fn decode_rigid_body(
     };
     let mut bytes = bits_to_bytes(&bits);
     bytes.truncate(declared);
-    Ok(BodyDecode { payload: bytes, coding, marker: None })
+    Ok(BodyDecode { payload: bytes, coding })
 }
 
 /// A blind salvage of a marker-coded stream (see [`salvage_marker_bits`]).
@@ -643,7 +567,7 @@ mod tests {
         let cfg = FrameConfig::default();
         let payload = b"secret!";
         let bits = frame_payload(payload, cfg);
-        let out = deframe(&bits, cfg, 0).expect("marker must be found");
+        let out = try_deframe(&bits, cfg, 0).expect("marker must be found");
         assert_eq!(out.payload, payload.to_vec());
         assert_eq!(out.corrections, 0);
     }
@@ -656,7 +580,7 @@ mod tests {
         let start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
         bits[start + 2] ^= 1; // 1 error in the first codeword
         bits[start + 9] ^= 1; // 1 error in the second codeword
-        let out = deframe(&bits, cfg, 0).expect("marker");
+        let out = try_deframe(&bits, cfg, 0).expect("marker");
         assert_eq!(out.payload, payload.to_vec());
         assert_eq!(out.corrections, 2);
     }
@@ -668,11 +592,8 @@ mod tests {
         let mut bits = frame_payload(payload, cfg);
         let marker_at = cfg.sync_len + cfg.zeros_len;
         bits[marker_at + 3] ^= 1;
-        assert!(
-            deframe(&bits, cfg, 0).is_none()
-                || deframe(&bits, cfg, 0).unwrap().payload != payload.to_vec()
-        );
-        let out = deframe(&bits, cfg, 1).expect("tolerant deframe");
+        assert!(!try_deframe(&bits, cfg, 0).is_ok_and(|d| d.payload == payload.to_vec()));
+        let out = try_deframe(&bits, cfg, 1).expect("tolerant deframe");
         assert_eq!(out.payload, payload.to_vec());
     }
 
@@ -682,7 +603,7 @@ mod tests {
         let payload = b"hi";
         let mut bits = vec![0u8, 1, 1, 0, 1, 0, 0, 1, 0, 1, 1];
         bits.extend(frame_payload(payload, cfg));
-        let out = deframe(&bits, cfg, 0).expect("marker");
+        let out = try_deframe(&bits, cfg, 0).expect("marker");
         assert_eq!(out.payload, payload.to_vec());
     }
 
@@ -690,7 +611,6 @@ mod tests {
     fn deframe_without_marker_returns_none() {
         let cfg = FrameConfig::default();
         let stream = vec![0u8; 64];
-        assert!(deframe(&stream, cfg, 0).is_none());
         assert_eq!(try_deframe(&stream, cfg, 0), Err(FrameError::MarkerNotFound));
     }
 
@@ -704,17 +624,6 @@ mod tests {
         let header_end = cfg.sync_len + cfg.zeros_len + START_MARKER.len() + 5;
         bits.truncate(header_end);
         assert_eq!(try_deframe(&bits, cfg, 0), Err(FrameError::TruncatedHeader));
-        // And the panic-free wrapper agrees.
-        assert!(deframe(&bits, cfg, 0).is_none());
-    }
-
-    #[test]
-    fn try_deframe_round_trip_matches_deframe() {
-        let cfg = FrameConfig::default();
-        let bits = frame_payload(b"parity!", cfg);
-        let a = try_deframe(&bits, cfg, 0).expect("frame");
-        let b = deframe(&bits, cfg, 0).expect("frame");
-        assert_eq!(a, b);
     }
 
     #[test]
@@ -722,7 +631,7 @@ mod tests {
         let cfg = FrameConfig { interleave_depth: Some(7), ..FrameConfig::default() };
         let payload = b"interleaved payload";
         let bits = frame_payload(payload, cfg);
-        let out = deframe(&bits, cfg, 0).expect("marker");
+        let out = try_deframe(&bits, cfg, 0).expect("marker");
         assert_eq!(out.payload, payload.to_vec());
     }
 
@@ -737,7 +646,7 @@ mod tests {
         for b in bits.iter_mut().skip(body_start + 30).take(6) {
             *b ^= 1;
         }
-        let out = deframe(&bits, cfg, 0).expect("marker");
+        let out = try_deframe(&bits, cfg, 0).expect("marker");
         assert_eq!(out.payload, payload.to_vec(), "interleaving must absorb the burst");
         // The same burst without interleaving corrupts the payload.
         let plain_cfg = FrameConfig::default();
@@ -745,7 +654,7 @@ mod tests {
         for b in plain.iter_mut().skip(body_start + 30).take(6) {
             *b ^= 1;
         }
-        let broken = deframe(&plain, plain_cfg, 0).expect("marker");
+        let broken = try_deframe(&plain, plain_cfg, 0).expect("marker");
         assert_ne!(broken.payload, payload.to_vec());
     }
 
@@ -760,7 +669,7 @@ mod tests {
             };
             let payload = b"marker-coded payload";
             let bits = frame_payload(payload, cfg);
-            let out = deframe(&bits, cfg, 0).expect("marker frame deframes");
+            let out = try_deframe(&bits, cfg, 0).expect("marker frame deframes");
             assert_eq!(out.payload, payload.to_vec(), "parity={parity} depth={depth:?}");
             assert!(out.marker.is_some());
             assert_eq!(out.marker.unwrap().resyncs, 0, "clean channel never resyncs");
@@ -794,7 +703,7 @@ mod tests {
         // Delete one bit late in the body: the rigid grid would shift
         // every bit after it; the marker decoder resynchronises.
         bits.remove(body_start + 150);
-        let out = deframe(&bits, cfg, 0).expect("marker frame deframes");
+        let out = try_deframe(&bits, cfg, 0).expect("marker frame deframes");
         let stats = out.marker.expect("marker stats");
         assert!(stats.resyncs >= 1, "the deletion must be recovered as a resync");
         // Everything outside the damaged segment survives; allow the
@@ -808,7 +717,7 @@ mod tests {
         let rigid_cfg = FrameConfig::default();
         let mut rigid_bits = frame_payload(payload, rigid_cfg);
         rigid_bits.remove(body_start + 150);
-        let broken = deframe(&rigid_bits, rigid_cfg, 0).expect("start marker still intact");
+        let broken = try_deframe(&rigid_bits, rigid_cfg, 0).expect("start marker still intact");
         let rigid_wrong = broken.payload.iter().zip(payload).filter(|(a, b)| a != b).count()
             + payload.len().saturating_sub(broken.payload.len());
         assert!(rigid_wrong > wrong, "rigid framing must fare worse ({rigid_wrong} vs {wrong})");
@@ -828,7 +737,7 @@ mod tests {
         for b in bits.iter_mut().skip(body_start + 200).take(4) {
             *b ^= 1; // …and a short burst
         }
-        let out = deframe(&bits, cfg, 0).expect("marker frame deframes");
+        let out = try_deframe(&bits, cfg, 0).expect("marker frame deframes");
         assert_eq!(out.payload, payload.to_vec(), "marker + interleaver absorb both");
         assert!(out.marker.unwrap().resyncs >= 1);
     }
@@ -849,9 +758,8 @@ mod tests {
         // With its anchor gone the normal deframe path is lost: it
         // either finds nothing or locks a spurious marker match and
         // decodes garbage.
-        let rigid = deframe(&damaged, cfg, 1);
         assert!(
-            rigid.is_none() || rigid.unwrap().payload != payload.to_vec(),
+            !try_deframe(&damaged, cfg, 1).is_ok_and(|d| d.payload == payload.to_vec()),
             "a destroyed start marker must not rigidly deframe to the true payload"
         );
         let salvage = salvage_marker_bits(&damaged, cfg).expect("lattice survives");
@@ -887,7 +795,7 @@ mod tests {
         let mut bits = frame_payload(payload, cfg);
         let start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
         bits[start + 2] ^= 1;
-        let out = deframe(&bits, cfg, 0).expect("frame");
+        let out = try_deframe(&bits, cfg, 0).expect("frame");
         assert_eq!(out.corrections, out.coding.corrected);
         assert_eq!(out.coding.corrected, 1);
         // 4 header codewords + 4 payload codewords.
@@ -895,7 +803,7 @@ mod tests {
         assert_eq!(out.coding.dropped_tail_bits, 0, "clean termination");
         // A stream cut mid-codeword surfaces as dropped tail bits.
         let full = frame_payload(b"tail", cfg);
-        let cut = deframe(&full[..full.len() - 3], cfg, 0).expect("frame");
+        let cut = try_deframe(&full[..full.len() - 3], cfg, 0).expect("frame");
         assert!(cut.coding.dropped_tail_bits > 0, "mid-codeword truncation must be visible");
     }
 

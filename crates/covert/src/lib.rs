@@ -9,14 +9,16 @@
 //! - [`frame`]: sync/marker framing (§IV-C1),
 //! - [`packets`]: packetised transfers that bound insertion/deletion
 //!   damage to one packet (§IV-C1 "the data can be sent in packets"),
-//! - [`rx`]: the batch receiver — Eq. (1) energy signal, Fig. 5 edge
+//! - [`rx`]: the §IV-B receiver — Eq. (1) energy signal, Fig. 5 edge
 //!   detection, Fig. 6 median timing with gap filling, Fig. 7 bimodal
-//!   threshold labeling,
+//!   threshold labeling — with [`rx::Receiver`] as the whole-capture
+//!   entry point,
 //! - [`matched`]: the matched-filter receiver the paper rejected
 //!   (kept for the ablation),
-//! - [`stream`]: the streaming receive chain — resumable
-//!   [`stream::StreamingReceiver`]/[`stream::Deframer`] state machines
-//!   fed IQ chunks, bit-identical to the batch path,
+//! - [`stream`]: the receive chain's state machines — resumable
+//!   [`stream::StreamingReceiver`]/[`stream::Deframer`] fed IQ or bit
+//!   chunks; the whole-capture entry points are one push of these,
+//!   and every chunking gives the same result,
 //! - [`metrics`]: insertion/deletion-aware alignment producing the
 //!   BER/IP/DP numbers of Tables II and III,
 //! - [`capacity`]: information-theoretic bounds on the measured

@@ -8,7 +8,7 @@
 //! every packet marker, so an indel costs one packet instead of the
 //! rest of the transmission.
 
-use crate::frame::{deframe, frame_payload, FrameConfig, START_MARKER};
+use crate::frame::{frame_payload, try_deframe, FrameConfig, START_MARKER};
 
 /// Packetisation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,7 +98,7 @@ pub fn depacketize(
     let mut packets: Vec<RecoveredPacket> = Vec::new();
     let mut pos = 0usize;
     while pos + m <= received.len() {
-        match deframe(&received[pos..], config.frame, 1) {
+        match try_deframe(&received[pos..], config.frame, 1).ok() {
             Some(d) if !d.payload.is_empty() => {
                 let seq = d.payload[0];
                 let plausible = expected_packets.is_none_or(|n| (seq as usize) < n);

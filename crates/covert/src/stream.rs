@@ -2,30 +2,32 @@
 //! demod → deframe stages fed IQ in chunks.
 //!
 //! The paper's receiver runs *live*: the SDR produces I/Q continuously
-//! and the attacker demodulates while samples arrive. This module
-//! splits the batch [`Receiver`] pipeline into state machines with a
-//! `push(chunk)` interface that carry their state (sliding-DFT window,
-//! decimation phase, smoothing prefix, convolution ring, marker-scan
-//! position) across chunk boundaries:
+//! and the attacker demodulates while samples arrive. These state
+//! machines are the only receive implementation: they carry their
+//! state (sliding-DFT window, decimation phase, smoothing prefix,
+//! convolution ring, marker-scan position) across chunk boundaries,
+//! and the whole-capture entry points
+//! ([`Receiver::receive`](crate::rx::Receiver::receive),
+//! [`Receiver::receive_blind`](crate::rx::Receiver::receive_blind),
+//! [`try_deframe`](crate::frame::try_deframe)) are one push of the
+//! whole input followed by `finish`. Their contract is chunk
+//! invariance: every chunking of a stream yields the same result as
+//! one push.
 //!
-//! - [`StreamingReceiver`] — IQ chunks in, a final [`RxReport`]
-//!   **bit-identical** to [`Receiver::receive`] (or
-//!   [`Receiver::receive_blind`]) over the concatenated stream, for
-//!   every chunking. The per-sample front end (energy, smoothing, edge
-//!   convolution) runs incrementally with O(kernel) state; only the
-//!   decision stages (peak timing, thresholds), which are global by
-//!   construction in §IV-B, run at [`StreamingReceiver::finish`] over
-//!   the accumulated energy signal — and they are the *same code* the
-//!   batch path runs ([`decode_from_energy`]), so equivalence holds by
-//!   construction.
+//! - [`StreamingReceiver`] — IQ chunks in, a final [`RxReport`] out.
+//!   The per-sample front end (energy, smoothing, edge convolution)
+//!   runs incrementally with O(kernel) state; only the decision stages
+//!   (peak timing, thresholds), which are global by construction in
+//!   §IV-B, run at [`StreamingReceiver::finish`] over the accumulated
+//!   energy signal (`decode_from_energy`).
 //! - [`Deframer`] — demodulated bits in, [`FrameEvent`]s out. Commits
-//!   to the first exact start marker as soon as it appears (the same
-//!   position batch [`try_deframe`] selects) and then emits each frame
-//!   the moment its declared length is on hand, so payloads surface
-//!   mid-stream; inexact candidates are resolved at
-//!   [`Deframer::finish`], exactly like the batch earliest-minimum
-//!   rule. Unlike the batch API it keeps scanning after a frame, so a
-//!   long-running session can recover a *sequence* of frames.
+//!   to the first exact start marker as soon as it appears and then
+//!   emits each frame the moment its declared length is on hand, so
+//!   payloads surface mid-stream; inexact candidates are resolved at
+//!   [`Deframer::finish`] by the earliest-minimum rule (rigid frames)
+//!   or the ranked anchor chain (marker-coded frames). It keeps
+//!   scanning after a frame, so a long-running session can recover a
+//!   *sequence* of frames.
 //!
 //! Typed errors ([`RxError`], [`FrameError`]) are per-stream values,
 //! never panics, so one poisoned stream in a multi-tenant session can
@@ -37,21 +39,20 @@ use emsc_sdr::iq::Complex;
 use emsc_sdr::stream::{ConvolveSameStream, EnergyStream, SmoothStream};
 
 use crate::frame::{
-    body_span, decode_body, decode_rigid_body, header_span, lattice_score, lattice_window,
-    marker_errors_at, peek_declared, peek_declared_rigid, peek_need, rigid_body_span, try_deframe,
+    body_span, decode_rigid_body, header_span, lattice_score, lattice_window, marker_errors_at,
+    peek_declared, peek_declared_rigid, peek_need, ranked_marker_anchors, rigid_body_span,
     Deframed, FrameConfig, FrameError, LATTICE_EXTRA_TOLERANCE, LATTICE_PROBE_MARKERS,
     START_MARKER,
 };
 use crate::marker::{segments_for, MarkerConfig, MarkerStream};
 use crate::rx::{
-    carrier_bins_for, decode_from_energy, edge_kernel_len, try_estimate_bit_period, Receiver,
+    carrier_bins_for, decode_from_energy, edge_kernel_len, try_estimate_bit_period, validate,
     RxConfig, RxError, RxReport, SyncLoss,
 };
 
-/// Width of the energy moving average (shared with the batch path).
+/// Width of the energy moving average.
 const SMOOTH_WIDTH: usize = 3;
-/// Plausible covert bit periods for blind estimation, seconds (the
-/// same bounds [`Receiver::receive_blind`] uses).
+/// Plausible covert bit periods for blind estimation, seconds.
 const BLIND_MIN_PERIOD_S: f64 = 50e-6;
 const BLIND_MAX_PERIOD_S: f64 = 5e-3;
 
@@ -71,12 +72,12 @@ pub struct RxProgress {
 ///
 /// Feed IQ with [`StreamingReceiver::push`]; call
 /// [`StreamingReceiver::finish`] at end of stream for the
-/// [`RxReport`]. Construction performs the same validation as the
-/// batch entry points, in the same precedence order: configuration
-/// errors first, then the sample rate, then carrier presence.
+/// [`RxReport`]. Construction validates in this precedence order:
+/// configuration errors first, then the sample rate, then carrier
+/// presence.
 #[derive(Debug, Clone)]
 pub struct StreamingReceiver {
-    receiver: Receiver,
+    config: RxConfig,
     dt: f64,
     blind: bool,
     front: EnergyStream,
@@ -93,21 +94,18 @@ pub struct StreamingReceiver {
 
 impl StreamingReceiver {
     /// Creates an *informed* streaming receiver (bit period from
-    /// configuration): [`StreamingReceiver::finish`] is bit-identical
-    /// to [`Receiver::receive`] over the same concatenated samples.
+    /// configuration).
     ///
     /// # Errors
     ///
     /// [`RxError::InvalidConfig`], [`RxError::Capture`]
-    /// (`InvalidSampleRate`) or [`RxError::NoCarrier`] — the same
-    /// checks, in the same order, as the batch path.
+    /// (`InvalidSampleRate`) or [`RxError::NoCarrier`], in that order.
     pub fn new(config: RxConfig, sample_rate: f64, center_freq: f64) -> Result<Self, RxError> {
         Self::build(config, sample_rate, center_freq, false)
     }
 
     /// Creates a *blind* streaming receiver (bit period estimated from
-    /// the stream at finish): [`StreamingReceiver::finish`] is
-    /// bit-identical to [`Receiver::receive_blind`].
+    /// the stream at finish).
     ///
     /// # Errors
     ///
@@ -126,24 +124,23 @@ impl StreamingReceiver {
         center_freq: f64,
         blind: bool,
     ) -> Result<Self, RxError> {
-        let receiver = Receiver::try_new(config)?;
+        validate(&config)?;
         if !(sample_rate > 0.0 && sample_rate.is_finite()) {
             return Err(RxError::Capture(CaptureError::InvalidSampleRate));
         }
-        let cfg = receiver.config();
-        let bins = carrier_bins_for(cfg, sample_rate, center_freq);
+        let bins = carrier_bins_for(&config, sample_rate, center_freq);
         if bins.is_empty() {
             return Err(RxError::NoCarrier);
         }
-        let dt = cfg.decimation as f64 / sample_rate;
-        let front = EnergyStream::new(cfg.fft_size, &bins, cfg.decimation)?;
+        let dt = config.decimation as f64 / sample_rate;
+        let front = EnergyStream::new(config.fft_size, &bins, config.decimation)?;
         let conv = if blind {
             None
         } else {
-            Some(ConvolveSameStream::new(&edge_kernel(edge_kernel_len(cfg, dt))))
+            Some(ConvolveSameStream::new(&edge_kernel(edge_kernel_len(&config, dt))))
         };
         Ok(StreamingReceiver {
-            receiver,
+            config,
             dt,
             blind,
             front,
@@ -159,7 +156,7 @@ impl StreamingReceiver {
 
     /// The configuration in use.
     pub fn config(&self) -> &RxConfig {
-        self.receiver.config()
+        &self.config
     }
 
     /// Seconds per energy sample.
@@ -204,15 +201,15 @@ impl StreamingReceiver {
         }
     }
 
-    /// Ends the stream and runs the decision stages, producing exactly
-    /// the report the batch path would for the concatenated samples.
+    /// Ends the stream and runs the decision stages over the
+    /// accumulated energy signal.
     ///
     /// # Errors
     ///
     /// [`RxError::Capture`] with the end-of-stream classification
-    /// (empty, too short for one window, majority-non-finite) — the
-    /// same policy as the batch path — or [`RxError::InvalidConfig`]
-    /// if a blind-estimated period is degenerate.
+    /// (empty, too short for one window, majority-non-finite), or
+    /// [`RxError::InvalidConfig`] if a blind-estimated period is
+    /// degenerate.
     pub fn finish(&mut self) -> Result<RxReport, RxError> {
         assert!(!self.finished, "finish() may only be called once");
         self.finished = true;
@@ -221,12 +218,11 @@ impl StreamingReceiver {
         self.smoother.finish_into(&mut self.energy);
         let sanitized = self.front.sanitized();
         if self.blind {
-            // Mirror `receive_blind`: estimate the period over the
-            // whole smoothed energy signal, fall back to the prior,
-            // re-validate the tuned configuration, then decode. The
-            // batch path recomputes the energy signal with the tuned
-            // receiver; only the bit period changed, so the energy it
-            // recomputes is the one already accumulated here.
+            // Estimate the period over the whole smoothed energy
+            // signal, fall back to the prior, re-validate the tuned
+            // configuration, then size the edge kernel from it and
+            // decode. Only the bit period changed, so the energy
+            // signal accumulated here is already the tuned one.
             let estimated = match try_estimate_bit_period(
                 &self.energy,
                 self.dt,
@@ -236,24 +232,21 @@ impl StreamingReceiver {
                 Ok(period) => period,
                 Err(loss) => {
                     self.sync_loss = Some(loss);
-                    self.config().expected_bit_period_s
+                    self.config.expected_bit_period_s
                 }
             };
-            let tuned = Receiver::try_new(RxConfig {
-                expected_bit_period_s: estimated,
-                ..self.config().clone()
-            })?;
-            let cfg = tuned.config();
+            let tuned = RxConfig { expected_bit_period_s: estimated, ..self.config.clone() };
+            validate(&tuned)?;
             let energy = std::mem::take(&mut self.energy);
-            let edge = convolve_same(&energy, &edge_kernel(edge_kernel_len(cfg, self.dt)));
-            Ok(decode_from_energy(cfg, energy, edge, self.dt, sanitized))
+            let edge = convolve_same(&energy, &edge_kernel(edge_kernel_len(&tuned, self.dt)));
+            Ok(decode_from_energy(&tuned, energy, edge, self.dt, sanitized))
         } else {
             let conv = self.conv.as_mut().expect("informed mode has a convolver");
             conv.push_into(&self.energy[tail_from..], &mut self.edge);
             conv.finish_into(&mut self.edge);
             let energy = std::mem::take(&mut self.energy);
             let edge = std::mem::take(&mut self.edge);
-            Ok(decode_from_energy(self.receiver.config(), energy, edge, self.dt, sanitized))
+            Ok(decode_from_energy(&self.config, energy, edge, self.dt, sanitized))
         }
     }
 }
@@ -270,7 +263,7 @@ pub enum FrameEvent {
         errors: usize,
     },
     /// A frame decoded. `payload_start` is the absolute bit index of
-    /// its body, directly comparable with batch [`try_deframe`].
+    /// its body in the whole stream.
     Frame(Deframed),
     /// The stream ended without (or inside) a frame.
     Lost(FrameError),
@@ -279,12 +272,11 @@ pub enum FrameEvent {
 /// Incremental deframer: push demodulated bits, collect
 /// [`FrameEvent`]s.
 ///
-/// For non-interleaved frames the marker scan and body decode run
-/// online; an interleaved body is deinterleaved whole by the batch
-/// decoder, so with `interleave_depth` set the deframer buffers until
-/// [`Deframer::finish`] (matching batch behaviour exactly is
-/// impossible sooner: the final interleaver block depends on the last
-/// bit of the stream).
+/// The marker scan and body decode run online, except for rigid
+/// interleaved frames: their body is deinterleaved whole and the final
+/// interleaver block depends on the last bit of the stream, so with
+/// `interleave_depth` set (and no marker code) the deframer buffers
+/// until [`Deframer::finish`].
 #[derive(Debug, Clone)]
 pub struct Deframer {
     config: FrameConfig,
@@ -306,11 +298,10 @@ pub struct Deframer {
     finished: bool,
 }
 
-/// Incremental recovery of a marker-coded frame body: mirrors the
-/// batch `recover_rigid` pump exactly (first enough segments to peek
-/// the declared length, then exactly the declared body), so the
-/// decisions — and therefore the decoded frame — are bit-identical to
-/// batch for every chunking.
+/// Incremental recovery of a marker-coded frame body: first enough
+/// segments to peek the declared length, then exactly the declared
+/// body. The push path pumps it as bits arrive; [`Deframer::finish`]
+/// pumps it over the rest of the stream.
 #[derive(Debug, Clone)]
 struct MarkerRx {
     ms: MarkerStream,
@@ -325,8 +316,8 @@ impl MarkerRx {
         MarkerRx { ms: MarkerStream::new(mcfg), rigid: Vec::new(), fed: 0, declared: None }
     }
 
-    /// Feeds any new body bits and pumps segments as far as the batch
-    /// gating allows. Returns `true` once the rigid body is complete
+    /// Feeds any new body bits and pumps segments as far as they can
+    /// be decided. Returns `true` once the rigid body is complete
     /// (always, at end of stream, once the declared length is known).
     fn pump(&mut self, body: &[u8], config: FrameConfig, end_of_stream: bool) -> bool {
         if self.fed < body.len() {
@@ -353,22 +344,26 @@ impl MarkerRx {
         self.rigid.len() >= want || end_of_stream
     }
 
-    /// Decodes the completed rigid body, padding any truncation the
-    /// way the batch path does.
+    /// Decodes the pumped rigid body. A body cut short by the end of
+    /// the stream is zero-padded to its declared length so the rigid
+    /// grid keeps its nominal length — unless less than half of it
+    /// ever arrived: genuine truncation still materialises most of
+    /// its declared segments, so then the header was garbage (a
+    /// spurious lock or a destroyed header), not a frame.
     fn decode(mut self, config: FrameConfig, payload_start: usize) -> Result<Deframed, FrameError> {
         let declared = self.declared.ok_or(FrameError::TruncatedHeader)?;
         let want = segments_for(self.ms.config(), rigid_body_span(config, declared))
             * self.ms.config().segment_len;
         let mut stats = self.ms.stats();
         if self.rigid.len() < want {
+            if self.rigid.len() * 2 < want {
+                return Err(FrameError::ImplausibleLength { declared });
+            }
             stats.truncated_bits += want - self.rigid.len();
             self.rigid.resize(want, 0);
         }
         self.rigid.truncate(want);
-        let decoded = decode_rigid_body(&self.rigid, config)?;
-        let mut frame = decoded.into_deframed(payload_start);
-        frame.marker = Some(stats);
-        Ok(frame)
+        Ok(decode_rigid_body(&self.rigid, config)?.into_deframed(payload_start, Some(stats)))
     }
 
     /// Received body bits consumed by the emitted segments.
@@ -379,7 +374,7 @@ impl MarkerRx {
 
 impl Deframer {
     /// Creates a deframer tolerating up to `max_marker_errors` bit
-    /// errors in the start marker, like batch [`try_deframe`].
+    /// errors in the start marker.
     pub fn new(config: FrameConfig, max_marker_errors: usize) -> Self {
         Deframer {
             config,
@@ -400,14 +395,16 @@ impl Deframer {
         self.frames_emitted
     }
 
+    /// Rigid interleaved frames are resolved only at finish (see the
+    /// type docs).
+    fn rigid_interleaved(&self) -> bool {
+        self.config.interleave_depth.is_some() && self.config.parity && self.config.marker.is_none()
+    }
+
     /// Feeds demodulated bits, returning any events they complete.
     pub fn push(&mut self, new_bits: &[u8]) -> Vec<FrameEvent> {
         self.bits.extend_from_slice(new_bits);
-        if self.config.interleave_depth.is_some()
-            && self.config.parity
-            && self.config.marker.is_none()
-        {
-            // Deferred wholly to finish (see type docs).
+        if self.rigid_interleaved() {
             return Vec::new();
         }
         let mut events = Vec::new();
@@ -448,8 +445,8 @@ impl Deframer {
                 break;
             }
             let span = &self.bits[body_at..body_at + needed];
-            let body = decode_body(span, self.config).expect("complete header span decodes");
-            events.push(FrameEvent::Frame(body.into_deframed(self.base + body_at)));
+            let body = decode_rigid_body(span, self.config).expect("complete header span decodes");
+            events.push(FrameEvent::Frame(body.into_deframed(self.base + body_at, None)));
             self.frames_emitted += 1;
             // Rebase past the consumed frame and keep scanning: a
             // long-running session sees a *sequence* of frames.
@@ -469,14 +466,14 @@ impl Deframer {
         }
         if let Some(mcfg) = self.config.marker {
             // Marker-coded frames rank anchors by segment-marker
-            // lattice score (the batch `ranked_marker_anchors` rule).
-            // A candidate's score is final only once its whole probe
+            // lattice score (see `ranked_marker_anchors`). A
+            // candidate's score is final only once its whole probe
             // window is buffered, so scan decidable positions and
             // commit at the first candidate no later position can
             // outrank — an un-aliased, fully *exact* lattice with an
-            // exact start marker, the unique maximum of the batch
-            // comparator. Anything weaker is resolved at finish() by
-            // the batch scan over the full buffer.
+            // exact start marker, the unique maximum of the ranking.
+            // Anything weaker is resolved at finish() by the ranked
+            // chain over the full buffer.
             let window = m + lattice_window(mcfg);
             while self.scanned + window <= self.bits.len() {
                 let pos = self.scanned;
@@ -494,13 +491,14 @@ impl Deframer {
             }
             return;
         }
+        // Rigid frames: the earliest minimum-error marker within the
+        // tolerance. An exact match can never be beaten, so commit to
+        // it at once and let the frame stream out.
         for pos in self.scanned..=self.bits.len() - m {
             let errors = marker_errors_at(&self.bits, pos);
             if errors <= self.max_marker_errors && self.best.is_none_or(|(e, _)| errors < e) {
                 self.best = Some((errors, pos));
                 if errors == 0 {
-                    // The batch rule commits to the earliest exact
-                    // match; commit now so the frame can stream out.
                     self.committed = Some(pos);
                     events.push(FrameEvent::MarkerFound { position: self.base + pos, errors: 0 });
                     self.scanned = pos + 1;
@@ -511,43 +509,23 @@ impl Deframer {
         self.scanned = self.bits.len() - m + 1;
     }
 
-    /// Ends the stream, resolving any uncommitted candidate the way
-    /// batch [`try_deframe`] would: the earliest minimum-error marker
-    /// wins, a truncated body decodes as far as it goes, and a stream
-    /// with no marker (and no frames already emitted) reports
-    /// [`FrameError::MarkerNotFound`].
+    /// Ends the stream, resolving what the push path left open. A
+    /// rigid stream decodes from the committed exact marker, else from
+    /// the earliest minimum-error one, as far as the body goes. A
+    /// marker-coded stream runs the ranked anchor chain over the
+    /// unresolved tail. A stream with no marker (and no frames already
+    /// emitted) reports [`FrameError::MarkerNotFound`].
     pub fn finish(&mut self) -> Vec<FrameEvent> {
         assert!(!self.finished, "finish() may only be called once");
         self.finished = true;
-        let rigid_interleaved = self.config.interleave_depth.is_some()
-            && self.config.parity
-            && self.config.marker.is_none();
-        // Marker-coded frames always defer to the batch scan: the
-        // ranked candidate chain may fall through past a committed
-        // anchor whose decode proves implausible, and only the full
-        // buffer can rank end-of-stream candidates whose lattice
-        // windows never filled. (A frame the push path already
-        // emitted has been drained from the buffer, so the batch scan
-        // here sees only the unresolved tail.)
-        if rigid_interleaved || self.config.marker.is_some() {
-            return match try_deframe(&self.bits, self.config, self.max_marker_errors) {
-                Ok(frame) => {
-                    let pos = frame.payload_start - START_MARKER.len();
-                    let errors = marker_errors_at(&self.bits, pos);
-                    self.frames_emitted += 1;
-                    vec![
-                        FrameEvent::MarkerFound { position: self.base + pos, errors },
-                        FrameEvent::Frame(Deframed {
-                            payload_start: self.base + frame.payload_start,
-                            ..frame
-                        }),
-                    ]
-                }
-                Err(e) if self.frames_emitted == 0 => vec![FrameEvent::Lost(e)],
-                Err(_) => Vec::new(),
-            };
+        if let Some(mcfg) = self.config.marker {
+            return self.finish_ranked(mcfg);
         }
         let mut events = Vec::new();
+        if self.rigid_interleaved() {
+            // push() only buffered.
+            self.scan_for_marker(&mut events);
+        }
         let pos = match self.committed {
             Some(pos) => Some(pos),
             None => {
@@ -561,10 +539,11 @@ impl Deframer {
         match pos {
             Some(pos) => {
                 let body_at = pos + START_MARKER.len();
-                match decode_body(&self.bits[body_at..], self.config) {
+                match decode_rigid_body(&self.bits[body_at..], self.config) {
                     Ok(body) => {
                         self.frames_emitted += 1;
-                        events.push(FrameEvent::Frame(body.into_deframed(self.base + body_at)));
+                        let frame = body.into_deframed(self.base + body_at, None);
+                        events.push(FrameEvent::Frame(frame));
                     }
                     Err(e) => events.push(FrameEvent::Lost(e)),
                 }
@@ -576,17 +555,52 @@ impl Deframer {
         }
         events
     }
+
+    /// End of a marker-coded stream. The push path commits only to an
+    /// anchor nothing can outrank, but that anchor's header may still
+    /// prove implausible, and candidates whose lattice windows never
+    /// filled were never scored; so the whole unresolved tail is
+    /// ranked afresh (a frame the push path already emitted has been
+    /// drained). Candidates decode in rank order until one yields a
+    /// plausible frame; when none does, the top-ranked candidate's
+    /// error is reported — it is the most likely true anchor.
+    fn finish_ranked(&mut self, mcfg: MarkerConfig) -> Vec<FrameEvent> {
+        let mut first_err = None;
+        for pos in ranked_marker_anchors(&self.bits, mcfg, self.max_marker_errors) {
+            let body_at = pos + START_MARKER.len();
+            let mut mrx = MarkerRx::new(mcfg);
+            mrx.pump(&self.bits[body_at..], self.config, true);
+            match mrx.decode(self.config, self.base + body_at) {
+                Ok(frame) => {
+                    self.frames_emitted += 1;
+                    let errors = marker_errors_at(&self.bits, pos);
+                    return vec![
+                        FrameEvent::MarkerFound { position: self.base + pos, errors },
+                        FrameEvent::Frame(frame),
+                    ];
+                }
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
+            }
+        }
+        if self.frames_emitted == 0 {
+            vec![FrameEvent::Lost(first_err.unwrap_or(FrameError::MarkerNotFound))]
+        } else {
+            Vec::new()
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::frame_payload;
+    use crate::frame::{frame_payload, try_deframe};
+    use crate::rx::Receiver;
     use emsc_sdr::Capture;
 
-    fn chunkings(len: usize) -> Vec<usize> {
-        vec![1, 7, 64 * 1024, len.max(1)]
-    }
+    /// Chunk sizes compared against one push of the whole input.
+    const CHUNKINGS: [usize; 3] = [1, 7, 64 * 1024];
 
     /// Synthetic OOK capture (tone bursts for 1-bits over silence).
     fn ook_capture(bits: &[u8]) -> Capture {
@@ -623,7 +637,7 @@ mod tests {
         let bits = vec![1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1];
         let cap = ook_capture(&bits);
         let batch = Receiver::new(rx_config(400e-6)).receive(&cap).expect("clean capture decodes");
-        for chunk in chunkings(cap.samples.len()) {
+        for chunk in CHUNKINGS {
             let mut rx =
                 StreamingReceiver::new(rx_config(400e-6), cap.sample_rate, cap.center_freq)
                     .expect("valid config");
@@ -656,7 +670,7 @@ mod tests {
 
     #[test]
     fn streaming_receiver_reports_typed_errors() {
-        // Construction-time checks, in batch precedence order.
+        // Construction-time checks, in precedence order.
         let bad = RxConfig { fft_size: 1000, ..rx_config(400e-6) };
         assert!(matches!(
             StreamingReceiver::new(bad, 2.4e6, 1.5e6),
@@ -670,7 +684,7 @@ mod tests {
             StreamingReceiver::new(rx_config(400e-6), 2.4e6, 100e6).unwrap_err(),
             RxError::NoCarrier
         );
-        // End-of-stream classification matches the batch policy.
+        // End-of-stream classification.
         let mut rx = StreamingReceiver::new(rx_config(400e-6), 2.4e6, 1.5e6).unwrap();
         assert_eq!(rx.finish().unwrap_err(), RxError::Capture(CaptureError::Empty));
         let mut rx = StreamingReceiver::new(rx_config(400e-6), 2.4e6, 1.5e6).unwrap();
@@ -714,7 +728,7 @@ mod tests {
         bits.extend(frame_payload(payload, cfg));
         bits.extend([0, 1, 0, 0, 1, 1]);
         let batch = try_deframe(&bits, cfg, 1).expect("frame");
-        for chunk in chunkings(bits.len()) {
+        for chunk in CHUNKINGS {
             let mut d = Deframer::new(cfg, 1);
             let mut events = Vec::new();
             for c in bits.chunks(chunk) {
@@ -779,7 +793,7 @@ mod tests {
         let marker_at = cfg.sync_len + cfg.zeros_len;
         bits[marker_at + 3] ^= 1; // 1 marker error: only finish() can commit
         let batch = try_deframe(&bits, cfg, 1).expect("tolerant batch deframe");
-        for chunk in chunkings(bits.len()) {
+        for chunk in CHUNKINGS {
             let mut d = Deframer::new(cfg, 1);
             let mut events = Vec::new();
             for c in bits.chunks(chunk) {
@@ -849,7 +863,7 @@ mod tests {
         bits.extend(std::iter::repeat_n([0u8, 1], 16).flatten());
         let batch = try_deframe(&bits, cfg, 1).expect("marker frame");
         assert!(batch.marker.is_some());
-        for chunk in chunkings(bits.len()) {
+        for chunk in CHUNKINGS {
             let mut d = Deframer::new(cfg, 1);
             let mut events = Vec::new();
             for c in bits.chunks(chunk) {
@@ -877,13 +891,13 @@ mod tests {
         let marker_at = cfg.sync_len + cfg.zeros_len;
         // 3 START_MARKER errors: the push path can never commit (it
         // requires an exact anchor), so every chunking must defer to
-        // finish and agree with the batch lattice search.
+        // finish and agree with the one-push ranked chain.
         for i in [0, 3, 6] {
             bits[marker_at + i] ^= 1;
         }
         let batch = try_deframe(&bits, cfg, 1).expect("lattice-confirmed anchor");
         assert_eq!(batch.payload, payload.to_vec());
-        for chunk in chunkings(bits.len()) {
+        for chunk in CHUNKINGS {
             let mut d = Deframer::new(cfg, 1);
             let mut events = Vec::new();
             for c in bits.chunks(chunk) {
@@ -915,7 +929,7 @@ mod tests {
         bits.extend([1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]);
         let batch = try_deframe(&bits, cfg, 0).expect("frame");
         assert_eq!(batch.payload, payload.to_vec());
-        for chunk in chunkings(bits.len()) {
+        for chunk in CHUNKINGS {
             let mut d = Deframer::new(cfg, 0);
             let mut events = Vec::new();
             for c in bits.chunks(chunk) {

@@ -1,7 +1,7 @@
 //! Full-chain validation: transmitter program → power trace → buck
 //! converter → EM scene → SDR front end → batch receiver → payload.
 
-use emsc_covert::frame::{deframe, FrameConfig};
+use emsc_covert::frame::{try_deframe, FrameConfig};
 use emsc_covert::metrics::align;
 use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_covert::tx::{Transmitter, TxConfig};
@@ -30,7 +30,7 @@ fn transmit_and_receive(payload: &[u8], seed: u64) -> (Vec<u8>, emsc_covert::rx:
 
     let bit_period = tx.config().expected_bit_period_on(&machine);
     let rx = Receiver::new(RxConfig::new(F_SW, bit_period));
-    let report = rx.demodulate(&capture);
+    let report = rx.receive(&capture).expect("the capture decodes");
     (tx.on_air_bits(payload), report)
 }
 
@@ -49,7 +49,7 @@ fn payload_recovered_over_the_full_chain() {
         alignment.ber()
     );
     assert!(alignment.ber() < 0.05, "BER {}", alignment.ber());
-    let out =
-        deframe(&report.bits, FrameConfig::default(), 1).expect("frame marker must be detectable");
+    let out = try_deframe(&report.bits, FrameConfig::default(), 1)
+        .expect("frame marker must be detectable");
     assert_eq!(out.payload, payload.to_vec());
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for coding, framing and alignment.
 
 use emsc_covert::coding::{bits_to_bytes, bytes_to_bits, decode_bits, encode_bits};
-use emsc_covert::frame::{deframe, frame_payload, FrameConfig};
+use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig};
 use emsc_covert::interleave::Interleaver;
 use emsc_covert::metrics::{align, align_semiglobal};
 use proptest::prelude::*;
@@ -48,7 +48,7 @@ proptest! {
     fn framing_round_trips(payload in prop::collection::vec(any::<u8>(), 0..48)) {
         let cfg = FrameConfig::default();
         let on_air = frame_payload(&payload, cfg);
-        let out = deframe(&on_air, cfg, 1).expect("clean frame must deframe");
+        let out = try_deframe(&on_air, cfg, 1).expect("clean frame must deframe");
         prop_assert_eq!(out.payload, payload);
     }
 
@@ -71,7 +71,7 @@ proptest! {
             on_air[body_start + cw * 7 + pos] ^= 1;
             cw += 1;
         }
-        let out = deframe(&on_air, cfg, 1).expect("deframe");
+        let out = try_deframe(&on_air, cfg, 1).expect("deframe");
         prop_assert_eq!(out.payload, payload);
     }
 

@@ -9,9 +9,9 @@
 
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::stats::{quantile, Histogram};
-use emsc_sdr::stft::{stft, StftConfig};
-use emsc_sdr::window::Window;
 use emsc_sdr::Capture;
+
+use crate::stream::StreamingDetector;
 
 /// Why keystroke detection could not run over a capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,8 +108,10 @@ impl DetectedBurst {
     }
 }
 
-/// Detector output, intermediates included.
-#[derive(Debug, Clone, PartialEq)]
+/// Detector output, intermediates included. The `Default` report is
+/// the empty one (no windows, no bursts) that callers which must keep
+/// going record when detection fails.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct DetectionReport {
     /// Per-window band energy.
     pub window_energy: Vec<f64>,
@@ -157,6 +159,26 @@ impl DetectionScore {
     }
 }
 
+/// Checks the invariants every detector configuration must hold. The
+/// one rule set behind [`Detector::new`], [`Detector::try_new`] and
+/// [`StreamingDetector::new`].
+///
+/// # Errors
+///
+/// [`DetectError::InvalidConfig`] naming the first violated invariant.
+fn validate(cfg: &DetectorConfig) -> Result<(), DetectError> {
+    let broken = if !cfg.window_samples.is_power_of_two() {
+        "window must be a power of two"
+    } else if cfg.harmonics == 0 {
+        "need at least the fundamental"
+    } else if cfg.min_burst_s.is_nan() || cfg.min_burst_s < 0.0 {
+        "burst filter must be non-negative"
+    } else {
+        return Ok(());
+    };
+    Err(DetectError::InvalidConfig(broken))
+}
+
 /// The keystroke detector.
 #[derive(Debug, Clone)]
 pub struct Detector {
@@ -168,13 +190,9 @@ impl Detector {
     ///
     /// # Panics
     ///
-    /// Panics if `window_samples` is not a power of two or the
-    /// configuration is otherwise degenerate.
+    /// Panics on any configuration [`Detector::try_new`] rejects.
     pub fn new(config: DetectorConfig) -> Self {
-        assert!(config.window_samples.is_power_of_two(), "window must be a power of two");
-        assert!(config.harmonics > 0, "need at least the fundamental");
-        assert!(config.min_burst_s >= 0.0, "burst filter must be non-negative");
-        Detector { config }
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`Detector::new`]: reports a degenerate
@@ -186,15 +204,7 @@ impl Detector {
     /// Returns [`DetectError::InvalidConfig`] naming the violated
     /// invariant.
     pub fn try_new(config: DetectorConfig) -> Result<Self, DetectError> {
-        if !config.window_samples.is_power_of_two() {
-            return Err(DetectError::InvalidConfig("window must be a power of two"));
-        }
-        if config.harmonics == 0 {
-            return Err(DetectError::InvalidConfig("need at least the fundamental"));
-        }
-        if config.min_burst_s.is_nan() || config.min_burst_s < 0.0 {
-            return Err(DetectError::InvalidConfig("burst filter must be non-negative"));
-        }
+        validate(&config)?;
         Ok(Detector { config })
     }
 
@@ -203,85 +213,27 @@ impl Detector {
         &self.config
     }
 
-    /// Computes the per-window VRM-band energies of a capture — the
-    /// first detection stage, exposed separately so long recordings
-    /// can be processed in chunks (energies concatenate; thresholding
-    /// and grouping then run once, globally).
-    pub fn window_energies(&self, capture: &Capture) -> Vec<f64> {
-        let cfg = &self.config;
-        let spec = stft(
-            &capture.samples,
-            capture.sample_rate,
-            &StftConfig::non_overlapping(cfg.window_samples, Window::Hann),
-        );
-        let freqs: Vec<f64> = (1..=cfg.harmonics)
-            .map(|h| cfg.switching_freq_hz * h as f64 - capture.center_freq)
-            .filter(|f| f.abs() < capture.sample_rate / 2.0)
-            .collect();
-        spec.band_energy(&freqs)
-    }
-
-    /// Runs detection over a capture.
-    ///
-    /// Panic-free wrapper over [`Detector::try_detect`]: an unusable
-    /// capture degrades to an empty report (no bursts) instead of a
-    /// crash.
-    pub fn detect(&self, capture: &Capture) -> DetectionReport {
-        self.try_detect(capture).unwrap_or_else(|_| DetectionReport {
-            window_energy: Vec::new(),
-            window_s: 0.0,
-            threshold: 0.0,
-            bursts: Vec::new(),
-            rejected: Vec::new(),
-        })
-    }
-
-    /// Fallible detection: like [`Detector::detect`] but reporting an
-    /// unusable capture as a typed [`DetectError`]. Non-finite window
-    /// energies (from isolated corrupt samples) are zeroed before
-    /// thresholding; a capture whose samples are *mostly* non-finite
-    /// is rejected.
+    /// Runs detection over a whole capture: one push of it through a
+    /// [`StreamingDetector`], then the global threshold/grouping pass.
+    /// Non-finite window energies (from isolated corrupt samples) are
+    /// zeroed before thresholding; a capture whose samples are
+    /// *mostly* non-finite is rejected.
     ///
     /// # Errors
     ///
-    /// [`DetectError::Capture`] for an empty capture, one shorter
-    /// than a single STFT window, a non-positive/non-finite sample
-    /// rate, or a majority-non-finite capture.
+    /// [`DetectError::Capture`] for a non-positive/non-finite sample
+    /// rate, an empty capture, one shorter than a single STFT window,
+    /// or a majority-non-finite capture.
     pub fn try_detect(&self, capture: &Capture) -> Result<DetectionReport, DetectError> {
-        if !(capture.sample_rate > 0.0 && capture.sample_rate.is_finite()) {
-            return Err(DetectError::Capture(CaptureError::InvalidSampleRate));
-        }
-        if capture.samples.is_empty() {
-            return Err(DetectError::Capture(CaptureError::Empty));
-        }
-        if capture.samples.len() < self.config.window_samples {
-            return Err(DetectError::Capture(CaptureError::TooShort {
-                needed: self.config.window_samples,
-                got: capture.samples.len(),
-            }));
-        }
-        let non_finite =
-            capture.samples.iter().filter(|z| !(z.re.is_finite() && z.im.is_finite())).count();
-        if non_finite * 2 > capture.samples.len() {
-            return Err(DetectError::Capture(CaptureError::NonFinite {
-                count: non_finite,
-                total: capture.samples.len(),
-            }));
-        }
-        let mut window_energy = self.window_energies(capture);
-        // Isolated corrupt samples poison only their own window's
-        // energy; zero those windows so they read as idle.
-        for e in &mut window_energy {
-            if !e.is_finite() {
-                *e = 0.0;
-            }
-        }
-        let window_s = self.config.window_samples as f64 / capture.sample_rate;
-        Ok(self.detect_from_energies(window_energy, window_s))
+        let mut detector =
+            StreamingDetector::new(self.config.clone(), capture.sample_rate, capture.center_freq)?;
+        detector.push(&capture.samples);
+        detector.finish()
     }
 
-    /// Thresholds and groups precomputed window energies (see
-    /// [`Detector::window_energies`]).
+    /// Thresholds and groups precomputed window energies (the
+    /// [`DetectionReport::window_energy`] of earlier detections, for
+    /// example chunks of one long recording).
     pub fn detect_from_energies(&self, window_energy: Vec<f64>, window_s: f64) -> DetectionReport {
         let cfg = &self.config;
         let threshold = select_threshold(&window_energy);
@@ -450,7 +402,7 @@ mod tests {
     fn detects_well_separated_keystrokes() {
         let truth = [(0.2, 0.05), (0.5, 0.06), (0.9, 0.05)];
         let cap = capture_with_bursts(&truth, 1.2);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 3, "bursts: {:?}", report.bursts);
         let score = score_detections(
             &report.bursts,
@@ -466,7 +418,7 @@ mod tests {
     fn short_bursts_are_filtered_out() {
         // A 10 ms housekeeping blip must be rejected by the 30 ms rule.
         let cap = capture_with_bursts(&[(0.2, 0.05), (0.5, 0.010)], 0.8);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 1);
         assert_eq!(report.rejected.len(), 1);
         assert!(report.rejected[0].duration_s < 0.03);
@@ -475,7 +427,7 @@ mod tests {
     #[test]
     fn burst_duration_is_estimated() {
         let cap = capture_with_bursts(&[(0.3, 0.08)], 0.7);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 1);
         let b = report.bursts[0];
         assert!((b.start_s - 0.3).abs() < 0.01, "start {}", b.start_s);
@@ -486,7 +438,7 @@ mod tests {
     fn gap_bridging_merges_split_bursts() {
         // Two half-bursts 5 ms apart are one keystroke, not two.
         let cap = capture_with_bursts(&[(0.3, 0.025), (0.33, 0.03)], 0.7);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 1, "bursts {:?}", report.bursts);
     }
 
@@ -508,7 +460,7 @@ mod tests {
     #[test]
     fn empty_capture_detects_nothing() {
         let cap = capture_with_bursts(&[], 0.3);
-        let report = detector().detect(&cap);
+        let report = detector().try_detect(&cap).expect("capture is usable");
         assert!(report.bursts.is_empty());
     }
 
@@ -555,10 +507,6 @@ mod tests {
             d.try_detect(&all_nan),
             Err(DetectError::Capture(CaptureError::NonFinite { .. }))
         ));
-        // The panic-free wrapper degrades each of those to no bursts.
-        for cap in [&empty, &short, &bad_rate, &all_nan] {
-            assert!(d.detect(cap).bursts.is_empty());
-        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   windows, band thresholding, and the ≥30 ms duration filter —
 //!   with TPR/FPR scoring against ground truth,
 //! - [`stream`]: the resumable [`stream::StreamingDetector`], fed I/Q
-//!   in chunks and bit-identical to the batch detector,
+//!   in chunks; [`detect::Detector::try_detect`] is one push of it, and
+//!   every chunking gives the same report,
 //! - [`words`]: gap-based word grouping and the Table IV word-length
 //!   precision/recall metrics,
 //! - [`identify`]: §V-B's timing-based search-space reduction — how

@@ -1,21 +1,20 @@
-//! Incremental keystroke detection from chunked I/Q.
+//! Incremental keystroke detection from chunked I/Q — the detector's
+//! only STFT front end.
 //!
-//! [`StreamingDetector`] is the resumable counterpart of
-//! [`Detector::try_detect`](crate::detect::Detector::try_detect):
-//! raw samples are pushed in arbitrarily-sized chunks, each completed
-//! STFT window is transformed as soon as its last sample arrives, and
+//! [`StreamingDetector`] takes raw samples in arbitrarily-sized
+//! chunks, transforms each completed non-overlapping STFT window
+//! (Hann-weighted, VRM-band bin magnitudes summed in harmonic order)
+//! as soon as its last sample arrives, and
 //! [`StreamingDetector::finish`] runs the global threshold/grouping
 //! pass over the accumulated window energies.
+//! [`Detector::try_detect`](crate::detect::Detector::try_detect) is
+//! one push of a whole capture followed by `finish`.
 //!
-//! The streaming path is bit-identical to the batch path by
-//! construction: windows are non-overlapping, so buffering exactly
-//! `window_samples` raw samples and applying the same Hann
-//! coefficients, the same FFT plan and the same bin-sum order performs
-//! the same floating-point operations the batch
-//! [`window_energies`](crate::detect::Detector::window_energies) does,
-//! regardless of how the capture was chunked. The trailing partial
-//! window is dropped in both paths (it still counts towards the
-//! non-finite-majority check, as in batch).
+//! Windows are non-overlapping, so buffering exactly `window_samples`
+//! raw samples performs the same floating-point operations however
+//! the stream was chunked: every chunking gives the same report as
+//! one push. The trailing partial window is dropped (it still counts
+//! towards the non-finite-majority check).
 
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::fft::{frequency_bin, FftPlan};
@@ -64,8 +63,7 @@ impl StreamingDetector {
     /// [`DetectError::InvalidConfig`] for a degenerate configuration
     /// (as [`Detector::try_new`]), then
     /// [`DetectError::Capture`]([`CaptureError::InvalidSampleRate`])
-    /// for a non-positive or non-finite sample rate — the same
-    /// precedence the batch path applies.
+    /// for a non-positive or non-finite sample rate.
     pub fn new(
         config: DetectorConfig,
         sample_rate: f64,
@@ -77,8 +75,8 @@ impl StreamingDetector {
         }
         let cfg = detector.config();
         let n = cfg.window_samples;
-        // Same band selection as `Detector::window_energies`: harmonic
-        // order, out-of-capture harmonics dropped, nearest-bin mapping.
+        // The VRM band: harmonics in order, out-of-capture harmonics
+        // dropped, nearest-bin mapping.
         let band_bins: Vec<usize> = (1..=cfg.harmonics)
             .map(|h| cfg.switching_freq_hz * h as f64 - center_freq)
             .filter(|f| f.abs() < sample_rate / 2.0)
@@ -176,14 +174,12 @@ impl StreamingDetector {
     }
 
     /// Classifies the stream and runs the global threshold/grouping
-    /// pass, exactly as the batch [`Detector::try_detect`] would over
-    /// the concatenation of every pushed chunk.
+    /// pass over the window energies, non-finite ones zeroed.
     ///
     /// # Errors
     ///
-    /// [`DetectError::Capture`] with the batch precedence: empty
-    /// stream, stream shorter than one window, majority-non-finite
-    /// stream.
+    /// [`DetectError::Capture`], in this precedence: empty stream,
+    /// stream shorter than one window, majority-non-finite stream.
     ///
     /// # Panics
     ///

@@ -8,7 +8,8 @@
 //!
 //! Conventions: the forward transform computes
 //! `X[k] = Σ_n x[n]·e^{-2πi·kn/N}` (no scaling); the inverse applies
-//! the conjugate kernel and divides by `N`, so `ifft(fft(x)) == x`.
+//! the conjugate kernel and divides by `N`, so an inverse transform
+//! undoes a forward one.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -272,35 +273,6 @@ pub fn plan_for(n: usize) -> Rc<FftPlan> {
     })
 }
 
-/// Convenience one-shot forward FFT of a complex slice.
-///
-/// Uses the thread-local plan cache, so repeated calls at one length
-/// pay the twiddle setup only once — but every call clones the input
-/// into a fresh allocation. Steady-state code should hold a plan (or
-/// call [`plan_for`]) and transform a reused buffer in place.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-#[deprecated(since = "0.1.0", note = "allocates per call; use plan_for(n).forward(&mut buf)")]
-pub fn fft(input: &[Complex]) -> Vec<Complex> {
-    let mut buf = input.to_vec();
-    plan_for(input.len()).forward(&mut buf);
-    buf
-}
-
-/// Convenience one-shot inverse FFT.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-#[deprecated(since = "0.1.0", note = "allocates per call; use plan_for(n).inverse(&mut buf)")]
-pub fn ifft(input: &[Complex]) -> Vec<Complex> {
-    let mut buf = input.to_vec();
-    plan_for(input.len()).inverse(&mut buf);
-    buf
-}
-
 /// Forward FFT of a real-valued signal via the half-size complex
 /// trick ([`FftPlan::forward_real`]): one length-`N/2` complex
 /// transform instead of promoting to a full-size complex buffer.
@@ -357,8 +329,7 @@ mod tests {
         assert!((a - b).abs() < eps, "expected {b}, got {a} (err {})", (a - b).abs());
     }
 
-    /// Plan-based one-shot forward transform (what the deprecated
-    /// `fft` wrapper does; tests use this form directly).
+    /// Plan-based one-shot forward transform.
     fn fft(input: &[Complex]) -> Vec<Complex> {
         let mut buf = input.to_vec();
         plan_for(input.len()).forward(&mut buf);
@@ -510,15 +481,6 @@ mod tests {
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
         assert!(Rc::ptr_eq(&plan_for(64), &plan_for(64)));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_the_plan_path() {
-        let x: Vec<Complex> =
-            (0..32).map(|i| Complex::new((i as f64 * 0.7).sin(), (i as f64 * 0.2).cos())).collect();
-        assert_eq!(super::fft(&x), fft(&x));
-        assert_eq!(super::ifft(&x), ifft(&x));
     }
 
     /// Reference for the real-FFT tests: promote to complex and run

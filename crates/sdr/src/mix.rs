@@ -43,14 +43,6 @@ pub fn mix_into(samples: &[Complex], sample_rate: f64, shift_hz: f64, out: &mut 
     }
 }
 
-/// Allocating wrapper around [`mix_into`].
-#[deprecated(since = "0.1.0", note = "allocates per call; use mix_into with a reused buffer")]
-pub fn mix(samples: &[Complex], sample_rate: f64, shift_hz: f64) -> Vec<Complex> {
-    let mut out = Vec::new();
-    mix_into(samples, sample_rate, shift_hz, &mut out);
-    out
-}
-
 /// Reference mixer: an exact `Complex::cis` per sample. The accuracy
 /// oracle for [`mix_into`]; O(n) libm calls, kept for audits and
 /// tests.
@@ -127,13 +119,6 @@ mod tests {
         let sig: f64 = exact.iter().map(|z| z.norm_sqr()).sum();
         let db = 10.0 * (err.max(1e-300) / sig).log10();
         assert!(db <= -120.0, "mixer error {db:.1} dB");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_matches_mix_into() {
-        let x = tone(10.0, 100.0, 300);
-        assert_eq!(super::mix(&x, 100.0, 7.0), mix(&x, 100.0, 7.0));
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! Bit-identity is an invariant, not an aspiration: every accumulator
 //! here performs the *same floating-point operations in the same
 //! order* as its batch counterpart, so chunk boundaries can never
-//! change a single output bit (the `emsc-tests` chunk-equivalence
-//! suite pins this across chunk sizes 1, 7, 64 Ki and whole-capture).
+//! change a single output bit (the `emsc-tests` chunk-invariance suite
+//! pins the receivers built on these across chunk sizes 1, 7, 64 Ki
+//! and a mixed walk, and pins their one-push output to the batch
+//! kernels).
 //! That is what lets a long-running multi-sensor service reuse every
 //! determinism guarantee the batch experiments already have.
 
@@ -272,11 +274,15 @@ impl ConvolveSameStream {
         let l = self.kernel.len();
         let lo = m.saturating_sub(l - 1);
         let hi = m.min(self.seen - 1);
-        let mut acc = 0.0;
-        for i in lo..=hi {
-            acc += self.ring[i % l] * self.kernel[m - i];
-        }
-        acc
+        // Sample `i` sits in ring slot `i % l`: samples `lo..=hi` are
+        // the ring from slot `lo % l`, wrapping at most once, so the
+        // fold walks two slices instead of dividing per tap.
+        let n = hi + 1 - lo;
+        let start = lo % l;
+        let first = n.min(l - start);
+        let samples = self.ring[start..start + first].iter().chain(&self.ring[..n - first]);
+        let taps = self.kernel[m - hi..=m - lo].iter().rev();
+        samples.zip(taps).fold(0.0, |acc, (x, k)| acc + x * k)
     }
 
     /// Feeds one chunk, appending completed outputs to `out`; returns

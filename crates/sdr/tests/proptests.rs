@@ -10,8 +10,7 @@ use emsc_sdr::stats::{mean, median, quantile, Histogram};
 use emsc_sdr::window::Window;
 use proptest::prelude::*;
 
-/// Out-of-place transforms over the cached plan (the free `fft`/`ifft`
-/// helpers are deprecated in favour of plan reuse).
+/// Out-of-place transforms over the cached plan.
 fn fft(x: &[Complex]) -> Vec<Complex> {
     let mut buf = x.to_vec();
     plan_for(x.len()).forward(&mut buf);

@@ -13,10 +13,11 @@
 //!    cache vs rebuilding the plan every call.
 //! 3. **End to end** — Table II (the biggest `reproduce` grid) with
 //!    `with_threads(1)` vs the full worker pool.
-//! 4. **Streaming** — the chunked streaming receiver vs the batch
-//!    receiver on the same capture: steady-state throughput in
-//!    Msamples/s plus per-chunk heap allocations (counted by a
-//!    wrapping global allocator).
+//! 4. **Streaming** — the receiver fed in 16 Ki-sample chunks vs the
+//!    same receiver fed the whole capture in one push
+//!    (`Receiver::receive`): steady-state throughput in Msamples/s
+//!    plus per-chunk heap allocations (counted by a wrapping global
+//!    allocator). The JSON keeps the one-push time under `batch_s`.
 //! 5. **Sessions** — the multi-tenant registry multiplexing several
 //!    bounded-buffer streams (including a poisoned one): wall time
 //!    plus the per-session cumulative counters (chunks accepted and
@@ -266,9 +267,9 @@ fn main() {
     println!();
 
     // 4. Streaming receive chain: steady-state throughput of the
-    //    chunked StreamingReceiver vs the batch receiver on the same
-    //    capture, plus heap allocations per pushed chunk once the
-    //    internal buffers have warmed up.
+    //    chunked StreamingReceiver vs one push of the same capture,
+    //    plus heap allocations per pushed chunk once the internal
+    //    buffers have warmed up.
     let stream_cfg = RxConfig::new(250e3, 250e-6);
     let stream_cap = streaming_capture(if quick { 300_000 } else { 1_200_000 });
     let stream_chunk = 16 * 1024;
@@ -306,7 +307,7 @@ fn main() {
     let allocs_per_chunk = (allocations() - alloc_before) as f64 / (chunks.len() - warm) as f64;
 
     println!("streaming ({} samples, {stream_chunk}-sample chunks):", stream_cap.samples.len());
-    println!("  batch receive        {batch_rx_s:>9.4} s");
+    println!("  one-push receive     {batch_rx_s:>9.4} s");
     println!("  streamed receive     {stream_rx_s:>9.4} s   ({stream_msps:.1} Msamples/s)");
     println!("  allocs per chunk     {allocs_per_chunk:>9.2}   (steady state)");
     println!("  report bit-identical {stream_identical}\n");
@@ -555,7 +556,7 @@ fn main() {
         // full report publishes, without clobbering the committed
         // numbers with noisy short-run timings.
         assert!(identical, "--quick: grid rows not thread-count bit-identical");
-        assert!(stream_identical, "--quick: streaming report != batch report");
+        assert!(stream_identical, "--quick: chunked report != one-push report");
         assert!(fused_identical, "--quick: fused capture != staged capture");
         println!("--quick: invariants hold, BENCH_runtime.json left untouched");
     } else {

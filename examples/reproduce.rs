@@ -5,9 +5,9 @@
 //! cargo run --release -p emsc-examples --example reproduce -- table2  # one artefact
 //! ```
 //!
-//! Artefact names: fig2, bios, fig4, fig5, fig6, fig7, fig8, table1,
-//! table2, background, fig9, table3, fig10, fig11, table4, extensions,
-//! impairments, streaming, service, robust.
+//! The artefact names are the first column of [`ARTEFACTS`], in print
+//! order. An unknown name runs nothing: it prints the valid names to
+//! stderr and exits with status 2.
 //!
 //! Independent artefacts fan out across the `emsc-runtime` worker
 //! pool (the big grids — Table II, Table III, the background stress —
@@ -26,157 +26,105 @@ use emsc_core::experiments::spectral::{fig11, fig2, fig2_bios, render_bios, Scal
 use emsc_core::experiments::streaming::{render_streaming_rows, streaming_sessions};
 use emsc_core::experiments::tables::{
     fig10_nlos, fig9, render_channel_rows, render_fig9, table1, table2, table2_background, table3,
-    TableScale,
+    ChannelRow, TableScale,
 };
 use emsc_runtime::par_map;
 
+/// What the artefact renderers share.
+struct Inputs {
+    seed: u64,
+    /// Table II rows, computed up front whenever `table2` is wanted.
+    table2: Option<Vec<ChannelRow>>,
+    /// Fig. 9's measured rate: the best Table II rate when it ran.
+    best_tr: f64,
+}
+
+/// Renders one artefact.
+type Render = fn(&Inputs) -> String;
+
+/// Every artefact, by name, in print order. The command line, the
+/// filter and the unknown-name check all read this one table.
+const ARTEFACTS: &[(&str, Render)] = &[
+    ("fig2", |i| fig2(Scale::Paper, i.seed).render()),
+    ("bios", |i| render_bios(&fig2_bios(Scale::Paper, i.seed))),
+    ("fig4", |i| covert_figs::fig4(i.seed).render()),
+    ("fig5", |i| {
+        let f = covert_figs::fig5(i.seed);
+        format!(
+            "Fig. 5 — edge detection: {:.0} % of bit starts found in the first pass",
+            f.raw_edge_coverage * 100.0
+        )
+    }),
+    ("fig6", |i| covert_figs::fig6(i.seed).render()),
+    ("fig7", |i| covert_figs::fig7(i.seed).render()),
+    ("fig8", |i| covert_figs::fig8(i.seed).render()),
+    ("table1", |_| table1()),
+    ("table2", |i| {
+        let rows = i.table2.as_deref().expect("table2 rows are computed when table2 is wanted");
+        render_channel_rows("Table II — near-field covert channel (10 cm probe)", rows)
+    }),
+    ("background", |i| {
+        render_channel_rows(
+            "§IV-C2 — background-activity stress (Dell Inspiron)",
+            &table2_background(TableScale::paper(), i.seed),
+        )
+    }),
+    ("fig9", |i| {
+        let (baselines, measured) = fig9(i.best_tr);
+        render_fig9(&baselines, measured)
+    }),
+    ("table3", |i| {
+        render_channel_rows(
+            "Table III — distance sweep (Dell Inspiron, loop antenna)",
+            &table3(TableScale::paper(), i.seed),
+        )
+    }),
+    ("fig10", |i| {
+        render_channel_rows(
+            "Fig. 10 / §IV-C3 — NLoS through the wall (interferers on)",
+            &[fig10_nlos(TableScale::paper(), i.seed)],
+        )
+    }),
+    ("fig11", |i| fig11(i.seed).render()),
+    ("table4", |i| render_table4(&table4(KeylogScale::paper(), i.seed))),
+    ("impairments", |i| render_impairment_rows(&impairment_sweep(TableScale::paper(), i.seed))),
+    ("streaming", |i| render_streaming_rows(&streaming_sessions(i.seed))),
+    ("robust", |i| render_robust_rows(&robust_sweep(TableScale::paper(), i.seed))),
+    ("service", |i| emsc_service::render_soak_rows(&emsc_service::soak(i.seed))),
+    ("extensions", |i| {
+        use emsc_core::experiments::extensions::{fingerprint_accuracy, timing_analysis};
+        format!(
+            "{}\n\n{}",
+            fingerprint_accuracy(4, i.seed).render(),
+            timing_analysis("the quick brown fox jumps over the lazy dog", i.seed).render()
+        )
+    }),
+];
+
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = filter.iter().find(|f| !ARTEFACTS.iter().any(|(name, _)| name == f)) {
+        let names: Vec<&str> = ARTEFACTS.iter().map(|(name, _)| *name).collect();
+        eprintln!("reproduce: unknown artefact `{unknown}`");
+        eprintln!("valid artefacts: {}", names.join(", "));
+        std::process::exit(2);
+    }
     let want = |name: &str| filter.is_empty() || filter.iter().any(|f| f == name);
     let seed = 2020; // HPCA 2020
 
     // Table II runs first on the full pool (6 laptops × 5 runs of
     // cells) because Fig. 9 needs its best measured rate.
-    let table2_rows = if want("table2") { Some(table2(TableScale::paper(), seed)) } else { None };
+    let table2_rows = want("table2").then(|| table2(TableScale::paper(), seed));
     let best_tr = table2_rows
         .as_ref()
         .map(|rows| rows.iter().map(|r| r.tr_bps).fold(0.0, f64::max))
         .unwrap_or(3700.0);
+    let inputs = Inputs { seed, table2: table2_rows, best_tr };
 
-    // Every remaining artefact is an independent closure; they fan out
-    // across the pool and print in this fixed order regardless of
-    // which finishes first.
-    type Artefact<'a> = (&'static str, Box<dyn Fn() -> String + Send + Sync + 'a>);
-    let mut artefacts: Vec<Artefact> = Vec::new();
-    if want("fig2") {
-        artefacts.push(("fig2", Box::new(move || fig2(Scale::Paper, seed).render())));
-    }
-    if want("bios") {
-        artefacts.push(("bios", Box::new(move || render_bios(&fig2_bios(Scale::Paper, seed)))));
-    }
-    if want("fig4") {
-        artefacts.push(("fig4", Box::new(move || covert_figs::fig4(seed).render())));
-    }
-    if want("fig5") {
-        artefacts.push((
-            "fig5",
-            Box::new(move || {
-                let f = covert_figs::fig5(seed);
-                format!(
-                    "Fig. 5 — edge detection: {:.0} % of bit starts found in the first pass",
-                    f.raw_edge_coverage * 100.0
-                )
-            }),
-        ));
-    }
-    if want("fig6") {
-        artefacts.push(("fig6", Box::new(move || covert_figs::fig6(seed).render())));
-    }
-    if want("fig7") {
-        artefacts.push(("fig7", Box::new(move || covert_figs::fig7(seed).render())));
-    }
-    if want("fig8") {
-        artefacts.push(("fig8", Box::new(move || covert_figs::fig8(seed).render())));
-    }
-    if want("table1") {
-        artefacts.push(("table1", Box::new(table1)));
-    }
-    if let Some(rows) = &table2_rows {
-        artefacts.push((
-            "table2",
-            Box::new(move || {
-                render_channel_rows("Table II — near-field covert channel (10 cm probe)", rows)
-            }),
-        ));
-    }
-    if want("background") {
-        artefacts.push((
-            "background",
-            Box::new(move || {
-                render_channel_rows(
-                    "§IV-C2 — background-activity stress (Dell Inspiron)",
-                    &table2_background(TableScale::paper(), seed),
-                )
-            }),
-        ));
-    }
-    if want("fig9") {
-        artefacts.push((
-            "fig9",
-            Box::new(move || {
-                let (baselines, measured) = fig9(best_tr);
-                render_fig9(&baselines, measured)
-            }),
-        ));
-    }
-    if want("table3") {
-        artefacts.push((
-            "table3",
-            Box::new(move || {
-                render_channel_rows(
-                    "Table III — distance sweep (Dell Inspiron, loop antenna)",
-                    &table3(TableScale::paper(), seed),
-                )
-            }),
-        ));
-    }
-    if want("fig10") {
-        artefacts.push((
-            "fig10",
-            Box::new(move || {
-                render_channel_rows(
-                    "Fig. 10 / §IV-C3 — NLoS through the wall (interferers on)",
-                    &[fig10_nlos(TableScale::paper(), seed)],
-                )
-            }),
-        ));
-    }
-    if want("fig11") {
-        artefacts.push(("fig11", Box::new(move || fig11(seed).render())));
-    }
-    if want("table4") {
-        artefacts
-            .push(("table4", Box::new(move || render_table4(&table4(KeylogScale::paper(), seed)))));
-    }
-    if want("impairments") {
-        artefacts.push((
-            "impairments",
-            Box::new(move || render_impairment_rows(&impairment_sweep(TableScale::paper(), seed))),
-        ));
-    }
-    if want("streaming") {
-        artefacts.push((
-            "streaming",
-            Box::new(move || render_streaming_rows(&streaming_sessions(seed))),
-        ));
-    }
-    if want("robust") {
-        artefacts.push((
-            "robust",
-            Box::new(move || render_robust_rows(&robust_sweep(TableScale::paper(), seed))),
-        ));
-    }
-    if want("service") {
-        artefacts.push((
-            "service",
-            Box::new(move || emsc_service::render_soak_rows(&emsc_service::soak(seed))),
-        ));
-    }
-    if want("extensions") {
-        artefacts.push((
-            "extensions",
-            Box::new(move || {
-                use emsc_core::experiments::extensions::{fingerprint_accuracy, timing_analysis};
-                format!(
-                    "{}\n\n{}",
-                    fingerprint_accuracy(4, seed).render(),
-                    timing_analysis("the quick brown fox jumps over the lazy dog", seed).render()
-                )
-            }),
-        ));
-    }
-
-    let outputs = par_map(&artefacts, |(_, run)| run());
+    // Every artefact is independent; they fan out across the pool and
+    // print in table order regardless of which finishes first.
+    let chosen: Vec<_> = ARTEFACTS.iter().filter(|(name, _)| want(name)).collect();
+    let outputs = par_map(&chosen, |(_, render)| render(&inputs));
     for output in outputs {
         println!("{output}\n");
     }

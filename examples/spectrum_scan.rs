@@ -8,7 +8,7 @@
 
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::laptop::Laptop;
-use emsc_covert::rx::find_switching_frequency;
+use emsc_covert::rx::try_find_switching_frequency;
 use emsc_pmu::workload::Program;
 
 fn main() {
@@ -18,15 +18,15 @@ fn main() {
         // Drive the Fig. 1 micro-benchmark so the spike is modulated.
         let program = Program::alternating(2e-3, 2e-3, 20, chain.machine.steady_state_ips());
         let run = chain.run_program(&program, 1);
-        match find_switching_frequency(&run.capture, 200e3, 1.3e6) {
-            Some(f) => println!(
+        match try_find_switching_frequency(&run.capture, 200e3, 1.3e6) {
+            Ok(f) => println!(
                 "{:<24} true f_sw {:7.0} kHz, found {:7.0} kHz ({:+.1} kHz)",
                 laptop.model,
                 laptop.switching_freq_hz / 1e3,
                 f / 1e3,
                 (f - laptop.switching_freq_hz) / 1e3
             ),
-            None => println!("{:<24} spike not found", laptop.model),
+            Err(e) => println!("{:<24} spike not found: {e}", laptop.model),
         }
     }
 }

@@ -14,8 +14,8 @@
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::covert_run::CovertScenario;
 use emsc_core::laptop::Laptop;
-use emsc_covert::frame::{deframe, FrameConfig};
-use emsc_covert::rx::{find_switching_frequency, Receiver, RxConfig};
+use emsc_covert::frame::{try_deframe, FrameConfig};
+use emsc_covert::rx::{try_find_switching_frequency, Receiver, RxConfig};
 
 fn main() {
     // The victim: chosen "secretly" — the attacker code below never
@@ -29,15 +29,26 @@ fn main() {
     println!("attacker gets: {:.0} ms of I/Q at 2.4 Msps. Nothing else.", capture.duration() * 1e3);
 
     // ① Where does this laptop's VRM sing?
-    let f_sw =
-        find_switching_frequency(&capture, 200e3, 1.3e6).expect("a VRM spike must be present");
+    let f_sw = match try_find_switching_frequency(&capture, 200e3, 1.3e6) {
+        Ok(f) => f,
+        Err(e) => {
+            println!("① no VRM spike located: {e}");
+            return;
+        }
+    };
     println!("① spectral peak at {:.0} kHz — that's the switching frequency", f_sw / 1e3);
 
     // ② + ③ Blind demodulation: the receiver is primed with a
     // deliberately wrong bit-period guess and recovers the real one
     // from the signal.
     let rx = Receiver::new(RxConfig::new(f_sw, 1e-3 /* wrong guess */));
-    let report = rx.demodulate_blind(&capture);
+    let report = match rx.receive_blind(&capture) {
+        Ok(report) => report,
+        Err(e) => {
+            println!("②③ blind demodulation failed: {e}");
+            return;
+        }
+    };
     println!(
         "②③ recovered bit clock: {:.0} µs ({:.0} bps), {} bits demodulated",
         report.bit_period_s * 1e6,
@@ -46,13 +57,13 @@ fn main() {
     );
 
     // ④ Deframe.
-    match deframe(&report.bits, FrameConfig::default(), 1) {
-        Some(d) => {
+    match try_deframe(&report.bits, FrameConfig::default(), 1) {
+        Ok(d) => {
             println!("④ payload: {:?}", String::from_utf8_lossy(&d.payload));
             if d.payload == secret {
                 println!("   exact recovery — zero prior knowledge needed");
             }
         }
-        None => println!("④ frame marker not found"),
+        Err(e) => println!("④ frame lost: {e}"),
     }
 }

@@ -2,10 +2,23 @@
 //!
 //! The torture corpus — every degenerate capture a real deployment can
 //! produce — lives here so the panic-safety suite (`torture.rs`) and
-//! the streaming/batch equivalence suite (`streaming.rs`) exercise the
-//! *same* inputs: any capture the batch chain must survive, the
-//! streaming chain must survive too, with bit-identical output.
+//! the chunk-invariance suite (`streaming.rs`) exercise the *same*
+//! inputs: any capture a whole-capture push must survive, every
+//! chunking of it must survive too, with bit-identical output.
+//!
+//! The batch oracle lives here as well: the receive front ends rebuilt
+//! from the `emsc-sdr` batch kernels ([`batch_energy`],
+//! [`batch_edge_response`], [`batch_window_energy`]), which the
+//! receivers' streaming front ends must reproduce bit for bit.
 
+use emsc_covert::rx::RxConfig;
+use emsc_keylog::detect::DetectorConfig;
+use emsc_sdr::dsp::{convolve_same, edge_kernel, moving_average};
+use emsc_sdr::error::CaptureError;
+use emsc_sdr::fft::frequency_bin;
+use emsc_sdr::sliding::try_energy_signal;
+use emsc_sdr::stft::{stft, StftConfig};
+use emsc_sdr::window::Window;
 use emsc_sdr::{Capture, Complex};
 
 /// Sample rate shared by every corpus capture, hertz.
@@ -73,4 +86,50 @@ pub fn corpus() -> Vec<(&'static str, Capture)> {
         ("hard-clipped", capture(clipped)),
         ("truncated-mid-frame", capture(truncated)),
     ]
+}
+
+/// Smoothed Eq. (1) energy signal of `capture` from the sdr batch
+/// kernels: [`try_energy_signal`] over the in-band harmonic bins, then
+/// a 3-sample [`moving_average`] — the covert receiver's stages 1–2a
+/// up to the edge convolution.
+///
+/// # Errors
+///
+/// The [`CaptureError`] `try_energy_signal` reports.
+pub fn batch_energy(cfg: &RxConfig, capture: &Capture) -> Result<Vec<f64>, CaptureError> {
+    let (fs, fc) = (capture.sample_rate, capture.center_freq);
+    let bins: Vec<usize> = (1..=cfg.harmonics)
+        .map(|h| cfg.switching_freq_hz * h as f64)
+        .filter(|f| (f - fc).abs() < fs / 2.0)
+        .map(|f| frequency_bin(f - fc, cfg.fft_size, fs))
+        .collect();
+    let raw = try_energy_signal(&capture.samples, cfg.fft_size, &bins, cfg.decimation)?;
+    Ok(moving_average(&raw.samples, 3))
+}
+
+/// §IV-B2 edge response of a smoothed energy signal sampled every
+/// `dt` seconds, for an expected bit period of `bit_period_s`:
+/// [`convolve_same`] with an [`edge_kernel`] of
+/// `edge_kernel_fraction` bit periods (even, at least 4 taps).
+pub fn batch_edge_response(energy: &[f64], cfg: &RxConfig, dt: f64, bit_period_s: f64) -> Vec<f64> {
+    let expected_bit = (bit_period_s / dt).max(4.0);
+    let len = (((expected_bit * cfg.edge_kernel_fraction) / 2.0).round() as usize * 2).max(4);
+    convolve_same(energy, &edge_kernel(len))
+}
+
+/// Per-window VRM-band energy of `capture` from the sdr batch kernels:
+/// a non-overlapping Hann [`stft`], then `band_energy` over the
+/// in-band harmonics, with non-finite windows zeroed — the keystroke
+/// detector's front end.
+pub fn batch_window_energy(cfg: &DetectorConfig, capture: &Capture) -> Vec<f64> {
+    let spec = stft(
+        &capture.samples,
+        capture.sample_rate,
+        &StftConfig::non_overlapping(cfg.window_samples, Window::Hann),
+    );
+    let freqs: Vec<f64> = (1..=cfg.harmonics)
+        .map(|h| cfg.switching_freq_hz * h as f64 - capture.center_freq)
+        .filter(|f| f.abs() < capture.sample_rate / 2.0)
+        .collect();
+    spec.band_energy(&freqs).into_iter().map(|e| if e.is_finite() { e } else { 0.0 }).collect()
 }

@@ -55,7 +55,7 @@ fn captures_round_trip_through_the_rtl_sdr_format() {
     .unwrap();
 
     let receiver = Receiver::new(scenario.rx.clone());
-    let report = receiver.demodulate(&restored);
+    let report = receiver.receive(&restored).expect("the restored capture decodes");
     let from_disk = emsc_covert::align_semiglobal(&outcome.tx_bits, &report.bits);
     assert!(from_disk.ber() < 0.02, "BER after u8 round trip: {}", from_disk.ber());
 }
@@ -149,7 +149,7 @@ fn two_transmitters_share_the_ether_by_frequency_division() {
         let machine = laptop.machine();
         let expected = tx.expected_bit_period_on(&machine);
         let rx = RxConfig::new(laptop.switching_freq_hz, expected);
-        let report = Receiver::new(rx).demodulate(&capture);
+        let report = Receiver::new(rx).receive(&capture).expect("the shared capture decodes");
         let alignment = emsc_covert::align_semiglobal(&bits, &report.bits);
         assert!(
             alignment.ber() < 0.03,
@@ -157,8 +157,8 @@ fn two_transmitters_share_the_ether_by_frequency_division() {
             laptop.model,
             alignment.ber()
         );
-        let out = emsc_covert::frame::deframe(&report.bits, tx.frame, 1);
-        assert!(out.is_some(), "{}: frame lost", laptop.model);
+        let out = emsc_covert::frame::try_deframe(&report.bits, tx.frame, 1);
+        assert!(out.is_ok(), "{}: frame lost: {out:?}", laptop.model);
         let _ = secret; // exact recovery not required; BER bound is the check
     }
 }

@@ -1,136 +1,204 @@
-//! Streaming/batch equivalence over the torture corpus.
+//! Chunk invariance of the receive chain over the torture corpus.
 //!
-//! The streaming receive chain's contract is *bit-identity*: for any
-//! capture the batch pipeline accepts (or rejects with a typed error),
-//! feeding the same samples through the streaming state machines in
-//! chunks of ANY size must produce the exact same report — same bits,
-//! same floating-point intermediates, same typed error. This suite
-//! pins that contract over every torture-corpus capture at chunk
-//! sizes 1, 7, 64 KiB and whole-capture, for the informed receiver,
-//! the blind receiver and the keystroke detector.
+//! The receive stages exist once, as streaming state machines; the
+//! whole-capture entry points (`Receiver::receive`/`receive_blind`,
+//! `Detector::try_detect`, `try_deframe`) push their whole input once
+//! and finish. The contract pinned here has two halves:
+//!
+//! - **Chunk invariance.** Feeding a capture in chunks of 1, 7 and
+//!   64 Ki samples, or in a mixed walk of sizes, gives exactly the
+//!   result of one push — the same report, floating-point
+//!   intermediates included, or the same typed error — for the
+//!   informed receiver, the blind receiver and the keystroke
+//!   detector.
+//! - **The batch oracle.** The one-push front ends equal the
+//!   receivers rebuilt from the `emsc-sdr` batch kernels
+//!   (`emsc_tests::batch_energy`, `batch_edge_response`,
+//!   `batch_window_energy`).
 
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::fused::ChainStream;
 use emsc_core::laptop::Laptop;
-use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
+use emsc_covert::rx::{try_estimate_bit_period, Receiver, RxConfig, RxError, RxReport};
 use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::detect::{DetectError, DetectionReport, Detector, DetectorConfig};
 use emsc_keylog::stream::StreamingDetector;
 use emsc_pmu::workload::Program;
 use emsc_runtime::with_threads;
-use emsc_sdr::Capture;
-use emsc_tests::{corpus, noise, FS, F_SW};
+use emsc_sdr::error::CaptureError;
+use emsc_sdr::{Capture, Complex};
+use emsc_tests::{batch_edge_response, batch_energy, batch_window_energy, corpus, noise, FS, F_SW};
 
-/// Chunk sizes every capture is replayed at (`usize::MAX` = whole).
-const CHUNKINGS: [usize; 4] = [1, 7, 64 * 1024, usize::MAX];
+/// Fixed chunk sizes every capture is replayed at.
+const CHUNKINGS: [usize; 3] = [1, 7, 64 * 1024];
 
 fn rx_config() -> RxConfig {
     RxConfig::new(F_SW, 250e-6)
 }
 
-fn stream_receive(cap: &Capture, chunk: usize, blind: bool) -> Result<RxReport, RxError> {
+fn stream_receive(pieces: &[&[Complex]], cap: &Capture, blind: bool) -> Result<RxReport, RxError> {
     let mut rx = if blind {
         StreamingReceiver::new_blind(rx_config(), cap.sample_rate, cap.center_freq)?
     } else {
         StreamingReceiver::new(rx_config(), cap.sample_rate, cap.center_freq)?
     };
-    for c in cap.samples.chunks(chunk.max(1)) {
-        rx.push(c);
+    for piece in pieces {
+        rx.push(piece);
     }
     rx.finish()
 }
 
-fn stream_detect(cap: &Capture, chunk: usize) -> Result<DetectionReport, DetectError> {
+fn stream_detect(pieces: &[&[Complex]], cap: &Capture) -> Result<DetectionReport, DetectError> {
     let mut det =
         StreamingDetector::new(DetectorConfig::new(F_SW), cap.sample_rate, cap.center_freq)?;
-    for c in cap.samples.chunks(chunk.max(1)) {
-        det.push(c);
+    for piece in pieces {
+        det.push(piece);
     }
     det.finish()
 }
 
+/// `samples` split into fixed-size chunks.
+fn fixed(samples: &[Complex], chunk: usize) -> Vec<&[Complex]> {
+    samples.chunks(chunk).collect()
+}
+
+/// `samples` split into a mixed walk of chunk sizes (1 up to 4096),
+/// so state carry-over cannot depend on a uniform chunking.
+fn mixed(samples: &[Complex]) -> Vec<&[Complex]> {
+    let mut pieces = Vec::new();
+    let (mut i, mut step) = (0usize, 1usize);
+    while i < samples.len() {
+        let end = (i + step).min(samples.len());
+        pieces.push(&samples[i..end]);
+        i = end;
+        step = (step * 3 + 1) % 4096 + 1;
+    }
+    pieces
+}
+
 #[test]
 fn informed_receiver_is_bit_identical_to_batch_on_the_corpus() {
-    let batch_rx = Receiver::new(rx_config());
+    let one_push = Receiver::new(rx_config());
     for (label, cap) in corpus() {
-        let batch = batch_rx.receive(&cap);
+        let whole = one_push.receive(&cap);
         for chunk in CHUNKINGS {
-            let streamed = stream_receive(&cap, chunk, false);
-            assert_eq!(streamed, batch, "{label} diverged at chunk size {chunk}");
+            let streamed = stream_receive(&fixed(&cap.samples, chunk), &cap, false);
+            assert_eq!(streamed, whole, "{label} diverged at chunk size {chunk}");
         }
     }
 }
 
 #[test]
 fn blind_receiver_is_bit_identical_to_batch_on_the_corpus() {
-    let batch_rx = Receiver::new(rx_config());
+    let one_push = Receiver::new(rx_config());
     for (label, cap) in corpus() {
-        let batch = batch_rx.receive_blind(&cap);
+        let whole = one_push.receive_blind(&cap);
         for chunk in CHUNKINGS {
-            let streamed = stream_receive(&cap, chunk, true);
-            assert_eq!(streamed, batch, "{label} (blind) diverged at chunk size {chunk}");
+            let streamed = stream_receive(&fixed(&cap.samples, chunk), &cap, true);
+            assert_eq!(streamed, whole, "{label} (blind) diverged at chunk size {chunk}");
         }
     }
 }
 
 #[test]
 fn keylog_detector_is_bit_identical_to_batch_on_the_corpus() {
-    let batch_det = Detector::new(DetectorConfig::new(F_SW));
+    let one_push = Detector::new(DetectorConfig::new(F_SW));
     for (label, cap) in corpus() {
-        let batch = batch_det.try_detect(&cap);
+        let whole = one_push.try_detect(&cap);
         for chunk in CHUNKINGS {
-            let streamed = stream_detect(&cap, chunk);
-            assert_eq!(streamed, batch, "{label} (keylog) diverged at chunk size {chunk}");
+            let streamed = stream_detect(&fixed(&cap.samples, chunk), &cap);
+            assert_eq!(streamed, whole, "{label} (keylog) diverged at chunk size {chunk}");
         }
     }
 }
 
 #[test]
-fn degenerate_sample_rates_error_identically() {
-    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let cap = Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
-        let batch = Receiver::new(rx_config()).receive(&cap);
-        let streamed = StreamingReceiver::new(rx_config(), cap.sample_rate, cap.center_freq)
-            .and_then(|mut rx| {
-                rx.push(&cap.samples);
-                rx.finish()
-            });
-        assert_eq!(streamed, batch, "sample rate {rate}");
-        assert!(
-            StreamingDetector::new(DetectorConfig::new(F_SW), rate, F_SW).is_err(),
-            "keylog sample rate {rate} must be rejected at construction"
-        );
+fn streaming_survives_single_sample_pushes_interleaved_with_bulk() {
+    // Mixed chunk sizes within ONE stream, for every machine.
+    let rx = Receiver::new(rx_config());
+    let detector = Detector::new(DetectorConfig::new(F_SW));
+    for (label, cap) in corpus() {
+        let pieces = mixed(&cap.samples);
+        assert_eq!(stream_receive(&pieces, &cap, false), rx.receive(&cap), "{label} (informed)");
+        assert_eq!(stream_receive(&pieces, &cap, true), rx.receive_blind(&cap), "{label} (blind)");
+        assert_eq!(stream_detect(&pieces, &cap), detector.try_detect(&cap), "{label} (keylog)");
     }
-    // Off-band tuning is NoCarrier in both paths (at construction for
-    // the streaming receiver, at receive for batch).
-    let off = Capture { samples: noise(10_000, 3), sample_rate: FS, center_freq: 1e9 };
-    assert_eq!(Receiver::new(rx_config()).receive(&off), Err(RxError::NoCarrier));
-    assert!(matches!(
-        StreamingReceiver::new(rx_config(), off.sample_rate, off.center_freq),
-        Err(RxError::NoCarrier)
-    ));
 }
 
 #[test]
-fn streaming_survives_single_sample_pushes_interleaved_with_bulk() {
-    // Mixed chunk sizes within ONE stream: state carry-over must not
-    // depend on a uniform chunking.
+fn one_push_receiver_front_end_equals_the_sdr_kernel_chain() {
+    let cfg = rx_config();
+    let rx = Receiver::new(cfg.clone());
+    let mut decoded = 0;
     for (label, cap) in corpus() {
-        let batch = Receiver::new(rx_config()).receive(&cap);
-        let streamed = StreamingReceiver::new(rx_config(), cap.sample_rate, cap.center_freq)
-            .and_then(|mut rx| {
-                let mut i = 0usize;
-                let mut step = 1usize;
-                while i < cap.samples.len() {
-                    let end = (i + step).min(cap.samples.len());
-                    rx.push(&cap.samples[i..end]);
-                    i = end;
-                    step = (step * 3 + 1) % 4096 + 1;
-                }
-                rx.finish()
-            });
-        assert_eq!(streamed, batch, "{label} diverged under mixed chunking");
+        let oracle = batch_energy(&cfg, &cap);
+        let dt = cfg.decimation as f64 / cap.sample_rate;
+        match rx.receive(&cap) {
+            Ok(report) => {
+                let energy = oracle.as_ref().unwrap_or_else(|e| panic!("{label}: oracle: {e}"));
+                assert_eq!(&report.energy, energy, "{label}: energy");
+                let edge = batch_edge_response(energy, &cfg, dt, cfg.expected_bit_period_s);
+                assert_eq!(report.edge_response, edge, "{label}: edge response");
+                decoded += 1;
+            }
+            Err(RxError::Capture(e)) => assert_eq!(oracle, Err(e), "{label}: error"),
+            Err(e) => panic!("{label}: unexpected {e}"),
+        }
+        // Blind: the same energy, and the edge kernel sized from the
+        // period estimated over it (the prior when none stands out).
+        if let Ok(report) = rx.receive_blind(&cap) {
+            let energy = oracle.as_ref().expect("a blind decode implies a usable capture");
+            let period = try_estimate_bit_period(energy, dt, 50e-6, 5e-3)
+                .unwrap_or(cfg.expected_bit_period_s);
+            assert_eq!(&report.energy, energy, "{label}: blind energy");
+            assert_eq!(
+                report.edge_response,
+                batch_edge_response(energy, &cfg, dt, period),
+                "{label}: blind edge response"
+            );
+        }
     }
+    assert!(decoded >= 5, "the corpus must exercise the decode path, got {decoded}");
+}
+
+#[test]
+fn one_push_keylog_window_energy_equals_the_stft_chain() {
+    let cfg = DetectorConfig::new(F_SW);
+    let detector = Detector::new(cfg.clone());
+    let mut detected = 0;
+    for (label, cap) in corpus() {
+        if let Ok(report) = detector.try_detect(&cap) {
+            assert_eq!(report.window_energy, batch_window_energy(&cfg, &cap), "{label}");
+            detected += 1;
+        }
+    }
+    assert!(detected >= 5, "the corpus must exercise detection, got {detected}");
+}
+
+#[test]
+fn degenerate_sample_rates_error_identically() {
+    // Every machine rejects a degenerate rate or an off-band tuning
+    // at construction, with the same typed error the one-push entry
+    // points report.
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        let cap = Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
+        let expected = Err(RxError::Capture(CaptureError::InvalidSampleRate));
+        assert_eq!(Receiver::new(rx_config()).receive(&cap), expected, "sample rate {rate}");
+        for blind in [false, true] {
+            assert_eq!(stream_receive(&[], &cap, blind), expected, "sample rate {rate}");
+        }
+        assert_eq!(
+            StreamingDetector::new(DetectorConfig::new(F_SW), rate, F_SW).err(),
+            Some(DetectError::Capture(CaptureError::InvalidSampleRate)),
+            "keylog sample rate {rate} must be rejected at construction"
+        );
+    }
+    let off = Capture { samples: noise(10_000, 3), sample_rate: FS, center_freq: 1e9 };
+    assert_eq!(Receiver::new(rx_config()).receive(&off), Err(RxError::NoCarrier));
+    assert!(matches!(
+        StreamingReceiver::new_blind(rx_config(), off.sample_rate, off.center_freq),
+        Err(RxError::NoCarrier)
+    ));
 }
 
 #[test]
@@ -172,13 +240,13 @@ fn fused_tx_chain_is_bit_identical_to_staged_at_any_block_size_and_thread_count(
 
 #[test]
 fn marker_deframer_is_chunk_oblivious_on_an_impaired_capture() {
-    // End-to-end marker-coding mirror of the bit-identity contract: a
-    // marker-coded frame is sent over the real chain, the capture is
-    // corrupted with the severity-3 impairment stack (clock drift,
-    // AGC step, dropped samples, burst, clipping), and then BOTH
-    // streaming layers must be chunk-oblivious — the sample-level
-    // receiver must reproduce the batch demodulated bits, and the
-    // bit-level deframer fed those bits must reproduce the batch
+    // End-to-end marker-coding mirror of the chunk-invariance
+    // contract: a marker-coded frame is sent over the real chain, the
+    // capture is corrupted with the severity-3 impairment stack (clock
+    // drift, AGC step, dropped samples, burst, clipping), and then
+    // BOTH layers must be chunk-oblivious — the chunked receiver must
+    // reproduce the one-push demodulated bits, and the chunked
+    // deframer fed those bits must reproduce the one-push
     // anchor-chain decode.
     use emsc_core::covert_run::CovertScenario;
     use emsc_covert::frame::try_deframe;
@@ -199,7 +267,7 @@ fn marker_deframer_is_chunk_oblivious_on_an_impaired_capture() {
         let streamed =
             StreamingReceiver::new(scenario.rx.clone(), cap.sample_rate, cap.center_freq)
                 .and_then(|mut rx| {
-                    for c in cap.samples.chunks(chunk.max(1).min(cap.samples.len())) {
+                    for c in cap.samples.chunks(chunk) {
                         rx.push(c);
                     }
                     rx.finish()
@@ -208,14 +276,14 @@ fn marker_deframer_is_chunk_oblivious_on_an_impaired_capture() {
         assert_eq!(streamed, outcome.report, "receiver diverged at chunk size {chunk}");
     }
 
-    // Bit level: the streaming deframer against the batch anchor scan.
+    // Bit level: the chunked deframer against one push of every bit.
     let batch = try_deframe(&outcome.report.bits, scenario.tx.frame, 1)
         .expect("severity 3 is within the marker code's budget");
-    assert_eq!(&batch.payload, payload, "batch decode must survive severity 3");
-    for chunk in [1usize, 7, 64, usize::MAX] {
+    assert_eq!(&batch.payload, payload, "one-push decode must survive severity 3");
+    for chunk in [1usize, 7, 64] {
         let mut d = Deframer::new(scenario.tx.frame, 1);
         let mut events = Vec::new();
-        for c in outcome.report.bits.chunks(chunk.min(outcome.report.bits.len())) {
+        for c in outcome.report.bits.chunks(chunk) {
             events.extend(d.push(c));
         }
         events.extend(d.finish());
@@ -234,7 +302,7 @@ fn marker_deframer_is_chunk_oblivious_on_an_impaired_capture() {
 #[test]
 fn empty_pushes_are_no_ops() {
     let (label, cap) = corpus().into_iter().find(|(l, _)| *l == "truncated-mid-frame").unwrap();
-    let batch = Receiver::new(rx_config()).receive(&cap);
+    let whole = Receiver::new(rx_config()).receive(&cap);
     let streamed =
         StreamingReceiver::new(rx_config(), cap.sample_rate, cap.center_freq).and_then(|mut rx| {
             rx.push(&[]);
@@ -244,5 +312,5 @@ fn empty_pushes_are_no_ops() {
             }
             rx.finish()
         });
-    assert_eq!(streamed, batch, "{label} diverged with empty pushes");
+    assert_eq!(streamed, whole, "{label} diverged with empty pushes");
 }

@@ -4,13 +4,15 @@
 //! dongle (empty), a capture cut off mid-transfer, a saturated front
 //! end, raw DC, pure noise, or NaN-laced sample streams from a buggy
 //! driver. The contract pinned by this suite: each public RX entry
-//! point either returns a typed error or an explicit empty report.
-//! Panics are the one forbidden outcome.
+//! point either returns a report or a typed error. Panics are the one
+//! forbidden outcome.
 
 use std::io::{self, Read};
 
-use emsc_covert::frame::{deframe, frame_payload, try_deframe, FrameConfig, FrameError};
-use emsc_covert::rx::{estimate_bit_period, find_switching_frequency, Receiver, RxConfig, RxError};
+use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, FrameError};
+use emsc_covert::rx::{
+    try_estimate_bit_period, try_find_switching_frequency, Receiver, RxConfig, RxError, SyncLoss,
+};
 use emsc_keylog::{Detector, DetectorConfig};
 use emsc_sdr::error::{CaptureError, StatsError};
 use emsc_sdr::impair::{apply_all, Impairment};
@@ -31,17 +33,7 @@ fn receiver_entry_points_never_panic_on_the_corpus() {
         // is not.
         let _ = rx.receive(&cap).map_err(|e| format!("{label}: {e}"));
         let _ = rx.receive_blind(&cap).map_err(|e| format!("{label}: {e}"));
-        // Panic-free wrappers must degrade to an explicit empty
-        // report, never propagate a failure.
-        let r = rx.demodulate(&cap);
-        if rx.receive(&cap).is_err() {
-            assert!(r.bits.is_empty(), "{label}: failed decode must yield the empty report");
-        }
-        let rb = rx.demodulate_blind(&cap);
-        if rx.receive_blind(&cap).is_err() {
-            assert!(rb.bits.is_empty(), "{label}: failed blind decode must yield empty report");
-        }
-        let _ = find_switching_frequency(&cap, 100e3, 500e3);
+        let _ = try_find_switching_frequency(&cap, 100e3, 500e3);
     }
 }
 
@@ -86,24 +78,39 @@ fn structural_failures_map_to_the_right_typed_errors() {
     assert_eq!(rx.receive(&off_band), Err(RxError::NoCarrier));
 }
 
-#[test]
-fn receiver_constructor_rejects_bad_configs_without_panicking() {
+/// Receiver configurations that violate an invariant.
+fn bad_rx_configs() -> Vec<RxConfig> {
     let good = RxConfig::new(F_SW, 250e-6);
-    let cases: Vec<RxConfig> = vec![
+    vec![
         RxConfig { fft_size: 300, ..good.clone() },
         RxConfig { decimation: 0, ..good.clone() },
         RxConfig { harmonics: 0, ..good.clone() },
         RxConfig { expected_bit_period_s: 0.0, ..good.clone() },
         RxConfig { expected_bit_period_s: f64::NAN, ..good.clone() },
-        RxConfig { switching_freq_hz: f64::INFINITY, ..good.clone() },
-    ];
-    for cfg in cases {
+        RxConfig { expected_bit_period_s: f64::INFINITY, ..good.clone() },
+        RxConfig { switching_freq_hz: f64::INFINITY, ..good },
+    ]
+}
+
+#[test]
+fn receiver_constructor_rejects_bad_configs_without_panicking() {
+    for cfg in bad_rx_configs() {
         assert!(
-            matches!(Receiver::try_new(cfg), Err(RxError::InvalidConfig(_))),
-            "bad config accepted"
+            matches!(Receiver::try_new(cfg.clone()), Err(RxError::InvalidConfig(_))),
+            "bad config accepted: {cfg:?}"
         );
     }
-    assert!(Receiver::try_new(good).is_ok());
+    assert!(Receiver::try_new(RxConfig::new(F_SW, 250e-6)).is_ok());
+}
+
+#[test]
+fn receiver_new_panics_on_every_config_try_new_rejects() {
+    // `new` and `try_new` share one rule set, so `new` never hands
+    // `receive` a configuration `try_new` would reject.
+    for cfg in bad_rx_configs() {
+        let built = std::panic::catch_unwind(|| Receiver::new(cfg.clone()));
+        assert!(built.is_err(), "Receiver::new accepted {cfg:?}");
+    }
 }
 
 #[test]
@@ -111,16 +118,10 @@ fn keylog_detector_never_panics_on_the_corpus() {
     let detector = Detector::new(DetectorConfig::new(F_SW));
     for (label, cap) in corpus() {
         let _ = detector.try_detect(&cap).map_err(|e| format!("{label}: {e}"));
-        // The panic-free wrapper degrades to an empty report.
-        let report = detector.detect(&cap);
-        if detector.try_detect(&cap).is_err() {
-            assert!(report.bursts.is_empty(), "{label}: failed detect must yield no bursts");
-        }
     }
     for rate in [0.0, f64::NAN] {
         let cap = Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
         assert!(detector.try_detect(&cap).is_err(), "sample rate {rate} must be an error");
-        assert!(detector.detect(&cap).bursts.is_empty());
     }
 }
 
@@ -130,7 +131,6 @@ fn frame_sync_reports_truncation_and_absence_distinctly() {
     // No marker anywhere.
     assert_eq!(try_deframe(&[], config, 1), Err(FrameError::MarkerNotFound));
     assert_eq!(try_deframe(&[0, 1, 0, 1, 1, 0], config, 1), Err(FrameError::MarkerNotFound));
-    assert_eq!(deframe(&[], config, 1), None);
 
     // A real frame cut off inside the length header.
     let bits = frame_payload(b"torture", config);
@@ -148,11 +148,11 @@ fn frame_sync_reports_truncation_and_absence_distinctly() {
 #[test]
 fn estimation_helpers_are_total_on_garbage() {
     // Period estimation over empty / NaN / constant energy.
-    assert_eq!(estimate_bit_period(&[], 1e-5, 50e-6, 5e-3), None);
+    assert_eq!(try_estimate_bit_period(&[], 1e-5, 50e-6, 5e-3), Err(SyncLoss::TooFewSamples));
     let nan_energy = vec![f64::NAN; 256];
-    let _ = estimate_bit_period(&nan_energy, 1e-5, 50e-6, 5e-3);
+    let _ = try_estimate_bit_period(&nan_energy, 1e-5, 50e-6, 5e-3);
     let flat = vec![1.0; 256];
-    let _ = estimate_bit_period(&flat, 1e-5, 50e-6, 5e-3);
+    let _ = try_estimate_bit_period(&flat, 1e-5, 50e-6, 5e-3);
 
     // Stats: typed errors, no panics.
     assert_eq!(try_quantile(&[], 0.5), Err(StatsError::EmptyData));
@@ -212,7 +212,7 @@ fn impaired_corpus_still_never_panics() {
     for (label, mut cap) in corpus() {
         apply_all(&mut cap, &stack, 0xDEAD_BEEF);
         let _ = rx.receive(&cap).map_err(|e| format!("{label}: {e}"));
-        let _ = rx.demodulate(&cap);
-        let _ = detector.detect(&cap);
+        let _ = rx.receive_blind(&cap).map_err(|e| format!("{label}: {e}"));
+        let _ = detector.try_detect(&cap).map_err(|e| format!("{label}: {e}"));
     }
 }
