@@ -2,9 +2,9 @@
 //!
 //! Every experiment returns typed rows (so tests can assert the
 //! *shape* of the result) plus a `render()` that prints the same
-//! table/series the paper reports. The `reproduce` example binary and
-//! the `emsc-bench` Criterion harness both drive these functions;
-//! `EXPERIMENTS.md` records paper-vs-measured for each.
+//! table/series the paper reports. The `reproduce` example binary
+//! drives these functions; `EXPERIMENTS.md` records paper-vs-measured
+//! for each.
 //!
 //! | Paper artefact | Function |
 //! |---|---|
@@ -28,7 +28,9 @@
 //! | E4 (multi-tenant streaming vs. batch) | [`streaming::streaming_sessions`] |
 //! | E5 (supervised capture-daemon soak) | `emsc_service::soak` (service crate) |
 //! | E6 (deletion robustness: rigid vs. marker vs. adaptive) | [`robust::robust_sweep`] |
+//! | Ablations (receiver, harmonics, window, label feature, parity, sleep period, countermeasures) | [`ablations::ablations`] |
 
+pub mod ablations;
 pub mod covert_figs;
 pub mod extensions;
 pub mod impairments;
@@ -39,12 +41,14 @@ pub mod streaming;
 pub mod tables;
 
 /// Renders a fixed-width text table: a header row plus data rows.
+/// Widths count characters, as the `{:<width$}` padding does, so cells
+/// such as "±20 %" stay aligned.
 pub(crate) fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
+                widths[i] = widths[i].max(cell.chars().count());
             }
         }
     }
@@ -94,13 +98,18 @@ mod tests {
         let s = render_table(
             "T",
             &["a", "long-header"],
-            &[vec!["xxxx".into(), "1".into()], vec!["y".into(), "22".into()]],
+            &[
+                vec!["xxxx".into(), "1".into()],
+                vec!["y".into(), "22".into()],
+                vec!["±5 µs".into(), "3".into()],
+            ],
         );
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines[0], "T");
         assert!(lines[2].contains('a') && lines[2].contains("long-header"));
-        // All data lines equal length.
-        assert_eq!(lines[4].len(), lines[5].len());
+        // All data lines equal length, in characters.
+        assert_eq!(lines[4].chars().count(), lines[5].chars().count());
+        assert_eq!(lines[4].chars().count(), lines[6].chars().count());
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Fused chunked TX chain: synth → AWGN → digitise in one
 //! cache-resident pass.
 //!
-//! [`Chain::run_program`] historically materialised the full analog
-//! waveform (`Scene::render` → one multi-megabyte `Vec`), then walked
-//! it again in the digitiser — every sample made three round trips
-//! through main memory before the receiver saw it. [`ChainStream`]
-//! replaces that with a blockwise producer: the switching train is
+//! [`ChainStream`] is the chain's only TX path, and every chain run
+//! goes through it. It is a blockwise producer: the switching train is
 //! rendered in L1/L2-sized blocks, and synthesis, path gain,
 //! interference, AWGN and the AGC peak fold all touch a block while it
 //! is cache-resident.
@@ -29,14 +26,16 @@
 //! steady state allocates nothing per block and nothing per run after
 //! warm-up.
 //!
-//! # Equivalence contract
+//! # Block-size invariance
 //!
 //! Every TX-side primitive is window-invariant (absolute-index phasor
 //! anchors, positional AWGN sub-seeding, absolute mixer grid), so the
-//! fused stream is **bit-identical** to the staged oracle
-//! ([`Chain::run_trace_staged`]) for every block size and thread
-//! count. The tests in `tests/tests/streaming.rs` pin this at block
-//! sizes {1, 7, 4096, whole} × `EMSC_THREADS` ∈ {1, 3}.
+//! capture is **bit-identical** for every block size and thread count.
+//! One block (`usize::MAX`) is the staged shape: the whole analog
+//! waveform rendered, then digitised in one sweep. The tests in
+//! `tests/tests/streaming.rs` pin block sizes {1, 7, 4096,
+//! [`FUSED_BLOCK`]} × `EMSC_THREADS` ∈ {1, 3} against that one-block
+//! run.
 
 use std::cell::RefCell;
 
@@ -104,8 +103,9 @@ pub struct ChainStream {
 
 impl ChainStream {
     /// Renders the chain's analog waveform blockwise (the fused pass 1)
-    /// and readies the digitise cursor. Blinking, VRM conversion and
-    /// seeding match [`Chain::run_trace_staged`] exactly.
+    /// and readies the digitise cursor. Applies the chain's blinking
+    /// to `trace`, converts it with the chain's VRM, and seeds the
+    /// scene's interferers and noise from `seed`.
     pub fn new(chain: &Chain, trace: PowerTrace, seed: u64) -> Self {
         ChainStream::with_block_samples(chain, trace, seed, FUSED_BLOCK)
     }
@@ -176,8 +176,8 @@ impl ChainStream {
     /// aliases an internal buffer that the next call overwrites —
     /// push it into a consumer before advancing.
     ///
-    /// Concatenating every block reproduces
-    /// `Chain::run_trace_staged(..).capture.samples` bit for bit.
+    /// Concatenating every block reproduces the capture of a one-block
+    /// stream (`with_block_samples(.., usize::MAX)`) bit for bit.
     pub fn next_block(&mut self) -> Option<&[Complex]> {
         let ChainScratch { analog, block } = &mut self.scratch;
         if self.cursor >= analog.len() {
@@ -244,24 +244,6 @@ mod tests {
     use crate::chain::Setup;
     use crate::laptop::Laptop;
     use emsc_pmu::workload::Program;
-
-    #[test]
-    fn fused_run_matches_staged_oracle_bitwise() {
-        let laptop = Laptop::dell_inspiron();
-        let chain = Chain::new(&laptop, Setup::NearField);
-        let program = Program::alternating(300e-6, 300e-6, 12, chain.machine.steady_state_ips());
-        let trace = chain.machine.run(&program, 7);
-        let staged = chain.run_trace_staged(trace.clone(), 7);
-        let fused = chain.stream_trace(trace, 7).into_run();
-        assert_eq!(staged.capture.samples.len(), fused.capture.samples.len());
-        for (i, (a, b)) in staged.capture.samples.iter().zip(&fused.capture.samples).enumerate() {
-            assert!(
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                "sample {i} differs"
-            );
-        }
-        assert_eq!(staged.train.pulses.len(), fused.train.pulses.len());
-    }
 
     #[test]
     fn block_size_is_unobservable() {

@@ -178,9 +178,11 @@ pub struct RxConfig {
     /// budget; 24 ⇒ 10 µs resolution at 2.4 Msps).
     pub decimation: usize,
     /// The attacker's prior on the bit period (from the known
-    /// transmitter parameters), seconds.
+    /// transmitter parameters), seconds. Must be positive and at most
+    /// 1 s; the slowest bit any scenario sends is about 1 ms.
     pub expected_bit_period_s: f64,
     /// Edge-kernel length as a fraction of the expected bit period.
+    /// Must be finite and in (0, 1].
     pub edge_kernel_fraction: f64,
     /// Peak threshold as a fraction of the robust (98th-percentile)
     /// maximum of the edge response.
@@ -210,9 +212,9 @@ impl RxConfig {
     /// Deviation from the paper: §IV-C1 uses a 1024-point FFT, but a
     /// 1024-sample sliding window is 427 µs at 2.4 Msps — longer than
     /// one ~250 µs bit — and against our simulated captures it smears
-    /// adjacent bits into each other (the `ablate_window` benchmark
-    /// quantifies this). 256 points resolves individual bits while
-    /// keeping the VRM line within one bin.
+    /// adjacent bits into each other (the `window` rows of
+    /// `reproduce -- ablations` quantify this). 256 points resolves
+    /// individual bits while keeping the VRM line within one bin.
     pub fn new(switching_freq_hz: f64, expected_bit_period_s: f64) -> Self {
         RxConfig {
             switching_freq_hz,
@@ -397,6 +399,10 @@ pub fn try_estimate_bit_period(
     best.map(|(lag, _)| lag as f64 * dt_s).ok_or(SyncLoss::NoPeriodicity)
 }
 
+/// Ceiling on [`RxConfig::expected_bit_period_s`]. It bounds the edge
+/// kernel, whose length is a fraction of the bit period.
+const MAX_BIT_PERIOD_S: f64 = 1.0;
+
 /// Checks the invariants every receiver configuration must hold. The
 /// one rule set behind [`Receiver::new`], [`Receiver::try_new`] and
 /// [`StreamingReceiver`].
@@ -413,6 +419,10 @@ pub(crate) fn validate(cfg: &RxConfig) -> Result<(), RxError> {
         "need at least the fundamental in S"
     } else if !(cfg.expected_bit_period_s > 0.0 && cfg.expected_bit_period_s.is_finite()) {
         "bit period must be positive"
+    } else if cfg.expected_bit_period_s > MAX_BIT_PERIOD_S {
+        "bit period must be at most 1 s"
+    } else if !(cfg.edge_kernel_fraction > 0.0 && cfg.edge_kernel_fraction <= 1.0) {
+        "edge-kernel fraction must be in (0, 1]"
     } else if !cfg.switching_freq_hz.is_finite() {
         "switching frequency must be finite"
     } else {

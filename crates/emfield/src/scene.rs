@@ -9,11 +9,9 @@
 use emsc_sdr::iq::Complex;
 use emsc_vrm::train::SwitchingTrain;
 
-use crate::interference::{add_awgn, add_awgn_window, Interferer};
+use crate::interference::{add_awgn_window, Interferer};
 use crate::path::Path;
-use crate::synth::{
-    pulses_sorted, render_train, render_train_window_hint, samples_for, SynthConfig,
-};
+use crate::synth::{pulses_sorted, render_train_window_hint, samples_for, SynthConfig};
 
 /// A complete RF scene.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,23 +60,12 @@ impl Scene {
     }
 
     /// Renders the received analog baseband waveform for a switching
-    /// train. Deterministic for a given `(train, seed)`.
+    /// train: the whole capture as one window of
+    /// [`WindowRenderer::render_into`]. Deterministic for a given
+    /// `(train, seed)`.
     pub fn render(&self, train: &SwitchingTrain, seed: u64) -> Vec<Complex> {
-        let n = samples_for(train, self.synth);
-        let mut buf = render_train(train, self.synth, n);
-        let gain = self.path.gain() * self.emission_scale;
-        for s in buf.iter_mut() {
-            *s = s.scale(gain);
-        }
-        for (i, intf) in self.interferers.iter().enumerate() {
-            intf.add_to(
-                &mut buf,
-                self.synth.sample_rate,
-                self.synth.center_freq,
-                seed ^ (i as u64) << 32,
-            );
-        }
-        add_awgn(&mut buf, self.noise_sigma, seed ^ 0x00ff_00ff_00ff_00ff);
+        let mut buf = vec![Complex::ZERO; samples_for(train, self.synth)];
+        self.window_renderer(train, seed).render_into(0, &mut buf);
         buf
     }
 
@@ -89,7 +76,7 @@ impl Scene {
     /// This is the fused TX chain's per-block composition: synthesis,
     /// path gain, interferer combs and AWGN are all applied to the
     /// block while it is cache-resident, and every stage is
-    /// window-invariant ([`render_train_window`], positional
+    /// window-invariant ([`crate::synth::render_train_window`], positional
     /// interferer phases, blockwise sub-seeded noise) so the
     /// decomposition into blocks is unobservable in the output.
     pub fn render_window_into(

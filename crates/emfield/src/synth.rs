@@ -46,36 +46,6 @@ const LUT_RES: usize = 1024;
 /// window decomposition reproduces it bit for bit.
 const PHASOR_REFRESH: usize = 256;
 
-/// Samples per render chunk on the whole-buffer fast path. Windows are
-/// self-contained and window-invariant (see [`render_train_window`]),
-/// so a capture renders bit-identically whether the chunks run on one
-/// thread or many — and at any other block size.
-const CHUNK_SAMPLES: usize = 1 << 16;
-
-/// Which synthesis implementation [`render_train`] (and its
-/// chunk-windowed form [`render_train_window`]) uses.
-///
-/// Both modes render *window-invariantly*: the samples of any window
-/// `[start, start + len)` are bit-identical to the same index range of
-/// a whole-buffer render, so callers may decompose a capture into
-/// blocks of any size — the fused TX chain renders L1-sized blocks,
-/// the whole-buffer path renders [`CHUNK_SAMPLES`]-sized chunks across
-/// the worker pool, and both agree exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SynthMode {
-    /// Table-driven kernel with a globally-anchored incremental
-    /// carrier phasor (exact `cis` at every [`PHASOR_REFRESH`]-th
-    /// pulse *of the train*, one complex multiply in between).
-    /// Matches [`SynthMode::Exact`] to better than −90 dB.
-    #[default]
-    Fast,
-    /// Reference scalar path: per-pulse `cis` and analytically
-    /// evaluated kernel. Kept for accuracy audits and tests. Every
-    /// tap is computed from absolute sample indices, so the windowed
-    /// form is trivially bit-identical to the whole-buffer form.
-    Exact,
-}
-
 /// Synthesis parameters: where the receiver is tuned and how fast it
 /// samples.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -85,8 +55,6 @@ pub struct SynthConfig {
     /// Tuner centre frequency, hertz. Choose it so `f_sw` and `2·f_sw`
     /// both land within `±sample_rate/2`.
     pub center_freq: f64,
-    /// Synthesis implementation (fast LUT path by default).
-    pub mode: SynthMode,
 }
 
 impl SynthConfig {
@@ -95,12 +63,7 @@ impl SynthConfig {
     /// and its first harmonic so both are in-band (§IV-B1 uses exactly
     /// those two components).
     pub fn rtl_sdr_for(f_sw: f64) -> Self {
-        SynthConfig { sample_rate: 2.4e6, center_freq: 1.5 * f_sw, mode: SynthMode::default() }
-    }
-
-    /// The same receiver with the reference scalar synthesis path.
-    pub fn exact(self) -> Self {
-        SynthConfig { mode: SynthMode::Exact, ..self }
+        SynthConfig { sample_rate: 2.4e6, center_freq: 1.5 * f_sw }
     }
 
     /// Baseband offset of RF frequency `f` under this configuration.
@@ -158,11 +121,18 @@ const LUT_ROW: usize = 2 * KERNEL_HALF_WIDTH + 1;
 /// integer-lattice values that the flat table's `i + 1` wrap lands
 /// on). The argument expression matches the flat table's bit for bit,
 /// so every interpolated value is unchanged.
+///
+/// The table has `LUT_RES + 2` rows. A pulse's offset `⌈c − H⌉ − c + H`
+/// is below 1 in exact arithmetic, but rounding can make it exactly 1
+/// (`c = 3.0000000000000004`, the first pulse of an 800 kHz train at
+/// 2.4 Msps), so `j` can be `LUT_RES`. Its partner row `LUT_RES + 1`
+/// is then read with weight `frac = 0`, which leaves row `LUT_RES`'s
+/// values unchanged.
 fn kernel_lut_rows() -> &'static [f64] {
     static ROWS: OnceLock<Vec<f64>> = OnceLock::new();
     ROWS.get_or_init(|| {
-        let mut rows = Vec::with_capacity((LUT_RES + 1) * LUT_ROW);
-        for j in 0..=LUT_RES {
+        let mut rows = Vec::with_capacity((LUT_RES + 2) * LUT_ROW);
+        for j in 0..=LUT_RES + 1 {
             for m in 0..LUT_ROW {
                 let i = j + m * LUT_RES;
                 rows.push(kernel(i as f64 / LUT_RES as f64 - KERNEL_HALF_WIDTH as f64));
@@ -209,35 +179,28 @@ fn kernel_fast(x: f64, lut: &[f64]) -> f64 {
 /// assert_eq!(iq.len(), 4096);
 /// ```
 pub fn render_train(train: &SwitchingTrain, config: SynthConfig, n_samples: usize) -> Vec<Complex> {
-    match config.mode {
-        // The fast path assumes time-ordered pulses (every generator
-        // in this workspace emits them that way); fall back to the
-        // reference path for the rare unsorted train.
-        SynthMode::Fast if pulses_are_sorted(train) => render_train_fast(train, config, n_samples),
-        _ => render_train_exact(train, config, n_samples),
-    }
+    let mut out = vec![Complex::ZERO; n_samples];
+    render_train_window(train, config, 0, &mut out);
+    out
 }
 
 /// Whether the train's pulses are time-ordered — the precondition for
-/// the binary-searched fast paths. O(pulses); callers rendering many
-/// windows of one train should probe once and pass the result to
-/// [`render_train_window_hint`] instead of paying this per window.
+/// the binary-searched table-driven renderer. O(pulses); callers
+/// rendering many windows of one train should probe once and pass the
+/// result to [`render_train_window_hint`] instead of paying this per
+/// window.
 pub fn pulses_sorted(train: &SwitchingTrain) -> bool {
     train.pulses.windows(2).all(|w| w[0].t_s <= w[1].t_s)
 }
 
-fn pulses_are_sorted(train: &SwitchingTrain) -> bool {
-    pulses_sorted(train)
-}
-
-/// Renders the window `[start, start + out.len())` of a capture —
-/// bit-identical to the same index range of a whole-buffer
-/// [`render_train`] — *adding* each pulse's contribution into the
-/// caller-zeroed `out` slice.
+/// Renders the window `[start, start + out.len())` of a capture,
+/// *adding* each pulse's contribution into the caller-zeroed `out`
+/// slice. Any decomposition of a capture into windows renders it bit
+/// for bit the same; [`render_train`] is the one-window case.
 ///
 /// This is the chunk-windowed entry the fused TX chain renders its
 /// cache-resident blocks through. Window invariance holds because
-/// nothing in either mode depends on the window placement:
+/// nothing depends on the window placement:
 ///
 /// - the carrier phasor anchors at global pulse indices (an exact
 ///   `cis` at every [`PHASOR_REFRESH`]-th pulse *of the train*), and a
@@ -265,10 +228,12 @@ pub fn render_train_window(
 /// out: `sorted` **must** equal `pulses_sorted(train)`. This is the
 /// entry for blockwise producers — the probe is O(pulses), so paying
 /// it once per run instead of once per block keeps the per-window
-/// overhead at the documented binary-search + warm-up level. Both
-/// modes narrow to the window's pulse range when `sorted` (skipped
-/// pulses contribute nothing in-window, so output is bit-identical to
-/// the full walk).
+/// overhead at the documented binary-search + warm-up level.
+///
+/// Every generator in this workspace emits time-ordered trains, which
+/// take the table-driven path (within −90 dB of the analytic kernel,
+/// pinned in tests). A train that is not time-ordered cannot be
+/// binary-searched, so it takes the analytic path.
 pub fn render_train_window_hint(
     train: &SwitchingTrain,
     config: SynthConfig,
@@ -276,35 +241,20 @@ pub fn render_train_window_hint(
     start: usize,
     out: &mut [Complex],
 ) {
-    match config.mode {
-        SynthMode::Fast if sorted => render_window_fast(train, config, start, out),
-        _ => render_window_exact(train, config, sorted, start, out),
+    if sorted {
+        render_window_fast(train, config, start, out)
+    } else {
+        render_window_exact(train, config, start, out)
     }
 }
 
-/// Reference synthesis: per-pulse `Complex::cis` and the analytic
-/// kernel. O(pulses × kernel width), single-threaded.
-pub fn render_train_exact(
-    train: &SwitchingTrain,
-    config: SynthConfig,
-    n_samples: usize,
-) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; n_samples];
-    render_window_exact(train, config, false, 0, &mut out);
-    out
-}
-
-/// Windowed reference path: absolute sample indices and per-pulse
-/// `cis`, so a window is bit-identical to the matching range of the
-/// whole-buffer render by construction. When the caller vouches the
-/// train is time-ordered, the pulse walk narrows to the window's
-/// support range by binary search (out-of-range pulses contribute
-/// nothing in-window, so the narrowed walk is bit-identical); an
-/// unsorted train falls back to walking every pulse.
+/// Analytic renderer: per-pulse `cis` and the analytic kernel at
+/// absolute sample indices, walking every pulse. The path for trains
+/// that are not time-ordered, and the accuracy oracle of the
+/// table-driven path in tests.
 fn render_window_exact(
     train: &SwitchingTrain,
     config: SynthConfig,
-    sorted: bool,
     start: usize,
     out: &mut [Complex],
 ) {
@@ -313,69 +263,19 @@ fn render_window_exact(
         return;
     }
     let fs = config.sample_rate;
-    let pulses = if sorted {
-        let t_min = (start as f64 - KERNEL_HALF_WIDTH as f64) / fs;
-        let t_max = ((start + len) as f64 + KERNEL_HALF_WIDTH as f64) / fs;
-        let first = train.pulses.partition_point(|p| p.t_s < t_min);
-        let last = train.pulses.partition_point(|p| p.t_s < t_max);
-        &train.pulses[first..last]
-    } else {
-        &train.pulses[..]
-    };
-    for pulse in pulses {
-        let carrier = Complex::cis(-2.0 * std::f64::consts::PI * config.center_freq * pulse.t_s);
-        let amp = pulse.charge_c * fs;
+    for pulse in &train.pulses {
         let center = pulse.t_s * fs;
         let lo = (center - KERNEL_HALF_WIDTH as f64).ceil().max(start as f64) as usize;
         let hi = ((center + KERNEL_HALF_WIDTH as f64).floor() as usize).min(start + len - 1);
         if lo > hi {
             continue;
         }
+        let carrier = Complex::cis(-2.0 * std::f64::consts::PI * config.center_freq * pulse.t_s);
+        let amp = pulse.charge_c * fs;
         for n in lo..=hi {
             out[n - start] += carrier.scale(amp * kernel(n as f64 - center));
         }
     }
-}
-
-/// Fast synthesis: table-driven kernel, globally-anchored incremental
-/// carrier phasor, independent fixed-size windows fanned across the
-/// worker pool. Requires time-ordered pulses.
-///
-/// Determinism: windows are invariant (see [`render_train_window`]) and
-/// stitched in index order, so the waveform is bit-identical for any
-/// worker count and any chunk size.
-fn render_train_fast(
-    train: &SwitchingTrain,
-    config: SynthConfig,
-    n_samples: usize,
-) -> Vec<Complex> {
-    let n_chunks = n_samples.div_ceil(CHUNK_SAMPLES).max(1);
-    // Window values depend only on the window placement and the train,
-    // so a single worker can write them straight into the final buffer
-    // — skipping the per-chunk allocations and the stitch copy the
-    // fan-out path pays — and stay bit-identical to the pool result.
-    if n_chunks == 1 || emsc_runtime::current_threads() == 1 {
-        let mut out = vec![Complex::ZERO; n_samples];
-        for c in 0..n_chunks {
-            let start = c * CHUNK_SAMPLES;
-            let len = CHUNK_SAMPLES.min(n_samples - start);
-            render_window_fast(train, config, start, &mut out[start..start + len]);
-        }
-        return out;
-    }
-    let chunk_ids: Vec<usize> = (0..n_chunks).collect();
-    let chunks = emsc_runtime::par_map(&chunk_ids, |&c| {
-        let start = c * CHUNK_SAMPLES;
-        let len = CHUNK_SAMPLES.min(n_samples - start);
-        let mut out = vec![Complex::ZERO; len];
-        render_window_fast(train, config, start, &mut out);
-        out
-    });
-    let mut out = Vec::with_capacity(n_samples);
-    for chunk in chunks {
-        out.extend(chunk);
-    }
-    out
 }
 
 /// Incremental carrier phasor with global pulse-index anchors: pulse
@@ -424,7 +324,7 @@ impl CarrierPhasor {
     }
 }
 
-/// The fast path's windowed core: the contributions of every pulse
+/// The table-driven renderer: the contributions of every pulse
 /// whose kernel support intersects `[start, start + out.len())`,
 /// processed in time order (see [`render_train_window`] for the
 /// window-invariance argument).
@@ -485,7 +385,7 @@ fn render_window_fast(
         // two contiguous rows instead of striding through the flat
         // table. This differs from recomputing `kernel_fast(n −
         // center)` per tap only in the last ulps of the interpolation
-        // weight — far inside the fast path's −90 dB accuracy contract
+        // weight — far inside the −90 dB accuracy contract
         // (pinned in tests below).
         let pos = (lo_intr_f - center + KERNEL_HALF_WIDTH as f64) * LUT_RES as f64;
         let j = pos as usize;
@@ -519,7 +419,7 @@ const N_SHORT: usize = LUT_ROW - 1;
 
 /// One pulse's tap updates at a compile-time count: `dst[i] +=
 /// carrier · (amp · k_i)` with the same per-tap expression as the
-/// generic loop in [`render_chunk_into`].
+/// generic loop in `render_window_fast`.
 #[inline]
 fn tap_block<const N: usize>(
     dst: &mut [Complex],
@@ -691,6 +591,13 @@ mod tests {
         assert!(iq.iter().all(|z| z.abs() == 0.0));
     }
 
+    /// The analytic renderer over `n` samples: the accuracy oracle.
+    fn render_exact(train: &SwitchingTrain, cfg: SynthConfig, n: usize) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; n];
+        render_window_exact(train, cfg, 0, &mut out);
+        out
+    }
+
     /// RMS error of the fast path relative to the exact path, in dB.
     fn relative_error_db(fast: &[Complex], exact: &[Complex]) -> f64 {
         let err: f64 = fast.iter().zip(exact).map(|(a, b)| (*a - *b).norm_sqr()).sum();
@@ -701,14 +608,13 @@ mod tests {
     #[test]
     fn fast_path_matches_exact_below_minus_90_db() {
         // Regular train — the phasor's amortised-rotation regime —
-        // long enough to span several chunks.
+        // long enough for hundreds of carrier re-anchors.
         let f_sw = 937.5e3;
         let train = regular_train(f_sw, 8e-6, 60e-3);
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let n = samples_for(&train, cfg);
-        assert!(n > CHUNK_SAMPLES, "test must cover the chunked path");
         let fast = render_train(&train, cfg, n);
-        let exact = render_train_exact(&train, cfg, n);
+        let exact = render_exact(&train, cfg, n);
         let db = relative_error_db(&fast, &exact);
         assert!(db <= -90.0, "fast path error {db:.1} dB");
     }
@@ -731,19 +637,32 @@ mod tests {
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let n = samples_for(&train, cfg);
         let fast = render_train(&train, cfg, n);
-        let exact = render_train_exact(&train, cfg, n);
+        let exact = render_exact(&train, cfg, n);
         let db = relative_error_db(&fast, &exact);
         assert!(db <= -90.0, "fast path error {db:.1} dB");
     }
 
     #[test]
-    fn exact_mode_flag_selects_the_reference_path() {
-        let f_sw = 1e6;
-        let train = regular_train(f_sw, 2e-6, 2e-3);
+    fn lut_offset_that_rounds_to_one_renders_within_contract() {
+        // The first pulse of an 800 kHz train at 2.4 Msps sits at
+        // center 3.0000000000000004, where the tap offset
+        // ⌈c − H⌉ − c + H rounds to exactly 1: the table row index
+        // reaches LUT_RES and its partner row is the table's last.
+        let f_sw = 800e3;
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        let via_flag = render_train(&train, cfg.exact(), 4096);
-        let direct = render_train_exact(&train, cfg, 4096);
-        assert!(via_flag.iter().zip(&direct).all(|(a, b)| a.re == b.re && a.im == b.im));
+        let train = SwitchingTrain {
+            pulses: vec![Pulse { t_s: 1.25e-6, charge_c: 4e-6 }],
+            nominal_period_s: 1.0 / f_sw,
+            duration_s: 1e-4,
+        };
+        let center = train.pulses[0].t_s * cfg.sample_rate;
+        let h = KERNEL_HALF_WIDTH as f64;
+        assert_eq!((center - h).ceil() - center + h, 1.0, "test must hit the rounding case");
+        let n = samples_for(&train, cfg);
+        let fast = render_train(&train, cfg, n);
+        let exact = render_exact(&train, cfg, n);
+        let db = relative_error_db(&fast, &exact);
+        assert!(db <= -90.0, "fast path error {db:.1} dB");
     }
 
     #[test]
@@ -753,22 +672,8 @@ mod tests {
         train.pulses.reverse();
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let fast_cfg = render_train(&train, cfg, 4096);
-        let exact = render_train_exact(&train, cfg, 4096);
+        let exact = render_exact(&train, cfg, 4096);
         assert!(fast_cfg.iter().zip(&exact).all(|(a, b)| a.re == b.re && a.im == b.im));
-    }
-
-    #[test]
-    fn chunked_render_is_thread_count_independent() {
-        let f_sw = 937.5e3;
-        let train = regular_train(f_sw, 8e-6, 60e-3);
-        let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        let n = samples_for(&train, cfg);
-        let serial = emsc_runtime::with_threads(1, || render_train(&train, cfg, n));
-        let parallel = emsc_runtime::with_threads(8, || render_train(&train, cfg, n));
-        assert!(serial
-            .iter()
-            .zip(&parallel)
-            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()));
     }
 
     /// Renders `n` samples as a sequence of `window`-sized blocks
@@ -803,9 +708,10 @@ mod tests {
     fn windowed_render_composes_bitwise_with_whole_buffer() {
         // Window invariance is the foundation of the fused TX chain:
         // any block decomposition must reproduce the whole-buffer
-        // render bit for bit, in both modes, for regular and jittered
-        // trains (the latter defeats the Δt-rotator cache, exercising
-        // the per-pulse `cis` warm-up).
+        // render bit for bit, for regular and jittered trains (the
+        // latter defeats the Δt-rotator cache, exercising the
+        // per-pulse `cis` warm-up) and for a reversed train, which
+        // takes the analytic path.
         let f_sw = 937.5e3;
         let mut jittered = regular_train(f_sw, 8e-6, 4e-3);
         let mut state = 0x9E37u64;
@@ -817,14 +723,15 @@ mod tests {
             p.t_s = (p.t_s + 0.4 * u / f_sw).max(0.0);
         }
         jittered.pulses.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap());
-        for train in [regular_train(f_sw, 8e-6, 4e-3), jittered] {
-            for cfg in [SynthConfig::rtl_sdr_for(f_sw), SynthConfig::rtl_sdr_for(f_sw).exact()] {
-                let n = samples_for(&train, cfg);
-                let whole = render_train(&train, cfg, n);
-                for window in [1usize, 7, 997, 4096] {
-                    let composed = render_by_windows(&train, cfg, n, window);
-                    assert_bitwise_eq(&composed, &whole, &format!("window {window}"));
-                }
+        let mut reversed = regular_train(f_sw, 8e-6, 4e-3);
+        reversed.pulses.reverse();
+        let cfg = SynthConfig::rtl_sdr_for(f_sw);
+        for train in [regular_train(f_sw, 8e-6, 4e-3), jittered, reversed] {
+            let n = samples_for(&train, cfg);
+            let whole = render_train(&train, cfg, n);
+            for window in [1usize, 7, 997, 4096] {
+                let composed = render_by_windows(&train, cfg, n, window);
+                assert_bitwise_eq(&composed, &whole, &format!("window {window}"));
             }
         }
     }
@@ -838,7 +745,7 @@ mod tests {
         // odd boundary cutting straight through a pulse's support,
         // including a pulse whose center sits exactly on the boundary.
         let fs = 2.4e6;
-        let cfg = SynthConfig { sample_rate: fs, center_freq: 1.4e6, mode: SynthMode::Fast };
+        let cfg = SynthConfig { sample_rate: fs, center_freq: 1.4e6 };
         let train = SwitchingTrain {
             pulses: vec![
                 Pulse { t_s: 94.3 / fs, charge_c: 3e-6 }, // straddles n = 100
@@ -894,11 +801,12 @@ mod tests {
         // strided entry bit for bit, so the render walk's interpolated
         // values are unchanged by the transposition. Row entries past
         // the flat table's end land outside the kernel support and
-        // must be exactly zero.
+        // must be exactly zero. The last row, LUT_RES + 1, is only
+        // read as the zero-weight partner of row LUT_RES.
         let flat = kernel_lut();
         let rows = kernel_lut_rows();
-        assert_eq!(rows.len(), (LUT_RES + 1) * LUT_ROW);
-        for j in 0..=LUT_RES {
+        assert_eq!(rows.len(), (LUT_RES + 2) * LUT_ROW);
+        for j in 0..=LUT_RES + 1 {
             for m in 0..LUT_ROW {
                 let i = j + m * LUT_RES;
                 let want = if i < flat.len() { flat[i] } else { 0.0 };
@@ -944,7 +852,7 @@ mod tests {
                 let cfg = SynthConfig::rtl_sdr_for(f_sw);
                 let n = samples_for(&train, cfg);
                 let fast = render_train(&train, cfg, n);
-                let exact = render_train_exact(&train, cfg, n);
+                let exact = render_exact(&train, cfg, n);
                 let db = relative_error_db(&fast, &exact);
                 prop_assert!(db <= -90.0, "error {} dB", db);
             }

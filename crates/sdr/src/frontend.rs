@@ -13,18 +13,6 @@ use crate::simd::peak_abs;
 /// RTL-SDR v3 maximum reliable sample rate, samples per second (§IV-C1).
 pub const RTL_SDR_MAX_SAMPLE_RATE: f64 = 2.4e6;
 
-/// Which ppm-mixer implementation [`Frontend::digitize`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DigitizeMode {
-    /// Incrementally-rotated phasor with a periodic exact re-anchor
-    /// (one complex multiply per sample instead of a `cis`).
-    #[default]
-    Fast,
-    /// Reference path: an exact `cis` per sample. Kept for parity
-    /// testing and benchmarking.
-    Exact,
-}
-
 /// Configuration of the receiver front end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrontendConfig {
@@ -42,8 +30,6 @@ pub struct FrontendConfig {
     /// Fraction of ADC full scale the AGC maps the observed signal
     /// peak to (leaving headroom avoids clipping on transients).
     pub agc_target: f64,
-    /// Digitiser implementation (fast incremental mixer by default).
-    pub mode: DigitizeMode,
 }
 
 impl FrontendConfig {
@@ -56,7 +42,6 @@ impl FrontendConfig {
             ppm_error: 1.5,
             dc_offset: 0.004,
             agc_target: 0.7,
-            mode: DigitizeMode::default(),
         }
     }
 
@@ -69,13 +54,7 @@ impl FrontendConfig {
             ppm_error: 0.0,
             dc_offset: 0.0,
             agc_target: 1.0,
-            mode: DigitizeMode::default(),
         }
-    }
-
-    /// The same front end with the reference per-sample mixer.
-    pub fn exact(self) -> Self {
-        FrontendConfig { mode: DigitizeMode::Exact, ..self }
     }
 }
 
@@ -148,11 +127,11 @@ impl Frontend {
     /// [`Capture`], applying ppm frequency error, AGC scaling, DC
     /// offset and ADC quantisation.
     ///
-    /// With [`DigitizeMode::Fast`] (the default) the ppm mixer
-    /// advances an incrementally-rotated phasor, re-anchored with an
-    /// exact `cis` every 64 samples; the accumulated rounding drift
-    /// stays at the 1e-14 level — far below the ADC's quantisation
-    /// step, so quantised captures match the reference path.
+    /// The ppm mixer advances an incrementally-rotated phasor,
+    /// re-anchored with an exact `cis` every 64 samples; the
+    /// accumulated rounding drift stays at the 1e-14 level — far below
+    /// the ADC's quantisation step, so quantised captures equal those
+    /// of a per-sample `cis` mixer (pinned in the tests below).
     /// Allocating wrapper around [`Frontend::digitize_into`].
     pub fn digitize(&self, analog: &[Complex]) -> Capture {
         let mut samples = Vec::new();
@@ -193,13 +172,12 @@ impl Frontend {
     /// range of [`Frontend::digitize_into`] when `gain` is the
     /// global-peak gain from [`Frontend::agc_gain`].
     ///
-    /// Window invariance: the fast mixer's 64-sample re-anchor grid is
-    /// defined on *absolute* indices (`n % 64 == 0`), its in-block
+    /// Window invariance: the mixer's 64-sample re-anchor grid is
+    /// defined on *absolute* indices (`n % 64 == 0`), and its in-block
     /// rotator powers `step^k` are a pure function of the
-    /// configuration, and the exact mixer evaluates `cis` at the
-    /// absolute time `n / fs` — so the quantiser sees the same value
-    /// sequence for any decomposition. A window starting mid-anchor-
-    /// block simply enters the rotator table at its offset.
+    /// configuration — so the quantiser sees the same value sequence
+    /// for any decomposition. A window starting mid-anchor-block
+    /// simply enters the rotator table at its offset.
     ///
     /// `out` is cleared and refilled; steady-state allocation-free
     /// once warmed up at the largest block size.
@@ -214,8 +192,8 @@ impl Frontend {
         let df = cfg.center_freq * cfg.ppm_error / 1e6;
         // Quantisation rescales by a precomputed reciprocal — one
         // rounding difference in the last ulp versus dividing by `q`,
-        // applied identically on the Fast and Exact paths so their
-        // quantised outputs stay equal bit for bit.
+        // applied identically by the per-sample `cis` reference in the
+        // tests so their quantised outputs stay equal bit for bit.
         let quant_levels = if cfg.adc_bits >= 53 {
             None
         } else {
@@ -227,73 +205,49 @@ impl Frontend {
         let phase_step = 2.0 * std::f64::consts::PI * df / cfg.sample_rate;
         out.clear();
         out.reserve(analog.len());
-        match (cfg.mode, quant_levels) {
-            (DigitizeMode::Fast, quant) => {
-                // In-block rotators `step^k` are precomputed once, so
-                // each sample's phasor is `anchor · pw[k]` — every
-                // sample independent of the previous one, instead of a
-                // serial `rot *= step` chain whose complex-multiply
-                // latency bounds the whole loop. The ~ulp drift of
-                // `anchor · step^k` versus the running product resets
-                // at each 64-sample re-anchor, exactly like the chain's
-                // own drift (pinned against Exact in the tests below).
-                let step = Complex::cis(phase_step);
-                let mut pw = [Complex::new(1.0, 0.0); REFRESH];
-                for k in 1..REFRESH {
-                    pw[k] = pw[k - 1] * step;
+        // In-block rotators `step^k` are precomputed once, so each
+        // sample's phasor is `anchor · pw[k]` — every sample independent
+        // of the previous one, instead of a serial `rot *= step` chain
+        // whose complex-multiply latency bounds the whole loop. The ~ulp
+        // drift of `anchor · step^k` versus the running product resets
+        // at each 64-sample re-anchor, exactly like the chain's own
+        // drift (pinned against a per-sample `cis` in the tests below).
+        let step = Complex::cis(phase_step);
+        let mut pw = [Complex::new(1.0, 0.0); REFRESH];
+        for k in 1..REFRESH {
+            pw[k] = pw[k - 1] * step;
+        }
+        let mut rot = [Complex::new(1.0, 0.0); REFRESH];
+        let mut consumed = 0usize;
+        while consumed < analog.len() {
+            // Exact re-anchor on the absolute 64-sample grid, then the
+            // block's phasors `anchor · step^k` materialised up front:
+            // one complex multiply per sample in the push loop.
+            let n = start + consumed;
+            let block_idx = n / REFRESH;
+            let offset = n % REFRESH;
+            let take = (REFRESH - offset).min(analog.len() - consumed);
+            let anchor = Complex::cis(phase_step * (block_idx * REFRESH) as f64);
+            for (r, &p) in rot.iter_mut().zip(&pw) {
+                *r = anchor * p;
+            }
+            let block = &analog[consumed..consumed + take];
+            let rots = &rot[offset..offset + take];
+            match quant_levels {
+                Some((q, q_inv)) => {
+                    out.extend(block.iter().zip(rots).map(|(&z, &r)| {
+                        let v = (z * r).scale(gain) + dc;
+                        Complex::new(
+                            (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
+                            (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
+                        )
+                    }));
                 }
-                let mut rot = [Complex::new(1.0, 0.0); REFRESH];
-                let mut consumed = 0usize;
-                while consumed < analog.len() {
-                    // Exact re-anchor on the absolute 64-sample grid —
-                    // the same `n % 64 == 0` refresh as the historical
-                    // per-sample loop — then the block's phasors
-                    // `anchor · step^k` materialised up front: one
-                    // complex multiply per sample in the push loop.
-                    let n = start + consumed;
-                    let block_idx = n / REFRESH;
-                    let offset = n % REFRESH;
-                    let take = (REFRESH - offset).min(analog.len() - consumed);
-                    let anchor = Complex::cis(phase_step * (block_idx * REFRESH) as f64);
-                    for (r, &p) in rot.iter_mut().zip(&pw) {
-                        *r = anchor * p;
-                    }
-                    let block = &analog[consumed..consumed + take];
-                    let rots = &rot[offset..offset + take];
-                    match quant {
-                        Some((q, q_inv)) => {
-                            out.extend(block.iter().zip(rots).map(|(&z, &r)| {
-                                let v = (z * r).scale(gain) + dc;
-                                Complex::new(
-                                    (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
-                                    (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
-                                )
-                            }));
-                        }
-                        None => {
-                            out.extend(
-                                block.iter().zip(rots).map(|(&z, &r)| (z * r).scale(gain) + dc),
-                            );
-                        }
-                    }
-                    consumed += take;
+                None => {
+                    out.extend(block.iter().zip(rots).map(|(&z, &r)| (z * r).scale(gain) + dc));
                 }
             }
-            (DigitizeMode::Exact, quant) => {
-                let quantize = |v: Complex| match quant {
-                    Some((q, q_inv)) => Complex::new(
-                        (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
-                        (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
-                    ),
-                    None => v,
-                };
-                out.extend(analog.iter().enumerate().map(|(k, &z)| {
-                    let t = (start + k) as f64 / cfg.sample_rate;
-                    let v =
-                        (z * Complex::cis(2.0 * std::f64::consts::PI * df * t)).scale(gain) + dc;
-                    quantize(v)
-                }));
-            }
+            consumed += take;
         }
     }
 }
@@ -312,6 +266,35 @@ mod tests {
     fn tone(freq: f64, fs: f64, n: usize, amp: f64) -> Vec<Complex> {
         (0..n)
             .map(|i| Complex::from_polar(amp, 2.0 * std::f64::consts::PI * freq * i as f64 / fs))
+            .collect()
+    }
+
+    /// The reference digitiser: an exact `cis` per sample in the ppm
+    /// mixer, with the same AGC, DC offset and quantiser as
+    /// [`Frontend::digitize_window_into`].
+    fn digitize_exact(cfg: &FrontendConfig, analog: &[Complex]) -> Vec<Complex> {
+        let gain = Frontend::new(cfg.clone()).agc_gain(peak_abs(analog));
+        let df = cfg.center_freq * cfg.ppm_error / 1e6;
+        let dc = Complex::new(cfg.dc_offset, cfg.dc_offset);
+        let quantize = |v: Complex| {
+            if cfg.adc_bits >= 53 {
+                return v;
+            }
+            let q = ((1u64 << (cfg.adc_bits - 1)) - 1) as f64;
+            let q_inv = 1.0 / q;
+            Complex::new(
+                (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
+                (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
+            )
+        };
+        analog
+            .iter()
+            .enumerate()
+            .map(|(k, &z)| {
+                let t = k as f64 / cfg.sample_rate;
+                let v = (z * Complex::cis(2.0 * std::f64::consts::PI * df * t)).scale(gain) + dc;
+                quantize(v)
+            })
             .collect()
     }
 
@@ -419,22 +402,14 @@ mod tests {
         // Quantised: the 8-bit grid absorbs the phasor drift entirely.
         let cfg = FrontendConfig::rtl_sdr_v3(1.4e6);
         let fast = Frontend::new(cfg.clone()).digitize(&x);
-        let exact = Frontend::new(cfg.exact()).digitize(&x);
-        assert_eq!(fast.samples, exact.samples);
+        assert_eq!(fast.samples, digitize_exact(&cfg, &x));
         // Unquantised: drift stays at the rounding-noise level.
         let cfg = FrontendConfig { adc_bits: 62, ..FrontendConfig::rtl_sdr_v3(1.4e6) };
         let fast = Frontend::new(cfg.clone()).digitize(&x);
-        let exact = Frontend::new(cfg.exact()).digitize(&x);
-        let rms = (exact.samples.iter().map(|z| z.norm_sqr()).sum::<f64>()
-            / exact.samples.len() as f64)
-            .sqrt();
-        let err = (fast
-            .samples
-            .iter()
-            .zip(&exact.samples)
-            .map(|(a, b)| (*a - *b).norm_sqr())
-            .sum::<f64>()
-            / exact.samples.len() as f64)
+        let exact = digitize_exact(&cfg, &x);
+        let rms = (exact.iter().map(|z| z.norm_sqr()).sum::<f64>() / exact.len() as f64).sqrt();
+        let err = (fast.samples.iter().zip(&exact).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>()
+            / exact.len() as f64)
             .sqrt();
         assert!(err < 1e-12 * rms, "mixer drift {err} vs rms {rms}");
     }
@@ -443,11 +418,7 @@ mod tests {
     fn digitize_into_matches_digitize_and_reuses_its_buffer() {
         let fs = 2.4e6;
         let x = tone(100e3, fs, 10_000, 0.8);
-        for cfg in [
-            FrontendConfig::rtl_sdr_v3(1.4e6),
-            FrontendConfig::rtl_sdr_v3(1.4e6).exact(),
-            FrontendConfig::ideal(fs, 1.4e6),
-        ] {
+        for cfg in [FrontendConfig::rtl_sdr_v3(1.4e6), FrontendConfig::ideal(fs, 1.4e6)] {
             let fe = Frontend::new(cfg);
             let cap = fe.digitize(&x);
             let mut out = Vec::new();
@@ -461,12 +432,10 @@ mod tests {
 
     #[test]
     fn digitize_windows_compose_bitwise_with_whole_buffer() {
-        use crate::simd::peak_abs;
         let fs = 2.4e6;
         let x = tone(100e3, fs, 10_000, 0.8);
         for cfg in [
             FrontendConfig::rtl_sdr_v3(1.4e6),
-            FrontendConfig::rtl_sdr_v3(1.4e6).exact(),
             FrontendConfig { adc_bits: 62, ..FrontendConfig::rtl_sdr_v3(1.4e6) },
             FrontendConfig::ideal(fs, 1.4e6),
         ] {

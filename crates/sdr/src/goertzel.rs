@@ -4,8 +4,7 @@
 //! where the sliding DFT updates every bin each sample (`O(|S|)` per
 //! sample, every-sample output), Goertzel evaluates one bin over one
 //! block with two multiplies per sample and no ring buffer — the
-//! classic choice for block-wise tone detection. The `ablate_goertzel`
-//! comparison in the bench harness shows when each wins.
+//! classic choice for block-wise tone detection.
 
 use crate::iq::Complex;
 

@@ -25,8 +25,8 @@
 //!   to the sliding DFT for tone tracking),
 //! - [`scratch`]: the [`scratch::DspScratch`] buffer arena behind the
 //!   allocation-free `_into` kernel variants,
-//! - [`simd`]: lane-chunked (autovectorizable) reductions with exact
-//!   scalar oracles.
+//! - [`simd`]: lane-chunked (autovectorizable) reductions, pinned
+//!   against exact scalar oracles in tests.
 //!
 //! # Examples
 //!

@@ -10,9 +10,9 @@
 //! rotated phasor (one complex multiply per sample) re-anchored with
 //! an exact `cis` every [`PHASOR_REFRESH`] samples, the same
 //! drift-control pattern as `Frontend::digitize` and
-//! `SlidingDft::refresh`. [`mix_exact`] keeps the one-`cis`-per-sample
-//! reference path as the accuracy oracle (≤ −120 dB divergence, pinned
-//! in tests).
+//! `SlidingDft::refresh`. `mix_exact`, compiled only for tests, keeps
+//! the one-`cis`-per-sample reference path as the accuracy oracle
+//! (≤ −120 dB divergence, pinned in tests).
 
 use crate::frontend::Capture;
 use crate::iq::Complex;
@@ -27,7 +27,7 @@ pub const PHASOR_REFRESH: usize = 64;
 ///
 /// `out` is cleared and refilled; after a warm-up call at the largest
 /// input size the function performs no allocation. Matches
-/// [`mix_exact`] to better than −120 dB.
+/// `mix_exact` to better than −120 dB.
 pub fn mix_into(samples: &[Complex], sample_rate: f64, shift_hz: f64, out: &mut Vec<Complex>) {
     let step = 2.0 * std::f64::consts::PI * shift_hz / sample_rate;
     out.clear();
@@ -44,9 +44,9 @@ pub fn mix_into(samples: &[Complex], sample_rate: f64, shift_hz: f64, out: &mut 
 }
 
 /// Reference mixer: an exact `Complex::cis` per sample. The accuracy
-/// oracle for [`mix_into`]; O(n) libm calls, kept for audits and
-/// tests.
-pub fn mix_exact(samples: &[Complex], sample_rate: f64, shift_hz: f64) -> Vec<Complex> {
+/// oracle for [`mix_into`]; O(n) libm calls.
+#[cfg(test)]
+fn mix_exact(samples: &[Complex], sample_rate: f64, shift_hz: f64) -> Vec<Complex> {
     let step = 2.0 * std::f64::consts::PI * shift_hz / sample_rate;
     samples.iter().enumerate().map(|(n, &z)| z * Complex::cis(step * n as f64)).collect()
 }

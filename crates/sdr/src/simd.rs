@@ -14,8 +14,9 @@
 //! keep the scalar evaluation order; kernels that feed **tolerance-
 //! bounded** paths (matched-filter integrate-and-dump, AGC peak scan,
 //! spectral accumulations behind their own decision thresholds) may
-//! use these. Every fast kernel here has an `_exact` scalar oracle and
-//! a test pinning the divergence below −120 dB.
+//! use these. Every fast kernel here has an `_exact` scalar oracle,
+//! compiled only for tests, and a test pinning the divergence below
+//! −120 dB.
 
 use crate::iq::Complex;
 
@@ -24,7 +25,7 @@ use crate::iq::Complex;
 /// the chunk loop.
 pub const LANES: usize = 4;
 
-/// Lane-chunked sum. Reassociated relative to [`sum_exact`].
+/// Lane-chunked sum. Reassociated relative to `sum_exact`.
 pub fn sum(xs: &[f64]) -> f64 {
     let mut acc = [0.0f64; LANES];
     let chunks = xs.chunks_exact(LANES);
@@ -42,12 +43,13 @@ pub fn sum(xs: &[f64]) -> f64 {
 }
 
 /// Scalar left-to-right fold: the bit-exact oracle for [`sum`].
-pub fn sum_exact(xs: &[f64]) -> f64 {
+#[cfg(test)]
+fn sum_exact(xs: &[f64]) -> f64 {
     xs.iter().sum()
 }
 
 /// Lane-chunked sum of squares. Reassociated relative to
-/// [`sum_sq_exact`].
+/// `sum_sq_exact`.
 pub fn sum_sq(xs: &[f64]) -> f64 {
     let mut acc = [0.0f64; LANES];
     let chunks = xs.chunks_exact(LANES);
@@ -65,7 +67,8 @@ pub fn sum_sq(xs: &[f64]) -> f64 {
 }
 
 /// Scalar oracle for [`sum_sq`].
-pub fn sum_sq_exact(xs: &[f64]) -> f64 {
+#[cfg(test)]
+fn sum_sq_exact(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| x * x).sum()
 }
 
@@ -90,7 +93,8 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Scalar oracle for [`dot`].
-pub fn dot_exact(a: &[f64], b: &[f64]) -> f64 {
+#[cfg(test)]
+fn dot_exact(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(&x, &y)| x * y).sum()
 }
 
@@ -112,7 +116,8 @@ pub fn energy(zs: &[Complex]) -> f64 {
 }
 
 /// Scalar oracle for [`energy`].
-pub fn energy_exact(zs: &[Complex]) -> f64 {
+#[cfg(test)]
+fn energy_exact(zs: &[Complex]) -> f64 {
     zs.iter().map(|z| z.norm_sqr()).sum()
 }
 

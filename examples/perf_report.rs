@@ -4,32 +4,29 @@
 //! cargo run --release -p emsc-examples --example perf_report
 //! ```
 //!
-//! Times three layers and writes the results to `BENCH_runtime.json`
+//! Times five sections and writes the results to `BENCH_runtime.json`
 //! in the current directory:
 //!
-//! 1. **Synthesis** — `render_train` LUT/incremental-phasor fast path
-//!    vs the exact scalar reference, single-threaded and on the pool.
-//! 2. **FFT** — repeated transforms through the thread-local plan
+//! 1. **FFT** — repeated transforms through the thread-local plan
 //!    cache vs rebuilding the plan every call.
-//! 3. **End to end** — Table II (the biggest `reproduce` grid) with
+//! 2. **End to end** — Table II (the biggest `reproduce` grid) with
 //!    `with_threads(1)` vs the full worker pool.
-//! 4. **Streaming** — the receiver fed in 16 Ki-sample chunks vs the
+//! 3. **Streaming** — the receiver fed in 16 Ki-sample chunks vs the
 //!    same receiver fed the whole capture in one push
 //!    (`Receiver::receive`): steady-state throughput in Msamples/s
 //!    plus per-chunk heap allocations (counted by a wrapping global
 //!    allocator). The JSON keeps the one-push time under `batch_s`.
-//! 5. **Sessions** — the multi-tenant registry multiplexing several
+//! 4. **Sessions** — the multi-tenant registry multiplexing several
 //!    bounded-buffer streams (including a poisoned one): wall time
 //!    plus the per-session cumulative counters (chunks accepted and
 //!    rejected, stream errors, last error kind).
-//! 6. **Fused TX chain** — one chain run's TX side, staged (full
-//!    analog materialised, then a second digitise sweep) vs the fused
-//!    blockwise producer: pass times, blocks/s and peak resident
-//!    samples, with the bit-identity of the two captures checked.
+//! 5. **Fused TX chain** — one chain run's TX side through the fused
+//!    blockwise producer: pass time, blocks/s and peak resident
+//!    samples, with the capture checked bit for bit against a
+//!    one-block run.
 //!
-//! All timed paths produce bit-identical outputs (see the determinism
-//! tests in `emsc-runtime` and `emsc-emfield`), so the speedups come
-//! for free.
+//! Each section checks that the paths it compares produce
+//! bit-identical outputs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -42,14 +39,11 @@ use emsc_core::fused::{ChainStream, FUSED_BLOCK};
 use emsc_core::laptop::Laptop;
 use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_covert::stream::StreamingReceiver;
-use emsc_emfield::synth::{render_train, render_train_exact, SynthConfig, SynthMode};
 use emsc_pmu::workload::Program;
 use emsc_runtime::{current_threads, with_threads};
 use emsc_sdr::fft::{plan_for, FftPlan};
-use emsc_sdr::frontend::DigitizeMode;
 use emsc_sdr::iq::Complex;
 use emsc_sdr::Capture;
-use emsc_vrm::train::{Pulse, SwitchingTrain};
 
 /// Allocation-counting wrapper around the system allocator, so the
 /// streaming bench can report allocations per pushed chunk. The
@@ -95,24 +89,6 @@ fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     (best, last.expect("reps >= 1"))
 }
 
-/// A jittered 1 MHz switching train: the synthesis workload every
-/// chain stage feeds the SDR front end.
-fn bench_train(duration_s: f64) -> SwitchingTrain {
-    let f_sw = 1.0e6;
-    let period = 1.0 / f_sw;
-    let n = (duration_s * f_sw) as usize;
-    let pulses = (0..n)
-        .map(|k| {
-            // Deterministic ±3 % period jitter and ±20 % load swing,
-            // so the fractional-offset LUT actually gets exercised.
-            let jitter = (((k as u64).wrapping_mul(0x9E37_79B9)) % 61) as f64 / 1000.0 - 0.03;
-            let load = 1.0 + 0.2 * ((k as f64) * 0.013).sin();
-            Pulse { t_s: (k as f64 + jitter) * period, charge_c: 2.0e-6 * load }
-        })
-        .collect();
-    SwitchingTrain { pulses, nominal_period_s: period, duration_s }
-}
-
 /// On-off-keyed covert capture at the corpus tuning (centre tuned to
 /// the switching line, so the carrier sits at baseband DC): the
 /// streaming-bench input. Deterministic xorshift noise floor.
@@ -145,30 +121,7 @@ fn main() {
         if quick { " (--quick smoke scale)" } else { "" }
     );
 
-    // 1. Synthesis: exact reference vs LUT fast path.
-    let synth_dur = if quick { 0.01 } else { 0.05 };
-    let train = bench_train(synth_dur);
-    let config = SynthConfig::rtl_sdr_for(1.0e6);
-    let n_samples = (synth_dur * config.sample_rate) as usize;
-    let (exact_s, exact_iq) = time_best(reps, || render_train_exact(&train, config, n_samples));
-    let (fast_1t_s, fast_iq) =
-        time_best(reps, || with_threads(1, || render_train(&train, config, n_samples)));
-    let (fast_pool_s, _) = time_best(reps, || render_train(&train, config, n_samples));
-    let rms: f64 =
-        (exact_iq.iter().map(|z| z.norm_sqr()).sum::<f64>() / exact_iq.len() as f64).sqrt();
-    let err: f64 = (exact_iq.iter().zip(&fast_iq).map(|(a, b)| (*a - *b).norm_sqr()).sum::<f64>()
-        / exact_iq.len() as f64)
-        .sqrt();
-    let err_db = 20.0 * (err / rms).log10(); // amplitude ratio in dB
-    let synth_1t = exact_s / fast_1t_s;
-    let synth_pool = exact_s / fast_pool_s;
-    println!("synthesis ({n_samples} samples, {} pulses):", train.pulses.len());
-    println!("  exact reference      {exact_s:>9.4} s");
-    println!("  fast, 1 thread       {fast_1t_s:>9.4} s   ({synth_1t:.2}x)");
-    println!("  fast, pool           {fast_pool_s:>9.4} s   ({synth_pool:.2}x)");
-    println!("  fast-vs-exact error  {err_db:>9.1} dB\n");
-
-    // 2. FFT plan cache: plan_for() (cached) vs a fresh plan per call
+    // 1. FFT plan cache: plan_for() (cached) vs a fresh plan per call
     //    (same per-call buffer clone on both arms, so the difference
     //    is purely plan construction).
     let fft_n = 4096;
@@ -199,54 +152,37 @@ fn main() {
     println!("  fresh plan per call  {uncached_s:>9.4} s");
     println!("  thread-local cache   {cached_s:>9.4} s   ({fft_speedup:.2}x)\n");
 
-    // 3. End to end: the Table II grid (the biggest `reproduce`
+    // 2. End to end: the Table II grid (the biggest `reproduce`
     //    artefact), at a reduced scale that keeps the report under a
-    //    minute. Three configurations:
-    //      legacy    — exact scalar synthesis and digitiser, one
-    //                  thread (the pre-runtime pipeline);
-    //      serial    — fast synthesis, one thread;
-    //      pool      — fast synthesis, all workers.
+    //    minute, on one thread and on all workers.
     let scale = if quick {
         TableScale { payload_bytes: 16, runs: 1 }
     } else {
         TableScale { payload_bytes: 32, runs: 4 }
     };
     let seed = 2020;
-    let scenarios = || -> Vec<(String, CovertScenario)> {
-        Laptop::all()
-            .iter()
-            .map(|laptop| {
-                let chain = Chain::new(laptop, Setup::NearField);
-                (laptop.model.to_string(), CovertScenario::for_laptop(laptop, chain))
-            })
-            .collect()
-    };
-    let mut legacy_scenarios = scenarios();
-    for (_, s) in &mut legacy_scenarios {
-        s.chain.scene.synth.mode = SynthMode::Exact;
-        s.chain.frontend.mode = DigitizeMode::Exact;
-    }
-    let fast_scenarios = scenarios();
-    // Reps interleave across the three rows (legacy, serial, pool)
-    // and each row keeps its best: paired sampling, so slow drift in
-    // the host's available throughput hits every row's epochs alike
-    // instead of biasing whichever row it coincides with.
+    let scenarios: Vec<(String, CovertScenario)> = Laptop::all()
+        .iter()
+        .map(|laptop| {
+            let chain = Chain::new(laptop, Setup::NearField);
+            (laptop.model.to_string(), CovertScenario::for_laptop(laptop, chain))
+        })
+        .collect();
+    // Reps interleave across the two rows (serial, pool) and each row
+    // keeps its best: paired sampling, so slow drift in the host's
+    // available throughput hits both rows' epochs alike instead of
+    // biasing whichever row it coincides with.
     let e2e_reps = if quick { 1 } else { 3 };
-    let mut legacy_s = f64::INFINITY;
     let mut serial_s = f64::INFINITY;
     let mut parallel_s = f64::INFINITY;
     let mut serial_rows = Vec::new();
     let mut parallel_rows = Vec::new();
     for _ in 0..e2e_reps {
-        let (t, _) = time_best(1, || {
-            with_threads(1, || measure_channel_grid(&legacy_scenarios, scale, seed))
-        });
-        legacy_s = legacy_s.min(t);
         let (t, rows) =
-            time_best(1, || with_threads(1, || measure_channel_grid(&fast_scenarios, scale, seed)));
+            time_best(1, || with_threads(1, || measure_channel_grid(&scenarios, scale, seed)));
         serial_s = serial_s.min(t);
         serial_rows = rows;
-        let (t, rows) = time_best(1, || measure_channel_grid(&fast_scenarios, scale, seed));
+        let (t, rows) = time_best(1, || measure_channel_grid(&scenarios, scale, seed));
         parallel_s = parallel_s.min(t);
         parallel_rows = rows;
     }
@@ -254,19 +190,17 @@ fn main() {
         && serial_rows.iter().zip(&parallel_rows).all(|(a, b)| {
             a.ber.to_bits() == b.ber.to_bits() && a.tr_bps.to_bits() == b.tr_bps.to_bits()
         });
-    let e2e_1t = legacy_s / serial_s;
-    let e2e_speedup = legacy_s / parallel_s;
+    let pool_speedup = serial_s / parallel_s;
     println!("end-to-end (Table II grid, {} cells):", 6 * scale.runs);
-    println!("  legacy (exact, 1t)   {legacy_s:>9.3} s");
-    println!("  fast, 1 thread       {serial_s:>9.3} s   ({e2e_1t:.2}x)");
-    println!("  fast, {threads} thread(s)    {parallel_s:>9.3} s   ({e2e_speedup:.2}x)");
+    println!("  1 thread             {serial_s:>9.3} s");
+    println!("  {threads} thread(s)          {parallel_s:>9.3} s   ({pool_speedup:.2}x)");
     println!("  rows bit-identical   {identical}");
     if threads < 4 {
         println!("  (pool speedup is bounded by the {threads} core(s) available here)");
     }
     println!();
 
-    // 4. Streaming receive chain: steady-state throughput of the
+    // 3. Streaming receive chain: steady-state throughput of the
     //    chunked StreamingReceiver vs one push of the same capture,
     //    plus heap allocations per pushed chunk once the internal
     //    buffers have warmed up.
@@ -312,7 +246,7 @@ fn main() {
     println!("  allocs per chunk     {allocs_per_chunk:>9.2}   (steady state)");
     println!("  report bit-identical {stream_identical}\n");
 
-    // 5. Multi-tenant session registry: the bench capture multiplexed
+    // 4. Multi-tenant session registry: the bench capture multiplexed
     //    through bounded-buffer sessions at two chunk sizes, next to a
     //    poisoned stream that fails with a typed error. The per-session
     //    cumulative counters (satellite of the service layer) land in
@@ -380,13 +314,12 @@ fn main() {
     }
     println!();
 
-    // 6. Fused TX chain: one chain run's TX side (trace → train →
-    //    analog → capture), staged vs fused. The staged arm renders
-    //    the full analog waveform and digitises it in a second sweep;
-    //    the fused arm streams cache-resident blocks and never
-    //    materialises the capture. Both runs are timed on the same
-    //    pre-built trace so the PMU/VRM stages stay out of the
-    //    comparison, and the captures are checked bit for bit.
+    // 5. Fused TX chain: one chain run's TX side (trace → train →
+    //    analog → capture) through the fused producer, which streams
+    //    cache-resident blocks and never materialises the capture. It
+    //    is timed on a pre-built trace so the PMU/VRM stages stay out
+    //    of the measurement, and its capture is checked bit for bit
+    //    against a one-block run.
     let fused_laptop = Laptop::dell_inspiron();
     let fused_chain = Chain::new(&fused_laptop, Setup::NearField);
     let fused_program = Program::alternating(
@@ -396,11 +329,6 @@ fn main() {
         fused_chain.machine.steady_state_ips(),
     );
     let fused_trace = with_threads(1, || fused_chain.machine.run(&fused_program, seed));
-    let (staged_tx_s, staged_run) = time_best(reps, || {
-        with_threads(1, || fused_chain.run_trace_staged(fused_trace.clone(), seed))
-    });
-    let fused_samples = staged_run.capture.samples.len();
-    let fused_blocks = fused_samples.div_ceil(FUSED_BLOCK);
     let (fused_tx_s, _) = time_best(reps, || {
         with_threads(1, || {
             let mut stream = fused_chain.stream_trace(fused_trace.clone(), seed);
@@ -412,25 +340,27 @@ fn main() {
             stream.into_trace_train()
         })
     });
-    let fused_identical =
-        {
-            let fused_run = ChainStream::new(&fused_chain, fused_trace.clone(), seed).into_run();
-            fused_run.capture.samples.len() == fused_samples
-                && fused_run.capture.samples.iter().zip(&staged_run.capture.samples).all(
-                    |(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                )
-        };
-    let fused_speedup = staged_tx_s / fused_tx_s;
+    let one_block =
+        ChainStream::with_block_samples(&fused_chain, fused_trace.clone(), seed, usize::MAX)
+            .into_run();
+    let fused_run = ChainStream::new(&fused_chain, fused_trace.clone(), seed).into_run();
+    let fused_samples = fused_run.capture.samples.len();
+    let fused_identical = fused_samples == one_block.capture.samples.len()
+        && fused_run
+            .capture
+            .samples
+            .iter()
+            .zip(&one_block.capture.samples)
+            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+    let fused_blocks = fused_samples.div_ceil(FUSED_BLOCK);
     let fused_blocks_per_s = fused_blocks as f64 / fused_tx_s;
-    // Peak resident complex samples: staged holds analog + capture;
-    // fused holds the analog arena + one digitised block.
-    let staged_resident = 2 * fused_samples;
+    // Peak resident complex samples: the analog arena + one digitised
+    // block.
     let fused_resident = fused_samples + FUSED_BLOCK.min(fused_samples);
     println!("fused TX chain ({fused_samples} samples, {FUSED_BLOCK}-sample blocks):");
-    println!("  staged pass          {staged_tx_s:>9.4} s");
-    println!("  fused pass           {fused_tx_s:>9.4} s   ({fused_speedup:.2}x, {fused_blocks_per_s:.0} blocks/s)");
-    println!("  peak resident        {staged_resident} samples staged, {fused_resident} fused");
-    println!("  capture bit-identical {fused_identical}\n");
+    println!("  fused pass           {fused_tx_s:>9.4} s   ({fused_blocks_per_s:.0} blocks/s)");
+    println!("  peak resident        {fused_resident} samples");
+    println!("  capture bit-identical {fused_identical} (vs one block)\n");
 
     let sessions_json = {
         let entries: Vec<String> = tenants
@@ -460,15 +390,6 @@ fn main() {
         concat!(
             "{{\n",
             "  \"threads\": {},\n",
-            "  \"synthesis\": {{\n",
-            "    \"samples\": {},\n",
-            "    \"exact_s\": {:.6},\n",
-            "    \"fast_single_thread_s\": {:.6},\n",
-            "    \"fast_pool_s\": {:.6},\n",
-            "    \"single_thread_speedup\": {:.3},\n",
-            "    \"pool_speedup\": {:.3},\n",
-            "    \"error_db\": {:.1}\n",
-            "  }},\n",
             "  \"fft\": {{\n",
             "    \"size\": {},\n",
             "    \"reps\": {},\n",
@@ -492,34 +413,21 @@ fn main() {
             "  \"fused\": {{\n",
             "    \"samples\": {},\n",
             "    \"block_samples\": {},\n",
-            "    \"staged_s\": {:.6},\n",
             "    \"fused_s\": {:.6},\n",
-            "    \"speedup\": {:.3},\n",
             "    \"blocks_per_s\": {:.0},\n",
-            "    \"peak_resident_samples_staged\": {},\n",
             "    \"peak_resident_samples_fused\": {},\n",
             "    \"capture_bit_identical\": {}\n",
             "  }},\n",
             "  \"end_to_end\": {{\n",
             "    \"experiment\": \"table2\",\n",
             "    \"cells\": {},\n",
-            "    \"legacy_exact_serial_s\": {:.6},\n",
             "    \"fast_serial_s\": {:.6},\n",
             "    \"fast_parallel_s\": {:.6},\n",
-            "    \"single_thread_speedup\": {:.3},\n",
-            "    \"speedup\": {:.3},\n",
             "    \"rows_bit_identical\": {}\n",
             "  }}\n",
             "}}\n"
         ),
         threads,
-        n_samples,
-        exact_s,
-        fast_1t_s,
-        fast_pool_s,
-        synth_1t,
-        synth_pool,
-        err_db,
         fft_n,
         fft_reps,
         uncached_s,
@@ -536,19 +444,13 @@ fn main() {
         sessions_json,
         fused_samples,
         FUSED_BLOCK,
-        staged_tx_s,
         fused_tx_s,
-        fused_speedup,
         fused_blocks_per_s,
-        staged_resident,
         fused_resident,
         fused_identical,
         6 * scale.runs,
-        legacy_s,
         serial_s,
         parallel_s,
-        e2e_1t,
-        e2e_speedup,
         identical,
     );
     if quick {
@@ -557,7 +459,7 @@ fn main() {
         // numbers with noisy short-run timings.
         assert!(identical, "--quick: grid rows not thread-count bit-identical");
         assert!(stream_identical, "--quick: chunked report != one-push report");
-        assert!(fused_identical, "--quick: fused capture != staged capture");
+        assert!(fused_identical, "--quick: fused capture != one-block capture");
         println!("--quick: invariants hold, BENCH_runtime.json left untouched");
     } else {
         std::fs::write("BENCH_runtime.json", &json).expect("write BENCH_runtime.json");

@@ -18,6 +18,7 @@
 //! The output of a full run is recorded in `EXPERIMENTS.md` next to
 //! the paper's numbers.
 
+use emsc_core::experiments::ablations::{ablations, render_ablation_rows};
 use emsc_core::experiments::covert_figs;
 use emsc_core::experiments::impairments::{impairment_sweep, render_impairment_rows};
 use emsc_core::experiments::keylog_table::{render_table4, table4, KeylogScale};
@@ -99,6 +100,7 @@ const ARTEFACTS: &[(&str, Render)] = &[
             timing_analysis("the quick brown fox jumps over the lazy dog", i.seed).render()
         )
     }),
+    ("ablations", |i| render_ablation_rows(&ablations(i.seed))),
 ];
 
 fn main() {

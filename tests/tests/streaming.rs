@@ -17,7 +17,7 @@
 //!   `batch_window_energy`).
 
 use emsc_core::chain::{Chain, Setup};
-use emsc_core::fused::ChainStream;
+use emsc_core::fused::{ChainStream, FUSED_BLOCK};
 use emsc_core::laptop::Laptop;
 use emsc_covert::rx::{try_estimate_bit_period, Receiver, RxConfig, RxError, RxReport};
 use emsc_covert::stream::StreamingReceiver;
@@ -202,33 +202,31 @@ fn degenerate_sample_rates_error_identically() {
 }
 
 #[test]
-fn fused_tx_chain_is_bit_identical_to_staged_at_any_block_size_and_thread_count() {
+fn fused_tx_chain_is_bit_identical_at_any_block_size_and_thread_count() {
     // The TX-side mirror of the receiver contract above: the fused
     // producer (synth→AWGN→digitise per cache-resident block) must
-    // reproduce the staged oracle's capture bit for bit at every block
-    // size and worker count. A short trace keeps the deliberately
+    // reproduce a one-block run — the whole analog waveform rendered,
+    // then digitised in one sweep — bit for bit at every block size
+    // and worker count. A short trace keeps the deliberately
     // pathological 1-sample blocking affordable in debug builds.
     let laptop = Laptop::dell_inspiron();
     let chain = Chain::new(&laptop, Setup::ThroughWall);
     let program = Program::alternating(200e-6, 200e-6, 4, chain.machine.steady_state_ips());
     let trace = chain.machine.run(&program, 41);
-    let staged = with_threads(1, || chain.run_trace_staged(trace.clone(), 41));
+    let capture = |block: usize| {
+        let mut stream = ChainStream::with_block_samples(&chain, trace.clone(), 41, block);
+        let mut samples = Vec::with_capacity(stream.total_samples());
+        while let Some(b) = stream.next_block() {
+            samples.extend_from_slice(b);
+        }
+        samples
+    };
+    let whole = with_threads(1, || capture(usize::MAX));
     for threads in [1usize, 3] {
-        // The staged oracle must itself be thread-count independent…
-        let staged_t = with_threads(threads, || chain.run_trace_staged(trace.clone(), 41));
-        assert_eq!(staged_t.capture.samples, staged.capture.samples, "staged at {threads} threads");
-        // …and the fused producer must match it at every blocking.
-        for block in [1usize, 7, 4096, usize::MAX] {
-            let fused = with_threads(threads, || {
-                let mut stream = ChainStream::with_block_samples(&chain, trace.clone(), 41, block);
-                let mut samples = Vec::with_capacity(stream.total_samples());
-                while let Some(b) = stream.next_block() {
-                    samples.extend_from_slice(b);
-                }
-                samples
-            });
-            assert_eq!(fused.len(), staged.capture.samples.len());
-            for (i, (a, b)) in fused.iter().zip(&staged.capture.samples).enumerate() {
+        for block in [1usize, 7, 4096, FUSED_BLOCK] {
+            let fused = with_threads(threads, || capture(block));
+            assert_eq!(fused.len(), whole.len());
+            for (i, (a, b)) in fused.iter().zip(&whole).enumerate() {
                 assert!(
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
                     "block {block}, {threads} threads: sample {i} differs"

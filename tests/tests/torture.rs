@@ -88,6 +88,10 @@ fn bad_rx_configs() -> Vec<RxConfig> {
         RxConfig { expected_bit_period_s: 0.0, ..good.clone() },
         RxConfig { expected_bit_period_s: f64::NAN, ..good.clone() },
         RxConfig { expected_bit_period_s: f64::INFINITY, ..good.clone() },
+        RxConfig { expected_bit_period_s: 1e300, ..good.clone() },
+        RxConfig { edge_kernel_fraction: 1e300, ..good.clone() },
+        RxConfig { edge_kernel_fraction: f64::NAN, ..good.clone() },
+        RxConfig { edge_kernel_fraction: 0.0, ..good.clone() },
         RxConfig { switching_freq_hz: f64::INFINITY, ..good },
     ]
 }
