@@ -8,7 +8,7 @@
 //! every packet marker, so an indel costs one packet instead of the
 //! rest of the transmission.
 
-use crate::frame::{frame_payload, try_deframe, FrameConfig, START_MARKER};
+use crate::frame::{frame_payload, on_air_body_span, try_deframe, FrameConfig, START_MARKER};
 
 /// Packetisation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,10 +109,10 @@ pub fn depacketize(
                         corrections: d.corrections,
                     });
                 }
-                // Advance past the whole packet: marker + the coded
-                // body ((2-byte length + body) × 8 bits at rate 4/7).
-                let body_bits = (2 + d.payload.len()) * 14;
-                pos += d.payload_start + body_bits;
+                // Advance past the whole packet: marker + the on-air
+                // body (length header and payload, coded, interleaved
+                // and marker-wrapped as the frame config says).
+                pos += d.payload_start + on_air_body_span(config.frame, d.payload.len());
             }
             _ => break,
         }
@@ -129,6 +129,7 @@ pub fn depacketize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::marker::MarkerConfig;
 
     #[test]
     fn round_trip_multiple_packets() {
@@ -187,6 +188,27 @@ mod tests {
         let bits = packetize(&[], cfg);
         let out = depacketize(&bits, cfg, None);
         assert!(out.payload.len() <= 1);
+    }
+
+    #[test]
+    fn clean_round_trip_for_every_frame_layout() {
+        let payload: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        for parity in [true, false] {
+            for interleave_depth in [None, Some(4)] {
+                for marker in [None, Some(MarkerConfig::standard())] {
+                    let frame = FrameConfig {
+                        parity,
+                        interleave_depth,
+                        marker,
+                        ..PacketConfig::default().frame
+                    };
+                    let cfg = PacketConfig { packet_bytes: 8, frame, ..PacketConfig::default() };
+                    let out = depacketize(&packetize(&payload, cfg), cfg, Some(4));
+                    assert!(out.missing.is_empty(), "{frame:?}: missing {:?}", out.missing);
+                    assert_eq!(out.payload, payload, "{frame:?}");
+                }
+            }
+        }
     }
 
     #[test]

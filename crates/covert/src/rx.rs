@@ -13,7 +13,7 @@
 //!    starts were missed are filled at that period.
 //! 4. **Labeling** (Eq. (2), Fig. 7): per-bit average power, with a
 //!    threshold placed midway between the two modes of the power
-//!    histogram.
+//!    histogram of the bits around each one.
 //!
 //! Every intermediate is exposed in the [`RxReport`] so experiments
 //! can regenerate the paper's figures (C-INTERMEDIATE).
@@ -187,22 +187,11 @@ pub struct RxConfig {
     /// Peak threshold as a fraction of the robust (98th-percentile)
     /// maximum of the edge response.
     pub peak_threshold_frac: f64,
-    /// Insert missing bit starts at the recovered period.
+    /// Insert missing bit starts at the recovered period, where the
+    /// edge response shows weak evidence of a start.
     pub gap_fill: bool,
-    /// Half-width, in bits, of the sliding batch used for threshold
-    /// selection (§IV-B2's batch processing: each bit is judged
-    /// against "a number of bit periods that precede and follow it").
-    /// Local thresholds track slow level shifts such as a CPU hog on
-    /// another core. `None` uses one global threshold.
-    pub threshold_window_bits: Option<usize>,
     /// Per-bit statistic to threshold.
     pub label_feature: LabelFeature,
-    /// Require weak edge evidence before filling a gap position.
-    /// `true` (default) suits fast signalling, where a long window is
-    /// usually one stretched bit; at low rates (bits ≫ interrupt
-    /// durations) period-based filling without evidence is more
-    /// robust, exactly as the paper observes for the NLoS setting.
-    pub gap_fill_requires_evidence: bool,
 }
 
 impl RxConfig {
@@ -225,8 +214,6 @@ impl RxConfig {
             edge_kernel_fraction: 0.5,
             peak_threshold_frac: 0.22,
             gap_fill: true,
-            gap_fill_requires_evidence: true,
-            threshold_window_bits: Some(60),
             label_feature: LabelFeature::default(),
         }
     }
@@ -260,7 +247,9 @@ pub struct RxReport {
     pub bit_period_s: f64,
     /// Per-bit mean power — the Fig. 7 data.
     pub powers: Vec<f64>,
-    /// Decision threshold.
+    /// Decision threshold over the whole power histogram (Fig. 7).
+    /// Each bit is labelled against the same rule applied to the
+    /// bits within 60 of it, which tracks slow level shifts.
     pub threshold: f64,
     /// The two power-histogram modes the threshold came from, if the
     /// histogram was bimodal.
@@ -531,6 +520,22 @@ fn expected_bit_samples(cfg: &RxConfig, dt: f64) -> f64 {
     (cfg.expected_bit_period_s / dt).max(4.0)
 }
 
+/// Ceiling on the edge kernel's length in taps. The kernel spans a
+/// fraction of a bit period counted in energy samples, so its length
+/// grows with the capture's sample rate; [`StreamingReceiver`]
+/// construction rejects any rate that would exceed this. 2^20 taps
+/// (8 MiB) sits far above any real capture (the blind estimator's 5 ms
+/// ceiling at 2.4 Msps undecimated is 12 000 samples) and keeps a huge
+/// finite rate from overflowing the length.
+pub const MAX_EDGE_KERNEL_TAPS: usize = 1 << 20;
+
+/// Whether the edge kernel for a `period_s` bit at energy time step
+/// `dt` stays within [`MAX_EDGE_KERNEL_TAPS`]. Evaluated in `f64`, so
+/// no rate can overflow the check itself.
+pub(crate) fn edge_kernel_fits(cfg: &RxConfig, period_s: f64, dt: f64) -> bool {
+    period_s / dt * cfg.edge_kernel_fraction <= MAX_EDGE_KERNEL_TAPS as f64
+}
+
 /// Length of the §IV-B2 edge-detection kernel for this configuration
 /// and energy time step (even, at least 4 taps).
 pub(crate) fn edge_kernel_len(cfg: &RxConfig, dt: f64) -> usize {
@@ -622,19 +627,16 @@ pub(crate) fn decode_from_energy(
         }
     }
     let (threshold, threshold_modes) = select_threshold(&powers);
-    let bits: Vec<u8> = match cfg.threshold_window_bits {
-        None => powers.iter().map(|&p| (p > threshold) as u8).collect(),
-        Some(half) => powers
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let lo = i.saturating_sub(half);
-                let hi = (i + half + 1).min(powers.len());
-                let (local, _) = select_threshold(&powers[lo..hi]);
-                (p > local) as u8
-            })
-            .collect(),
-    };
+    let bits: Vec<u8> = powers
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            let lo = i.saturating_sub(THRESHOLD_HALF_WINDOW_BITS);
+            let hi = (i + THRESHOLD_HALF_WINDOW_BITS + 1).min(powers.len());
+            let (local, _) = select_threshold(&powers[lo..hi]);
+            (p > local) as u8
+        })
+        .collect();
 
     RxReport {
         energy,
@@ -709,6 +711,13 @@ fn fill_gaps(
 /// Longest gap, in signalling periods, that gap filling treats as
 /// missed starts rather than an intentional pause.
 const MAX_FILLED_GAP: usize = 12;
+
+/// Half-width, in bits, of the sliding batch each bit's threshold is
+/// chosen from (§IV-B2's batch processing: each bit is judged against
+/// "a number of bit periods that precede and follow it"). Local
+/// thresholds track slow level shifts such as a CPU hog on another
+/// core.
+const THRESHOLD_HALF_WINDOW_BITS: usize = 60;
 
 /// Picks the decision threshold from the per-bit power histogram:
 /// midway between the two modes when bimodal (Fig. 7), or a robust

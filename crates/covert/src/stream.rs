@@ -46,8 +46,8 @@ use crate::frame::{
 };
 use crate::marker::{segments_for, MarkerConfig, MarkerStream};
 use crate::rx::{
-    carrier_bins_for, decode_from_energy, edge_kernel_len, try_estimate_bit_period, validate,
-    RxConfig, RxError, RxReport, SyncLoss,
+    carrier_bins_for, decode_from_energy, edge_kernel_fits, edge_kernel_len,
+    try_estimate_bit_period, validate, RxConfig, RxError, RxReport, SyncLoss,
 };
 
 /// Width of the energy moving average.
@@ -99,7 +99,10 @@ impl StreamingReceiver {
     /// # Errors
     ///
     /// [`RxError::InvalidConfig`], [`RxError::Capture`]
-    /// (`InvalidSampleRate`) or [`RxError::NoCarrier`], in that order.
+    /// (`InvalidSampleRate`: a rate that is not positive and finite,
+    /// or so high that the edge kernel would exceed
+    /// [`MAX_EDGE_KERNEL_TAPS`](crate::rx::MAX_EDGE_KERNEL_TAPS) taps)
+    /// or [`RxError::NoCarrier`], in that order.
     pub fn new(config: RxConfig, sample_rate: f64, center_freq: f64) -> Result<Self, RxError> {
         Self::build(config, sample_rate, center_freq, false)
     }
@@ -109,7 +112,9 @@ impl StreamingReceiver {
     ///
     /// # Errors
     ///
-    /// As [`StreamingReceiver::new`].
+    /// As [`StreamingReceiver::new`]; the edge-kernel bound is checked
+    /// at the longer of the configured period and the estimator's
+    /// 5 ms ceiling.
     pub fn new_blind(
         config: RxConfig,
         sample_rate: f64,
@@ -128,11 +133,21 @@ impl StreamingReceiver {
         if !(sample_rate > 0.0 && sample_rate.is_finite()) {
             return Err(RxError::Capture(CaptureError::InvalidSampleRate));
         }
+        let dt = config.decimation as f64 / sample_rate;
+        // A blind finish sizes the kernel from an estimate of at most
+        // BLIND_MAX_PERIOD_S, or from the configured prior.
+        let longest_period = if blind {
+            config.expected_bit_period_s.max(BLIND_MAX_PERIOD_S)
+        } else {
+            config.expected_bit_period_s
+        };
+        if !edge_kernel_fits(&config, longest_period, dt) {
+            return Err(RxError::Capture(CaptureError::InvalidSampleRate));
+        }
         let bins = carrier_bins_for(&config, sample_rate, center_freq);
         if bins.is_empty() {
             return Err(RxError::NoCarrier);
         }
-        let dt = config.decimation as f64 / sample_rate;
         let front = EnergyStream::new(config.fft_size, &bins, config.decimation)?;
         let conv = if blind {
             None

@@ -14,17 +14,11 @@
 
 use crate::scratch::{reset_f64, DspScratch};
 
-/// Full linear convolution of `signal` with `kernel`
-/// (output length `signal.len() + kernel.len() - 1`).
-/// Allocating wrapper around [`convolve_full_into`].
-pub fn convolve_full(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    convolve_full_into(signal, kernel, &mut out);
-    out
-}
-
-/// [`convolve_full`] into a caller-owned buffer (cleared and
-/// refilled; no allocation after a warm-up call at the largest size).
+/// Full linear convolution of `signal` with `kernel` (output length
+/// `signal.len() + kernel.len() - 1`, empty if either input is empty)
+/// into a caller-owned buffer (cleared and refilled; no allocation
+/// after a warm-up call at the largest size). The kernel of
+/// [`convolve_same`].
 ///
 /// Scatter form: for each input sample the kernel is swept across a
 /// contiguous output slice — an axpy the compiler vectorizes — and
@@ -211,73 +205,36 @@ pub fn find_peaks(signal: &[f64], min_height: f64, min_distance: usize) -> Vec<P
     candidates.into_iter().zip(keep).filter_map(|(p, k)| k.then_some(p)).collect()
 }
 
-/// Scales `signal` so its maximum absolute value is 1 (no-op for an
-/// all-zero signal). Returns the scale factor applied.
-pub fn normalize_peak(signal: &mut [f64]) -> f64 {
-    let peak = signal.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
-    if peak > 0.0 {
-        for v in signal.iter_mut() {
-            *v /= peak;
-        }
-        1.0 / peak
-    } else {
-        1.0
-    }
-}
-
-/// Keeps every `factor`-th sample, starting with the first.
-/// Allocating wrapper around [`decimate_into`].
-///
-/// # Panics
-///
-/// Panics if `factor` is zero.
-pub fn decimate(signal: &[f64], factor: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    decimate_into(signal, factor, &mut out);
-    out
-}
-
-/// The workspace's one stride-take kernel: keeps every `factor`-th
-/// element, starting with the first, into a caller-owned buffer.
-///
-/// This is the single home of plain downsampling; the filtering
-/// counterpart, `Fir::decimate_into`, no longer materialises and
-/// stride-takes a full filtered signal — it computes only the kept
-/// outputs directly — so the historical duplicate of this loop there
-/// is gone.
-///
-/// # Panics
-///
-/// Panics if `factor` is zero.
-pub fn decimate_into<T: Copy>(signal: &[T], factor: usize, out: &mut Vec<T>) {
-    assert!(factor > 0, "decimation factor must be positive");
-    out.clear();
-    out.reserve(signal.len().div_ceil(factor));
-    out.extend(signal.iter().step_by(factor).copied());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// [`convolve_full_into`] into a buffer holding stale data, which
+    /// the kernel must clear.
+    fn full(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
+        let mut out = vec![9.0; 3];
+        convolve_full_into(signal, kernel, &mut out);
+        out
+    }
+
     #[test]
     fn convolution_with_identity_kernel() {
         let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(convolve_full(&x, &[1.0]), x.to_vec());
+        assert_eq!(full(&x, &[1.0]), x.to_vec());
         assert_eq!(convolve_same(&x, &[1.0]), x.to_vec());
     }
 
     #[test]
     fn convolution_known_answer() {
         // [1,2,3] * [1,1] = [1,3,5,3]
-        assert_eq!(convolve_full(&[1.0, 2.0, 3.0], &[1.0, 1.0]), vec![1.0, 3.0, 5.0, 3.0]);
+        assert_eq!(full(&[1.0, 2.0, 3.0], &[1.0, 1.0]), vec![1.0, 3.0, 5.0, 3.0]);
     }
 
     #[test]
     fn convolution_is_commutative() {
         let a = [1.0, -2.0, 0.5, 3.0];
         let b = [0.25, 4.0, -1.0];
-        assert_eq!(convolve_full(&a, &b), convolve_full(&b, &a));
+        assert_eq!(full(&a, &b), full(&b, &a));
     }
 
     #[test]
@@ -405,30 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn normalize_peak_scales_to_unit() {
-        let mut x = vec![0.0, -4.0, 2.0];
-        let k = normalize_peak(&mut x);
-        assert_eq!(x, vec![0.0, -1.0, 0.5]);
-        assert_eq!(k, 0.25);
-        let mut zeros = vec![0.0; 3];
-        assert_eq!(normalize_peak(&mut zeros), 1.0);
-    }
-
-    #[test]
-    fn decimate_keeps_every_kth() {
-        let x: Vec<f64> = (0..10).map(|i| i as f64).collect();
-        assert_eq!(decimate(&x, 3), vec![0.0, 3.0, 6.0, 9.0]);
-        assert_eq!(decimate(&x, 1), x);
-    }
-
-    #[test]
     fn into_variants_are_bit_identical_and_reuse_buffers() {
         let x: Vec<f64> = (0..300).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
         let k = edge_kernel(16);
         let mut out = Vec::new();
         let mut scr = DspScratch::new();
-        convolve_full_into(&x, &k, &mut out);
-        assert_eq!(out, convolve_full(&x, &k));
         convolve_same_into(&x, &k, &mut out, &mut scr);
         assert_eq!(out, convolve_same(&x, &k));
         moving_average_into(&x, 9, &mut out, &mut scr);
@@ -452,23 +390,10 @@ mod tests {
     }
 
     #[test]
-    fn normalize_peak_handles_empty_and_single_sample_inputs() {
-        let mut empty: Vec<f64> = Vec::new();
-        assert_eq!(normalize_peak(&mut empty), 1.0);
-        assert!(empty.is_empty());
-        let mut one = vec![-0.5];
-        assert_eq!(normalize_peak(&mut one), 2.0);
-        assert_eq!(one, vec![-1.0]);
-        let mut zero = vec![0.0];
-        assert_eq!(normalize_peak(&mut zero), 1.0);
-        assert_eq!(zero, vec![0.0]);
-    }
-
-    #[test]
     fn convolve_same_empty_inputs_keep_signal_length() {
         assert!(convolve_same(&[], &[1.0, 2.0]).is_empty());
         assert_eq!(convolve_same(&[1.0, 2.0, 3.0], &[]), vec![0.0; 3]);
-        assert!(convolve_full(&[], &[1.0]).is_empty());
-        assert!(convolve_full(&[1.0], &[]).is_empty());
+        assert!(full(&[], &[1.0]).is_empty());
+        assert!(full(&[1.0], &[]).is_empty());
     }
 }

@@ -30,7 +30,8 @@ pub enum CaptureError {
         /// Total samples inspected.
         total: usize,
     },
-    /// The capture's sample rate is zero, negative or non-finite.
+    /// The capture's sample rate is zero, negative, non-finite, or so
+    /// high that a receiver kernel sized from it would exceed its cap.
     InvalidSampleRate,
     /// A configuration precondition does not hold (the message names
     /// the violated invariant).
@@ -66,7 +67,9 @@ impl fmt::Display for CaptureError {
             CaptureError::NonFinite { count, total } => {
                 write!(f, "capture corrupt: {count} of {total} samples are not finite")
             }
-            CaptureError::InvalidSampleRate => write!(f, "sample rate must be positive and finite"),
+            CaptureError::InvalidSampleRate => {
+                write!(f, "sample rate must be positive, finite and in range")
+            }
             CaptureError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }

@@ -16,7 +16,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::iq::Complex;
-use crate::scratch::{reset_complex, DspScratch};
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -167,76 +166,6 @@ impl FftPlan {
             }
         }
     }
-
-    /// Forward FFT of a **real** signal of length `self.len()` via the
-    /// half-size complex trick: the even/odd samples are packed into a
-    /// length-`N/2` complex buffer, transformed with the cached
-    /// half-size plan, and unpacked with this plan's own twiddles —
-    /// one complex FFT of half the size instead of a full-size
-    /// transform of a promoted buffer, roughly halving the work for
-    /// magnitude-spectrum consumers.
-    ///
-    /// The full `N`-point spectrum is written to `out` (the upper half
-    /// is filled from conjugate symmetry, `X[N−k] = conj(X[k])`), so
-    /// the result is a drop-in replacement for transforming the
-    /// promoted signal. Values match the promoted-complex path to
-    /// rounding (≤ −120 dB, pinned in tests), not bit-exactly.
-    ///
-    /// Uses `scratch.c1`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.len()`. Odd lengths are
-    /// unrepresentable by construction: [`FftPlan::new`] rejects any
-    /// size that is not a power of two.
-    pub fn forward_real_into(
-        &self,
-        input: &[f64],
-        out: &mut Vec<Complex>,
-        scratch: &mut DspScratch,
-    ) {
-        assert_eq!(input.len(), self.n, "input length must equal plan size");
-        out.clear();
-        if self.n == 1 {
-            out.push(Complex::new(input[0], 0.0));
-            return;
-        }
-        let h = self.n / 2;
-        // Pack z[m] = x[2m] + i·x[2m+1] and transform at half size.
-        reset_complex(&mut scratch.c1, h);
-        for (z, pair) in scratch.c1.iter_mut().zip(input.chunks_exact(2)) {
-            *z = Complex::new(pair[0], pair[1]);
-        }
-        plan_for(h).forward(&mut scratch.c1);
-        let half = &scratch.c1;
-        out.resize(self.n, Complex::ZERO);
-        // X[0] and X[N/2] are exactly real.
-        out[0] = Complex::new(half[0].re + half[0].im, 0.0);
-        out[h] = Complex::new(half[0].re - half[0].im, 0.0);
-        for k in 1..h {
-            let a = half[k];
-            let b = half[h - k].conj();
-            let even = (a + b).scale(0.5);
-            let d = a - b;
-            let odd = Complex::new(0.5 * d.im, -0.5 * d.re);
-            // This plan's twiddles are e^{-2πik/N} for k < N/2 —
-            // exactly the recombination factors needed here.
-            let x = even + self.twiddles[k] * odd;
-            out[k] = x;
-            out[self.n - k] = x.conj();
-        }
-    }
-
-    /// Allocating wrapper around [`FftPlan::forward_real_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.len()`.
-    pub fn forward_real(&self, input: &[f64]) -> Vec<Complex> {
-        let mut out = Vec::new();
-        self.forward_real_into(input, &mut out, &mut DspScratch::new());
-        out
-    }
 }
 
 thread_local! {
@@ -250,9 +179,9 @@ thread_local! {
 /// Returns this thread's cached [`FftPlan`] for length `n`, building
 /// and memoising it on first use.
 ///
-/// Callers that transform many buffers of one size (STFT frames,
-/// Welch segments, every `fft()` call in a hot loop) get the twiddle
-/// tables for free after the first call.
+/// Callers that transform many buffers of one size (STFT frames, a
+/// loop of one-shot transforms) get the twiddle tables for free after
+/// the first call.
 ///
 /// # Panics
 ///
@@ -271,17 +200,6 @@ pub fn plan_for(n: usize) -> Rc<FftPlan> {
     PLAN_CACHE.with(|cache| {
         Rc::clone(cache.borrow_mut().entry(n).or_insert_with(|| Rc::new(FftPlan::new(n))))
     })
-}
-
-/// Forward FFT of a real-valued signal via the half-size complex
-/// trick ([`FftPlan::forward_real`]): one length-`N/2` complex
-/// transform instead of promoting to a full-size complex buffer.
-///
-/// # Panics
-///
-/// Panics if the length is not a power of two.
-pub fn fft_real(input: &[f64]) -> Vec<Complex> {
-    plan_for(input.len()).forward_real(input)
 }
 
 /// The frequency in hertz of FFT bin `k` for a transform of `n` points
@@ -384,10 +302,11 @@ mod tests {
     fn real_cosine_splits_into_two_bins() {
         let n = 32;
         let k0 = 3;
-        let x: Vec<f64> = (0..n)
+        let x: Vec<Complex> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * k0 as f64 * i as f64 / n as f64).cos())
+            .map(|re| Complex::new(re, 0.0))
             .collect();
-        let spectrum = fft_real(&x);
+        let spectrum = fft(&x);
         assert!((spectrum[k0].abs() - n as f64 / 2.0).abs() < 1e-9);
         assert!((spectrum[n - k0].abs() - n as f64 / 2.0).abs() < 1e-9);
     }
@@ -481,109 +400,6 @@ mod tests {
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
         assert!(Rc::ptr_eq(&plan_for(64), &plan_for(64)));
-    }
-
-    /// Reference for the real-FFT tests: promote to complex and run
-    /// the ordinary full-size transform.
-    fn fft_promoted(input: &[f64]) -> Vec<Complex> {
-        let buf: Vec<Complex> = input.iter().map(|&x| Complex::new(x, 0.0)).collect();
-        fft(&buf)
-    }
-
-    /// Relative RMS error between two spectra, in dB.
-    fn spectra_error_db(a: &[Complex], b: &[Complex]) -> f64 {
-        let err: f64 = a.iter().zip(b).map(|(x, y)| (*x - *y).norm_sqr()).sum();
-        let sig: f64 = b.iter().map(|z| z.norm_sqr()).sum();
-        10.0 * (err.max(1e-300) / sig.max(1e-300)).log10()
-    }
-
-    #[test]
-    fn forward_real_matches_complex_path_on_impulse() {
-        for n in [2usize, 4, 64] {
-            let mut x = vec![0.0; n];
-            x[0] = 1.0;
-            let real = FftPlan::new(n).forward_real(&x);
-            let promoted = fft_promoted(&x);
-            assert_eq!(real.len(), n);
-            for (a, b) in real.iter().zip(&promoted) {
-                assert_close(*a, *b, 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn forward_real_matches_complex_path_on_sines() {
-        for (n, k0) in [(32usize, 3.0), (256, 17.0), (1024, 100.5)] {
-            let x: Vec<f64> = (0..n)
-                .map(|i| (2.0 * std::f64::consts::PI * k0 * i as f64 / n as f64).sin() + 0.25)
-                .collect();
-            let real = FftPlan::new(n).forward_real(&x);
-            let promoted = fft_promoted(&x);
-            let db = spectra_error_db(&real, &promoted);
-            assert!(db <= -120.0, "n {n}: error {db:.1} dB");
-        }
-    }
-
-    #[test]
-    fn forward_real_matches_complex_path_on_noise() {
-        let mut state = 0xF00Du64;
-        let x: Vec<f64> = (0..4096)
-            .map(|_| {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                (state % 2_000_000) as f64 / 1_000_000.0 - 1.0
-            })
-            .collect();
-        let real = fft_real(&x); // free helper routes through the plan
-        let promoted = fft_promoted(&x);
-        let db = spectra_error_db(&real, &promoted);
-        assert!(db <= -120.0, "error {db:.1} dB");
-    }
-
-    #[test]
-    fn forward_real_spectrum_is_conjugate_symmetric() {
-        let x: Vec<f64> = (0..128).map(|i| ((i * i) % 23) as f64 - 11.0).collect();
-        let spec = FftPlan::new(128).forward_real(&x);
-        assert_eq!(spec[0].im, 0.0);
-        assert_eq!(spec[64].im, 0.0);
-        for k in 1..64 {
-            assert_eq!(spec[128 - k].re.to_bits(), spec[k].re.to_bits());
-            assert_eq!(spec[128 - k].im.to_bits(), (-spec[k].im).to_bits());
-        }
-    }
-
-    #[test]
-    fn forward_real_length_one_is_identity() {
-        assert_eq!(FftPlan::new(1).forward_real(&[2.5]), vec![Complex::new(2.5, 0.0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn forward_real_rejects_odd_lengths_at_plan_construction() {
-        // Odd sizes cannot even build a plan, so there is no
-        // even/odd-length split inside forward_real itself.
-        let _ = fft_real(&[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "input length")]
-    fn forward_real_rejects_mismatched_input_length() {
-        FftPlan::new(8).forward_real(&[1.0; 4]);
-    }
-
-    #[test]
-    fn forward_real_into_is_allocation_free_after_warmup() {
-        let plan = FftPlan::new(512);
-        let x = vec![1.0; 512];
-        let mut out = Vec::new();
-        let mut scratch = DspScratch::new();
-        plan.forward_real_into(&x, &mut out, &mut scratch);
-        let (cap_out, cap_scr) = (out.capacity(), scratch.c1.capacity());
-        plan.forward_real_into(&x, &mut out, &mut scratch);
-        assert_eq!(out.capacity(), cap_out);
-        assert_eq!(scratch.c1.capacity(), cap_scr);
-        assert_eq!(out, plan.forward_real(&x));
     }
 
     #[test]

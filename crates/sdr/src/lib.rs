@@ -17,12 +17,15 @@
 //!   finding,
 //! - [`stats`]: histograms, medians, Rayleigh fits (Fig. 6) and
 //!   bimodal threshold selection (Fig. 7),
+//! - [`stream`]: chunk-fed energy, smoothing and convolution state
+//!   machines, bit-identical to the batch kernels,
 //! - [`frontend`]: the RTL-SDR front-end imperfection model (8-bit
 //!   quantisation, crystal ppm error, DC spur, AGC),
+//! - [`impair`]: deterministic channel-impairment injection (clock
+//!   drift, AGC steps, dropped samples, bursts, clipping),
 //! - [`record`]: the `rtl_sdr` interleaved-u8 capture format, so the
 //!   pipeline also runs against real dongle recordings,
-//! - [`goertzel`]: block-wise single-bin evaluation (an alternative
-//!   to the sliding DFT for tone tracking),
+//! - [`error`]: the typed capture and statistics errors,
 //! - [`scratch`]: the [`scratch::DspScratch`] buffer arena behind the
 //!   allocation-free `_into` kernel variants,
 //! - [`simd`]: lane-chunked (autovectorizable) reductions, pinned
@@ -56,17 +59,13 @@
 pub mod dsp;
 pub mod error;
 pub mod fft;
-pub mod fir;
 pub mod frontend;
-pub mod goertzel;
 pub mod impair;
 pub mod iq;
-pub mod mix;
 pub mod record;
 pub mod scratch;
 pub mod simd;
 pub mod sliding;
-pub mod spectrum;
 pub mod stats;
 pub mod stft;
 pub mod stream;

@@ -23,10 +23,11 @@
 //!   `let mut out = Vec::new(); kernel_into(.., &mut out, ..); out`.
 //!
 //! The arena is deliberately dumb: four named lanes, two complex and
-//! two real, sized for the deepest kernel nesting in the receive chain
-//! (a packed real-FFT inside a Welch segment inside a detector). Each
-//! kernel documents which lanes it uses so callers composing kernels
-//! by hand can check for collisions statically.
+//! two real, enough for the deepest kernel nesting in the receive
+//! chain (the blocked sliding DFT over a sanitised chunk copy, and the
+//! matched filter's response beside a quantile sort). Each kernel
+//! documents which lanes it uses so callers composing kernels by hand
+//! can check for collisions statically.
 
 use crate::iq::Complex;
 
@@ -35,9 +36,9 @@ use crate::iq::Complex;
 /// See the [module docs](self) for the ownership and reuse rules.
 #[derive(Debug, Default, Clone)]
 pub struct DspScratch {
-    /// First complex lane (FFT work buffers, mixer/ring snapshots).
+    /// First complex lane (sliding-DFT ring snapshots).
     pub c0: Vec<Complex>,
-    /// Second complex lane (half-size packing for the real FFT).
+    /// Second complex lane (the energy stream's sanitised chunk copy).
     pub c1: Vec<Complex>,
     /// First real lane (prefix sums, magnitudes, sort buffers).
     pub f0: Vec<f64>,

@@ -12,11 +12,10 @@
 //! The crate's rule (DESIGN.md §12): kernels that feed **bit-pinned**
 //! paths (the Eq. (1) energy chain, the streaming state machines)
 //! keep the scalar evaluation order; kernels that feed **tolerance-
-//! bounded** paths (matched-filter integrate-and-dump, AGC peak scan,
-//! spectral accumulations behind their own decision thresholds) may
-//! use these. Every fast kernel here has an `_exact` scalar oracle,
-//! compiled only for tests, and a test pinning the divergence below
-//! −120 dB.
+//! bounded** paths (matched-filter integrate-and-dump, AGC peak scan)
+//! may use these. The reassociated [`sum_sq`] has an `_exact` scalar
+//! oracle, compiled only for tests, and a test pinning the divergence
+//! below −120 dB; [`peak_abs`] is pinned equal to the scalar fold.
 
 use crate::iq::Complex;
 
@@ -24,29 +23,6 @@ use crate::iq::Complex;
 /// NEON registers; wider inputs still vectorize because LLVM unrolls
 /// the chunk loop.
 pub const LANES: usize = 4;
-
-/// Lane-chunked sum. Reassociated relative to `sum_exact`.
-pub fn sum(xs: &[f64]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let chunks = xs.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for c in chunks {
-        for (a, &x) in acc.iter_mut().zip(c) {
-            *a += x;
-        }
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for &x in tail {
-        total += x;
-    }
-    total
-}
-
-/// Scalar left-to-right fold: the bit-exact oracle for [`sum`].
-#[cfg(test)]
-fn sum_exact(xs: &[f64]) -> f64 {
-    xs.iter().sum()
-}
 
 /// Lane-chunked sum of squares. Reassociated relative to
 /// `sum_sq_exact`.
@@ -70,55 +46,6 @@ pub fn sum_sq(xs: &[f64]) -> f64 {
 #[cfg(test)]
 fn sum_sq_exact(xs: &[f64]) -> f64 {
     xs.iter().map(|&x| x * x).sum()
-}
-
-/// Lane-chunked dot product over the common prefix of `a` and `b`.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; LANES];
-    let ac = a.chunks_exact(LANES);
-    let bc = b.chunks_exact(LANES);
-    let (at, bt) = (ac.remainder(), bc.remainder());
-    for (ca, cb) in ac.zip(bc) {
-        for ((s, &x), &y) in acc.iter_mut().zip(ca).zip(cb) {
-            *s += x * y;
-        }
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (&x, &y) in at.iter().zip(bt) {
-        total += x * y;
-    }
-    total
-}
-
-/// Scalar oracle for [`dot`].
-#[cfg(test)]
-fn dot_exact(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-}
-
-/// Lane-chunked total complex energy `Σ |z|²`.
-pub fn energy(zs: &[Complex]) -> f64 {
-    let mut acc = [0.0f64; LANES];
-    let chunks = zs.chunks_exact(LANES);
-    let tail = chunks.remainder();
-    for c in chunks {
-        for (a, z) in acc.iter_mut().zip(c) {
-            *a += z.re * z.re + z.im * z.im;
-        }
-    }
-    let mut total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for z in tail {
-        total += z.re * z.re + z.im * z.im;
-    }
-    total
-}
-
-/// Scalar oracle for [`energy`].
-#[cfg(test)]
-fn energy_exact(zs: &[Complex]) -> f64 {
-    zs.iter().map(|z| z.norm_sqr()).sum()
 }
 
 /// Largest `max(|re|, |im|)` over the buffer — the AGC peak scan.
@@ -167,12 +94,7 @@ mod tests {
     fn fast_reductions_match_oracles_below_minus_120_db() {
         for n in [0, 1, 3, 4, 5, 17, 1024, 4099] {
             let xs = noise(n, 0xD5B_u64 ^ n as u64);
-            let ys = noise(n, 77 + n as u64);
-            let zs: Vec<Complex> = xs.iter().zip(&ys).map(|(&a, &b)| Complex::new(a, b)).collect();
-            assert!(db(sum(&xs) - sum_exact(&xs), sum_exact(&xs).max(1.0)) <= -120.0);
             assert!(db(sum_sq(&xs) - sum_sq_exact(&xs), sum_sq_exact(&xs).max(1.0)) <= -120.0);
-            assert!(db(dot(&xs, &ys) - dot_exact(&xs, &ys), sum_sq_exact(&xs).max(1.0)) <= -120.0);
-            assert!(db(energy(&zs) - energy_exact(&zs), energy_exact(&zs).max(1.0)) <= -120.0);
         }
     }
 
@@ -196,18 +118,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_truncates_to_common_prefix() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 5.0];
-        assert_eq!(dot(&a, &b), dot_exact(&a[..2], &b));
-    }
-
-    #[test]
     fn empty_inputs_reduce_to_zero() {
-        assert_eq!(sum(&[]), 0.0);
         assert_eq!(sum_sq(&[]), 0.0);
-        assert_eq!(dot(&[], &[]), 0.0);
-        assert_eq!(energy(&[]), 0.0);
         assert_eq!(peak_abs(&[]), 0.0);
     }
 }

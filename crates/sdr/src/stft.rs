@@ -8,7 +8,6 @@
 
 use crate::fft::{frequency_bin, plan_for};
 use crate::iq::Complex;
-use crate::scratch::DspScratch;
 use crate::window::Window;
 
 /// Configuration for a short-time Fourier transform.
@@ -208,33 +207,6 @@ pub fn stft(samples: &[Complex], sample_rate: f64, config: &StftConfig) -> Spect
     Spectrogram { magnitudes, frames, bins: n, sample_rate, hop: config.hop }
 }
 
-/// Magnitude spectrogram of a **real-valued** signal (an energy trace,
-/// a rail voltage): same framing, windowing and bin layout as [`stft`],
-/// but each frame goes through the half-size real-input FFT
-/// ([`crate::fft::FftPlan::forward_real_into`]) — magnitude-only
-/// consumers don't pay for a promoted complex transform. Matches
-/// `stft` on the promoted signal to better than −120 dB (pinned in
-/// tests).
-pub fn stft_real(samples: &[f64], sample_rate: f64, config: &StftConfig) -> Spectrogram {
-    let n = config.fft_size;
-    let frames = config.frame_count(samples.len());
-    let plan = plan_for(n);
-    let win = config.window.coefficients(n);
-    let mut magnitudes = Vec::with_capacity(frames * n);
-    let mut scr = DspScratch::new();
-    let mut frame = vec![0.0f64; n];
-    let mut spec: Vec<Complex> = Vec::new();
-    for t in 0..frames {
-        let start = t * config.hop;
-        for ((slot, &x), &w) in frame.iter_mut().zip(&samples[start..start + n]).zip(&win) {
-            *slot = x * w;
-        }
-        plan.forward_real_into(&frame, &mut spec, &mut scr);
-        magnitudes.extend(spec.iter().map(|z| z.abs()));
-    }
-    Spectrogram { magnitudes, frames, bins: n, sample_rate, hop: config.hop }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -331,33 +303,6 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_fft_size_panics() {
         StftConfig::new(300, 10, Window::Hann);
-    }
-
-    #[test]
-    fn real_input_stft_matches_promoted_complex_stft() {
-        let fs = 1000.0;
-        let x: Vec<f64> =
-            (0..4096).map(|i| (0.7 * i as f64).sin() + 0.3 * (0.151 * i as f64).cos()).collect();
-        let promoted: Vec<Complex> = x.iter().map(|&v| Complex::new(v, 0.0)).collect();
-        for cfg in [
-            StftConfig::new(256, 128, Window::Hann),
-            StftConfig::non_overlapping(512, Window::Rectangular),
-        ] {
-            let real = stft_real(&x, fs, &cfg);
-            let complex = stft(&promoted, fs, &cfg);
-            assert_eq!(real.frames(), complex.frames());
-            assert_eq!(real.bins(), complex.bins());
-            let mut err = 0.0f64;
-            let mut sig = 0.0f64;
-            for t in 0..real.frames() {
-                for k in 0..real.bins() {
-                    err += (real.magnitude(t, k) - complex.magnitude(t, k)).powi(2);
-                    sig += complex.magnitude(t, k).powi(2);
-                }
-            }
-            let db = 10.0 * (err.max(1e-300) / sig.max(1e-300)).log10();
-            assert!(db <= -120.0, "stft_real divergence {db:.1} dB");
-        }
     }
 
     #[test]

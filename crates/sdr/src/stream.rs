@@ -12,7 +12,6 @@
 //! | [`EnergyStream`] | [`crate::sliding::try_energy_signal`] |
 //! | [`SmoothStream`] | [`crate::dsp::moving_average`] |
 //! | [`ConvolveSameStream`] | [`crate::dsp::convolve_same`] |
-//! | [`StreamingFrontend`] | [`crate::record::read_rtl_u8`] + energy |
 //!
 //! Bit-identity is an invariant, not an aspiration: every accumulator
 //! here performs the *same floating-point operations in the same
@@ -25,11 +24,9 @@
 //! determinism guarantee the batch experiments already have.
 
 use std::collections::VecDeque;
-use std::io::{self, Read};
 
 use crate::error::CaptureError;
 use crate::iq::Complex;
-use crate::record::RtlChunkReader;
 use crate::scratch::DspScratch;
 use crate::sliding::SlidingDft;
 
@@ -269,7 +266,7 @@ impl ConvolveSameStream {
 
     /// Full-convolution output `m`, folded over retained signal
     /// samples in ascending index order — the exact operation sequence
-    /// of [`crate::dsp::convolve_full`].
+    /// of [`crate::dsp::convolve_full_into`].
     fn full_at(&self, m: usize) -> f64 {
         let l = self.kernel.len();
         let lo = m.saturating_sub(l - 1);
@@ -315,67 +312,11 @@ impl ConvolveSameStream {
     }
 }
 
-/// Chunked RTL-u8 → decimated-energy front end: drives
-/// [`RtlChunkReader`] and [`EnergyStream`] together so a raw
-/// `rtl_sdr` byte stream of any length becomes energy samples without
-/// ever materialising the capture.
-#[derive(Debug)]
-pub struct StreamingFrontend<R> {
-    reader: RtlChunkReader<R>,
-    energy: EnergyStream,
-    scratch: Vec<Complex>,
-}
-
-impl<R: Read> StreamingFrontend<R> {
-    /// Creates a front end over an RTL-u8 byte source.
-    ///
-    /// # Errors
-    ///
-    /// The same configuration errors as [`EnergyStream::new`].
-    pub fn new(
-        reader: R,
-        window: usize,
-        bins: &[usize],
-        decimation: usize,
-    ) -> Result<Self, CaptureError> {
-        Ok(StreamingFrontend {
-            reader: RtlChunkReader::new(reader),
-            energy: EnergyStream::new(window, bins, decimation)?,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Reads one chunk from the source and appends the energy samples
-    /// it completes to `out`. Returns `Ok(None)` at end of stream,
-    /// `Ok(Some(n))` with the number of energy samples appended
-    /// otherwise (possibly zero while the DFT window primes).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying reader, including
-    /// failures after some samples were already consumed.
-    pub fn next_energy(&mut self, out: &mut Vec<f64>) -> io::Result<Option<usize>> {
-        self.scratch.clear();
-        if self.reader.next_chunk(&mut self.scratch)? == 0 {
-            return Ok(None);
-        }
-        Ok(Some(self.energy.push_into(&self.scratch, out)))
-    }
-
-    /// The underlying energy stream (for counters and end-of-stream
-    /// classification).
-    pub fn energy_stream(&self) -> &EnergyStream {
-        &self.energy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dsp::{convolve_same, edge_kernel, moving_average};
-    use crate::record::write_rtl_u8;
     use crate::sliding::{energy_signal, try_energy_signal};
-    use crate::Capture;
 
     fn chirpy(n: usize) -> Vec<Complex> {
         (0..n)
@@ -498,25 +439,5 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "n {n}");
             }
         }
-    }
-
-    #[test]
-    fn streaming_frontend_matches_read_then_batch() {
-        let samples = chirpy(4000);
-        let cap = Capture { samples, sample_rate: 2.4e6, center_freq: 0.0 };
-        let mut bytes = Vec::new();
-        write_rtl_u8(&cap, &mut bytes).unwrap();
-        // Batch path: read everything, then one energy_signal call.
-        let read_back = crate::record::read_rtl_u8(&bytes[..], 2.4e6, 0.0).unwrap();
-        let batch = energy_signal(&read_back.samples, 128, &[7], 4);
-        // Streaming path: chunked byte reads feeding the energy stream.
-        let mut fe = StreamingFrontend::new(&bytes[..], 128, &[7], 4).unwrap();
-        let mut got = Vec::new();
-        while fe.next_energy(&mut got).unwrap().is_some() {}
-        assert_eq!(got.len(), batch.len());
-        for (a, b) in got.iter().zip(&batch) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(fe.energy_stream().samples_seen(), read_back.samples.len());
     }
 }

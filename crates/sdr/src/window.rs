@@ -46,41 +46,6 @@ impl Window {
             })
             .collect()
     }
-
-    /// Generates `n` *symmetric* window coefficients (denominator
-    /// `n − 1`), the right definition for FIR filter design where the
-    /// taps must be exactly symmetric. [`Window::coefficients`] is the
-    /// periodic variant used for spectral analysis.
-    pub fn symmetric_coefficients(self, n: usize) -> Vec<f64> {
-        if n == 0 {
-            return Vec::new();
-        }
-        if n == 1 {
-            return vec![1.0];
-        }
-        let denom = (n - 1) as f64;
-        (0..n)
-            .map(|i| {
-                let x = 2.0 * std::f64::consts::PI * i as f64 / denom;
-                match self {
-                    Window::Rectangular => 1.0,
-                    Window::Hann => 0.5 - 0.5 * x.cos(),
-                    Window::Hamming => 0.54 - 0.46 * x.cos(),
-                    Window::Blackman => 0.42 - 0.5 * x.cos() + 0.08 * (2.0 * x).cos(),
-                }
-            })
-            .collect()
-    }
-
-    /// Coherent gain: the mean of the window coefficients. Dividing a
-    /// windowed spectrum by `n · coherent_gain` recovers the amplitude
-    /// of a bin-centred tone.
-    pub fn coherent_gain(self, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.coefficients(n).iter().sum::<f64>() / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -112,26 +77,7 @@ mod tests {
     }
 
     #[test]
-    fn coherent_gains_match_known_values() {
-        assert!((Window::Rectangular.coherent_gain(128) - 1.0).abs() < 1e-12);
-        assert!((Window::Hann.coherent_gain(128) - 0.5).abs() < 1e-3);
-        assert!((Window::Hamming.coherent_gain(128) - 0.54).abs() < 1e-3);
-    }
-
-    #[test]
-    fn symmetric_variant_is_exactly_symmetric() {
-        for win in [Window::Hann, Window::Hamming, Window::Blackman] {
-            let w = win.symmetric_coefficients(51);
-            for i in 0..w.len() / 2 {
-                assert!((w[i] - w[w.len() - 1 - i]).abs() < 1e-12, "{win:?} at {i}");
-            }
-        }
-        assert_eq!(Window::Hann.symmetric_coefficients(1), vec![1.0]);
-    }
-
-    #[test]
     fn zero_length_is_empty() {
         assert!(Window::Hann.coefficients(0).is_empty());
-        assert_eq!(Window::Hann.coherent_gain(0), 0.0);
     }
 }

@@ -12,6 +12,7 @@ use std::io::{self, Read};
 use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, FrameError};
 use emsc_covert::rx::{
     try_estimate_bit_period, try_find_switching_frequency, Receiver, RxConfig, RxError, SyncLoss,
+    MAX_EDGE_KERNEL_TAPS,
 };
 use emsc_keylog::{Detector, DetectorConfig};
 use emsc_sdr::error::{CaptureError, StatsError};
@@ -63,15 +64,29 @@ fn structural_failures_map_to_the_right_typed_errors() {
     let silent = rx.receive(&capture(vec![Complex::new(0.0, 0.0); 50_000]));
     assert!(silent.is_ok(), "silence must decode to Ok: {silent:?}");
 
-    // Degenerate sample rates are capture errors, not panics.
-    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let cap = Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
-        assert_eq!(
-            rx.receive(&cap),
-            Err(RxError::Capture(CaptureError::InvalidSampleRate)),
-            "sample rate {rate}"
-        );
+    // Degenerate sample rates are capture errors, not panics. That
+    // includes finite rates so high that the edge kernel, whose length
+    // is a fraction of a bit period counted in samples, would exceed
+    // its tap cap: the rate at which a `period_s` bit reaches the cap
+    // is `cap_rate(period_s)`.
+    let cfg = rx.config();
+    let cap_rate = |period_s: f64| {
+        MAX_EDGE_KERNEL_TAPS as f64 * cfg.decimation as f64 / (period_s * cfg.edge_kernel_fraction)
+    };
+    let just_above = |rate: f64| rate * (1.0 + 1e-9);
+    let at_rate =
+        |rate: f64| Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
+    let bad_rate = Err(RxError::Capture(CaptureError::InvalidSampleRate));
+    let informed_cap = cap_rate(cfg.expected_bit_period_s);
+    for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, 1e300, just_above(informed_cap)] {
+        assert_eq!(rx.receive(&at_rate(rate)), bad_rate, "sample rate {rate}");
+        assert_eq!(rx.receive_blind(&at_rate(rate)), bad_rate, "blind, sample rate {rate}");
     }
+    // Blind mode may size its kernel from any period up to the
+    // estimator's 5 ms ceiling, so its cap sits at a lower rate.
+    let blind_cap = cap_rate(5e-3);
+    assert_eq!(rx.receive_blind(&at_rate(just_above(blind_cap))), bad_rate, "blind cap");
+    assert!(rx.receive(&at_rate(just_above(blind_cap))).is_ok(), "informed below its cap");
 
     // A band that contains no configured harmonic is NoCarrier.
     let off_band = Capture { samples: noise(10_000, 3), sample_rate: FS, center_freq: 1e9 };
