@@ -1,7 +1,7 @@
 //! Covert-channel scenario runner: one call from payload to metrics.
 
 use emsc_covert::adapt::RateStep;
-use emsc_covert::frame::{try_deframe, Deframed, FrameConfig};
+use emsc_covert::frame::{try_deframe, Deframed};
 use emsc_covert::metrics::{align_semiglobal, Alignment};
 use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
 use emsc_covert::stream::StreamingReceiver;
@@ -243,11 +243,6 @@ impl CovertScenario {
         let receiver = Receiver::new(self.rx.clone());
         let report = receiver.receive(&chain_run.capture).unwrap_or_else(|_| RxReport::empty(0.0));
         (report.bits.clone(), report)
-    }
-
-    /// Framing used by the transmitter.
-    pub fn frame(&self) -> FrameConfig {
-        self.tx.frame
     }
 
     /// The same physical chain operated at a rung of the adaptive rate

@@ -37,7 +37,6 @@ use crate::laptop::Laptop;
 
 /// One transfer of one ablation study.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AblationRow {
     /// The design choice the study varies.
     pub study: String,

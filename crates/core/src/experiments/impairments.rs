@@ -26,7 +26,6 @@ pub const SEVERITIES: usize = emsc_sdr::impair::SEVERITY_LEVELS;
 
 /// One severity level of the impairment sweep, averaged over runs.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ImpairmentRow {
     /// Severity level, 0 (clean channel) through 4 (severe).
     pub severity: usize,

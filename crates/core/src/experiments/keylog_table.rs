@@ -10,7 +10,6 @@ use crate::laptop::Laptop;
 
 /// One Table IV row.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct KeylogRow {
     /// Setup label.
     pub label: String,

@@ -77,7 +77,6 @@ impl Mode {
 
 /// One (severity × mode) row of the E6 sweep, averaged over runs.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RobustRow {
     /// Severity level, 0 (clean) through 4 (severe).
     pub severity: usize,

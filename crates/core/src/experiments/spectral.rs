@@ -100,7 +100,6 @@ pub fn fig2_on(chain: &Chain, f_sw: f64, scale: Scale, seed: u64) -> Fig2 {
 
 /// One row of the §III BIOS sweep.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BiosRow {
     /// Configuration label.
     pub config: String,

@@ -41,7 +41,6 @@ pub const CHUNK_SIZES: [usize; 4] = [1009, 4096, 9973, 65_536];
 
 /// One sensor's replay, compared against its batch baseline.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StreamingRow {
     /// Sensor label.
     pub sensor: String,

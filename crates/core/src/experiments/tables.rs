@@ -68,7 +68,6 @@ pub fn table1() -> String {
 
 /// One Table II / Table III row: averaged channel quality.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChannelRow {
     /// Row label (laptop model or distance).
     pub label: String,

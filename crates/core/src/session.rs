@@ -222,20 +222,6 @@ impl SessionRegistry {
         self.len() == 0
     }
 
-    /// The per-session buffer limit, in samples.
-    pub fn buffer_limit(&self) -> usize {
-        self.buffer_limit
-    }
-
-    /// Ids of every open session, in open order.
-    pub fn session_ids(&self) -> Vec<SessionId> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| SessionId(i)))
-            .collect()
-    }
-
     fn admit(&mut self, machine: StreamMachine) -> SessionId {
         let seed = seed_for(self.base_seed, self.opened);
         self.opened += 1;
@@ -531,7 +517,6 @@ mod tests {
         let b = reg.open_keylog(cfg, 2.4e6, 1.455e6).expect("open b");
         assert_eq!(reg.stats(a).unwrap().seed, seed_for(2020, 0));
         assert_eq!(reg.stats(b).unwrap().seed, seed_for(2020, 1));
-        assert_eq!(reg.session_ids(), vec![a, b]);
     }
 
     #[test]

@@ -77,16 +77,6 @@ pub struct CodingStats {
 }
 
 impl CodingStats {
-    /// Fraction of codewords with a nonzero syndrome, or 0 for an
-    /// empty stream.
-    pub fn correction_rate(&self) -> f64 {
-        if self.codewords == 0 {
-            0.0
-        } else {
-            self.corrected as f64 / self.codewords as f64
-        }
-    }
-
     /// Adds another decode's counts into this one (a frame decodes
     /// its header and payload spans separately).
     pub fn absorb(&mut self, other: CodingStats) {

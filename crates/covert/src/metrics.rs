@@ -10,7 +10,6 @@
 
 /// Outcome of aligning a transmitted against a received bit sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Alignment {
     /// Bits aligned and equal.
     pub matches: usize,
@@ -197,7 +196,6 @@ pub fn align_semiglobal(tx: &[u8], rx: &[u8]) -> Alignment {
 /// *miscorrections* — only a comparison against the transmitted
 /// codewords can tell them apart).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CodewordAudit {
     /// Codeword pairs compared.
     pub codewords: usize,
@@ -213,18 +211,6 @@ pub struct CodewordAudit {
     /// pattern that lands exactly on another codeword): the decoder
     /// saw nothing wrong and still emitted wrong data.
     pub undetected: usize,
-}
-
-impl CodewordAudit {
-    /// Fraction of codewords that decoded to wrong data (miscorrected
-    /// or undetected), or 0 for an empty stream.
-    pub fn wrong_rate(&self) -> f64 {
-        if self.codewords == 0 {
-            0.0
-        } else {
-            (self.miscorrected + self.undetected) as f64 / self.codewords as f64
-        }
-    }
 }
 
 /// Audits a received coded stream against the transmitted one,
@@ -380,7 +366,6 @@ mod tests {
         assert_eq!(audit.corrected, 1);
         assert_eq!(audit.miscorrected, 1);
         assert_eq!(audit.undetected, 1);
-        assert!((audit.wrong_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -408,6 +393,5 @@ mod tests {
         let tx = encode_bits(&[1, 0, 0, 1, 1, 1, 0, 0]);
         let audit = codeword_audit(&tx, &tx);
         assert_eq!(audit.clean, audit.codewords);
-        assert_eq!(audit.wrong_rate(), 0.0);
     }
 }

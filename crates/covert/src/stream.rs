@@ -169,26 +169,6 @@ impl StreamingReceiver {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &RxConfig {
-        &self.config
-    }
-
-    /// Seconds per energy sample.
-    pub fn energy_dt_s(&self) -> f64 {
-        self.dt
-    }
-
-    /// Total IQ samples consumed so far.
-    pub fn samples_seen(&self) -> usize {
-        self.front.samples_seen()
-    }
-
-    /// Non-finite IQ samples sanitised so far.
-    pub fn sanitized_samples(&self) -> usize {
-        self.front.sanitized()
-    }
-
     /// Why symbol sync fell back to the configured prior, if blind
     /// estimation failed at [`StreamingReceiver::finish`].
     pub fn sync_loss(&self) -> Option<SyncLoss> {

@@ -44,19 +44,6 @@ impl TxConfig {
         }
     }
 
-    /// Windows transmitter: `Sleep()` has millisecond granularity, so
-    /// SLEEP_PERIOD = 0.5 ms — both `Sleep(0.5 ms)` and
-    /// `Sleep(2 × 0.5 ms)` quantise to ≥1 ms ticks, and the bit value
-    /// is carried by the presence of the busy phase.
-    pub fn windows_default() -> Self {
-        TxConfig {
-            loop_iterations: 300_000,
-            sleep_period_s: 0.5e-3,
-            overhead_iterations: 24_000,
-            frame: FrameConfig::default(),
-        }
-    }
-
     /// Calibrates a transmitter for a concrete machine, the way the
     /// paper's authors tuned LOOP_PERIOD per laptop: the busy phase is
     /// sized by *measured* duration (which depends on the DVFS
@@ -223,11 +210,6 @@ mod tests {
         let unix = TxConfig::unix_default();
         let tr = 1.0 / unix.nominal_bit_period_s(3.0e9);
         assert!(tr > 2_500.0 && tr < 7_000.0, "unix nominal TR {tr}");
-        // Windows laptops land slightly below 1 kbps.
-        let win = TxConfig::windows_default();
-        let tr_win = 1.0 / win.nominal_bit_period_s(3.0e9);
-        assert!(tr_win < 1_300.0, "windows nominal TR {tr_win}");
-        assert!(tr > 2.0 * tr_win, "unix must be much faster than windows");
     }
 
     #[test]

@@ -265,29 +265,6 @@ impl Ziggurat {
     }
 }
 
-/// Adds impulsive interference to `buf`: each sample independently
-/// carries an impulse with probability `density`, of magnitude
-/// `amplitude` and uniformly random phase. This is the analog-domain
-/// counterpart of `emsc_sdr::impair::Impairment::ImpulseBurst` —
-/// motor brushes, relay contacts and switching transients near the
-/// receiver, injected *before* the front end's AGC and quantisation so
-/// the impulses also steal ADC dynamic range. Deterministic from
-/// `seed`; `density` is clamped to `[0, 1]` and non-positive
-/// amplitudes are a no-op.
-pub fn add_impulsive_noise(buf: &mut [Complex], density: f64, amplitude: f64, seed: u64) {
-    if amplitude <= 0.0 || !density.is_finite() || density <= 0.0 {
-        return;
-    }
-    let density = density.min(1.0);
-    let mut rng = StdRng::seed_from_u64(seed);
-    for slot in buf.iter_mut() {
-        if rng.gen_bool(density) {
-            let phase = rng.gen::<f64>() * 2.0 * std::f64::consts::PI;
-            *slot += Complex::from_polar(amplitude, phase);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,39 +401,6 @@ mod tests {
             .map(|k| spec[k].abs() / n as f64)
             .fold(0.0, f64::max);
         assert!(out_of_band_energy < 0.05, "edge leakage {out_of_band_energy}");
-    }
-
-    #[test]
-    fn impulsive_noise_is_sparse_and_deterministic() {
-        let mut a = vec![Complex::ZERO; 10_000];
-        let mut b = vec![Complex::ZERO; 10_000];
-        add_impulsive_noise(&mut a, 0.01, 2.0, 11);
-        add_impulsive_noise(&mut b, 0.01, 2.0, 11);
-        assert_eq!(a, b);
-        let hits = a.iter().filter(|z| z.abs() > 1e-12).count();
-        assert!((50..200).contains(&hits), "expected ~100 impulses, got {hits}");
-        for z in a.iter().filter(|z| z.abs() > 1e-12) {
-            assert!((z.abs() - 2.0).abs() < 1e-9, "impulse magnitude {}", z.abs());
-        }
-        let mut c = vec![Complex::ZERO; 10_000];
-        add_impulsive_noise(&mut c, 0.01, 2.0, 12);
-        assert_ne!(a, c, "seed must move the impulses");
-    }
-
-    #[test]
-    fn impulsive_noise_degenerate_parameters_are_noops() {
-        let orig = vec![Complex::new(0.5, -0.5); 64];
-        for (density, amplitude) in
-            [(0.0, 1.0), (-1.0, 1.0), (f64::NAN, 1.0), (0.5, 0.0), (0.5, -3.0)]
-        {
-            let mut buf = orig.clone();
-            add_impulsive_noise(&mut buf, density, amplitude, 5);
-            assert_eq!(buf, orig, "density {density}, amplitude {amplitude}");
-        }
-        // Density above 1 clamps instead of panicking in gen_bool.
-        let mut buf = vec![Complex::ZERO; 32];
-        add_impulsive_noise(&mut buf, 2.0, 1.0, 5);
-        assert!(buf.iter().all(|z| z.abs() > 0.0), "density 1 must hit every sample");
     }
 
     #[test]

@@ -203,7 +203,7 @@ pub fn pulses_sorted(train: &SwitchingTrain) -> bool {
 /// nothing depends on the window placement:
 ///
 /// - the carrier phasor anchors at global pulse indices (an exact
-///   `cis` at every [`PHASOR_REFRESH`]-th pulse *of the train*), and a
+///   `cis` at every `PHASOR_REFRESH`-th pulse *of the train*), and a
 ///   window warms it up from the nearest anchor at or before its first
 ///   pulse — the Δt rotator is a pure function of the pulse spacing,
 ///   so the warm-up reproduces the whole-buffer product exactly;

@@ -37,11 +37,6 @@ impl Classifier {
         Classifier { k, training, scales }
     }
 
-    /// Number of neighbours consulted.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
     /// Classifies an observation: majority label among the k nearest
     /// training visits (ties broken toward the nearer neighbour).
     pub fn classify(&self, observation: &FeatureVector) -> &str {
@@ -91,19 +86,6 @@ impl Confusion {
         correct as f64 / total as f64
     }
 
-    /// Per-class recall (diagonal over row sum), paired with labels.
-    pub fn per_class_recall(&self) -> Vec<(String, f64)> {
-        self.labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                let row: usize = self.counts[i].iter().sum();
-                let r = if row == 0 { 0.0 } else { self.counts[i][i] as f64 / row as f64 };
-                (l.clone(), r)
-            })
-            .collect()
-    }
-
     /// Renders the matrix as a compact text table.
     pub fn render(&self) -> String {
         let mut out = String::from("true \\ predicted\n");
@@ -115,20 +97,6 @@ impl Confusion {
             out.push('\n');
         }
         out
-    }
-}
-
-impl Classifier {
-    /// Open-world classification: returns `None` when the nearest
-    /// training visit is farther than `max_distance` (normalised
-    /// units) — "this doesn't look like any site I know".
-    pub fn classify_open(&self, observation: &FeatureVector, max_distance: f64) -> Option<&str> {
-        let nearest = self
-            .training
-            .iter()
-            .map(|v| observation.distance(&v.features, &self.scales))
-            .fold(f64::INFINITY, f64::min);
-        (nearest <= max_distance).then(|| self.classify(observation))
     }
 }
 
@@ -209,22 +177,8 @@ mod tests {
         let c = leave_one_out(&clustered_set(), 3);
         assert_eq!(c.labels.len(), 3);
         assert!((c.accuracy() - 1.0).abs() < 1e-12);
-        for (label, recall) in c.per_class_recall() {
-            assert!((recall - 1.0).abs() < 1e-12, "{label} recall {recall}");
-        }
         let text = c.render();
         assert!(text.contains('a') && text.contains("predicted"));
-    }
-
-    #[test]
-    fn open_world_rejects_outliers() {
-        let classifier = Classifier::train(clustered_set(), 3);
-        let inlier = FeatureVector { values: [1.01, 2.0, 3.0, 0.5, 0.2, 0.1] };
-        let outlier = FeatureVector { values: [100.0, -50.0, 80.0, 9.0, 7.0, 12.0] };
-        assert_eq!(classifier.classify_open(&inlier, 3.0), Some("a"));
-        assert_eq!(classifier.classify_open(&outlier, 3.0), None);
-        // A huge radius accepts anything.
-        assert!(classifier.classify_open(&outlier, 1e9).is_some());
     }
 
     #[test]

@@ -32,14 +32,6 @@ pub struct DigraphCandidates {
 }
 
 impl DigraphCandidates {
-    /// Fraction of the digraph universe remaining.
-    pub fn reduction(&self) -> f64 {
-        if self.universe == 0 {
-            return 1.0;
-        }
-        self.candidates.len() as f64 / self.universe as f64
-    }
-
     /// Entropy gained over a uniform prior, in bits
     /// (`log₂(universe / candidates)`).
     pub fn entropy_gain_bits(&self) -> f64 {

@@ -97,26 +97,6 @@ impl StreamingDetector {
         })
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        self.detector.config()
-    }
-
-    /// Raw samples consumed so far.
-    pub fn samples_seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Non-finite raw samples observed so far.
-    pub fn non_finite_samples(&self) -> usize {
-        self.non_finite
-    }
-
-    /// Completed STFT windows so far.
-    pub fn windows(&self) -> usize {
-        self.energies.len()
-    }
-
     /// Feeds a chunk of raw I/Q samples.
     ///
     /// Every window completed by this chunk is transformed immediately,
@@ -310,6 +290,5 @@ mod tests {
         assert_eq!(p, DetectProgress { windows: 0, samples_seen: 8191, non_finite_samples: 0 });
         let p = det.push(&[Complex::new(f64::INFINITY, 0.0)]);
         assert_eq!(p, DetectProgress { windows: 1, samples_seen: 8192, non_finite_samples: 1 });
-        assert_eq!(det.windows(), 1);
     }
 }

@@ -7,11 +7,10 @@
 //! governor) from the predicted idle interval. Both can be disabled in
 //! BIOS — the countermeasure experiment of §III.
 
-use crate::power::{CState, PState, PowerStateTable};
+use crate::power::{CState, PowerStateTable};
 
 /// Who controls P-state selection, and how quickly it reacts.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PStateMode {
     /// Hardware-controlled P-states (Intel Speed Shift / HWP,
     /// Skylake+): sub-millisecond ramp to full speed.
@@ -68,7 +67,6 @@ impl PStateMode {
 
 /// DVFS (P-state) policy, including the BIOS enable switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DvfsPolicy {
     /// BIOS switch: `false` forces nominal voltage/frequency (P0)
     /// always, as in the §III experiment.
@@ -92,123 +90,11 @@ impl DvfsPolicy {
     pub fn disabled() -> Self {
         DvfsPolicy { enabled: false, mode: PStateMode::Fixed(0) }
     }
-
-    /// Plans a *cold-start* work burst of `duration_s` seconds as a
-    /// sequence of `(sub-duration, P-state)` phases: a ramp phase at
-    /// the deepest P-state followed by the rest at P0 (or all-P0 /
-    /// all-fixed when the mode dictates). The simulator uses the
-    /// stateful [`GovernorState`] instead, which carries ramp progress
-    /// across bursts; this method describes the first burst after a
-    /// long idle.
-    pub fn plan_burst(&self, duration_s: f64, table: &PowerStateTable) -> Vec<(f64, PState)> {
-        if duration_s <= 0.0 {
-            return Vec::new();
-        }
-        if !self.enabled {
-            return vec![(duration_s, table.p0())];
-        }
-        match self.mode {
-            PStateMode::Fixed(i) => {
-                let p = table
-                    .pstates
-                    .get(i as usize)
-                    .copied()
-                    .unwrap_or_else(|| table.deepest_pstate());
-                vec![(duration_s, p)]
-            }
-            PStateMode::SpeedShift { ramp_s } | PStateMode::OsDriven { ramp_s } => {
-                let ramp = ramp_s.min(duration_s);
-                let mut plan = vec![(ramp, table.deepest_pstate())];
-                if duration_s > ramp {
-                    plan.push((duration_s - ramp, table.p0()));
-                }
-                plan
-            }
-        }
-    }
-}
-
-/// Running state of the DVFS governor: where in the ramp the core
-/// currently sits. `level` = 0 means the deepest P-state, 1 means P0.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GovernorState {
-    /// Current ramp level in `[0, 1]`.
-    pub level: f64,
-}
-
-impl GovernorState {
-    /// Cold state: deepest P-state.
-    pub fn cold() -> Self {
-        GovernorState { level: 0.0 }
-    }
-
-    /// Decays the level after `idle_s` seconds of idleness under the
-    /// given policy.
-    pub fn idle(&mut self, policy: &DvfsPolicy, idle_s: f64) {
-        if !policy.enabled {
-            self.level = 1.0;
-            return;
-        }
-        let decay = policy.mode.decay_s();
-        if decay.is_finite() && decay > 0.0 {
-            self.level = (self.level - idle_s / decay).max(0.0);
-        }
-    }
-
-    /// Plans a busy burst of `duration_s` seconds starting at the
-    /// current level, advancing the level, and returning
-    /// `(sub-duration, P-state)` phases. At most two phases: the
-    /// remaining ramp (at the P-state of the ramp midpoint) and the
-    /// rest at P0.
-    pub fn busy(
-        &mut self,
-        policy: &DvfsPolicy,
-        table: &PowerStateTable,
-        duration_s: f64,
-    ) -> Vec<(f64, PState)> {
-        if duration_s <= 0.0 {
-            return Vec::new();
-        }
-        if !policy.enabled {
-            self.level = 1.0;
-            return vec![(duration_s, table.p0())];
-        }
-        if let PStateMode::Fixed(i) = policy.mode {
-            let p =
-                table.pstates.get(i as usize).copied().unwrap_or_else(|| table.deepest_pstate());
-            return vec![(duration_s, p)];
-        }
-        let ramp = policy.mode.ramp_s();
-        let remaining_ramp_s = (1.0 - self.level) * ramp;
-        if duration_s >= remaining_ramp_s {
-            let mut plan = Vec::with_capacity(2);
-            if remaining_ramp_s > 0.0 {
-                let mid = (self.level + 1.0) / 2.0;
-                plan.push((remaining_ramp_s, pstate_for_level(table, mid)));
-            }
-            plan.push((duration_s - remaining_ramp_s, table.p0()));
-            self.level = 1.0;
-            plan
-        } else {
-            let end = self.level + duration_s / ramp;
-            let mid = (self.level + end) / 2.0;
-            self.level = end;
-            vec![(duration_s, pstate_for_level(table, mid))]
-        }
-    }
-}
-
-/// The P-state corresponding to a ramp level (0 = deepest, 1 = P0).
-fn pstate_for_level(table: &PowerStateTable, level: f64) -> PState {
-    let n = table.pstates.len();
-    let idx = ((1.0 - level.clamp(0.0, 1.0)) * (n - 1) as f64).round() as usize;
-    table.pstates[idx.min(n - 1)]
 }
 
 /// C-state (idle) policy, including the BIOS enable switch and a
 /// depth cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CStatePolicy {
     /// BIOS switch: `false` means idling spins in C0 (the OS "idle"
     /// process of §III footnote 2).
@@ -254,89 +140,6 @@ mod tests {
 
     fn table() -> PowerStateTable {
         PowerStateTable::intel_mobile()
-    }
-
-    #[test]
-    fn disabled_dvfs_runs_everything_at_p0() {
-        let plan = DvfsPolicy::disabled().plan_burst(10e-3, &table());
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0].1.index, 0);
-        assert_eq!(plan[0].0, 10e-3);
-    }
-
-    #[test]
-    fn speed_shift_ramps_then_runs_at_p0() {
-        let plan = DvfsPolicy::speed_shift().plan_burst(10e-3, &table());
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].1.index, table().deepest_pstate().index);
-        assert!((plan[0].0 - 0.3e-3).abs() < 1e-12);
-        assert_eq!(plan[1].1.index, 0);
-        assert!((plan[0].0 + plan[1].0 - 10e-3).abs() < 1e-12);
-    }
-
-    #[test]
-    fn short_bursts_never_reach_p0_under_os_dvfs() {
-        let plan = DvfsPolicy::os_driven().plan_burst(1e-3, &table());
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0].1.index, table().deepest_pstate().index);
-    }
-
-    #[test]
-    fn speed_shift_reacts_faster_than_os_driven() {
-        let d = 2e-3;
-        let ss = DvfsPolicy::speed_shift().plan_burst(d, &table());
-        let os = DvfsPolicy::os_driven().plan_burst(d, &table());
-        let p0_time = |plan: &[(f64, PState)]| {
-            plan.iter().filter(|(_, p)| p.index == 0).map(|(t, _)| *t).sum::<f64>()
-        };
-        assert!(p0_time(&ss) > p0_time(&os));
-    }
-
-    #[test]
-    fn fixed_mode_pins_the_pstate() {
-        let policy = DvfsPolicy { enabled: true, mode: PStateMode::Fixed(3) };
-        let plan = policy.plan_burst(5e-3, &table());
-        assert_eq!(plan.len(), 1);
-        assert_eq!(plan[0].1.index, 3);
-    }
-
-    #[test]
-    fn empty_plan_for_zero_duration() {
-        assert!(DvfsPolicy::speed_shift().plan_burst(0.0, &table()).is_empty());
-    }
-
-    #[test]
-    fn governor_state_holds_pstate_across_short_idles() {
-        let policy = DvfsPolicy::speed_shift();
-        let t = table();
-        let mut g = GovernorState::cold();
-        // Warm up: a long burst reaches P0.
-        g.busy(&policy, &t, 2e-3);
-        assert!((g.level - 1.0).abs() < 1e-12);
-        // 100 µs of idle barely dents the level...
-        g.idle(&policy, 100e-6);
-        assert!(g.level > 0.95, "level {}", g.level);
-        // ...so the next short burst runs at P0 throughout.
-        let plan = g.busy(&policy, &t, 100e-6);
-        assert_eq!(plan.last().unwrap().1.index, 0);
-        // A long idle decays back to cold.
-        g.idle(&policy, 1.0);
-        assert_eq!(g.level, 0.0);
-    }
-
-    #[test]
-    fn governor_state_ramps_cumulatively() {
-        let policy = DvfsPolicy::speed_shift();
-        let t = table();
-        let mut g = GovernorState::cold();
-        // Two 100 µs bursts with negligible idle between them make
-        // more ramp progress than one.
-        let p1 = g.busy(&policy, &t, 100e-6);
-        g.idle(&policy, 10e-6);
-        let p2 = g.busy(&policy, &t, 100e-6);
-        let i1 = p1.last().unwrap().1.index;
-        let i2 = p2.last().unwrap().1.index;
-        assert!(i2 < i1, "second burst should be faster: {i1} then {i2}");
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub struct NoiseEvent {
 
 /// Rates and durations of the noise processes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NoiseConfig {
     /// Poisson rate of short interrupts, events/second.
     pub short_rate_hz: f64,

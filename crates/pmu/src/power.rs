@@ -11,7 +11,6 @@
 /// `P0` is the highest-performance state; higher indices are slower
 /// and lower-voltage (matching Intel numbering).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PState {
     /// Index in the platform's P-state table (0 = fastest).
     pub index: u8,
@@ -38,7 +37,6 @@ impl PState {
 /// apply clock-gating, C4 through C6 reduce the voltage, and new
 /// Enhanced C-states can do both").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum GatingClass {
     /// C0: executing instructions, nothing gated.
     None,
@@ -52,7 +50,6 @@ pub enum GatingClass {
 
 /// One idle state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CState {
     /// Index: 0 = C0 (active), larger = deeper idle.
     pub index: u8,
@@ -89,7 +86,6 @@ impl CState {
 /// The platform's full power-state tables plus the active-execution
 /// current model.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PowerStateTable {
     /// P-states, ordered P0 first.
     pub pstates: Vec<PState>,
@@ -176,19 +172,6 @@ impl PowerStateTable {
             GatingClass::None | GatingClass::Clock => p.voltage_v,
         }
     }
-
-    /// The deepest C-state whose target residency fits within the
-    /// `predicted_idle_s` window — the menu-governor selection rule.
-    /// Returns C0 when even C1 doesn't fit.
-    pub fn deepest_cstate_for(&self, predicted_idle_s: f64) -> CState {
-        let mut chosen = self.cstates[0];
-        for &c in &self.cstates {
-            if c.target_residency_s <= predicted_idle_s {
-                chosen = c;
-            }
-        }
-        chosen
-    }
 }
 
 #[cfg(test)]
@@ -228,16 +211,6 @@ mod tests {
         // The active/idle contrast that creates the side channel:
         let deep_idle = t.idle_current_a(*t.cstates.last().unwrap());
         assert!(fast / deep_idle > 50.0, "contrast {}", fast / deep_idle);
-    }
-
-    #[test]
-    fn menu_rule_picks_deepest_fitting_state() {
-        let t = PowerStateTable::intel_mobile();
-        assert_eq!(t.deepest_cstate_for(0.0).index, 0);
-        assert_eq!(t.deepest_cstate_for(5e-6).index, 1);
-        assert_eq!(t.deepest_cstate_for(120e-6).index, 3);
-        assert_eq!(t.deepest_cstate_for(400e-6).index, 6);
-        assert_eq!(t.deepest_cstate_for(10e-3).index, 7);
     }
 
     #[test]

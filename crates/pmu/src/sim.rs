@@ -39,7 +39,10 @@ pub struct ExternalEvent {
 /// let machine = Machine::intel_laptop();
 /// let program = Program::alternating(1e-3, 1e-3, 10, machine.nominal_ips());
 /// let trace = machine.run(&program, 7);
-/// assert!(trace.active_fraction() > 0.3 && trace.active_fraction() < 0.7);
+/// let busy_s: f64 =
+///     trace.segments().iter().filter(|s| s.cstate == 0).map(|s| s.duration_s).sum();
+/// let active = busy_s / trace.duration_s();
+/// assert!(active > 0.3 && active < 0.7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Machine {
@@ -53,8 +56,6 @@ pub struct Machine {
     pub cstates: CStatePolicy,
     /// System noise processes.
     pub noise: NoiseConfig,
-    /// Simple-loop iterations retired per core cycle.
-    pub loop_ipc: f64,
 }
 
 impl Machine {
@@ -67,13 +68,13 @@ impl Machine {
             dvfs: DvfsPolicy::speed_shift(),
             cstates: CStatePolicy::all(),
             noise: NoiseConfig::normal(),
-            loop_ipc: 1.0,
         }
     }
 
-    /// Loop iterations per second at P-state `p`.
+    /// Loop iterations per second at P-state `p`: the simple loop
+    /// retires one iteration per core cycle.
     pub fn iterations_per_second(&self, p: crate::power::PState) -> f64 {
-        p.frequency_hz * self.loop_ipc
+        p.frequency_hz
     }
 
     /// Loop iterations per second at the nominal (P0) operating point.
@@ -401,12 +402,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets loop IPC.
-    pub fn loop_ipc(mut self, ipc: f64) -> Self {
-        self.machine.loop_ipc = ipc;
-        self
-    }
-
     /// Finishes the build.
     pub fn build(self) -> Machine {
         self.machine
@@ -569,6 +564,51 @@ mod tests {
         assert!((bursts[0] - 0.10).abs() < 2e-3, "burst at {}", bursts[0]);
         assert!((bursts[1] - 0.30).abs() < 2e-3, "burst at {}", bursts[1]);
         assert!(trace.duration_s() >= 0.5);
+    }
+
+    fn quiet_machine_with(dvfs: DvfsPolicy) -> Machine {
+        MachineBuilder::new().noise(NoiseConfig::silent()).dvfs(dvfs).build()
+    }
+
+    #[test]
+    fn fixed_mode_pins_the_pstate() {
+        let m = quiet_machine_with(DvfsPolicy { enabled: true, mode: PStateMode::Fixed(3) });
+        let p = Program::alternating(2e-3, 500e-6, 4, m.nominal_ips());
+        let trace = m.run(&p, 4);
+        let work: Vec<_> =
+            trace.segments().iter().filter(|s| s.kind == ActivityKind::Work).collect();
+        assert_eq!(work.len(), 4, "one segment per burst, no ramp");
+        assert!(work.iter().all(|s| s.pstate == 3));
+    }
+
+    #[test]
+    fn short_bursts_never_reach_p0_under_os_dvfs() {
+        let reaches_p0 = |dvfs| {
+            let m = quiet_machine_with(dvfs);
+            let mut p = Program::new();
+            p.busy_for(1e-3, m.nominal_ips());
+            let trace = m.run(&p, 6);
+            trace.segments().iter().any(|s| s.kind == ActivityKind::Work && s.pstate == 0)
+        };
+        assert!(!reaches_p0(DvfsPolicy::os_driven()));
+        assert!(reaches_p0(DvfsPolicy::speed_shift()));
+    }
+
+    #[test]
+    fn ramp_level_holds_across_short_idles_and_decays_over_long_ones() {
+        let m = quiet_machine_with(DvfsPolicy::speed_shift());
+        let ips = m.nominal_ips();
+        let mut p = Program::new();
+        p.busy_for(2e-3, ips).sleep(100e-6).busy_for(100e-6, ips);
+        p.sleep(50e-3).busy_for(100e-6, ips);
+        let trace = m.run(&p, 8);
+        let starts: Vec<u8> =
+            trace.work_burst_times().iter().map(|&t| trace.segment_at(t).unwrap().pstate).collect();
+        let deepest = m.table.deepest_pstate().index;
+        assert_eq!(starts.len(), 3, "burst starts {starts:?}");
+        assert_eq!(starts[0], deepest, "a cold burst starts at the deepest P-state");
+        assert!(starts[1] <= 1, "a 100 µs sleep keeps the ramp: {starts:?}");
+        assert_eq!(starts[2], deepest, "a 50 ms idle decays the ramp: {starts:?}");
     }
 
     #[test]

@@ -14,7 +14,6 @@ use rand::Rng;
 /// Which OS timer API the transmitter uses, with its granularity and
 /// jitter behaviour.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SleepModel {
     /// POSIX `usleep()` as implemented by Linux (hrtimers): requests
     /// are honoured at microsecond granularity with a small positive

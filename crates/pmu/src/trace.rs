@@ -106,11 +106,6 @@ impl PowerTrace {
         self.segments.last().map_or(0.0, Segment::end_s)
     }
 
-    /// Load current at time `t_s` (0 outside the trace). `O(log n)`.
-    pub fn current_at(&self, t_s: f64) -> f64 {
-        self.segment_at(t_s).map_or(0.0, |s| s.current_a)
-    }
-
     /// The segment covering time `t_s`, if any.
     pub fn segment_at(&self, t_s: f64) -> Option<&Segment> {
         if t_s < 0.0 {
@@ -127,34 +122,6 @@ impl PowerTrace {
             return 0.0;
         }
         self.segments.iter().map(|s| s.current_a * s.duration_s).sum::<f64>() / total
-    }
-
-    /// Fraction of time spent executing (C0).
-    pub fn active_fraction(&self) -> f64 {
-        let total = self.duration_s();
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.segments.iter().filter(|s| s.cstate == 0).map(|s| s.duration_s).sum::<f64>() / total
-    }
-
-    /// Samples the current waveform at `sample_rate` Hz (`O(n + m)`).
-    pub fn resample(&self, sample_rate: f64) -> Vec<f64> {
-        let n = (self.duration_s() * sample_rate).floor() as usize;
-        let mut out = Vec::with_capacity(n);
-        let mut seg_idx = 0;
-        for i in 0..n {
-            let t = i as f64 / sample_rate;
-            while seg_idx < self.segments.len() && self.segments[seg_idx].end_s() <= t {
-                seg_idx += 1;
-            }
-            out.push(if seg_idx < self.segments.len() && self.segments[seg_idx].start_s <= t {
-                self.segments[seg_idx].current_a
-            } else {
-                0.0
-            });
-        }
-        out
     }
 
     /// Returns a copy of the trace with "blink" windows blanked to a
@@ -203,8 +170,8 @@ impl PowerTrace {
         out
     }
 
-    /// Start times of every maximal run of `Work` activity — the
-    /// ground-truth "burst" times used to score keystroke detectors.
+    /// Start times of every maximal run of `Work` activity: the
+    /// ground-truth burst onsets of an event-driven trace.
     pub fn work_burst_times(&self) -> Vec<f64> {
         let mut out = Vec::new();
         let mut in_burst = false;
@@ -268,16 +235,20 @@ mod tests {
         assert!(t.segments().is_empty());
     }
 
+    fn current_at(t: &PowerTrace, t_s: f64) -> Option<f64> {
+        t.segment_at(t_s).map(|s| s.current_a)
+    }
+
     #[test]
     fn current_lookup() {
         let t = sample_trace();
-        assert_eq!(t.current_at(0.5), 8.0);
-        assert_eq!(t.current_at(1.5), 0.1);
-        assert_eq!(t.current_at(3.5), 8.0);
-        assert_eq!(t.current_at(-0.1), 0.0);
-        assert_eq!(t.current_at(99.0), 0.0);
+        assert_eq!(current_at(&t, 0.5), Some(8.0));
+        assert_eq!(current_at(&t, 1.5), Some(0.1));
+        assert_eq!(current_at(&t, 3.5), Some(8.0));
+        assert_eq!(current_at(&t, -0.1), None);
+        assert_eq!(current_at(&t, 99.0), None);
         // boundary belongs to the later segment
-        assert_eq!(t.current_at(1.0), 0.1);
+        assert_eq!(current_at(&t, 1.0), Some(0.1));
     }
 
     #[test]
@@ -285,17 +256,6 @@ mod tests {
         let t = sample_trace();
         let expect = (8.0 * 2.0 + 0.1 * 2.0) / 4.0;
         assert!((t.mean_current_a() - expect).abs() < 1e-12);
-        assert!((t.active_fraction() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn resample_reproduces_waveform() {
-        let t = sample_trace();
-        let x = t.resample(10.0);
-        assert_eq!(x.len(), 40);
-        assert_eq!(x[0], 8.0);
-        assert_eq!(x[15], 0.1);
-        assert_eq!(x[35], 8.0);
     }
 
     #[test]
@@ -319,12 +279,12 @@ mod tests {
         let blinked = t.with_blinking(1.0, 0.5, 2.0);
         assert!((blinked.duration_s() - 4.0).abs() < 1e-9);
         // First half of every second is the blink level…
-        assert_eq!(blinked.current_at(0.25), 2.0);
-        assert_eq!(blinked.current_at(1.25), 2.0);
-        assert_eq!(blinked.current_at(3.25), 2.0);
+        assert_eq!(current_at(&blinked, 0.25), Some(2.0));
+        assert_eq!(current_at(&blinked, 1.25), Some(2.0));
+        assert_eq!(current_at(&blinked, 3.25), Some(2.0));
         // …the rest passes through.
-        assert_eq!(blinked.current_at(0.75), 8.0);
-        assert_eq!(blinked.current_at(1.75), 0.1);
+        assert_eq!(current_at(&blinked, 0.75), Some(8.0));
+        assert_eq!(current_at(&blinked, 1.75), Some(0.1));
     }
 
     #[test]

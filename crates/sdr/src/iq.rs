@@ -37,8 +37,6 @@ impl Complex {
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// The multiplicative identity, `1 + 0i`.
     pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    /// The imaginary unit, `0 + 1i`.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular components.
     #[inline]
@@ -80,12 +78,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Argument (phase angle) in radians, in `(-π, π]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Complex conjugate `re − i·im`.
     #[inline]
     pub fn conj(self) -> Self {
@@ -96,12 +88,6 @@ impl Complex {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         Complex::new(self.re * k, self.im * k)
-    }
-
-    /// Returns `true` if either component is NaN.
-    #[inline]
-    pub fn is_nan(self) -> bool {
-        self.re.is_nan() || self.im.is_nan()
     }
 }
 
@@ -294,13 +280,6 @@ mod tests {
             let z = Complex::cis(k as f64 * 0.7);
             assert!((z.abs() - 1.0).abs() < EPS);
         }
-    }
-
-    #[test]
-    fn arg_quadrants() {
-        assert!((Complex::new(1.0, 0.0).arg()).abs() < EPS);
-        assert!((Complex::new(0.0, 1.0).arg() - std::f64::consts::FRAC_PI_2).abs() < EPS);
-        assert!((Complex::new(-1.0, 0.0).arg() - std::f64::consts::PI).abs() < EPS);
     }
 
     #[test]

@@ -51,25 +51,6 @@ impl DspScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// A scratch pre-grown so that kernels operating on inputs of up
-    /// to `n` samples will not allocate even on their first call.
-    pub fn with_capacity(n: usize) -> Self {
-        DspScratch {
-            c0: Vec::with_capacity(n),
-            c1: Vec::with_capacity(n),
-            f0: Vec::with_capacity(n),
-            f1: Vec::with_capacity(n),
-        }
-    }
-
-    /// Total heap bytes currently reserved across all lanes.
-    pub fn reserved_bytes(&self) -> usize {
-        self.c0.capacity() * std::mem::size_of::<Complex>()
-            + self.c1.capacity() * std::mem::size_of::<Complex>()
-            + self.f0.capacity() * std::mem::size_of::<f64>()
-            + self.f1.capacity() * std::mem::size_of::<f64>()
-    }
 }
 
 /// Clears `buf` and resizes it to `n` zeros without shrinking its
@@ -89,13 +70,6 @@ pub(crate) fn reset_complex(buf: &mut Vec<Complex>, n: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn with_capacity_reserves_all_lanes() {
-        let s = DspScratch::with_capacity(128);
-        assert!(s.reserved_bytes() >= 128 * (2 * 16 + 2 * 8));
-        assert!(s.c0.is_empty() && s.f1.is_empty());
-    }
 
     #[test]
     fn reset_keeps_capacity() {

@@ -16,7 +16,6 @@
 //! rectangular-windowed DFT at every sample, at `O(|S|)` per sample.
 
 use crate::error::CaptureError;
-use crate::fft::frequency_bin;
 use crate::iq::Complex;
 use crate::scratch::{reset_complex, DspScratch};
 
@@ -98,14 +97,6 @@ impl SlidingDft {
             seen: 0,
             since_refresh: 0,
         }
-    }
-
-    /// Convenience constructor taking baseband frequencies instead of
-    /// bin indices (frequencies are snapped to the nearest bin).
-    pub fn for_frequencies(window: usize, frequencies: &[f64], sample_rate: f64) -> Self {
-        let bins: Vec<usize> =
-            frequencies.iter().map(|&f| frequency_bin(f, window, sample_rate)).collect();
-        SlidingDft::new(window, &bins)
     }
 
     /// Window length `M`.
@@ -432,7 +423,7 @@ pub fn try_energy_signal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft::plan_for;
+    use crate::fft::{frequency_bin, plan_for};
 
     /// Direct windowed DFT of the window ending at sample `end`
     /// (inclusive), for cross-checking the recursion.
@@ -579,13 +570,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn for_frequencies_snaps_to_bins() {
-        let sdft = SlidingDft::for_frequencies(1024, &[970e3, 1.94e6], 2.4e6);
-        assert_eq!(sdft.bins()[0], frequency_bin(970e3, 1024, 2.4e6));
-        assert_eq!(sdft.bins()[1], frequency_bin(1.94e6, 1024, 2.4e6));
     }
 
     #[test]

@@ -209,15 +209,10 @@ pub fn try_quantile_with(data: &[f64], q: f64, scr: &mut DspScratch) -> Result<f
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty; use [`try_median`] for the fallible
-/// variant.
+/// Panics if `data` is empty; use [`try_quantile`] at 0.5 for the
+/// fallible variant.
 pub fn median(data: &[f64]) -> f64 {
     quantile(data, 0.5)
-}
-
-/// Fallible [`median`].
-pub fn try_median(data: &[f64]) -> Result<f64, StatsError> {
-    try_quantile(data, 0.5)
 }
 
 /// Sample mean.
@@ -243,15 +238,6 @@ pub fn try_mean(data: &[f64]) -> Result<f64, StatsError> {
         return Err(StatsError::NoFiniteData);
     }
     Ok(sum / n as f64)
-}
-
-/// Unbiased sample variance (returns 0 for fewer than two samples).
-pub fn variance(data: &[f64]) -> f64 {
-    if data.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(data);
-    data.iter().map(|&v| (v - m) * (v - m)).sum::<f64>() / (data.len() - 1) as f64
 }
 
 /// Fisher–Pearson sample skewness; positive for right-skewed data such
@@ -313,33 +299,9 @@ impl RayleighFit {
         Ok(RayleighFit { location, sigma: (ms / 2.0).sqrt() })
     }
 
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = x - self.location;
-        if z < 0.0 || self.sigma <= 0.0 {
-            return 0.0;
-        }
-        let s2 = self.sigma * self.sigma;
-        z / s2 * (-z * z / (2.0 * s2)).exp()
-    }
-
-    /// Cumulative distribution at `x`.
-    pub fn cdf(&self, x: f64) -> f64 {
-        let z = x - self.location;
-        if z <= 0.0 || self.sigma <= 0.0 {
-            return 0.0;
-        }
-        1.0 - (-z * z / (2.0 * self.sigma * self.sigma)).exp()
-    }
-
     /// Median of the fitted distribution: `loc + σ·√(2 ln 2)`.
     pub fn median(&self) -> f64 {
         self.location + self.sigma * (2.0 * std::f64::consts::LN_2).sqrt()
-    }
-
-    /// Mode (peak density) of the fitted distribution: `loc + σ`.
-    pub fn mode(&self) -> f64 {
-        self.location + self.sigma
     }
 }
 
@@ -432,7 +394,6 @@ mod tests {
     fn mean_variance_known() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert_eq!(mean(&data), 5.0);
-        assert!((variance(&data) - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]
@@ -462,16 +423,6 @@ mod tests {
         // Median of fit close to analytic median.
         let analytic = sigma * (2.0f64 * std::f64::consts::LN_2).sqrt();
         assert!((fit.median() - analytic).abs() / analytic < 0.05);
-    }
-
-    #[test]
-    fn rayleigh_pdf_properties() {
-        let fit = RayleighFit { location: 1.0, sigma: 0.5 };
-        assert_eq!(fit.pdf(0.5), 0.0); // below location
-        assert!(fit.pdf(fit.mode()) > fit.pdf(1.1));
-        assert!(fit.pdf(fit.mode()) > fit.pdf(3.0));
-        assert!((fit.cdf(fit.median()) - 0.5).abs() < 1e-12);
-        assert!(fit.cdf(100.0) > 0.999999);
     }
 
     #[test]
@@ -506,12 +457,12 @@ mod tests {
     #[test]
     fn try_variants_report_errors_instead_of_panicking() {
         use crate::error::StatsError;
-        assert_eq!(try_median(&[]), Err(StatsError::EmptyData));
+        assert_eq!(try_quantile(&[], 0.5), Err(StatsError::EmptyData));
         assert_eq!(try_mean(&[]), Err(StatsError::EmptyData));
         assert_eq!(try_quantile(&[1.0], 1.5), Err(StatsError::InvalidQuantile));
         assert_eq!(RayleighFit::try_fit(&[]), Err(StatsError::EmptyData));
         assert_eq!(RayleighFit::try_fit(&[f64::NAN]), Err(StatsError::NoFiniteData));
-        assert_eq!(try_median(&[3.0, 1.0, 2.0]), Ok(2.0));
+        assert_eq!(try_quantile(&[3.0, 1.0, 2.0], 0.5), Ok(2.0));
     }
 
     #[test]

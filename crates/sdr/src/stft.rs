@@ -60,7 +60,6 @@ pub struct Spectrogram {
     frames: usize,
     bins: usize,
     sample_rate: f64,
-    hop: usize,
 }
 
 impl Spectrogram {
@@ -77,11 +76,6 @@ impl Spectrogram {
     /// Sample rate of the analysed signal, in hertz.
     pub fn sample_rate(&self) -> f64 {
         self.sample_rate
-    }
-
-    /// Time in seconds between consecutive frames.
-    pub fn frame_period(&self) -> f64 {
-        self.hop as f64 / self.sample_rate
     }
 
     /// Magnitude at frame `t`, bin `k`.
@@ -102,16 +96,6 @@ impl Spectrogram {
     pub fn frame(&self, t: usize) -> &[f64] {
         assert!(t < self.frames, "frame index out of range");
         &self.magnitudes[t * self.bins..(t + 1) * self.bins]
-    }
-
-    /// Time series of a single bin across all frames.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k >= bins()`.
-    pub fn bin_series(&self, k: usize) -> Vec<f64> {
-        assert!(k < self.bins, "bin index out of range");
-        (0..self.frames).map(|t| self.magnitudes[t * self.bins + k]).collect()
     }
 
     /// Per-frame sum of magnitudes of the bins nearest the given
@@ -204,7 +188,7 @@ pub fn stft(samples: &[Complex], sample_rate: f64, config: &StftConfig) -> Spect
         plan.forward(&mut buf);
         magnitudes.extend(buf.iter().map(|z| z.abs()));
     }
-    Spectrogram { magnitudes, frames, bins: n, sample_rate, hop: config.hop }
+    Spectrogram { magnitudes, frames, bins: n, sample_rate }
 }
 
 #[cfg(test)]
@@ -230,11 +214,10 @@ mod tests {
         let x = tone(256.0, fs, 8192);
         let spec = stft(&x, fs, &StftConfig::new(512, 256, Window::Rectangular));
         let k = frequency_bin(256.0, 512, fs);
-        let series = spec.bin_series(k);
-        let first = series[0];
+        let first = spec.magnitude(0, k);
         assert!(first > 100.0);
-        for v in series {
-            assert!((v - first).abs() / first < 1e-6);
+        for t in 0..spec.frames() {
+            assert!((spec.magnitude(t, k) - first).abs() / first < 1e-6);
         }
     }
 
@@ -303,13 +286,5 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_fft_size_panics() {
         StftConfig::new(300, 10, Window::Hann);
-    }
-
-    #[test]
-    fn frame_period_reflects_hop() {
-        let fs = 2.4e6;
-        let x = tone(1e5, fs, 40960);
-        let spec = stft(&x, fs, &StftConfig::new(1024, 512, Window::Hann));
-        assert!((spec.frame_period() - 512.0 / fs).abs() < 1e-15);
     }
 }

@@ -107,11 +107,6 @@ impl EnergyStream {
         out
     }
 
-    /// Total input samples consumed so far.
-    pub fn samples_seen(&self) -> usize {
-        self.seen
-    }
-
     /// Non-finite input samples zeroed so far.
     pub fn sanitized(&self) -> usize {
         self.sanitized

@@ -117,11 +117,6 @@ impl FaultPlan {
         self.events.iter().filter(move |e| e.tick == tick)
     }
 
-    /// Whether any event targets sensor `k`.
-    pub fn targets(&self, k: usize) -> bool {
-        self.events.iter().any(|e| e.sensor == k)
-    }
-
     /// Human-readable summary of the faults aimed at sensor `k`
     /// (`"truncate@4, disconnect@12"`), or `"-"` for an untargeted
     /// sensor.
@@ -201,8 +196,6 @@ mod tests {
         assert_eq!(ticks, vec![2, 9, 9]);
         assert_eq!(plan.due(9).count(), 2);
         assert_eq!(plan.due(3).count(), 0);
-        assert!(plan.targets(1));
-        assert!(!plan.targets(7));
         assert_eq!(plan.describe_sensor(7), "-");
         assert_eq!(plan.describe_sensor(0), "reorder@2, poison@9");
     }

@@ -20,8 +20,8 @@
 //! - [`policy`] — restart budgets, backoff shapes, watchdog and
 //!   backpressure policies;
 //! - [`clock`] — the simulated clock every timeout is counted on;
-//! - [`soak`] — experiment E5: a ten-sensor soak under an escalating
-//!   fault schedule, scored against unfaulted batch references.
+//! - [`soak`](mod@soak) — experiment E5: a ten-sensor soak under an
+//!   escalating fault schedule, scored against unfaulted batch references.
 //!
 //! Nothing here reads wall-clock time or unseeded randomness: a soak
 //! run — faults, restarts, backoff jitter, quarantines — is a pure

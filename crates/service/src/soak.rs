@@ -1,8 +1,9 @@
 //! E5: soak run of the supervised capture daemon under an escalating
 //! fault schedule.
 //!
-//! Ten sensors stream into one supervised [`SessionRegistry`]-backed
-//! daemon (see [`crate::supervisor`]):
+//! Ten sensors stream into one supervised daemon backed by a
+//! [`SessionRegistry`](emsc_core::session::SessionRegistry) (see
+//! [`crate::supervisor`]):
 //!
 //! | # | sensor | faults |
 //! |---|--------|--------|
@@ -62,7 +63,6 @@ pub const BUFFER_LIMIT: usize = 1 << 16;
 
 /// One sensor's line in the E5 table.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SoakRow {
     /// Sensor label.
     pub sensor: String,

@@ -115,11 +115,6 @@ impl ReplaySource {
         let passes = passes.max(1);
         ReplaySource { capture, chunk: chunk.max(1), offset: 0, passes, passes_left: passes }
     }
-
-    /// The capture being replayed.
-    pub fn capture(&self) -> &Capture {
-        &self.capture
-    }
 }
 
 impl SensorSource for ReplaySource {

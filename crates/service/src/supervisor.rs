@@ -16,7 +16,8 @@
 //! - **Watchdog.** A sensor that makes no forward progress for
 //!   [`SensorPolicy::watchdog_ticks`] is declared dead and restarted.
 //! - **Backoff.** Restarts wait out a seeded exponential backoff with
-//!   deterministic jitter ([`RestartPolicy::backoff_ticks`]).
+//!   deterministic jitter
+//!   ([`RestartPolicy::backoff_ticks`](crate::policy::RestartPolicy::backoff_ticks)).
 //! - **Backpressure.** Chunks the registry rejects queue in a bounded
 //!   per-sensor buffer governed by [`BackpressurePolicy`]: reject
 //!   (slow the producer, lose nothing) or drop-oldest (stay fresh).
@@ -342,16 +343,6 @@ impl Supervisor {
         }
         self.sensors.push(slot);
         index
-    }
-
-    /// The simulated clock.
-    pub fn clock(&self) -> &SimClock {
-        &self.clock
-    }
-
-    /// Current lifecycle state of sensor `k`.
-    pub fn state(&self, k: usize) -> LifecycleState {
-        self.sensors[k].state
     }
 
     /// Whether every sensor has reached a terminal state.

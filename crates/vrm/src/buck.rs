@@ -85,20 +85,6 @@ impl BuckConfig {
         }
     }
 
-    /// The input-stage VR feeding a fully-integrated voltage regulator
-    /// (Haswell+ FIVR parts): the FIVR itself switches at ~140 MHz —
-    /// far outside an RTL-SDR's band — but its *input* rail (~1.8 V)
-    /// is supplied by an ordinary motherboard buck whose load still
-    /// tracks core power. This is why the paper's Haswell/Broadwell
-    /// laptops leak at ~1 MHz despite having FIVRs.
-    pub fn fivr_input_stage(f_sw: f64) -> Self {
-        BuckConfig {
-            // Same power at ~1.8 V instead of ~1.1 V core voltage.
-            current_scale: 0.6,
-            ..BuckConfig::laptop(f_sw)
-        }
-    }
-
     /// Nominal switching period, seconds.
     pub fn period_s(&self) -> f64 {
         1.0 / self.switching_frequency_hz
@@ -348,7 +334,9 @@ mod tests {
         let mut active = PowerTrace::new();
         active.push(1e-3, 0, 0, 8.0, 1.1, ActivityKind::Work);
         let mobo = Buck::new(BuckConfig::laptop(1e6)).convert(&active);
-        let fivr = Buck::new(BuckConfig::fivr_input_stage(1e6)).convert(&active);
+        // Same power drawn at ~1.8 V instead of ~1.1 V core voltage.
+        let fivr_input = BuckConfig { current_scale: 0.6, ..BuckConfig::laptop(1e6) };
+        let fivr = Buck::new(fivr_input.clone()).convert(&active);
         let ratio = fivr.total_charge_c() / mobo.total_charge_c();
         assert!((ratio - 0.6).abs() < 0.05, "ratio {ratio}");
         // The input stage still fires continuously under load…
@@ -356,7 +344,7 @@ mod tests {
         // …and still skips at idle: the modulation (and the leak) remains.
         let mut idle = PowerTrace::new();
         idle.push(1e-3, 6, 0, 0.1, 1.1, ActivityKind::Idle);
-        let fivr_idle = Buck::new(BuckConfig::fivr_input_stage(1e6)).convert(&idle);
+        let fivr_idle = Buck::new(fivr_input).convert(&idle);
         assert!(fivr_idle.firing_fraction() < 0.1);
     }
 

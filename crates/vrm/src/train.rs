@@ -24,11 +24,6 @@ pub struct SwitchingTrain {
 }
 
 impl SwitchingTrain {
-    /// Nominal switching frequency, hertz.
-    pub fn switching_frequency_hz(&self) -> f64 {
-        1.0 / self.nominal_period_s
-    }
-
     /// Total charge delivered, coulombs.
     pub fn total_charge_c(&self) -> f64 {
         self.pulses.iter().map(|p| p.charge_c).sum()
@@ -88,7 +83,6 @@ mod tests {
     #[test]
     fn aggregates() {
         let t = train();
-        assert!((t.switching_frequency_hz() - 1e6).abs() < 1.0);
         assert!((t.total_charge_c() - 200e-6).abs() < 1e-12);
         assert!((t.pulse_rate_hz() - 1e6).abs() < 1.0);
         assert!((t.firing_fraction() - 1.0).abs() < 1e-9);

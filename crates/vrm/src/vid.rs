@@ -41,14 +41,6 @@ impl VidTable {
         let steps = ((clamped - self.min_v) / self.step_v).round();
         self.min_v + steps * self.step_v
     }
-
-    /// Number of VID codes between two voltages (how many steps a
-    /// transition must slew through).
-    pub fn steps_between(&self, from_v: f64, to_v: f64) -> u32 {
-        let a = self.quantize(from_v);
-        let b = self.quantize(to_v);
-        ((a - b).abs() / self.step_v).round() as u32
-    }
 }
 
 impl Default for VidTable {
@@ -85,14 +77,5 @@ mod tests {
             let once = t.quantize(req);
             assert_eq!(t.quantize(once), once);
         }
-    }
-
-    #[test]
-    fn steps_between_counts_grid_distance() {
-        let t = VidTable::vrd11();
-        assert_eq!(t.steps_between(1.0, 1.0), 0);
-        assert_eq!(t.steps_between(1.0, 1.00625), 1);
-        assert_eq!(t.steps_between(1.1, 0.4), t.steps_between(0.4, 1.1));
-        assert_eq!(t.steps_between(1.1, 0.4), 112);
     }
 }

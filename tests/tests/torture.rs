@@ -18,7 +18,7 @@ use emsc_keylog::{Detector, DetectorConfig};
 use emsc_sdr::error::{CaptureError, StatsError};
 use emsc_sdr::impair::{apply_all, Impairment};
 use emsc_sdr::record::read_rtl_u8;
-use emsc_sdr::stats::{try_mean, try_median, try_quantile, Histogram, RayleighFit};
+use emsc_sdr::stats::{try_mean, try_quantile, Histogram, RayleighFit};
 use emsc_sdr::{Capture, Complex};
 use emsc_tests::{capture, corpus, noise, FS, F_SW};
 
@@ -176,7 +176,6 @@ fn estimation_helpers_are_total_on_garbage() {
     // Stats: typed errors, no panics.
     assert_eq!(try_quantile(&[], 0.5), Err(StatsError::EmptyData));
     assert_eq!(try_quantile(&[1.0], f64::NAN), Err(StatsError::InvalidQuantile));
-    assert_eq!(try_median(&[]), Err(StatsError::EmptyData));
     assert_eq!(try_mean(&[]), Err(StatsError::EmptyData));
     assert_eq!(try_mean(&[f64::NAN, f64::NAN]), Err(StatsError::NoFiniteData));
     assert!(Histogram::try_from_data(&[], 10).is_err());
