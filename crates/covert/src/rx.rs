@@ -27,8 +27,8 @@
 use emsc_sdr::dsp::find_peaks;
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::fft::frequency_bin;
-use emsc_sdr::stats::{median, quantile, Histogram};
-use emsc_sdr::Capture;
+use emsc_sdr::stats::{median, quantile, try_quantile_in_place, try_quantile_with, Histogram};
+use emsc_sdr::{Capture, DspScratch};
 
 use crate::stream::StreamingReceiver;
 
@@ -555,8 +555,12 @@ pub(crate) fn decode_from_energy(
     sanitized_samples: usize,
 ) -> RxReport {
     let expected_bit = expected_bit_samples(cfg, dt);
-    let positive: Vec<f64> = edge_response.iter().map(|&v| v.max(0.0)).collect();
-    let robust_max = quantile(&positive, 0.98).max(1e-30);
+    // The robust max is selected in place on the clamped copy, which
+    // is dropped before the peak picking allocates.
+    let robust_max = {
+        let mut positive: Vec<f64> = edge_response.iter().map(|&v| v.max(0.0)).collect();
+        try_quantile_in_place(&mut positive, 0.98).unwrap_or(0.0).max(1e-30)
+    };
     let min_dist = (expected_bit * 0.55).round() as usize;
     let peaks = find_peaks(&edge_response, cfg.peak_threshold_frac * robust_max, min_dist.max(1));
     let raw_starts: Vec<usize> = peaks.iter().map(|p| p.index).collect();
@@ -627,16 +631,7 @@ pub(crate) fn decode_from_energy(
         }
     }
     let (threshold, threshold_modes) = select_threshold(&powers);
-    let bits: Vec<u8> = powers
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let lo = i.saturating_sub(THRESHOLD_HALF_WINDOW_BITS);
-            let hi = (i + THRESHOLD_HALF_WINDOW_BITS + 1).min(powers.len());
-            let (local, _) = select_threshold(&powers[lo..hi]);
-            (p > local) as u8
-        })
-        .collect();
+    let bits = local_decisions(&powers);
 
     RxReport {
         energy,
@@ -719,6 +714,11 @@ const MAX_FILLED_GAP: usize = 12;
 /// core.
 const THRESHOLD_HALF_WINDOW_BITS: usize = 60;
 
+/// Histogram bins for a batch of `len` per-bit powers.
+fn threshold_bins(len: usize) -> usize {
+    48.min(len.max(2))
+}
+
 /// Picks the decision threshold from the per-bit power histogram:
 /// midway between the two modes when bimodal (Fig. 7), or a robust
 /// mid-range fallback when not.
@@ -726,18 +726,67 @@ fn select_threshold(powers: &[f64]) -> (f64, Option<(f64, f64)>) {
     if powers.is_empty() {
         return (0.0, None);
     }
+    let mut scr = DspScratch::new();
     // `try_from_data` only fails on all-non-finite powers; fall back
     // to the quantile mid-range in that (pathological) case.
-    let modes = Histogram::try_from_data(powers, 48.min(powers.len().max(2)))
+    let modes = Histogram::try_from_data(powers, threshold_bins(powers.len()))
         .ok()
-        .and_then(|h| h.two_modes());
-    if let Some((lo, hi)) = modes {
-        ((lo + hi) / 2.0, Some((lo, hi)))
-    } else {
-        let lo = quantile(powers, 0.05);
-        let hi = quantile(powers, 0.95);
-        ((lo + hi) / 2.0, None)
+        .and_then(|h| h.two_modes_with(&mut scr));
+    (threshold_between(modes, powers, &mut scr), modes)
+}
+
+/// The threshold [`select_threshold`] derives from a batch's modes:
+/// their midpoint, else the midpoint of the batch's 5th and 95th
+/// percentiles (NaN when every power is NaN).
+fn threshold_between(modes: Option<(f64, f64)>, powers: &[f64], scr: &mut DspScratch) -> f64 {
+    match modes {
+        Some((lo, hi)) => (lo + hi) / 2.0,
+        None => {
+            let mut at = |q| try_quantile_with(powers, q, scr).unwrap_or(f64::NAN);
+            (at(0.05) + at(0.95)) / 2.0
+        }
     }
+}
+
+/// Labels each bit against the threshold [`select_threshold`] picks
+/// for the batch of [`THRESHOLD_HALF_WINDOW_BITS`] bits either side of
+/// it, in one sliding pass with the same results.
+///
+/// The batch's histogram is kept while it still [fits] the batch (same
+/// bin count, same finite span): the power leaving the batch is
+/// removed and the one entering is added, so every count equals a
+/// rebuild's. The modes are re-derived only when a count moved, and
+/// the histogram is rebuilt only when the span changes.
+///
+/// [fits]: Histogram::fits
+fn local_decisions(powers: &[f64]) -> Vec<u8> {
+    let mut scr = DspScratch::new();
+    let mut hist: Option<Histogram> = None;
+    let mut modes = None;
+    let mut prev = 0..0;
+    let mut bits = Vec::with_capacity(powers.len());
+    for (i, &p) in powers.iter().enumerate() {
+        let batch = i.saturating_sub(THRESHOLD_HALF_WINDOW_BITS)
+            ..(i + THRESHOLD_HALF_WINDOW_BITS + 1).min(powers.len());
+        let window = &powers[batch.clone()];
+        let bins = threshold_bins(window.len());
+        match hist.as_mut() {
+            Some(h) if h.fits(window, bins) => {
+                let left = (batch.start > prev.start).then(|| h.remove(powers[prev.start]));
+                let entered = (batch.end > prev.end).then(|| h.add(powers[prev.end]));
+                if left.flatten() != entered.flatten() {
+                    modes = h.two_modes_with(&mut scr);
+                }
+            }
+            _ => {
+                hist = Histogram::try_from_data(window, bins).ok();
+                modes = hist.as_ref().and_then(|h| h.two_modes_with(&mut scr));
+            }
+        }
+        prev = batch;
+        bits.push((p > threshold_between(modes, window, &mut scr)) as u8);
+    }
+    bits
 }
 
 #[cfg(test)]
@@ -938,6 +987,82 @@ mod tests {
         let (thr, modes) = select_threshold(&powers);
         assert!(modes.is_none() || thr > 0.0);
         assert!(thr.is_finite());
+    }
+
+    /// Each bit against `select_threshold` of its own batch: the
+    /// oracle for the sliding pass.
+    fn per_bit_decisions(powers: &[f64]) -> Vec<u8> {
+        (0..powers.len())
+            .map(|i| {
+                let lo = i.saturating_sub(THRESHOLD_HALF_WINDOW_BITS);
+                let hi = (i + THRESHOLD_HALF_WINDOW_BITS + 1).min(powers.len());
+                (powers[i] > select_threshold(&powers[lo..hi]).0) as u8
+            })
+            .collect()
+    }
+
+    /// Two-level OOK powers (`0.2` and `1.0` plus up to `noise`), with
+    /// the levels scaled by `1 + drift·i` to mimic a slow level shift.
+    fn ook_powers(n: usize, noise: f64, drift: f64, seed: u64) -> Vec<f64> {
+        let mut s = seed;
+        (0..n)
+            .map(|i| {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                let level = if s & 1 == 1 { 1.0 } else { 0.2 };
+                (level + noise * ((s >> 11) % 1000) as f64 / 1000.0) * (1.0 + drift * i as f64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sliding_local_threshold_matches_per_bit_selection() {
+        let mut cases: Vec<(&str, Vec<f64>)> = Vec::new();
+        // Fewer powers than histogram bins: the bin count follows the
+        // batch length.
+        for n in [1, 2, 3, 5, 17, 47, 48, 49] {
+            cases.push(("short", ook_powers(n, 0.1, 0.0, 11 + n as u64)));
+        }
+        // Degenerate spans: constant runs, alone and between bimodal
+        // stretches.
+        cases.push(("constant", vec![0.7; 300]));
+        let mut runs = vec![1.0; 130];
+        runs.extend(ook_powers(200, 0.05, 0.0, 3));
+        runs.extend(vec![5.0; 140]);
+        cases.push(("constant runs", runs));
+        // A monotone ramp moves the span every bit.
+        cases.push(("ramp", (0..400).map(|i| i as f64 * 0.01).collect()));
+        // A unimodal stretch (one level, a tenth of the bits scattered
+        // thinly around it) falls back to the quantile mid-range.
+        let unimodal: Vec<f64> = (0..300)
+            .map(|i| if i % 10 == 0 { 2.95 + ((i * 37) % 100) as f64 * 1e-3 } else { 3.0 })
+            .collect();
+        assert!(select_threshold(&unimodal[..121]).1.is_none(), "the fallback must be exercised");
+        cases.push(("unimodal", unimodal));
+        // Non-finite powers: scattered, and a NaN run longer than a
+        // batch, where no histogram can be built at all.
+        let mut laced = ook_powers(900, 0.1, 1e-3, 5);
+        for (i, v) in laced.iter_mut().enumerate() {
+            match i % 37 {
+                3 => *v = f64::NAN,
+                11 => *v = f64::INFINITY,
+                29 => *v = f64::NEG_INFINITY,
+                _ => {}
+            }
+        }
+        laced[400..550].fill(f64::NAN);
+        cases.push(("non-finite", laced));
+        // A long drifting capture, the shape a live session decodes.
+        cases.push(("drift", ook_powers(3000, 0.3, 2e-4, 9)));
+        for (name, powers) in &cases {
+            assert_eq!(
+                local_decisions(powers),
+                per_bit_decisions(powers),
+                "{name}, {} powers",
+                powers.len()
+            );
+        }
     }
 
     #[test]

@@ -46,8 +46,10 @@ pub struct StreamingDetector {
     band_bins: Vec<usize>,
     /// Raw samples of the current (incomplete) window.
     window: Vec<Complex>,
-    /// FFT scratch, `window_samples` long.
+    /// The Hann-weighted frame, `window_samples` long.
     buf: Vec<Complex>,
+    /// [`FftPlan::forward_bin`] scratch, `window_samples / 2` long.
+    bin_scratch: Vec<Complex>,
     energies: Vec<f64>,
     seen: usize,
     non_finite: usize,
@@ -88,6 +90,7 @@ impl StreamingDetector {
             band_bins,
             window: Vec::with_capacity(n),
             buf: vec![Complex::ZERO; n],
+            bin_scratch: Vec::with_capacity(n / 2),
             energies: Vec::new(),
             seen: 0,
             non_finite: 0,
@@ -143,13 +146,17 @@ impl StreamingDetector {
     }
 
     /// Same per-frame pipeline as `stft`: window, transform, then sum
-    /// the selected bins' magnitudes in band order.
+    /// the selected bins' magnitudes in band order. Only the band bins
+    /// are transformed, each bit-identical to the full FFT's.
     fn transform_frame(&mut self, frame: &[Complex]) {
         for (slot, (&s, &w)) in self.buf.iter_mut().zip(frame.iter().zip(self.win.iter())) {
             *slot = s.scale(w);
         }
-        self.plan.forward(&mut self.buf);
-        let energy: f64 = self.band_bins.iter().map(|&k| self.buf[k].abs()).sum();
+        let energy: f64 = self
+            .band_bins
+            .iter()
+            .map(|&k| self.plan.forward_bin(&self.buf, k, &mut self.bin_scratch).abs())
+            .sum();
         self.energies.push(energy);
     }
 

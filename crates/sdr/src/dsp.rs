@@ -154,34 +154,18 @@ pub struct Peak {
 /// reported once, at the **centre** of the plateau — reporting the
 /// first or last plateau sample would bias bit-start estimates early
 /// or late whenever quantisation flattens an edge-response peak.
+///
+/// Suppression is greedy: candidates are visited tallest first
+/// (stable on ties), and each one still kept drops every shorter or
+/// equal candidate closer than `min_distance`. Candidates are in index
+/// order, so those form a contiguous run on either side of the kept
+/// peak, and only that run is walked: `O(c log c + c·w)` for `c`
+/// candidates with at most `w` inside any `min_distance` span.
 pub fn find_peaks(signal: &[f64], min_height: f64, min_distance: usize) -> Vec<Peak> {
-    let mut candidates = Vec::new();
-    let n = signal.len();
-    let mut i = 1;
-    while i < n.saturating_sub(1) {
-        // A candidate plateau starts where the signal stops falling:
-        // signal[i] >= signal[i-1], and runs while values stay equal.
-        if signal[i] >= min_height && signal[i] >= signal[i - 1] {
-            let mut j = i;
-            while j + 1 < n && signal[j + 1] == signal[i] {
-                j += 1;
-            }
-            // Interior maximum only: the plateau must be followed by a
-            // strict drop (a plateau running to the last sample is an
-            // edge, not a peak — same as before).
-            if j + 1 < n && signal[j + 1] < signal[i] {
-                candidates.push(Peak { index: i + (j - i) / 2, value: signal[i] });
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
+    let candidates: Vec<Peak> = local_maxima(signal, min_height).collect();
     if min_distance <= 1 {
         return candidates;
     }
-    // Greedy suppression: keep taller peaks, drop neighbours within
-    // min_distance of an already-kept peak.
     // `total_cmp` keeps the sort total even if a non-finite value ever
     // slips through the threshold test (NaN can't — `NaN >= h` is
     // false — but +inf can), matching the panic-free policy.
@@ -192,17 +176,46 @@ pub fn find_peaks(signal: &[f64], min_height: f64, min_distance: usize) -> Vec<P
         if !keep[i] {
             continue;
         }
-        for (j, k) in keep.iter_mut().enumerate() {
-            if j != i
-                && *k
-                && candidates[j].index.abs_diff(candidates[i].index) < min_distance
-                && candidates[j].value <= candidates[i].value
-            {
-                *k = false;
+        let Peak { index, value } = candidates[i];
+        let near = |j: &usize| candidates[*j].index.abs_diff(index) < min_distance;
+        for j in (0..i).rev().take_while(near).chain((i + 1..candidates.len()).take_while(near)) {
+            if candidates[j].value <= value {
+                keep[j] = false;
             }
         }
     }
     candidates.into_iter().zip(keep).filter_map(|(p, k)| k.then_some(p)).collect()
+}
+
+/// The interior local maxima of `signal` at least `min_height` tall,
+/// in index order, each plateau once at its centre: the candidates
+/// [`find_peaks`] suppresses among.
+pub(crate) fn local_maxima(signal: &[f64], min_height: f64) -> impl Iterator<Item = Peak> + '_ {
+    let n = signal.len();
+    let mut i = 1;
+    std::iter::from_fn(move || {
+        while i < n.saturating_sub(1) {
+            // A candidate plateau starts where the signal stops falling:
+            // signal[i] >= signal[i-1], and runs while values stay equal.
+            if signal[i] >= min_height && signal[i] >= signal[i - 1] {
+                let start = i;
+                let mut j = i;
+                while j + 1 < n && signal[j + 1] == signal[start] {
+                    j += 1;
+                }
+                i = j + 1;
+                // Interior maximum only: the plateau must be followed by
+                // a strict drop (a plateau running to the last sample is
+                // an edge, not a peak).
+                if j + 1 < n && signal[j + 1] < signal[start] {
+                    return Some(Peak { index: start + (j - start) / 2, value: signal[start] });
+                }
+            } else {
+                i += 1;
+            }
+        }
+        None
+    })
 }
 
 #[cfg(test)]
@@ -354,11 +367,12 @@ mod tests {
 
     #[test]
     fn plateau_counts_once() {
-        // Flat-topped bump: >= on the left, > on the right keeps the
-        // first sample of the plateau only.
+        // Flat-topped bump: >= on the left, > on the right reports the
+        // plateau once, at its centre sample.
         let x = [0.0, 1.0, 1.0, 1.0, 0.0];
         let peaks = find_peaks(&x, 0.5, 1);
         assert_eq!(peaks.len(), 1);
+        assert_eq!(peaks[0].index, 2);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! symbol period; Fig. 7 finds the two modes of the per-bit power
 //! histogram and places the decision threshold halfway between them.
 
+use crate::dsp::{local_maxima, Peak};
 use crate::error::StatsError;
-use crate::scratch::{reset_f64, DspScratch};
+use crate::scratch::DspScratch;
 
 /// A fixed-width histogram over `[min, max]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,20 +50,7 @@ impl Histogram {
         if data.is_empty() {
             return Err(StatsError::EmptyData);
         }
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        for &v in data {
-            if v.is_finite() {
-                min = min.min(v);
-                max = max.max(v);
-            }
-        }
-        if !min.is_finite() || !max.is_finite() {
-            return Err(StatsError::NoFiniteData);
-        }
-        if max - min < 1e-300 {
-            max = min + 1.0;
-        }
+        let (min, max) = span_of(data).ok_or(StatsError::NoFiniteData)?;
         let mut h = Histogram { counts: vec![0; bins], min, max, total: 0, skipped: 0 };
         for &v in data {
             h.add(v);
@@ -70,19 +58,57 @@ impl Histogram {
         Ok(h)
     }
 
+    /// Whether [`Histogram::try_from_data`] over `data` with `bins`
+    /// bins would choose this histogram's bin count and range, so that
+    /// every value lands in the same bin here as there. A sliding
+    /// window whose histogram still fits its data can be kept up to
+    /// date with [`Histogram::add`] and [`Histogram::remove`] instead
+    /// of being rebuilt.
+    pub fn fits(&self, data: &[f64], bins: usize) -> bool {
+        bins == self.counts.len() && span_of(data) == Some((self.min, self.max))
+    }
+
     /// Adds a sample (finite values outside `[min, max]` clamp to the
     /// edge bins; NaN and infinite values are skipped and counted in
-    /// [`Histogram::skipped`]).
-    pub fn add(&mut self, value: f64) {
-        if !value.is_finite() {
+    /// [`Histogram::skipped`]). Returns the bin it landed in, `None`
+    /// for a skipped value.
+    pub fn add(&mut self, value: f64) -> Option<usize> {
+        let Some(idx) = self.bin_of(value) else {
             self.skipped += 1;
-            return;
+            return None;
+        };
+        self.counts[idx] += 1;
+        self.total += 1;
+        Some(idx)
+    }
+
+    /// Undoes one [`Histogram::add`] of `value`, returning the bin it
+    /// is taken from (`None` for a non-finite value, which un-counts
+    /// one skipped sample).
+    ///
+    /// # Panics
+    ///
+    /// Panics if that bin (or the skipped count) is already zero, i.e.
+    /// `value` was never added.
+    pub fn remove(&mut self, value: f64) -> Option<usize> {
+        let Some(idx) = self.bin_of(value) else {
+            self.skipped = self.skipped.checked_sub(1).expect("removed a value never added");
+            return None;
+        };
+        self.counts[idx] = self.counts[idx].checked_sub(1).expect("removed a value never added");
+        self.total -= 1;
+        Some(idx)
+    }
+
+    /// The bin [`Histogram::add`] puts `value` in, `None` if it is not
+    /// finite.
+    fn bin_of(&self, value: f64) -> Option<usize> {
+        if !value.is_finite() {
+            return None;
         }
         let bins = self.counts.len();
         let frac = (value - self.min) / (self.max - self.min);
-        let idx = ((frac * bins as f64) as isize).clamp(0, bins as isize - 1) as usize;
-        self.counts[idx] += 1;
-        self.total += 1;
+        Some(((frac * bins as f64) as isize).clamp(0, bins as isize - 1) as usize)
     }
 
     /// Number of non-finite samples rejected by [`Histogram::add`].
@@ -129,40 +155,82 @@ impl Histogram {
     /// order — the Fig. 7 "two peaks" of the per-bit power
     /// distribution. Returns `None` when the histogram is unimodal.
     pub fn two_modes(&self) -> Option<(f64, f64)> {
-        let smoothed = crate::dsp::moving_average(
-            &self.counts.iter().map(|&c| c as f64).collect::<Vec<_>>(),
-            (self.counts.len() / 16).max(3),
-        );
-        // Pad with zeros so modes sitting on the histogram edges are
-        // still interior local maxima for the peak finder.
-        let mut padded = Vec::with_capacity(smoothed.len() + 2);
+        self.two_modes_with(&mut DspScratch::new())
+    }
+
+    /// [`Histogram::two_modes`] with the smoothed counts staged in
+    /// `scratch.f0`: after a warm-up call at this bin count it
+    /// allocates nothing, so a sliding window can re-derive its modes
+    /// on every step.
+    ///
+    /// The modes are the two tallest peaks [`find_peaks`] keeps among
+    /// the local maxima of the smoothed counts, at least `bins/8` (and
+    /// 2) bins apart. Its greedy suppression keeps the tallest
+    /// candidate (the first, on ties) and next the tallest candidate
+    /// outside that one's neighbourhood, so those two are found
+    /// directly, without suppressing the rest.
+    ///
+    /// [`find_peaks`]: crate::dsp::find_peaks
+    pub fn two_modes_with(&self, scr: &mut DspScratch) -> Option<(f64, f64)> {
+        let bins = self.counts.len();
+        // The counts' centred moving average over `(bins/16).max(3)`
+        // bins, as `dsp::moving_average` computes it: its f64 prefix
+        // sums are exact on integer counts, so each value is the
+        // integer window sum over the window length, bit for bit.
+        // Zero padding keeps modes on the histogram's edges interior
+        // local maxima.
+        let half = (bins / 16).max(3) / 2;
+        let padded = &mut scr.f0;
+        padded.clear();
         padded.push(0.0);
-        padded.extend_from_slice(&smoothed);
+        padded.extend((0..bins).map(|i| {
+            let (lo, hi) = (i.saturating_sub(half), (i + half + 1).min(bins));
+            self.counts[lo..hi].iter().sum::<usize>() as f64 / (hi - lo) as f64
+        }));
         padded.push(0.0);
-        let min_sep = (self.counts.len() / 8).max(2);
-        let peak_floor = smoothed.iter().cloned().fold(0.0f64, f64::max) * 0.05;
-        let peaks: Vec<crate::dsp::Peak> = crate::dsp::find_peaks(&padded, peak_floor, min_sep)
-            .into_iter()
-            .map(|p| crate::dsp::Peak { index: p.index - 1, value: p.value })
-            .collect();
-        if peaks.len() < 2 {
-            return None;
-        }
-        let mut best = peaks.to_vec();
-        best.sort_by(|a, b| b.value.partial_cmp(&a.value).unwrap_or(std::cmp::Ordering::Equal));
-        let (a, b) = (best[0].index, best[1].index);
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        Some((self.bin_center(lo), self.bin_center(hi)))
+        let min_sep = (bins / 8).max(2);
+        let peak_floor = padded.iter().copied().fold(0.0f64, f64::max) * 0.05;
+        let tallest = |a: Peak, b: Peak| if b.value > a.value { b } else { a };
+        let first = local_maxima(padded, peak_floor).reduce(tallest)?;
+        let second = local_maxima(padded, peak_floor)
+            .filter(|p| p.index.abs_diff(first.index) >= min_sep)
+            .reduce(tallest)?;
+        // Indices are into the padded counts: one past the bin.
+        let (lo, hi) = (first.index.min(second.index), first.index.max(second.index));
+        Some((self.bin_center(lo - 1), self.bin_center(hi - 1)))
     }
 }
 
+/// The `[min, max]` a histogram of `data` spans: its finite extremes,
+/// with a degenerate span widened to `[min, min + 1]` so every sample
+/// lands in range. `None` when no value is finite.
+fn span_of(data: &[f64]) -> Option<(f64, f64)> {
+    let mut min = f64::INFINITY;
+    let mut max = f64::NEG_INFINITY;
+    for &v in data {
+        if v.is_finite() {
+            min = min.min(v);
+            max = max.max(v);
+        }
+    }
+    if !min.is_finite() || !max.is_finite() {
+        return None;
+    }
+    if max - min < 1e-300 {
+        max = min + 1.0;
+    }
+    Some((min, max))
+}
+
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of `data` by linear
-/// interpolation on the sorted samples.
+/// interpolation between order statistics. NaN entries are skipped;
+/// the rest, ±∞ included, are ranked by [`f64::total_cmp`] (so −0
+/// ranks below +0).
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty or `q` is outside `[0, 1]`; use
-/// [`try_quantile`] for the fallible variant.
+/// Panics if `data` holds no value other than NaN or `q` is outside
+/// `[0, 1]`; use [`try_quantile`] for the fallible variant.
 pub fn quantile(data: &[f64], q: f64) -> f64 {
     match try_quantile(data, q) {
         Ok(v) => v,
@@ -171,35 +239,57 @@ pub fn quantile(data: &[f64], q: f64) -> f64 {
     }
 }
 
-/// Fallible [`quantile`]: reports empty data and out-of-range `q` as
-/// typed errors instead of panicking.
+/// Fallible [`quantile`]: reports out-of-range `q`, empty data and
+/// data holding only NaN ([`StatsError::NoFiniteData`]) as typed
+/// errors instead of panicking.
 pub fn try_quantile(data: &[f64], q: f64) -> Result<f64, StatsError> {
     try_quantile_with(data, q, &mut DspScratch::new())
 }
 
-/// [`try_quantile`] with the sorted copy staged in `scratch.f0`
+/// [`try_quantile`] with the working copy staged in `scratch.f0`
 /// instead of a fresh allocation — after a warm-up call at the
 /// largest data size, repeated quantiles (the per-capture threshold
 /// selection) allocate nothing. Bit-identical to the allocating path.
 pub fn try_quantile_with(data: &[f64], q: f64, scr: &mut DspScratch) -> Result<f64, StatsError> {
+    scr.f0.clear();
+    scr.f0.extend_from_slice(data);
+    try_quantile_in_place(&mut scr.f0, q)
+}
+
+/// [`try_quantile`] without a copy: reorders `data` (NaN entries move
+/// to the end) while selecting its order statistics. Bit-identical to
+/// the copying paths.
+pub fn try_quantile_in_place(data: &mut [f64], q: f64) -> Result<f64, StatsError> {
     if !(0.0..=1.0).contains(&q) {
         return Err(StatsError::InvalidQuantile);
     }
     if data.is_empty() {
         return Err(StatsError::EmptyData);
     }
-    reset_f64(&mut scr.f0, data.len());
-    let sorted = &mut scr.f0[..];
-    sorted.copy_from_slice(data);
-    sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pos = q * (sorted.len() - 1) as f64;
+    let mut n = 0;
+    for i in 0..data.len() {
+        if !data[i].is_nan() {
+            data.swap(n, i);
+            n += 1;
+        }
+    }
+    if n == 0 {
+        return Err(StatsError::NoFiniteData);
+    }
+    // `total_cmp` is a total order on the NaN-free prefix, so the
+    // selection puts the `lo`-th smallest value at `lo` and only
+    // larger-or-equal ones after it; the next order statistic is the
+    // least of those.
+    let pos = q * (n - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let (_, &mut at_lo, above) = data[..n].select_nth_unstable_by(lo, f64::total_cmp);
     Ok(if lo == hi {
-        sorted[lo]
+        at_lo
     } else {
+        let at_hi = above.iter().copied().min_by(f64::total_cmp).expect("hi < n");
         let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        at_lo * (1.0 - frac) + at_hi * frac
     })
 }
 
@@ -209,8 +299,8 @@ pub fn try_quantile_with(data: &[f64], q: f64, scr: &mut DspScratch) -> Result<f
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty; use [`try_quantile`] at 0.5 for the
-/// fallible variant.
+/// Panics if `data` holds no value other than NaN; use
+/// [`try_quantile`] at 0.5 for the fallible variant.
 pub fn median(data: &[f64]) -> f64 {
     quantile(data, 0.5)
 }
@@ -442,6 +532,26 @@ mod tests {
         assert_eq!(h.counts().iter().sum::<usize>(), 4);
         // Span comes from the finite values only.
         assert_eq!(h.bin_center(0), 1.0 + 0.5 * 3.0 / 4.0);
+    }
+
+    #[test]
+    fn sliding_add_and_remove_match_a_rebuild() {
+        let data = [2.0, 1.0, 4.0, f64::NAN, 2.5, 3.0, 1.5];
+        let mut h = Histogram::from_data(&data[..6], 4);
+        // Slide the six-wide window one step: both windows span [1, 4].
+        assert!(h.fits(&data[1..], 4));
+        assert_eq!(h.remove(data[0]), Some(1));
+        assert_eq!(h.add(data[6]), Some(0));
+        assert_eq!(h, Histogram::from_data(&data[1..], 4));
+        // A skipped value is un-counted from `skipped`.
+        assert_eq!(h.remove(f64::NAN), None);
+        assert_eq!(h.skipped(), 0);
+        assert_eq!(h.add(f64::NAN), None);
+        assert_eq!(h, Histogram::from_data(&data[1..], 4));
+        // Another span, bin count or no finite value does not fit.
+        assert!(!h.fits(&[0.0, 4.0], 4));
+        assert!(!h.fits(&data[1..], 5));
+        assert!(!h.fits(&[f64::NAN], 4));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property-based tests for the DSP substrate.
 
-use emsc_sdr::dsp::{convolve_full_into, moving_average};
+use emsc_sdr::dsp::{convolve_full_into, find_peaks, moving_average, Peak};
 use emsc_sdr::fft::{plan_for, FftPlan};
 use emsc_sdr::iq::Complex;
 use emsc_sdr::sliding::SlidingDft;
-use emsc_sdr::stats::{mean, median, quantile, Histogram};
+use emsc_sdr::stats::{mean, median, quantile, try_quantile, Histogram};
 use proptest::prelude::*;
 
 /// Out-of-place transforms over the cached plan.
@@ -24,6 +24,107 @@ fn convolve_full(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
     let mut out = Vec::new();
     convolve_full_into(signal, kernel, &mut out);
     out
+}
+
+/// `find_peaks` with its original all-pairs suppression: each kept
+/// peak, tallest first, scans every candidate. The oracle for the
+/// neighbourhood walk.
+fn find_peaks_all_pairs(signal: &[f64], min_height: f64, min_distance: usize) -> Vec<Peak> {
+    let mut candidates = Vec::new();
+    let n = signal.len();
+    let mut i = 1;
+    while i < n.saturating_sub(1) {
+        if signal[i] >= min_height && signal[i] >= signal[i - 1] {
+            let mut j = i;
+            while j + 1 < n && signal[j + 1] == signal[i] {
+                j += 1;
+            }
+            if j + 1 < n && signal[j + 1] < signal[i] {
+                candidates.push(Peak { index: i + (j - i) / 2, value: signal[i] });
+            }
+            i = j + 1;
+        } else {
+            i += 1;
+        }
+    }
+    if min_distance <= 1 {
+        return candidates;
+    }
+    let mut by_height: Vec<usize> = (0..candidates.len()).collect();
+    by_height.sort_by(|&a, &b| candidates[b].value.total_cmp(&candidates[a].value));
+    let mut keep = vec![true; candidates.len()];
+    for &i in &by_height {
+        if !keep[i] {
+            continue;
+        }
+        for (j, k) in keep.iter_mut().enumerate() {
+            if j != i
+                && *k
+                && candidates[j].index.abs_diff(candidates[i].index) < min_distance
+                && candidates[j].value <= candidates[i].value
+            {
+                *k = false;
+            }
+        }
+    }
+    candidates.into_iter().zip(keep).filter_map(|(p, k)| k.then_some(p)).collect()
+}
+
+/// `Histogram::two_modes` as first written: smooth, pad, keep peaks
+/// with `find_peaks`, then rank them by height.
+fn two_modes_by_ranking(h: &Histogram) -> Option<(f64, f64)> {
+    let counts: Vec<f64> = h.counts().iter().map(|&c| c as f64).collect();
+    let smoothed = moving_average(&counts, (counts.len() / 16).max(3));
+    let mut padded = vec![0.0];
+    padded.extend_from_slice(&smoothed);
+    padded.push(0.0);
+    let min_sep = (counts.len() / 8).max(2);
+    let floor = smoothed.iter().cloned().fold(0.0f64, f64::max) * 0.05;
+    let mut best = find_peaks(&padded, floor, min_sep);
+    if best.len() < 2 {
+        return None;
+    }
+    best.sort_by(|a, b| b.value.partial_cmp(&a.value).unwrap());
+    let (a, b) = (best[0].index - 1, best[1].index - 1);
+    Some((h.bin_center(a.min(b)), h.bin_center(a.max(b))))
+}
+
+/// The quantile by sorting a NaN-free copy in `total_cmp` order.
+fn quantile_by_sorting(data: &[f64], q: f64) -> Option<f64> {
+    let mut sorted: Vec<f64> = data.iter().copied().filter(|v| !v.is_nan()).collect();
+    if sorted.is_empty() {
+        return None;
+    }
+    sorted.sort_by(f64::total_cmp);
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    let frac = pos - lo as f64;
+    Some(if lo == hi { sorted[lo] } else { sorted[lo] * (1.0 - frac) + sorted[hi] * frac })
+}
+
+/// Signals of small-integer levels held for 1–4 samples, so plateaus
+/// and equal-height peaks are common; level 9 is `+∞`.
+fn stepped_signal() -> impl Strategy<Value = Vec<f64>> {
+    prop::collection::vec((0u8..10, 1usize..5), 0..160).prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(level, run)| {
+                let v = if level == 9 { f64::INFINITY } else { level as f64 };
+                std::iter::repeat_n(v, run)
+            })
+            .collect()
+    })
+}
+
+/// Finite values with ±0, ±∞ and NaN mixed in.
+fn laced_value() -> impl Strategy<Value = f64> {
+    (0u8..14, -1e3f64..1e3).prop_map(|(tag, v)| match tag {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::INFINITY,
+        3 => f64::NEG_INFINITY,
+        4 | 5 => f64::NAN,
+        _ => v,
+    })
 }
 
 fn complex_vec(len: usize) -> impl Strategy<Value = Vec<Complex>> {
@@ -148,5 +249,46 @@ proptest! {
         let h = Histogram::from_data(&x, bins);
         prop_assert_eq!(h.total(), x.len());
         prop_assert_eq!(h.counts().iter().sum::<usize>(), x.len());
+    }
+
+    #[test]
+    fn find_peaks_matches_all_pairs_suppression(
+        x in stepped_signal(),
+        min_height in 0.0f64..6.0,
+        min_distance in 1usize..=64,
+    ) {
+        prop_assert_eq!(
+            find_peaks(&x, min_height, min_distance),
+            find_peaks_all_pairs(&x, min_height, min_distance)
+        );
+    }
+
+    #[test]
+    fn two_modes_are_the_two_highest_ranked_peaks(
+        centres in prop::collection::vec(0u8..40, 1..6),
+        spread in 0.1f64..3.0,
+        n in 1usize..400,
+        bins in 2usize..=64,
+    ) {
+        // Clusters around a few centres, so histograms range from
+        // unimodal to several well-separated modes of equal height.
+        let x: Vec<f64> = (0..n)
+            .map(|i| {
+                let c = centres[i % centres.len()] as f64;
+                c + spread * (((i * 7919) % 101) as f64 / 101.0 - 0.5)
+            })
+            .collect();
+        let h = Histogram::from_data(&x, bins);
+        prop_assert_eq!(h.two_modes(), two_modes_by_ranking(&h));
+    }
+
+    #[test]
+    fn quantile_selects_the_sorted_order_statistics(
+        x in prop::collection::vec(laced_value(), 1..200),
+        q in 0.0f64..=1.0,
+    ) {
+        let want = quantile_by_sorting(&x, q);
+        let got = try_quantile(&x, q).ok();
+        prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
     }
 }

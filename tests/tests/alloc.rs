@@ -4,8 +4,8 @@
 //! watches the steady-state push path: once the grow-only buffers have
 //! warmed up, pushing chunks through the DSP front end with a
 //! caller-owned output buffer must not touch the heap at all, and the
-//! full covert receiver may only pay the rare amortised doubling of
-//! its accumulated energy/edge vectors.
+//! full covert receiver and keystroke detector may only pay the rare
+//! amortised doubling of their accumulated energy/edge vectors.
 //!
 //! This file holds exactly one `#[test]`: the allocation counter is
 //! process-global, so a second concurrently-running test in the same
@@ -18,6 +18,7 @@ use emsc_core::chain::{Chain, Setup};
 use emsc_core::laptop::Laptop;
 use emsc_covert::rx::RxConfig;
 use emsc_covert::stream::StreamingReceiver;
+use emsc_keylog::{DetectorConfig, StreamingDetector};
 use emsc_pmu::workload::Program;
 use emsc_sdr::stream::EnergyStream;
 use emsc_sdr::Complex;
@@ -68,6 +69,23 @@ fn ook_samples(n: usize) -> Vec<Complex> {
         .collect()
 }
 
+/// Feeds `chunks` to `push` one at a time, returning the allocations
+/// made in total and the number of chunks that made any.
+fn count_chunk_allocations(
+    chunks: &[&[Complex]],
+    mut push: impl FnMut(&[Complex]),
+) -> (usize, usize) {
+    let (mut total, mut alloc_chunks) = (0, 0);
+    for c in chunks {
+        let b = allocations();
+        push(c);
+        let d = allocations() - b;
+        total += d;
+        alloc_chunks += usize::from(d > 0);
+    }
+    (total, alloc_chunks)
+}
+
 #[test]
 fn steady_state_streaming_is_allocation_free() {
     let samples = ook_samples(600_000);
@@ -102,15 +120,9 @@ fn steady_state_streaming_is_allocation_free() {
     for c in &chunks[..warm] {
         rx.push(c);
     }
-    let mut total = 0usize;
-    let mut alloc_chunks = 0usize;
-    for c in &chunks[warm..] {
-        let b = allocations();
+    let (total, alloc_chunks) = count_chunk_allocations(&chunks[warm..], |c| {
         rx.push(c);
-        let d = allocations() - b;
-        total += d;
-        alloc_chunks += usize::from(d > 0);
-    }
+    });
     assert!(
         (total as f64) < 0.25 * measured as f64,
         "streaming receiver: {total} allocations over {measured} chunks"
@@ -118,6 +130,25 @@ fn steady_state_streaming_is_allocation_free() {
     assert!(
         alloc_chunks * 4 <= measured,
         "{alloc_chunks}/{measured} chunks allocated — expected only rare amortised growth"
+    );
+
+    // 2b. The streaming keystroke detector: each completed window is
+    //     Hann-weighted into a preallocated frame and only its band
+    //     bins are transformed, into a scratch sized at construction,
+    //     so only the growing window-energy vector may allocate — by
+    //     the same rule as the covert receiver.
+    let mut det = StreamingDetector::new(DetectorConfig::new(970e3), 2.4e6, 1.455e6)
+        .expect("valid detector config");
+    for c in &chunks[..warm] {
+        det.push(c);
+    }
+    let (total, alloc_chunks) = count_chunk_allocations(&chunks[warm..], |c| {
+        det.push(c);
+    });
+    assert!(
+        alloc_chunks * 4 <= measured,
+        "keystroke detector: {alloc_chunks}/{measured} chunks allocated ({total} allocations) — \
+         expected only rare amortised growth"
     );
 
     // 3. The fused TX producer: once its thread-local scratch arena

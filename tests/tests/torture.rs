@@ -18,8 +18,10 @@ use emsc_keylog::{Detector, DetectorConfig};
 use emsc_sdr::error::{CaptureError, StatsError};
 use emsc_sdr::impair::{apply_all, Impairment};
 use emsc_sdr::record::read_rtl_u8;
-use emsc_sdr::stats::{try_mean, try_quantile, Histogram, RayleighFit};
-use emsc_sdr::{Capture, Complex};
+use emsc_sdr::stats::{
+    quantile, try_mean, try_quantile, try_quantile_with, Histogram, RayleighFit,
+};
+use emsc_sdr::{Capture, Complex, DspScratch};
 use emsc_tests::{capture, corpus, noise, FS, F_SW};
 
 fn receiver() -> Receiver {
@@ -182,6 +184,44 @@ fn estimation_helpers_are_total_on_garbage() {
     assert!(Histogram::try_from_data(&[f64::NAN], 10).is_err());
     assert!(RayleighFit::try_fit(&[]).is_err());
     assert!(RayleighFit::try_fit(&[f64::NAN]).is_err());
+
+    // Quantiles skip NaN entries and order ±∞: NaN-laced data has the
+    // quantiles of its other values, and all-NaN data is a typed error.
+    assert_eq!(try_quantile(&[f64::NAN, f64::NAN], 0.5), Err(StatsError::NoFiniteData));
+    assert_eq!(try_quantile(&[3.0, f64::NAN, 1.0, f64::NAN, 2.0], 0.5), Ok(2.0));
+    assert_eq!(try_quantile(&[f64::NAN, f64::INFINITY, 1.0], 1.0), Ok(f64::INFINITY));
+    assert_eq!(try_quantile(&[1.0, f64::NEG_INFINITY, f64::NAN], 0.0), Ok(f64::NEG_INFINITY));
+    let mut scr = DspScratch::new();
+    let mut s = 0x5eed_u64;
+    let mut next = || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    for _ in 0..500 {
+        let len = 1 + next() % 64;
+        let data: Vec<f64> = (0..len)
+            .map(|_| match next() % 8 {
+                0 | 1 => f64::NAN,
+                2 => f64::INFINITY,
+                r => (next() % 1000) as f64 - 500.0 + r as f64 * 0.25,
+            })
+            .collect();
+        let clean: Vec<f64> = data.iter().copied().filter(|v| !v.is_nan()).collect();
+        for q in [0.0, 0.1, 0.5, 0.98, 1.0] {
+            let want = if clean.is_empty() {
+                Err(StatsError::NoFiniteData)
+            } else {
+                Ok(quantile(&clean, q))
+            };
+            assert_eq!(try_quantile(&data, q), want, "{data:?} at {q}");
+            assert_eq!(try_quantile_with(&data, q, &mut scr), want, "{data:?} at {q}");
+            if let Ok(v) = want {
+                assert_eq!(quantile(&data, q), v);
+            }
+        }
+    }
 }
 
 /// A reader that fails mid-stream, after yielding some valid bytes.
