@@ -321,7 +321,9 @@ impl SessionRegistry {
     ///
     /// Each session's result is invariant to pump cadence and thread
     /// count: the state machines are chunk-invariant, and sessions
-    /// share no state (each worker locks only its own slot).
+    /// share no state (each worker locks only its own slot). A slot's
+    /// buffer is cleared, not dropped, so the next offers reuse its
+    /// capacity.
     pub fn pump(&mut self) -> usize {
         let work: Vec<Mutex<&mut Slot>> = self
             .slots
@@ -331,12 +333,14 @@ impl SessionRegistry {
             .map(Mutex::new)
             .collect();
         let counts = par_map(&work, |cell| {
-            let mut slot = cell.lock().expect("session slot lock");
-            let buffer = std::mem::take(&mut slot.buffer);
-            slot.machine.push(&buffer);
-            slot.stats.samples_processed += buffer.len();
+            let mut guard = cell.lock().expect("session slot lock");
+            let slot = &mut **guard;
+            slot.machine.push(&slot.buffer);
+            let pushed = slot.buffer.len();
+            slot.buffer.clear();
+            slot.stats.samples_processed += pushed;
             slot.stats.buffered = 0;
-            buffer.len()
+            pushed
         });
         counts.iter().sum()
     }

@@ -26,7 +26,7 @@
 
 use emsc_sdr::dsp::find_peaks;
 use emsc_sdr::error::CaptureError;
-use emsc_sdr::fft::frequency_bin;
+use emsc_sdr::fft::{frequency_bin, MAX_TRANSFORM_SIZE};
 use emsc_sdr::stats::{median, quantile, try_quantile_in_place, try_quantile_with, Histogram};
 use emsc_sdr::{Capture, DspScratch};
 
@@ -172,7 +172,8 @@ pub struct RxConfig {
     /// How many harmonics form the set `S` of Eq. (1) (1 = fundamental
     /// only; the paper uses 2: fundamental + first harmonic).
     pub harmonics: usize,
-    /// Sliding-DFT window (the paper's 1024-point FFT).
+    /// Sliding-DFT window (the paper's 1024-point FFT). A power of two,
+    /// at most [`MAX_TRANSFORM_SIZE`] (2^16) points.
     pub fft_size: usize,
     /// Decimation of the energy signal (receiver-side processing
     /// budget; 24 ⇒ 10 µs resolution at 2.4 Msps).
@@ -402,6 +403,8 @@ const MAX_BIT_PERIOD_S: f64 = 1.0;
 pub(crate) fn validate(cfg: &RxConfig) -> Result<(), RxError> {
     let broken = if !cfg.fft_size.is_power_of_two() {
         "FFT size must be a power of two"
+    } else if cfg.fft_size > MAX_TRANSFORM_SIZE {
+        "FFT size must be at most 2^16"
     } else if cfg.decimation == 0 {
         "decimation must be positive"
     } else if cfg.harmonics == 0 {

@@ -8,6 +8,7 @@
 //! shorter than 30 ms are discarded as non-keystroke activity.
 
 use emsc_sdr::error::CaptureError;
+use emsc_sdr::fft::MAX_TRANSFORM_SIZE;
 use emsc_sdr::stats::{quantile, Histogram};
 use emsc_sdr::Capture;
 
@@ -69,7 +70,8 @@ pub struct DetectorConfig {
     pub switching_freq_hz: f64,
     /// Harmonics included in the band energy.
     pub harmonics: usize,
-    /// STFT window size, samples (non-overlapping; ≈5 ms class).
+    /// STFT window size, samples (non-overlapping; ≈5 ms class). A
+    /// power of two, at most [`MAX_TRANSFORM_SIZE`] (2^16).
     pub window_samples: usize,
     /// Minimum keystroke burst duration, seconds (the paper's 30 ms
     /// false-positive filter).
@@ -169,6 +171,8 @@ impl DetectionScore {
 fn validate(cfg: &DetectorConfig) -> Result<(), DetectError> {
     let broken = if !cfg.window_samples.is_power_of_two() {
         "window must be a power of two"
+    } else if cfg.window_samples > MAX_TRANSFORM_SIZE {
+        "window must be at most 2^16 samples"
     } else if cfg.harmonics == 0 {
         "need at least the fundamental"
     } else if cfg.min_burst_s.is_nan() || cfg.min_burst_s < 0.0 {
@@ -474,6 +478,11 @@ mod tests {
     fn try_new_reports_config_errors() {
         let bad = DetectorConfig { window_samples: 12_000, ..DetectorConfig::new(970e3) };
         assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
+        // Powers of two too large to allocate a window for.
+        for window_samples in [1 << 44, 1 << 62] {
+            let bad = DetectorConfig { window_samples, ..DetectorConfig::new(970e3) };
+            assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
+        }
         let bad = DetectorConfig { harmonics: 0, ..DetectorConfig::new(970e3) };
         assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
         let bad = DetectorConfig { min_burst_s: f64::NAN, ..DetectorConfig::new(970e3) };

@@ -280,6 +280,15 @@ pub fn bin_frequency(k: usize, n: usize, sample_rate: f64) -> f64 {
     }
 }
 
+/// The largest transform, in points, that a receiver configuration may
+/// ask for: both the covert receiver's sliding-DFT window and the
+/// keystroke detector's STFT window are checked against it. The
+/// chain's own sizes are far below it (sliding windows up to 1024
+/// points in the ablations, 8192-point keylog windows), while a size
+/// near `usize::MAX` would otherwise reach the allocator and abort the
+/// process.
+pub const MAX_TRANSFORM_SIZE: usize = 1 << 16;
+
 /// The FFT bin index (0-based, mod `n`) closest to `freq` hertz for a
 /// transform of `n` points at `sample_rate`, using the complex-baseband
 /// convention (negative frequencies wrap to the upper half).

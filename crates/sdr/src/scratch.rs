@@ -36,7 +36,9 @@ use crate::iq::Complex;
 /// See the [module docs](self) for the ownership and reuse rules.
 #[derive(Debug, Default, Clone)]
 pub struct DspScratch {
-    /// First complex lane (sliding-DFT ring snapshots).
+    /// First complex lane (the sliding DFT's copies from its ring: the
+    /// samples the run in progress still evicts, and the window of a
+    /// refresh that reaches back across the chunk edge).
     pub c0: Vec<Complex>,
     /// Second complex lane (the energy stream's sanitised chunk copy).
     pub c1: Vec<Complex>,
@@ -59,12 +61,6 @@ impl DspScratch {
 pub(crate) fn reset_f64(buf: &mut Vec<f64>, n: usize) {
     buf.clear();
     buf.resize(n, 0.0);
-}
-
-/// Complex counterpart of [`reset_f64`].
-pub(crate) fn reset_complex(buf: &mut Vec<Complex>, n: usize) {
-    buf.clear();
-    buf.resize(n, Complex::ZERO);
 }
 
 #[cfg(test)]

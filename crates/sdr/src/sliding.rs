@@ -11,13 +11,33 @@
 //! F_{n+1}[k] = (F_n[k] + x[n+1] − x[n+1−M]) · e^{+2πik/M}
 //! ```
 //!
-//! with periodic exact re-summation to keep floating-point drift
-//! bounded. The result is numerically equal (to ~1e-9) to evaluating a
+//! with an exact re-summation from the last `M` samples every `M`
+//! pushes (the *refresh*) to keep floating-point drift bounded. The
+//! result is numerically equal (to ~1e-9) to evaluating a
 //! rectangular-windowed DFT at every sample, at `O(|S|)` per sample.
+//!
+//! # Runs as lanes
+//!
+//! A refresh recomputes every bin from the ring of the last `M`
+//! samples alone, so the `M − 1` incremental pushes that follow it (a
+//! *run*) depend only on input samples, never on an earlier run. The
+//! block kernel [`SlidingDft::process_into`] therefore advances
+//! `LANES` consecutive runs of a chunk in lockstep, one run per lane.
+//! Each lane performs exactly [`SlidingDft::push`]'s floating-point
+//! operations in `push`'s order, so its results are bit-identical,
+//! while the core overlaps `LANES` independent `((v + x) − old)·r`
+//! chains instead of waiting on one.
 
 use crate::error::CaptureError;
 use crate::iq::Complex;
-use crate::scratch::{reset_complex, DspScratch};
+use crate::scratch::DspScratch;
+
+/// Runs that [`SlidingDft::process_into`] advances in lockstep: four
+/// `f64` lanes fill one AVX register or two SSE2/NEON registers.
+const LANES: usize = 4;
+
+/// Steps the walker transposes into lane-major form at a time.
+const BLOCK: usize = 16;
 
 /// Tracks the complex value of selected DFT bins over a sliding
 /// rectangular window of `M` samples.
@@ -28,8 +48,7 @@ pub struct SlidingDft {
     /// Per-bin phase rotator `e^{+2πik/M}`.
     rotators: Vec<Complex>,
     /// Exact-resummation twiddles `e^{-2πikm/M}`, row-major per bin —
-    /// precomputed so the periodic [`refresh`](Self::push) costs no
-    /// trig at runtime.
+    /// precomputed so the periodic refresh costs no trig at runtime.
     refresh_twiddles: Vec<Complex>,
     /// Per-bin current value `F_n[k]`.
     values: Vec<Complex>,
@@ -38,6 +57,65 @@ pub struct SlidingDft {
     head: usize,
     seen: usize,
     since_refresh: usize,
+    /// The lane walker's per-bin state: bin `k`'s value in each run
+    /// of the group it is advancing.
+    lanes: Vec<BinLanes>,
+    /// The walker's next `BLOCK` steps, lane-major: the real and
+    /// imaginary parts of each lane's pushed and evicted sample.
+    block: Vec<[[f64; LANES]; 4]>,
+}
+
+/// One bin's value in each of up to `LANES` runs, real and imaginary
+/// parts apart so one step updates every lane with packed arithmetic.
+#[derive(Debug, Clone, Copy, Default)]
+struct BinLanes {
+    re: [f64; LANES],
+    im: [f64; LANES],
+}
+
+/// The incremental pushes of one run, as a lane of the walker sees
+/// them.
+#[derive(Clone, Copy)]
+struct Run<'a> {
+    /// The sample each push adds…
+    xs: &'a [Complex],
+    /// …and the one it evicts, `window` samples older.
+    olds: &'a [Complex],
+    /// Step of the run's first emission (step 0 is the state the run
+    /// opens with, step `t` follows `xs[t − 1]`), and the output slot
+    /// it fills; later emissions follow every `decimation` steps.
+    emit: usize,
+    slot: usize,
+}
+
+/// The decimation grid: push number `s`, counted from the tracker's
+/// birth, emits iff `s ≥ window` and `(s − window) % decimation == 0`.
+#[derive(Clone, Copy)]
+struct Grid {
+    window: usize,
+    decimation: usize,
+}
+
+impl Grid {
+    /// How many of the pushes `1..=s` emit.
+    fn emitted_through(self, s: usize) -> usize {
+        if s < self.window {
+            0
+        } else {
+            (s - self.window) / self.decimation + 1
+        }
+    }
+
+    /// The first emitting push numbered `s` or later (saturating).
+    fn next_from(self, s: usize) -> usize {
+        if s <= self.window {
+            return self.window;
+        }
+        (s - self.window)
+            .div_ceil(self.decimation)
+            .saturating_mul(self.decimation)
+            .saturating_add(self.window)
+    }
 }
 
 impl SlidingDft {
@@ -96,6 +174,8 @@ impl SlidingDft {
             head: 0,
             seen: 0,
             since_refresh: 0,
+            lanes: vec![BinLanes::default(); bins.len()],
+            block: vec![[[0.0; LANES]; 4]; BLOCK],
         }
     }
 
@@ -109,7 +189,9 @@ impl SlidingDft {
         &self.bins
     }
 
-    /// Pushes one sample and updates every tracked bin.
+    /// Pushes one sample and updates every tracked bin. This
+    /// per-sample recurrence is the reference that tests pin
+    /// [`SlidingDft::process_into`] to, bit for bit.
     pub fn push(&mut self, x: Complex) {
         let oldest = self.ring[self.head];
         self.ring[self.head] = x;
@@ -163,16 +245,26 @@ impl SlidingDft {
     /// on the `decimation` grid, exactly as a
     /// [`SlidingDft::push`]-per-sample loop would.
     ///
-    /// **Bit-identical by construction** (the chunk-equivalence suite
-    /// pins it): each step replays exactly `push`'s bin-interleaved
-    /// `((v + x) − oldest) · r` update, and the emitted sums still
-    /// fold `|F[k]|` in bin order from `0.0`; the independent per-bin
-    /// chains overlap in the pipeline, so the block walk costs roughly
-    /// one complex-multiply *throughput* (not latency) per bin per
-    /// sample. Evicted samples are snapshotted from the ring into
-    /// `scratch.c0` before the run overwrites it. Exact re-summation
-    /// still fires every `window`-th push via the unchanged
-    /// [`refresh`](Self::push) path.
+    /// The block splits at the refresh pushes into runs (see the
+    /// [module docs](self)), and a lane walker advances them:
+    ///
+    /// - the run in progress carries on from the tracked values, its
+    ///   evicted samples snapshotted from the ring into `scratch.c0`;
+    /// - the run opened by the first refresh, if that refresh's window
+    ///   still reaches back into the ring, opens from a copy of that
+    ///   window in `scratch.c0`;
+    /// - every later run reads its window and samples straight from
+    ///   `chunk`, and they go `LANES` at a time through the walker.
+    ///   Leftover runs and the run cut by the end of the chunk go
+    ///   through the same walker as a single lane.
+    ///
+    /// **Bit-identical by construction** (the oracle test and the
+    /// chunk-equivalence suite pin it): a lane's opening refresh sums
+    /// `x[m] · e^{−2πikm/M}` over its window oldest first, as `push`'s
+    /// refresh does, and each step applies `push`'s
+    /// `((v + x) − old) · r` per bin; every emission folds `|F[k]|` in
+    /// bin order from the same start as `magnitude_sum`. The copies in
+    /// `scratch.c0` never exceed two windows, whatever the chunk length.
     ///
     /// The decimation grid is anchored at the priming sample: an
     /// output is emitted after push number `s` (counted from the
@@ -190,84 +282,159 @@ impl SlidingDft {
         scr: &mut DspScratch,
     ) {
         assert!(decimation > 0, "decimation must be positive");
+        let (w, len, seen0) = (self.window, chunk.len(), self.seen);
+        let grid = Grid { window: w, decimation };
+        let out_base = out.len();
+        let before = grid.emitted_through(seen0);
+        out.resize(out_base + grid.emitted_through(seen0 + len) - before, 0.0);
+        // The first emission of a run that opens at push `s`, as a
+        // step of the run, and its output slot.
+        let schedule =
+            |s: usize| (grid.next_from(s) - s, out_base + grid.emitted_through(s - 1) - before);
+
+        // Chunk index of the next refresh push: the run in progress
+        // has `open` incremental pushes left. Unless it was just
+        // opened, the window of that refresh reaches back into the
+        // ring, which also holds the samples the run still evicts.
+        let mut open = w - 1 - self.since_refresh;
+        let carried = open.min(len);
+        let straddles = open < len && open + 1 < w;
+        let (newer, older) = self.ring.split_at(self.head);
+        let ring = || older.iter().chain(newer);
+        scr.c0.clear();
+        scr.c0.extend(ring().take(carried));
+        if straddles {
+            scr.c0.extend(ring().skip(open + 1));
+            scr.c0.extend_from_slice(&chunk[..=open]);
+        }
+        let (evicted, straddling) = scr.c0.split_at(carried);
+        if carried > 0 {
+            let emit = grid.next_from(seen0 + 1) - seen0;
+            let run = Run { xs: &chunk[..carried], olds: evicted, emit, slot: out_base };
+            self.walk(None, [run], decimation, out);
+        }
+        if straddles {
+            let n = (w - 1).min(len - 1 - open);
+            let (emit, slot) = schedule(seen0 + open + 1);
+            let run =
+                Run { xs: &chunk[open + 1..open + 1 + n], olds: &straddling[..n], emit, slot };
+            self.walk(Some([straddling]), [run], decimation, out);
+            open += w;
+        }
+        // Every later window lies inside the chunk.
+        let window = |open: usize| &chunk[open + 1 - w..=open];
+        let run = |open: usize| {
+            let n = (w - 1).min(len - 1 - open);
+            let (emit, slot) = schedule(seen0 + open + 1);
+            Run { xs: &chunk[open + 1..open + 1 + n], olds: &window(open)[..n], emit, slot }
+        };
+        while open + LANES * w <= len {
+            let opens: [usize; LANES] = std::array::from_fn(|l| open + l * w);
+            self.walk(Some(opens.map(window)), opens.map(run), decimation, out);
+            open += LANES * w;
+        }
+        while open < len {
+            self.walk(Some([window(open)]), [run(open)], decimation, out);
+            open += w;
+        }
+
+        // The ring keeps the chunk's last `w` samples.
+        let keep = len.min(w);
+        let head = (self.head + len) % w;
+        let at = if head >= keep { head - keep } else { head + w - keep };
+        let first = (w - at).min(keep);
+        self.ring[at..at + first].copy_from_slice(&chunk[len - keep..len - keep + first]);
+        self.ring[..keep - first].copy_from_slice(&chunk[len - keep + first..]);
+        self.head = head;
+        self.seen += len;
+        self.since_refresh = (self.since_refresh + len) % w;
+    }
+
+    /// Advances `L` runs in lockstep, one per lane, writing each run's
+    /// emissions into `out` at its slots and leaving the last run's
+    /// final values in `values`.
+    ///
+    /// With `windows`, lane `l` opens at the refresh over
+    /// `windows[l]`; without, every lane carries on from `values`.
+    /// All runs take the same number of steps.
+    fn walk<const L: usize>(
+        &mut self,
+        windows: Option<[&[Complex]; L]>,
+        runs: [Run<'_>; L],
+        decimation: usize,
+        out: &mut [f64],
+    ) {
         let w = self.window;
-        let mut consumed = 0usize;
-        while consumed < chunk.len() {
-            // Pushes until (and including) the next exact re-summation.
-            let steps_to_refresh = w - self.since_refresh;
-            let run = (chunk.len() - consumed).min(steps_to_refresh);
-            let refreshes = run == steps_to_refresh;
-            // The refresh push replaces its incremental update.
-            let inc = if refreshes { run - 1 } else { run };
-            let block = &chunk[consumed..consumed + run];
-            consumed += run;
+        let (lanes, rotators, block) = (&mut self.lanes[..], &self.rotators[..], &mut self.block);
+        match windows {
+            Some(windows) => {
+                let windows = windows.map(|x| &x[..w]);
+                // `push`'s refresh: per bin, `acc += x · tw` over the
+                // window oldest first.
+                for (s, tws) in lanes.iter_mut().zip(self.refresh_twiddles.chunks_exact(w)) {
+                    let (mut re, mut im) = ([0.0; LANES], [0.0; LANES]);
+                    for (m, tw) in tws.iter().enumerate() {
+                        for l in 0..L {
+                            let x = windows[l][m];
+                            re[l] += x.re * tw.re - x.im * tw.im;
+                            im[l] += x.re * tw.im + x.im * tw.re;
+                        }
+                    }
+                    *s = BinLanes { re, im };
+                }
+            }
+            None => {
+                for (s, v) in lanes.iter_mut().zip(&self.values) {
+                    *s = BinLanes { re: [v.re; LANES], im: [v.im; LANES] };
+                }
+            }
+        }
 
-            // Snapshot the samples each push will evict (ring slot
-            // (head + t) mod w is read at step t and first written at
-            // step t, so gathering all of them up front is exact),
-            // then write the whole run into the ring.
-            reset_complex(&mut scr.c0, inc);
-            let first = (w - self.head).min(inc);
-            scr.c0[..first].copy_from_slice(&self.ring[self.head..self.head + first]);
-            scr.c0[first..].copy_from_slice(&self.ring[..inc - first]);
-            let first = (w - self.head).min(run);
-            self.ring[self.head..self.head + first].copy_from_slice(&block[..first]);
-            self.ring[..run - first].copy_from_slice(&block[first..]);
-            self.head = (self.head + run) % w;
-
-            // Emission schedule over the incremental steps: local step
-            // t corresponds to push number seen0 + t + 1.
-            let seen0 = self.seen;
-            let first_emit = {
-                let t_prime = w.saturating_sub(seen0 + 1);
-                if t_prime >= inc {
-                    usize::MAX
-                } else {
-                    let phase = (seen0 + t_prime + 1 - w) % decimation;
-                    let t = t_prime + (decimation - phase) % decimation;
-                    if t < inc {
-                        t
-                    } else {
-                        usize::MAX
+        let n = runs[0].xs.len();
+        let xs = runs.map(|r| &r.xs[..n]);
+        let olds = runs.map(|r| &r.olds[..n]);
+        let mut next = runs.map(|r| r.emit);
+        let mut slot = runs.map(|r| r.slot);
+        let mut t = 0;
+        loop {
+            for l in 0..L {
+                if next[l] == t {
+                    // `magnitude_sum`'s bin-order fold.
+                    out[slot[l]] = lanes.iter().map(|s| Complex::new(s.re[l], s.im[l]).abs()).sum();
+                    slot[l] += 1;
+                    next[l] = next[l].saturating_add(decimation);
+                }
+            }
+            if t == n {
+                break;
+            }
+            // Step to the next emission, a block at a time.
+            let stop = next.iter().fold(n.min(t + BLOCK), |a, &b| a.min(b));
+            let block = &mut block[..stop - t];
+            for (j, b) in block.iter_mut().enumerate() {
+                for l in 0..L {
+                    let (x, old) = (xs[l][t + j], olds[l][t + j]);
+                    [b[0][l], b[1][l], b[2][l], b[3][l]] = [x.re, x.im, old.re, old.im];
+                }
+            }
+            // `push`'s update `((v + x) − old) · r`, one bin at a time
+            // so its lanes stay in registers across the block.
+            for (s, r) in lanes.iter_mut().zip(rotators) {
+                let BinLanes { mut re, mut im } = *s;
+                for [xr, xi, or, oi] in block.iter() {
+                    for l in 0..L {
+                        let a = (re[l] + xr[l]) - or[l];
+                        let b = (im[l] + xi[l]) - oi[l];
+                        re[l] = a * r.re - b * r.im;
+                        im[l] = a * r.im + b * r.re;
                     }
                 }
-            };
-            let out_base = out.len();
-            if first_emit != usize::MAX {
-                let emits = (inc - 1 - first_emit) / decimation + 1;
-                out.resize(out_base + emits, 0.0);
+                *s = BinLanes { re, im };
             }
-
-            // Bin-interleaved replay: each step applies the same
-            // `((v + x) − oldest) · r` update per bin as `push`, so the
-            // per-bin floating-point sequence is unchanged, while the
-            // independent bin chains overlap in the pipeline instead of
-            // serialising one bin's multiply-latency chain at a time.
-            let (values, rotators) = (&mut self.values[..], &self.rotators[..]);
-            let mut next = first_emit;
-            let mut slot = out_base;
-            for (t, (&x, &old)) in block[..inc].iter().zip(&scr.c0[..inc]).enumerate() {
-                for (v, &r) in values.iter_mut().zip(rotators) {
-                    *v = (*v + x - old) * r;
-                }
-                if t == next {
-                    // Bin-order fold from 0.0 — exactly `magnitude_sum`.
-                    out[slot] = values.iter().map(|v| v.abs()).sum();
-                    slot += 1;
-                    next = next.saturating_add(decimation);
-                }
-            }
-            self.seen += inc;
-            self.since_refresh += inc;
-
-            if refreshes {
-                self.seen += 1;
-                self.since_refresh += 1;
-                self.refresh();
-                if self.seen >= w && (self.seen - w).is_multiple_of(decimation) {
-                    out.push(self.magnitude_sum());
-                }
-            }
+            t = stop;
+        }
+        for (v, s) in self.values.iter_mut().zip(lanes.iter()) {
+            *v = Complex::new(s.re[L - 1], s.im[L - 1]);
         }
     }
 
@@ -533,40 +700,81 @@ mod tests {
         }
     }
 
+    /// Chunk lengths that cut `n` samples one push before, on and one
+    /// push after every `every`-th refresh in turn (the refresh pushes
+    /// end at multiples of `window`), with the rest as the last chunk.
+    fn cuts_around_refreshes(n: usize, window: usize, every: usize) -> Vec<usize> {
+        let mut lens = Vec::new();
+        let mut at = 0;
+        for k in 1.. {
+            let end = k * every * window + k % 3 - 1;
+            if end >= n {
+                break;
+            }
+            if end > at {
+                lens.push(end - at);
+                at = end;
+            }
+        }
+        lens.push(n - at);
+        lens
+    }
+
     #[test]
     fn process_into_is_bit_identical_to_push_per_sample() {
-        let samples = chirpy_signal(3001);
-        for (window, decimation) in [(64usize, 1usize), (64, 7), (128, 24), (1, 1), (3, 2)] {
-            let bins: Vec<usize> =
-                [0usize, 5, 31].iter().copied().filter(|&k| k < window).collect();
-            // Reference: the per-sample push loop.
-            let mut reference_sdft = SlidingDft::new(window, &bins);
-            let mut reference = Vec::new();
-            for (n, &x) in samples.iter().enumerate() {
-                reference_sdft.push(x);
-                if reference_sdft.is_primed() && (n + 1 - window).is_multiple_of(decimation) {
-                    reference.push(reference_sdft.magnitude_sum());
+        // Long enough that one chunk holds several lane groups of four
+        // runs at every window below.
+        let samples = chirpy_signal(6001);
+        let n = samples.len();
+        let grids = [(64usize, 1usize), (64, 7), (128, 24), (1, 1), (3, 2), (16, 40), (1, 5)];
+        for (window, decimation) in grids {
+            let half = window / 2;
+            let bin_sets = [
+                vec![0],
+                vec![half],
+                vec![5 % window, 5 % window],
+                vec![0, half, 31 % window],
+                vec![1 % window, half, 0, window - 1],
+            ];
+            // Fixed sizes, cuts around every refresh and around every
+            // sixth one (one lane group, one more run and a cut run
+            // per chunk), and an irregular cycle ending inside groups.
+            let mut chunkings: Vec<Vec<usize>> =
+                [1usize, 7, 63, 64, 65, 1000, n].iter().map(|&c| vec![c; n.div_ceil(c)]).collect();
+            chunkings.push(cuts_around_refreshes(n, window, 1));
+            chunkings.push(cuts_around_refreshes(n, window, 6));
+            let cycle = [3, 4 * window + 5, window - 1, 9 * window + 2, 1, window, 2 * window + 1];
+            chunkings.push(cycle.iter().copied().filter(|&c| c > 0).cycle().take(n).collect());
+            for bins in &bin_sets {
+                // Reference: the per-sample push loop.
+                let mut reference_sdft = SlidingDft::new(window, bins);
+                let mut reference = Vec::new();
+                for (i, &x) in samples.iter().enumerate() {
+                    reference_sdft.push(x);
+                    if reference_sdft.is_primed() && (i + 1 - window).is_multiple_of(decimation) {
+                        reference.push(reference_sdft.magnitude_sum());
+                    }
                 }
-            }
-            // Blocked path at awkward chunk boundaries.
-            for chunk in [1usize, 7, 63, 64, 65, 1000, usize::MAX] {
-                let mut sdft = SlidingDft::new(window, &bins);
-                let mut scr = DspScratch::new();
-                let mut got = Vec::new();
-                for c in samples.chunks(chunk.min(samples.len())) {
-                    sdft.process_into(c, decimation, &mut got, &mut scr);
-                }
-                assert_eq!(got.len(), reference.len(), "w={window} d={decimation} c={chunk}");
-                for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "w={window} d={decimation} c={chunk} out={i}"
-                    );
-                }
-                for (a, b) in sdft.values().iter().zip(reference_sdft.values()) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits());
-                    assert_eq!(a.im.to_bits(), b.im.to_bits());
+                for (c, lens) in chunkings.iter().enumerate() {
+                    let case = format!("w={window} d={decimation} bins={bins:?} chunking {c}");
+                    let mut sdft = SlidingDft::new(window, bins);
+                    let mut scr = DspScratch::new();
+                    let mut got = Vec::new();
+                    let mut rest = &samples[..];
+                    for &len in lens {
+                        let (chunk, tail) = rest.split_at(len.min(rest.len()));
+                        sdft.process_into(chunk, decimation, &mut got, &mut scr);
+                        rest = tail;
+                    }
+                    assert!(rest.is_empty(), "{case}: chunking too short");
+                    assert_eq!(got.len(), reference.len(), "{case}");
+                    for (i, (a, b)) in got.iter().zip(&reference).enumerate() {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{case} out={i}");
+                    }
+                    for (a, b) in sdft.values().iter().zip(reference_sdft.values()) {
+                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "{case}");
+                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "{case}");
+                    }
                 }
             }
         }

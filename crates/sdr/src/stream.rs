@@ -353,15 +353,20 @@ mod tests {
         samples[100] = Complex::new(f64::NAN, 0.0);
         samples[1700] = Complex::new(f64::INFINITY, f64::NEG_INFINITY);
         let batch = try_energy_signal(&samples, 128, &[7], 8).unwrap();
-        let mut stream = EnergyStream::new(128, &[7], 8).unwrap();
-        let mut got = Vec::new();
-        for c in samples.chunks(17) {
-            stream.push_into(c, &mut got);
-        }
-        assert_eq!(stream.sanitized(), batch.sanitized);
-        assert_eq!(got.len(), batch.samples.len());
-        for (a, b) in got.iter().zip(&batch.samples) {
-            assert_eq!(a.to_bits(), b.to_bits());
+        // 700-sample chunks hold a lane group of four 128-sample runs
+        // and end inside the next, so the sanitised copies of the
+        // chunks with a NaN take the lane path too.
+        for chunk in [17, 700] {
+            let mut stream = EnergyStream::new(128, &[7], 8).unwrap();
+            let mut got = Vec::new();
+            for c in samples.chunks(chunk) {
+                stream.push_into(c, &mut got);
+            }
+            assert_eq!(stream.sanitized(), batch.sanitized, "chunk {chunk}");
+            assert_eq!(got.len(), batch.samples.len(), "chunk {chunk}");
+            for (a, b) in got.iter().zip(&batch.samples) {
+                assert_eq!(a.to_bits(), b.to_bits(), "chunk {chunk}");
+            }
         }
     }
 

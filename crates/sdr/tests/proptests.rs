@@ -5,6 +5,7 @@ use emsc_sdr::fft::{plan_for, FftPlan};
 use emsc_sdr::iq::Complex;
 use emsc_sdr::sliding::SlidingDft;
 use emsc_sdr::stats::{mean, median, quantile, try_quantile, Histogram};
+use emsc_sdr::DspScratch;
 use proptest::prelude::*;
 
 /// Out-of-place transforms over the cached plan.
@@ -192,6 +193,54 @@ proptest! {
                 prop_assert!((sdft.values()[0] - direct).abs() < 1e-6);
             }
         }
+    }
+
+    #[test]
+    fn process_into_matches_push_per_sample(
+        window in 1usize..=512,
+        bin_picks in prop::collection::vec(any::<u16>(), 1..=4),
+        decimation in 1usize..=64,
+        lens in prop::collection::vec(1usize..=3000, 1..=6),
+        n in 0usize..=6000,
+        seed in any::<u64>(),
+    ) {
+        let bins: Vec<usize> = bin_picks.iter().map(|&b| b as usize % window).collect();
+        // Deterministic xorshift samples in [-1, 1)².
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+        };
+        let samples: Vec<Complex> = (0..n).map(|_| Complex::new(next(), next())).collect();
+        let mut reference_sdft = SlidingDft::new(window, &bins);
+        let mut reference = Vec::new();
+        for (i, &x) in samples.iter().enumerate() {
+            reference_sdft.push(x);
+            if reference_sdft.is_primed() && (i + 1 - window).is_multiple_of(decimation) {
+                reference.push(reference_sdft.magnitude_sum());
+            }
+        }
+        // The chunk lengths in `lens`, cycled until the stream ends.
+        let mut sdft = SlidingDft::new(window, &bins);
+        let mut scr = DspScratch::new();
+        let mut got = Vec::new();
+        let mut rest = &samples[..];
+        for &len in lens.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(len.min(rest.len()));
+            sdft.process_into(chunk, decimation, &mut got, &mut scr);
+            rest = tail;
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&reference));
+        let value_bits = |s: &SlidingDft| {
+            s.values().iter().map(|v| (v.re.to_bits(), v.im.to_bits())).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(value_bits(&sdft), value_bits(&reference_sdft));
     }
 
     #[test]

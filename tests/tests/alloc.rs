@@ -5,7 +5,9 @@
 //! warmed up, pushing chunks through the DSP front end with a
 //! caller-owned output buffer must not touch the heap at all, and the
 //! full covert receiver and keystroke detector may only pay the rare
-//! amortised doubling of their accumulated energy/edge vectors.
+//! amortised doubling of their accumulated energy/edge vectors. It
+//! also records the largest single allocation, so a session registry
+//! that re-buys a chunk-sized buffer on every offer shows up.
 //!
 //! This file holds exactly one `#[test]`: the allocation counter is
 //! process-global, so a second concurrently-running test in the same
@@ -16,6 +18,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::laptop::Laptop;
+use emsc_core::SessionRegistry;
 use emsc_covert::rx::RxConfig;
 use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::{DetectorConfig, StreamingDetector};
@@ -26,10 +29,12 @@ use emsc_sdr::Complex;
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -39,6 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -49,6 +55,12 @@ static ALLOC: CountingAlloc = CountingAlloc;
 /// Heap allocations so far (monotonic).
 fn allocations() -> usize {
     ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Bytes of the largest allocation or reallocation since the last
+/// call, which starts the next window.
+fn take_largest_allocation() -> usize {
+    LARGEST.swap(0, Ordering::Relaxed)
 }
 
 /// On-off-keyed capture samples at the corpus tuning, with a
@@ -149,6 +161,28 @@ fn steady_state_streaming_is_allocation_free() {
         alloc_chunks * 4 <= measured,
         "keystroke detector: {alloc_chunks}/{measured} chunks allocated ({total} allocations) — \
          expected only rare amortised growth"
+    );
+
+    // 2c. The session registry around the detector: `pump` clears a
+    //     slot's buffer instead of dropping it, so once warmed up an
+    //     offer/pump cycle never allocates anything as large as the
+    //     chunk it buffers (the detector's own rare growth is far
+    //     smaller).
+    let mut reg = SessionRegistry::new(7, usize::MAX);
+    let id =
+        reg.open_keylog(DetectorConfig::new(970e3), 2.4e6, 1.455e6).expect("valid detector config");
+    let mut cycle = |c: &[Complex]| {
+        reg.offer(id, c).expect("the buffer limit is unbounded");
+        reg.pump();
+    };
+    chunks[..warm].iter().for_each(|c| cycle(c));
+    take_largest_allocation();
+    chunks[warm..].iter().for_each(|c| cycle(c));
+    let largest = take_largest_allocation();
+    let chunk_bytes = std::mem::size_of_val(chunks[0]);
+    assert!(
+        largest < chunk_bytes,
+        "an offer/pump cycle allocated {largest} bytes; one chunk is {chunk_bytes}"
     );
 
     // 3. The fused TX producer: once its thread-local scratch arena

@@ -100,6 +100,9 @@ fn bad_rx_configs() -> Vec<RxConfig> {
     let good = RxConfig::new(F_SW, 250e-6);
     vec![
         RxConfig { fft_size: 300, ..good.clone() },
+        // Powers of two too large to allocate a window for.
+        RxConfig { fft_size: 1 << 44, ..good.clone() },
+        RxConfig { fft_size: 1 << 62, ..good.clone() },
         RxConfig { decimation: 0, ..good.clone() },
         RxConfig { harmonics: 0, ..good.clone() },
         RxConfig { expected_bit_period_s: 0.0, ..good.clone() },
