@@ -135,16 +135,8 @@ impl CovertScenario {
         impairments: &[Impairment],
         impair_seed: u64,
     ) -> CovertOutcome {
-        let transmitter = Transmitter::new(self.tx);
-        let tx_bits = transmitter.on_air_bits(payload);
-
-        let mut program = Program::new();
-        program.sleep(LEAD_SILENCE_S);
-        program.busy(self.chain.machine.iterations_for_duration(WARMUP_S));
-        program.extend(transmitter.program_for_bits(&tx_bits).ops().iter().copied());
-        program.sleep(LEAD_SILENCE_S);
-
-        let mut chain_run = self.chain.run_program(&program, seed);
+        let tx_bits = Transmitter::new(self.tx).on_air_bits(payload);
+        let mut chain_run = self.chain.run_program(&self.transfer_program(&tx_bits), seed);
         apply_all(&mut chain_run.capture, impairments, impair_seed);
         let receiver = Receiver::new(self.rx.clone());
         // A decode failure (truncated / corrupt / carrier-less capture)
@@ -157,11 +149,7 @@ impl CovertScenario {
         };
         let alignment = align_semiglobal(&tx_bits, &report.bits);
         let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
-
-        // Rate: on-air bits over the air time they actually took.
-        let air_time = chain_run.trace.duration_s() - 2.0 * LEAD_SILENCE_S - WARMUP_S;
-        let transmission_rate_bps =
-            if air_time > 0.0 { tx_bits.len() as f64 / air_time } else { 0.0 };
+        let transmission_rate_bps = transmission_rate_bps(&tx_bits, chain_run.trace.duration_s());
 
         CovertOutcome {
             tx_bits,
@@ -181,16 +169,8 @@ impl CovertScenario {
     /// block instead of analog + capture. Bit-identical metrics to the
     /// unimpaired batch path for the same `(payload, seed)`.
     pub fn run_streamed(&self, payload: &[u8], seed: u64) -> CovertStreamedOutcome {
-        let transmitter = Transmitter::new(self.tx);
-        let tx_bits = transmitter.on_air_bits(payload);
-
-        let mut program = Program::new();
-        program.sleep(LEAD_SILENCE_S);
-        program.busy(self.chain.machine.iterations_for_duration(WARMUP_S));
-        program.extend(transmitter.program_for_bits(&tx_bits).ops().iter().copied());
-        program.sleep(LEAD_SILENCE_S);
-
-        let mut stream = self.chain.stream_program(&program, seed);
+        let tx_bits = Transmitter::new(self.tx).on_air_bits(payload);
+        let mut stream = self.chain.stream_program(&self.transfer_program(&tx_bits), seed);
         let sample_rate = self.chain.frontend.sample_rate;
         let center_freq = self.chain.frontend.center_freq;
         // Decode failures degrade to the empty report exactly as in
@@ -212,10 +192,7 @@ impl CovertScenario {
         let (trace, _train) = stream.into_trace_train();
         let alignment = align_semiglobal(&tx_bits, &report.bits);
         let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
-
-        let air_time = trace.duration_s() - 2.0 * LEAD_SILENCE_S - WARMUP_S;
-        let transmission_rate_bps =
-            if air_time > 0.0 { tx_bits.len() as f64 / air_time } else { 0.0 };
+        let transmission_rate_bps = transmission_rate_bps(&tx_bits, trace.duration_s());
 
         CovertStreamedOutcome {
             tx_bits,
@@ -233,16 +210,21 @@ impl CovertScenario {
     /// when the capture cannot be decoded). No deframing is attempted
     /// — the caller owns the framing.
     pub fn run_bits(&self, bits: &[u8], seed: u64) -> (Vec<u8>, RxReport) {
-        let transmitter = Transmitter::new(self.tx);
-        let mut program = Program::new();
-        program.sleep(LEAD_SILENCE_S);
-        program.busy(self.chain.machine.iterations_for_duration(WARMUP_S));
-        program.extend(transmitter.program_for_bits(bits).ops().iter().copied());
-        program.sleep(LEAD_SILENCE_S);
-        let chain_run = self.chain.run_program(&program, seed);
+        let chain_run = self.chain.run_program(&self.transfer_program(bits), seed);
         let receiver = Receiver::new(self.rx.clone());
         let report = receiver.receive(&chain_run.capture).unwrap_or_else(|_| RxReport::empty(0.0));
         (report.bits.clone(), report)
+    }
+
+    /// The PMU program of a transfer of `bits`: lead silence, the
+    /// governor warm-up, the bits, lead silence.
+    fn transfer_program(&self, bits: &[u8]) -> Program {
+        let mut program = Program::new();
+        program.sleep(LEAD_SILENCE_S);
+        program.busy(self.chain.machine.iterations_for_duration(WARMUP_S));
+        program.extend(Transmitter::new(self.tx).program_for_bits(bits).ops().iter().copied());
+        program.sleep(LEAD_SILENCE_S);
+        program
     }
 
     /// The same physical chain operated at a rung of the adaptive rate
@@ -257,6 +239,18 @@ impl CovertScenario {
         tx.frame.interleave_depth = step.interleave_depth;
         let expected_bit = tx.expected_bit_period_on(&self.chain.machine);
         CovertScenario { chain: self.chain.clone(), tx, rx: self.rx.with_bit_period(expected_bit) }
+    }
+}
+
+/// Measured transmission rate: the on-air bits over the air time they
+/// took, which is the trace of `trace_s` seconds less the lead
+/// silences and the warm-up.
+fn transmission_rate_bps(tx_bits: &[u8], trace_s: f64) -> f64 {
+    let air_time = trace_s - 2.0 * LEAD_SILENCE_S - WARMUP_S;
+    if air_time > 0.0 {
+        tx_bits.len() as f64 / air_time
+    } else {
+        0.0
     }
 }
 

@@ -51,9 +51,9 @@ use crate::chain::{Chain, ChainRun};
 
 /// Default fused block: 8192 complex samples = 128 KiB, sized so one
 /// block plus the synthesis LUT and the mixer tables sit inside L2
-/// while each stage streams over it. The `perf_report` sweep over
-/// {1k, 2k, 4k, 8k, 16k, 64k} put the optimum here, with a flat ±2 %
-/// plateau from 2k to 16k.
+/// while each stage streams over it. A sweep over {1k, 2k, 4k, 8k,
+/// 16k, 64k} put the optimum here, with a flat ±2 % plateau from 2k to
+/// 16k.
 pub const FUSED_BLOCK: usize = 8192;
 
 /// Reusable buffers for one chain run: the analog arena (pass 1) and

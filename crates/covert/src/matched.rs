@@ -19,13 +19,14 @@ use emsc_sdr::DspScratch;
 /// sampling approach. Allocating wrapper around
 /// [`matched_filter_demodulate_with`].
 ///
-/// Returns the decoded bits (empty if no edge is found).
+/// Returns the decoded bits: none if no edge is found or no window
+/// has a finite power.
 pub fn matched_filter_demodulate(y: &[f64], dt_s: f64, symbol_period_s: f64) -> Vec<u8> {
     matched_filter_demodulate_with(y, dt_s, symbol_period_s, &mut DspScratch::new())
 }
 
 /// [`matched_filter_demodulate`] with reusable scratch: the edge
-/// response is staged in `scratch.f1`, the quantile sorts in
+/// response is staged in `scratch.f1`, the quantiles select in
 /// `scratch.f0`, and each integrate-and-dump window is the
 /// lane-chunked [`sum_sq`] reduction. This is a tolerance-bounded path
 /// (DESIGN.md §12): the reassociated window sums differ from a scalar
@@ -46,8 +47,10 @@ pub fn matched_filter_demodulate_with(
     let mut response = std::mem::take(&mut scr.f1);
     convolve_same_into(y, &edge_kernel(l_d), &mut response, scr);
     let positive: Vec<f64> = response.iter().map(|&v| v.max(0.0)).collect();
-    let robust = try_quantile_with(&positive, 0.98, scr).expect("non-empty").max(1e-30);
-    let peaks = find_peaks(&response, 0.3 * robust, (period * 0.5) as usize);
+    let peaks = match try_quantile_with(&positive, 0.98, scr) {
+        Ok(robust) => find_peaks(&response, 0.3 * robust.max(1e-30), (period * 0.5) as usize),
+        Err(_) => Vec::new(),
+    };
     scr.f1 = response;
     let Some(&first) = peaks.first() else {
         return Vec::new();
@@ -61,12 +64,13 @@ pub fn matched_filter_demodulate_with(
         powers.push(sum_sq(&y[s..e]) / (e - s) as f64);
         pos += period;
     }
-    if powers.is_empty() {
-        return Vec::new();
-    }
     // Same mid-range threshold rule as the batch receiver's fallback.
-    let lo = try_quantile_with(&powers, 0.05, scr).expect("non-empty");
-    let hi = try_quantile_with(&powers, 0.95, scr).expect("non-empty");
+    // Both quantiles fail alike: no window, or a NaN in every one.
+    let (Ok(lo), Ok(hi)) =
+        (try_quantile_with(&powers, 0.05, scr), try_quantile_with(&powers, 0.95, scr))
+    else {
+        return Vec::new();
+    };
     let thr = (lo + hi) / 2.0;
     powers.iter().map(|&p| (p > thr) as u8).collect()
 }

@@ -119,7 +119,7 @@ pub fn depacketize(
     }
     packets.sort_by_key(|p| p.seq);
     let missing = match expected_packets {
-        Some(n) => (0..n as u8).filter(|s| !packets.iter().any(|p| p.seq == *s)).collect(),
+        Some(n) => (0..=u8::MAX).take(n).filter(|s| !packets.iter().any(|p| p.seq == *s)).collect(),
         None => Vec::new(),
     };
     let payload = packets.iter().flat_map(|p| p.data.iter().copied()).collect();
@@ -180,6 +180,19 @@ mod tests {
         let out = depacketize(&bits, cfg, Some(3));
         assert_eq!(out.missing, vec![1]);
         assert_eq!(out.payload, b"aaaacccc".to_vec());
+    }
+
+    #[test]
+    fn a_lost_last_packet_is_reported_at_the_full_sequence_space() {
+        // 256 packets use every sequence number `packetize` accepts.
+        let cfg = PacketConfig { packet_bytes: 1, ..PacketConfig::default() };
+        let payload: Vec<u8> = (0..=u8::MAX).collect();
+        let bits = packetize(&payload, cfg);
+        let packet_len = bits.len() / 256;
+        let out = depacketize(&bits[..255 * packet_len], cfg, Some(256));
+        assert_eq!(out.packets.len(), 255);
+        assert_eq!(out.missing, vec![255]);
+        assert_eq!(out.payload, payload[..255].to_vec());
     }
 
     #[test]

@@ -16,4 +16,3 @@
 //! | `zero_knowledge` | interception with no prior knowledge at all |
 //! | `reproduce` | every table and figure of the paper |
 //! | `emsc_service` | the supervised capture daemon: E5 soak fleet or a spooled recording |
-//! | `perf_report` | runtime/DSP benchmarks, written to `BENCH_runtime.json` |

@@ -1,7 +1,8 @@
 //! Allocation-count regression test for the streaming receive chain.
 //!
-//! A counting global allocator (the same harness `perf_report` uses)
-//! watches the steady-state push path: once the grow-only buffers have
+//! A counting global allocator watches the steady-state push path,
+//! which makes this the repository's allocations-per-chunk check: once
+//! the grow-only buffers have
 //! warmed up, pushing chunks through the DSP front end with a
 //! caller-owned output buffer must not touch the heap at all, and the
 //! full covert receiver and keystroke detector may only pay the rare
@@ -64,8 +65,7 @@ fn take_largest_allocation() -> usize {
 }
 
 /// On-off-keyed capture samples at the corpus tuning, with a
-/// deterministic xorshift noise floor — the same shape as
-/// `perf_report`'s streaming bench input.
+/// deterministic xorshift noise floor.
 fn ook_samples(n: usize) -> Vec<Complex> {
     let bit_samples = 600; // 250 us at 2.4 Msps
     let mut state = 0x2020_u64;

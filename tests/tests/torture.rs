@@ -10,6 +10,7 @@
 use std::io::{self, Read};
 
 use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, FrameError};
+use emsc_covert::matched::matched_filter_demodulate;
 use emsc_covert::rx::{
     try_estimate_bit_period, try_find_switching_frequency, Receiver, RxConfig, RxError, SyncLoss,
     MAX_EDGE_KERNEL_TAPS,
@@ -147,6 +148,18 @@ fn keylog_detector_never_panics_on_the_corpus() {
         let cap = Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
         assert!(detector.try_detect(&cap).is_err(), "sample rate {rate} must be an error");
     }
+}
+
+#[test]
+fn matched_filter_never_panics_on_the_corpus() {
+    for (_, cap) in corpus() {
+        let energy: Vec<f64> = cap.samples.iter().map(|s| s.norm_sqr()).collect();
+        let _ = matched_filter_demodulate(&energy, 1.0 / FS, 250e-6);
+    }
+    // An edge, then a stream gone NaN: every integrate-and-dump window
+    // holds a NaN, so no window has a power to threshold.
+    let edge_then_nan = [vec![0.05; 400], vec![1.0; 60], vec![f64::NAN; 2000]].concat();
+    assert!(matched_filter_demodulate(&edge_then_nan, 1.0, 100.0).is_empty());
 }
 
 #[test]
