@@ -10,7 +10,7 @@
 
 use emsc_sdr::dsp::{convolve_same_into, edge_kernel, find_peaks};
 use emsc_sdr::simd::sum_sq;
-use emsc_sdr::stats::try_quantile_with;
+use emsc_sdr::stats::{try_quantile_in_place, try_quantile_with};
 use emsc_sdr::DspScratch;
 
 /// Demodulates the energy signal `y` (sample spacing `dt_s` seconds)
@@ -26,9 +26,13 @@ pub fn matched_filter_demodulate(y: &[f64], dt_s: f64, symbol_period_s: f64) -> 
 }
 
 /// [`matched_filter_demodulate`] with reusable scratch: the edge
-/// response is staged in `scratch.f1`, the quantiles select in
-/// `scratch.f0`, and each integrate-and-dump window is the
-/// lane-chunked [`sum_sq`] reduction. This is a tolerance-bounded path
+/// response is staged in `scratch.f1`, its clamped copy in
+/// `scratch.f0`, where the edge quantile selects in place, and each
+/// integrate-and-dump window is the lane-chunked [`sum_sq`] reduction.
+/// Once the scratch has grown to the input's length, a call allocates
+/// no buffer of that length: what it still allocates are the edge
+/// kernel, the peak list, the window powers and the returned bits,
+/// each a fraction of the input. This is a tolerance-bounded path
 /// (DESIGN.md §12): the reassociated window sums differ from a scalar
 /// fold only in the last ulps, far inside the mid-range decision
 /// threshold's margin.
@@ -46,11 +50,14 @@ pub fn matched_filter_demodulate_with(
     let l_d = ((period / 4.0).round() as usize * 2).max(4);
     let mut response = std::mem::take(&mut scr.f1);
     convolve_same_into(y, &edge_kernel(l_d), &mut response, scr);
-    let positive: Vec<f64> = response.iter().map(|&v| v.max(0.0)).collect();
-    let peaks = match try_quantile_with(&positive, 0.98, scr) {
+    let mut positive = std::mem::take(&mut scr.f0);
+    positive.clear();
+    positive.extend(response.iter().map(|&v| v.max(0.0)));
+    let peaks = match try_quantile_in_place(&mut positive, 0.98) {
         Ok(robust) => find_peaks(&response, 0.3 * robust.max(1e-30), (period * 0.5) as usize),
         Err(_) => Vec::new(),
     };
+    scr.f0 = positive;
     scr.f1 = response;
     let Some(&first) = peaks.first() else {
         return Vec::new();

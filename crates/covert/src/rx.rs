@@ -165,12 +165,14 @@ pub enum LabelFeature {
 /// Receiver configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RxConfig {
-    /// VRM switching frequency (RF), hertz. The paper finds it by
-    /// peak detection when unknown; see
+    /// VRM switching frequency (RF), hertz. Must be finite. The paper
+    /// finds it by peak detection when unknown; see
     /// [`try_find_switching_frequency`].
     pub switching_freq_hz: f64,
     /// How many harmonics form the set `S` of Eq. (1) (1 = fundamental
-    /// only; the paper uses 2: fundamental + first harmonic).
+    /// only; the paper uses 2: fundamental + first harmonic). At least
+    /// 1 and at most `fft_size`, since a window has no more bins than
+    /// that.
     pub harmonics: usize,
     /// Sliding-DFT window (the paper's 1024-point FFT). A power of two,
     /// at most [`MAX_TRANSFORM_SIZE`] (2^16) points.
@@ -409,6 +411,8 @@ pub(crate) fn validate(cfg: &RxConfig) -> Result<(), RxError> {
         "decimation must be positive"
     } else if cfg.harmonics == 0 {
         "need at least the fundamental in S"
+    } else if cfg.harmonics > cfg.fft_size {
+        "at most fft_size harmonics in S"
     } else if !(cfg.expected_bit_period_s > 0.0 && cfg.expected_bit_period_s.is_finite()) {
         "bit period must be positive"
     } else if cfg.expected_bit_period_s > MAX_BIT_PERIOD_S {

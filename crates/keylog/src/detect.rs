@@ -66,9 +66,10 @@ impl From<CaptureError> for DetectError {
 /// Detector configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
-    /// VRM switching frequency (RF), hertz.
+    /// VRM switching frequency (RF), hertz. Must be finite.
     pub switching_freq_hz: f64,
-    /// Harmonics included in the band energy.
+    /// Harmonics included in the band energy: at least 1 and at most
+    /// `window_samples`, since a window has no more bins than that.
     pub harmonics: usize,
     /// STFT window size, samples (non-overlapping; ≈5 ms class). A
     /// power of two, at most [`MAX_TRANSFORM_SIZE`] (2^16).
@@ -175,6 +176,10 @@ fn validate(cfg: &DetectorConfig) -> Result<(), DetectError> {
         "window must be at most 2^16 samples"
     } else if cfg.harmonics == 0 {
         "need at least the fundamental"
+    } else if cfg.harmonics > cfg.window_samples {
+        "at most window_samples harmonics"
+    } else if !cfg.switching_freq_hz.is_finite() {
+        "switching frequency must be finite"
     } else if cfg.min_burst_s.is_nan() || cfg.min_burst_s < 0.0 {
         "burst filter must be non-negative"
     } else {
@@ -237,8 +242,18 @@ impl Detector {
 
     /// Thresholds and groups precomputed window energies (the
     /// [`DetectionReport::window_energy`] of earlier detections, for
-    /// example chunks of one long recording).
-    pub fn detect_from_energies(&self, window_energy: Vec<f64>, window_s: f64) -> DetectionReport {
+    /// example chunks of one long recording). Non-finite energies are
+    /// zeroed first, so the report's energies are all finite.
+    pub fn detect_from_energies(
+        &self,
+        mut window_energy: Vec<f64>,
+        window_s: f64,
+    ) -> DetectionReport {
+        for e in &mut window_energy {
+            if !e.is_finite() {
+                *e = 0.0;
+            }
+        }
         let cfg = &self.config;
         let threshold = select_threshold(&window_energy);
         let active: Vec<bool> = window_energy.iter().map(|&e| e > threshold).collect();
@@ -483,8 +498,16 @@ mod tests {
             let bad = DetectorConfig { window_samples, ..DetectorConfig::new(970e3) };
             assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
         }
-        let bad = DetectorConfig { harmonics: 0, ..DetectorConfig::new(970e3) };
-        assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
+        // No harmonics, or more than the window has bins: building the
+        // band would walk every one of them.
+        for harmonics in [0, 1 << 40, usize::MAX] {
+            let bad = DetectorConfig { harmonics, ..DetectorConfig::new(970e3) };
+            assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
+        }
+        for switching_freq_hz in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bad = DetectorConfig { switching_freq_hz, ..DetectorConfig::new(970e3) };
+            assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
+        }
         let bad = DetectorConfig { min_burst_s: f64::NAN, ..DetectorConfig::new(970e3) };
         assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
         assert!(Detector::try_new(DetectorConfig::new(970e3)).is_ok());

@@ -2,23 +2,25 @@
 //! only STFT front end.
 //!
 //! [`StreamingDetector`] takes raw samples in arbitrarily-sized
-//! chunks, transforms each completed non-overlapping STFT window
-//! (Hann-weighted, VRM-band bin magnitudes summed in harmonic order)
-//! as soon as its last sample arrives, and
+//! chunks and feeds them to a [`BandEnergyStream`]: non-overlapping
+//! Hann windows whose VRM-band bin magnitudes are summed in harmonic
+//! order. The stream runs the first FFT stage of the band's bins as
+//! samples arrive and the rest as each window's last sample arrives,
+//! with no copy of the window.
 //! [`StreamingDetector::finish`] runs the global threshold/grouping
 //! pass over the accumulated window energies.
 //! [`Detector::try_detect`](crate::detect::Detector::try_detect) is
 //! one push of a whole capture followed by `finish`.
 //!
-//! Windows are non-overlapping, so buffering exactly `window_samples`
-//! raw samples performs the same floating-point operations however
-//! the stream was chunked: every chunking gives the same report as
-//! one push. The trailing partial window is dropped (it still counts
-//! towards the non-finite-majority check).
+//! Windows are non-overlapping and each sample enters the same
+//! floating-point operations wherever a chunk ends, so every chunking
+//! gives the same report as one push. The trailing partial window is
+//! dropped (it still counts towards the non-finite-majority check).
 
 use emsc_sdr::error::CaptureError;
-use emsc_sdr::fft::{frequency_bin, FftPlan};
+use emsc_sdr::fft::frequency_bin;
 use emsc_sdr::iq::Complex;
+use emsc_sdr::stream::BandEnergyStream;
 use emsc_sdr::window::Window;
 
 use crate::detect::{DetectError, DetectionReport, Detector, DetectorConfig};
@@ -41,18 +43,8 @@ pub struct DetectProgress {
 pub struct StreamingDetector {
     detector: Detector,
     sample_rate: f64,
-    plan: FftPlan,
-    win: Vec<f64>,
-    band_bins: Vec<usize>,
-    /// Raw samples of the current (incomplete) window.
-    window: Vec<Complex>,
-    /// The Hann-weighted frame, `window_samples` long.
-    buf: Vec<Complex>,
-    /// [`FftPlan::forward_bin`] scratch, `window_samples / 2` long.
-    bin_scratch: Vec<Complex>,
+    band: BandEnergyStream,
     energies: Vec<f64>,
-    seen: usize,
-    non_finite: usize,
     finished: bool,
 }
 
@@ -85,15 +77,8 @@ impl StreamingDetector {
             .map(|f| frequency_bin(f, n, sample_rate))
             .collect();
         Ok(StreamingDetector {
-            plan: FftPlan::new(n),
-            win: Window::Hann.coefficients(n),
-            band_bins,
-            window: Vec::with_capacity(n),
-            buf: vec![Complex::ZERO; n],
-            bin_scratch: Vec::with_capacity(n / 2),
+            band: BandEnergyStream::new(n, Window::Hann, &band_bins)?,
             energies: Vec::new(),
-            seen: 0,
-            non_finite: 0,
             detector,
             sample_rate,
             finished: false,
@@ -103,65 +88,25 @@ impl StreamingDetector {
     /// Feeds a chunk of raw I/Q samples.
     ///
     /// Every window completed by this chunk is transformed immediately,
-    /// so per-push work is bounded by the chunk size (plus one window
-    /// of carry-over).
+    /// so per-push work is bounded by the chunk size plus one window's
+    /// later FFT stages.
     ///
     /// # Panics
     ///
     /// Panics if called after [`StreamingDetector::finish`].
     pub fn push(&mut self, chunk: &[Complex]) -> DetectProgress {
         assert!(!self.finished, "push after finish");
-        let n = self.detector.config().window_samples;
-        // Counters first, then whole windows in bulk: a full window
-        // sitting inside the chunk is transformed straight off the
-        // caller's slice — no per-sample carry-buffer pushes. The
-        // window/transform/band-sum sequence is unchanged, so energies
-        // are bit-identical to the per-sample formulation.
-        self.non_finite += chunk.iter().filter(|z| !(z.re.is_finite() && z.im.is_finite())).count();
-        self.seen += chunk.len();
-        let mut remaining = chunk;
-        while !remaining.is_empty() {
-            if self.window.is_empty() && remaining.len() >= n {
-                let (frame, rest) = remaining.split_at(n);
-                self.transform_frame(frame);
-                remaining = rest;
-                continue;
-            }
-            let take = (n - self.window.len()).min(remaining.len());
-            let (head, rest) = remaining.split_at(take);
-            self.window.extend_from_slice(head);
-            remaining = rest;
-            if self.window.len() == n {
-                let frame = std::mem::take(&mut self.window);
-                self.transform_frame(&frame);
-                self.window = frame;
-                self.window.clear();
-            }
-        }
+        self.band.push_into(chunk, &mut self.energies);
         DetectProgress {
             windows: self.energies.len(),
-            samples_seen: self.seen,
-            non_finite_samples: self.non_finite,
+            samples_seen: self.band.seen(),
+            non_finite_samples: self.band.non_finite(),
         }
-    }
-
-    /// Same per-frame pipeline as `stft`: window, transform, then sum
-    /// the selected bins' magnitudes in band order. Only the band bins
-    /// are transformed, each bit-identical to the full FFT's.
-    fn transform_frame(&mut self, frame: &[Complex]) {
-        for (slot, (&s, &w)) in self.buf.iter_mut().zip(frame.iter().zip(self.win.iter())) {
-            *slot = s.scale(w);
-        }
-        let energy: f64 = self
-            .band_bins
-            .iter()
-            .map(|&k| self.plan.forward_bin(&self.buf, k, &mut self.bin_scratch).abs())
-            .sum();
-        self.energies.push(energy);
     }
 
     /// Classifies the stream and runs the global threshold/grouping
-    /// pass over the window energies, non-finite ones zeroed.
+    /// pass over the window energies
+    /// ([`Detector::detect_from_energies`]).
     ///
     /// # Errors
     ///
@@ -174,27 +119,9 @@ impl StreamingDetector {
     pub fn finish(&mut self) -> Result<DetectionReport, DetectError> {
         assert!(!self.finished, "finish called twice");
         self.finished = true;
-        let needed = self.detector.config().window_samples;
-        if self.seen == 0 {
-            return Err(DetectError::Capture(CaptureError::Empty));
-        }
-        if self.seen < needed {
-            return Err(DetectError::Capture(CaptureError::TooShort { needed, got: self.seen }));
-        }
-        if self.non_finite * 2 > self.seen {
-            return Err(DetectError::Capture(CaptureError::NonFinite {
-                count: self.non_finite,
-                total: self.seen,
-            }));
-        }
-        let mut window_energy = std::mem::take(&mut self.energies);
-        for e in &mut window_energy {
-            if !e.is_finite() {
-                *e = 0.0;
-            }
-        }
-        let window_s = needed as f64 / self.sample_rate;
-        Ok(self.detector.detect_from_energies(window_energy, window_s))
+        self.band.classify()?;
+        let window_s = self.detector.config().window_samples as f64 / self.sample_rate;
+        Ok(self.detector.detect_from_energies(std::mem::take(&mut self.energies), window_s))
     }
 }
 

@@ -4,9 +4,7 @@
 //! this module provides an iterative, in-place, decimation-in-time
 //! radix-2 FFT with precomputed twiddle factors. A reusable
 //! [`FftPlan`] amortises twiddle/bit-reversal setup across the many
-//! transforms an STFT performs, and [`FftPlan::forward_bin`] runs only
-//! the butterflies that feed one bin, bit-identical to the full
-//! transform's value there.
+//! transforms an STFT performs.
 //!
 //! Conventions: the forward transform computes
 //! `X[k] = Σ_n x[n]·e^{-2πi·kn/N}` (no scaling); the inverse applies
@@ -64,9 +62,7 @@ impl FftPlan {
     pub fn new(n: usize) -> Self {
         assert!(n.is_power_of_two() && n > 0, "FFT size must be a power of two, got {n}");
         let log2n = n.trailing_zeros();
-        let twiddles = (0..n / 2)
-            .map(|k| Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64))
-            .collect();
+        let twiddles = (0..n / 2).map(|k| forward_twiddle(k, n)).collect();
         let mut bitrev = vec![0u32; n];
         for (i, slot) in bitrev.iter_mut().enumerate() {
             *slot = (i as u32).reverse_bits() >> (32 - log2n.max(1));
@@ -109,61 +105,6 @@ impl FftPlan {
     /// Panics if `buf.len() != self.len()`.
     pub fn forward(&self, buf: &mut [Complex]) {
         self.transform(buf, Direction::Forward);
-    }
-
-    /// Bin `k` of the forward FFT of `input`, bit-identical to
-    /// `forward(input)[k]` but without transforming the other bins.
-    ///
-    /// Runs only the `N − 1` butterfly outputs that feed bin `k`:
-    /// after stage `s` those are the `N/2^s` positions congruent to `k`
-    /// modulo `2^s`, each computed with the same twiddle and expression
-    /// as [`FftPlan::transform`]. Stage 1 reads `input` through the
-    /// bit-reversal table, so there is no permutation pass. A caller
-    /// reading a few bins of each frame (the keystroke detector's VRM
-    /// band) does about `N` butterflies per bin instead of
-    /// `(N/2)·log2 N` for the whole spectrum.
-    ///
-    /// `scratch` holds the `N/2` stage-1 outputs and is reused in
-    /// place by the later stages; it is cleared and refilled, so once
-    /// its capacity reaches `N/2` a call allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != self.len()` or `k >= self.len()`.
-    pub fn forward_bin(&self, input: &[Complex], k: usize, scratch: &mut Vec<Complex>) -> Complex {
-        assert_eq!(input.len(), self.n, "buffer length must equal plan size");
-        assert!(k < self.n, "bin {k} out of range for a {}-point transform", self.n);
-        if self.n == 1 {
-            return input[0];
-        }
-        // Stage 1: twiddle index 0; bit 0 of `k` picks the sum or the
-        // difference.
-        let w = self.twiddles[0];
-        let upper = k & 1 == 1;
-        scratch.clear();
-        scratch.extend((0..self.n / 2).map(|i| {
-            let t = w * input[self.bitrev[2 * i + 1] as usize];
-            let u = input[self.bitrev[2 * i] as usize];
-            if upper {
-                u - t
-            } else {
-                u + t
-            }
-        }));
-        // Stage s: the input pair of position `k mod m + i·m` sits at
-        // slots 2i and 2i + 1, so the stage shrinks the slots in place.
-        for stage in 2..=self.log2n {
-            let m = 1usize << stage;
-            let half = m >> 1;
-            let w = self.twiddles[(k & (half - 1)) * (self.n / m)];
-            let upper = k & half != 0;
-            for i in 0..self.n / m {
-                let t = w * scratch[2 * i + 1];
-                let u = scratch[2 * i];
-                scratch[i] = if upper { u - t } else { u + t };
-            }
-        }
-        scratch[0]
     }
 
     /// In-place inverse FFT (scaled by `1/N`).
@@ -223,6 +164,14 @@ impl FftPlan {
             }
         }
     }
+}
+
+/// The forward transform's twiddle `e^{-2πi k / n}`, as every
+/// [`FftPlan`] of length `n` holds it. Crate code that runs some of
+/// the plan's butterflies itself takes its twiddles from here, so they
+/// are the plan's to the bit.
+pub(crate) fn forward_twiddle(k: usize, n: usize) -> Complex {
+    Complex::cis(-2.0 * std::f64::consts::PI * k as f64 / n as f64)
 }
 
 thread_local! {
@@ -466,89 +415,6 @@ mod tests {
             assert_eq!(a.im.to_bits(), b.im.to_bits());
         }
         assert!(Rc::ptr_eq(&plan_for(64), &plan_for(64)));
-    }
-
-    /// Deterministic xorshift input with a few exact zeros and
-    /// negative zeros among the values.
-    fn noisy(n: usize, seed: u64) -> Vec<Complex> {
-        let mut s = seed;
-        let mut next = || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            match s % 16 {
-                0 => 0.0,
-                1 => -0.0,
-                r => (s >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0 + r as f64 * 1e-3,
-            }
-        };
-        (0..n).map(|_| Complex::new(next(), next())).collect()
-    }
-
-    /// Asserts `forward_bin` reproduces every listed bin of `forward`
-    /// bit for bit, reusing one scratch across calls. NaN payloads are
-    /// not compared: the compiler may commute an addition's operands.
-    fn assert_bins_match(x: &[Complex], bins: &[usize]) {
-        let bits = |v: f64| if v.is_nan() { f64::NAN.to_bits() } else { v.to_bits() };
-        let plan = FftPlan::new(x.len());
-        let mut full = x.to_vec();
-        plan.forward(&mut full);
-        let mut scratch = Vec::new();
-        for &k in bins {
-            let bin = plan.forward_bin(x, k, &mut scratch);
-            assert_eq!(
-                (bits(bin.re), bits(bin.im)),
-                (bits(full[k].re), bits(full[k].im)),
-                "bin {k} of a {}-point transform",
-                x.len()
-            );
-        }
-    }
-
-    #[test]
-    fn single_bin_equals_the_full_transform_bit_for_bit() {
-        // Every bin at every size up to 1024.
-        for log2n in 0..=10 {
-            let n = 1usize << log2n;
-            let x = noisy(n, 0x9E37_79B9 + n as u64);
-            assert_bins_match(&x, &(0..n).collect::<Vec<_>>());
-        }
-        // The edges of the spectrum and the keystroke detector's band
-        // at its 8192-point window: the 970 kHz VRM and its second
-        // harmonic, tuned at 1.455 MHz and sampled at 2.4 Msps.
-        let n = 8192;
-        let band: Vec<usize> =
-            [970e3, 1.94e6].iter().map(|f| frequency_bin(f - 1.455e6, n, 2.4e6)).collect();
-        let mut bins = vec![0, 1, n / 2 - 1, n / 2, n - 1];
-        bins.extend(band);
-        assert_bins_match(&noisy(n, 7), &bins);
-        // Non-finite input propagates exactly as through the butterflies.
-        let mut x = noisy(64, 3);
-        x[5] = Complex::new(f64::INFINITY, 0.0);
-        x[17] = Complex::new(f64::NAN, -1.0);
-        assert_bins_match(&x, &(0..64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn single_bin_scratch_is_reused() {
-        let plan = FftPlan::new(256);
-        let x = noisy(256, 11);
-        let mut scratch = Vec::with_capacity(128);
-        let ptr = scratch.as_ptr();
-        for k in [0, 37, 255] {
-            plan.forward_bin(&x, k, &mut scratch);
-        }
-        assert_eq!(
-            (scratch.as_ptr(), scratch.capacity()),
-            (ptr, 128),
-            "scratch must not reallocate"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn single_bin_rejects_a_bin_past_the_end() {
-        FftPlan::new(8).forward_bin(&[Complex::ZERO; 8], 8, &mut Vec::new());
     }
 
     #[test]

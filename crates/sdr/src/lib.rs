@@ -17,8 +17,8 @@
 //!   finding,
 //! - [`stats`]: histograms, medians, Rayleigh fits (Fig. 6) and
 //!   bimodal threshold selection (Fig. 7),
-//! - [`stream`]: chunk-fed energy, smoothing and convolution state
-//!   machines, bit-identical to the batch kernels,
+//! - [`stream`]: chunk-fed energy, band-energy, smoothing and
+//!   convolution state machines, bit-identical to the batch kernels,
 //! - [`frontend`]: the RTL-SDR front-end imperfection model (8-bit
 //!   quantisation, crystal ppm error, DC spur, AGC),
 //! - [`impair`]: deterministic channel-impairment injection (clock

@@ -5,6 +5,8 @@ use emsc_sdr::fft::{plan_for, FftPlan};
 use emsc_sdr::iq::Complex;
 use emsc_sdr::sliding::SlidingDft;
 use emsc_sdr::stats::{mean, median, quantile, try_quantile, Histogram};
+use emsc_sdr::stream::BandEnergyStream;
+use emsc_sdr::window::Window;
 use emsc_sdr::DspScratch;
 use proptest::prelude::*;
 
@@ -339,5 +341,79 @@ proptest! {
         let want = quantile_by_sorting(&x, q);
         let got = try_quantile(&x, q).ok();
         prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+    }
+
+    #[test]
+    fn band_energy_stream_matches_the_windowed_forward_transform(
+        log2n in 0u32..=12,
+        bin_picks in prop::collection::vec(any::<u16>(), 1..=4),
+        window in prop_oneof![
+            Just(Window::Rectangular),
+            Just(Window::Hann),
+            Just(Window::Hamming),
+            Just(Window::Blackman),
+        ],
+        lens in prop::collection::vec(1usize..=5000, 1..=6),
+        len_pick in any::<u16>(),
+        seed in any::<u64>(),
+    ) {
+        let n = 1usize << log2n;
+        let bins: Vec<usize> = bin_picks.iter().map(|&b| b as usize % n).collect();
+        // Deterministic xorshift samples in [-1, 1)². In odd windows
+        // about one component in 40 is NaN or ±∞; even windows stay
+        // finite, since one such sample spreads to every bin.
+        let mut state = seed | 1;
+        let mut next = |laced: bool| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 120 {
+                0 if laced => f64::NAN,
+                1 if laced => f64::INFINITY,
+                2 if laced => f64::NEG_INFINITY,
+                _ => (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0,
+            }
+        };
+        // Up to four windows, the last one possibly partial.
+        let len = len_pick as usize % (4 * n + 1);
+        let samples: Vec<Complex> = (0..len)
+            .map(|i| {
+                let laced = (i / n) % 2 == 1;
+                Complex::new(next(laced), next(laced))
+            })
+            .collect();
+        // The oracle: each whole window weighted, transformed by
+        // `forward`, and its band's magnitudes summed in order.
+        let weights = window.coefficients(n);
+        let plan = FftPlan::new(n);
+        let reference: Vec<f64> = samples
+            .chunks_exact(n)
+            .map(|frame| {
+                let mut buf: Vec<Complex> =
+                    frame.iter().zip(&weights).map(|(x, &w)| x.scale(w)).collect();
+                plan.forward(&mut buf);
+                bins.iter().map(|&k| buf[k].abs()).sum()
+            })
+            .collect();
+        // The chunk lengths in `lens`, cycled until the stream ends.
+        let mut stream = BandEnergyStream::new(n, window, &bins).expect("valid band");
+        let mut got = Vec::new();
+        let mut rest = &samples[..];
+        for &l in lens.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (chunk, tail) = rest.split_at(l.min(rest.len()));
+            stream.push_into(chunk, &mut got);
+            rest = tail;
+        }
+        // NaN payloads are not compared: the compiler may commute an
+        // addition's operands.
+        let bits = |v: &[f64]| {
+            v.iter().map(|x| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() }).collect::<Vec<_>>()
+        };
+        prop_assert_eq!(bits(&got), bits(&reference));
+        let non_finite = samples.iter().filter(|x| !(x.re.is_finite() && x.im.is_finite())).count();
+        prop_assert_eq!((stream.seen(), stream.non_finite()), (len, non_finite));
     }
 }

@@ -20,12 +20,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::laptop::Laptop;
 use emsc_core::SessionRegistry;
+use emsc_covert::matched::matched_filter_demodulate_with;
 use emsc_covert::rx::RxConfig;
 use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::{DetectorConfig, StreamingDetector};
 use emsc_pmu::workload::Program;
-use emsc_sdr::stream::EnergyStream;
-use emsc_sdr::Complex;
+use emsc_sdr::stream::{BandEnergyStream, EnergyStream};
+use emsc_sdr::window::Window;
+use emsc_sdr::{Complex, DspScratch};
 
 struct CountingAlloc;
 
@@ -122,6 +124,21 @@ fn steady_state_streaming_is_allocation_free() {
     }
     let es_allocs = allocations() - before;
     assert_eq!(es_allocs, 0, "EnergyStream::push_into allocated {es_allocs}x in steady state");
+    let mut band = BandEnergyStream::new(8192, Window::Hann, &[6537, 1655]).expect("valid band");
+    for c in &chunks[..warm] {
+        out.clear();
+        band.push_into(c, &mut out);
+    }
+    let before = allocations();
+    for c in &chunks[warm..] {
+        out.clear();
+        band.push_into(c, &mut out);
+    }
+    let band_allocs = allocations() - before;
+    assert_eq!(
+        band_allocs, 0,
+        "BandEnergyStream::push_into allocated {band_allocs}x in steady state"
+    );
 
     // 2. The full covert receiver accumulates its decimated
     //    energy/edge history across the stream, so Vec doubling may
@@ -144,11 +161,10 @@ fn steady_state_streaming_is_allocation_free() {
         "{alloc_chunks}/{measured} chunks allocated — expected only rare amortised growth"
     );
 
-    // 2b. The streaming keystroke detector: each completed window is
-    //     Hann-weighted into a preallocated frame and only its band
-    //     bins are transformed, into a scratch sized at construction,
-    //     so only the growing window-energy vector may allocate — by
-    //     the same rule as the covert receiver.
+    // 2b. The streaming keystroke detector: its band stream's stage-1
+    //     buffers and scratch are sized at construction, so only the
+    //     growing window-energy vector may allocate — by the same rule
+    //     as the covert receiver.
     let mut det = StreamingDetector::new(DetectorConfig::new(970e3), 2.4e6, 1.455e6)
         .expect("valid detector config");
     for c in &chunks[..warm] {
@@ -183,6 +199,23 @@ fn steady_state_streaming_is_allocation_free() {
     assert!(
         largest < chunk_bytes,
         "an offer/pump cycle allocated {largest} bytes; one chunk is {chunk_bytes}"
+    );
+
+    // 2d. The matched filter's scratch form: the edge response and
+    //     its clamped copy live in the scratch, so once warmed up a
+    //     call allocates nothing as long as its input, only the
+    //     per-window powers and bits.
+    let energy: Vec<f64> =
+        (0..100_000).map(|i| if (i / 500) % 2 == 0 { 1.0 } else { 0.05 }).collect();
+    let mut scr = DspScratch::new();
+    let bits = matched_filter_demodulate_with(&energy, 1.0, 1000.0, &mut scr);
+    take_largest_allocation();
+    assert_eq!(matched_filter_demodulate_with(&energy, 1.0, 1000.0, &mut scr), bits);
+    let largest = take_largest_allocation();
+    let input_bytes = std::mem::size_of_val(energy.as_slice());
+    assert!(
+        largest < input_bytes / 8,
+        "a warmed-up matched filter allocated {largest} bytes; its input is {input_bytes}"
     );
 
     // 3. The fused TX producer: once its thread-local scratch arena

@@ -106,6 +106,10 @@ fn bad_rx_configs() -> Vec<RxConfig> {
         RxConfig { fft_size: 1 << 62, ..good.clone() },
         RxConfig { decimation: 0, ..good.clone() },
         RxConfig { harmonics: 0, ..good.clone() },
+        // More harmonics than the window has bins: building the band
+        // would walk every one of them.
+        RxConfig { harmonics: 1 << 40, ..good.clone() },
+        RxConfig { harmonics: usize::MAX, ..good.clone() },
         RxConfig { expected_bit_period_s: 0.0, ..good.clone() },
         RxConfig { expected_bit_period_s: f64::NAN, ..good.clone() },
         RxConfig { expected_bit_period_s: f64::INFINITY, ..good.clone() },
@@ -147,6 +151,32 @@ fn keylog_detector_never_panics_on_the_corpus() {
     for rate in [0.0, f64::NAN] {
         let cap = Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
         assert!(detector.try_detect(&cap).is_err(), "sample rate {rate} must be an error");
+    }
+}
+
+#[test]
+fn keylog_thresholding_zeroes_non_finite_energies() {
+    // Window energies as a capture with corrupt stretches leaves them:
+    // every one, or some, NaN or infinite.
+    let detector = Detector::new(DetectorConfig::new(F_SW));
+    let laced: Vec<f64> = (0..300)
+        .map(|i| match i % 11 {
+            0 => f64::NAN,
+            4 => f64::INFINITY,
+            7 => f64::NEG_INFINITY,
+            _ if (100..140).contains(&i) => 50.0,
+            _ => 1.0 + (i % 3) as f64 * 0.1,
+        })
+        .collect();
+    let mixed_inf = [f64::INFINITY, f64::NEG_INFINITY].repeat(5);
+    for energies in
+        [vec![f64::NAN; 10], vec![f64::INFINITY; 10], vec![f64::NEG_INFINITY; 10], mixed_inf, laced]
+    {
+        let zeroed: Vec<f64> =
+            energies.iter().map(|&e| if e.is_finite() { e } else { 0.0 }).collect();
+        let report = detector.detect_from_energies(energies, 3.4e-3);
+        assert_eq!(report.window_energy, zeroed);
+        assert!(report.threshold.is_finite(), "threshold {}", report.threshold);
     }
 }
 
