@@ -893,6 +893,24 @@ mod tests {
     }
 
     #[test]
+    fn band_stream_scratch_is_reused() {
+        // Bins of both parities, so stage 1 fills `head` and `odd`, and
+        // every bin halves through `scratch`.
+        let mut stream =
+            BandEnergyStream::new(256, Window::Hann, &[0, 37, 255]).expect("valid band");
+        let buffers = |s: &BandEnergyStream| {
+            [&s.head, &s.odd, &s.scratch].map(|v| (v.as_ptr(), v.capacity()))
+        };
+        let before = buffers(&stream);
+        let mut out = Vec::with_capacity(8);
+        for c in noisy(5 * 256 + 100, 11).chunks(97) {
+            stream.push_into(c, &mut out);
+        }
+        assert_eq!(out.len(), 5);
+        assert_eq!(buffers(&stream), before, "stage buffers must not reallocate");
+    }
+
+    #[test]
     fn band_stream_rejects_a_bin_past_the_end_and_a_bad_window() {
         for (n, bins) in
             [(8, vec![8]), (8, vec![2, 9]), (0, vec![]), (12, vec![1]), (1 << 17, vec![1])]
