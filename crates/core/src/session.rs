@@ -39,7 +39,7 @@ use emsc_sdr::iq::Complex;
 
 /// Handle to one open stream inside a [`SessionRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SessionId(usize);
+pub struct SessionId(u64);
 
 /// Registry-level failures (stream-level failures are carried inside
 /// [`SessionOutput`] instead, so one bad stream cannot poison its
@@ -195,11 +195,17 @@ struct Slot {
 }
 
 /// Owns and multiplexes N concurrent streaming sessions.
+///
+/// Only open sessions hold state: `finish` and `abort` drop a
+/// session's slot, so a registry that rotates sessions forever stays
+/// as large as its open set. Ids count every session ever opened, so
+/// a closed session's id never addresses a later one.
 #[derive(Debug)]
 pub struct SessionRegistry {
     base_seed: u64,
     buffer_limit: usize,
-    slots: Vec<Option<Slot>>,
+    /// The open sessions, in id order.
+    slots: Vec<(SessionId, Slot)>,
     opened: u64,
 }
 
@@ -214,7 +220,7 @@ impl SessionRegistry {
 
     /// Open sessions right now.
     pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.slots.len()
     }
 
     /// Whether no session is open.
@@ -223,14 +229,11 @@ impl SessionRegistry {
     }
 
     fn admit(&mut self, machine: StreamMachine) -> SessionId {
+        let id = SessionId(self.opened);
         let seed = seed_for(self.base_seed, self.opened);
         self.opened += 1;
-        let id = SessionId(self.slots.len());
-        self.slots.push(Some(Slot {
-            machine,
-            buffer: Vec::new(),
-            stats: SessionStats { seed, ..SessionStats::default() },
-        }));
+        let stats = SessionStats { seed, ..SessionStats::default() };
+        self.slots.push((id, Slot { machine, buffer: Vec::new(), stats }));
         id
     }
 
@@ -328,7 +331,7 @@ impl SessionRegistry {
         let work: Vec<Mutex<&mut Slot>> = self
             .slots
             .iter_mut()
-            .filter_map(|s| s.as_mut())
+            .map(|(_, slot)| slot)
             .filter(|s| !s.buffer.is_empty())
             .map(Mutex::new)
             .collect();
@@ -354,8 +357,7 @@ impl SessionRegistry {
     ///
     /// [`SessionError::UnknownSession`] for a closed or unknown id.
     pub fn finish(&mut self, id: SessionId) -> Result<ClosedSession, SessionError> {
-        let slot = self.slots.get_mut(id.0).ok_or(SessionError::UnknownSession)?;
-        let mut slot = slot.take().ok_or(SessionError::UnknownSession)?;
+        let mut slot = self.close(id)?;
         if !slot.buffer.is_empty() {
             let buffer = std::mem::take(&mut slot.buffer);
             slot.machine.push(&buffer);
@@ -383,17 +385,27 @@ impl SessionRegistry {
     ///
     /// [`SessionError::UnknownSession`] for a closed or unknown id.
     pub fn abort(&mut self, id: SessionId) -> Result<SessionStats, SessionError> {
-        let slot = self.slots.get_mut(id.0).ok_or(SessionError::UnknownSession)?;
-        let slot = slot.take().ok_or(SessionError::UnknownSession)?;
-        Ok(slot.stats)
+        self.close(id).map(|slot| slot.stats)
+    }
+
+    /// Index of an open session's slot (ids are ascending).
+    fn index(&self, id: SessionId) -> Result<usize, SessionError> {
+        self.slots
+            .binary_search_by_key(&id.0, |(open, _)| open.0)
+            .map_err(|_| SessionError::UnknownSession)
     }
 
     fn slot(&self, id: SessionId) -> Result<&Slot, SessionError> {
-        self.slots.get(id.0).and_then(|s| s.as_ref()).ok_or(SessionError::UnknownSession)
+        self.index(id).map(|i| &self.slots[i].1)
     }
 
     fn slot_mut(&mut self, id: SessionId) -> Result<&mut Slot, SessionError> {
-        self.slots.get_mut(id.0).and_then(|s| s.as_mut()).ok_or(SessionError::UnknownSession)
+        self.index(id).map(|i| &mut self.slots[i].1)
+    }
+
+    /// Removes an open session's slot.
+    fn close(&mut self, id: SessionId) -> Result<Slot, SessionError> {
+        self.index(id).map(|i| self.slots.remove(i).1)
     }
 }
 
@@ -568,6 +580,21 @@ mod tests {
         assert!(reg.is_empty());
         assert_eq!(reg.abort(id), Err(SessionError::UnknownSession), "double abort must fail");
         assert!(reg.finish(id).is_err(), "aborted session cannot be finished");
+    }
+
+    #[test]
+    fn closed_sessions_leave_no_state_behind() {
+        let mut reg = SessionRegistry::new(0, usize::MAX);
+        for _ in 0..1000 {
+            let id = reg.open_keylog(DetectorConfig::new(970e3), 2.4e6, 0.0).expect("open");
+            let _ = reg.finish(id).expect("finish");
+        }
+        assert!(reg.slots.is_empty(), "{} slots left after every session closed", reg.slots.len());
+        // Ids keep counting: a stale id never reaches a newer session.
+        let id = reg.open_keylog(DetectorConfig::new(970e3), 2.4e6, 0.0).expect("open");
+        assert_eq!(id, SessionId(1000));
+        assert_eq!(reg.stats(id).unwrap().seed, seed_for(0, 1000));
+        assert_eq!(reg.stats(SessionId(999)), Err(SessionError::UnknownSession));
     }
 
     #[test]

@@ -400,28 +400,28 @@ pub fn on_air_frame_len(config: FrameConfig, payload_len: usize) -> usize {
     config.sync_len + config.zeros_len + START_MARKER.len() + on_air_body_span(config, payload_len)
 }
 
-/// Rigid bits the marker decoder must recover before the declared
-/// length can be read: a full interleaver block when interleaved (the
-/// header is spread across block 0), otherwise just the header span.
+/// Rigid bits that hold the length header: the whole interleaver
+/// blocks it is spread across when interleaved, otherwise just the
+/// header span.
 pub(crate) fn peek_need(config: FrameConfig) -> usize {
+    let header = header_span(config);
     match (config.parity, config.interleave_depth) {
-        (true, Some(depth)) => Interleaver::new(7, depth).block_len(),
-        _ => header_span(config),
+        (true, Some(depth)) => {
+            let block = Interleaver::new(7, depth).block_len();
+            header.div_ceil(block) * block
+        }
+        _ => header,
     }
 }
 
 /// Declared payload byte count peeked from a *rigid* prefix of at
-/// least [`peek_need`] bits (deinterleaving block 0 if needed), or
+/// least [`peek_need`] bits (deinterleaving its blocks if needed), or
 /// `None` when too few bits are available.
 pub(crate) fn peek_declared_rigid(rigid: &[u8], config: FrameConfig) -> Option<usize> {
     match (config.parity, config.interleave_depth) {
         (true, Some(depth)) => {
-            let il = Interleaver::new(7, depth);
-            let block = il.block_len();
-            if rigid.len() < block {
-                return None;
-            }
-            peek_declared(&il.deinterleave(&rigid[..block]), config)
+            let header = rigid.get(..peek_need(config))?;
+            peek_declared(&Interleaver::new(7, depth).deinterleave(header), config)
         }
         _ => peek_declared(rigid, config),
     }

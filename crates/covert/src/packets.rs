@@ -6,9 +6,11 @@
 //! Hamming code only corrects substitutions. Splitting the payload
 //! into independently-framed packets re-synchronises the receiver at
 //! every packet marker, so an indel costs one packet instead of the
-//! rest of the transmission.
+//! rest of the transmission. The receive side is one pass of the
+//! streaming [`Deframer`], which cuts the train into its frames.
 
-use crate::frame::{frame_payload, on_air_body_span, try_deframe, FrameConfig, START_MARKER};
+use crate::frame::{frame_payload, FrameConfig};
+use crate::stream::{Deframer, FrameEvent};
 
 /// Packetisation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,38 +88,34 @@ pub struct Reassembly {
     pub payload: Vec<u8>,
 }
 
-/// Scans a received bitstream for packet markers and reassembles the
-/// payload. `expected_packets` (when known) drives the missing-packet
-/// report; pass `None` to accept whatever arrives.
+/// Reassembles the payload from a received packet train: one push of
+/// the whole stream into a [`Deframer`] (tolerating one start-marker
+/// bit error) and its `finish`, then the frames collected by sequence
+/// number. A frame too short to carry a sequence number, a duplicate,
+/// or one numbered past `expected_packets` is skipped, and deframing
+/// goes on after it. `expected_packets` (when known) drives the
+/// missing-packet report; pass `None` to accept whatever arrives.
 pub fn depacketize(
     received: &[u8],
     config: PacketConfig,
     expected_packets: Option<usize>,
 ) -> Reassembly {
-    let m = START_MARKER.len();
-    let mut packets: Vec<RecoveredPacket> = Vec::new();
-    let mut pos = 0usize;
-    while pos + m <= received.len() {
-        match try_deframe(&received[pos..], config.frame, 1).ok() {
-            Some(d) if !d.payload.is_empty() => {
-                let seq = d.payload[0];
-                let plausible = expected_packets.is_none_or(|n| (seq as usize) < n);
-                if plausible && !packets.iter().any(|p| p.seq == seq) {
-                    packets.push(RecoveredPacket {
-                        seq,
-                        data: d.payload[1..].to_vec(),
-                        corrections: d.corrections,
-                    });
-                }
-                // Advance past the whole packet: marker + the on-air
-                // body (length header and payload, coded, interleaved
-                // and marker-wrapped as the frame config says).
-                pos += d.payload_start + on_air_body_span(config.frame, d.payload.len());
-            }
-            _ => break,
-        }
-    }
+    let mut deframer = Deframer::new(config.frame, 1);
+    let mut events = deframer.push(received);
+    events.extend(deframer.finish());
+    let mut packets: Vec<RecoveredPacket> = events
+        .into_iter()
+        .filter_map(|event| {
+            let FrameEvent::Frame(d) = event else { return None };
+            let (&seq, data) = d.payload.split_first()?;
+            let plausible = expected_packets.is_none_or(|n| (seq as usize) < n);
+            let corrections = d.corrections;
+            plausible.then(|| RecoveredPacket { seq, data: data.to_vec(), corrections })
+        })
+        .collect();
+    // A stable sort keeps the first copy of a replayed packet first.
     packets.sort_by_key(|p| p.seq);
+    packets.dedup_by_key(|p| p.seq);
     let missing = match expected_packets {
         Some(n) => (0..=u8::MAX).take(n).filter(|s| !packets.iter().any(|p| p.seq == *s)).collect(),
         None => Vec::new(),
@@ -205,20 +203,75 @@ mod tests {
 
     #[test]
     fn clean_round_trip_for_every_frame_layout() {
-        let payload: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
         for parity in [true, false] {
             for interleave_depth in [None, Some(4)] {
                 for marker in [None, Some(MarkerConfig::standard())] {
-                    let frame = FrameConfig {
-                        parity,
-                        interleave_depth,
-                        marker,
-                        ..PacketConfig::default().frame
-                    };
-                    let cfg = PacketConfig { packet_bytes: 8, frame, ..PacketConfig::default() };
+                    let (cfg, payload) = layout_train(parity, interleave_depth, marker);
+                    let frame = cfg.frame;
                     let out = depacketize(&packetize(&payload, cfg), cfg, Some(4));
                     assert!(out.missing.is_empty(), "{frame:?}: missing {:?}", out.missing);
                     assert_eq!(out.payload, payload, "{frame:?}");
+                }
+            }
+        }
+    }
+
+    /// The 4-packet train of `clean_round_trip_for_every_frame_layout`
+    /// for one frame layout.
+    fn layout_train(
+        parity: bool,
+        interleave_depth: Option<usize>,
+        marker: Option<MarkerConfig>,
+    ) -> (PacketConfig, Vec<u8>) {
+        let payload: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+        let frame =
+            FrameConfig { parity, interleave_depth, marker, ..PacketConfig::default().frame };
+        let cfg = PacketConfig { packet_bytes: 8, frame, ..PacketConfig::default() };
+        (cfg, payload)
+    }
+
+    #[test]
+    fn packets_behind_inexact_markers_arrive() {
+        let cfg = PacketConfig { packet_bytes: 8, ..PacketConfig::default() };
+        let payload = b"packet-0packet-1packet-2packet-3";
+        let mut bits = packetize(payload, cfg);
+        let packet_len = bits.len() / 4;
+        for k in 1..4 {
+            bits[k * packet_len + cfg.frame.sync_len + cfg.frame.zeros_len + 3] ^= 1;
+        }
+        let out = depacketize(&bits, cfg, Some(4));
+        assert!(out.missing.is_empty(), "missing {:?}", out.missing);
+        assert_eq!(out.payload, payload.to_vec());
+    }
+
+    #[test]
+    fn an_empty_frame_mid_train_costs_no_packet() {
+        let cfg = PacketConfig { packet_bytes: 4, ..PacketConfig::default() };
+        let payload = b"aaaabbbbccccdddd";
+        let bits = packetize(payload, cfg);
+        let packet_len = bits.len() / 4;
+        let mut spliced = bits[..2 * packet_len].to_vec();
+        spliced.extend(frame_payload(&[], cfg.frame));
+        spliced.extend_from_slice(&bits[2 * packet_len..]);
+        let out = depacketize(&spliced, cfg, Some(4));
+        assert!(out.missing.is_empty(), "missing {:?}", out.missing);
+        assert_eq!(out.payload, payload.to_vec());
+    }
+
+    #[test]
+    fn a_destroyed_packet_costs_only_itself_in_every_frame_layout() {
+        for parity in [true, false] {
+            for interleave_depth in [None, Some(4)] {
+                for marker in [None, Some(MarkerConfig::standard())] {
+                    let (cfg, payload) = layout_train(parity, interleave_depth, marker);
+                    let mut bits = packetize(&payload, cfg);
+                    let packet_len = bits.len() / 4;
+                    bits[packet_len..2 * packet_len].fill(0);
+                    let out = depacketize(&bits, cfg, Some(4));
+                    assert_eq!(out.missing, vec![1], "{:?}", cfg.frame);
+                    let mut survivors = payload[..8].to_vec();
+                    survivors.extend_from_slice(&payload[16..]);
+                    assert_eq!(out.payload, survivors, "{:?}", cfg.frame);
                 }
             }
         }

@@ -171,8 +171,10 @@ pub struct RxConfig {
     pub switching_freq_hz: f64,
     /// How many harmonics form the set `S` of Eq. (1) (1 = fundamental
     /// only; the paper uses 2: fundamental + first harmonic). At least
-    /// 1 and at most `fft_size`, since a window has no more bins than
-    /// that.
+    /// 1, and `harmonics × fft_size` at most
+    /// [`MAX_REFRESH_TWIDDLES`]: the sliding DFT keeps a window of
+    /// refresh twiddles for every in-band harmonic, duplicate bins
+    /// included.
     pub harmonics: usize,
     /// Sliding-DFT window (the paper's 1024-point FFT). A power of two,
     /// at most [`MAX_TRANSFORM_SIZE`] (2^16) points.
@@ -411,8 +413,8 @@ pub(crate) fn validate(cfg: &RxConfig) -> Result<(), RxError> {
         "decimation must be positive"
     } else if cfg.harmonics == 0 {
         "need at least the fundamental in S"
-    } else if cfg.harmonics > cfg.fft_size {
-        "at most fft_size harmonics in S"
+    } else if cfg.harmonics.checked_mul(cfg.fft_size).is_none_or(|n| n > MAX_REFRESH_TWIDDLES) {
+        "harmonics × FFT size must be at most 2^20"
     } else if !(cfg.expected_bit_period_s > 0.0 && cfg.expected_bit_period_s.is_finite()) {
         "bit period must be positive"
     } else if cfg.expected_bit_period_s > MAX_BIT_PERIOD_S {
@@ -535,6 +537,13 @@ fn expected_bit_samples(cfg: &RxConfig, dt: f64) -> f64 {
 /// ceiling at 2.4 Msps undecimated is 12 000 samples) and keeps a huge
 /// finite rate from overflowing the length.
 pub const MAX_EDGE_KERNEL_TAPS: usize = 1 << 20;
+
+/// Ceiling on `harmonics × fft_size`, the refresh twiddles the sliding
+/// DFT allocates at construction: 2^20 complex values (16 MiB). The
+/// largest table any experiment builds is 2 × 1024, and without the
+/// bound a tuner at 0 Hz with `switching_freq_hz` 0 and as many
+/// harmonics as bins would need 64 GiB at a 2^16-point window.
+pub const MAX_REFRESH_TWIDDLES: usize = 1 << 20;
 
 /// Whether the edge kernel for a `period_s` bit at energy time step
 /// `dt` stays within [`MAX_EDGE_KERNEL_TAPS`]. Evaluated in `f64`, so

@@ -20,14 +20,15 @@
 //!   (peak timing, thresholds), which are global by construction in
 //!   §IV-B, run at [`StreamingReceiver::finish`] over the accumulated
 //!   energy signal (`decode_from_energy`).
-//! - [`Deframer`] — demodulated bits in, [`FrameEvent`]s out. Commits
-//!   to the first exact start marker as soon as it appears and then
-//!   emits each frame the moment its declared length is on hand, so
-//!   payloads surface mid-stream; inexact candidates are resolved at
-//!   [`Deframer::finish`] by the earliest-minimum rule (rigid frames)
-//!   or the ranked anchor chain (marker-coded frames). It keeps
-//!   scanning after a frame, so a long-running session can recover a
-//!   *sequence* of frames.
+//! - [`Deframer`] — demodulated bits in, [`FrameEvent`]s out: the only
+//!   code that cuts a bit stream into frames. It commits to an exact
+//!   start marker as soon as it appears and emits the frame, rigid,
+//!   interleaved or marker-coded, the moment its last bit is on hand,
+//!   so payloads surface mid-stream; then it scans on after the frame.
+//!   [`Deframer::finish`] resolves every frame left in the tail with
+//!   the same step, by the earliest-minimum rule (rigid frames, in
+//!   linear time) or the ranked anchor chain re-ranked after each
+//!   frame (marker-coded frames, O(frames × tail)).
 //!
 //! Typed errors ([`RxError`], [`FrameError`]) are per-stream values,
 //! never panics, so one poisoned stream in a multi-tenant session can
@@ -39,10 +40,9 @@ use emsc_sdr::iq::Complex;
 use emsc_sdr::stream::{ConvolveSameStream, EnergyStream, SmoothStream};
 
 use crate::frame::{
-    body_span, decode_rigid_body, header_span, lattice_score, lattice_window, marker_errors_at,
-    peek_declared, peek_declared_rigid, peek_need, ranked_marker_anchors, rigid_body_span,
-    Deframed, FrameConfig, FrameError, LATTICE_EXTRA_TOLERANCE, LATTICE_PROBE_MARKERS,
-    START_MARKER,
+    decode_rigid_body, lattice_score, lattice_window, marker_errors_at, peek_declared_rigid,
+    peek_need, ranked_marker_anchors, rigid_body_span, Deframed, FrameConfig, FrameError,
+    LATTICE_PROBE_MARKERS, START_MARKER,
 };
 use crate::marker::{segments_for, MarkerConfig, MarkerStream};
 use crate::rx::{
@@ -267,26 +267,55 @@ pub enum FrameEvent {
 /// Incremental deframer: push demodulated bits, collect
 /// [`FrameEvent`]s.
 ///
-/// The marker scan and body decode run online, except for rigid
-/// interleaved frames: their body is deinterleaved whole and the final
-/// interleaver block depends on the last bit of the stream, so with
-/// `interleave_depth` set (and no marker code) the deframer buffers
-/// until [`Deframer::finish`].
+/// One pass cuts the stream into every frame it carries, and one
+/// resolve step completes each frame, on the push path and at
+/// [`Deframer::finish`] alike. A rigid frame, interleaved or not, ends
+/// `rigid_body_span(declared)` bits after its start marker: its
+/// interleaver blocks are padded whole, so they deinterleave alone as
+/// inside a longer stream. A marker-coded frame ends where its
+/// drift-tracking decoder stopped. After a frame its bits are retired
+/// and the scan goes on, so a long-running session recovers a
+/// *sequence* of frames.
+///
+/// The push path commits only to a marker no later position can beat,
+/// an exact one (for marker-coded frames with an exact, un-aliased
+/// segment-marker lattice as well), and emits the frame the moment its
+/// last bit is on hand. `finish` resolves the unresolved tail frame by
+/// frame until no candidate decodes: rigid streams take the committed
+/// or earliest minimum-error marker, and marker-coded streams the
+/// ranked anchor chain, re-ranked after each frame.
+///
+/// Events follow one rule for both frame kinds. The push path reports
+/// a `MarkerFound` when it commits; `finish` reports one before each
+/// frame it resolves, and a `Lost` only when no frame came out of the
+/// whole stream.
+///
+/// Cost: the push path and a rigid `finish` are linear in the stream.
+/// A rigid scan stops at the fewest marker errors still possible: 0
+/// while pushing, and at `finish` the error count of the frame just
+/// resolved, since that frame's scan found no fewer anywhere after it.
+/// A marker-coded `finish` ranks and decodes the remaining tail once
+/// per frame it resolves: O(frames resolved at `finish` × tail).
 #[derive(Debug, Clone)]
 pub struct Deframer {
     config: FrameConfig,
     max_marker_errors: usize,
     bits: Vec<u8>,
-    /// Absolute bit index of `bits[0]` (bits of emitted frames are
-    /// dropped; positions stay absolute across the whole stream).
+    /// Leading bits of `bits` that belong to emitted frames. They are
+    /// dropped at the end of each push; the unresolved tail is
+    /// `bits[retired..]`, and every relative position below indexes it.
+    retired: usize,
+    /// Absolute bit index of the tail's first bit (positions stay
+    /// absolute across the whole stream).
     base: usize,
     /// Next unscanned relative position for the marker search.
     scanned: usize,
-    /// Best inexact candidate so far: `(errors, relative position)`.
+    /// Earliest minimum-error rigid marker so far: `(errors, position)`.
     best: Option<(usize, usize)>,
-    /// Committed (exact) marker, relative position.
+    /// Marker the scan committed to, relative position: no later
+    /// position can beat it, so its frame is the next to resolve.
     committed: Option<usize>,
-    /// Incremental marker-code decoder for the committed frame's body
+    /// Incremental marker-code decoder for the frame being resolved
     /// (marker-coded frames only).
     marker_rx: Option<MarkerRx>,
     frames_emitted: usize,
@@ -360,11 +389,6 @@ impl MarkerRx {
         self.rigid.truncate(want);
         Ok(decode_rigid_body(&self.rigid, config)?.into_deframed(payload_start, Some(stats)))
     }
-
-    /// Received body bits consumed by the emitted segments.
-    fn consumed(&self) -> usize {
-        self.ms.consumed_bits()
-    }
 }
 
 impl Deframer {
@@ -375,6 +399,7 @@ impl Deframer {
             config,
             max_marker_errors,
             bits: Vec::new(),
+            retired: 0,
             base: 0,
             scanned: 0,
             best: None,
@@ -390,200 +415,148 @@ impl Deframer {
         self.frames_emitted
     }
 
-    /// Rigid interleaved frames are resolved only at finish (see the
-    /// type docs).
-    fn rigid_interleaved(&self) -> bool {
-        self.config.interleave_depth.is_some() && self.config.parity && self.config.marker.is_none()
-    }
-
     /// Feeds demodulated bits, returning any events they complete.
     pub fn push(&mut self, new_bits: &[u8]) -> Vec<FrameEvent> {
         self.bits.extend_from_slice(new_bits);
-        if self.rigid_interleaved() {
-            return Vec::new();
-        }
         let mut events = Vec::new();
         loop {
             if self.committed.is_none() {
-                self.scan_for_marker(&mut events);
+                self.scan(0);
+                let Some(pos) = self.committed else { break };
+                events.push(FrameEvent::MarkerFound { position: self.base + pos, errors: 0 });
             }
-            let Some(pos) = self.committed else { break };
-            let body_at = pos + START_MARKER.len();
-            if let Some(mcfg) = self.config.marker {
-                // Marker-coded body: the incremental drift-tracking
-                // decoder peeks the declared length and completes the
-                // frame as soon as every alignment window is on hand.
-                let mrx = self.marker_rx.get_or_insert_with(|| MarkerRx::new(mcfg));
-                if !mrx.pump(&self.bits[body_at..], self.config, false) {
-                    break;
-                }
-                let mrx = self.marker_rx.take().expect("pumped above");
-                let consumed = mrx.consumed().min(self.bits.len() - body_at);
-                let frame =
-                    mrx.decode(self.config, self.base + body_at).expect("declared length resolved");
-                events.push(FrameEvent::Frame(frame));
-                self.frames_emitted += 1;
-                self.bits.drain(..body_at + consumed);
-                self.base += body_at + consumed;
-                self.scanned = 0;
-                self.best = None;
-                self.committed = None;
-                continue;
-            }
-            // Emit the frame as soon as the declared body is on hand.
-            let available = self.bits.len() - body_at;
-            let Some(declared) = peek_declared(&self.bits[body_at..], self.config) else {
-                break;
-            };
-            let needed = header_span(self.config) + body_span(self.config, declared);
-            if available < needed {
-                break;
-            }
-            let span = &self.bits[body_at..body_at + needed];
-            let body = decode_rigid_body(span, self.config).expect("complete header span decodes");
-            events.push(FrameEvent::Frame(body.into_deframed(self.base + body_at, None)));
-            self.frames_emitted += 1;
-            // Rebase past the consumed frame and keep scanning: a
-            // long-running session sees a *sequence* of frames.
-            self.bits.drain(..body_at + needed);
-            self.base += body_at + needed;
-            self.scanned = 0;
-            self.best = None;
-            self.committed = None;
+            let resolved = self.committed.and_then(|pos| self.resolve(pos, false));
+            let Some(Ok((frame, end))) = resolved else { break };
+            self.emit(frame, end, &mut events);
         }
+        self.bits.drain(..self.retired);
+        self.retired = 0;
         events
     }
 
-    fn scan_for_marker(&mut self, events: &mut Vec<FrameEvent>) {
+    /// Scans the tail for a marker to commit to, from the first
+    /// position not yet scanned. Marker-coded frames commit only at an
+    /// exact marker whose lattice window is buffered and scores fully
+    /// exact and un-aliased: the unique maximum of
+    /// `ranked_marker_anchors`. Rigid frames track the earliest
+    /// minimum-error marker within the tolerance and commit once it
+    /// has `floor` errors, the fewest any unscanned position can have.
+    fn scan(&mut self, floor: usize) {
         let m = START_MARKER.len();
-        if self.bits.len() < m {
-            return;
-        }
-        if let Some(mcfg) = self.config.marker {
-            // Marker-coded frames rank anchors by segment-marker
-            // lattice score (see `ranked_marker_anchors`). A
-            // candidate's score is final only once its whole probe
-            // window is buffered, so scan decidable positions and
-            // commit at the first candidate no later position can
-            // outrank — an un-aliased, fully *exact* lattice with an
-            // exact start marker, the unique maximum of the ranking.
-            // Anything weaker is resolved at finish() by the ranked
-            // chain over the full buffer.
-            let window = m + lattice_window(mcfg);
-            while self.scanned + window <= self.bits.len() {
-                let pos = self.scanned;
-                self.scanned += 1;
-                let errors = marker_errors_at(&self.bits, pos);
-                if errors > self.max_marker_errors + LATTICE_EXTRA_TOLERANCE {
-                    continue;
-                }
-                let score = lattice_score(&self.bits, pos + m, mcfg);
-                if errors == 0 && score.exact == LATTICE_PROBE_MARKERS && !score.aliased {
-                    self.committed = Some(pos);
-                    events.push(FrameEvent::MarkerFound { position: self.base + pos, errors: 0 });
-                    return;
-                }
-            }
-            return;
-        }
-        // Rigid frames: the earliest minimum-error marker within the
-        // tolerance. An exact match can never be beaten, so commit to
-        // it at once and let the frame stream out.
-        for pos in self.scanned..=self.bits.len() - m {
-            let errors = marker_errors_at(&self.bits, pos);
-            if errors <= self.max_marker_errors && self.best.is_none_or(|(e, _)| errors < e) {
-                self.best = Some((errors, pos));
+        let tail = &self.bits[self.retired..];
+        let window = m + self.config.marker.map_or(0, lattice_window);
+        while self.committed.is_none() && self.scanned + window <= tail.len() {
+            let pos = self.scanned;
+            self.scanned += 1;
+            let errors = marker_errors_at(tail, pos);
+            if let Some(mcfg) = self.config.marker {
                 if errors == 0 {
+                    let score = lattice_score(tail, pos + m, mcfg);
+                    if score.exact == LATTICE_PROBE_MARKERS && !score.aliased {
+                        self.committed = Some(pos);
+                    }
+                }
+            } else if errors <= self.max_marker_errors && self.best.is_none_or(|(e, _)| errors < e)
+            {
+                self.best = Some((errors, pos));
+                if errors <= floor {
                     self.committed = Some(pos);
-                    events.push(FrameEvent::MarkerFound { position: self.base + pos, errors: 0 });
-                    self.scanned = pos + 1;
-                    return;
                 }
             }
         }
-        self.scanned = self.bits.len() - m + 1;
     }
 
-    /// Ends the stream, resolving what the push path left open. A
-    /// rigid stream decodes from the committed exact marker, else from
-    /// the earliest minimum-error one, as far as the body goes. A
-    /// marker-coded stream runs the ranked anchor chain over the
-    /// unresolved tail. A stream with no marker (and no frames already
-    /// emitted) reports [`FrameError::MarkerNotFound`].
+    /// The one resolve step: completes the frame whose start marker
+    /// sits at relative `pos`, giving the frame and the relative bit
+    /// where it ends, or why the candidate decoded none. `None` while
+    /// its last bit is still to come; never at the end of the stream,
+    /// where a frame cut short decodes what arrived.
+    fn resolve(
+        &mut self,
+        pos: usize,
+        end_of_stream: bool,
+    ) -> Option<Result<(Deframed, usize), FrameError>> {
+        let body_at = pos + START_MARKER.len();
+        let body = &self.bits[self.retired + body_at..];
+        let payload_start = self.base + body_at;
+        let Some(mcfg) = self.config.marker else {
+            let span = peek_declared_rigid(body, self.config)
+                .map(|declared| rigid_body_span(self.config, declared));
+            let end = match span {
+                Some(span) if span <= body.len() => span,
+                _ if end_of_stream => body.len(),
+                _ => return None,
+            };
+            let decoded = decode_rigid_body(&body[..end], self.config);
+            return Some(decoded.map(|b| (b.into_deframed(payload_start, None), body_at + end)));
+        };
+        let mrx = self.marker_rx.get_or_insert_with(|| MarkerRx::new(mcfg));
+        if !mrx.pump(body, self.config, end_of_stream) {
+            return None;
+        }
+        let mrx = self.marker_rx.take().expect("pumped above");
+        let end = body_at + mrx.ms.consumed_bits().min(body.len());
+        Some(mrx.decode(self.config, payload_start).map(|frame| (frame, end)))
+    }
+
+    /// Emits a frame that ends at relative bit `end`, retires its bits
+    /// and restarts the scan after it.
+    fn emit(&mut self, frame: Deframed, end: usize, events: &mut Vec<FrameEvent>) {
+        events.push(FrameEvent::Frame(frame));
+        self.frames_emitted += 1;
+        self.retired += end;
+        self.base += end;
+        self.scanned = 0;
+        self.best = None;
+        self.committed = None;
+    }
+
+    /// Ends the stream and resolves every frame left in the tail (see
+    /// the type docs for the candidate order and the cost). A stream
+    /// that yielded no frame reports why: the first candidate's
+    /// error, or [`FrameError::MarkerNotFound`] when there was none.
     pub fn finish(&mut self) -> Vec<FrameEvent> {
         assert!(!self.finished, "finish() may only be called once");
         self.finished = true;
-        if let Some(mcfg) = self.config.marker {
-            return self.finish_ranked(mcfg);
-        }
         let mut events = Vec::new();
-        if self.rigid_interleaved() {
-            // push() only buffered.
-            self.scan_for_marker(&mut events);
-        }
-        let pos = match self.committed {
-            Some(pos) => Some(pos),
-            None => {
-                let best = self.best;
-                if let Some((errors, pos)) = best {
-                    events.push(FrameEvent::MarkerFound { position: self.base + pos, errors });
+        let mut lost = None;
+        let mut floor = 0;
+        // A committed marker-coded anchor may still declare an
+        // implausible length, and candidates whose lattice windows never
+        // filled were never scored: the tail is ranked afresh, and every
+        // candidate decodes from a fresh decoder, the committed one too.
+        self.marker_rx = None;
+        loop {
+            let candidates: Vec<(usize, usize)> = match self.config.marker {
+                Some(mcfg) => {
+                    let tail = &self.bits[self.retired..];
+                    ranked_marker_anchors(tail, mcfg, self.max_marker_errors)
+                        .into_iter()
+                        .map(|pos| (marker_errors_at(tail, pos), pos))
+                        .collect()
                 }
-                best.map(|(_, pos)| pos)
-            }
-        };
-        match pos {
-            Some(pos) => {
-                let body_at = pos + START_MARKER.len();
-                match decode_rigid_body(&self.bits[body_at..], self.config) {
-                    Ok(body) => {
-                        self.frames_emitted += 1;
-                        let frame = body.into_deframed(self.base + body_at, None);
-                        events.push(FrameEvent::Frame(frame));
+                None => {
+                    self.scan(floor);
+                    self.best.into_iter().collect()
+                }
+            };
+            let resolved =
+                candidates.into_iter().find_map(|(errors, pos)| match self.resolve(pos, true)? {
+                    Ok((frame, end)) => Some((errors, pos, frame, end)),
+                    Err(e) => {
+                        lost.get_or_insert(e);
+                        None
                     }
-                    Err(e) => events.push(FrameEvent::Lost(e)),
-                }
-            }
-            None if self.frames_emitted == 0 => {
-                events.push(FrameEvent::Lost(FrameError::MarkerNotFound))
-            }
-            None => {}
-        }
-        events
-    }
-
-    /// End of a marker-coded stream. The push path commits only to an
-    /// anchor nothing can outrank, but that anchor's header may still
-    /// prove implausible, and candidates whose lattice windows never
-    /// filled were never scored; so the whole unresolved tail is
-    /// ranked afresh (a frame the push path already emitted has been
-    /// drained). Candidates decode in rank order until one yields a
-    /// plausible frame; when none does, the top-ranked candidate's
-    /// error is reported — it is the most likely true anchor.
-    fn finish_ranked(&mut self, mcfg: MarkerConfig) -> Vec<FrameEvent> {
-        let mut first_err = None;
-        for pos in ranked_marker_anchors(&self.bits, mcfg, self.max_marker_errors) {
-            let body_at = pos + START_MARKER.len();
-            let mut mrx = MarkerRx::new(mcfg);
-            mrx.pump(&self.bits[body_at..], self.config, true);
-            match mrx.decode(self.config, self.base + body_at) {
-                Ok(frame) => {
-                    self.frames_emitted += 1;
-                    let errors = marker_errors_at(&self.bits, pos);
-                    return vec![
-                        FrameEvent::MarkerFound { position: self.base + pos, errors },
-                        FrameEvent::Frame(frame),
-                    ];
-                }
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
+                });
+            let Some((errors, pos, frame, end)) = resolved else { break };
+            events.push(FrameEvent::MarkerFound { position: self.base + pos, errors });
+            self.emit(frame, end, &mut events);
+            floor = errors;
         }
         if self.frames_emitted == 0 {
-            vec![FrameEvent::Lost(first_err.unwrap_or(FrameError::MarkerNotFound))]
-        } else {
-            Vec::new()
+            events.push(FrameEvent::Lost(lost.unwrap_or(FrameError::MarkerNotFound)));
         }
+        events
     }
 }
 
@@ -694,6 +667,19 @@ mod tests {
             rx.finish().unwrap_err(),
             RxError::Capture(CaptureError::NonFinite { .. })
         ));
+    }
+
+    #[test]
+    fn a_twiddle_table_quadratic_in_the_window_is_an_invalid_config() {
+        // Every harmonic of a 0 Hz switching frequency lands on the
+        // tuner's bin, and each would get a window of twiddles.
+        let cfg = RxConfig {
+            switching_freq_hz: 0.0,
+            fft_size: 2048,
+            harmonics: 2048,
+            ..rx_config(400e-6)
+        };
+        assert!(matches!(StreamingReceiver::new(cfg, 2.4e6, 0.0), Err(RxError::InvalidConfig(_))));
     }
 
     #[test]
@@ -824,24 +810,85 @@ mod tests {
         assert_eq!(d.finish(), vec![FrameEvent::Lost(FrameError::TruncatedHeader)]);
     }
 
-    #[test]
-    fn interleaved_frames_defer_to_finish_and_match_batch() {
-        let cfg = FrameConfig { interleave_depth: Some(7), ..FrameConfig::default() };
-        let bits = frame_payload(b"interleaved stream", cfg);
-        let batch = try_deframe(&bits, cfg, 0).expect("frame");
-        let mut d = Deframer::new(cfg, 0);
-        for c in bits.chunks(11) {
-            assert!(d.push(c).is_empty(), "interleaved mode must defer");
-        }
-        let events = d.finish();
-        let frame = events
+    /// Every event of one pass over `bits` pushed in `chunk`-bit
+    /// pieces, with the events `push` returned first.
+    fn one_pass(bits: &[u8], cfg: FrameConfig, max_errors: usize, chunk: usize) -> Vec<FrameEvent> {
+        let mut d = Deframer::new(cfg, max_errors);
+        let mut events: Vec<FrameEvent> = bits.chunks(chunk).flat_map(|c| d.push(c)).collect();
+        events.extend(d.finish());
+        events
+    }
+
+    fn payloads(events: &[FrameEvent]) -> Vec<&[u8]> {
+        events
             .iter()
-            .find_map(|e| match e {
-                FrameEvent::Frame(f) => Some(f.clone()),
+            .filter_map(|e| match e {
+                FrameEvent::Frame(f) => Some(f.payload.as_slice()),
                 _ => None,
             })
-            .expect("frame at finish");
-        assert_eq!(frame, batch);
+            .collect()
+    }
+
+    #[test]
+    fn interleaved_frames_stream_out_of_push_and_match_batch() {
+        let cfg = FrameConfig { interleave_depth: Some(7), ..FrameConfig::default() };
+        let mut bits = frame_payload(b"interleaved stream", cfg);
+        bits.extend(frame_payload(b"and the next one", cfg));
+        let batch = try_deframe(&bits, cfg, 0).expect("frame");
+        for chunk in CHUNKINGS {
+            let mut d = Deframer::new(cfg, 0);
+            let pushed: Vec<FrameEvent> = bits.chunks(chunk).flat_map(|c| d.push(c)).collect();
+            assert_eq!(
+                payloads(&pushed),
+                [b"interleaved stream".as_slice(), b"and the next one"],
+                "chunk {chunk}: both frames must stream out of push()"
+            );
+            assert!(pushed.contains(&FrameEvent::Frame(batch.clone())), "chunk {chunk}");
+            assert!(d.finish().is_empty());
+        }
+    }
+
+    #[test]
+    fn one_pass_resolves_every_inexact_rigid_frame() {
+        let config = crate::packets::PacketConfig { packet_bytes: 8, ..Default::default() };
+        let cfg = config.frame;
+        let mut bits = crate::packets::packetize(b"packet-0packet-1packet-2packet-3", config);
+        let packet_len = bits.len() / 4;
+        // The last three packets carry one start-marker error each, so
+        // only finish() may commit to them.
+        for k in 1..4 {
+            bits[k * packet_len + cfg.sync_len + cfg.zeros_len + 3] ^= 1;
+        }
+        for chunk in CHUNKINGS {
+            let events = one_pass(&bits, cfg, 1, chunk);
+            let expected: [&[u8]; 4] =
+                [b"\0packet-0", b"\x01packet-1", b"\x02packet-2", b"\x03packet-3"];
+            assert_eq!(payloads(&events), expected, "chunk {chunk}: {events:?}");
+            let inexact = events
+                .iter()
+                .filter(|e| matches!(e, FrameEvent::MarkerFound { errors: 1, .. }))
+                .count();
+            assert_eq!(inexact, 3, "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn one_pass_resolves_every_marker_coded_frame_behind_a_damaged_anchor() {
+        use crate::marker::MarkerConfig;
+        let cfg = FrameConfig { marker: Some(MarkerConfig::standard()), ..FrameConfig::default() };
+        let sent: [&[u8]; 3] = [b"anchor one", b"the second anchor", b"third and last"];
+        let mut bits = Vec::new();
+        for payload in sent {
+            // One start-marker error per anchor: nothing commits before
+            // finish(), which must rank its way through all three.
+            let marker_at = bits.len() + cfg.sync_len + cfg.zeros_len;
+            bits.extend(frame_payload(payload, cfg));
+            bits[marker_at + 3] ^= 1;
+        }
+        for chunk in CHUNKINGS {
+            let events = one_pass(&bits, cfg, 1, chunk);
+            assert_eq!(payloads(&events), sent, "chunk {chunk}: {events:?}");
+        }
     }
 
     #[test]

@@ -3,11 +3,34 @@
 use emsc_covert::coding::{bits_to_bytes, bytes_to_bits, decode_bits, encode_bits};
 use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig};
 use emsc_covert::interleave::Interleaver;
+use emsc_covert::marker::MarkerConfig;
 use emsc_covert::metrics::{align, align_semiglobal};
+use emsc_covert::packets::{depacketize, packetize, PacketConfig};
+use emsc_covert::stream::{Deframer, FrameEvent};
 use proptest::prelude::*;
 
 fn bits(max: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..=1, 0..max)
+}
+
+/// Packet framing over every layout: parity × interleave (depth 0
+/// draws none) × marker code (none, standard or dense).
+fn packet_layout() -> impl Strategy<Value = FrameConfig> {
+    (any::<bool>(), 0usize..8, 0usize..3).prop_map(|(parity, depth, marker)| FrameConfig {
+        parity,
+        interleave_depth: (depth > 0).then_some(depth),
+        marker: [None, Some(MarkerConfig::standard()), Some(MarkerConfig::dense())][marker],
+        ..PacketConfig::default().frame
+    })
+}
+
+/// Every event of one deframing pass, the bits pushed in `chunk`-bit
+/// pieces.
+fn deframe_pass(bits: &[u8], config: FrameConfig, chunk: usize) -> Vec<FrameEvent> {
+    let mut d = Deframer::new(config, 1);
+    let mut events: Vec<FrameEvent> = bits.chunks(chunk).flat_map(|c| d.push(c)).collect();
+    events.extend(d.finish());
+    events
 }
 
 proptest! {
@@ -72,6 +95,25 @@ proptest! {
             cw += 1;
         }
         let out = try_deframe(&on_air, cfg, 1).expect("deframe");
+        prop_assert_eq!(out.payload, payload);
+    }
+
+    #[test]
+    fn one_deframing_pass_is_chunk_invariant_and_reassembles_packets(
+        payload in prop::collection::vec(any::<u8>(), 0..64),
+        packet_bytes in 1usize..16,
+        frame in packet_layout(),
+        chunk in 1usize..256,
+    ) {
+        let config = PacketConfig { packet_bytes, frame, ..PacketConfig::default() };
+        let on_air = packetize(&payload, config);
+        prop_assert_eq!(
+            deframe_pass(&on_air, frame, chunk),
+            deframe_pass(&on_air, frame, on_air.len())
+        );
+        let n_packets = payload.len().div_ceil(packet_bytes);
+        let out = depacketize(&on_air, config, Some(n_packets));
+        prop_assert!(out.missing.is_empty(), "missing {:?}: {:?}", out.missing, config);
         prop_assert_eq!(out.payload, payload);
     }
 

@@ -197,7 +197,9 @@ impl SpoolSource {
     ///
     /// # Errors
     ///
-    /// [`SourceError`] when the file cannot be read.
+    /// [`SourceError::Io`] with the kind of the failed open or read. A
+    /// missing file, or one the process may not read, is fatal rather
+    /// than retryable (see [`SourceError::is_retryable`]).
     pub fn from_file(
         path: &std::path::Path,
         sample_rate: f64,

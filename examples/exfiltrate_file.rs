@@ -9,7 +9,8 @@
 //! independently-framed packets (§IV-C1: "the data can be sent in
 //! packets or continuously") — a bit insertion or deletion then costs
 //! one packet instead of everything after it. The attacker's receiver
-//! sits at 1 m with the briefcase loop antenna.
+//! sits at 1 m with the briefcase loop antenna. Exits with status 1
+//! unless the file comes back exactly.
 
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::covert_run::CovertScenario;
@@ -47,7 +48,8 @@ fn main() {
     let total_corrections: usize = out.packets.iter().map(|p| p.corrections).sum();
     println!("parity    : {} corrections applied", total_corrections);
     println!("recovered : {:?}", String::from_utf8_lossy(&out.payload));
-    if out.payload == file {
-        println!("result    : file recovered exactly");
+    if out.payload != file {
+        std::process::exit(1);
     }
+    println!("result    : file recovered exactly");
 }

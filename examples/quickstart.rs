@@ -7,7 +7,8 @@
 //! Builds the full chain — a simulated Linux laptop running the Fig. 3
 //! transmitter, its buck VRM, the EM scene with a coin probe at 10 cm,
 //! an RTL-SDR front end — then demodulates the capture with the
-//! paper's batch receiver and prints what came out.
+//! paper's batch receiver and prints what came out. Exits with status
+//! 1 unless the secret comes back exactly.
 
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::covert_run::CovertScenario;
@@ -52,5 +53,8 @@ fn main() {
             }
         }
         None => println!("received  : frame marker not found"),
+    }
+    if outcome.deframed.is_none_or(|d| d.payload != secret) {
+        std::process::exit(1);
     }
 }

@@ -9,12 +9,13 @@
 
 use std::io::{self, Read};
 
-use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, FrameError};
+use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, FrameError, START_MARKER};
 use emsc_covert::matched::matched_filter_demodulate;
 use emsc_covert::rx::{
     try_estimate_bit_period, try_find_switching_frequency, Receiver, RxConfig, RxError, SyncLoss,
     MAX_EDGE_KERNEL_TAPS,
 };
+use emsc_covert::stream::{Deframer, FrameEvent};
 use emsc_keylog::{Detector, DetectorConfig};
 use emsc_sdr::error::{CaptureError, StatsError};
 use emsc_sdr::impair::{apply_all, Impairment};
@@ -110,6 +111,9 @@ fn bad_rx_configs() -> Vec<RxConfig> {
         // would walk every one of them.
         RxConfig { harmonics: 1 << 40, ..good.clone() },
         RxConfig { harmonics: usize::MAX, ..good.clone() },
+        // As many harmonics as bins: a twiddle table quadratic in the
+        // window (64 MiB here).
+        RxConfig { fft_size: 2048, harmonics: 2048, ..good.clone() },
         RxConfig { expected_bit_period_s: 0.0, ..good.clone() },
         RxConfig { expected_bit_period_s: f64::NAN, ..good.clone() },
         RxConfig { expected_bit_period_s: f64::INFINITY, ..good.clone() },
@@ -210,6 +214,31 @@ fn frame_sync_reports_truncation_and_absence_distinctly() {
     // The full frame still round-trips.
     let full = try_deframe(&bits, config, 1).expect("intact frame must deframe");
     assert_eq!(full.payload, b"torture");
+}
+
+#[test]
+fn deframer_floods_of_markers_are_chunk_invariant() {
+    let config = FrameConfig::default();
+    // Back-to-back one-error start markers, each followed by an empty
+    // length header: a thousand frames only finish() can resolve.
+    let mut near = START_MARKER;
+    near[3] ^= 1;
+    let near_flood: Vec<u8> = (0..1000).flat_map(|_| near.into_iter().chain([0; 28])).collect();
+    // Bare marker copies: every position a candidate, every header
+    // garbage.
+    let marker_flood = START_MARKER.repeat(4500);
+    for bits in [near_flood, marker_flood] {
+        let pass = |chunk: usize| {
+            let mut d = Deframer::new(config, 1);
+            let mut events: Vec<FrameEvent> = bits.chunks(chunk).flat_map(|c| d.push(c)).collect();
+            events.extend(d.finish());
+            events
+        };
+        let whole = pass(bits.len());
+        for chunk in [1, 7, 64 * 1024] {
+            assert_eq!(pass(chunk), whole, "chunk {chunk}");
+        }
+    }
 }
 
 #[test]
