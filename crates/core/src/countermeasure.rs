@@ -26,7 +26,8 @@ pub enum Countermeasure {
     /// (§VI "adding pre-determinism, randomness, and/or noise to the
     /// operation of the PMU").
     RandomizeVrm {
-        /// Relative period spread (0.2 = ±20 %).
+        /// Relative period spread (0.2 = ±20 %), in `[0, 1)`:
+        /// [`emsc_vrm::buck::Buck::new`] rejects any other value.
         spread: f64,
     },
     /// EMI shielding: attenuates the emission by the given amount.

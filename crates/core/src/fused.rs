@@ -15,7 +15,7 @@
 //! stream keeps the rendered analog in a recycled arena:
 //!
 //! 1. **Render pass** (construction): each block is composed by
-//!    [`emsc_emfield::scene::Scene::render_window_into`] and folded
+//!    [`emsc_emfield::scene::WindowRenderer::render_into`] and folded
 //!    into the running peak while hot in cache.
 //! 2. **Digitise pass** ([`ChainStream::next_block`]): each block is
 //!    quantised by [`emsc_sdr::Frontend::digitize_window_into`] into a

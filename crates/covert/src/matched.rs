@@ -8,57 +8,37 @@
 //! detected edge and samples at a *fixed* period, with no per-bit
 //! timing recovery.
 
-use emsc_sdr::dsp::{convolve_same_into, edge_kernel, find_peaks};
+use emsc_sdr::dsp::{convolve_same, edge_kernel, find_peaks};
 use emsc_sdr::simd::sum_sq;
-use emsc_sdr::stats::{try_quantile_in_place, try_quantile_with};
-use emsc_sdr::DspScratch;
+use emsc_sdr::stats::{try_quantile, try_quantile_in_place};
 
 /// Demodulates the energy signal `y` (sample spacing `dt_s` seconds)
 /// by integrating fixed windows of `symbol_period_s` from the first
 /// detected edge onward — the conventional matched-filter/synchronous
-/// sampling approach. Allocating wrapper around
-/// [`matched_filter_demodulate_with`].
+/// sampling approach.
+///
+/// The edge quantile selects in place on a clamped copy of the edge
+/// response, and each integrate-and-dump window is the lane-chunked
+/// [`sum_sq`] reduction. This is a tolerance-bounded path (DESIGN.md
+/// §12): the reassociated window sums differ from a scalar fold only
+/// in the last ulps, far inside the mid-range decision threshold's
+/// margin.
 ///
 /// Returns the decoded bits: none if no edge is found or no window
 /// has a finite power.
 pub fn matched_filter_demodulate(y: &[f64], dt_s: f64, symbol_period_s: f64) -> Vec<u8> {
-    matched_filter_demodulate_with(y, dt_s, symbol_period_s, &mut DspScratch::new())
-}
-
-/// [`matched_filter_demodulate`] with reusable scratch: the edge
-/// response is staged in `scratch.f1`, its clamped copy in
-/// `scratch.f0`, where the edge quantile selects in place, and each
-/// integrate-and-dump window is the lane-chunked [`sum_sq`] reduction.
-/// Once the scratch has grown to the input's length, a call allocates
-/// no buffer of that length: what it still allocates are the edge
-/// kernel, the peak list, the window powers and the returned bits,
-/// each a fraction of the input. This is a tolerance-bounded path
-/// (DESIGN.md §12): the reassociated window sums differ from a scalar
-/// fold only in the last ulps, far inside the mid-range decision
-/// threshold's margin.
-pub fn matched_filter_demodulate_with(
-    y: &[f64],
-    dt_s: f64,
-    symbol_period_s: f64,
-    scr: &mut DspScratch,
-) -> Vec<u8> {
     if y.is_empty() || symbol_period_s <= 0.0 || dt_s <= 0.0 {
         return Vec::new();
     }
     let period = symbol_period_s / dt_s;
     // Find the first strong rising edge to anchor the clock.
     let l_d = ((period / 4.0).round() as usize * 2).max(4);
-    let mut response = std::mem::take(&mut scr.f1);
-    convolve_same_into(y, &edge_kernel(l_d), &mut response, scr);
-    let mut positive = std::mem::take(&mut scr.f0);
-    positive.clear();
-    positive.extend(response.iter().map(|&v| v.max(0.0)));
+    let response = convolve_same(y, &edge_kernel(l_d));
+    let mut positive: Vec<f64> = response.iter().map(|&v| v.max(0.0)).collect();
     let peaks = match try_quantile_in_place(&mut positive, 0.98) {
         Ok(robust) => find_peaks(&response, 0.3 * robust.max(1e-30), (period * 0.5) as usize),
         Err(_) => Vec::new(),
     };
-    scr.f0 = positive;
-    scr.f1 = response;
     let Some(&first) = peaks.first() else {
         return Vec::new();
     };
@@ -73,9 +53,7 @@ pub fn matched_filter_demodulate_with(
     }
     // Same mid-range threshold rule as the batch receiver's fallback.
     // Both quantiles fail alike: no window, or a NaN in every one.
-    let (Ok(lo), Ok(hi)) =
-        (try_quantile_with(&powers, 0.05, scr), try_quantile_with(&powers, 0.95, scr))
-    else {
+    let (Ok(lo), Ok(hi)) = (try_quantile(&powers, 0.05), try_quantile(&powers, 0.95)) else {
         return Vec::new();
     };
     let thr = (lo + hi) / 2.0;
@@ -147,19 +125,5 @@ mod tests {
     fn empty_input_yields_no_bits() {
         assert!(matched_filter_demodulate(&[], 1.0, 10.0).is_empty());
         assert!(matched_filter_demodulate(&[0.0; 100], 1.0, 10.0).is_empty());
-    }
-
-    #[test]
-    fn scratch_variant_decodes_identically_and_reuses_buffers() {
-        let bits = vec![1u8, 0, 1, 1, 0, 0, 1, 0];
-        let y = ideal_energy(&bits, 40);
-        let mut scr = DspScratch::new();
-        assert_eq!(
-            matched_filter_demodulate_with(&y, 1.0, 40.0, &mut scr),
-            matched_filter_demodulate(&y, 1.0, 40.0)
-        );
-        let caps = (scr.f0.capacity(), scr.f1.capacity());
-        matched_filter_demodulate_with(&y, 1.0, 40.0, &mut scr);
-        assert_eq!(caps, (scr.f0.capacity(), scr.f1.capacity()), "steady-state must not grow");
     }
 }

@@ -27,8 +27,8 @@
 use emsc_sdr::dsp::find_peaks;
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::fft::{frequency_bin, MAX_TRANSFORM_SIZE};
-use emsc_sdr::stats::{median, quantile, try_quantile_in_place, try_quantile_with, Histogram};
-use emsc_sdr::{Capture, DspScratch};
+use emsc_sdr::stats::{median, quantile, try_quantile, try_quantile_in_place, Histogram};
+use emsc_sdr::Capture;
 
 use crate::stream::StreamingReceiver;
 
@@ -742,23 +742,22 @@ fn select_threshold(powers: &[f64]) -> (f64, Option<(f64, f64)>) {
     if powers.is_empty() {
         return (0.0, None);
     }
-    let mut scr = DspScratch::new();
     // `try_from_data` only fails on all-non-finite powers; fall back
     // to the quantile mid-range in that (pathological) case.
     let modes = Histogram::try_from_data(powers, threshold_bins(powers.len()))
         .ok()
-        .and_then(|h| h.two_modes_with(&mut scr));
-    (threshold_between(modes, powers, &mut scr), modes)
+        .and_then(|h| h.two_modes());
+    (threshold_between(modes, powers), modes)
 }
 
 /// The threshold [`select_threshold`] derives from a batch's modes:
 /// their midpoint, else the midpoint of the batch's 5th and 95th
 /// percentiles (NaN when every power is NaN).
-fn threshold_between(modes: Option<(f64, f64)>, powers: &[f64], scr: &mut DspScratch) -> f64 {
+fn threshold_between(modes: Option<(f64, f64)>, powers: &[f64]) -> f64 {
     match modes {
         Some((lo, hi)) => (lo + hi) / 2.0,
         None => {
-            let mut at = |q| try_quantile_with(powers, q, scr).unwrap_or(f64::NAN);
+            let at = |q| try_quantile(powers, q).unwrap_or(f64::NAN);
             (at(0.05) + at(0.95)) / 2.0
         }
     }
@@ -776,7 +775,6 @@ fn threshold_between(modes: Option<(f64, f64)>, powers: &[f64], scr: &mut DspScr
 ///
 /// [fits]: Histogram::fits
 fn local_decisions(powers: &[f64]) -> Vec<u8> {
-    let mut scr = DspScratch::new();
     let mut hist: Option<Histogram> = None;
     let mut modes = None;
     let mut prev = 0..0;
@@ -791,16 +789,16 @@ fn local_decisions(powers: &[f64]) -> Vec<u8> {
                 let left = (batch.start > prev.start).then(|| h.remove(powers[prev.start]));
                 let entered = (batch.end > prev.end).then(|| h.add(powers[prev.end]));
                 if left.flatten() != entered.flatten() {
-                    modes = h.two_modes_with(&mut scr);
+                    modes = h.two_modes();
                 }
             }
             _ => {
                 hist = Histogram::try_from_data(window, bins).ok();
-                modes = hist.as_ref().and_then(|h| h.two_modes_with(&mut scr));
+                modes = hist.as_ref().and_then(Histogram::two_modes);
             }
         }
         prev = batch;
-        bits.push((p > threshold_between(modes, window, &mut scr)) as u8);
+        bits.push((p > threshold_between(modes, window)) as u8);
     }
     bits
 }

@@ -11,7 +11,7 @@ use emsc_vrm::train::SwitchingTrain;
 
 use crate::interference::{add_awgn_window, Interferer};
 use crate::path::Path;
-use crate::synth::{pulses_sorted, render_train_window_hint, samples_for, SynthConfig};
+use crate::synth::{render_train_window, samples_for, SynthConfig};
 
 /// A complete RF scene.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,37 +69,15 @@ impl Scene {
         buf
     }
 
-    /// Renders the window `[start, start + out.len())` of the received
-    /// waveform into a caller-zeroed slice, bit-identical to the same
-    /// index range of [`Scene::render`] for the same `(train, seed)`.
-    ///
-    /// This is the fused TX chain's per-block composition: synthesis,
-    /// path gain, interferer combs and AWGN are all applied to the
-    /// block while it is cache-resident, and every stage is
-    /// window-invariant ([`crate::synth::render_train_window`], positional
-    /// interferer phases, blockwise sub-seeded noise) so the
-    /// decomposition into blocks is unobservable in the output.
-    pub fn render_window_into(
-        &self,
-        train: &SwitchingTrain,
-        seed: u64,
-        start: usize,
-        out: &mut [Complex],
-    ) {
-        self.window_renderer(train, seed).render_into(start, out);
-    }
-
-    /// A renderer for many windows of one `(train, seed)` run: probes
-    /// the train's pulse ordering once (O(pulses)) so each window pays
-    /// only the documented binary-search + warm-up overhead. This is
-    /// what a blockwise producer should hold for the run's lifetime;
-    /// [`Scene::render_window_into`] is the one-shot form.
+    /// A renderer for the windows of one `(train, seed)` run, each
+    /// bit-identical to the same index range of [`Scene::render`].
+    /// This is what a blockwise producer holds for the run's lifetime.
     pub fn window_renderer<'a>(
         &'a self,
         train: &'a SwitchingTrain,
         seed: u64,
     ) -> WindowRenderer<'a> {
-        WindowRenderer { scene: self, train, seed, sorted: pulses_sorted(train) }
+        WindowRenderer { scene: self, train, seed }
     }
 
     /// Signal-to-noise ratio (dB) a steady replenish current of
@@ -120,20 +98,19 @@ pub struct WindowRenderer<'a> {
     scene: &'a Scene,
     train: &'a SwitchingTrain,
     seed: u64,
-    sorted: bool,
 }
 
 impl WindowRenderer<'_> {
     /// Renders the window `[start, start + out.len())` of the received
     /// waveform into a caller-zeroed slice: synthesis, path gain,
     /// interferer combs and AWGN, all applied while the block is
-    /// cache-resident. Every stage is window-invariant (globally
-    /// anchored phasors, positional interferer phases, blockwise
-    /// sub-seeded noise), so the decomposition into blocks is
-    /// unobservable in the output.
+    /// cache-resident. Every stage is window-invariant
+    /// ([`render_train_window`]'s globally anchored phasors,
+    /// positional interferer phases, blockwise sub-seeded noise), so
+    /// the decomposition into blocks is unobservable in the output.
     pub fn render_into(&self, start: usize, out: &mut [Complex]) {
         let scene = self.scene;
-        render_train_window_hint(self.train, scene.synth, self.sorted, start, out);
+        render_train_window(self.train, scene.synth, start, out);
         let gain = scene.path.gain() * scene.emission_scale;
         for s in out.iter_mut() {
             *s = s.scale(gain);
@@ -238,12 +215,13 @@ mod tests {
         let train = regular_train(f_sw, 8e-6, 4e-3);
         let whole = scene.render(&train, 77);
         let n = whole.len();
+        let renderer = scene.window_renderer(&train, 77);
         for window in [7usize, 997, 4096, n] {
             let mut composed = vec![Complex::ZERO; n];
             let mut start = 0;
             while start < n {
                 let len = window.min(n - start);
-                scene.render_window_into(&train, 77, start, &mut composed[start..start + len]);
+                renderer.render_into(start, &mut composed[start..start + len]);
                 start += len;
             }
             for (i, (a, b)) in composed.iter().zip(&whole).enumerate() {

@@ -184,74 +184,10 @@ pub fn render_train(train: &SwitchingTrain, config: SynthConfig, n_samples: usiz
     out
 }
 
-/// Whether the train's pulses are time-ordered — the precondition for
-/// the binary-searched table-driven renderer. O(pulses); callers
-/// rendering many windows of one train should probe once and pass the
-/// result to [`render_train_window_hint`] instead of paying this per
-/// window.
-pub fn pulses_sorted(train: &SwitchingTrain) -> bool {
-    train.pulses.windows(2).all(|w| w[0].t_s <= w[1].t_s)
-}
-
-/// Renders the window `[start, start + out.len())` of a capture,
-/// *adding* each pulse's contribution into the caller-zeroed `out`
-/// slice. Any decomposition of a capture into windows renders it bit
-/// for bit the same; [`render_train`] is the one-window case.
-///
-/// This is the chunk-windowed entry the fused TX chain renders its
-/// cache-resident blocks through. Window invariance holds because
-/// nothing depends on the window placement:
-///
-/// - the carrier phasor anchors at global pulse indices (an exact
-///   `cis` at every `PHASOR_REFRESH`-th pulse *of the train*), and a
-///   window warms it up from the nearest anchor at or before its first
-///   pulse — the Δt rotator is a pure function of the pulse spacing,
-///   so the warm-up reproduces the whole-buffer product exactly;
-/// - each pulse's kernel-LUT row and interpolation fraction are
-///   computed from the pulse's *intrinsic* first tap (`⌈center − H⌉`,
-///   which may precede the window); clipping at the window edge only
-///   shifts an integer row offset, never the fraction.
-///
-/// Cost per window beyond the taps themselves: one binary search over
-/// the train and at most `PHASOR_REFRESH − 1` carrier warm-up
-/// multiplies, both negligible at kilosample block sizes.
-pub fn render_train_window(
-    train: &SwitchingTrain,
-    config: SynthConfig,
-    start: usize,
-    out: &mut [Complex],
-) {
-    render_train_window_hint(train, config, pulses_sorted(train), start, out)
-}
-
-/// [`render_train_window`] with the [`pulses_sorted`] probe hoisted
-/// out: `sorted` **must** equal `pulses_sorted(train)`. This is the
-/// entry for blockwise producers — the probe is O(pulses), so paying
-/// it once per run instead of once per block keeps the per-window
-/// overhead at the documented binary-search + warm-up level.
-///
-/// Every generator in this workspace emits time-ordered trains, which
-/// take the table-driven path (within −90 dB of the analytic kernel,
-/// pinned in tests). A train that is not time-ordered cannot be
-/// binary-searched, so it takes the analytic path.
-pub fn render_train_window_hint(
-    train: &SwitchingTrain,
-    config: SynthConfig,
-    sorted: bool,
-    start: usize,
-    out: &mut [Complex],
-) {
-    if sorted {
-        render_window_fast(train, config, start, out)
-    } else {
-        render_window_exact(train, config, start, out)
-    }
-}
-
 /// Analytic renderer: per-pulse `cis` and the analytic kernel at
-/// absolute sample indices, walking every pulse. The path for trains
-/// that are not time-ordered, and the accuracy oracle of the
-/// table-driven path in tests.
+/// absolute sample indices, walking every pulse. The accuracy oracle
+/// of the table-driven [`render_train_window`].
+#[cfg(test)]
 fn render_window_exact(
     train: &SwitchingTrain,
     config: SynthConfig,
@@ -324,11 +260,35 @@ impl CarrierPhasor {
     }
 }
 
-/// The table-driven renderer: the contributions of every pulse
-/// whose kernel support intersects `[start, start + out.len())`,
-/// processed in time order (see [`render_train_window`] for the
-/// window-invariance argument).
-fn render_window_fast(
+/// Renders the window `[start, start + out.len())` of a capture,
+/// *adding* each pulse's contribution into the caller-zeroed `out`
+/// slice. Any decomposition of a capture into windows renders it bit
+/// for bit the same; [`render_train`] is the one-window case.
+///
+/// This is the chunk-windowed entry the fused TX chain renders its
+/// cache-resident blocks through. It is table-driven (within −90 dB
+/// of the analytic kernel, pinned in tests) and binary-searches the
+/// train for the pulses whose kernel support reaches the window, so
+/// it relies on [`SwitchingTrain::pulses`] being in time order, as
+/// every train [`Buck::convert`] emits is. Window invariance holds
+/// because nothing depends on the window placement:
+///
+/// - the carrier phasor anchors at global pulse indices (an exact
+///   `cis` at every `PHASOR_REFRESH`-th pulse *of the train*), and a
+///   window warms it up from the nearest anchor at or before its first
+///   pulse — the Δt rotator is a pure function of the pulse spacing,
+///   so the warm-up reproduces the whole-buffer product exactly;
+/// - each pulse's kernel-LUT row and interpolation fraction are
+///   computed from the pulse's *intrinsic* first tap (`⌈center − H⌉`,
+///   which may precede the window); clipping at the window edge only
+///   shifts an integer row offset, never the fraction.
+///
+/// Cost per window beyond the taps themselves: one binary search over
+/// the train and at most `PHASOR_REFRESH − 1` carrier warm-up
+/// multiplies, both negligible at kilosample block sizes.
+///
+/// [`Buck::convert`]: emsc_vrm::buck::Buck::convert
+pub fn render_train_window(
     train: &SwitchingTrain,
     config: SynthConfig,
     start: usize,
@@ -419,7 +379,7 @@ const N_SHORT: usize = LUT_ROW - 1;
 
 /// One pulse's tap updates at a compile-time count: `dst[i] +=
 /// carrier · (amp · k_i)` with the same per-tap expression as the
-/// generic loop in `render_window_fast`.
+/// generic loop in [`render_train_window`].
 #[inline]
 fn tap_block<const N: usize>(
     dst: &mut [Complex],
@@ -665,17 +625,6 @@ mod tests {
         assert!(db <= -90.0, "fast path error {db:.1} dB");
     }
 
-    #[test]
-    fn unsorted_trains_fall_back_to_the_exact_path() {
-        let f_sw = 1e6;
-        let mut train = regular_train(f_sw, 2e-6, 2e-3);
-        train.pulses.reverse();
-        let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        let fast_cfg = render_train(&train, cfg, 4096);
-        let exact = render_exact(&train, cfg, 4096);
-        assert!(fast_cfg.iter().zip(&exact).all(|(a, b)| a.re == b.re && a.im == b.im));
-    }
-
     /// Renders `n` samples as a sequence of `window`-sized blocks
     /// through the public chunk-windowed entry.
     fn render_by_windows(
@@ -710,8 +659,7 @@ mod tests {
         // any block decomposition must reproduce the whole-buffer
         // render bit for bit, for regular and jittered trains (the
         // latter defeats the Δt-rotator cache, exercising the
-        // per-pulse `cis` warm-up) and for a reversed train, which
-        // takes the analytic path.
+        // per-pulse `cis` warm-up).
         let f_sw = 937.5e3;
         let mut jittered = regular_train(f_sw, 8e-6, 4e-3);
         let mut state = 0x9E37u64;
@@ -723,10 +671,8 @@ mod tests {
             p.t_s = (p.t_s + 0.4 * u / f_sw).max(0.0);
         }
         jittered.pulses.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap());
-        let mut reversed = regular_train(f_sw, 8e-6, 4e-3);
-        reversed.pulses.reverse();
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        for train in [regular_train(f_sw, 8e-6, 4e-3), jittered, reversed] {
+        for train in [regular_train(f_sw, 8e-6, 4e-3), jittered] {
             let n = samples_for(&train, cfg);
             let whole = render_train(&train, cfg, n);
             for window in [1usize, 7, 997, 4096] {

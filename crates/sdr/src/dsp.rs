@@ -7,12 +7,12 @@
 //!
 //! The convolution kernels here sit on **bit-pinned** paths (the
 //! streaming `ConvolveStream` equivalence suite and the receiver's
-//! edge chain), so their rewrites are restructure-only: the `_into`
-//! variants reuse caller buffers and drop per-element bounds checks,
-//! but every output accumulates its terms in the historical order and
-//! is bit-identical to the original implementation (DESIGN.md §12).
-
-use crate::scratch::{reset_f64, DspScratch};
+//! edge chain), so their rewrites are restructure-only: they drop
+//! per-element bounds checks, but every output accumulates its terms
+//! in the historical order and is bit-identical to the original
+//! implementation (DESIGN.md §12). Each kernel has one form: a
+//! one-shot call returns a fresh result, and the streams in
+//! [`crate::stream`] own the buffers of their chunk-fed equivalents.
 
 /// Full linear convolution of `signal` with `kernel` (output length
 /// `signal.len() + kernel.len() - 1`, empty if either input is empty)
@@ -41,7 +41,6 @@ pub fn convolve_full_into(signal: &[f64], kernel: &[f64], out: &mut Vec<f64>) {
 
 /// "Same"-size convolution: the centre `signal.len()` samples of the
 /// full convolution, so output index `i` aligns with input index `i`.
-/// Allocating wrapper around [`convolve_same_into`].
 ///
 /// Alignment convention for **even-length** kernels (which have no
 /// centre tap): output index `i` is full-convolution index
@@ -54,29 +53,15 @@ pub fn convolve_full_into(signal: &[f64], kernel: &[f64], out: &mut Vec<f64>) {
 /// back to `s`), so bit-start estimates are not biased late. Centring
 /// on `k/2` instead would report every edge one sample early.
 pub fn convolve_same(signal: &[f64], kernel: &[f64]) -> Vec<f64> {
-    let mut out = Vec::new();
-    convolve_same_into(signal, kernel, &mut out, &mut DspScratch::new());
-    out
-}
-
-/// [`convolve_same`] into a caller-owned buffer. The full convolution
-/// is staged in `scratch.f0`; bit-identical to the allocating path.
-pub fn convolve_same_into(
-    signal: &[f64],
-    kernel: &[f64],
-    out: &mut Vec<f64>,
-    scr: &mut DspScratch,
-) {
-    out.clear();
     if signal.is_empty() || kernel.is_empty() {
-        out.resize(signal.len(), 0.0);
-        return;
+        return vec![0.0; signal.len()];
     }
-    let mut full = std::mem::take(&mut scr.f0);
+    let mut full = Vec::new();
     convolve_full_into(signal, kernel, &mut full);
     let start = (kernel.len() - 1) / 2;
-    out.extend_from_slice(&full[start..start + signal.len()]);
-    scr.f0 = full;
+    full.truncate(start + signal.len());
+    full.drain(..start);
+    full
 }
 
 /// The paper's derivative-mimicking kernel: `l/2` ones followed by
@@ -104,37 +89,26 @@ pub fn edge_kernel(l: usize) -> Vec<f64> {
 }
 
 /// Simple moving average over a centred window of `width` samples
-/// (edges use the available partial window). Allocating wrapper around
-/// [`moving_average_into`].
+/// (edges use the available partial window).
 pub fn moving_average(signal: &[f64], width: usize) -> Vec<f64> {
-    let mut out = Vec::new();
-    moving_average_into(signal, width, &mut out, &mut DspScratch::new());
-    out
-}
-
-/// [`moving_average`] into a caller-owned buffer. The prefix-sum table
-/// is staged in `scratch.f0`; bit-identical to the allocating path.
-pub fn moving_average_into(signal: &[f64], width: usize, out: &mut Vec<f64>, scr: &mut DspScratch) {
-    out.clear();
     if width <= 1 || signal.is_empty() {
-        out.extend_from_slice(signal);
-        return;
+        return signal.to_vec();
     }
     let half = width / 2;
     // prefix sums for O(n)
-    reset_f64(&mut scr.f0, signal.len() + 1);
-    let prefix = &mut scr.f0;
+    let mut prefix = vec![0.0; signal.len() + 1];
     let mut running = 0.0;
     for (slot, &v) in prefix[1..].iter_mut().zip(signal) {
         running += v;
         *slot = running;
     }
-    out.reserve(signal.len());
-    for i in 0..signal.len() {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(signal.len());
-        out.push((prefix[hi] - prefix[lo]) / (hi - lo) as f64);
-    }
+    (0..signal.len())
+        .map(|i| {
+            let lo = i.saturating_sub(half);
+            let hi = (i + half + 1).min(signal.len());
+            (prefix[hi] - prefix[lo]) / (hi - lo) as f64
+        })
+        .collect()
 }
 
 /// A detected local maximum.
@@ -373,22 +347,6 @@ mod tests {
         let peaks = find_peaks(&x, 0.5, 1);
         assert_eq!(peaks.len(), 1);
         assert_eq!(peaks[0].index, 2);
-    }
-
-    #[test]
-    fn into_variants_are_bit_identical_and_reuse_buffers() {
-        let x: Vec<f64> = (0..300).map(|i| ((i * 37) % 101) as f64 - 50.0).collect();
-        let k = edge_kernel(16);
-        let mut out = Vec::new();
-        let mut scr = DspScratch::new();
-        convolve_same_into(&x, &k, &mut out, &mut scr);
-        assert_eq!(out, convolve_same(&x, &k));
-        moving_average_into(&x, 9, &mut out, &mut scr);
-        assert_eq!(out, moving_average(&x, 9));
-        let caps = (out.capacity(), scr.f0.capacity());
-        convolve_same_into(&x, &k, &mut out, &mut scr);
-        moving_average_into(&x, 9, &mut out, &mut scr);
-        assert_eq!(caps, (out.capacity(), scr.f0.capacity()), "steady-state must not grow");
     }
 
     #[test]

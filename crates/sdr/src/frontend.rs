@@ -93,11 +93,9 @@ impl Frontend {
     ///
     /// # Panics
     ///
-    /// Panics if the sample rate is not positive or `adc_bits` is zero.
+    /// Panics on any configuration [`Frontend::try_new`] rejects.
     pub fn new(config: FrontendConfig) -> Self {
-        assert!(config.sample_rate > 0.0, "sample rate must be positive");
-        assert!(config.adc_bits > 0, "ADC must have at least one bit");
-        Frontend { config }
+        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`Frontend::new`]: reports a bad sample
@@ -132,29 +130,19 @@ impl Frontend {
     /// accumulated rounding drift stays at the 1e-14 level — far below
     /// the ADC's quantisation step, so quantised captures equal those
     /// of a per-sample `cis` mixer (pinned in the tests below).
-    /// Allocating wrapper around [`Frontend::digitize_into`].
+    ///
+    /// The AGC peak scan is the lane-chunked (value-identical)
+    /// [`peak_abs`], and the sample loop is the windowed core
+    /// [`Frontend::digitize_window_into`] over the whole range — so
+    /// whole-buffer and windowed output agree by construction.
     pub fn digitize(&self, analog: &[Complex]) -> Capture {
         let mut samples = Vec::new();
-        self.digitize_into(analog, &mut samples);
+        self.digitize_window_into(analog, 0, self.agc_gain(peak_abs(analog)), &mut samples);
         Capture {
             samples,
             sample_rate: self.config.sample_rate,
             center_freq: self.config.center_freq,
         }
-    }
-
-    /// [`Frontend::digitize`] into a caller-owned sample buffer
-    /// (cleared and refilled; no allocation after a warm-up call at
-    /// the largest size).
-    ///
-    /// This is the digitiser's hot form: the AGC peak scan is the
-    /// lane-chunked (value-identical) [`peak_abs`], and the sample
-    /// loop is the windowed core [`Frontend::digitize_window_into`]
-    /// over the whole range — so whole-buffer and windowed output
-    /// agree by construction.
-    pub fn digitize_into(&self, analog: &[Complex], out: &mut Vec<Complex>) {
-        let gain = self.agc_gain(peak_abs(analog));
-        self.digitize_window_into(analog, 0, gain, out);
     }
 
     /// The AGC gain that maps an observed analog peak (as measured by
@@ -169,7 +157,7 @@ impl Frontend {
     /// Digitises the window of the capture beginning at absolute
     /// sample `start` (`analog` holds that window's samples) under a
     /// caller-supplied AGC `gain` — bit-identical to the same index
-    /// range of [`Frontend::digitize_into`] when `gain` is the
+    /// range of [`Frontend::digitize`] when `gain` is the
     /// global-peak gain from [`Frontend::agc_gain`].
     ///
     /// Window invariance: the mixer's 64-sample re-anchor grid is
@@ -415,22 +403,6 @@ mod tests {
     }
 
     #[test]
-    fn digitize_into_matches_digitize_and_reuses_its_buffer() {
-        let fs = 2.4e6;
-        let x = tone(100e3, fs, 10_000, 0.8);
-        for cfg in [FrontendConfig::rtl_sdr_v3(1.4e6), FrontendConfig::ideal(fs, 1.4e6)] {
-            let fe = Frontend::new(cfg);
-            let cap = fe.digitize(&x);
-            let mut out = Vec::new();
-            fe.digitize_into(&x, &mut out);
-            assert_eq!(out, cap.samples);
-            let capacity = out.capacity();
-            fe.digitize_into(&x, &mut out);
-            assert_eq!(out.capacity(), capacity, "steady-state must not grow");
-        }
-    }
-
-    #[test]
     fn digitize_windows_compose_bitwise_with_whole_buffer() {
         let fs = 2.4e6;
         let x = tone(100e3, fs, 10_000, 0.8);
@@ -440,8 +412,7 @@ mod tests {
             FrontendConfig::ideal(fs, 1.4e6),
         ] {
             let fe = Frontend::new(cfg);
-            let mut whole = Vec::new();
-            fe.digitize_into(&x, &mut whole);
+            let whole = fe.digitize(&x).samples;
             let gain = fe.agc_gain(peak_abs(&x));
             // Odd window lengths force windows to start mid-way through
             // the fast mixer's 64-sample anchor blocks.
@@ -481,6 +452,13 @@ mod tests {
     #[should_panic(expected = "sample rate")]
     fn zero_sample_rate_panics() {
         Frontend::new(FrontendConfig { sample_rate: 0.0, ..FrontendConfig::ideal(1.0, 0.0) });
+    }
+
+    #[test]
+    #[should_panic(expected = "sample rate")]
+    fn infinite_sample_rate_panics() {
+        let cfg = FrontendConfig { sample_rate: f64::INFINITY, ..FrontendConfig::ideal(1.0, 0.0) };
+        Frontend::new(cfg);
     }
 
     #[test]

@@ -14,11 +14,13 @@
 //! - [`sliding`]: per-sample tracking of selected bins — the paper's
 //!   Eq. (1) energy signal at "maximum overlap" cost `O(|S|)`/sample,
 //! - [`dsp`]: convolution, the edge-detection kernel of §IV-B2, peak
-//!   finding,
+//!   finding, each kernel in one form that returns a fresh result,
 //! - [`stats`]: histograms, medians, Rayleigh fits (Fig. 6) and
 //!   bimodal threshold selection (Fig. 7),
 //! - [`stream`]: chunk-fed energy, band-energy, smoothing and
-//!   convolution state machines, bit-identical to the batch kernels,
+//!   convolution state machines, bit-identical to the batch kernels;
+//!   each owns its working buffers, so a warmed-up push allocates
+//!   nothing,
 //! - [`frontend`]: the RTL-SDR front-end imperfection model (8-bit
 //!   quantisation, crystal ppm error, DC spur, AGC),
 //! - [`impair`]: deterministic channel-impairment injection (clock
@@ -26,8 +28,6 @@
 //! - [`record`]: the `rtl_sdr` interleaved-u8 capture format, so the
 //!   pipeline also runs against real dongle recordings,
 //! - [`error`]: the typed capture and statistics errors,
-//! - [`scratch`]: the [`scratch::DspScratch`] buffer arena behind the
-//!   allocation-free `_into` kernel variants,
 //! - [`simd`]: lane-chunked (autovectorizable) reductions, pinned
 //!   against exact scalar oracles in tests.
 //!
@@ -63,7 +63,6 @@ pub mod frontend;
 pub mod impair;
 pub mod iq;
 pub mod record;
-pub mod scratch;
 pub mod simd;
 pub mod sliding;
 pub mod stats;
@@ -74,4 +73,3 @@ pub mod window;
 pub use error::{CaptureError, StatsError};
 pub use frontend::{Capture, Frontend, FrontendConfig};
 pub use iq::Complex;
-pub use scratch::DspScratch;

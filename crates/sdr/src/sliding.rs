@@ -30,7 +30,6 @@
 
 use crate::error::CaptureError;
 use crate::iq::Complex;
-use crate::scratch::DspScratch;
 
 /// Runs that [`SlidingDft::process_into`] advances in lockstep: four
 /// `f64` lanes fill one AVX register or two SSE2/NEON registers.
@@ -63,6 +62,10 @@ pub struct SlidingDft {
     /// The walker's next `BLOCK` steps, lane-major: the real and
     /// imaginary parts of each lane's pushed and evicted sample.
     block: Vec<[[f64; LANES]; 4]>,
+    /// [`SlidingDft::process_into`]'s copies from the ring: the
+    /// samples the run in progress still evicts, then the window of a
+    /// refresh that reaches back across the chunk edge.
+    ring_copies: Vec<Complex>,
 }
 
 /// One bin's value in each of up to `LANES` runs, real and imaginary
@@ -127,10 +130,7 @@ impl SlidingDft {
     /// Panics if `window` is zero, `bins` is empty, or any bin index
     /// is `>= window`.
     pub fn new(window: usize, bins: &[usize]) -> Self {
-        assert!(window > 0, "window must be positive");
-        assert!(!bins.is_empty(), "at least one bin must be tracked");
-        assert!(bins.iter().all(|&k| k < window), "bin index out of range");
-        Self::build(window, bins)
+        Self::try_new(window, bins).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Fallible variant of [`SlidingDft::new`]: reports the violated
@@ -148,10 +148,6 @@ impl SlidingDft {
         if bins.iter().any(|&k| k >= window) {
             return Err(CaptureError::InvalidConfig("bin index out of range"));
         }
-        Ok(Self::build(window, bins))
-    }
-
-    fn build(window: usize, bins: &[usize]) -> Self {
         let rotators = bins
             .iter()
             .map(|&k| Complex::cis(2.0 * std::f64::consts::PI * k as f64 / window as f64))
@@ -164,7 +160,7 @@ impl SlidingDft {
                 })
             })
             .collect();
-        SlidingDft {
+        Ok(SlidingDft {
             window,
             bins: bins.to_vec(),
             rotators,
@@ -176,7 +172,8 @@ impl SlidingDft {
             since_refresh: 0,
             lanes: vec![BinLanes::default(); bins.len()],
             block: vec![[[0.0; LANES]; 4]; BLOCK],
-        }
+            ring_copies: Vec::new(),
+        })
     }
 
     /// Window length `M`.
@@ -249,10 +246,10 @@ impl SlidingDft {
     /// [module docs](self)), and a lane walker advances them:
     ///
     /// - the run in progress carries on from the tracked values, its
-    ///   evicted samples snapshotted from the ring into `scratch.c0`;
+    ///   evicted samples copied from the ring;
     /// - the run opened by the first refresh, if that refresh's window
     ///   still reaches back into the ring, opens from a copy of that
-    ///   window in `scratch.c0`;
+    ///   window;
     /// - every later run reads its window and samples straight from
     ///   `chunk`, and they go `LANES` at a time through the walker.
     ///   Leftover runs and the run cut by the end of the chunk go
@@ -263,8 +260,9 @@ impl SlidingDft {
     /// `x[m] · e^{−2πikm/M}` over its window oldest first, as `push`'s
     /// refresh does, and each step applies `push`'s
     /// `((v + x) − old) · r` per bin; every emission folds `|F[k]|` in
-    /// bin order from the same start as `magnitude_sum`. The copies in
-    /// `scratch.c0` never exceed two windows, whatever the chunk length.
+    /// bin order from the same start as `magnitude_sum`. The tracker
+    /// keeps both copies in one buffer it owns, which holds fewer than
+    /// two windows of samples whatever the chunk length.
     ///
     /// The decimation grid is anchored at the priming sample: an
     /// output is emitted after push number `s` (counted from the
@@ -274,13 +272,7 @@ impl SlidingDft {
     /// # Panics
     ///
     /// Panics if `decimation` is zero.
-    pub fn process_into(
-        &mut self,
-        chunk: &[Complex],
-        decimation: usize,
-        out: &mut Vec<f64>,
-        scr: &mut DspScratch,
-    ) {
+    pub fn process_into(&mut self, chunk: &[Complex], decimation: usize, out: &mut Vec<f64>) {
         assert!(decimation > 0, "decimation must be positive");
         let (w, len, seen0) = (self.window, chunk.len(), self.seen);
         let grid = Grid { window: w, decimation };
@@ -301,13 +293,14 @@ impl SlidingDft {
         let straddles = open < len && open + 1 < w;
         let (newer, older) = self.ring.split_at(self.head);
         let ring = || older.iter().chain(newer);
-        scr.c0.clear();
-        scr.c0.extend(ring().take(carried));
+        let mut copies = std::mem::take(&mut self.ring_copies);
+        copies.clear();
+        copies.extend(ring().take(carried));
         if straddles {
-            scr.c0.extend(ring().skip(open + 1));
-            scr.c0.extend_from_slice(&chunk[..=open]);
+            copies.extend(ring().skip(open + 1));
+            copies.extend_from_slice(&chunk[..=open]);
         }
-        let (evicted, straddling) = scr.c0.split_at(carried);
+        let (evicted, straddling) = copies.split_at(carried);
         if carried > 0 {
             let emit = grid.next_from(seen0 + 1) - seen0;
             let run = Run { xs: &chunk[..carried], olds: evicted, emit, slot: out_base };
@@ -337,6 +330,7 @@ impl SlidingDft {
             self.walk(Some([window(open)]), [run(open)], decimation, out);
             open += w;
         }
+        self.ring_copies = copies;
 
         // The ring keeps the chunk's last `w` samples.
         let keep = len.min(w);
@@ -461,8 +455,10 @@ impl SlidingDft {
 /// window is primed, optionally decimated by `decimation` to keep
 /// downstream processing tractable.
 ///
-/// Returns `(signal, effective_sample_rate_divisor)` where the signal
-/// has one entry per `decimation` input samples.
+/// The signal has one entry per `decimation` input samples. It comes
+/// from the blocked [`SlidingDft::process_into`] path, bit-identical
+/// to a push-per-sample loop. The tracker's tables are built per call;
+/// hold an [`crate::stream::EnergyStream`] across chunks instead.
 ///
 /// # Panics
 ///
@@ -489,33 +485,10 @@ pub fn energy_signal(
     bins: &[usize],
     decimation: usize,
 ) -> Vec<f64> {
-    let mut out = Vec::with_capacity(samples.len().saturating_sub(window) / decimation + 1);
-    energy_signal_into(samples, window, bins, decimation, &mut out, &mut DspScratch::new());
-    out
-}
-
-/// [`energy_signal`] into a caller-owned buffer, via the blocked
-/// [`SlidingDft::process_into`] path (bit-identical to a
-/// push-per-sample loop). The `SlidingDft` tables are still built per
-/// call; hold a [`SlidingDft`] (or an [`crate::stream::EnergyStream`])
-/// across captures for fully allocation-free steady state.
-///
-/// # Panics
-///
-/// Panics if `decimation` is zero (see [`SlidingDft::new`] for the
-/// window/bin preconditions).
-pub fn energy_signal_into(
-    samples: &[Complex],
-    window: usize,
-    bins: &[usize],
-    decimation: usize,
-    out: &mut Vec<f64>,
-    scr: &mut DspScratch,
-) {
     assert!(decimation > 0, "decimation must be positive");
-    let mut sdft = SlidingDft::new(window, bins);
-    out.clear();
-    sdft.process_into(samples, decimation, out, scr);
+    let mut out = Vec::with_capacity(samples.len().saturating_sub(window) / decimation + 1);
+    SlidingDft::new(window, bins).process_into(samples, decimation, &mut out);
+    out
 }
 
 /// Result of [`try_energy_signal`]: the energy samples plus how many
@@ -758,12 +731,11 @@ mod tests {
                 for (c, lens) in chunkings.iter().enumerate() {
                     let case = format!("w={window} d={decimation} bins={bins:?} chunking {c}");
                     let mut sdft = SlidingDft::new(window, bins);
-                    let mut scr = DspScratch::new();
                     let mut got = Vec::new();
                     let mut rest = &samples[..];
                     for &len in lens {
                         let (chunk, tail) = rest.split_at(len.min(rest.len()));
-                        sdft.process_into(chunk, decimation, &mut got, &mut scr);
+                        sdft.process_into(chunk, decimation, &mut got);
                         rest = tail;
                     }
                     assert!(rest.is_empty(), "{case}: chunking too short");
@@ -777,6 +749,29 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn ring_copies_stay_under_two_windows_and_are_reused() {
+        for w in [16usize, 64] {
+            let lens = [1, w - 1, w, w + 1, 5 * w + 3, 4096];
+            let samples = chirpy_signal(2 * lens.iter().sum::<usize>());
+            let mut sdft = SlidingDft::new(w, &[1, w / 2]);
+            let mut out = Vec::new();
+            let mut rest = &samples[..];
+            let mut round = || {
+                for len in lens {
+                    let (chunk, tail) = rest.split_at(len);
+                    sdft.process_into(chunk, 3, &mut out);
+                    rest = tail;
+                    let held = sdft.ring_copies.len();
+                    assert!(held < 2 * w, "w={w}: {held} copied after a {len}-sample chunk");
+                }
+                (sdft.ring_copies.as_ptr(), sdft.ring_copies.capacity())
+            };
+            let first = round();
+            assert_eq!(round(), first, "w={w}: the ring-copy buffer must not reallocate");
         }
     }
 

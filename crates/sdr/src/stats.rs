@@ -9,7 +9,6 @@
 
 use crate::dsp::{local_maxima, Peak};
 use crate::error::StatsError;
-use crate::scratch::DspScratch;
 
 /// A fixed-width histogram over `[min, max]`.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,14 +153,6 @@ impl Histogram {
     /// (smoothed) histogram and returns their bin centres in ascending
     /// order — the Fig. 7 "two peaks" of the per-bit power
     /// distribution. Returns `None` when the histogram is unimodal.
-    pub fn two_modes(&self) -> Option<(f64, f64)> {
-        self.two_modes_with(&mut DspScratch::new())
-    }
-
-    /// [`Histogram::two_modes`] with the smoothed counts staged in
-    /// `scratch.f0`: after a warm-up call at this bin count it
-    /// allocates nothing, so a sliding window can re-derive its modes
-    /// on every step.
     ///
     /// The modes are the two tallest peaks [`find_peaks`] keeps among
     /// the local maxima of the smoothed counts, at least `bins/8` (and
@@ -171,7 +162,7 @@ impl Histogram {
     /// directly, without suppressing the rest.
     ///
     /// [`find_peaks`]: crate::dsp::find_peaks
-    pub fn two_modes_with(&self, scr: &mut DspScratch) -> Option<(f64, f64)> {
+    pub fn two_modes(&self) -> Option<(f64, f64)> {
         let bins = self.counts.len();
         // The counts' centred moving average over `(bins/16).max(3)`
         // bins, as `dsp::moving_average` computes it: its f64 prefix
@@ -180,8 +171,7 @@ impl Histogram {
         // Zero padding keeps modes on the histogram's edges interior
         // local maxima.
         let half = (bins / 16).max(3) / 2;
-        let padded = &mut scr.f0;
-        padded.clear();
+        let mut padded = Vec::with_capacity(bins + 2);
         padded.push(0.0);
         padded.extend((0..bins).map(|i| {
             let (lo, hi) = (i.saturating_sub(half), (i + half + 1).min(bins));
@@ -191,8 +181,8 @@ impl Histogram {
         let min_sep = (bins / 8).max(2);
         let peak_floor = padded.iter().copied().fold(0.0f64, f64::max) * 0.05;
         let tallest = |a: Peak, b: Peak| if b.value > a.value { b } else { a };
-        let first = local_maxima(padded, peak_floor).reduce(tallest)?;
-        let second = local_maxima(padded, peak_floor)
+        let first = local_maxima(&padded, peak_floor).reduce(tallest)?;
+        let second = local_maxima(&padded, peak_floor)
             .filter(|p| p.index.abs_diff(first.index) >= min_sep)
             .reduce(tallest)?;
         // Indices are into the padded counts: one past the bin.
@@ -243,22 +233,12 @@ pub fn quantile(data: &[f64], q: f64) -> f64 {
 /// data holding only NaN ([`StatsError::NoFiniteData`]) as typed
 /// errors instead of panicking.
 pub fn try_quantile(data: &[f64], q: f64) -> Result<f64, StatsError> {
-    try_quantile_with(data, q, &mut DspScratch::new())
-}
-
-/// [`try_quantile`] with the working copy staged in `scratch.f0`
-/// instead of a fresh allocation — after a warm-up call at the
-/// largest data size, repeated quantiles (the per-capture threshold
-/// selection) allocate nothing. Bit-identical to the allocating path.
-pub fn try_quantile_with(data: &[f64], q: f64, scr: &mut DspScratch) -> Result<f64, StatsError> {
-    scr.f0.clear();
-    scr.f0.extend_from_slice(data);
-    try_quantile_in_place(&mut scr.f0, q)
+    try_quantile_in_place(&mut data.to_vec(), q)
 }
 
 /// [`try_quantile`] without a copy: reorders `data` (NaN entries move
 /// to the end) while selecting its order statistics. Bit-identical to
-/// the copying paths.
+/// the copying path.
 pub fn try_quantile_in_place(data: &mut [f64], q: f64) -> Result<f64, StatsError> {
     if !(0.0..=1.0).contains(&q) {
         return Err(StatsError::InvalidQuantile);
@@ -398,23 +378,6 @@ impl RayleighFit {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn quantile_with_scratch_matches_and_reuses_buffer() {
-        let data: Vec<f64> = (0..500).map(|i| ((i * 271) % 499) as f64 * 0.013 - 3.0).collect();
-        let mut scr = DspScratch::new();
-        for q in [0.0, 0.25, 0.5, 0.77, 1.0] {
-            assert_eq!(
-                try_quantile_with(&data, q, &mut scr).unwrap().to_bits(),
-                try_quantile(&data, q).unwrap().to_bits()
-            );
-        }
-        let cap = scr.f0.capacity();
-        try_quantile_with(&data, 0.5, &mut scr).unwrap();
-        assert_eq!(scr.f0.capacity(), cap, "steady-state must not grow");
-        assert!(try_quantile_with(&[], 0.5, &mut scr).is_err());
-        assert!(try_quantile_with(&data, 1.5, &mut scr).is_err());
-    }
 
     #[test]
     fn histogram_counts_land_in_right_bins() {

@@ -28,7 +28,6 @@ use std::collections::VecDeque;
 use crate::error::CaptureError;
 use crate::fft::{forward_twiddle, MAX_TRANSFORM_SIZE};
 use crate::iq::Complex;
-use crate::scratch::DspScratch;
 use crate::sliding::SlidingDft;
 use crate::window::Window;
 
@@ -63,16 +62,19 @@ fn classify(seen: usize, window: usize, non_finite: usize) -> Result<(), Capture
 /// stream was usable is decided at the end via
 /// [`EnergyStream::classify`], because "majority non-finite" is a
 /// whole-capture property that cannot be known mid-stream.
+///
+/// The stream owns every buffer it works in: the tracker its ring
+/// copies, and the stream the sanitised copy of a chunk that holds a
+/// non-finite sample. Once they have grown to the largest chunk, a
+/// push allocates nothing beyond `out`'s growth.
 #[derive(Debug, Clone)]
 pub struct EnergyStream {
     sdft: SlidingDft,
     decimation: usize,
     seen: usize,
     sanitized: usize,
-    /// Reused by the blocked DFT advance (and, when a chunk contains
-    /// non-finite samples, for the sanitized copy in `c1`); steady
-    /// state allocates nothing.
-    scratch: DspScratch,
+    /// The sanitised copy of the last chunk that needed one.
+    clean: Vec<Complex>,
 }
 
 impl EnergyStream {
@@ -90,22 +92,21 @@ impl EnergyStream {
             return Err(CaptureError::InvalidConfig("decimation must be positive"));
         }
         let sdft = SlidingDft::try_new(window, bins)?;
-        Ok(EnergyStream { sdft, decimation, seen: 0, sanitized: 0, scratch: DspScratch::new() })
+        Ok(EnergyStream { sdft, decimation, seen: 0, sanitized: 0, clean: Vec::new() })
     }
 
     /// Feeds one chunk, appending any newly-completed energy samples
-    /// to `out`. Returns how many were appended. Alloc-free apart from
-    /// `out`'s amortised growth (after a warm-up chunk at the largest
-    /// size; the common all-finite case runs straight off the caller's
-    /// slice via the blocked [`SlidingDft::process_into`]).
+    /// to `out`. Returns how many were appended. The common all-finite
+    /// case runs straight off the caller's slice via the blocked
+    /// [`SlidingDft::process_into`]; a chunk with a non-finite sample
+    /// runs off the stream's sanitised copy.
     pub fn push_into(&mut self, chunk: &[Complex], out: &mut Vec<f64>) -> usize {
         let before = out.len();
         if chunk.iter().all(is_finite) {
-            self.sdft.process_into(chunk, self.decimation, out, &mut self.scratch);
+            self.sdft.process_into(chunk, self.decimation, out);
         } else {
-            let mut clean = std::mem::take(&mut self.scratch.c1);
-            clean.clear();
-            clean.extend(chunk.iter().map(|x| {
+            self.clean.clear();
+            self.clean.extend(chunk.iter().map(|x| {
                 if is_finite(x) {
                     *x
                 } else {
@@ -113,19 +114,10 @@ impl EnergyStream {
                     Complex::ZERO
                 }
             }));
-            self.sdft.process_into(&clean, self.decimation, out, &mut self.scratch);
-            self.scratch.c1 = clean;
+            self.sdft.process_into(&self.clean, self.decimation, out);
         }
         self.seen += chunk.len();
         out.len() - before
-    }
-
-    /// Convenience wrapper over [`EnergyStream::push_into`] returning
-    /// a fresh vector.
-    pub fn push(&mut self, chunk: &[Complex]) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.push_into(chunk, &mut out);
-        out
     }
 
     /// Non-finite input samples zeroed so far.
@@ -654,10 +646,10 @@ mod tests {
     fn energy_stream_classifies_like_the_batch_path() {
         let mut empty = EnergyStream::new(64, &[3], 1).unwrap();
         assert_eq!(empty.classify(), Err(CaptureError::Empty));
-        empty.push(&chirpy(10));
+        empty.push_into(&chirpy(10), &mut Vec::new());
         assert_eq!(empty.classify(), Err(CaptureError::TooShort { needed: 64, got: 10 }));
         let mut nan = EnergyStream::new(64, &[3], 1).unwrap();
-        nan.push(&vec![Complex::new(f64::NAN, f64::NAN); 256]);
+        nan.push_into(&vec![Complex::new(f64::NAN, f64::NAN); 256], &mut Vec::new());
         assert_eq!(nan.classify(), Err(CaptureError::NonFinite { count: 256, total: 256 }));
         assert!(matches!(EnergyStream::new(64, &[3], 0), Err(CaptureError::InvalidConfig(_))));
         assert!(matches!(EnergyStream::new(64, &[], 1), Err(CaptureError::InvalidConfig(_))));

@@ -7,7 +7,6 @@ use emsc_sdr::sliding::SlidingDft;
 use emsc_sdr::stats::{mean, median, quantile, try_quantile, Histogram};
 use emsc_sdr::stream::BandEnergyStream;
 use emsc_sdr::window::Window;
-use emsc_sdr::DspScratch;
 use proptest::prelude::*;
 
 /// Out-of-place transforms over the cached plan.
@@ -226,7 +225,6 @@ proptest! {
         }
         // The chunk lengths in `lens`, cycled until the stream ends.
         let mut sdft = SlidingDft::new(window, &bins);
-        let mut scr = DspScratch::new();
         let mut got = Vec::new();
         let mut rest = &samples[..];
         for &len in lens.iter().cycle() {
@@ -234,7 +232,7 @@ proptest! {
                 break;
             }
             let (chunk, tail) = rest.split_at(len.min(rest.len()));
-            sdft.process_into(chunk, decimation, &mut got, &mut scr);
+            sdft.process_into(chunk, decimation, &mut got);
             rest = tail;
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -26,7 +26,8 @@ use crate::vid::VidTable;
 /// `nominal · [1−spread, 1+spread]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PeriodRandomization {
-    /// Relative spread (0.1 = ±10 %).
+    /// Relative spread (0.1 = ±10 %), in `[0, 1)`: every period stays
+    /// positive, so the pulse train stays in time order.
     pub spread: f64,
     /// RNG seed for the period sequence.
     pub seed: u64,
@@ -108,12 +109,16 @@ impl Buck {
     /// # Panics
     ///
     /// Panics if the configuration is not physical (non-positive
-    /// frequency, capacitance or thresholds).
+    /// frequency, capacitance or thresholds, or a period spread
+    /// outside `[0, 1)`).
     pub fn new(config: BuckConfig) -> Self {
         assert!(config.switching_frequency_hz > 0.0, "switching frequency must be positive");
         assert!(config.output_capacitance_f > 0.0, "capacitance must be positive");
         assert!(config.ripple_threshold_v > 0.0, "ripple threshold must be positive");
         assert!(config.max_pulse_charge_c > 0.0, "pulse charge cap must be positive");
+        if let Some(r) = config.randomization {
+            assert!((0.0..1.0).contains(&r.spread), "period spread must be in [0, 1)");
+        }
         Buck { config }
     }
 
@@ -361,5 +366,23 @@ mod tests {
         let mut cfg = BuckConfig::laptop(1e6);
         cfg.output_capacitance_f = 0.0;
         Buck::new(cfg);
+    }
+
+    fn randomized(spread: f64) -> Buck {
+        let mut cfg = BuckConfig::laptop(1e6);
+        cfg.randomization = Some(PeriodRandomization { spread, seed: 1 });
+        Buck::new(cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "period spread")]
+    fn a_spread_that_allows_negative_periods_panics() {
+        randomized(1.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "period spread")]
+    fn a_nan_spread_panics() {
+        randomized(f64::NAN);
     }
 }

@@ -15,7 +15,10 @@ pub struct Pulse {
 /// The complete switching activity of a VRM over a simulation run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwitchingTrain {
-    /// Fired pulses in time order.
+    /// Fired pulses in time order: [`crate::buck::Buck::new`] keeps
+    /// every switching period positive, so each pulse falls strictly
+    /// after the one before. [`SwitchingTrain::pulses_in`] and the
+    /// windowed renderer binary-search on this order.
     pub pulses: Vec<Pulse>,
     /// Nominal switching period, seconds (1–4 µs for laptop VRMs).
     pub nominal_period_s: f64,

@@ -1,7 +1,7 @@
 //! Property-based tests for the buck converter.
 
 use emsc_pmu::trace::{ActivityKind, PowerTrace};
-use emsc_vrm::buck::{Buck, BuckConfig};
+use emsc_vrm::buck::{Buck, BuckConfig, PeriodRandomization};
 use emsc_vrm::vid::VidTable;
 use proptest::prelude::*;
 
@@ -35,8 +35,15 @@ proptest! {
     }
 
     #[test]
-    fn pulses_are_ordered_and_bounded(trace in load_trace(), f_sw in 3e5f64..1.2e6) {
-        let buck = Buck::new(BuckConfig::laptop(f_sw));
+    fn pulses_are_ordered_and_bounded(
+        trace in load_trace(),
+        f_sw in 3e5f64..1.2e6,
+        randomize in any::<bool>(),
+        spread in 0.0f64..0.999,
+        seed in any::<u64>(),
+    ) {
+        let randomization = randomize.then_some(PeriodRandomization { spread, seed });
+        let buck = Buck::new(BuckConfig { randomization, ..BuckConfig::laptop(f_sw) });
         let train = buck.convert(&trace);
         let cap = buck.config().max_pulse_charge_c;
         let mut last = -1.0;

@@ -20,14 +20,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::laptop::Laptop;
 use emsc_core::SessionRegistry;
-use emsc_covert::matched::matched_filter_demodulate_with;
 use emsc_covert::rx::RxConfig;
 use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::{DetectorConfig, StreamingDetector};
 use emsc_pmu::workload::Program;
 use emsc_sdr::stream::{BandEnergyStream, EnergyStream};
 use emsc_sdr::window::Window;
-use emsc_sdr::{Complex, DspScratch};
+use emsc_sdr::Complex;
 
 struct CountingAlloc;
 
@@ -109,8 +108,8 @@ fn steady_state_streaming_is_allocation_free() {
 
     // 1. The DSP-layer chain with a caller-owned, reused output
     //    buffer: strictly zero heap traffic once warmed up. This is
-    //    the contract DESIGN.md's scratch-buffer API promises for
-    //    every `_into` kernel.
+    //    the contract DESIGN.md §12 states for every stream: it owns
+    //    its working buffers and appends through `push_into`.
     let mut es = EnergyStream::new(64, &[0, 1, 5], 24).expect("valid stream config");
     let mut out = Vec::new();
     for c in &chunks[..warm] {
@@ -124,6 +123,33 @@ fn steady_state_streaming_is_allocation_free() {
     }
     let es_allocs = allocations() - before;
     assert_eq!(es_allocs, 0, "EnergyStream::push_into allocated {es_allocs}x in steady state");
+    // 1b. The same stream on chunks that each hold one NaN, which it
+    //     runs off its own sanitised copy: that copy is reused too.
+    let laced: Vec<Vec<Complex>> = chunks
+        .iter()
+        .enumerate()
+        .map(|(i, c)| {
+            let mut c = c.to_vec();
+            let at = (i * 7919) % c.len();
+            c[at] = Complex::new(f64::NAN, 0.0);
+            c
+        })
+        .collect();
+    for c in &laced[..warm] {
+        out.clear();
+        es.push_into(c, &mut out);
+    }
+    let before = allocations();
+    for c in &laced[warm..] {
+        out.clear();
+        es.push_into(c, &mut out);
+    }
+    let laced_allocs = allocations() - before;
+    assert_eq!(es.sanitized(), laced.len(), "every laced chunk takes the sanitising path");
+    assert_eq!(
+        laced_allocs, 0,
+        "EnergyStream::push_into allocated {laced_allocs}x in steady state on NaN-laced chunks"
+    );
     let mut band = BandEnergyStream::new(8192, Window::Hann, &[6537, 1655]).expect("valid band");
     for c in &chunks[..warm] {
         out.clear();
@@ -199,23 +225,6 @@ fn steady_state_streaming_is_allocation_free() {
     assert!(
         largest < chunk_bytes,
         "an offer/pump cycle allocated {largest} bytes; one chunk is {chunk_bytes}"
-    );
-
-    // 2d. The matched filter's scratch form: the edge response and
-    //     its clamped copy live in the scratch, so once warmed up a
-    //     call allocates nothing as long as its input, only the
-    //     per-window powers and bits.
-    let energy: Vec<f64> =
-        (0..100_000).map(|i| if (i / 500) % 2 == 0 { 1.0 } else { 0.05 }).collect();
-    let mut scr = DspScratch::new();
-    let bits = matched_filter_demodulate_with(&energy, 1.0, 1000.0, &mut scr);
-    take_largest_allocation();
-    assert_eq!(matched_filter_demodulate_with(&energy, 1.0, 1000.0, &mut scr), bits);
-    let largest = take_largest_allocation();
-    let input_bytes = std::mem::size_of_val(energy.as_slice());
-    assert!(
-        largest < input_bytes / 8,
-        "a warmed-up matched filter allocated {largest} bytes; its input is {input_bytes}"
     );
 
     // 3. The fused TX producer: once its thread-local scratch arena

@@ -20,10 +20,8 @@ use emsc_keylog::{Detector, DetectorConfig};
 use emsc_sdr::error::{CaptureError, StatsError};
 use emsc_sdr::impair::{apply_all, Impairment};
 use emsc_sdr::record::read_rtl_u8;
-use emsc_sdr::stats::{
-    quantile, try_mean, try_quantile, try_quantile_with, Histogram, RayleighFit,
-};
-use emsc_sdr::{Capture, Complex, DspScratch};
+use emsc_sdr::stats::{quantile, try_mean, try_quantile, Histogram, RayleighFit};
+use emsc_sdr::{Capture, Complex};
 use emsc_tests::{capture, corpus, noise, FS, F_SW};
 
 fn receiver() -> Receiver {
@@ -266,7 +264,6 @@ fn estimation_helpers_are_total_on_garbage() {
     assert_eq!(try_quantile(&[3.0, f64::NAN, 1.0, f64::NAN, 2.0], 0.5), Ok(2.0));
     assert_eq!(try_quantile(&[f64::NAN, f64::INFINITY, 1.0], 1.0), Ok(f64::INFINITY));
     assert_eq!(try_quantile(&[1.0, f64::NEG_INFINITY, f64::NAN], 0.0), Ok(f64::NEG_INFINITY));
-    let mut scr = DspScratch::new();
     let mut s = 0x5eed_u64;
     let mut next = || {
         s ^= s << 13;
@@ -291,7 +288,6 @@ fn estimation_helpers_are_total_on_garbage() {
                 Ok(quantile(&clean, q))
             };
             assert_eq!(try_quantile(&data, q), want, "{data:?} at {q}");
-            assert_eq!(try_quantile_with(&data, q, &mut scr), want, "{data:?} at {q}");
             if let Ok(v) = want {
                 assert_eq!(quantile(&data, q), v);
             }
