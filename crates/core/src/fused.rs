@@ -130,8 +130,8 @@ impl ChainStream {
         let mut scratch = take_scratch();
         scratch.analog.clear();
         scratch.analog.reserve(n);
-        // Probes the train's pulse ordering once for the whole run, so
-        // each block pays only binary-search + phasor-warm-up overhead.
+        // Bound once to the run's train and seed; each block pays only
+        // a binary search of the train and a carrier warm-up.
         let renderer = chain.scene.window_renderer(&train, seed);
         let mut peak = 0.0f64;
         let mut start = 0;
@@ -266,6 +266,50 @@ mod tests {
             let (trace_out, train) = stream.into_trace_train();
             assert_eq!(trace_out.duration_s(), whole.trace.duration_s());
             assert_eq!(train.pulses.len(), whole.train.pulses.len());
+        }
+    }
+
+    /// FNV-1a over the little-endian bytes of each value's bits.
+    fn fnv1a_bits(values: impl IntoIterator<Item = f64>) -> u64 {
+        values
+            .into_iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    #[test]
+    fn tx_output_bits_are_pinned() {
+        // Golden digests of the VRM pulses and the digitised capture,
+        // so that a rewrite of any TX kernel (the ziggurat, the
+        // synthesiser, the quantiser, the buck converter) that moves
+        // a single bit fails here. Through the wall adds the path
+        // loss and both interferers to the near-field chain.
+        let cases = [
+            (
+                "near field",
+                Laptop::dell_inspiron(),
+                Setup::NearField,
+                7,
+                0xe353_405c_27e8_2614,
+                0xedcd_1b2d_0207_db71,
+            ),
+            (
+                "through the wall",
+                Laptop::lenovo_thinkpad(),
+                Setup::ThroughWall,
+                3,
+                0xcf40_f5f5_0911_2928,
+                0xb333_1f54_12c2_d7b8,
+            ),
+        ];
+        for (label, laptop, setup, seed, pulses_digest, samples_digest) in cases {
+            let chain = Chain::new(&laptop, setup);
+            let program = Program::alternating(250e-6, 250e-6, 8, chain.machine.steady_state_ips());
+            let run = chain.run_program(&program, seed);
+            let pulses = fnv1a_bits(run.train.pulses.iter().flat_map(|p| [p.t_s, p.charge_c]));
+            let samples = fnv1a_bits(run.capture.samples.iter().flat_map(|z| [z.re, z.im]));
+            assert_eq!(pulses, pulses_digest, "{label}: pulse train");
+            assert_eq!(samples, samples_digest, "{label}: capture");
         }
     }
 

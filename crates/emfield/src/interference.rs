@@ -230,17 +230,21 @@ impl Ziggurat {
     }
 
     /// One exact standard-normal draw.
+    ///
+    /// Bit 8 of the draw is the sign, XORed into the result's sign bit:
+    /// the same bits as `±1.0 · x` (a zero becomes `-0.0`), without a
+    /// branch on a random bit, which mispredicts half the time.
     #[inline]
     fn sample(&self, rng: &mut Xoshiro256) -> f64 {
         loop {
             let bits = rng.next_u64();
             let i = (bits & 0xFF) as usize;
-            let sign = if bits & 0x100 != 0 { -1.0 } else { 1.0 };
+            let signed = |x: f64| f64::from_bits(x.to_bits() ^ ((bits & 0x100) << 55));
             let u = ((bits >> 11) as f64) * (1.0 / (1u64 << 53) as f64);
             let x = u * self.x[i];
             if x < self.x[i + 1] {
                 // Entirely inside the next layer: accept (≈98.5%).
-                return sign * x;
+                return signed(x);
             }
             if i == 0 {
                 // Base layer overshoot: sample the exact tail beyond r
@@ -249,7 +253,7 @@ impl Ziggurat {
                     let xt = -rng.uniform_pos().ln() / ZIG_R;
                     let yt = -rng.uniform_pos().ln();
                     if yt + yt > xt * xt {
-                        return sign * (ZIG_R + xt);
+                        return signed(ZIG_R + xt);
                     }
                 }
             }
@@ -259,7 +263,7 @@ impl Ziggurat {
                     * (1.0 / (1u64 << 53) as f64)
                     * (self.y[i + 1] - self.y[i]);
             if y < (-0.5 * x * x).exp() {
-                return sign * x;
+                return signed(x);
             }
         }
     }

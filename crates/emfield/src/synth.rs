@@ -26,6 +26,7 @@
 use std::sync::OnceLock;
 
 use emsc_sdr::iq::Complex;
+use emsc_sdr::rounding::{ceil, floor};
 use emsc_vrm::train::SwitchingTrain;
 
 /// Half-width of the interpolation kernel, in samples.
@@ -327,9 +328,11 @@ pub fn render_train_window(
         // Intrinsic tap window [⌈center − H⌉, ⌊center + H⌋]: the LUT
         // row and fraction come from the intrinsic first tap (which
         // may precede the window), so they are window-invariant;
-        // clipping only advances the integer row offset `skip`.
-        let lo_intr_f = (center - KERNEL_HALF_WIDTH as f64).ceil();
-        let hi_abs = (center + KERNEL_HALF_WIDTH as f64).floor();
+        // clipping only advances the integer row offset `skip`. The
+        // inline `ceil`/`floor` equal the `f64` methods bit for bit
+        // without a libm call per pulse.
+        let lo_intr_f = ceil(center - KERNEL_HALF_WIDTH as f64);
+        let hi_abs = floor(center + KERNEL_HALF_WIDTH as f64);
         if hi_abs < start as f64 {
             continue;
         }
@@ -718,7 +721,7 @@ mod tests {
 
     #[test]
     fn strided_lut_walk_matches_per_tap_lookup() {
-        // `render_chunk` hoists the LUT interpolation: the index
+        // `render_train_window` hoists the LUT interpolation: the index
         // strides by LUT_RES with a once-per-pulse fractional part.
         // Check it against the naive per-tap `kernel_fast` for awkward
         // fractional centers, including the exact-edge case.

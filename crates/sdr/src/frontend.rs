@@ -8,6 +8,7 @@
 
 use crate::error::CaptureError;
 use crate::iq::Complex;
+use crate::rounding::round;
 use crate::simd::peak_abs;
 
 /// RTL-SDR v3 maximum reliable sample rate, samples per second (§IV-C1).
@@ -222,12 +223,14 @@ impl Frontend {
             let block = &analog[consumed..consumed + take];
             let rots = &rot[offset..offset + take];
             match quant_levels {
+                // `rounding::round` is `f64::round` bit for bit, inline
+                // instead of a libm call per component.
                 Some((q, q_inv)) => {
                     out.extend(block.iter().zip(rots).map(|(&z, &r)| {
                         let v = (z * r).scale(gain) + dc;
                         Complex::new(
-                            (v.re.clamp(-1.0, 1.0) * q).round() * q_inv,
-                            (v.im.clamp(-1.0, 1.0) * q).round() * q_inv,
+                            round(v.re.clamp(-1.0, 1.0) * q) * q_inv,
+                            round(v.im.clamp(-1.0, 1.0) * q) * q_inv,
                         )
                     }));
                 }

@@ -29,7 +29,9 @@
 //!   pipeline also runs against real dongle recordings,
 //! - [`error`]: the typed capture and statistics errors,
 //! - [`simd`]: lane-chunked (autovectorizable) reductions, pinned
-//!   against exact scalar oracles in tests.
+//!   against exact scalar oracles in tests,
+//! - [`rounding`]: `floor` and `ceil` (and, inside the crate, `round`)
+//!   without a libm call, bit-identical to the `f64` methods.
 //!
 //! # Examples
 //!
@@ -63,6 +65,7 @@ pub mod frontend;
 pub mod impair;
 pub mod iq;
 pub mod record;
+pub mod rounding;
 pub mod simd;
 pub mod sliding;
 pub mod stats;

@@ -148,7 +148,11 @@ impl Buck {
         // Deficit: charge the capacitor is missing relative to its
         // setpoint. Negative = surplus (after a downward VID step).
         let mut deficit_c = 0.0_f64;
-        let mut rail_v = segments.first().map(|s| cfg.vid.quantize(s.voltage_v)).unwrap_or(0.0);
+        // VID of `segments[seg_idx]`, quantised when `seg_idx` moves
+        // rather than on every tick the segment spans.
+        let vid_at = |i: usize| segments.get(i).map_or(0.0, |s| cfg.vid.quantize(s.voltage_v));
+        let mut seg_vid = vid_at(0);
+        let mut rail_v = seg_vid;
         let mut target_vid = rail_v;
 
         while t < duration {
@@ -166,10 +170,11 @@ impl Buck {
                     deficit_c += cfg.current_scale * s.current_a * (hi - lo);
                 }
                 if s.start_s < t_next {
-                    target_vid = cfg.vid.quantize(s.voltage_v);
+                    target_vid = seg_vid;
                 }
                 if s.end_s() <= t_next {
                     seg_idx += 1;
+                    seg_vid = vid_at(seg_idx);
                 } else {
                     break;
                 }
