@@ -321,4 +321,35 @@ mod tests {
         assert!(win < 1300.0, "windows TR {win}");
         assert!(unix > 2.0 * win, "unix {unix} vs windows {win}");
     }
+
+    #[test]
+    fn transfer_alignments_are_pinned() {
+        // The exact counts that score three real transfers, so that a
+        // rewrite of the alignment that takes another co-optimal path
+        // fails here. Two Table II cells at the paper's 96 bytes (run 0
+        // of seed 2 and seed 3), and an E6 marker-coded transfer under
+        // the severity-3 impairments; each error kind is nonzero in
+        // every case.
+        use crate::experiments::tables::pseudo_payload;
+        use emsc_covert::marker::MarkerConfig;
+        use emsc_sdr::impair::severity_stack;
+        let pinned = |matches, substitutions, insertions, deletions| Alignment {
+            matches,
+            substitutions,
+            insertions,
+            deletions,
+        };
+        let table2 = |laptop: Laptop, seed: u64| {
+            let scenario =
+                CovertScenario::for_laptop(&laptop, Chain::new(&laptop, Setup::NearField));
+            scenario.run_streamed(&pseudo_payload(96, seed), seed).alignment
+        };
+        assert_eq!(table2(Laptop::dell_inspiron(), 2), pinned(1434, 1, 1, 1), "Unix");
+        assert_eq!(table2(Laptop::dell_precision(), 3), pinned(1431, 2, 13, 3), "Windows");
+        let laptop = Laptop::dell_inspiron();
+        let mut marker = CovertScenario::for_laptop(&laptop, Chain::new(&laptop, Setup::NearField));
+        marker.tx.frame.marker = Some(MarkerConfig::standard());
+        let e6 = marker.run_impaired(&pseudo_payload(96, 3), 3, &severity_stack(3), 80).alignment;
+        assert_eq!(e6, pinned(1773, 1, 3, 5), "E6 marker-coded, severity 3");
+    }
 }

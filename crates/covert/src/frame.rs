@@ -14,7 +14,7 @@ use crate::interleave::Interleaver;
 use crate::marker::{
     blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream, SEGMENT_MARKER,
 };
-use crate::stream::{Deframer, FrameEvent};
+use crate::stream::Deframer;
 
 /// Default number of alternating sync bits (long enough for the
 /// victim's DVFS governor to settle at its steady state).
@@ -154,9 +154,11 @@ impl std::error::Error for FrameError {}
 /// experiments can distinguish "no transmission detected" from
 /// "transmission cut off mid-frame".
 ///
-/// One push of the whole stream into a [`Deframer`], then
-/// [`Deframer::finish`]: the first frame they emit is the result, and
-/// the loss they report is the error.
+/// One push of the whole stream into a [`Deframer`], then, if the push
+/// emitted no frame, [`Deframer::finish`] up to its first frame: the
+/// first frame they emit is the result, and the loss they report is
+/// the error. A tail of frames behind damaged start markers costs one
+/// ranking of the tail, not one per frame.
 ///
 /// # Errors
 ///
@@ -170,18 +172,7 @@ pub fn try_deframe(
     config: FrameConfig,
     max_marker_errors: usize,
 ) -> Result<Deframed, FrameError> {
-    let mut deframer = Deframer::new(config, max_marker_errors);
-    let mut events = deframer.push(received);
-    events.extend(deframer.finish());
-    let mut lost = FrameError::MarkerNotFound;
-    for event in events {
-        match event {
-            FrameEvent::Frame(frame) => return Ok(frame),
-            FrameEvent::Lost(e) => lost = e,
-            FrameEvent::MarkerFound { .. } => {}
-        }
-    }
-    Err(lost)
+    Deframer::new(config, max_marker_errors).first_frame(received)
 }
 
 /// Segment markers consulted when ranking start-marker candidates of a

@@ -516,6 +516,32 @@ impl Deframer {
     /// that yielded no frame reports why: the first candidate's
     /// error, or [`FrameError::MarkerNotFound`] when there was none.
     pub fn finish(&mut self) -> Vec<FrameEvent> {
+        self.finish_frames(usize::MAX)
+    }
+
+    /// Takes `bits` as the whole stream and returns its first frame,
+    /// else the first candidate's error, else
+    /// [`FrameError::MarkerNotFound`]: what a push of `bits` and
+    /// [`Deframer::finish`] report first. It runs `finish` only when the
+    /// push emitted no frame, and stops it after its first frame.
+    pub(crate) fn first_frame(&mut self, bits: &[u8]) -> Result<Deframed, FrameError> {
+        let mut events = self.push(bits);
+        if !events.iter().any(|e| matches!(e, FrameEvent::Frame(_))) {
+            events.extend(self.finish_frames(1));
+        }
+        let mut lost = FrameError::MarkerNotFound;
+        for event in events {
+            match event {
+                FrameEvent::Frame(frame) => return Ok(frame),
+                FrameEvent::Lost(e) => lost = e,
+                FrameEvent::MarkerFound { .. } => {}
+            }
+        }
+        Err(lost)
+    }
+
+    /// [`Deframer::finish`], stopping after `limit` frames.
+    fn finish_frames(&mut self, limit: usize) -> Vec<FrameEvent> {
         assert!(!self.finished, "finish() may only be called once");
         self.finished = true;
         let mut events = Vec::new();
@@ -526,7 +552,7 @@ impl Deframer {
         // filled were never scored: the tail is ranked afresh, and every
         // candidate decodes from a fresh decoder, the committed one too.
         self.marker_rx = None;
-        loop {
+        for _ in 0..limit {
             let candidates: Vec<(usize, usize)> = match self.config.marker {
                 Some(mcfg) => {
                     let tail = &self.bits[self.retired..];
@@ -889,6 +915,31 @@ mod tests {
             let events = one_pass(&bits, cfg, 1, chunk);
             assert_eq!(payloads(&events), sent, "chunk {chunk}: {events:?}");
         }
+    }
+
+    #[test]
+    fn first_frame_stops_before_the_rest_of_a_damaged_anchor_train() {
+        use crate::marker::MarkerConfig;
+        let cfg = FrameConfig { marker: Some(MarkerConfig::standard()), ..FrameConfig::default() };
+        let mut bits = Vec::new();
+        for k in 0..32u8 {
+            // One start-marker error per anchor, so no frame commits on
+            // the push path and `finish` ranks the tail for each one.
+            let payload: Vec<u8> = (0..16u8).map(|i| (i ^ k).wrapping_mul(37) ^ 0x5A).collect();
+            let marker_at = bits.len() + cfg.sync_len + cfg.zeros_len;
+            bits.extend(frame_payload(&payload, cfg));
+            bits[marker_at + 3] ^= 1;
+        }
+        let full = one_pass(&bits, cfg, 1, bits.len());
+        assert_eq!(payloads(&full).len(), 32, "the full pass resolves the whole train");
+        let first = full.iter().find_map(|e| match e {
+            FrameEvent::Frame(f) => Some(f.clone()),
+            _ => None,
+        });
+        let mut d = Deframer::new(cfg, 1);
+        assert_eq!(d.first_frame(&bits).ok(), first);
+        assert_eq!(d.frames_emitted(), 1, "only the first frame is resolved");
+        assert_eq!(try_deframe(&bits, cfg, 1).ok(), first);
     }
 
     #[test]

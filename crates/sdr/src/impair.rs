@@ -200,26 +200,48 @@ fn time_to_index(capture: &Capture, at_s: f64) -> usize {
 
 /// Resamples the capture by `1 + ppm/1e6` with linear interpolation:
 /// output sample `k` reads input position `k · (1 + ppm/1e6)`.
+///
+/// In place, with no second capture: a fast clock (`rate ≥ 1`) reads
+/// output `k` from input at or after `k`, so the outputs overwrite the
+/// input going forward. A slow clock reads at or before `k`, so the
+/// buffer grows first and the outputs go backward; only output 0 reads
+/// an input (sample 1, at weight 0) that a later output overwrote, so
+/// it is taken first.
 fn clock_drift(capture: &mut Capture, ppm: f64) {
     let rate = 1.0 + ppm / 1e6;
     if !rate.is_finite() || rate <= 0.0 || ppm == 0.0 || capture.samples.len() < 2 {
         return;
     }
-    let src = &capture.samples;
-    let n = src.len();
+    let samples = &mut capture.samples;
+    let n = samples.len();
     let out_len = (((n - 1) as f64 / rate).floor() as usize).saturating_add(1).min(2 * n);
-    let mut out = Vec::with_capacity(out_len);
-    for k in 0..out_len {
-        let pos = k as f64 * rate;
-        let i = pos as usize;
-        if i + 1 >= n {
-            out.push(src[n - 1]);
-        } else {
-            let frac = pos - i as f64;
-            out.push(src[i].scale(1.0 - frac) + src[i + 1].scale(frac));
+    if rate >= 1.0 {
+        for k in 0..out_len {
+            samples[k] = drift_sample(samples, n, k, rate);
         }
+        samples.truncate(out_len);
+    } else {
+        let first = drift_sample(samples, n, 0, rate);
+        samples.reserve_exact(out_len - n);
+        samples.resize(out_len, Complex::ZERO);
+        for k in (1..out_len).rev() {
+            samples[k] = drift_sample(samples, n, k, rate);
+        }
+        samples[0] = first;
     }
-    capture.samples = out;
+}
+
+/// Output `k` of [`clock_drift`] from the first `n` samples of `src`.
+#[inline]
+fn drift_sample(src: &[Complex], n: usize, k: usize, rate: f64) -> Complex {
+    let pos = k as f64 * rate;
+    let i = pos as usize;
+    if i + 1 >= n {
+        src[n - 1]
+    } else {
+        let frac = pos - i as f64;
+        src[i].scale(1.0 - frac) + src[i + 1].scale(frac)
+    }
 }
 
 #[cfg(test)]
@@ -277,6 +299,54 @@ mod tests {
         for (k, s) in cap.samples.iter().enumerate() {
             let expect = k as f64 * (1.0 + 500.0 / 1e6);
             assert!((s.re - expect.min(999.0)).abs() < 1e-9, "sample {k}");
+        }
+    }
+
+    /// The resampler that built a second capture: the oracle of the
+    /// in-place [`clock_drift`].
+    fn clock_drift_copying(capture: &mut Capture, ppm: f64) {
+        let rate = 1.0 + ppm / 1e6;
+        if !rate.is_finite() || rate <= 0.0 || ppm == 0.0 || capture.samples.len() < 2 {
+            return;
+        }
+        let src = &capture.samples;
+        let n = src.len();
+        let out_len = (((n - 1) as f64 / rate).floor() as usize).saturating_add(1).min(2 * n);
+        let mut out = Vec::with_capacity(out_len);
+        for k in 0..out_len {
+            let pos = k as f64 * rate;
+            let i = pos as usize;
+            if i + 1 >= n {
+                out.push(src[n - 1]);
+            } else {
+                let frac = pos - i as f64;
+                out.push(src[i].scale(1.0 - frac) + src[i + 1].scale(frac));
+            }
+        }
+        capture.samples = out;
+    }
+
+    #[test]
+    fn in_place_drift_matches_the_copying_resampler_bit_for_bit() {
+        let bits = |s: &[Complex]| -> Vec<(u64, u64)> {
+            s.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        // −900 000 ppm hits the 2n cap on the output length.
+        for ppm in [-900_000.0, -300.0, -100.0, 20.0, 300.0, 500.0] {
+            for n in [2, 3, 1_000, 100_000] {
+                let mut cap = test_capture(n);
+                // An infinity, signed zeros and the largest finite
+                // values at both ends, which output 0 and the clamped
+                // tail read: output 0 takes `∞ + x·0`, which is ∞ only
+                // while input 1 still holds its finite `x`.
+                cap.samples[0] = Complex::new(f64::INFINITY, -0.0);
+                cap.samples[1] = Complex::new(f64::MAX, -0.0);
+                cap.samples[n - 1] = Complex::new(-0.0, f64::MIN);
+                let mut want = cap.clone();
+                clock_drift_copying(&mut want, ppm);
+                Impairment::ClockDrift { ppm }.apply(&mut cap, 1);
+                assert_eq!(bits(&cap.samples), bits(&want.samples), "ppm {ppm}, n {n}");
+            }
         }
     }
 

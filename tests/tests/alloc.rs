@@ -24,9 +24,10 @@ use emsc_covert::rx::RxConfig;
 use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::{DetectorConfig, StreamingDetector};
 use emsc_pmu::workload::Program;
+use emsc_sdr::impair::Impairment;
 use emsc_sdr::stream::{BandEnergyStream, EnergyStream};
 use emsc_sdr::window::Window;
-use emsc_sdr::Complex;
+use emsc_sdr::{Capture, Complex};
 
 struct CountingAlloc;
 
@@ -280,4 +281,15 @@ fn steady_state_streaming_is_allocation_free() {
     let decode_allocs = allocations() - before;
     assert!(corrected > 0, "the error sprinkle above should exercise the corrector");
     assert_eq!(decode_allocs, 0, "hamming74_decode allocated {decode_allocs}x over 1024 codewords");
+
+    // 5. Clock drift resamples a capture in place: a fast sample clock
+    //    (positive ppm, as in every severity stack) shortens it without
+    //    a second capture or any other heap traffic.
+    let mut capture =
+        Capture { samples: ook_samples(100_000), sample_rate: 2.4e6, center_freq: 250e3 };
+    let before = allocations();
+    Impairment::ClockDrift { ppm: 300.0 }.apply(&mut capture, 1);
+    let drift_allocs = allocations() - before;
+    assert_eq!(capture.samples.len(), 99_970, "300 ppm keeps 99 970 of 100 000 samples");
+    assert_eq!(drift_allocs, 0, "a positive-ppm clock drift allocated {drift_allocs}x");
 }
