@@ -151,16 +151,6 @@ impl ChainStream {
         ChainStream { trace, train, frontend, gain, block_samples, cursor: 0, scratch }
     }
 
-    /// Ground-truth power-state trace (blinking applied).
-    pub fn trace(&self) -> &PowerTrace {
-        &self.trace
-    }
-
-    /// The VRM's switching activity.
-    pub fn train(&self) -> &SwitchingTrain {
-        &self.train
-    }
-
     /// Total capture length in samples.
     pub fn total_samples(&self) -> usize {
         self.scratch.analog.len()

@@ -3,6 +3,7 @@
 use emsc_keylog::burst::BurstModel;
 use emsc_keylog::detect::{
     detected_times, score_detections, DetectionReport, DetectionScore, Detector, DetectorConfig,
+    WINDOW_SAMPLES,
 };
 use emsc_keylog::typist::{Keystroke, Typist};
 use emsc_keylog::words::{group_words, score_words, word_lengths, WordScore};
@@ -97,11 +98,10 @@ impl KeylogScenario {
         let events = self.bursts.events_for(&keystrokes, end, &mut rng);
 
         let fs = self.chain.scene.synth.sample_rate;
-        let window = self.detector.window_samples;
         // Chunk length: a whole number of detector windows, so the
         // concatenated energies stay on one grid.
-        let windows_per_chunk = ((chunk_s * fs / window as f64).ceil() as usize).max(1);
-        let chunk_samples = windows_per_chunk * window;
+        let windows_per_chunk = ((chunk_s * fs / WINDOW_SAMPLES as f64).ceil() as usize).max(1);
+        let chunk_samples = windows_per_chunk * WINDOW_SAMPLES;
         let chunk_dur = chunk_samples as f64 / fs;
 
         let n_chunks = (end / chunk_dur).ceil().max(1.0) as u64;
@@ -128,7 +128,7 @@ impl KeylogScenario {
         let energies: Vec<f64> = chunk_energies.into_iter().flatten().collect();
 
         let detector = Detector::new(self.detector.clone());
-        let window_s = window as f64 / fs;
+        let window_s = WINDOW_SAMPLES as f64 / fs;
         let detection = detector.detect_from_energies(energies, window_s);
         let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
         let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);

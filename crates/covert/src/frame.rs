@@ -12,15 +12,17 @@ use crate::coding::{
 };
 use crate::interleave::Interleaver;
 use crate::marker::{
-    blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream, SEGMENT_MARKER,
+    blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream, SEARCH_RADIUS,
+    SEGMENT_MARKER,
 };
 use crate::stream::Deframer;
 
 /// Default number of alternating sync bits (long enough for the
 /// victim's DVFS governor to settle at its steady state).
 pub const DEFAULT_SYNC_LEN: usize = 48;
-/// Default length of the all-zeros gap after the sync pattern.
-pub const DEFAULT_ZEROS_LEN: usize = 8;
+/// Length of the all-zeros gap between the sync pattern and the start
+/// marker.
+pub const ZEROS_LEN: usize = 8;
 /// The start-of-transmission marker (chosen to be impossible within
 /// the alternating sync sequence and unlikely in the zeros run).
 pub const START_MARKER: [u8; 8] = [1, 1, 1, 0, 0, 0, 1, 1];
@@ -30,8 +32,6 @@ pub const START_MARKER: [u8; 8] = [1, 1, 1, 0, 0, 0, 1, 1];
 pub struct FrameConfig {
     /// Alternating 1/0 bits at the head of a transmission.
     pub sync_len: usize,
-    /// All-zero bits between sync and marker.
-    pub zeros_len: usize,
     /// Apply Hamming(7,4) to the payload.
     pub parity: bool,
     /// Interleave the coded body at this depth (codewords per block),
@@ -50,7 +50,6 @@ impl Default for FrameConfig {
     fn default() -> Self {
         FrameConfig {
             sync_len: DEFAULT_SYNC_LEN,
-            zeros_len: DEFAULT_ZEROS_LEN,
             parity: true,
             interleave_depth: None,
             marker: None,
@@ -59,7 +58,7 @@ impl Default for FrameConfig {
 }
 
 /// Builds the on-air bit sequence for a payload of bytes:
-/// `[1,0,1,0,…] ++ [0,…] ++ START_MARKER ++ code(len ++ payload)`,
+/// `[1,0,1,0,…] ++ [0; ZEROS_LEN] ++ START_MARKER ++ code(len ++ payload)`,
 /// where `len` is a 16-bit big-endian byte count so the receiver can
 /// discard whatever trailing noise decodes after the payload.
 ///
@@ -72,7 +71,7 @@ pub fn frame_payload(payload: &[u8], config: FrameConfig) -> Vec<u8> {
     for i in 0..config.sync_len {
         bits.push((1 - i % 2) as u8);
     }
-    bits.extend(std::iter::repeat_n(0u8, config.zeros_len));
+    bits.extend(std::iter::repeat_n(0u8, ZEROS_LEN));
     bits.extend_from_slice(&START_MARKER);
     let mut body = (payload.len() as u16).to_be_bytes().to_vec();
     body.extend_from_slice(payload);
@@ -195,7 +194,7 @@ pub(crate) const MAX_ANCHOR_CANDIDATES: usize = 8;
 /// score to be final (every probed segment marker, at its largest
 /// drift offset, inside the buffer).
 pub(crate) fn lattice_window(mcfg: MarkerConfig) -> usize {
-    (LATTICE_PROBE_MARKERS - 1) * mcfg.period() + SEGMENT_MARKER.len() + mcfg.search_radius
+    (LATTICE_PROBE_MARKERS - 1) * mcfg.period() + SEGMENT_MARKER.len() + SEARCH_RADIUS
 }
 
 /// How well the [`SEGMENT_MARKER`] lattice of a body starting at
@@ -235,7 +234,7 @@ impl LatticeScore {
 
 /// Scores the first [`LATTICE_PROBE_MARKERS`] lattice positions of a
 /// body starting at `body_at`. Each probe first checks its predicted
-/// position exactly, then searches ± the configured drift radius —
+/// position exactly, then searches ± `SEARCH_RADIUS` bits —
 /// the same tolerance the tracking decoder will apply — so an indel
 /// between markers demotes a probe to a drifted hit instead of a
 /// miss. Probes that run past the buffer count as misses.
@@ -250,14 +249,14 @@ pub(crate) fn lattice_score(received: &[u8], body_at: usize, mcfg: MarkerConfig)
         let at = body_at + k * mcfg.period();
         if exact_at(at) {
             score.exact += 1;
-        } else if (at.saturating_sub(mcfg.search_radius)..=at + mcfg.search_radius).any(exact_at) {
+        } else if (at.saturating_sub(SEARCH_RADIUS)..=at + SEARCH_RADIUS).any(exact_at) {
             score.drifted += 1;
         }
     }
     if body_at >= mcfg.period() {
         let at = body_at - mcfg.period();
-        score.aliased = exact_at(at)
-            || (at.saturating_sub(mcfg.search_radius)..=at + mcfg.search_radius).any(exact_at);
+        score.aliased =
+            exact_at(at) || (at.saturating_sub(SEARCH_RADIUS)..=at + SEARCH_RADIUS).any(exact_at);
     }
     score
 }
@@ -388,7 +387,7 @@ pub(crate) fn on_air_body_span(config: FrameConfig, declared: usize) -> usize {
 /// `frame_payload(payload, config).len()` without building the frame;
 /// experiments use it to convert payload sizes into air time.
 pub fn on_air_frame_len(config: FrameConfig, payload_len: usize) -> usize {
-    config.sync_len + config.zeros_len + START_MARKER.len() + on_air_body_span(config, payload_len)
+    config.sync_len + ZEROS_LEN + START_MARKER.len() + on_air_body_span(config, payload_len)
 }
 
 /// Rigid bits that hold the length header: the whole interleaver
@@ -537,20 +536,14 @@ mod tests {
 
     #[test]
     fn frame_layout() {
-        let cfg = FrameConfig {
-            sync_len: 6,
-            zeros_len: 4,
-            parity: false,
-            interleave_depth: None,
-            marker: None,
-        };
+        let cfg = FrameConfig { sync_len: 6, parity: false, interleave_depth: None, marker: None };
         let bits = frame_payload(&[0xFF], cfg);
         assert_eq!(&bits[..6], &[1, 0, 1, 0, 1, 0]);
-        assert_eq!(&bits[6..10], &[0, 0, 0, 0]);
-        assert_eq!(&bits[10..18], &START_MARKER);
+        assert_eq!(&bits[6..14], &[0; ZEROS_LEN]);
+        assert_eq!(&bits[14..22], &START_MARKER);
         // 16-bit length (0x0001) precedes the payload byte.
-        assert_eq!(&bits[18..34], &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
-        assert_eq!(&bits[34..], &[1; 8]);
+        assert_eq!(&bits[22..38], &[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1]);
+        assert_eq!(&bits[38..], &[1; 8]);
     }
 
     #[test]
@@ -568,7 +561,7 @@ mod tests {
         let cfg = FrameConfig::default();
         let payload = b"ab";
         let mut bits = frame_payload(payload, cfg);
-        let start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         bits[start + 2] ^= 1; // 1 error in the first codeword
         bits[start + 9] ^= 1; // 1 error in the second codeword
         let out = try_deframe(&bits, cfg, 0).expect("marker");
@@ -581,7 +574,7 @@ mod tests {
         let cfg = FrameConfig::default();
         let payload = b"x";
         let mut bits = frame_payload(payload, cfg);
-        let marker_at = cfg.sync_len + cfg.zeros_len;
+        let marker_at = cfg.sync_len + ZEROS_LEN;
         bits[marker_at + 3] ^= 1;
         assert!(!try_deframe(&bits, cfg, 0).is_ok_and(|d| d.payload == payload.to_vec()));
         let out = try_deframe(&bits, cfg, 1).expect("tolerant deframe");
@@ -612,7 +605,7 @@ mod tests {
         assert_eq!(try_deframe(&[1, 0, 1], cfg, 0), Err(FrameError::MarkerNotFound));
         // Marker present but the stream ends inside the length header.
         let mut bits = frame_payload(b"xy", cfg);
-        let header_end = cfg.sync_len + cfg.zeros_len + START_MARKER.len() + 5;
+        let header_end = cfg.sync_len + ZEROS_LEN + START_MARKER.len() + 5;
         bits.truncate(header_end);
         assert_eq!(try_deframe(&bits, cfg, 0), Err(FrameError::TruncatedHeader));
     }
@@ -631,7 +624,7 @@ mod tests {
         let cfg = FrameConfig { interleave_depth: Some(7), ..FrameConfig::default() };
         let payload = b"burst-proof";
         let mut bits = frame_payload(payload, cfg);
-        let body_start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let body_start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         // A 6-bit burst inside the body (≤ depth−1 to guarantee ≤1 hit
         // per codeword even when the burst straddles codeword phase).
         for b in bits.iter_mut().skip(body_start + 30).take(6) {
@@ -674,7 +667,7 @@ mod tests {
                 let cfg = FrameConfig { marker, interleave_depth: depth, ..FrameConfig::default() };
                 let payload = b"span check";
                 let bits = frame_payload(payload, cfg);
-                let preamble = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+                let preamble = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
                 assert_eq!(
                     bits.len(),
                     preamble + on_air_body_span(cfg, payload.len()),
@@ -690,7 +683,7 @@ mod tests {
         let cfg = FrameConfig { marker: Some(MarkerConfig::standard()), ..FrameConfig::default() };
         let payload = b"deletion proof payload";
         let mut bits = frame_payload(payload, cfg);
-        let body_start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let body_start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         // Delete one bit late in the body: the rigid grid would shift
         // every bit after it; the marker decoder resynchronises.
         bits.remove(body_start + 150);
@@ -723,7 +716,7 @@ mod tests {
         };
         let payload = b"belt and braces";
         let mut bits = frame_payload(payload, cfg);
-        let body_start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let body_start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         bits.remove(body_start + 90); // a deletion…
         for b in bits.iter_mut().skip(body_start + 200).take(4) {
             *b ^= 1; // …and a short burst
@@ -743,7 +736,7 @@ mod tests {
         // length header, so no anchor candidate can decode a plausible
         // frame and even the ranked chain comes up empty.
         let mcfg = MarkerConfig::standard();
-        let marker_at = cfg.sync_len + cfg.zeros_len;
+        let marker_at = cfg.sync_len + ZEROS_LEN;
         let mut damaged = bits.clone();
         damaged.drain(marker_at - 10..marker_at + START_MARKER.len() + 2 * mcfg.period() + 10);
         // With its anchor gone the normal deframe path is lost: it
@@ -784,7 +777,7 @@ mod tests {
         let cfg = FrameConfig::default();
         let payload = b"ab";
         let mut bits = frame_payload(payload, cfg);
-        let start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         bits[start + 2] ^= 1;
         let out = try_deframe(&bits, cfg, 0).expect("frame");
         assert_eq!(out.corrections, out.coding.corrected);
@@ -804,7 +797,7 @@ mod tests {
         let cfg = FrameConfig { marker: Some(mcfg), ..FrameConfig::default() };
         let payload = b"anchored through the burst";
         let mut bits = frame_payload(payload, cfg);
-        let marker_at = cfg.sync_len + cfg.zeros_len;
+        let marker_at = cfg.sync_len + ZEROS_LEN;
         // A burst puts 3 errors into START_MARKER — beyond the 1-error
         // scan budget that a rigid frame gets.
         for i in [0, 3, 6] {
@@ -837,7 +830,7 @@ mod tests {
         let mcfg = MarkerConfig::standard();
         let cfg = FrameConfig { marker: Some(mcfg), ..FrameConfig::default() };
         let mut bits = frame_payload(b"probe under drift", cfg);
-        let body_at = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let body_at = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         let clean = lattice_score(&bits, body_at, mcfg);
         assert_eq!(clean.exact, LATTICE_PROBE_MARKERS);
         // A deletion between markers 2 and 3 shifts the later probes by
@@ -856,7 +849,7 @@ mod tests {
         let cfg = FrameConfig { marker: Some(mcfg), ..FrameConfig::default() };
         let payload = vec![0xA5u8; 64];
         let bits = frame_payload(&payload, cfg);
-        let body_start = cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let body_start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         // Keep the anchor and the first few segments — enough for the
         // header to decode and declare 64 bytes — but cut the stream
         // long before half that body could have arrived. A garbled
@@ -877,7 +870,7 @@ mod tests {
         // always produce ≥2 mismatches, so a 1-error-tolerant search
         // cannot lock onto the header.
         let cfg = FrameConfig::default();
-        let header: Vec<u8> = frame_payload(&[], cfg)[..cfg.sync_len + cfg.zeros_len].to_vec();
+        let header: Vec<u8> = frame_payload(&[], cfg)[..cfg.sync_len + ZEROS_LEN].to_vec();
         for pos in 0..=header.len() - START_MARKER.len() {
             let errors = header[pos..pos + START_MARKER.len()]
                 .iter()

@@ -19,9 +19,9 @@
 //! Two recovery mechanisms extend the reach beyond one-bit slips:
 //!
 //! - **Escalating search**: each consecutive missed marker widens the
-//!   next search window ([`MarkerConfig::search_radius`] ×
-//!   misses, capped at [`MarkerConfig::max_escalation`]), so a long
-//!   gap is re-acquired a few segments later.
+//!   next search window (`SEARCH_RADIUS` = 4 bits × misses, capped
+//!   at `MAX_ESCALATION` = 8×), so a long gap is re-acquired a few
+//!   segments later.
 //! - **Period aliasing**: a gap close to a whole marker period
 //!   re-locks onto the *next* marker in the lattice — one segment is
 //!   lost, everything after it is recovered.
@@ -42,6 +42,19 @@
 /// scores poorly everywhere except the true lag.
 pub const SEGMENT_MARKER: [u8; 7] = [1, 1, 1, 0, 0, 1, 0];
 
+/// Base half-width of the marker search window, in bits: drift of up
+/// to ± this much per segment is recovered without a miss.
+pub(crate) const SEARCH_RADIUS: usize = 4;
+
+/// [`SEGMENT_MARKER`] bit mismatches tolerated when scoring a
+/// candidate.
+const MAX_MARKER_ERRORS: usize = 1;
+
+/// Cap on the search-window escalation factor after consecutive missed
+/// markers: the window is `SEARCH_RADIUS × min(misses + 1,
+/// MAX_ESCALATION)`.
+const MAX_ESCALATION: usize = 8;
+
 /// Parameters of the marker code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MarkerConfig {
@@ -50,20 +63,13 @@ pub struct MarkerConfig {
     /// to segment boundaries — the property that lets a blind salvage
     /// decode segments without knowing their index.
     pub segment_len: usize,
-    /// Base half-width of the marker search window, in bits: drift of
-    /// up to ± this much per segment is recovered without a miss.
-    pub search_radius: usize,
-    /// Marker-bit mismatches tolerated when scoring a candidate.
-    pub max_marker_errors: usize,
-    /// Cap on the search-window escalation factor after consecutive
-    /// missed markers (window = `search_radius × min(misses + 1, cap)`).
-    pub max_escalation: usize,
 }
 
 impl MarkerConfig {
-    /// A marker code with the given segment length and default search
-    /// parameters (radius 4, one tolerated marker-bit error,
-    /// escalation capped at 8×).
+    /// A marker code with the given segment length. Every marker code
+    /// is searched alike: ± 4 bits around each predicted marker,
+    /// widening with each consecutive miss up to 8×, with one
+    /// tolerated marker-bit error.
     ///
     /// # Panics
     ///
@@ -73,7 +79,7 @@ impl MarkerConfig {
             segment_len > 0 && segment_len.is_multiple_of(7),
             "segment_len must be a positive multiple of 7 to preserve the codeword grid"
         );
-        MarkerConfig { segment_len, search_radius: 4, max_marker_errors: 1, max_escalation: 8 }
+        MarkerConfig { segment_len }
     }
 
     /// The standard rate: 28 coded bits per marker (1.25× overhead).
@@ -233,7 +239,7 @@ impl MarkerStream {
 
     /// Current search half-width, escalated by consecutive misses.
     fn window(&self) -> usize {
-        self.cfg.search_radius * (self.misses + 1).min(self.cfg.max_escalation)
+        SEARCH_RADIUS * (self.misses + 1).min(MAX_ESCALATION)
     }
 
     /// Marker-bit mismatches at `pos` (requires the window in-buffer).
@@ -262,7 +268,7 @@ impl MarkerStream {
                 break;
             }
             let errors = self.errors_at(p);
-            if errors > self.cfg.max_marker_errors {
+            if errors > MAX_MARKER_ERRORS {
                 continue;
             }
             let cand = (errors, p.abs_diff(pred), p);

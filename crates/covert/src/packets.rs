@@ -12,6 +12,10 @@
 use crate::frame::{frame_payload, FrameConfig};
 use crate::stream::{Deframer, FrameEvent};
 
+/// Idle bits between packets (gives the receiver a quiet gap to
+/// re-synchronise on).
+const INTER_PACKET_ZEROS: usize = 4;
+
 /// Packetisation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketConfig {
@@ -19,9 +23,6 @@ pub struct PacketConfig {
     pub packet_bytes: usize,
     /// Per-packet framing.
     pub frame: FrameConfig,
-    /// Idle bits between packets (gives the receiver a quiet gap to
-    /// re-synchronise on).
-    pub inter_packet_zeros: usize,
 }
 
 impl Default for PacketConfig {
@@ -34,7 +35,6 @@ impl Default for PacketConfig {
                 sync_len: 12,
                 ..FrameConfig::default()
             },
-            inter_packet_zeros: 4,
         }
     }
 }
@@ -57,7 +57,7 @@ pub fn packetize(payload: &[u8], config: PacketConfig) -> Vec<u8> {
         body.push(seq as u8);
         body.extend_from_slice(chunk);
         bits.extend(frame_payload(&body, config.frame));
-        bits.extend(std::iter::repeat_n(0u8, config.inter_packet_zeros));
+        bits.extend(std::iter::repeat_n(0u8, INTER_PACKET_ZEROS));
     }
     if payload.is_empty() {
         bits.extend(frame_payload(&[0], config.frame));
@@ -127,6 +127,7 @@ pub fn depacketize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::ZEROS_LEN;
     use crate::marker::MarkerConfig;
 
     #[test]
@@ -226,7 +227,7 @@ mod tests {
         let payload: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
         let frame =
             FrameConfig { parity, interleave_depth, marker, ..PacketConfig::default().frame };
-        let cfg = PacketConfig { packet_bytes: 8, frame, ..PacketConfig::default() };
+        let cfg = PacketConfig { packet_bytes: 8, frame };
         (cfg, payload)
     }
 
@@ -237,7 +238,7 @@ mod tests {
         let mut bits = packetize(payload, cfg);
         let packet_len = bits.len() / 4;
         for k in 1..4 {
-            bits[k * packet_len + cfg.frame.sync_len + cfg.frame.zeros_len + 3] ^= 1;
+            bits[k * packet_len + cfg.frame.sync_len + ZEROS_LEN + 3] ^= 1;
         }
         let out = depacketize(&bits, cfg, Some(4));
         assert!(out.missing.is_empty(), "missing {:?}", out.missing);

@@ -589,7 +589,7 @@ impl Deframer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::{frame_payload, try_deframe};
+    use crate::frame::{frame_payload, try_deframe, ZEROS_LEN};
     use crate::rx::Receiver;
     use emsc_sdr::Capture;
 
@@ -797,7 +797,7 @@ mod tests {
         let cfg = FrameConfig::default();
         let payload = b"tolerant";
         let mut bits = frame_payload(payload, cfg);
-        let marker_at = cfg.sync_len + cfg.zeros_len;
+        let marker_at = cfg.sync_len + ZEROS_LEN;
         bits[marker_at + 3] ^= 1; // 1 marker error: only finish() can commit
         let batch = try_deframe(&bits, cfg, 1).expect("tolerant batch deframe");
         for chunk in CHUNKINGS {
@@ -830,7 +830,7 @@ mod tests {
         assert_eq!(d.finish(), vec![FrameEvent::Lost(FrameError::MarkerNotFound)]);
         // Truncated inside the header.
         let mut bits = frame_payload(b"xy", cfg);
-        bits.truncate(cfg.sync_len + cfg.zeros_len + START_MARKER.len() + 5);
+        bits.truncate(cfg.sync_len + ZEROS_LEN + START_MARKER.len() + 5);
         let mut d = Deframer::new(cfg, 0);
         d.push(&bits);
         assert_eq!(d.finish(), vec![FrameEvent::Lost(FrameError::TruncatedHeader)]);
@@ -883,7 +883,7 @@ mod tests {
         // The last three packets carry one start-marker error each, so
         // only finish() may commit to them.
         for k in 1..4 {
-            bits[k * packet_len + cfg.sync_len + cfg.zeros_len + 3] ^= 1;
+            bits[k * packet_len + cfg.sync_len + ZEROS_LEN + 3] ^= 1;
         }
         for chunk in CHUNKINGS {
             let events = one_pass(&bits, cfg, 1, chunk);
@@ -907,7 +907,7 @@ mod tests {
         for payload in sent {
             // One start-marker error per anchor: nothing commits before
             // finish(), which must rank its way through all three.
-            let marker_at = bits.len() + cfg.sync_len + cfg.zeros_len;
+            let marker_at = bits.len() + cfg.sync_len + ZEROS_LEN;
             bits.extend(frame_payload(payload, cfg));
             bits[marker_at + 3] ^= 1;
         }
@@ -926,7 +926,7 @@ mod tests {
             // One start-marker error per anchor, so no frame commits on
             // the push path and `finish` ranks the tail for each one.
             let payload: Vec<u8> = (0..16u8).map(|i| (i ^ k).wrapping_mul(37) ^ 0x5A).collect();
-            let marker_at = bits.len() + cfg.sync_len + cfg.zeros_len;
+            let marker_at = bits.len() + cfg.sync_len + ZEROS_LEN;
             bits.extend(frame_payload(&payload, cfg));
             bits[marker_at + 3] ^= 1;
         }
@@ -949,7 +949,7 @@ mod tests {
         let payload = b"drifting stream payload";
         let mut bits = vec![0u8, 1, 1, 0, 0, 1, 0];
         bits.extend(frame_payload(payload, cfg));
-        let body_at = 7 + cfg.sync_len + cfg.zeros_len + START_MARKER.len();
+        let body_at = 7 + cfg.sync_len + ZEROS_LEN + START_MARKER.len();
         bits.remove(body_at + 100); // a deletion the marker code absorbs
                                     // Alternating tail (can never alias START_MARKER) so the last
                                     // alignment window fills without fabricating a second frame.
@@ -981,7 +981,7 @@ mod tests {
         let cfg = FrameConfig { marker: Some(MarkerConfig::standard()), ..FrameConfig::default() };
         let payload = b"burst over the anchor";
         let mut bits = frame_payload(payload, cfg);
-        let marker_at = cfg.sync_len + cfg.zeros_len;
+        let marker_at = cfg.sync_len + ZEROS_LEN;
         // 3 START_MARKER errors: the push path can never commit (it
         // requires an exact anchor), so every chunking must defer to
         // finish and agree with the one-push ranked chain.

@@ -171,6 +171,7 @@ impl Transmitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::ZEROS_LEN;
     use emsc_pmu::workload::Op;
 
     #[test]
@@ -219,7 +220,7 @@ mod tests {
         let cfg = tx.config().frame;
         // sync + zeros + marker + (16 length + 8 payload) bits coded
         // at rate 4/7: 24 bits → 42.
-        assert_eq!(bits.len(), cfg.sync_len + cfg.zeros_len + 8 + 42);
+        assert_eq!(bits.len(), cfg.sync_len + ZEROS_LEN + 8 + 42);
     }
 
     #[test]

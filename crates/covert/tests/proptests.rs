@@ -1,7 +1,7 @@
 //! Property-based tests for coding, framing and alignment.
 
 use emsc_covert::coding::{bits_to_bytes, bytes_to_bits, decode_bits, encode_bits};
-use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig};
+use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, ZEROS_LEN};
 use emsc_covert::interleave::Interleaver;
 use emsc_covert::marker::MarkerConfig;
 use emsc_covert::metrics::{align, align_semiglobal};
@@ -82,7 +82,7 @@ proptest! {
     ) {
         let cfg = FrameConfig::default();
         let mut on_air = frame_payload(&payload, cfg);
-        let body_start = cfg.sync_len + cfg.zeros_len + 8;
+        let body_start = cfg.sync_len + ZEROS_LEN + 8;
         // One deterministic flip in each codeword of the body.
         let mut state = err_seed | 1;
         let mut cw = 0;
@@ -105,7 +105,7 @@ proptest! {
         frame in packet_layout(),
         chunk in 1usize..256,
     ) {
-        let config = PacketConfig { packet_bytes, frame, ..PacketConfig::default() };
+        let config = PacketConfig { packet_bytes, frame };
         let on_air = packetize(&payload, config);
         prop_assert_eq!(
             deframe_pass(&on_air, frame, chunk),

@@ -1,14 +1,15 @@
 //! The keystroke detector of §V-C.
 //!
 //! The capture is divided into short non-overlapping STFT windows
-//! ("5 ms long" in the paper; we use 8192 samples ≈ 3.4 ms at
-//! 2.4 Msps, the nearest power of two); the VRM band's energy per
-//! window is thresholded (the Fig. 7 bimodal rule) into active/idle;
-//! consecutive active windows are grouped into bursts; and bursts
-//! shorter than 30 ms are discarded as non-keystroke activity.
+//! ("5 ms long" in the paper; we use [`WINDOW_SAMPLES`] = 8192 samples
+//! ≈ 3.4 ms at 2.4 Msps, the nearest power of two); the energy of the
+//! VRM band's first [`HARMONICS`] harmonics per window is thresholded
+//! (the Fig. 7 bimodal rule) into active/idle; consecutive active
+//! windows are grouped into bursts, bridging up to two idle windows;
+//! and bursts shorter than 30 ms are discarded as non-keystroke
+//! activity.
 
 use emsc_sdr::error::CaptureError;
-use emsc_sdr::fft::MAX_TRANSFORM_SIZE;
 use emsc_sdr::stats::{quantile, Histogram};
 use emsc_sdr::Capture;
 
@@ -63,35 +64,31 @@ impl From<CaptureError> for DetectError {
     }
 }
 
+/// Harmonics of the switching frequency included in the band energy.
+pub const HARMONICS: usize = 2;
+
+/// STFT window size, samples (non-overlapping; ≈5 ms class).
+pub const WINDOW_SAMPLES: usize = 8192;
+
+/// Minimum keystroke burst duration, seconds (the paper's 30 ms
+/// false-positive filter).
+const MIN_BURST_S: f64 = 30e-3;
+
+/// Maximum number of consecutive idle windows tolerated inside one
+/// burst (bridges brief dips during a keystroke).
+const MAX_GAP_WINDOWS: usize = 2;
+
 /// Detector configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectorConfig {
     /// VRM switching frequency (RF), hertz. Must be finite.
     pub switching_freq_hz: f64,
-    /// Harmonics included in the band energy: at least 1 and at most
-    /// `window_samples`, since a window has no more bins than that.
-    pub harmonics: usize,
-    /// STFT window size, samples (non-overlapping; ≈5 ms class). A
-    /// power of two, at most [`MAX_TRANSFORM_SIZE`] (2^16).
-    pub window_samples: usize,
-    /// Minimum keystroke burst duration, seconds (the paper's 30 ms
-    /// false-positive filter).
-    pub min_burst_s: f64,
-    /// Maximum number of consecutive idle windows tolerated inside
-    /// one burst (bridges brief dips during a keystroke).
-    pub max_gap_windows: usize,
 }
 
 impl DetectorConfig {
-    /// Paper-faithful defaults for a given switching frequency.
+    /// The detector for a given switching frequency.
     pub fn new(switching_freq_hz: f64) -> Self {
-        DetectorConfig {
-            switching_freq_hz,
-            harmonics: 2,
-            window_samples: 8192,
-            min_burst_s: 30e-3,
-            max_gap_windows: 2,
-        }
+        DetectorConfig { switching_freq_hz }
     }
 }
 
@@ -170,22 +167,11 @@ impl DetectionScore {
 ///
 /// [`DetectError::InvalidConfig`] naming the first violated invariant.
 fn validate(cfg: &DetectorConfig) -> Result<(), DetectError> {
-    let broken = if !cfg.window_samples.is_power_of_two() {
-        "window must be a power of two"
-    } else if cfg.window_samples > MAX_TRANSFORM_SIZE {
-        "window must be at most 2^16 samples"
-    } else if cfg.harmonics == 0 {
-        "need at least the fundamental"
-    } else if cfg.harmonics > cfg.window_samples {
-        "at most window_samples harmonics"
-    } else if !cfg.switching_freq_hz.is_finite() {
-        "switching frequency must be finite"
-    } else if cfg.min_burst_s.is_nan() || cfg.min_burst_s < 0.0 {
-        "burst filter must be non-negative"
+    if cfg.switching_freq_hz.is_finite() {
+        Ok(())
     } else {
-        return Ok(());
-    };
-    Err(DetectError::InvalidConfig(broken))
+        Err(DetectError::InvalidConfig("switching frequency must be finite"))
+    }
 }
 
 /// The keystroke detector.
@@ -254,7 +240,6 @@ impl Detector {
                 *e = 0.0;
             }
         }
-        let cfg = &self.config;
         let threshold = select_threshold(&window_energy);
         let active: Vec<bool> = window_energy.iter().map(|&e| e > threshold).collect();
 
@@ -276,15 +261,8 @@ impl Detector {
                 }
                 (false, Some(s)) => {
                     gap += 1;
-                    if gap > self.config.max_gap_windows {
-                        push_burst(
-                            &mut bursts,
-                            &mut rejected,
-                            s,
-                            last_active,
-                            window_s,
-                            cfg.min_burst_s,
-                        );
+                    if gap > MAX_GAP_WINDOWS {
+                        push_burst(&mut bursts, &mut rejected, s, last_active, window_s);
                         start = None;
                         gap = 0;
                     }
@@ -293,7 +271,7 @@ impl Detector {
             }
         }
         if let Some(s) = start {
-            push_burst(&mut bursts, &mut rejected, s, last_active, window_s, cfg.min_burst_s);
+            push_burst(&mut bursts, &mut rejected, s, last_active, window_s);
         }
 
         DetectionReport { window_energy, window_s, threshold, bursts, rejected }
@@ -306,13 +284,12 @@ fn push_burst(
     start_w: usize,
     end_w: usize,
     window_s: f64,
-    min_burst_s: f64,
 ) {
     let burst = DetectedBurst {
         start_s: start_w as f64 * window_s,
         duration_s: (end_w + 1 - start_w) as f64 * window_s,
     };
-    if burst.duration_s >= min_burst_s {
+    if burst.duration_s >= MIN_BURST_S {
         bursts.push(burst);
     } else {
         rejected.push(burst);
@@ -484,32 +461,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_window_panics() {
-        Detector::new(DetectorConfig { window_samples: 12_000, ..DetectorConfig::new(970e3) });
-    }
-
-    #[test]
     fn try_new_reports_config_errors() {
-        let bad = DetectorConfig { window_samples: 12_000, ..DetectorConfig::new(970e3) };
-        assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
-        // Powers of two too large to allocate a window for.
-        for window_samples in [1 << 44, 1 << 62] {
-            let bad = DetectorConfig { window_samples, ..DetectorConfig::new(970e3) };
-            assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
-        }
-        // No harmonics, or more than the window has bins: building the
-        // band would walk every one of them.
-        for harmonics in [0, 1 << 40, usize::MAX] {
-            let bad = DetectorConfig { harmonics, ..DetectorConfig::new(970e3) };
-            assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
-        }
         for switching_freq_hz in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let bad = DetectorConfig { switching_freq_hz, ..DetectorConfig::new(970e3) };
+            let bad = DetectorConfig::new(switching_freq_hz);
             assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
         }
-        let bad = DetectorConfig { min_burst_s: f64::NAN, ..DetectorConfig::new(970e3) };
-        assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
         assert!(Detector::try_new(DetectorConfig::new(970e3)).is_ok());
     }
 

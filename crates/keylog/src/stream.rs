@@ -23,7 +23,9 @@ use emsc_sdr::iq::Complex;
 use emsc_sdr::stream::BandEnergyStream;
 use emsc_sdr::window::Window;
 
-use crate::detect::{DetectError, DetectionReport, Detector, DetectorConfig};
+use crate::detect::{
+    DetectError, DetectionReport, Detector, DetectorConfig, HARMONICS, WINDOW_SAMPLES,
+};
 
 /// Progress counters returned by [`StreamingDetector::push`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -67,17 +69,16 @@ impl StreamingDetector {
         if !(sample_rate > 0.0 && sample_rate.is_finite()) {
             return Err(DetectError::Capture(CaptureError::InvalidSampleRate));
         }
-        let cfg = detector.config();
-        let n = cfg.window_samples;
+        let f_sw = detector.config().switching_freq_hz;
         // The VRM band: harmonics in order, out-of-capture harmonics
         // dropped, nearest-bin mapping.
-        let band_bins: Vec<usize> = (1..=cfg.harmonics)
-            .map(|h| cfg.switching_freq_hz * h as f64 - center_freq)
+        let band_bins: Vec<usize> = (1..=HARMONICS)
+            .map(|h| f_sw * h as f64 - center_freq)
             .filter(|f| f.abs() < sample_rate / 2.0)
-            .map(|f| frequency_bin(f, n, sample_rate))
+            .map(|f| frequency_bin(f, WINDOW_SAMPLES, sample_rate))
             .collect();
         Ok(StreamingDetector {
-            band: BandEnergyStream::new(n, Window::Hann, &band_bins)?,
+            band: BandEnergyStream::new(WINDOW_SAMPLES, Window::Hann, &band_bins)?,
             energies: Vec::new(),
             detector,
             sample_rate,
@@ -120,7 +121,7 @@ impl StreamingDetector {
         assert!(!self.finished, "finish called twice");
         self.finished = true;
         self.band.classify()?;
-        let window_s = self.detector.config().window_samples as f64 / self.sample_rate;
+        let window_s = WINDOW_SAMPLES as f64 / self.sample_rate;
         Ok(self.detector.detect_from_energies(std::mem::take(&mut self.energies), window_s))
     }
 }
@@ -190,9 +191,8 @@ mod tests {
     fn typed_errors_match_batch_precedence() {
         let cfg = DetectorConfig::new(970e3);
         // Construction-time classification.
-        let bad = DetectorConfig { window_samples: 12_000, ..cfg.clone() };
         assert!(matches!(
-            StreamingDetector::new(bad, 2.4e6, 0.0),
+            StreamingDetector::new(DetectorConfig::new(f64::NAN), 2.4e6, 0.0),
             Err(DetectError::InvalidConfig(_))
         ));
         assert_eq!(

@@ -85,12 +85,10 @@ impl<R: Read> RtlChunkReader<R> {
             };
             let mut chunk = &self.buf[..n];
             if let Some(i) = self.pending.take() {
-                out.push(Complex::new(from_u8(i), from_u8(chunk[0])));
+                decode_rtl_u8(&[i, chunk[0]], out);
                 chunk = &chunk[1..];
             }
-            for p in chunk.chunks_exact(2) {
-                out.push(Complex::new(from_u8(p[0]), from_u8(p[1])));
-            }
+            decode_rtl_u8(chunk, out);
             if chunk.len() % 2 == 1 {
                 self.pending = Some(chunk[chunk.len() - 1]);
             }
@@ -101,6 +99,13 @@ impl<R: Read> RtlChunkReader<R> {
             }
         }
     }
+}
+
+/// Decodes the whole I/Q pairs of interleaved unsigned 8-bit bytes
+/// (the `rtl_sdr` wire format), appending one sample per pair to
+/// `out`. A trailing odd byte is left undecoded.
+pub fn decode_rtl_u8(bytes: &[u8], out: &mut Vec<Complex>) {
+    out.extend(bytes.chunks_exact(2).map(|p| Complex::new(from_u8(p[0]), from_u8(p[1]))));
 }
 
 /// Reads an interleaved unsigned 8-bit I/Q stream (the `rtl_sdr` wire

@@ -17,8 +17,8 @@
 //! - [`fault`] — deterministic fault plans (disconnects, stalls,
 //!   truncation, corruption, reordering, poison) scheduled on the
 //!   simulated clock;
-//! - [`policy`] — restart budgets, backoff shapes, watchdog and
-//!   backpressure policies;
+//! - [`policy`] — the restart budget, backoff, watchdog and poison
+//!   constants, and the per-sensor backpressure and rotation policy;
 //! - [`clock`] — the simulated clock every timeout is counted on;
 //! - [`soak`](mod@soak) — experiment E5: a ten-sensor soak under an
 //!   escalating fault schedule, scored against unfaulted batch references.
@@ -40,7 +40,7 @@ pub mod supervisor;
 
 pub use clock::SimClock;
 pub use fault::{Fault, FaultEvent, FaultPlan};
-pub use policy::{BackpressurePolicy, RestartPolicy, SensorPolicy};
+pub use policy::{BackpressurePolicy, SensorPolicy};
 pub use soak::{render_soak_rows, soak, SoakOutcome, SoakRow};
 pub use source::{ReplaySource, SensorSource, SourceError, SpoolSource};
 pub use supervisor::{

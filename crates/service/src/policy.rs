@@ -1,5 +1,9 @@
 //! Per-sensor robustness policies: restart backoff, watchdogs,
-//! backpressure and rotation.
+//! backpressure and rotation. Every sensor shares one restart budget
+//! ([`MAX_RESTARTS`]), backoff (2, 4 and 8 ticks plus 0–3 ticks of
+//! seeded jitter), watchdog (6 ticks without progress) and poison rule
+//! (2 consecutive majority-non-finite chunks); the pull rate,
+//! backpressure and rotation vary per sensor ([`SensorPolicy`]).
 //!
 //! Everything here is counted in ticks of the supervisor's
 //! [`crate::clock::SimClock`] and derives any randomness (backoff
@@ -22,47 +26,37 @@ pub enum BackpressurePolicy {
     DropOldest,
 }
 
-/// Seeded exponential backoff for sensor restarts.
+/// Restarts allowed before a sensor is quarantined.
+pub const MAX_RESTARTS: u32 = 3;
+
+/// Backoff of the first restart, ticks; each later restart doubles it.
+const BACKOFF_BASE_TICKS: u64 = 2;
+
+/// Upper end of a restart's seeded jitter, ticks.
+const BACKOFF_JITTER_TICKS: u64 = 3;
+
+/// Ticks without forward progress before the watchdog declares the
+/// stream dead and triggers the restart path.
+pub(crate) const WATCHDOG_TICKS: u64 = 6;
+
+/// Consecutive majority-non-finite chunks tolerated before the stream
+/// is declared poisoned (observed, not assumed: the supervisor scans
+/// what it delivers, it does not peek at the fault plan).
+pub(crate) const MAX_CORRUPT_CHUNKS: u32 = 2;
+
+/// Backoff delay in ticks before restart number `restart` (1 = first
+/// restart): `BACKOFF_BASE_TICKS · 2^(restart − 1)`, so 2, 4 or 8
+/// ticks, plus a deterministic jitter in `[0, BACKOFF_JITTER_TICKS]`
+/// derived positionally from the sensor's `jitter_seed` — the classic
+/// thundering-herd spreader, made replayable.
 ///
-/// Restart `n` (1-based) waits `base_ticks · factor^(n-1)` ticks,
-/// capped at `cap_ticks`, plus a deterministic jitter in
-/// `[0, jitter_ticks]` derived positionally from the sensor's seed —
-/// the classic thundering-herd spreader, made replayable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RestartPolicy {
-    /// Restarts allowed before the sensor is quarantined.
-    pub max_restarts: u32,
-    /// Base delay of the first restart, ticks.
-    pub base_ticks: u64,
-    /// Multiplier applied per successive restart.
-    pub factor: u32,
-    /// Upper bound on the exponential part, ticks.
-    pub cap_ticks: u64,
-    /// Jitter range, ticks (0 disables jitter).
-    pub jitter_ticks: u64,
-}
-
-impl Default for RestartPolicy {
-    fn default() -> Self {
-        RestartPolicy { max_restarts: 3, base_ticks: 2, factor: 2, cap_ticks: 32, jitter_ticks: 3 }
-    }
-}
-
-impl RestartPolicy {
-    /// Backoff delay in ticks before restart number `restart` (1 =
-    /// first restart), jittered deterministically by `jitter_seed`.
-    pub fn backoff_ticks(&self, restart: u32, jitter_seed: u64) -> u64 {
-        let exp = self
-            .base_ticks
-            .saturating_mul((self.factor.max(1) as u64).saturating_pow(restart.saturating_sub(1)))
-            .min(self.cap_ticks);
-        let jitter = if self.jitter_ticks == 0 {
-            0
-        } else {
-            seed_for(jitter_seed, restart as u64) % (self.jitter_ticks + 1)
-        };
-        exp + jitter
-    }
+/// # Panics
+///
+/// Panics unless `restart` is in `1..=MAX_RESTARTS`.
+pub(crate) fn backoff_ticks(restart: u32, jitter_seed: u64) -> u64 {
+    assert!((1..=MAX_RESTARTS).contains(&restart), "restart {restart} out of range");
+    let jitter = seed_for(jitter_seed, restart as u64) % (BACKOFF_JITTER_TICKS + 1);
+    (BACKOFF_BASE_TICKS << (restart - 1)) + jitter
 }
 
 /// The complete robustness policy of one supervised sensor.
@@ -75,16 +69,6 @@ pub struct SensorPolicy {
     /// Maximum chunks queued supervisor-side awaiting registry
     /// admission.
     pub pending_limit: usize,
-    /// Ticks without forward progress before the watchdog declares the
-    /// stream dead and triggers the restart path.
-    pub watchdog_ticks: u64,
-    /// Restart budget and backoff shape.
-    pub restart: RestartPolicy,
-    /// Consecutive majority-non-finite chunks tolerated before the
-    /// stream is declared poisoned (observed, not assumed: the
-    /// supervisor scans what it delivers, it does not peek at the
-    /// fault plan).
-    pub max_corrupt_chunks: u32,
     /// Rotate the session (flush its final report, open a fresh one)
     /// once it has accepted this many samples. `None` disables
     /// rotation.
@@ -97,9 +81,6 @@ impl Default for SensorPolicy {
             chunks_per_tick: 4,
             backpressure: BackpressurePolicy::Reject,
             pending_limit: 16,
-            watchdog_ticks: 6,
-            restart: RestartPolicy::default(),
-            max_corrupt_chunks: 2,
             rotate_after_samples: None,
         }
     }
@@ -110,44 +91,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_grows_exponentially_to_the_cap() {
-        let policy = RestartPolicy {
-            max_restarts: 10,
-            base_ticks: 2,
-            factor: 2,
-            cap_ticks: 16,
-            jitter_ticks: 0,
-        };
-        let delays: Vec<u64> = (1..=6).map(|n| policy.backoff_ticks(n, 0)).collect();
-        assert_eq!(delays, vec![2, 4, 8, 16, 16, 16], "exp growth then cap");
+    fn restarts_back_off_on_the_e5_schedule() {
+        // Restarts 1-3 of the ten E5 sensors (base seed 2020), as the
+        // supervisor derives their jitter seeds.
+        let schedule: Vec<[u64; 3]> = (0..10)
+            .map(|k| {
+                let seed = seed_for(2020 ^ 0x5EB0_0F5E, k);
+                [1, 2, 3].map(|n| backoff_ticks(n, seed))
+            })
+            .collect();
+        let expected = [
+            [2, 6, 10],
+            [3, 7, 9],
+            [3, 6, 10],
+            [2, 7, 10],
+            [2, 7, 9],
+            [2, 6, 8],
+            [5, 5, 11],
+            [4, 5, 11],
+            [2, 6, 9],
+            [5, 5, 9],
+        ];
+        assert_eq!(schedule, expected);
     }
 
     #[test]
     fn jitter_is_bounded_and_seed_deterministic() {
-        let policy = RestartPolicy { jitter_ticks: 5, ..RestartPolicy::default() };
-        for n in 1..=4 {
-            let a = policy.backoff_ticks(n, 42);
-            let b = policy.backoff_ticks(n, 42);
-            assert_eq!(a, b, "same seed, same delay");
-            let base = RestartPolicy { jitter_ticks: 0, ..policy }.backoff_ticks(n, 42);
-            assert!((base..=base + 5).contains(&a), "jitter out of range: {a} vs base {base}");
+        for n in 1..=MAX_RESTARTS {
+            let a = backoff_ticks(n, 42);
+            assert_eq!(a, backoff_ticks(n, 42), "same seed, same delay");
+            let base = BACKOFF_BASE_TICKS << (n - 1);
+            assert!(
+                (base..=base + BACKOFF_JITTER_TICKS).contains(&a),
+                "jitter out of range: {a} vs base {base}"
+            );
         }
         // Different sensors (seeds) de-synchronise their restarts.
         let spread: std::collections::BTreeSet<u64> =
-            (0..16).map(|s| policy.backoff_ticks(1, s)).collect();
+            (0..16).map(|s| backoff_ticks(1, s)).collect();
         assert!(spread.len() > 1, "jitter never varies across seeds");
-    }
-
-    #[test]
-    fn pathological_policies_saturate_instead_of_overflowing() {
-        let policy = RestartPolicy {
-            max_restarts: u32::MAX,
-            base_ticks: u64::MAX,
-            factor: u32::MAX,
-            cap_ticks: u64::MAX,
-            jitter_ticks: 0,
-        };
-        // Must not panic on overflow.
-        assert_eq!(policy.backoff_ticks(u32::MAX, 1), u64::MAX);
     }
 }

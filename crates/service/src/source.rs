@@ -11,17 +11,17 @@
 //!   the existing scenario generators) in fixed-size chunks,
 //!   optionally looping for session-rotation workloads;
 //! - [`SpoolSource`] incrementally decodes a spooled `rtl_sdr`
-//!   interleaved-u8 recording via [`RtlChunkReader`], the exact wire
+//!   interleaved-u8 recording with [`decode_rtl_u8`], the exact wire
 //!   format the paper's $25 dongle writes.
 //!
 //! Sources are *rewindable*: [`SensorSource::reset`] returns the
 //! stream to its beginning, which is what a supervisor restart means
 //! for a spooled capture (reopen the file, replay from the top).
 
-use std::io::{self, Cursor, Read};
+use std::io::{self, Read};
 
 use emsc_sdr::iq::Complex;
-use emsc_sdr::record::{io_error_is_retryable, RtlChunkReader};
+use emsc_sdr::record::{decode_rtl_u8, io_error_is_retryable};
 use emsc_sdr::Capture;
 
 /// Why a source failed to deliver.
@@ -153,21 +153,22 @@ impl SensorSource for ReplaySource {
 
 /// Incrementally decodes a spooled `rtl_sdr` interleaved-u8 recording,
 /// delivering bounded chunks without ever materialising the whole
-/// capture.
+/// capture. It holds the recording once, as bytes, and decodes each
+/// chunk from them at a byte offset; a restart rewinds the offset.
 pub struct SpoolSource {
     bytes: Vec<u8>,
+    /// Byte offset of the next undelivered I/Q pair.
+    offset: usize,
     sample_rate: f64,
     center_freq: f64,
     chunk: usize,
-    reader: RtlChunkReader<Cursor<Vec<u8>>>,
-    staged: Vec<Complex>,
-    staged_at: usize,
 }
 
 impl std::fmt::Debug for SpoolSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SpoolSource")
             .field("bytes", &self.bytes.len())
+            .field("offset", &self.offset)
             .field("sample_rate", &self.sample_rate)
             .field("center_freq", &self.center_freq)
             .field("chunk", &self.chunk)
@@ -180,16 +181,7 @@ impl SpoolSource {
     /// `chunk`-sample pieces. The raw format carries neither sample
     /// rate nor tuner frequency, so the caller supplies both.
     pub fn from_bytes(bytes: Vec<u8>, sample_rate: f64, center_freq: f64, chunk: usize) -> Self {
-        let reader = RtlChunkReader::new(Cursor::new(bytes.clone()));
-        SpoolSource {
-            bytes,
-            sample_rate,
-            center_freq,
-            chunk: chunk.max(1),
-            reader,
-            staged: Vec::new(),
-            staged_at: 0,
-        }
+        SpoolSource { bytes, offset: 0, sample_rate, center_freq, chunk: chunk.max(1) }
     }
 
     /// A spool over an `rtl_sdr` recording on disk, read fully at open
@@ -214,30 +206,16 @@ impl SpoolSource {
 
 impl SensorSource for SpoolSource {
     fn next_chunk(&mut self, out: &mut Vec<Complex>) -> Result<usize, SourceError> {
-        // Refill the staging buffer until one chunk is available or
-        // the spool ends, then hand out exactly one chunk.
-        while self.staged.len() - self.staged_at < self.chunk {
-            // Compact before refilling so the buffer stays bounded by
-            // one decode quantum plus one chunk.
-            if self.staged_at > 0 {
-                self.staged.drain(..self.staged_at);
-                self.staged_at = 0;
-            }
-            if self.reader.next_chunk(&mut self.staged)? == 0 {
-                break;
-            }
-        }
-        let available = self.staged.len() - self.staged_at;
-        let n = available.min(self.chunk);
-        out.extend_from_slice(&self.staged[self.staged_at..self.staged_at + n]);
-        self.staged_at += n;
+        // Whole pairs only: a trailing odd byte is never a sample, as
+        // in `rtl_sdr` dumps.
+        let n = ((self.bytes.len() - self.offset) / 2).min(self.chunk);
+        decode_rtl_u8(&self.bytes[self.offset..self.offset + 2 * n], out);
+        self.offset += 2 * n;
         Ok(n)
     }
 
     fn reset(&mut self) -> Result<(), SourceError> {
-        self.reader = RtlChunkReader::new(Cursor::new(self.bytes.clone()));
-        self.staged.clear();
-        self.staged_at = 0;
+        self.offset = 0;
         Ok(())
     }
 
@@ -298,15 +276,21 @@ mod tests {
     #[test]
     fn spool_round_trips_the_rtl_u8_recording() {
         let cap = capture(5000);
-        let mut bytes = Vec::new();
-        write_rtl_u8(&cap, &mut bytes).unwrap();
-        let reference = emsc_sdr::record::read_rtl_u8(&bytes[..], 2.4e6, 1.455e6).unwrap();
-
-        let mut src = SpoolSource::from_bytes(bytes, 2.4e6, 1.455e6, 777);
-        let streamed = drain(&mut src);
-        assert_eq!(streamed, reference.samples, "spool decode must equal batch decode");
-        src.reset().unwrap();
-        assert_eq!(drain(&mut src), reference.samples, "reset must replay from the top");
+        let mut even = Vec::new();
+        write_rtl_u8(&cap, &mut even).unwrap();
+        let mut odd = even.clone();
+        odd.push(200);
+        for bytes in [even, odd] {
+            let reference = emsc_sdr::record::read_rtl_u8(&bytes[..], 2.4e6, 1.455e6).unwrap();
+            assert_eq!(reference.samples.len(), 5000, "the trailing odd byte is no sample");
+            for chunk in [1, 7, 777] {
+                let mut src = SpoolSource::from_bytes(bytes.clone(), 2.4e6, 1.455e6, chunk);
+                let streamed = drain(&mut src);
+                assert_eq!(streamed, reference.samples, "chunk {chunk}: spool must equal batch");
+                src.reset().unwrap();
+                assert_eq!(drain(&mut src), reference.samples, "chunk {chunk}: reset replays");
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,11 @@
 //!   deaths trigger the restart path, and exhausted restart budgets
 //!   (or fatal errors, per the typed retryable/fatal split) end in
 //!   quarantine — one bad radio never takes the daemon down.
-//! - **Watchdog.** A sensor that makes no forward progress for
-//!   [`SensorPolicy::watchdog_ticks`] is declared dead and restarted.
+//! - **Watchdog.** A sensor that makes no forward progress for 6 ticks
+//!   is declared dead and restarted.
 //! - **Backoff.** Restarts wait out a seeded exponential backoff with
-//!   deterministic jitter
-//!   ([`RestartPolicy::backoff_ticks`](crate::policy::RestartPolicy::backoff_ticks)).
+//!   deterministic jitter (2, 4 and 8 ticks plus 0–3), up to
+//!   [`MAX_RESTARTS`] of them.
 //! - **Backpressure.** Chunks the registry rejects queue in a bounded
 //!   per-sensor buffer governed by [`BackpressurePolicy`]: reject
 //!   (slow the producer, lose nothing) or drop-oldest (stay fresh).
@@ -42,7 +42,10 @@ use emsc_sdr::iq::Complex;
 
 use crate::clock::SimClock;
 use crate::fault::{Fault, FaultPlan};
-use crate::policy::{BackpressurePolicy, SensorPolicy};
+use crate::policy::{
+    backoff_ticks, BackpressurePolicy, SensorPolicy, MAX_CORRUPT_CHUNKS, MAX_RESTARTS,
+    WATCHDOG_TICKS,
+};
 use crate::source::SensorSource;
 
 /// Clean ticks a degraded sensor must string together before it is
@@ -512,7 +515,7 @@ impl Supervisor {
         let slot = &mut self.sensors[k];
         // Watchdog: no forward progress for too long means the stream
         // is dead, whatever the cause looked like.
-        if now.saturating_sub(slot.last_progress_tick) >= slot.policy.watchdog_ticks {
+        if now.saturating_sub(slot.last_progress_tick) >= WATCHDOG_TICKS {
             self.events.push(ServiceEvent {
                 tick: now,
                 sensor: k,
@@ -620,7 +623,7 @@ impl Supervisor {
                 chunk.iter().filter(|s| !s.re.is_finite() || !s.im.is_finite()).count();
             if !chunk.is_empty() && non_finite * 2 > chunk.len() {
                 slot.consecutive_corrupt += 1;
-                if slot.consecutive_corrupt >= slot.policy.max_corrupt_chunks {
+                if slot.consecutive_corrupt >= MAX_CORRUPT_CHUNKS {
                     self.events.push(ServiceEvent {
                         tick: now,
                         sensor: k,
@@ -781,12 +784,12 @@ impl Supervisor {
             return;
         }
         let slot = &mut self.sensors[k];
-        if slot.restarts >= slot.policy.restart.max_restarts {
+        if slot.restarts >= MAX_RESTARTS {
             self.quarantine(k, now, &format!("restart budget exhausted after: {reason}"));
             return;
         }
         slot.restarts += 1;
-        let delay = slot.policy.restart.backoff_ticks(slot.restarts, slot.jitter_seed);
+        let delay = backoff_ticks(slot.restarts, slot.jitter_seed);
         let resume_tick = now + delay;
         slot.state = LifecycleState::Restarting { resume_tick };
         self.events.push(ServiceEvent {
@@ -891,7 +894,7 @@ mod tests {
     use emsc_sdr::Capture;
 
     use crate::fault::FaultEvent;
-    use crate::policy::{RestartPolicy, SensorPolicy};
+    use crate::policy::SensorPolicy;
     use crate::source::ReplaySource;
 
     /// A small keylogging capture (0.1 s, one keystroke burst) — cheap
@@ -965,8 +968,7 @@ mod tests {
 
     #[test]
     fn long_stall_trips_the_watchdog_then_recovers() {
-        let policy = SensorPolicy { watchdog_ticks: 4, ..SensorPolicy::default() };
-        let (spec, batch) = keylog_spec(13, policy);
+        let (spec, batch) = keylog_spec(13, SensorPolicy::default());
         let plan = FaultPlan::new(vec![FaultEvent {
             tick: 2,
             sensor: 0,
@@ -984,11 +986,7 @@ mod tests {
 
     #[test]
     fn poison_exhausts_the_restart_budget_into_quarantine_without_collateral() {
-        let policy = SensorPolicy {
-            restart: RestartPolicy { max_restarts: 2, ..RestartPolicy::default() },
-            ..SensorPolicy::default()
-        };
-        let (poisoned, _) = keylog_spec(17, policy);
+        let (poisoned, _) = keylog_spec(17, SensorPolicy::default());
         let (healthy, batch) = keylog_spec(19, SensorPolicy::default());
         let plan = FaultPlan::new(vec![FaultEvent { tick: 2, sensor: 0, fault: Fault::Poison }]);
         let mut sup = Supervisor::new(ServiceConfig::default(), plan);
@@ -997,7 +995,7 @@ mod tests {
         let report = sup.run();
         let p = &report.sensors[0];
         assert_eq!(p.state, LifecycleState::Quarantined, "events: {:#?}", report.events);
-        assert_eq!(p.restarts, 2, "budget must be spent before quarantine");
+        assert_eq!(p.restarts, MAX_RESTARTS, "budget must be spent before quarantine");
         assert!(p.sessions.is_empty(), "a poisoned stream never completes a session");
         assert!(report.events.iter().any(|e| e.what.contains("poisoned")));
         // The neighbour is untouched: supervision is per-sensor.
@@ -1059,8 +1057,7 @@ mod tests {
     #[test]
     fn identical_runs_produce_identical_reports() {
         let run = || {
-            let policy = SensorPolicy { watchdog_ticks: 4, ..SensorPolicy::default() };
-            let (spec, _) = keylog_spec(31, policy);
+            let (spec, _) = keylog_spec(31, SensorPolicy::default());
             let plan = FaultPlan::new(vec![
                 FaultEvent { tick: 2, sensor: 0, fault: Fault::TruncateChunk { keep_frac: 0.5 } },
                 FaultEvent { tick: 4, sensor: 0, fault: Fault::Disconnect },

@@ -17,24 +17,29 @@
 #   - an end-to-end metric's median paired ratio, working tree over
 #     base, is worse than that metric's BENCHMARK.json bound;
 #   - a traced `*_ns_per_sample` layer's median paired ratio, taken
-#     relative to its pair's common swing, is worse than LAYER_BOUND.
+#     relative to its pair's common swing, is worse than 0.08.
 #
 # A shared host runs faster or slower from one run to the next by up to
 # a fifth, and every layer of a run shares that swing. A pair's common
-# swing is the median ratio over all its timed layers (the ms, us and
-# ns/sample metrics). Dividing by it, one layer that got slower stands
-# out, and a run that met a slow spell does not. A change that slows
-# every layer alike shows in the end-to-end metrics instead.
+# swing is the median ratio over the timed layers (the ms, us and
+# ns/sample metrics) whose source files the change leaves untouched,
+# less those that time other layers' work again or derive from them.
+# Dividing by it, one layer that got slower stands out, and a run that
+# met a slow spell does not; a change that speeds up some layers leaves
+# the yardstick of the others alone. A change that slows every layer
+# alike shows in the end-to-end metrics instead. scripts/bench_report.jq
+# computes the verdict, and holds the table of each layer's source
+# files.
 #
 # Per-pair ratios and the verdict go to stderr. The last stdout line is
-# a JSON record of both sides' medians; BENCH_perfbench.json keeps it,
-# pretty-printed with `jq .`, from the latest change's run. Needs bash,
-# git, jq and cargo. The two builds take a few minutes, and each
-# workload 4·K runs of `run_seconds` plus their set-up.
+# a JSON record of both sides' medians and each workload's swing
+# layers; BENCH_perfbench.json keeps it, pretty-printed with `jq .`,
+# from the latest change's run. Needs bash, git, jq and cargo. The two
+# builds take a few minutes, and each workload 4·K runs of
+# `run_seconds` plus their set-up.
 set -euo pipefail
 
 K=3
-LAYER_BOUND=0.08
 
 [ $# -eq 1 ] || { echo "usage: $0 <base-commit>" >&2; exit 2; }
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,7 +51,7 @@ mapfile -t CMD < <(jq -r '.command[]' BENCHMARK.json)
 mapfile -t WORKLOADS < <(jq -r '.workloads[].name' BENCHMARK.json)
 RUN_S="$(jq -r '.run_seconds' BENCHMARK.json)"
 
-rm -rf "$OUT/base-tree" "$OUT/logs" "$OUT/runs.jsonl"
+rm -rf "$OUT/base-tree" "$OUT/logs" "$OUT/runs.jsonl" "$OUT/touched.txt"
 mkdir -p "$OUT/base-tree" "$OUT/logs"
 git archive "$BASE" | tar -x -C "$OUT/base-tree"
 
@@ -84,69 +89,16 @@ for w in "${WORKLOADS[@]}"; do
     done
 done
 
+# The files the working tree changes against the base, untracked ones
+# included: bench_report.jq takes the common swing only from layers
+# whose sources are not among them.
+{ git diff --name-only "$BASE"; git ls-files --others --exclude-standard; } | sort -u \
+    >"$OUT/touched.txt"
 # Every line but the last is the human-readable report; the last is the
 # record.
 report="$(jq -nr --slurpfile runs "$OUT/runs.jsonl" --slurpfile bench BENCHMARK.json \
-    --arg base "$BASE" --arg head "$HEAD" --argjson k "$K" --argjson lb "$LAYER_BOUND" '
-def median: sort | if length == 0 then null
-    elif length % 2 == 1 then .[(length - 1) / 2]
-    else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-def value($m): .run.metrics[$m].value // 0;
-# Over a {base, head} pair of runs: the head-over-base ratio of metric
-# $m, or nothing when either side reads 0 (a layer the op never calls).
-def ratio($m): (.head | value($m)) as $h | (.base | value($m)) as $b
-    | if $h > 0 and $b > 0 then $h / $b else empty end;
-def worse($better; $bound):
-    if $better == "higher" then . < 1 - $bound else . > 1 + $bound end;
-def share: (map(.run.attempted // 0) | add) as $n
-    | if $n > 0 then (map(.run.failed // 0) | add) / $n else 0 end;
-# The median of each metric in $names over these runs at $trace.
-def medians($trace; $names):
-    . as $runs | $names | map({key: ., value: (. as $m
-        | $runs | map(select(.trace == $trace) | value($m)) | median)}) | from_entries;
-def fmt: . * 1000 | round / 1000 | tostring;
-
-$bench[0] as $bench
-| ($bench.end_to_end | map(.name)) as $e2e
-| ($bench.per_layer | map(.name)) as $per_layer
-| ($bench.per_layer | map(select(.unit | IN("ms", "us", "ns/sample")) | .name)) as $timed
-| [$bench.workloads[].name as $w
-    | [$runs[] | select(.workload == $w)] as $all
-    | ($all | map(select(.side == "base"))) as $base_runs
-    | ($all | map(select(.side == "head"))) as $head_runs
-    | def pairs($trace): $all | map(select(.trace == $trace)) | group_by(.pair)
-        | map({base: map(select(.side == "base"))[0], head: map(select(.side == "head"))[0]});
-      pairs(0) as $untraced
-    | (pairs(1) | map(. + {swing: ([ratio($timed[])] | median)})) as $traced
-    | ([$bench.end_to_end[] as $m
-        | {name: $m.name, better: $m.better, bound: $m.bound,
-           ratios: [$untraced[] | ratio($m.name)]}]
-      + [$bench.per_layer[] | select(.name | endswith("_ns_per_sample")) as $m
-        | {name: $m.name, better: $m.better, bound: $lb,
-           ratios: [$traced[] | select(.swing != null) | ratio($m.name) / .swing]}]
-      | map(select(.ratios != []) | . + {median: (.ratios | median)})) as $gated
-    | {name: $w,
-       lines: (["\($w): common swing of each traced pair \($traced | map(.swing // 0 | fmt) | join(" "))"]
-           + ($gated | map("  \(.name): pairs \(.ratios | map(fmt) | join(" ")), median \(.median | fmt), bound \(.bound)"))),
-       failures: ([$all[] | select(.status != 0 or .run.correct != true)
-             | "\($w): the \(.side) run on seed \(.pair) with --trace \(.trace) failed its checks"]
-           + (if ($head_runs | share) > ($base_runs | share)
-              then ["\($w): the working tree failed \($head_runs | share | fmt) of its ops, the base \($base_runs | share | fmt)"]
-              else [] end)
-           + [$gated[] | select(. as $g | $g.median | worse($g.better; $g.bound))
-             | "\($w): \(.name) median paired ratio \(.median | fmt) is worse than its bound \(.bound)"]),
-       record: {
-           failed_share: {base: ($base_runs | share), head: ($head_runs | share)},
-           base: (($base_runs | medians(0; $e2e)) + ($base_runs | medians(1; $per_layer))),
-           head: (($head_runs | medians(0; $e2e)) + ($head_runs | medians(1; $per_layer))),
-           ratio: ($gated | map({key: .name, value: .median}) | from_entries)}}] as $results
-| ($results | map(.failures[])) as $failures
-| ($results[] | .lines[]),
-  (if $failures == [] then "bench_gate: pass" else ($failures[] | "bench_gate: FAIL \(.)") end),
-  ({base: $base, head: $head, pairs: $k, run_seconds: $bench.run_seconds, layer_bound: $lb,
-    pass: ($failures == []), failures: $failures,
-    workloads: ($results | map({key: .name, value: .record}) | from_entries)} | tojson)
-')"
+    --rawfile touched "$OUT/touched.txt" --arg base "$BASE" --arg head "$HEAD" \
+    -f scripts/bench_report.jq)"
 printf '%s\n' "$report" | sed '$d' >&2
 printf '%s\n' "$report" | tail -n 1
 [ "$(printf '%s\n' "$report" | tail -n 1 | jq .pass)" = true ]

@@ -12,7 +12,7 @@
 //! receivers' streaming front ends must reproduce bit for bit.
 
 use emsc_covert::rx::RxConfig;
-use emsc_keylog::detect::DetectorConfig;
+use emsc_keylog::detect::{DetectorConfig, HARMONICS, WINDOW_SAMPLES};
 use emsc_sdr::dsp::{convolve_same, edge_kernel, moving_average};
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::fft::frequency_bin;
@@ -125,9 +125,9 @@ pub fn batch_window_energy(cfg: &DetectorConfig, capture: &Capture) -> Vec<f64> 
     let spec = stft(
         &capture.samples,
         capture.sample_rate,
-        &StftConfig::non_overlapping(cfg.window_samples, Window::Hann),
+        &StftConfig::non_overlapping(WINDOW_SAMPLES, Window::Hann),
     );
-    let freqs: Vec<f64> = (1..=cfg.harmonics)
+    let freqs: Vec<f64> = (1..=HARMONICS)
         .map(|h| cfg.switching_freq_hz * h as f64 - capture.center_freq)
         .filter(|f| f.abs() < capture.sample_rate / 2.0)
         .collect();

@@ -25,9 +25,11 @@ use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::{DetectorConfig, StreamingDetector};
 use emsc_pmu::workload::Program;
 use emsc_sdr::impair::Impairment;
+use emsc_sdr::record::write_rtl_u8;
 use emsc_sdr::stream::{BandEnergyStream, EnergyStream};
 use emsc_sdr::window::Window;
 use emsc_sdr::{Capture, Complex};
+use emsc_service::{SensorSource, SpoolSource};
 
 struct CountingAlloc;
 
@@ -292,4 +294,17 @@ fn steady_state_streaming_is_allocation_free() {
     let drift_allocs = allocations() - before;
     assert_eq!(capture.samples.len(), 99_970, "300 ppm keeps 99 970 of 100 000 samples");
     assert_eq!(drift_allocs, 0, "a positive-ppm clock drift allocated {drift_allocs}x");
+
+    // 6. A spooled recording is held once, as bytes: a supervisor
+    //    restart rewinds the spool without copying the recording or
+    //    buying a read buffer.
+    let mut bytes = Vec::new();
+    write_rtl_u8(&capture, &mut bytes).expect("writing to a Vec cannot fail");
+    let mut spool = SpoolSource::from_bytes(bytes, 2.4e6, 250e3, 32 * 1024);
+    let mut chunk = Vec::new();
+    spool.next_chunk(&mut chunk).expect("an in-memory spool cannot fail");
+    let before = allocations();
+    spool.reset().expect("an in-memory spool rewinds");
+    let reset_allocs = allocations() - before;
+    assert_eq!(reset_allocs, 0, "SpoolSource::reset allocated {reset_allocs}x");
 }

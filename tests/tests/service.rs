@@ -18,6 +18,7 @@
 //! aimed at one sensor at once, plus neighbours, still panics nowhere.
 
 use emsc_runtime::with_threads;
+use emsc_service::policy::MAX_RESTARTS;
 use emsc_service::soak::{soak, SoakOutcome};
 use emsc_service::{
     render_soak_rows, Fault, FaultEvent, FaultPlan, LifecycleState, SensorKind, SensorPolicy,
@@ -97,7 +98,7 @@ fn check_policy_and_references(outcome: &SoakOutcome) {
         rows.iter().filter(|r| r.state == "quarantined").map(|r| r.sensor.as_str()).collect();
     assert_eq!(quarantined, vec!["doomed front end"], "unexpected quarantine set");
     let doomed = rows.last().expect("fleet is non-empty");
-    assert_eq!(doomed.restarts, SensorPolicy::default().restart.max_restarts);
+    assert_eq!(doomed.restarts, MAX_RESTARTS);
     assert_eq!(doomed.sessions, 0, "a poisoned stream must not flush a report");
 
     // The rotating sensor flushed one report per pass.
@@ -174,7 +175,7 @@ fn severity_max_schedule_never_crashes_the_daemon() {
     // Poison is permanent, so the only policy-conformant terminal
     // state for the victim is quarantine with a drained budget.
     assert_eq!(victim.state, LifecycleState::Quarantined);
-    assert_eq!(victim.restarts, policy.restart.max_restarts);
+    assert_eq!(victim.restarts, MAX_RESTARTS);
 
     let neighbour = &report.sensors[1];
     assert_eq!(neighbour.state, LifecycleState::Done);

@@ -9,7 +9,9 @@
 
 use std::io::{self, Read};
 
-use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, FrameError, START_MARKER};
+use emsc_covert::frame::{
+    frame_payload, try_deframe, FrameConfig, FrameError, START_MARKER, ZEROS_LEN,
+};
 use emsc_covert::matched::matched_filter_demodulate;
 use emsc_covert::rx::{
     try_estimate_bit_period, try_find_switching_frequency, Receiver, RxConfig, RxError, SyncLoss,
@@ -203,7 +205,7 @@ fn frame_sync_reports_truncation_and_absence_distinctly() {
 
     // A real frame cut off inside the length header.
     let bits = frame_payload(b"torture", config);
-    let truncated = &bits[..bits.len().min(config.sync_len + config.zeros_len + 18)];
+    let truncated = &bits[..bits.len().min(config.sync_len + ZEROS_LEN + 18)];
     match try_deframe(truncated, config, 1) {
         Err(FrameError::TruncatedHeader) | Err(FrameError::MarkerNotFound) => {}
         other => panic!("truncated frame must be a typed error, got {other:?}"),
