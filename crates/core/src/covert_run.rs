@@ -1,16 +1,21 @@
-//! Covert-channel scenario runner: one call from payload to metrics.
+//! Covert-channel scenario runner: the one place a covert transfer is
+//! built ([`CovertScenario::new`]), run ([`CovertScenario::run`] and
+//! its twins) and scored (`CovertOutcome::score`, averaged over a row's
+//! runs by `mean`).
 
 use emsc_covert::adapt::RateStep;
-use emsc_covert::frame::{try_deframe, Deframed};
-use emsc_covert::metrics::{align_semiglobal, Alignment};
+use emsc_covert::coding::bytes_to_bits;
+use emsc_covert::frame::{salvage_marker_bits, try_deframe, Deframed, FrameConfig};
+use emsc_covert::metrics::{align_semiglobal, align_trace, AlignOp, Alignment};
 use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
 use emsc_covert::stream::StreamingReceiver;
 use emsc_covert::tx::{Transmitter, TxConfig};
+use emsc_pmu::trace::PowerTrace;
 use emsc_pmu::workload::Program;
 use emsc_sdr::impair::{apply_all, Impairment};
 
 use crate::chain::{Chain, ChainRun};
-use crate::laptop::Laptop;
+use crate::laptop::{Laptop, Os};
 
 /// Idle time the chain simulates before and after the transmission,
 /// seconds. Keeps the receiver's windows primed and realistic.
@@ -21,6 +26,13 @@ pub const LEAD_SILENCE_S: f64 = 2e-3;
 /// stretched by the ramp (an attacker calibrating LOOP_PERIOD on the
 /// live machine gets this for free).
 pub const WARMUP_S: f64 = 20e-3;
+
+/// Shortest aligned match run of a *salvaged* stream that earns
+/// delivery credit: two Hamming codewords. An optimal alignment of
+/// garbage against the payload still matches ~half the bits, but in
+/// runs of only a few bits — an unlucky salvage earns nothing, while
+/// verbatim recovered segments (28-bit runs) are credited in full.
+const MIN_CREDIT_RUN_BITS: usize = 14;
 
 /// A complete covert-channel exchange and its scoring.
 #[derive(Debug, Clone)]
@@ -48,6 +60,19 @@ impl CovertOutcome {
     /// Whether the exact payload was recovered.
     pub fn recovered(&self, payload: &[u8]) -> bool {
         self.deframed.as_ref().is_some_and(|d| d.payload == payload)
+    }
+
+    /// Scores this transfer of `payload`, sent in `frame`.
+    pub(crate) fn score(&self, payload: &[u8], frame: FrameConfig) -> TransferScore {
+        Received {
+            tx_bits: &self.tx_bits,
+            bits: &self.report.bits,
+            alignment: &self.alignment,
+            deframed: self.deframed.as_ref(),
+            rate_bps: self.transmission_rate_bps,
+            rx_failed: self.rx_error.is_some(),
+        }
+        .score(payload, frame)
     }
 }
 
@@ -79,6 +104,164 @@ impl CovertStreamedOutcome {
     pub fn recovered(&self, payload: &[u8]) -> bool {
         self.deframed.as_ref().is_some_and(|d| d.payload == payload)
     }
+
+    /// Scores this transfer of `payload`, sent in `frame`.
+    pub(crate) fn score(&self, payload: &[u8], frame: FrameConfig) -> TransferScore {
+        Received {
+            tx_bits: &self.tx_bits,
+            bits: &self.report.bits,
+            alignment: &self.alignment,
+            deframed: self.deframed.as_ref(),
+            rate_bps: self.transmission_rate_bps,
+            rx_failed: self.rx_error.is_some(),
+        }
+        .score(payload, frame)
+    }
+}
+
+/// How one covert transfer scored: the unit every covert experiment
+/// averages over its runs ([`mean`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TransferScore {
+    /// Bit-error rate (substitutions) of the on-air bits.
+    pub ber: f64,
+    /// Insertion probability.
+    pub ip: f64,
+    /// Deletion probability.
+    pub dp: f64,
+    /// Measured transmission rate, bits/second.
+    pub tr_bps: f64,
+    /// Payload bits delivered per second of air time: `delivered_bits`
+    /// over the air time of every attempt (see
+    /// [`TransferScore::resent`]).
+    pub goodput_bps: f64,
+    /// Whether the exact payload was recovered.
+    pub recovered: bool,
+    /// Whether the receiver could not decode the capture at all (a
+    /// typed `RxError`; the alignment then counts every bit as lost).
+    pub rx_failed: bool,
+    /// Payload bits genuinely delivered. A deframed payload claims
+    /// positional integrity, so it earns 8 bits per byte that is right
+    /// at its index: a spurious marker match that deframes a shifted
+    /// read earns nothing, as any checksum would reject it. When no
+    /// byte is right, a marker-coded frame's blind salvage
+    /// ([`salvage_marker_bits`]) earns its aligned match runs of at
+    /// least two Hamming codewords; a rigid frame has no salvage.
+    pub delivered_bits: usize,
+    /// Marker-decoder resynchronisations (recovered indel events), from
+    /// the deframed frame or else the salvage.
+    pub resyncs: usize,
+    /// Markers the decoder had to skip.
+    pub markers_missed: usize,
+    /// Hamming codewords with a nonzero syndrome in the deframed frame.
+    pub corrected: usize,
+    /// Probe frames spent before the transfer (E6's adaptive mode).
+    pub probes: usize,
+    /// Earlier attempts of the transfer that delivered nothing and were
+    /// resent (E6's adaptive mode).
+    pub retransmits: usize,
+}
+
+impl TransferScore {
+    /// This score after `retransmits` earlier attempts that delivered
+    /// nothing: goodput is charged against `airtime_bits`, the on-air
+    /// bits of every attempt.
+    pub(crate) fn resent(self, retransmits: usize, airtime_bits: usize) -> Self {
+        TransferScore {
+            goodput_bps: goodput_bps(self.delivered_bits, self.tr_bps, airtime_bits),
+            retransmits,
+            ..self
+        }
+    }
+}
+
+/// The mean of `field` over a row's transfer scores. The sum runs
+/// serially in the order given (run order), so a row is bit-identical
+/// at any worker count.
+pub(crate) fn mean(scores: &[TransferScore], field: impl Fn(&TransferScore) -> f64) -> f64 {
+    scores.iter().map(field).fold(0.0, |sum, x| sum + x) / scores.len().max(1) as f64
+}
+
+/// What scoring reads of a transfer, whichever path ran it.
+struct Received<'a> {
+    tx_bits: &'a [u8],
+    bits: &'a [u8],
+    alignment: &'a Alignment,
+    deframed: Option<&'a Deframed>,
+    rate_bps: f64,
+    rx_failed: bool,
+}
+
+impl Received<'_> {
+    /// The one scorer. The salvage runs at most once, and only when a
+    /// score needs it: no deframed byte is right at its position, or
+    /// the deframed frame carries no marker statistics.
+    fn score(&self, payload: &[u8], frame: FrameConfig) -> TransferScore {
+        let framed = self
+            .deframed
+            .map_or(0, |d| 8 * payload.iter().zip(&d.payload).filter(|(a, b)| a == b).count());
+        let framed_marker = self.deframed.and_then(|d| d.marker);
+        let salvage = if framed == 0 || framed_marker.is_none() {
+            salvage_marker_bits(self.bits, frame)
+        } else {
+            None
+        };
+        let delivered_bits = if framed > 0 {
+            framed
+        } else {
+            salvage.as_ref().map_or(0, |s| salvage_run_credit(&bytes_to_bits(payload), &s.bits))
+        };
+        let marker = framed_marker.or_else(|| salvage.map(|s| s.stats));
+        TransferScore {
+            ber: self.alignment.ber(),
+            ip: self.alignment.insertion_probability(),
+            dp: self.alignment.deletion_probability(),
+            tr_bps: self.rate_bps,
+            goodput_bps: goodput_bps(delivered_bits, self.rate_bps, self.tx_bits.len()),
+            recovered: self.deframed.is_some_and(|d| d.payload == payload),
+            rx_failed: self.rx_failed,
+            delivered_bits,
+            resyncs: marker.map_or(0, |s| s.resyncs),
+            markers_missed: marker.map_or(0, |s| s.markers_missed),
+            corrected: self.deframed.map_or(0, |d| d.coding.corrected),
+            probes: 0,
+            retransmits: 0,
+        }
+    }
+}
+
+/// `delivered_bits` per second of air: the transfer ran at `rate_bps`
+/// and put `airtime_bits` on the air.
+fn goodput_bps(delivered_bits: usize, rate_bps: f64, airtime_bits: usize) -> f64 {
+    if airtime_bits == 0 {
+        0.0
+    } else {
+        delivered_bits as f64 * rate_bps / airtime_bits as f64
+    }
+}
+
+/// Salvage credit: total length of aligned match runs of at least
+/// [`MIN_CREDIT_RUN_BITS`] between the payload and the salvaged bits.
+fn salvage_run_credit(tx_payload: &[u8], salvaged: &[u8]) -> usize {
+    if salvaged.is_empty() {
+        return 0;
+    }
+    let mut credit = 0usize;
+    let mut run = 0usize;
+    for op in align_trace(tx_payload, salvaged) {
+        if matches!(op, AlignOp::Match) {
+            run += 1;
+        } else {
+            if run >= MIN_CREDIT_RUN_BITS {
+                credit += run;
+            }
+            run = 0;
+        }
+    }
+    if run >= MIN_CREDIT_RUN_BITS {
+        credit += run;
+    }
+    credit
 }
 
 /// Runs one covert transfer over a chain.
@@ -93,30 +276,47 @@ pub struct CovertScenario {
 }
 
 impl CovertScenario {
-    /// The standard scenario for a laptop: calibrated transmitter
-    /// (§IV-C1 timing for its OS) and the batch receiver primed with
-    /// the expected bit period.
-    pub fn for_laptop(laptop: &Laptop, chain: Chain) -> Self {
+    /// A transfer with transmitter `tx` over `chain`, and the batch
+    /// receiver primed with the bit period `tx` produces on the
+    /// chain's machine.
+    pub fn new(chain: Chain, tx: TxConfig) -> Self {
+        let rx =
+            RxConfig::new(chain.switching_freq_hz(), tx.expected_bit_period_on(&chain.machine));
+        CovertScenario { chain, tx, rx }
+    }
+
+    /// The laptop's calibrated transmitter (§IV-C1 timing for its OS)
+    /// with both phases stretched by `stretch`, the way the paper backs
+    /// the rate off to hold BER over longer links, and the receiver
+    /// [`CovertScenario::new`] primes for it. The per-bit overhead does
+    /// not stretch.
+    pub fn backed_off(laptop: &Laptop, chain: Chain, stretch: f64) -> Self {
         let tx = TxConfig::calibrated_with_overhead(
             &chain.machine,
-            laptop.tx_active_period_s(),
-            laptop.tx_sleep_period_s(),
+            laptop.tx_active_period_s() * stretch,
+            laptop.tx_sleep_period_s() * stretch,
             laptop.tx_overhead_s(),
         );
-        let expected_bit = tx.expected_bit_period_on(&chain.machine);
-        let mut rx = RxConfig::new(chain.switching_freq_hz(), expected_bit);
-        if laptop.os == crate::laptop::Os::Windows {
+        CovertScenario::new(chain, tx)
+    }
+
+    /// The standard scenario for a laptop: the calibrated transmitter
+    /// at its native rate and the batch receiver primed with the
+    /// expected bit period.
+    pub fn for_laptop(laptop: &Laptop, chain: Chain) -> Self {
+        let mut scenario = CovertScenario::backed_off(laptop, chain, 1.0);
+        if laptop.os == Os::Windows {
             // Windows bits are millisecond-scale: a narrower edge
             // kernel resolves the wake+housekeeping blip at 0-bit
             // starts, and the higher peak bar rejects interrupt wakes
             // (which lack the heavy Sleep-call housekeeping).
-            rx.edge_kernel_fraction = 0.2;
-            rx.peak_threshold_frac = 0.45;
+            scenario.rx.edge_kernel_fraction = 0.2;
+            scenario.rx.peak_threshold_frac = 0.45;
             // First-pass coverage is near-total at millisecond bits;
             // the second pass would mostly admit interrupt bumps.
-            rx.gap_fill = false;
+            scenario.rx.gap_fill = false;
         }
-        CovertScenario { chain, tx, rx }
+        scenario
     }
 
     /// Transmits `payload` and demodulates it; deterministic per seed.
@@ -136,17 +336,31 @@ impl CovertScenario {
         impair_seed: u64,
     ) -> CovertOutcome {
         let tx_bits = Transmitter::new(self.tx).on_air_bits(payload);
-        let mut chain_run = self.chain.run_program(&self.transfer_program(&tx_bits), seed);
+        let trace = self.chain.machine.run(&self.transfer_program(&tx_bits), seed);
+        self.run_trace(tx_bits, trace, seed, impairments, impair_seed)
+    }
+
+    /// A transfer of `tx_bits` from its power trace on: `trace` through
+    /// the chain under `seed`, the impairments, the batch receiver, the
+    /// alignment, deframing and the rate. [`CovertScenario::run_impaired`]
+    /// feeds it the PMU run of [`CovertScenario::transfer_program`];
+    /// the §IV-C2 hog rows feed it that program run beside a hog on a
+    /// second core.
+    pub(crate) fn run_trace(
+        &self,
+        tx_bits: Vec<u8>,
+        trace: PowerTrace,
+        seed: u64,
+        impairments: &[Impairment],
+        impair_seed: u64,
+    ) -> CovertOutcome {
+        let mut chain_run = self.chain.run_trace(trace, seed);
         apply_all(&mut chain_run.capture, impairments, impair_seed);
-        let receiver = Receiver::new(self.rx.clone());
         // A decode failure (truncated / corrupt / carrier-less capture)
         // degrades to the empty report so the scenario still yields an
         // outcome — the grid cell records the error instead of
         // panicking the whole experiment.
-        let (report, rx_error) = match receiver.receive(&chain_run.capture) {
-            Ok(r) => (r, None),
-            Err(e) => (RxReport::empty(0.0), Some(e)),
-        };
+        let (report, rx_error) = split(Receiver::new(self.rx.clone()).receive(&chain_run.capture));
         let alignment = align_semiglobal(&tx_bits, &report.bits);
         let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
         let transmission_rate_bps = transmission_rate_bps(&tx_bits, chain_run.trace.duration_s());
@@ -176,19 +390,15 @@ impl CovertScenario {
         // Decode failures degrade to the empty report exactly as in
         // the batch path, whether they surface at construction (bad
         // config / rate / carrier) or at finish.
-        let (report, rx_error) =
-            match StreamingReceiver::new(self.rx.clone(), sample_rate, center_freq) {
-                Ok(mut receiver) => {
-                    while let Some(block) = stream.next_block() {
-                        receiver.push(block);
-                    }
-                    match receiver.finish() {
-                        Ok(r) => (r, None),
-                        Err(e) => (RxReport::empty(0.0), Some(e)),
-                    }
+        let received = StreamingReceiver::new(self.rx.clone(), sample_rate, center_freq).and_then(
+            |mut receiver| {
+                while let Some(block) = stream.next_block() {
+                    receiver.push(block);
                 }
-                Err(e) => (RxReport::empty(0.0), Some(e)),
-            };
+                receiver.finish()
+            },
+        );
+        let (report, rx_error) = split(received);
         let (trace, _train) = stream.into_trace_train();
         let alignment = align_semiglobal(&tx_bits, &report.bits);
         let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
@@ -218,7 +428,7 @@ impl CovertScenario {
 
     /// The PMU program of a transfer of `bits`: lead silence, the
     /// governor warm-up, the bits, lead silence.
-    fn transfer_program(&self, bits: &[u8]) -> Program {
+    pub(crate) fn transfer_program(&self, bits: &[u8]) -> Program {
         let mut program = Program::new();
         program.sleep(LEAD_SILENCE_S);
         program.busy(self.chain.machine.iterations_for_duration(WARMUP_S));
@@ -239,6 +449,15 @@ impl CovertScenario {
         tx.frame.interleave_depth = step.interleave_depth;
         let expected_bit = tx.expected_bit_period_on(&self.chain.machine);
         CovertScenario { chain: self.chain.clone(), tx, rx: self.rx.with_bit_period(expected_bit) }
+    }
+}
+
+/// A receiver result as an outcome holds it: a failure becomes the
+/// empty report plus its error.
+fn split(received: Result<RxReport, RxError>) -> (RxReport, Option<RxError>) {
+    match received {
+        Ok(report) => (report, None),
+        Err(e) => (RxReport::empty(0.0), Some(e)),
     }
 }
 

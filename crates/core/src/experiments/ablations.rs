@@ -164,9 +164,7 @@ fn cells(seed: u64) -> Vec<Cell> {
                         sleep_us * 1e-6,
                         Laptop::dell_inspiron().tx_overhead_s(),
                     );
-                    let expected = tx.expected_bit_period_on(&chain.machine);
-                    let rx = RxConfig::new(chain.switching_freq_hz(), expected);
-                    (format!("{sleep_us:.0} µs"), CovertScenario { chain, tx, rx }, false)
+                    (format!("{sleep_us:.0} µs"), CovertScenario::new(chain, tx), false)
                 })
                 .collect(),
         ),

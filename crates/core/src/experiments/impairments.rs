@@ -17,7 +17,7 @@ use emsc_runtime::{par_map, seed_for};
 use emsc_sdr::impair::{severity_label, Impairment};
 
 use crate::chain::{Chain, Setup};
-use crate::covert_run::CovertScenario;
+use crate::covert_run::{mean, CovertScenario, TransferScore};
 use crate::experiments::tables::{pseudo_payload, TableScale};
 use crate::laptop::Laptop;
 
@@ -51,15 +51,6 @@ pub fn impairments_at(severity: usize) -> Vec<Impairment> {
     emsc_sdr::impair::severity_stack(severity)
 }
 
-/// Channel statistics of one impaired run.
-struct CellStats {
-    ber: f64,
-    ip: f64,
-    dp: f64,
-    recovered: bool,
-    decode_failed: bool,
-}
-
 fn impaired_cell(
     scenario: &CovertScenario,
     payload_bytes: usize,
@@ -67,7 +58,7 @@ fn impaired_cell(
     severity: usize,
     run: usize,
     runs: usize,
-) -> CellStats {
+) -> TransferScore {
     let payload = pseudo_payload(payload_bytes, seed + run as u64);
     // One positional cell index per (severity, run) pair keeps the
     // impairment randomness independent of scheduling order.
@@ -78,41 +69,18 @@ fn impaired_cell(
         &impairments_at(severity),
         seed_for(seed, cell),
     );
-    CellStats {
-        ber: outcome.alignment.ber(),
-        ip: outcome.alignment.insertion_probability(),
-        dp: outcome.alignment.deletion_probability(),
-        recovered: outcome.recovered(&payload),
-        decode_failed: outcome.rx_error.is_some(),
-    }
+    outcome.score(&payload, scenario.tx.frame)
 }
 
-fn reduce(severity: usize, cells: &[CellStats]) -> ImpairmentRow {
-    let mut ber = 0.0;
-    let mut ip = 0.0;
-    let mut dp = 0.0;
-    let mut recovered = 0usize;
-    let mut decode_failures = 0usize;
-    for c in cells {
-        ber += c.ber;
-        ip += c.ip;
-        dp += c.dp;
-        if c.recovered {
-            recovered += 1;
-        }
-        if c.decode_failed {
-            decode_failures += 1;
-        }
-    }
-    let n = cells.len().max(1) as f64;
+fn impairment_row(severity: usize, scores: &[TransferScore]) -> ImpairmentRow {
     ImpairmentRow {
         severity,
         label: severity_label(severity).to_string(),
-        ber: ber / n,
-        ip: ip / n,
-        dp: dp / n,
-        recovery_rate: recovered as f64 / n,
-        decode_failures,
+        ber: mean(scores, |s| s.ber),
+        ip: mean(scores, |s| s.ip),
+        dp: mean(scores, |s| s.dp),
+        recovery_rate: mean(scores, |s| f64::from(s.recovered)),
+        decode_failures: scores.iter().filter(|s| s.rx_failed).count(),
     }
 }
 
@@ -130,7 +98,9 @@ pub fn impairment_sweep(scale: TableScale, seed: u64) -> Vec<ImpairmentRow> {
     let stats = par_map(&cells, |&(sev, run)| {
         impaired_cell(&scenario, scale.payload_bytes, seed, sev, run, scale.runs)
     });
-    (0..SEVERITIES).map(|s| reduce(s, &stats[s * scale.runs..(s + 1) * scale.runs])).collect()
+    (0..SEVERITIES)
+        .map(|s| impairment_row(s, &stats[s * scale.runs..(s + 1) * scale.runs]))
+        .collect()
 }
 
 /// Renders the sweep in the Table II style.

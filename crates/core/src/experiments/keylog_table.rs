@@ -72,26 +72,20 @@ pub fn table4_row(setup: Setup, label: &str, scale: KeylogScale, seed: u64) -> K
     let chain = Chain::new(&laptop, setup);
     let scenario = KeylogScenario::standard(chain);
     let text = random_text(scale.words, seed);
-    if scale.words > 15 {
+    let (chars, words, keystrokes) = if scale.words > 15 {
         let outcome = scenario.run_chunked(&text, seed, 2.0);
-        KeylogRow {
-            label: label.to_string(),
-            tpr: outcome.chars.tpr(),
-            fpr: outcome.chars.fpr(),
-            precision: outcome.words.precision(),
-            recall: outcome.words.recall(),
-            keystrokes: outcome.keystrokes.len(),
-        }
+        (outcome.chars, outcome.words, outcome.keystrokes.len())
     } else {
         let outcome = scenario.run(&text, seed);
-        KeylogRow {
-            label: label.to_string(),
-            tpr: outcome.chars.tpr(),
-            fpr: outcome.chars.fpr(),
-            precision: outcome.words.precision(),
-            recall: outcome.words.recall(),
-            keystrokes: outcome.keystrokes.len(),
-        }
+        (outcome.chars, outcome.words, outcome.keystrokes.len())
+    };
+    KeylogRow {
+        label: label.to_string(),
+        tpr: chars.tpr(),
+        fpr: chars.fpr(),
+        precision: words.precision(),
+        recall: words.recall(),
+        keystrokes,
     }
 }
 

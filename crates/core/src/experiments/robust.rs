@@ -29,14 +29,13 @@
 
 use emsc_covert::adapt::{AdaptPolicy, ProbeOutcome, RateController, RateLadder, RateStep};
 use emsc_covert::coding::bytes_to_bits;
-use emsc_covert::frame::{salvage_marker_bits, FrameConfig};
 use emsc_covert::marker::MarkerConfig;
-use emsc_covert::metrics::{align, align_trace, AlignOp};
+use emsc_covert::metrics::align;
 use emsc_runtime::{par_map, seed_for};
 use emsc_sdr::impair::{severity_label, severity_stack, SEVERITY_LEVELS};
 
 use crate::chain::{Chain, Setup};
-use crate::covert_run::{CovertOutcome, CovertScenario};
+use crate::covert_run::{mean, CovertOutcome, CovertScenario, TransferScore};
 use crate::experiments::tables::{pseudo_payload, TableScale};
 use crate::laptop::Laptop;
 
@@ -129,122 +128,6 @@ fn marker_step() -> RateStep {
     }
 }
 
-/// What one finished transfer contributes to its row.
-struct RobustCell {
-    ber: f64,
-    dp: f64,
-    goodput_bps: f64,
-    recovered: bool,
-    decode_failed: bool,
-    resyncs: usize,
-    markers_missed: usize,
-    corrected: usize,
-    selected_rate_bps: f64,
-    probes: usize,
-    retransmits: usize,
-}
-
-/// Shortest aligned match run of a *salvaged* stream that earns
-/// goodput credit: two Hamming codewords. An optimal alignment of
-/// garbage against the payload still matches ~half the bits, but in
-/// runs of only a few bits — an unlucky salvage earns nothing, while
-/// verbatim recovered segments (28-bit runs) are credited in full.
-const MIN_CREDIT_RUN_BITS: usize = 14;
-
-/// Salvage credit: total length of aligned match runs of at least
-/// [`MIN_CREDIT_RUN_BITS`] between the payload and the salvaged bits.
-fn salvage_run_credit(tx_payload: &[u8], salvaged: &[u8]) -> usize {
-    if salvaged.is_empty() {
-        return 0;
-    }
-    let mut credit = 0usize;
-    let mut run = 0usize;
-    for op in align_trace(tx_payload, salvaged) {
-        if matches!(op, AlignOp::Match) {
-            run += 1;
-        } else {
-            if run >= MIN_CREDIT_RUN_BITS {
-                credit += run;
-            }
-            run = 0;
-        }
-    }
-    if run >= MIN_CREDIT_RUN_BITS {
-        credit += run;
-    }
-    credit
-}
-
-/// Payload bits genuinely delivered by an outcome.
-///
-/// A *deframed* payload claims positional integrity — byte `i` of the
-/// frame is byte `i` of the message — so it is credited positionally:
-/// 8 bits per byte that is correct at its claimed index. This is what
-/// kills the rigid mode's severity-4 fluke, where a spurious marker
-/// match deframes a shifted read of the body: real payload *content*
-/// at entirely wrong addresses, which any checksum would reject.
-///
-/// When no frame decoded — or the deframed bytes are worthless, as a
-/// receiver discovers when its checksum fails — the blind marker
-/// salvage (if the frame has a marker layer) delivers bits with no
-/// addresses at all; those are credited by verbatim run
-/// ([`salvage_run_credit`]). Rigid frames have no salvage: their loss
-/// is total.
-fn delivered_payload_bits(outcome: &CovertOutcome, payload: &[u8], frame: FrameConfig) -> usize {
-    let framed = outcome
-        .deframed
-        .as_ref()
-        .map_or(0, |d| 8 * payload.iter().zip(&d.payload).filter(|(a, b)| a == b).count());
-    if framed > 0 {
-        return framed;
-    }
-    let tx_payload = bytes_to_bits(payload);
-    salvage_marker_bits(&outcome.report.bits, frame)
-        .map_or(0, |s| salvage_run_credit(&tx_payload, &s.bits))
-}
-
-fn score(outcome: &CovertOutcome, payload: &[u8], frame: FrameConfig, probes: usize) -> RobustCell {
-    let airtime = outcome.tx_bits.len();
-    score_with_airtime(outcome, payload, frame, probes, airtime, 0)
-}
-
-/// Like [`score`], but charging goodput against `airtime_bits` of
-/// total on-air transmission — which exceeds the outcome's own length
-/// when earlier attempts of the same transfer were lost (ARQ).
-fn score_with_airtime(
-    outcome: &CovertOutcome,
-    payload: &[u8],
-    frame: FrameConfig,
-    probes: usize,
-    airtime_bits: usize,
-    retransmits: usize,
-) -> RobustCell {
-    let matches = delivered_payload_bits(outcome, payload, frame);
-    let goodput_bps = if airtime_bits == 0 {
-        0.0
-    } else {
-        matches as f64 * outcome.transmission_rate_bps / airtime_bits as f64
-    };
-    let marker_stats = outcome
-        .deframed
-        .as_ref()
-        .and_then(|d| d.marker)
-        .or_else(|| salvage_marker_bits(&outcome.report.bits, frame).map(|s| s.stats));
-    RobustCell {
-        ber: outcome.alignment.ber(),
-        dp: outcome.alignment.deletion_probability(),
-        goodput_bps,
-        recovered: outcome.recovered(payload),
-        decode_failed: matches == 0,
-        resyncs: marker_stats.map_or(0, |s| s.resyncs),
-        markers_missed: marker_stats.map_or(0, |s| s.markers_missed),
-        corrected: outcome.deframed.as_ref().map_or(0, |d| d.coding.corrected),
-        selected_rate_bps: outcome.transmission_rate_bps,
-        probes,
-        retransmits,
-    }
-}
-
 /// BER of a decoded probe against the probe pattern (aligned, so a
 /// short payload scores by content, not position).
 fn probe_result(outcome: &CovertOutcome, probe_payload: &[u8]) -> ProbeOutcome {
@@ -268,7 +151,7 @@ fn robust_cell(
     severity: usize,
     run: usize,
     runs: usize,
-) -> RobustCell {
+) -> TransferScore {
     let impairments = severity_stack(severity);
     let payload = pseudo_payload(payload_bytes, seed + run as u64);
     let mode_idx = MODES.iter().position(|&m| m == mode).unwrap_or(0);
@@ -278,19 +161,19 @@ fn robust_cell(
     let cell = ((mode_idx * SEVERITY_LEVELS + severity) * runs + run) as u64;
     let cell_seed = seed_for(seed, cell);
 
-    let transfer = |scenario: &CovertScenario, probes: usize| {
+    let transfer = |scenario: &CovertScenario| {
         let outcome = scenario.run_impaired(
             &payload,
             seed + 1000 * run as u64,
             &impairments,
             seed_for(cell_seed, 0),
         );
-        score(&outcome, &payload, scenario.tx.frame, probes)
+        outcome.score(&payload, scenario.tx.frame)
     };
 
     match mode {
-        Mode::Rigid => transfer(base, 0),
-        Mode::Marker => transfer(&base.at_rate_step(&marker_step()), 0),
+        Mode::Rigid => transfer(base),
+        Mode::Marker => transfer(&base.at_rate_step(&marker_step())),
         Mode::Adaptive => {
             let mut rc = RateController::new(RateLadder::standard(), AdaptPolicy::default());
             let probe_payload = pseudo_payload(PROBE_BYTES, seed ^ 0x5052_4F42);
@@ -324,16 +207,12 @@ fn robust_cell(
                 };
                 let outcome = scenario.run_impaired(&payload, tx_seed, &impairments, impair_seed);
                 airtime_bits += outcome.tx_bits.len();
-                let delivered = delivered_payload_bits(&outcome, &payload, scenario.tx.frame) > 0;
-                if delivered || attempts >= MAX_RETRANSMITS {
-                    return score_with_airtime(
-                        &outcome,
-                        &payload,
-                        scenario.tx.frame,
-                        rc.probes(),
-                        airtime_bits,
-                        attempts,
-                    );
+                let score = outcome.score(&payload, scenario.tx.frame);
+                if score.delivered_bits > 0 || attempts >= MAX_RETRANSMITS {
+                    return TransferScore {
+                        probes: rc.probes(),
+                        ..score.resent(attempts, airtime_bits)
+                    };
                 }
                 attempts += 1;
             }
@@ -341,47 +220,24 @@ fn robust_cell(
     }
 }
 
-fn reduce(severity: usize, mode: Mode, cells: &[RobustCell]) -> RobustRow {
-    let n = cells.len().max(1) as f64;
-    let mut row = RobustRow {
+fn robust_row(severity: usize, mode: Mode, scores: &[TransferScore]) -> RobustRow {
+    let total = |field: fn(&TransferScore) -> usize| scores.iter().map(field).sum();
+    RobustRow {
         severity,
         label: severity_label(severity).to_string(),
         mode: mode.label().to_string(),
-        ber: 0.0,
-        dp: 0.0,
-        goodput_bps: 0.0,
-        recovery_rate: 0.0,
-        decode_failures: 0,
-        resyncs: 0,
-        markers_missed: 0,
-        corrected: 0,
-        selected_rate_bps: 0.0,
-        probes: 0,
-        retransmits: 0,
-    };
-    for c in cells {
-        row.ber += c.ber;
-        row.dp += c.dp;
-        row.goodput_bps += c.goodput_bps;
-        if c.recovered {
-            row.recovery_rate += 1.0;
-        }
-        if c.decode_failed {
-            row.decode_failures += 1;
-        }
-        row.resyncs += c.resyncs;
-        row.markers_missed += c.markers_missed;
-        row.corrected += c.corrected;
-        row.selected_rate_bps += c.selected_rate_bps;
-        row.probes += c.probes;
-        row.retransmits += c.retransmits;
+        ber: mean(scores, |s| s.ber),
+        dp: mean(scores, |s| s.dp),
+        goodput_bps: mean(scores, |s| s.goodput_bps),
+        recovery_rate: mean(scores, |s| f64::from(s.recovered)),
+        decode_failures: scores.iter().filter(|s| s.delivered_bits == 0).count(),
+        resyncs: total(|s| s.resyncs),
+        markers_missed: total(|s| s.markers_missed),
+        corrected: total(|s| s.corrected),
+        selected_rate_bps: mean(scores, |s| s.tr_bps),
+        probes: total(|s| s.probes),
+        retransmits: total(|s| s.retransmits),
     }
-    row.ber /= n;
-    row.dp /= n;
-    row.goodput_bps /= n;
-    row.recovery_rate /= n;
-    row.selected_rate_bps /= n;
-    row
 }
 
 /// Runs the full E6 sweep on the standard near-field scenario: every
@@ -404,7 +260,7 @@ pub fn robust_sweep(scale: TableScale, seed: u64) -> Vec<RobustRow> {
     for s in 0..SEVERITY_LEVELS {
         for (m, &mode) in MODES.iter().enumerate() {
             let at = (s * MODES.len() + m) * scale.runs;
-            rows.push(reduce(s, mode, &stats[at..at + scale.runs]));
+            rows.push(robust_row(s, mode, &stats[at..at + scale.runs]));
         }
     }
     rows

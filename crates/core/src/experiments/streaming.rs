@@ -21,7 +21,7 @@
 //! `seed_for(seed, i)` — the same positional seed the registry
 //! derives for the i-th opened session.
 
-use emsc_covert::rx::Receiver;
+use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
 use emsc_keylog::detect::{Detector, DetectorConfig};
 use emsc_runtime::{par_map_indexed, seed_for};
 use emsc_sdr::iq::Complex;
@@ -64,8 +64,9 @@ pub struct StreamingRow {
 
 /// What one sensor feeds the registry and how it is checked.
 enum Sensor {
-    /// A covert transmission captured near-field from a laptop.
-    Covert { label: String, rx: emsc_covert::rx::RxConfig, capture: Capture },
+    /// A covert transmission captured near-field from a laptop, with
+    /// the batch receiver's result on the same capture.
+    Covert { label: String, rx: RxConfig, capture: Capture, batch: Box<Result<RxReport, RxError>> },
     /// A keylogging capture with tone bursts over a noise floor.
     Keylog { label: String, config: DetectorConfig, capture: Capture },
 }
@@ -110,11 +111,13 @@ fn build_sensors(seed: u64) -> Vec<Sensor> {
     let mut sensors: Vec<Sensor> = par_map_indexed(&laptops, |i, laptop| {
         let chain = Chain::new(laptop, Setup::NearField);
         let scenario = CovertScenario::for_laptop(laptop, chain);
+        // The run's own batch decode is the reference.
         let outcome = scenario.run(b"stream-e4", seed_for(seed, i as u64));
         Sensor::Covert {
             label: laptop.model.to_string(),
             rx: scenario.rx,
             capture: outcome.chain_run.capture,
+            batch: Box::new(outcome.rx_error.map_or(Ok(outcome.report), Err)),
         }
     });
 
@@ -132,10 +135,12 @@ fn build_sensors(seed: u64) -> Vec<Sensor> {
     let laptop = Laptop::dell_inspiron();
     let chain = Chain::new(&laptop, Setup::NearField);
     let scenario = CovertScenario::for_laptop(&laptop, chain);
+    let batch = Box::new(Receiver::new(scenario.rx.clone()).receive(&dead));
     sensors.push(Sensor::Covert {
         label: "poisoned stream".to_string(),
         rx: scenario.rx,
         capture: dead,
+        batch,
     });
 
     sensors
@@ -189,31 +194,30 @@ pub fn streaming_sessions(seed: u64) -> Vec<StreamingRow> {
     reg.pump();
 
     sensors
-        .iter()
+        .into_iter()
         .zip(&ids)
         .enumerate()
         .map(|(k, (sensor, &id))| {
             let closed = reg.finish(id).expect("session closes");
             let (label, samples, matches_batch, outcome) = match sensor {
-                Sensor::Covert { label, rx, capture } => {
-                    let batch = Receiver::new(rx.clone()).receive(capture);
+                Sensor::Covert { label, capture, batch, .. } => {
                     let outcome = match &closed.output {
                         SessionOutput::Covert(Ok(r)) => format!("bits={}", r.bits.len()),
                         SessionOutput::Covert(Err(e)) => format!("error: {e}"),
                         other => format!("wrong stream type: {other:?}"),
                     };
-                    let matches = closed.output == SessionOutput::Covert(batch);
-                    (label.clone(), capture.samples.len(), matches, outcome)
+                    let matches = closed.output == SessionOutput::Covert(*batch);
+                    (label, capture.samples.len(), matches, outcome)
                 }
                 Sensor::Keylog { label, config, capture } => {
-                    let batch = Detector::new(config.clone()).try_detect(capture);
+                    let batch = Detector::new(config).try_detect(&capture);
                     let outcome = match &closed.output {
                         SessionOutput::Keylog(Ok(r)) => format!("bursts={}", r.bursts.len()),
                         SessionOutput::Keylog(Err(e)) => format!("error: {e}"),
                         other => format!("wrong stream type: {other:?}"),
                     };
                     let matches = closed.output == SessionOutput::Keylog(batch);
-                    (label.clone(), capture.samples.len(), matches, outcome)
+                    (label, capture.samples.len(), matches, outcome)
                 }
             };
             StreamingRow {

@@ -2,8 +2,7 @@
 //! Table III, Fig. 9 and the Fig. 10 NLoS result.
 
 use emsc_baselines::{all_baselines, Baseline};
-use emsc_covert::metrics::align_semiglobal;
-use emsc_covert::rx::Receiver;
+use emsc_covert::rx::LabelFeature;
 use emsc_covert::tx::{Transmitter, TxConfig};
 use emsc_pmu::multicore::MultiCoreMachine;
 use emsc_pmu::noise::NoiseConfig;
@@ -11,7 +10,7 @@ use emsc_pmu::workload::Program;
 use emsc_runtime::{par_invoke, par_map};
 
 use crate::chain::{Chain, Setup};
-use crate::covert_run::CovertScenario;
+use crate::covert_run::{mean, CovertScenario, TransferScore};
 use crate::laptop::Laptop;
 
 /// Scale of a table experiment.
@@ -88,16 +87,6 @@ pub struct ChannelRow {
     pub decode_failures: usize,
 }
 
-/// Channel statistics of one averaging run (one grid cell).
-struct RunStats {
-    ber: f64,
-    tr_bps: f64,
-    ip: f64,
-    dp: f64,
-    recovered: bool,
-    decode_failed: bool,
-}
-
 /// One averaging run of a covert transfer — the independent unit the
 /// worker pool schedules. The seed arithmetic (`seed + run` for the
 /// payload, `seed + 1000·run` for the channel) is the same as the
@@ -108,66 +97,24 @@ fn channel_cell(
     payload_bytes: usize,
     seed: u64,
     run: usize,
-) -> RunStats {
+) -> TransferScore {
     let payload = pseudo_payload(payload_bytes, seed + run as u64);
     // Fused streamed run: identical metrics to `scenario.run`, without
     // materialising the cell's multi-megabyte capture.
-    let outcome = scenario.run_streamed(&payload, seed + 1000 * run as u64);
-    RunStats {
-        ber: outcome.alignment.ber(),
-        tr_bps: outcome.transmission_rate_bps,
-        ip: outcome.alignment.insertion_probability(),
-        dp: outcome.alignment.deletion_probability(),
-        recovered: outcome.recovered(&payload),
-        decode_failed: outcome.rx_error.is_some(),
-    }
+    scenario.run_streamed(&payload, seed + 1000 * run as u64).score(&payload, scenario.tx.frame)
 }
 
-/// Reduces a row's run cells into the averaged row. Accumulation is
-/// serial and in run order, so the float sums match the pre-parallel
-/// implementation bit for bit.
-fn reduce_cells(label: &str, cells: &[RunStats]) -> ChannelRow {
-    let mut ber = 0.0;
-    let mut tr = 0.0;
-    let mut ip = 0.0;
-    let mut dp = 0.0;
-    let mut recovered = 0usize;
-    let mut decode_failures = 0usize;
-    for c in cells {
-        ber += c.ber;
-        tr += c.tr_bps;
-        ip += c.ip;
-        dp += c.dp;
-        if c.recovered {
-            recovered += 1;
-        }
-        if c.decode_failed {
-            decode_failures += 1;
-        }
-    }
-    let n = cells.len().max(1) as f64;
+/// The row of a label's run scores.
+fn channel_row(label: &str, scores: &[TransferScore]) -> ChannelRow {
     ChannelRow {
         label: label.to_string(),
-        ber: ber / n,
-        tr_bps: tr / n,
-        ip: ip / n,
-        dp: dp / n,
-        recovery_rate: recovered as f64 / n,
-        decode_failures,
+        ber: mean(scores, |s| s.ber),
+        tr_bps: mean(scores, |s| s.tr_bps),
+        ip: mean(scores, |s| s.ip),
+        dp: mean(scores, |s| s.dp),
+        recovery_rate: mean(scores, |s| f64::from(s.recovered)),
+        decode_failures: scores.iter().filter(|s| s.rx_failed).count(),
     }
-}
-
-/// Averages `runs` covert transfers over a prepared scenario, fanning
-/// the runs across the worker pool.
-pub fn measure_channel(
-    scenario: &CovertScenario,
-    label: &str,
-    scale: TableScale,
-    seed: u64,
-) -> ChannelRow {
-    let runs: Vec<usize> = (0..scale.runs).collect();
-    let cells = par_map(&runs, |&run| channel_cell(scenario, scale.payload_bytes, seed, run));
-    reduce_cells(label, &cells)
 }
 
 /// Measures several scenarios at once by flattening the full
@@ -185,7 +132,7 @@ pub fn measure_channel_grid(
     scenarios
         .iter()
         .enumerate()
-        .map(|(i, (label, _))| reduce_cells(label, &stats[i * scale.runs..(i + 1) * scale.runs]))
+        .map(|(i, (label, _))| channel_row(label, &stats[i * scale.runs..(i + 1) * scale.runs]))
         .collect()
 }
 
@@ -240,15 +187,7 @@ pub fn table2_background(scale: TableScale, seed: u64) -> Vec<ChannelRow> {
 
     // Back the rate off ~15 % (the paper's average reduction) by
     // stretching both phases.
-    let slow_tx = TxConfig::calibrated_with_overhead(
-        &busy_chain.machine,
-        laptop.tx_active_period_s() * 1.18,
-        laptop.tx_sleep_period_s() * 1.18,
-        laptop.tx_overhead_s(),
-    );
-    let expected = slow_tx.expected_bit_period_on(&busy_chain.machine);
-    let rx = emsc_covert::rx::RxConfig::new(busy_chain.switching_freq_hz(), expected);
-    let backed_off = CovertScenario { chain: busy_chain, tx: slow_tx, rx };
+    let backed_off = CovertScenario::backed_off(&laptop, busy_chain, 1.18);
 
     // The last two rows are the realistic variant: the hog runs
     // *concurrently on another core* of the shared voltage rail (the
@@ -263,7 +202,7 @@ pub fn table2_background(scale: TableScale, seed: u64) -> Vec<ChannelRow> {
     let hog_rows: [(&str, f64); 2] =
         [("hog on another core, same rate", 1.0), ("hog on another core, rate backed off", 1.18)];
 
-    let mut cells: Vec<Box<dyn Fn() -> RunStats + Send + Sync>> = Vec::new();
+    let mut cells: Vec<Box<dyn Fn() -> TransferScore + Send + Sync>> = Vec::new();
     for &(_, scenario) in &scenario_rows {
         for run in 0..scale.runs {
             cells.push(Box::new(move || channel_cell(scenario, scale.payload_bytes, seed, run)));
@@ -282,70 +221,45 @@ pub fn table2_background(scale: TableScale, seed: u64) -> Vec<ChannelRow> {
     let labels = scenario_rows.iter().map(|&(l, _)| l).chain(hog_rows.iter().map(|&(l, _)| l));
     labels
         .enumerate()
-        .map(|(i, label)| reduce_cells(label, &stats[i * scale.runs..(i + 1) * scale.runs]))
+        .map(|(i, label)| channel_row(label, &stats[i * scale.runs..(i + 1) * scale.runs]))
         .collect()
 }
 
-/// One averaging run of the §IV-C2 hog-on-another-core experiment.
-/// The chain/transmitter setup is rebuilt per cell — it is pure
-/// configuration, deterministic and cheap next to the capture itself.
+/// One averaging run of the §IV-C2 hog-on-another-core experiment:
+/// the transfer program runs on one core of a two-core package while
+/// a hog runs on the other, and their shared-rail trace goes through
+/// the rest of the transfer. The scenario is rebuilt per cell — it is
+/// pure configuration, deterministic and cheap next to the capture
+/// itself.
 fn multicore_background_cell(
     laptop: &Laptop,
     stretch: f64,
     payload_bytes: usize,
     seed: u64,
     run: usize,
-) -> RunStats {
-    let chain = Chain::new(laptop, Setup::NearField);
-    let tx = TxConfig::calibrated_with_overhead(
-        &chain.machine,
-        laptop.tx_active_period_s() * stretch,
-        laptop.tx_sleep_period_s() * stretch,
-        laptop.tx_overhead_s(),
-    );
-    let expected = tx.expected_bit_period_on(&chain.machine);
-    let rx_cfg = emsc_covert::rx::RxConfig {
-        // A concurrent hog shifts the whole power level up and down;
-        // the RZ differential cancels that pedestal.
-        label_feature: emsc_covert::rx::LabelFeature::RzDifferential,
-        ..emsc_covert::rx::RxConfig::new(chain.switching_freq_hz(), expected)
-    };
-    let package = MultiCoreMachine::new(chain.machine.clone(), 2);
-    let rx = Receiver::new(rx_cfg);
+) -> TransferScore {
+    let mut scenario =
+        CovertScenario::backed_off(laptop, Chain::new(laptop, Setup::NearField), stretch);
+    // A concurrent hog shifts the whole power level up and down; the
+    // RZ differential cancels that pedestal.
+    scenario.rx.label_feature = LabelFeature::RzDifferential;
+    let machine = &scenario.chain.machine;
 
     let payload = pseudo_payload(payload_bytes, seed + run as u64);
-    let transmitter = Transmitter::new(tx);
-    let tx_bits = transmitter.on_air_bits(&payload);
-    let mut program = Program::new();
-    program.sleep(2e-3);
-    program.busy(chain.machine.iterations_for_duration(20e-3));
-    program.extend(transmitter.program_for_bits(&tx_bits).ops().iter().copied());
-    program.sleep(2e-3);
-    let duration = program.nominal_duration_s(chain.machine.steady_state_ips()) * 1.4;
+    let tx_bits = Transmitter::new(scenario.tx).on_air_bits(&payload);
+    let program = scenario.transfer_program(&tx_bits);
+    let duration = program.nominal_duration_s(machine.steady_state_ips()) * 1.4;
     // A resource-intensive hog: ~97 % duty (10 ms of work, a
     // 0.3 ms scheduler breather).
     let hog = Program::alternating(
         10e-3,
         0.3e-3,
         (duration / 10.3e-3).ceil() as usize,
-        chain.machine.steady_state_ips(),
+        machine.steady_state_ips(),
     );
-    let trace = package.run(&[program, hog], seed + 1000 * run as u64);
-    let chain_run = chain.run_trace(trace, seed + 1000 * run as u64);
-    let received = rx.receive(&chain_run.capture);
-    let decode_failed = received.is_err();
-    let report = received.unwrap_or_else(|_| emsc_covert::rx::RxReport::empty(0.0));
-    let alignment = align_semiglobal(&tx_bits, &report.bits);
-    let air = chain_run.trace.duration_s();
-    RunStats {
-        ber: alignment.ber(),
-        tr_bps: tx_bits.len() as f64 / (air - 24e-3).max(1e-6),
-        ip: alignment.insertion_probability(),
-        dp: alignment.deletion_probability(),
-        recovered: emsc_covert::frame::try_deframe(&report.bits, tx.frame, 1)
-            .is_ok_and(|d| d.payload == payload),
-        decode_failed,
-    }
+    let chain_seed = seed + 1000 * run as u64;
+    let trace = MultiCoreMachine::new(machine.clone(), 2).run(&[program, hog], chain_seed);
+    scenario.run_trace(tx_bits, trace, chain_seed, &[], 0).score(&payload, scenario.tx.frame)
 }
 
 /// Table III: distance sweep on the Dell Inspiron with the loop
@@ -365,15 +279,7 @@ pub fn table3(scale: TableScale, seed: u64) -> Vec<ChannelRow> {
         .iter()
         .map(|&(d, stretch, label)| {
             let chain = Chain::new(&laptop, Setup::LineOfSight(d));
-            let tx = TxConfig::calibrated_with_overhead(
-                &chain.machine,
-                laptop.tx_active_period_s() * stretch,
-                laptop.tx_sleep_period_s() * stretch,
-                laptop.tx_overhead_s(),
-            );
-            let expected = tx.expected_bit_period_on(&chain.machine);
-            let rx = emsc_covert::rx::RxConfig::new(chain.switching_freq_hz(), expected);
-            (label.to_string(), CovertScenario { chain, tx, rx })
+            (label.to_string(), CovertScenario::backed_off(&laptop, chain, stretch))
         })
         .collect();
     measure_channel_grid(&scenarios, scale, seed)
@@ -386,15 +292,15 @@ pub fn fig10_nlos(scale: TableScale, seed: u64) -> ChannelRow {
     let laptop = Laptop::dell_inspiron();
     let chain = Chain::new(&laptop, Setup::ThroughWall);
     let stretch = 5.2;
+    // `TxConfig::calibrated`: the generic 8 µs per-bit overhead, not
+    // the laptop's.
     let tx = TxConfig::calibrated(
         &chain.machine,
         laptop.tx_active_period_s() * stretch,
         laptop.tx_sleep_period_s() * stretch,
     );
-    let expected = tx.expected_bit_period_on(&chain.machine);
-    let rx = emsc_covert::rx::RxConfig::new(chain.switching_freq_hz(), expected);
-    let scenario = CovertScenario { chain, tx, rx };
-    measure_channel(&scenario, "1.5 m through 35 cm wall", scale, seed)
+    let scenario = ("1.5 m through 35 cm wall".to_string(), CovertScenario::new(chain, tx));
+    measure_channel_grid(&[scenario], scale, seed).remove(0)
 }
 
 /// Fig. 9: transmission-rate comparison against prior physical covert
@@ -431,6 +337,33 @@ pub fn render_fig9(baselines: &[Baseline], measured_bps: f64) -> String {
 mod tests {
     use super::*;
 
+    /// FNV-1a over the little-endian bytes of each word.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        words
+            .into_iter()
+            .flat_map(|w| w.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+    }
+
+    /// The bits of every float and every count of a row; `with_tr`
+    /// false leaves the rate out.
+    fn row_words(r: &ChannelRow, with_tr: bool) -> Vec<u64> {
+        let mut words = vec![r.ber.to_bits()];
+        if with_tr {
+            words.push(r.tr_bps.to_bits());
+        }
+        words.extend([r.ip, r.dp, r.recovery_rate].map(f64::to_bits));
+        words.push(r.decode_failures as u64);
+        words
+    }
+
+    /// Golden digest of rows, so that a change to a scorer or reducer
+    /// that moves one bit of a row fails here and not only in a full
+    /// `reproduce` diff.
+    fn digest(rows: &[ChannelRow]) -> u64 {
+        fnv1a(rows.iter().flat_map(|r| row_words(r, true)))
+    }
+
     #[test]
     fn table1_lists_all_laptops() {
         let t = table1();
@@ -443,6 +376,7 @@ mod tests {
     fn table2_shape_matches_paper() {
         let rows = table2(TableScale::quick(), 42);
         assert_eq!(rows.len(), 6);
+        assert_eq!(digest(&rows), 0x40ce_40e7_dbea_fdc3, "Table II rows moved: {rows:?}");
         let by_label = |m: &str| rows.iter().find(|r| r.label.contains(m)).unwrap().clone();
         // UNIX laptops ≫ Windows laptops in TR (Table II's headline).
         let unix_min = ["Inspiron", "MacBookPro", "Thinkpad"]
@@ -462,6 +396,7 @@ mod tests {
     fn table3_rate_decreases_with_distance() {
         let rows = table3(TableScale::quick(), 7);
         assert_eq!(rows.len(), 4);
+        assert_eq!(digest(&rows), 0x9aad_0b93_bf9c_7198, "Table III rows moved: {rows:?}");
         assert!(rows[0].tr_bps > rows[2].tr_bps);
         assert!(rows[2].tr_bps > rows[3].tr_bps);
         for r in &rows {
@@ -472,9 +407,35 @@ mod tests {
     #[test]
     fn fig10_is_slower_than_any_los_setting() {
         let wall = fig10_nlos(TableScale::quick(), 7);
+        assert_eq!(
+            digest(std::slice::from_ref(&wall)),
+            0x613e_61a7_bbf1_4872,
+            "Fig. 10 row moved: {wall:?}"
+        );
         let rows = table3(TableScale::quick(), 7);
         assert!(wall.tr_bps < rows[3].tr_bps, "wall {} vs 2.5 m {}", wall.tr_bps, rows[3].tr_bps);
         assert!(wall.ber < 0.08, "wall BER {}", wall.ber);
+    }
+
+    #[test]
+    fn background_rows_are_pinned() {
+        // The §IV-C2 rows; the last two run the transfer beside a hog
+        // on a second core. Their rates are pinned to 1e-12 relative
+        // rather than to the bit: the air time is the trace less
+        // 2·LEAD_SILENCE_S and then less WARMUP_S, two roundings that
+        // one subtraction of their sum may not reproduce.
+        let rows = table2_background(TableScale::quick(), 7);
+        assert_eq!(rows.len(), 5);
+        let hog_rates = [2793.076169372974, 2359.056586248137];
+        let words = rows.iter().enumerate().flat_map(|(i, r)| row_words(r, i < 3));
+        assert_eq!(fnv1a(words), 0xe3f4_968f_6add_5abf, "background rows moved: {rows:?}");
+        for (row, pinned) in rows[3..].iter().zip(hog_rates) {
+            let relative = ((row.tr_bps - pinned) / pinned).abs();
+            assert!(relative < 1e-12, "{}: TR {} vs {pinned}", row.label, row.tr_bps);
+        }
+        // Backing the rate off slows the transfer, on one core or two.
+        assert!(rows[2].tr_bps < rows[1].tr_bps);
+        assert!(rows[4].tr_bps < rows[3].tr_bps);
     }
 
     #[test]

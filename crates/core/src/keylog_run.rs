@@ -68,14 +68,7 @@ impl KeylogScenario {
         // anyway, the run scores an empty report instead of panicking.
         let detector = Detector::new(self.detector.clone());
         let detection = detector.try_detect(&chain_run.capture).unwrap_or_default();
-
-        let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
-        let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);
-
-        let times = detected_times(&detection);
-        let groups = group_words(&times, WORD_GAP_FACTOR);
-        let words = score_words(&word_lengths(&groups), text);
-
+        let (chars, words) = score(&keystrokes, &detection, text);
         KeylogOutcome { keystrokes, detection, chars, words, chain_run }
     }
 
@@ -130,13 +123,22 @@ impl KeylogScenario {
         let detector = Detector::new(self.detector.clone());
         let window_s = WINDOW_SAMPLES as f64 / fs;
         let detection = detector.detect_from_energies(energies, window_s);
-        let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
-        let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);
-        let times = detected_times(&detection);
-        let groups = group_words(&times, WORD_GAP_FACTOR);
-        let words = score_words(&word_lengths(&groups), text);
+        let (chars, words) = score(&keystrokes, &detection, text);
         ChunkedKeylogOutcome { keystrokes, detection, chars, words }
     }
+}
+
+/// Scores a typing session: detections against the keystrokes' press
+/// times, and the words the detections group into against `text`.
+fn score(
+    keystrokes: &[Keystroke],
+    detection: &DetectionReport,
+    text: &str,
+) -> (DetectionScore, WordScore) {
+    let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
+    let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);
+    let groups = group_words(&detected_times(detection), WORD_GAP_FACTOR);
+    (chars, score_words(&word_lengths(&groups), text))
 }
 
 /// Output of [`KeylogScenario::run_chunked`]: the scoring without the

@@ -107,14 +107,13 @@ struct Expectation {
 }
 
 /// Builds one covert sensor's capture, receiver config and batch
-/// reference under a positional seed.
+/// reference (the run's own batch decode) under a positional seed.
 fn covert_build(laptop: &Laptop, seed: u64) -> (RxConfig, Capture, SessionOutput) {
     let chain = Chain::new(laptop, Setup::NearField);
     let scenario = CovertScenario::for_laptop(laptop, chain);
     let outcome = scenario.run(PAYLOAD, seed);
-    let capture = outcome.chain_run.capture;
-    let batch = Receiver::new(scenario.rx.clone()).receive(&capture);
-    (scenario.rx, capture, SessionOutput::Covert(batch))
+    let batch = outcome.rx_error.map_or(Ok(outcome.report), Err);
+    (scenario.rx, outcome.chain_run.capture, SessionOutput::Covert(batch))
 }
 
 /// Seeded noise capture for the doomed sensor (its content never

@@ -14,7 +14,6 @@ use emsc_core::chain::{Chain, Setup};
 use emsc_core::covert_run::CovertScenario;
 use emsc_core::laptop::Laptop;
 use emsc_covert::capacity::{bsc_capacity, effective_rate_bps, shannon_capacity_bps};
-use emsc_covert::tx::TxConfig;
 use emsc_pmu::energy::EnergyReport;
 
 fn main() {
@@ -30,9 +29,9 @@ fn main() {
             "10 cm probe".into(),
             CovertScenario::for_laptop(&laptop, Chain::new(&laptop, Setup::NearField)),
         ),
-        ("1 m loop".into(), stretched(&laptop, Setup::LineOfSight(1.0), 2.0)),
-        ("2.5 m loop".into(), stretched(&laptop, Setup::LineOfSight(2.5), 3.75)),
-        ("1.5 m + wall".into(), stretched(&laptop, Setup::ThroughWall, 5.2)),
+        ("1 m loop".into(), backed_off(&laptop, Setup::LineOfSight(1.0), 2.0)),
+        ("2.5 m loop".into(), backed_off(&laptop, Setup::LineOfSight(2.5), 3.75)),
+        ("1.5 m + wall".into(), backed_off(&laptop, Setup::ThroughWall, 5.2)),
     ];
 
     for (label, scenario) in points {
@@ -67,15 +66,6 @@ fn main() {
     );
 }
 
-fn stretched(laptop: &Laptop, setup: Setup, stretch: f64) -> CovertScenario {
-    let chain = Chain::new(laptop, setup);
-    let tx = TxConfig::calibrated_with_overhead(
-        &chain.machine,
-        laptop.tx_active_period_s() * stretch,
-        laptop.tx_sleep_period_s() * stretch,
-        laptop.tx_overhead_s(),
-    );
-    let expected = tx.expected_bit_period_on(&chain.machine);
-    let rx = emsc_covert::rx::RxConfig::new(chain.switching_freq_hz(), expected);
-    CovertScenario { chain, tx, rx }
+fn backed_off(laptop: &Laptop, setup: Setup, stretch: f64) -> CovertScenario {
+    CovertScenario::backed_off(laptop, Chain::new(laptop, setup), stretch)
 }

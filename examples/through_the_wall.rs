@@ -8,7 +8,6 @@
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::covert_run::CovertScenario;
 use emsc_core::laptop::Laptop;
-use emsc_covert::tx::TxConfig;
 
 fn main() {
     let secret = b"NLoS: wall is not an air gap";
@@ -18,17 +17,8 @@ fn main() {
     println!("interferers: laser printer (310 kHz), refrigerator inverter (64 kHz)");
 
     // The paper backs the rate off until the link is reliable (821 bps).
-    let chain = Chain::new(&laptop, Setup::ThroughWall);
-    let stretch = 5.2;
-    let tx = TxConfig::calibrated_with_overhead(
-        &chain.machine,
-        laptop.tx_active_period_s() * stretch,
-        laptop.tx_sleep_period_s() * stretch,
-        laptop.tx_overhead_s(),
-    );
-    let expected = tx.expected_bit_period_on(&chain.machine);
-    let rx = emsc_covert::rx::RxConfig::new(chain.switching_freq_hz(), expected);
-    let scenario = CovertScenario { chain, tx, rx };
+    let scenario =
+        CovertScenario::backed_off(&laptop, Chain::new(&laptop, Setup::ThroughWall), 5.2);
 
     let outcome = scenario.run(secret, 0x0A11);
     println!();

@@ -27,6 +27,16 @@ fn small_grid(seed: u64) -> Vec<ChannelRow> {
     measure_channel_grid(&scenarios, scale, seed)
 }
 
+/// FNV-1a over the little-endian bytes of each word: a golden digest
+/// of a sweep's serial rows (every float's bits and every count), so
+/// that a change to a scorer or reducer that moves one bit fails here.
+fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words
+        .into_iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
 /// Field-for-field bit equality of two row sets. Float fields are
 /// compared via `to_bits` so `-0.0 != 0.0` and NaN payloads would be
 /// caught too.
@@ -52,6 +62,13 @@ fn assert_rows_bit_identical(a: &[ChannelRow], b: &[ChannelRow]) {
 fn channel_grid_rows_are_identical_across_thread_counts() {
     let seed = 2020;
     let serial = with_threads(1, || small_grid(seed));
+    let digest = fnv1a(serial.iter().flat_map(|r| {
+        [r.ber, r.tr_bps, r.ip, r.dp, r.recovery_rate]
+            .map(f64::to_bits)
+            .into_iter()
+            .chain([r.decode_failures as u64])
+    }));
+    assert_eq!(digest, 0x6d25_4783_901c_59ce, "grid rows moved: {serial:?}");
     for threads in [2, 4, 7] {
         let pooled = with_threads(threads, || small_grid(seed));
         assert_rows_bit_identical(&serial, &pooled);
@@ -105,6 +122,13 @@ fn impairment_sweep_is_identical_across_thread_counts() {
     let scale = TableScale { payload_bytes: 16, runs: 1 };
     let serial = with_threads(1, || impairment_sweep(scale, 2020));
     let pooled = with_threads(3, || impairment_sweep(scale, 2020));
+    let digest = fnv1a(serial.iter().flat_map(|r| {
+        [r.severity as u64]
+            .into_iter()
+            .chain([r.ber, r.ip, r.dp, r.recovery_rate].map(f64::to_bits))
+            .chain([r.decode_failures as u64])
+    }));
+    assert_eq!(digest, 0xc174_b58e_16c0_517e, "E3 rows moved: {serial:?}");
     assert_eq!(serial.len(), pooled.len());
     for (ra, rb) in serial.iter().zip(&pooled) {
         assert_eq!(ra.severity, rb.severity);
@@ -132,6 +156,23 @@ fn robust_sweep_is_identical_across_thread_counts_and_meets_e6_acceptance() {
     let scale = TableScale { payload_bytes: 16, runs: 1 };
     let serial = with_threads(1, || robust_sweep(scale, 19));
     let pooled = with_threads(3, || robust_sweep(scale, 19));
+    let digest = fnv1a(serial.iter().flat_map(|r| {
+        [
+            r.severity as u64,
+            r.ber.to_bits(),
+            r.dp.to_bits(),
+            r.goodput_bps.to_bits(),
+            r.recovery_rate.to_bits(),
+            r.decode_failures as u64,
+            r.resyncs as u64,
+            r.markers_missed as u64,
+            r.corrected as u64,
+            r.selected_rate_bps.to_bits(),
+            r.probes as u64,
+            r.retransmits as u64,
+        ]
+    }));
+    assert_eq!(digest, 0x5b55_cfe7_0b26_1985, "E6 rows moved: {serial:?}");
     assert_eq!(serial.len(), pooled.len(), "row counts differ");
     for (ra, rb) in serial.iter().zip(&pooled) {
         let at = format!("severity {} mode {}", ra.severity, ra.mode);
