@@ -5,7 +5,7 @@
 //! hard-coding the chart, each comparator here carries the *physical
 //! mechanism* that caps its bit rate, and derives the rate from those
 //! constants — so the comparison stays a model, inspectable and
-//! perturbable (the `fig9_comparison` bench sweeps them).
+//! perturbable.
 //!
 //! Rates are "as published under a comparable setup" (the paper's
 //! fair-comparison rule): similar distance class and receiver cost

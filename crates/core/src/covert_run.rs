@@ -34,9 +34,12 @@ pub const WARMUP_S: f64 = 20e-3;
 /// verbatim recovered segments (28-bit runs) are credited in full.
 const MIN_CREDIT_RUN_BITS: usize = 14;
 
-/// A complete covert-channel exchange and its scoring.
+/// A complete covert-channel exchange and its scoring. `S` holds the
+/// chain stages the run keeps: every intermediate stage for the batch
+/// runs, nothing for [`CovertScenario::run_streamed`], whose capture
+/// never existed as one buffer.
 #[derive(Debug, Clone)]
-pub struct CovertOutcome {
+pub struct CovertOutcome<S = ChainRun> {
     /// The bits that went on the air (framed and coded).
     pub tx_bits: Vec<u8>,
     /// The receiver's full report (energy signal, timings, bits, …).
@@ -45,8 +48,8 @@ pub struct CovertOutcome {
     pub alignment: Alignment,
     /// Deframed payload, if the marker was found.
     pub deframed: Option<Deframed>,
-    /// Every intermediate chain stage.
-    pub chain_run: ChainRun,
+    /// The chain stages the run kept.
+    pub chain_run: S,
     /// Measured transmission rate: on-air bits over the time they took.
     pub transmission_rate_bps: f64,
     /// Why the receiver failed, when it did. `None` for a successful
@@ -56,72 +59,54 @@ pub struct CovertOutcome {
     pub rx_error: Option<RxError>,
 }
 
-impl CovertOutcome {
+impl<S> CovertOutcome<S> {
     /// Whether the exact payload was recovered.
     pub fn recovered(&self, payload: &[u8]) -> bool {
         self.deframed.as_ref().is_some_and(|d| d.payload == payload)
     }
 
-    /// Scores this transfer of `payload`, sent in `frame`.
+    /// Scores this transfer of `payload`, sent in `frame`. The salvage
+    /// runs at most once, and only when a score needs it: no deframed
+    /// byte is right at its position, or the deframed frame carries no
+    /// marker statistics.
     pub(crate) fn score(&self, payload: &[u8], frame: FrameConfig) -> TransferScore {
-        Received {
-            tx_bits: &self.tx_bits,
-            bits: &self.report.bits,
-            alignment: &self.alignment,
-            deframed: self.deframed.as_ref(),
-            rate_bps: self.transmission_rate_bps,
+        let deframed = self.deframed.as_ref();
+        let framed = deframed
+            .map_or(0, |d| 8 * payload.iter().zip(&d.payload).filter(|(a, b)| a == b).count());
+        let framed_marker = deframed.and_then(|d| d.marker);
+        let salvage = if framed == 0 || framed_marker.is_none() {
+            salvage_marker_bits(&self.report.bits, frame)
+        } else {
+            None
+        };
+        let delivered_bits = if framed > 0 {
+            framed
+        } else {
+            salvage.as_ref().map_or(0, |s| salvage_run_credit(&bytes_to_bits(payload), &s.bits))
+        };
+        let marker = framed_marker.or_else(|| salvage.map(|s| s.stats));
+        let rate_bps = self.transmission_rate_bps;
+        TransferScore {
+            ber: self.alignment.ber(),
+            ip: self.alignment.insertion_probability(),
+            dp: self.alignment.deletion_probability(),
+            tr_bps: rate_bps,
+            goodput_bps: goodput_bps(delivered_bits, rate_bps, self.tx_bits.len()),
+            recovered: self.recovered(payload),
             rx_failed: self.rx_error.is_some(),
+            delivered_bits,
+            resyncs: marker.map_or(0, |s| s.resyncs),
+            markers_missed: marker.map_or(0, |s| s.markers_missed),
+            corrected: deframed.map_or(0, |d| d.coding.corrected),
+            probes: 0,
+            retransmits: 0,
         }
-        .score(payload, frame)
-    }
-}
-
-/// The scoring of a fully streamed covert transfer
-/// ([`CovertScenario::run_streamed`]): every received-side metric of
-/// [`CovertOutcome`], without the materialised capture or the
-/// intermediate chain stages — the capture never existed as one
-/// buffer, it was digitised block by block straight into the
-/// streaming receiver.
-#[derive(Debug, Clone)]
-pub struct CovertStreamedOutcome {
-    /// The bits that went on the air (framed and coded).
-    pub tx_bits: Vec<u8>,
-    /// The receiver's full report (energy signal, timings, bits, …).
-    pub report: RxReport,
-    /// Semi-global alignment of transmitted vs. received bits.
-    pub alignment: Alignment,
-    /// Deframed payload, if the marker was found.
-    pub deframed: Option<Deframed>,
-    /// Measured transmission rate: on-air bits over the time they took.
-    pub transmission_rate_bps: f64,
-    /// Why the receiver failed, when it did (see
-    /// [`CovertOutcome::rx_error`]).
-    pub rx_error: Option<RxError>,
-}
-
-impl CovertStreamedOutcome {
-    /// Whether the exact payload was recovered.
-    pub fn recovered(&self, payload: &[u8]) -> bool {
-        self.deframed.as_ref().is_some_and(|d| d.payload == payload)
-    }
-
-    /// Scores this transfer of `payload`, sent in `frame`.
-    pub(crate) fn score(&self, payload: &[u8], frame: FrameConfig) -> TransferScore {
-        Received {
-            tx_bits: &self.tx_bits,
-            bits: &self.report.bits,
-            alignment: &self.alignment,
-            deframed: self.deframed.as_ref(),
-            rate_bps: self.transmission_rate_bps,
-            rx_failed: self.rx_error.is_some(),
-        }
-        .score(payload, frame)
     }
 }
 
 /// How one covert transfer scored: the unit every covert experiment
 /// averages over its runs ([`mean`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct TransferScore {
     /// Bit-error rate (substitutions) of the on-air bits.
     pub ber: f64,
@@ -180,54 +165,6 @@ impl TransferScore {
 /// at any worker count.
 pub(crate) fn mean(scores: &[TransferScore], field: impl Fn(&TransferScore) -> f64) -> f64 {
     scores.iter().map(field).fold(0.0, |sum, x| sum + x) / scores.len().max(1) as f64
-}
-
-/// What scoring reads of a transfer, whichever path ran it.
-struct Received<'a> {
-    tx_bits: &'a [u8],
-    bits: &'a [u8],
-    alignment: &'a Alignment,
-    deframed: Option<&'a Deframed>,
-    rate_bps: f64,
-    rx_failed: bool,
-}
-
-impl Received<'_> {
-    /// The one scorer. The salvage runs at most once, and only when a
-    /// score needs it: no deframed byte is right at its position, or
-    /// the deframed frame carries no marker statistics.
-    fn score(&self, payload: &[u8], frame: FrameConfig) -> TransferScore {
-        let framed = self
-            .deframed
-            .map_or(0, |d| 8 * payload.iter().zip(&d.payload).filter(|(a, b)| a == b).count());
-        let framed_marker = self.deframed.and_then(|d| d.marker);
-        let salvage = if framed == 0 || framed_marker.is_none() {
-            salvage_marker_bits(self.bits, frame)
-        } else {
-            None
-        };
-        let delivered_bits = if framed > 0 {
-            framed
-        } else {
-            salvage.as_ref().map_or(0, |s| salvage_run_credit(&bytes_to_bits(payload), &s.bits))
-        };
-        let marker = framed_marker.or_else(|| salvage.map(|s| s.stats));
-        TransferScore {
-            ber: self.alignment.ber(),
-            ip: self.alignment.insertion_probability(),
-            dp: self.alignment.deletion_probability(),
-            tr_bps: self.rate_bps,
-            goodput_bps: goodput_bps(delivered_bits, self.rate_bps, self.tx_bits.len()),
-            recovered: self.deframed.is_some_and(|d| d.payload == payload),
-            rx_failed: self.rx_failed,
-            delivered_bits,
-            resyncs: marker.map_or(0, |s| s.resyncs),
-            markers_missed: marker.map_or(0, |s| s.markers_missed),
-            corrected: self.deframed.map_or(0, |d| d.coding.corrected),
-            probes: 0,
-            retransmits: 0,
-        }
-    }
 }
 
 /// `delivered_bits` per second of air: the transfer ran at `rate_bps`
@@ -291,7 +228,7 @@ impl CovertScenario {
     /// [`CovertScenario::new`] primes for it. The per-bit overhead does
     /// not stretch.
     pub fn backed_off(laptop: &Laptop, chain: Chain, stretch: f64) -> Self {
-        let tx = TxConfig::calibrated_with_overhead(
+        let tx = TxConfig::calibrated(
             &chain.machine,
             laptop.tx_active_period_s() * stretch,
             laptop.tx_sleep_period_s() * stretch,
@@ -356,24 +293,9 @@ impl CovertScenario {
     ) -> CovertOutcome {
         let mut chain_run = self.chain.run_trace(trace, seed);
         apply_all(&mut chain_run.capture, impairments, impair_seed);
-        // A decode failure (truncated / corrupt / carrier-less capture)
-        // degrades to the empty report so the scenario still yields an
-        // outcome — the grid cell records the error instead of
-        // panicking the whole experiment.
-        let (report, rx_error) = split(Receiver::new(self.rx.clone()).receive(&chain_run.capture));
-        let alignment = align_semiglobal(&tx_bits, &report.bits);
-        let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
-        let transmission_rate_bps = transmission_rate_bps(&tx_bits, chain_run.trace.duration_s());
-
-        CovertOutcome {
-            tx_bits,
-            report,
-            alignment,
-            deframed,
-            chain_run,
-            transmission_rate_bps,
-            rx_error,
-        }
+        let received = Receiver::new(self.rx.clone()).receive(&chain_run.capture);
+        let trace_s = chain_run.trace.duration_s();
+        self.outcome(tx_bits, received, trace_s, chain_run)
     }
 
     /// [`CovertScenario::run`] without ever materialising the capture:
@@ -382,13 +304,12 @@ impl CovertScenario {
     /// run's peak resident sample count is the analog arena plus one
     /// block instead of analog + capture. Bit-identical metrics to the
     /// unimpaired batch path for the same `(payload, seed)`.
-    pub fn run_streamed(&self, payload: &[u8], seed: u64) -> CovertStreamedOutcome {
+    pub fn run_streamed(&self, payload: &[u8], seed: u64) -> CovertOutcome<()> {
         let tx_bits = Transmitter::new(self.tx).on_air_bits(payload);
         let mut stream = self.chain.stream_program(&self.transfer_program(&tx_bits), seed);
         let sample_rate = self.chain.frontend.sample_rate;
         let center_freq = self.chain.frontend.center_freq;
-        // Decode failures degrade to the empty report exactly as in
-        // the batch path, whether they surface at construction (bad
+        // A failure counts whether it surfaces at construction (bad
         // config / rate / carrier) or at finish.
         let received = StreamingReceiver::new(self.rx.clone(), sample_rate, center_freq).and_then(
             |mut receiver| {
@@ -398,32 +319,54 @@ impl CovertScenario {
                 receiver.finish()
             },
         );
-        let (report, rx_error) = split(received);
         let (trace, _train) = stream.into_trace_train();
-        let alignment = align_semiglobal(&tx_bits, &report.bits);
-        let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
-        let transmission_rate_bps = transmission_rate_bps(&tx_bits, trace.duration_s());
-
-        CovertStreamedOutcome {
-            tx_bits,
-            report,
-            alignment,
-            deframed,
-            transmission_rate_bps,
-            rx_error,
-        }
+        self.outcome(tx_bits, received, trace.duration_s(), ())
     }
 
     /// Transmits a raw, already-framed bit sequence (e.g. the output
     /// of [`emsc_covert::packets::packetize`]) and returns the
-    /// demodulated bits plus the receiver report (the empty report
-    /// when the capture cannot be decoded). No deframing is attempted
-    /// — the caller owns the framing.
-    pub fn run_bits(&self, bits: &[u8], seed: u64) -> (Vec<u8>, RxReport) {
+    /// receiver report (the empty report when the capture cannot be
+    /// decoded). No deframing is attempted — the caller owns the
+    /// framing.
+    pub fn run_bits(&self, bits: &[u8], seed: u64) -> RxReport {
         let chain_run = self.chain.run_program(&self.transfer_program(bits), seed);
         let receiver = Receiver::new(self.rx.clone());
-        let report = receiver.receive(&chain_run.capture).unwrap_or_else(|_| RxReport::empty(0.0));
-        (report.bits.clone(), report)
+        receiver.receive(&chain_run.capture).unwrap_or_else(|_| RxReport::empty(0.0))
+    }
+
+    /// The received side of a transfer of `tx_bits` whose trace lasted
+    /// `trace_s` seconds: the alignment, deframing and rate of what the
+    /// receiver returned. A decode failure (truncated / corrupt /
+    /// carrier-less capture) becomes the empty report plus its error,
+    /// so the scenario still yields an outcome — the grid cell records
+    /// the error instead of panicking the whole experiment. The rate
+    /// is the on-air bits over the trace less the lead silences and the
+    /// warm-up.
+    fn outcome<S>(
+        &self,
+        tx_bits: Vec<u8>,
+        received: Result<RxReport, RxError>,
+        trace_s: f64,
+        chain_run: S,
+    ) -> CovertOutcome<S> {
+        let (report, rx_error) = match received {
+            Ok(report) => (report, None),
+            Err(e) => (RxReport::empty(0.0), Some(e)),
+        };
+        let alignment = align_semiglobal(&tx_bits, &report.bits);
+        let deframed = try_deframe(&report.bits, self.tx.frame, 1).ok();
+        let air_time = trace_s - 2.0 * LEAD_SILENCE_S - WARMUP_S;
+        let transmission_rate_bps =
+            if air_time > 0.0 { tx_bits.len() as f64 / air_time } else { 0.0 };
+        CovertOutcome {
+            tx_bits,
+            report,
+            alignment,
+            deframed,
+            chain_run,
+            transmission_rate_bps,
+            rx_error,
+        }
     }
 
     /// The PMU program of a transfer of `bits`: lead silence, the
@@ -449,27 +392,6 @@ impl CovertScenario {
         tx.frame.interleave_depth = step.interleave_depth;
         let expected_bit = tx.expected_bit_period_on(&self.chain.machine);
         CovertScenario { chain: self.chain.clone(), tx, rx: self.rx.with_bit_period(expected_bit) }
-    }
-}
-
-/// A receiver result as an outcome holds it: a failure becomes the
-/// empty report plus its error.
-fn split(received: Result<RxReport, RxError>) -> (RxReport, Option<RxError>) {
-    match received {
-        Ok(report) => (report, None),
-        Err(e) => (RxReport::empty(0.0), Some(e)),
-    }
-}
-
-/// Measured transmission rate: the on-air bits over the air time they
-/// took, which is the trace of `trace_s` seconds less the lead
-/// silences and the warm-up.
-fn transmission_rate_bps(tx_bits: &[u8], trace_s: f64) -> f64 {
-    let air_time = trace_s - 2.0 * LEAD_SILENCE_S - WARMUP_S;
-    if air_time > 0.0 {
-        tx_bits.len() as f64 / air_time
-    } else {
-        0.0
     }
 }
 
@@ -502,18 +424,23 @@ mod tests {
 
     #[test]
     fn streamed_run_matches_batch_run_metrics() {
+        use emsc_covert::marker::MarkerConfig;
         let laptop = Laptop::dell_inspiron();
         let chain = Chain::new(&laptop, Setup::NearField);
-        let scenario = CovertScenario::for_laptop(&laptop, chain);
+        let rigid = CovertScenario::for_laptop(&laptop, chain);
+        let mut marker = rigid.clone();
+        marker.tx.frame.marker = Some(MarkerConfig::standard());
         let payload = b"streamed==batch";
-        let batch = scenario.run(payload, 31);
-        let streamed = scenario.run_streamed(payload, 31);
-        assert_eq!(streamed.tx_bits, batch.tx_bits);
-        assert_eq!(streamed.report.bits, batch.report.bits);
-        assert_eq!(streamed.alignment.ber().to_bits(), batch.alignment.ber().to_bits());
-        assert_eq!(streamed.transmission_rate_bps.to_bits(), batch.transmission_rate_bps.to_bits());
-        assert!(streamed.recovered(payload));
-        assert!(streamed.rx_error.is_none());
+        for scenario in [rigid, marker] {
+            let batch = scenario.run(payload, 31);
+            let streamed = scenario.run_streamed(payload, 31);
+            assert_eq!(streamed.tx_bits, batch.tx_bits);
+            assert_eq!(streamed.report.bits, batch.report.bits);
+            let frame = scenario.tx.frame;
+            assert_eq!(streamed.score(payload, frame), batch.score(payload, frame));
+            assert!(streamed.recovered(payload));
+            assert!(streamed.rx_error.is_none());
+        }
     }
 
     #[test]

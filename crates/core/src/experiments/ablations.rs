@@ -158,7 +158,7 @@ fn cells(seed: u64) -> Vec<Cell> {
                 .into_iter()
                 .map(|sleep_us: f64| {
                     let chain = near_field();
-                    let tx = TxConfig::calibrated_with_overhead(
+                    let tx = TxConfig::calibrated(
                         &chain.machine,
                         sleep_us * 1e-6,
                         sleep_us * 1e-6,

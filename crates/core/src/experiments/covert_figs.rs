@@ -3,7 +3,7 @@
 use emsc_covert::metrics::{align, Alignment};
 use emsc_covert::rx::RxReport;
 use emsc_pmu::noise::NoiseConfig;
-use emsc_runtime::par_invoke;
+use emsc_runtime::par_map;
 use emsc_sdr::stats::{skewness, Histogram, RayleighFit};
 
 use crate::chain::{Chain, Setup};
@@ -243,28 +243,17 @@ impl Fig8 {
 /// visible even at the stream edges.
 pub fn fig8(seed: u64) -> Fig8 {
     let payload = pseudo_payload(24);
+    let storm =
+        NoiseConfig { long_rate_hz: 120.0, long_duration_s: 500e-6, ..NoiseConfig::normal() };
     // The two arms are independent captures — run them concurrently.
-    let arms = par_invoke(vec![
-        Box::new(|| {
-            let scenario = standard_scenario();
-            let outcome = scenario.run(&payload, seed);
-            align(&outcome.tx_bits, &outcome.report.bits)
-        }) as Box<dyn Fn() -> Alignment + Send + Sync>,
-        Box::new(|| {
-            let laptop = Laptop::dell_inspiron();
-            let mut chain = Chain::new(&laptop, Setup::NearField);
-            chain.machine.noise = NoiseConfig {
-                long_rate_hz: 120.0,
-                long_duration_s: 500e-6,
-                ..NoiseConfig::normal()
-            };
-            let scenario = CovertScenario::for_laptop(&laptop, chain);
-            let outcome = scenario.run(&payload, seed);
-            align(&outcome.tx_bits, &outcome.report.bits)
-        }),
-    ]);
-    let mut arms = arms.into_iter();
-    Fig8 { normal: arms.next().unwrap(), stormy: arms.next().unwrap() }
+    let arms = par_map(&[NoiseConfig::normal(), storm], |&noise| {
+        let laptop = Laptop::dell_inspiron();
+        let mut chain = Chain::new(&laptop, Setup::NearField);
+        chain.machine.noise = noise;
+        let outcome = CovertScenario::for_laptop(&laptop, chain).run(&payload, seed);
+        align(&outcome.tx_bits, &outcome.report.bits)
+    });
+    Fig8 { normal: arms[0], stormy: arms[1] }
 }
 
 #[cfg(test)]

@@ -14,15 +14,12 @@
 //! bit-identical across `EMSC_THREADS` settings.
 
 use emsc_runtime::{par_map, seed_for};
-use emsc_sdr::impair::{severity_label, Impairment};
+use emsc_sdr::impair::{severity_label, severity_stack, SEVERITY_LEVELS};
 
 use crate::chain::{Chain, Setup};
 use crate::covert_run::{mean, CovertScenario, TransferScore};
 use crate::experiments::tables::{pseudo_payload, TableScale};
 use crate::laptop::Laptop;
-
-/// Number of severity levels in the sweep (0 = clean … 4 = severe).
-pub const SEVERITIES: usize = emsc_sdr::impair::SEVERITY_LEVELS;
 
 /// One severity level of the impairment sweep, averaged over runs.
 #[derive(Debug, Clone)]
@@ -43,14 +40,6 @@ pub struct ImpairmentRow {
     pub decode_failures: usize,
 }
 
-/// The impairment stack applied at a given severity — the canonical
-/// [`emsc_sdr::impair::severity_stack`], re-exported here so the
-/// E3 table and the E6 robustness sweep impair their channels
-/// bit-identically.
-pub fn impairments_at(severity: usize) -> Vec<Impairment> {
-    emsc_sdr::impair::severity_stack(severity)
-}
-
 fn impaired_cell(
     scenario: &CovertScenario,
     payload_bytes: usize,
@@ -66,7 +55,7 @@ fn impaired_cell(
     let outcome = scenario.run_impaired(
         &payload,
         seed + 1000 * run as u64,
-        &impairments_at(severity),
+        &severity_stack(severity),
         seed_for(seed, cell),
     );
     outcome.score(&payload, scenario.tx.frame)
@@ -94,11 +83,11 @@ pub fn impairment_sweep(scale: TableScale, seed: u64) -> Vec<ImpairmentRow> {
     let scenario = CovertScenario::for_laptop(&laptop, chain);
 
     let cells: Vec<(usize, usize)> =
-        (0..SEVERITIES).flat_map(|s| (0..scale.runs).map(move |r| (s, r))).collect();
+        (0..SEVERITY_LEVELS).flat_map(|s| (0..scale.runs).map(move |r| (s, r))).collect();
     let stats = par_map(&cells, |&(sev, run)| {
         impaired_cell(&scenario, scale.payload_bytes, seed, sev, run, scale.runs)
     });
-    (0..SEVERITIES)
+    (0..SEVERITY_LEVELS)
         .map(|s| impairment_row(s, &stats[s * scale.runs..(s + 1) * scale.runs]))
         .collect()
 }
@@ -131,14 +120,14 @@ mod tests {
 
     #[test]
     fn severity_stacks_grow_monotonically() {
-        for s in 0..SEVERITIES - 1 {
+        for s in 0..SEVERITY_LEVELS - 1 {
             assert!(
-                impairments_at(s).len() <= impairments_at(s + 1).len(),
+                severity_stack(s).len() <= severity_stack(s + 1).len(),
                 "severity {s} stack larger than severity {}",
                 s + 1
             );
         }
-        assert!(impairments_at(0).is_empty());
+        assert!(severity_stack(0).is_empty());
     }
 
     #[test]
@@ -150,7 +139,7 @@ mod tests {
         let chain = Chain::new(&laptop, Setup::NearField);
         let scenario = CovertScenario::for_laptop(&laptop, chain);
         let clean = scenario.run(b"severity-zero", 31);
-        let impaired = scenario.run_impaired(b"severity-zero", 31, &impairments_at(0), 0xABCD);
+        let impaired = scenario.run_impaired(b"severity-zero", 31, &severity_stack(0), 0xABCD);
         assert!(clean
             .chain_run
             .capture
@@ -165,7 +154,7 @@ mod tests {
     #[test]
     fn sweep_degrades_with_severity_and_never_panics() {
         let rows = impairment_sweep(TableScale::quick(), 77);
-        assert_eq!(rows.len(), SEVERITIES);
+        assert_eq!(rows.len(), SEVERITY_LEVELS);
         // The clean channel decodes.
         assert_eq!(rows[0].decode_failures, 0, "clean channel failed to decode");
         assert!(rows[0].ber < 0.1, "clean BER {}", rows[0].ber);
@@ -175,7 +164,7 @@ mod tests {
         // substitutions, so compare the combined error probability —
         // or an outright decode failure.
         let total = |r: &ImpairmentRow| r.ber + r.ip + r.dp;
-        let worst = &rows[SEVERITIES - 1];
+        let worst = &rows[SEVERITY_LEVELS - 1];
         assert!(
             total(worst) > 2.0 * total(&rows[0]) || worst.decode_failures > 0,
             "severity 4 did not degrade the channel: {} vs {}",

@@ -23,7 +23,7 @@
 
 use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
 use emsc_keylog::detect::{Detector, DetectorConfig};
-use emsc_runtime::{par_map_indexed, seed_for};
+use emsc_runtime::{par_map, seed_for};
 use emsc_sdr::iq::Complex;
 use emsc_sdr::Capture;
 
@@ -108,7 +108,9 @@ fn build_sensors(seed: u64) -> Vec<Sensor> {
     let keylog_index = laptops.len() as u64;
     let poison_index = keylog_index + 1;
 
-    let mut sensors: Vec<Sensor> = par_map_indexed(&laptops, |i, laptop| {
+    let indices: Vec<usize> = (0..laptops.len()).collect();
+    let mut sensors: Vec<Sensor> = par_map(&indices, |&i| {
+        let laptop = &laptops[i];
         let chain = Chain::new(laptop, Setup::NearField);
         let scenario = CovertScenario::for_laptop(laptop, chain);
         // The run's own batch decode is the reference.

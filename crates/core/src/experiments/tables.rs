@@ -7,7 +7,7 @@ use emsc_covert::tx::{Transmitter, TxConfig};
 use emsc_pmu::multicore::MultiCoreMachine;
 use emsc_pmu::noise::NoiseConfig;
 use emsc_pmu::workload::Program;
-use emsc_runtime::{par_invoke, par_map};
+use emsc_runtime::par_map;
 
 use crate::chain::{Chain, Setup};
 use crate::covert_run::{mean, CovertScenario, TransferScore};
@@ -192,59 +192,51 @@ pub fn table2_background(scale: TableScale, seed: u64) -> Vec<ChannelRow> {
     // The last two rows are the realistic variant: the hog runs
     // *concurrently on another core* of the shared voltage rail (the
     // paper's laptops are multi-core), not time-sliced into the
-    // transmitter's sleeps. All five rows × `scale.runs` cells are
-    // flattened into one fan-out so the pool never idles between rows.
-    let scenario_rows: [(&str, &CovertScenario); 3] = [
-        ("quiet system", &baseline),
-        ("heavy background, same rate", &stressed),
-        ("heavy background, rate backed off", &backed_off),
+    // transmitter's sleeps. A concurrent hog shifts the whole power
+    // level up and down; the RZ differential cancels that pedestal.
+    let hog = |stretch| {
+        let chain = Chain::new(&laptop, Setup::NearField);
+        let mut scenario = CovertScenario::backed_off(&laptop, chain, stretch);
+        scenario.rx.label_feature = LabelFeature::RzDifferential;
+        scenario
+    };
+    // (label, scenario, hog on another core). All five rows ×
+    // `scale.runs` cells are flattened into one fan-out so the pool
+    // never idles between rows.
+    let rows: [(&str, CovertScenario, bool); 5] = [
+        ("quiet system", baseline, false),
+        ("heavy background, same rate", stressed, false),
+        ("heavy background, rate backed off", backed_off, false),
+        ("hog on another core, same rate", hog(1.0), true),
+        ("hog on another core, rate backed off", hog(1.18), true),
     ];
-    let hog_rows: [(&str, f64); 2] =
-        [("hog on another core, same rate", 1.0), ("hog on another core, rate backed off", 1.18)];
-
-    let mut cells: Vec<Box<dyn Fn() -> TransferScore + Send + Sync>> = Vec::new();
-    for &(_, scenario) in &scenario_rows {
-        for run in 0..scale.runs {
-            cells.push(Box::new(move || channel_cell(scenario, scale.payload_bytes, seed, run)));
+    let cells: Vec<(usize, usize)> =
+        (0..rows.len()).flat_map(|i| (0..scale.runs).map(move |r| (i, r))).collect();
+    let stats = par_map(&cells, |&(i, run)| {
+        let (_, scenario, hog) = &rows[i];
+        if *hog {
+            multicore_background_cell(scenario, scale.payload_bytes, seed, run)
+        } else {
+            channel_cell(scenario, scale.payload_bytes, seed, run)
         }
-    }
-    for &(_, stretch) in &hog_rows {
-        let laptop = &laptop;
-        for run in 0..scale.runs {
-            cells.push(Box::new(move || {
-                multicore_background_cell(laptop, stretch, scale.payload_bytes, seed, run)
-            }));
-        }
-    }
-    let stats = par_invoke(cells);
-
-    let labels = scenario_rows.iter().map(|&(l, _)| l).chain(hog_rows.iter().map(|&(l, _)| l));
-    labels
+    });
+    rows.iter()
         .enumerate()
-        .map(|(i, label)| channel_row(label, &stats[i * scale.runs..(i + 1) * scale.runs]))
+        .map(|(i, (label, ..))| channel_row(label, &stats[i * scale.runs..(i + 1) * scale.runs]))
         .collect()
 }
 
 /// One averaging run of the §IV-C2 hog-on-another-core experiment:
 /// the transfer program runs on one core of a two-core package while
 /// a hog runs on the other, and their shared-rail trace goes through
-/// the rest of the transfer. The scenario is rebuilt per cell — it is
-/// pure configuration, deterministic and cheap next to the capture
-/// itself.
+/// the rest of the transfer.
 fn multicore_background_cell(
-    laptop: &Laptop,
-    stretch: f64,
+    scenario: &CovertScenario,
     payload_bytes: usize,
     seed: u64,
     run: usize,
 ) -> TransferScore {
-    let mut scenario =
-        CovertScenario::backed_off(laptop, Chain::new(laptop, Setup::NearField), stretch);
-    // A concurrent hog shifts the whole power level up and down; the
-    // RZ differential cancels that pedestal.
-    scenario.rx.label_feature = LabelFeature::RzDifferential;
     let machine = &scenario.chain.machine;
-
     let payload = pseudo_payload(payload_bytes, seed + run as u64);
     let tx_bits = Transmitter::new(scenario.tx).on_air_bits(&payload);
     let program = scenario.transfer_program(&tx_bits);
@@ -285,21 +277,29 @@ pub fn table3(scale: TableScale, seed: u64) -> Vec<ChannelRow> {
     measure_channel_grid(&scenarios, scale, seed)
 }
 
-/// Fig. 10 / §IV-C3: the through-the-wall NLoS measurement, with the
-/// printer and refrigerator interferers in place and the rate backed
-/// off until reliable (the paper lands at 821 bps).
-pub fn fig10_nlos(scale: TableScale, seed: u64) -> ChannelRow {
+/// The Fig. 10 / §IV-C3 link: the Dell Inspiron in an office, the
+/// receiver 1.5 m away behind a 35 cm wall with the printer and
+/// refrigerator interferers in place, and both transmitter phases
+/// stretched ×5.2, the rate backed off until reliable (the paper lands
+/// at 821 bps).
+pub fn fig10_scenario() -> CovertScenario {
     let laptop = Laptop::dell_inspiron();
     let chain = Chain::new(&laptop, Setup::ThroughWall);
     let stretch = 5.2;
-    // `TxConfig::calibrated`: the generic 8 µs per-bit overhead, not
-    // the laptop's.
+    // The generic 8 µs per-bit overhead, not the laptop's.
     let tx = TxConfig::calibrated(
         &chain.machine,
         laptop.tx_active_period_s() * stretch,
         laptop.tx_sleep_period_s() * stretch,
+        8e-6,
     );
-    let scenario = ("1.5 m through 35 cm wall".to_string(), CovertScenario::new(chain, tx));
+    CovertScenario::new(chain, tx)
+}
+
+/// Fig. 10 / §IV-C3: the through-the-wall NLoS measurement over
+/// [`fig10_scenario`]'s link.
+pub fn fig10_nlos(scale: TableScale, seed: u64) -> ChannelRow {
+    let scenario = ("1.5 m through 35 cm wall".to_string(), fig10_scenario());
     measure_channel_grid(&[scenario], scale, seed).remove(0)
 }
 

@@ -20,9 +20,13 @@ pub const IDLE_MARGIN_S: f64 = 0.5;
 /// Word-boundary gap factor (× median inter-keystroke gap).
 pub const WORD_GAP_FACTOR: f64 = 1.6;
 
-/// A complete keylogging run and its scoring.
+/// A complete keylogging run and its scoring. `S` holds the chain
+/// stages the run keeps: every intermediate stage for
+/// [`KeylogScenario::run`], nothing for
+/// [`KeylogScenario::run_chunked`] (they would be the gigabytes it
+/// avoids).
 #[derive(Debug, Clone)]
-pub struct KeylogOutcome {
+pub struct KeylogOutcome<S = ChainRun> {
     /// Ground-truth keystrokes.
     pub keystrokes: Vec<Keystroke>,
     /// The detector's full report.
@@ -31,8 +35,26 @@ pub struct KeylogOutcome {
     pub chars: DetectionScore,
     /// Word-level score (Table IV, precision/recall columns).
     pub words: WordScore,
-    /// Every intermediate chain stage.
-    pub chain_run: ChainRun,
+    /// The chain stages the run kept.
+    pub chain_run: S,
+}
+
+impl<S> KeylogOutcome<S> {
+    /// Scores `detection` of a typing session of `text`: detections
+    /// against the keystrokes' press times, and the words the
+    /// detections group into against `text`.
+    fn scored(
+        text: &str,
+        keystrokes: Vec<Keystroke>,
+        detection: DetectionReport,
+        chain_run: S,
+    ) -> Self {
+        let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
+        let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);
+        let groups = group_words(&detected_times(&detection), WORD_GAP_FACTOR);
+        let words = score_words(&word_lengths(&groups), text);
+        KeylogOutcome { keystrokes, detection, chars, words, chain_run }
+    }
 }
 
 /// Runs keylogging over a chain.
@@ -58,18 +80,14 @@ impl KeylogScenario {
 
     /// Types `text` while the capture runs, then detects and scores.
     pub fn run(&self, text: &str, seed: u64) -> KeylogOutcome {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let keystrokes = self.typist.type_text(text, IDLE_MARGIN_S, &mut rng);
-        let end = keystrokes.last().map_or(IDLE_MARGIN_S, |k| k.release_s) + IDLE_MARGIN_S;
-        let events = self.bursts.events_for(&keystrokes, end, &mut rng);
+        let (keystrokes, end, events) = self.typing(text, seed);
         let chain_run = self.chain.run_events(end, &events, seed);
 
         // A chain capture is always analysable; should detection fail
         // anyway, the run scores an empty report instead of panicking.
         let detector = Detector::new(self.detector.clone());
         let detection = detector.try_detect(&chain_run.capture).unwrap_or_default();
-        let (chars, words) = score(&keystrokes, &detection, text);
-        KeylogOutcome { keystrokes, detection, chars, words, chain_run }
+        KeylogOutcome::scored(text, keystrokes, detection, chain_run)
     }
 
     /// Like [`KeylogScenario::run`], but processes the capture in
@@ -77,18 +95,14 @@ impl KeylogScenario {
     /// sessions don't materialise gigabytes of I/Q at once. Per-chunk
     /// window energies are concatenated and thresholded globally, so
     /// the result matches a monolithic run up to chunk-boundary
-    /// alignment. Returns the outcome *without* the chain intermediates
-    /// (they would be the gigabytes we avoided).
+    /// alignment. The outcome keeps no chain stages.
     ///
     /// Each chunk's seed is `seed ^ (chunk_idx << 17)` — a function of
     /// the chunk's *position*, not of execution order — so the chunks
     /// are independent and fan out across the worker pool while the
     /// concatenated energy series stays bit-identical to a serial run.
-    pub fn run_chunked(&self, text: &str, seed: u64, chunk_s: f64) -> ChunkedKeylogOutcome {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let keystrokes = self.typist.type_text(text, IDLE_MARGIN_S, &mut rng);
-        let end = keystrokes.last().map_or(IDLE_MARGIN_S, |k| k.release_s) + IDLE_MARGIN_S;
-        let events = self.bursts.events_for(&keystrokes, end, &mut rng);
+    pub fn run_chunked(&self, text: &str, seed: u64, chunk_s: f64) -> KeylogOutcome<()> {
+        let (keystrokes, end, events) = self.typing(text, seed);
 
         let fs = self.chain.scene.synth.sample_rate;
         // Chunk length: a whole number of detector windows, so the
@@ -123,36 +137,19 @@ impl KeylogScenario {
         let detector = Detector::new(self.detector.clone());
         let window_s = WINDOW_SAMPLES as f64 / fs;
         let detection = detector.detect_from_energies(energies, window_s);
-        let (chars, words) = score(&keystrokes, &detection, text);
-        ChunkedKeylogOutcome { keystrokes, detection, chars, words }
+        KeylogOutcome::scored(text, keystrokes, detection, ())
     }
-}
 
-/// Scores a typing session: detections against the keystrokes' press
-/// times, and the words the detections group into against `text`.
-fn score(
-    keystrokes: &[Keystroke],
-    detection: &DetectionReport,
-    text: &str,
-) -> (DetectionScore, WordScore) {
-    let truth: Vec<f64> = keystrokes.iter().map(|k| k.press_s).collect();
-    let chars = score_detections(&detection.bursts, &truth, MATCH_TOLERANCE_S);
-    let groups = group_words(&detected_times(detection), WORD_GAP_FACTOR);
-    (chars, score_words(&word_lengths(&groups), text))
-}
-
-/// Output of [`KeylogScenario::run_chunked`]: the scoring without the
-/// (large) chain intermediates.
-#[derive(Debug, Clone)]
-pub struct ChunkedKeylogOutcome {
-    /// Ground-truth keystrokes.
-    pub keystrokes: Vec<Keystroke>,
-    /// The detector's report.
-    pub detection: DetectionReport,
-    /// Character-level score.
-    pub chars: DetectionScore,
-    /// Word-level score.
-    pub words: WordScore,
+    /// The typing session of `text` under `seed`, drawn from one rng:
+    /// the keystrokes, the time the capture ends (an idle margin after
+    /// the last release) and the CPU bursts the keystrokes cause.
+    fn typing(&self, text: &str, seed: u64) -> (Vec<Keystroke>, f64, Vec<ExternalEvent>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keystrokes = self.typist.type_text(text, IDLE_MARGIN_S, &mut rng);
+        let end = keystrokes.last().map_or(IDLE_MARGIN_S, |k| k.release_s) + IDLE_MARGIN_S;
+        let events = self.bursts.events_for(&keystrokes, end, &mut rng);
+        (keystrokes, end, events)
+    }
 }
 
 #[cfg(test)]

@@ -9,10 +9,8 @@
 //! shield — but their precise `usleep` still makes them the fastest
 //! transmitters in Table II).
 
-use emsc_pmu::governor::{CStatePolicy, DvfsPolicy};
-use emsc_pmu::noise::NoiseConfig;
-use emsc_pmu::power::PowerStateTable;
-use emsc_pmu::sim::{Machine, MachineBuilder};
+use emsc_pmu::governor::DvfsPolicy;
+use emsc_pmu::sim::Machine;
 use emsc_pmu::timer::SleepModel;
 use emsc_vrm::buck::BuckConfig;
 
@@ -214,13 +212,7 @@ impl Laptop {
         } else {
             DvfsPolicy::os_driven()
         };
-        MachineBuilder::new()
-            .table(PowerStateTable::intel_mobile())
-            .sleep_model(self.sleep_model)
-            .dvfs(dvfs)
-            .cstates(CStatePolicy::all())
-            .noise(NoiseConfig::normal())
-            .build()
+        Machine { sleep_model: self.sleep_model, dvfs, ..Machine::intel_laptop() }
     }
 
     /// Builds this laptop's VRM configuration.

@@ -48,7 +48,7 @@ pub mod session;
 
 pub use chain::{Chain, ChainRun, Setup};
 pub use countermeasure::Countermeasure;
-pub use covert_run::{CovertOutcome, CovertScenario, CovertStreamedOutcome};
+pub use covert_run::{CovertOutcome, CovertScenario};
 pub use fingerprint_run::{FingerprintOutcome, FingerprintScenario};
 pub use fused::{ChainStream, FUSED_BLOCK};
 pub use keylog_run::{KeylogOutcome, KeylogScenario};

@@ -57,7 +57,7 @@ pub fn hamming74_decode(code: &[u8]) -> ([u8; 4], bool) {
     ([c[2], c[4], c[5], c[6]], corrected)
 }
 
-/// Per-stream accounting for [`decode_bits_reported`].
+/// Per-stream accounting for [`decode_bits`].
 ///
 /// `corrected` counts codewords whose syndrome was nonzero. Because
 /// Hamming(7,4) has distance 3, a nonzero syndrome conflates genuine
@@ -99,17 +99,10 @@ pub fn encode_bits(bits: &[u8]) -> Vec<u8> {
 }
 
 /// Decodes a Hamming(7,4)-coded bit string, correcting one error per
-/// codeword. Trailing bits that do not fill a codeword are dropped.
-/// Returns the decoded bits and the number of corrections applied.
-pub fn decode_bits(coded: &[u8]) -> (Vec<u8>, usize) {
-    let (out, stats) = decode_bits_reported(coded);
-    (out, stats.corrected)
-}
-
-/// Decodes a Hamming(7,4)-coded bit string with full accounting:
-/// codeword count, nonzero-syndrome count and the number of trailing
-/// bits that were dropped because they did not fill a codeword.
-pub fn decode_bits_reported(coded: &[u8]) -> (Vec<u8>, CodingStats) {
+/// codeword, with full accounting: codeword count, nonzero-syndrome
+/// count and the number of trailing bits that were dropped because
+/// they did not fill a codeword.
+pub fn decode_bits(coded: &[u8]) -> (Vec<u8>, CodingStats) {
     let mut out = Vec::with_capacity(coded.len() / 7 * 4);
     let mut stats = CodingStats { dropped_tail_bits: coded.len() % 7, ..CodingStats::default() };
     for chunk in coded.chunks_exact(7) {
@@ -188,9 +181,9 @@ mod tests {
         let bits: Vec<u8> = (0..64).map(|i| ((i * 7 + 3) % 5 % 2) as u8).collect();
         let coded = encode_bits(&bits);
         assert_eq!(coded.len(), 64 / 4 * 7);
-        let (decoded, corrections) = decode_bits(&coded);
+        let (decoded, stats) = decode_bits(&coded);
         assert_eq!(&decoded[..64], &bits[..]);
-        assert_eq!(corrections, 0);
+        assert_eq!(stats.corrected, 0);
     }
 
     #[test]
@@ -201,9 +194,9 @@ mod tests {
         for cw in 0..10 {
             coded[cw * 7 + (cw % 7)] ^= 1;
         }
-        let (decoded, corrections) = decode_bits(&coded);
+        let (decoded, stats) = decode_bits(&coded);
         assert_eq!(&decoded[..40], &bits[..]);
-        assert_eq!(corrections, 10);
+        assert_eq!(stats.corrected, 10);
     }
 
     #[test]
@@ -218,13 +211,13 @@ mod tests {
     #[test]
     fn dropped_tail_bits_are_reported() {
         let coded = encode_bits(&[1, 0, 1, 1, 0, 1, 0, 0]); // 2 codewords
-        let (full, stats) = decode_bits_reported(&coded);
+        let (full, stats) = decode_bits(&coded);
         assert_eq!(full.len(), 8);
         assert_eq!(stats.codewords, 2);
         assert_eq!(stats.dropped_tail_bits, 0, "clean termination");
         // Truncate mid-codeword: the 3 leftover bits must be counted,
         // not silently discarded.
-        let (partial, stats) = decode_bits_reported(&coded[..10]);
+        let (partial, stats) = decode_bits(&coded[..10]);
         assert_eq!(partial.len(), 4);
         assert_eq!(stats.codewords, 1);
         assert_eq!(stats.dropped_tail_bits, 3);

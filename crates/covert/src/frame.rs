@@ -7,9 +7,7 @@
 //! preamble to indicate the start of the transmission, and then sends
 //! the actual data."
 
-use crate::coding::{
-    bits_to_bytes, bytes_to_bits, decode_bits, decode_bits_reported, encode_bits, CodingStats,
-};
+use crate::coding::{bits_to_bytes, bytes_to_bits, decode_bits, encode_bits, CodingStats};
 use crate::interleave::Interleaver;
 use crate::marker::{
     blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream, SEARCH_RADIUS,
@@ -464,7 +462,7 @@ pub(crate) fn decode_rigid_body(
     let mut coding = CodingStats::default();
     let (header_bits, len_span) = if config.parity {
         let span = header_span(config).min(body.len());
-        let (bits, stats) = decode_bits_reported(&body[..span]);
+        let (bits, stats) = decode_bits(&body[..span]);
         coding.absorb(stats);
         (bits, span)
     } else {
@@ -479,7 +477,7 @@ pub(crate) fn decode_rigid_body(
     let span = body_span(config, declared);
     let rest = &body[len_span..(len_span + span).min(body.len())];
     let bits = if config.parity {
-        let (bits, stats) = decode_bits_reported(rest);
+        let (bits, stats) = decode_bits(rest);
         coding.absorb(stats);
         bits
     } else {
@@ -526,7 +524,7 @@ pub fn salvage_marker_bits(received: &[u8], config: FrameConfig) -> Option<Salva
     ms.push(&received[lock..]);
     let mut rigid = Vec::new();
     while ms.next_segment(&mut rigid, true) {}
-    let bits = if config.parity { decode_bits_reported(&rigid).0 } else { rigid };
+    let bits = if config.parity { decode_bits(&rigid).0 } else { rigid };
     Some(Salvage { bits, lock_position: lock, stats: ms.stats() })
 }
 

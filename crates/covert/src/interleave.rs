@@ -109,9 +109,9 @@ mod tests {
             *b ^= 1;
         }
         let received = il.deinterleave(&wire);
-        let (decoded, corrections) = decode_bits(&received[..coded.len()]);
+        let (decoded, stats) = decode_bits(&received[..coded.len()]);
         assert_eq!(&decoded[..32], &data[..], "burst must be fully corrected");
-        assert_eq!(corrections, 8);
+        assert_eq!(stats.corrected, 8);
     }
 
     #[test]

@@ -746,14 +746,14 @@ mod tests {
 
     #[test]
     fn codeword_audit_exposes_what_coding_stats_conflates() {
-        use crate::coding::{decode_bits_reported, encode_bits};
+        use crate::coding::{decode_bits, encode_bits};
         let data: Vec<u8> = (0..32).map(|i| (i % 3 == 0) as u8).collect();
         let tx = encode_bits(&data);
         let mut rx = tx.clone();
         rx[0] ^= 1; // genuine single-bit correction in codeword 0
         rx[8] ^= 1; // double error in codeword 1 → miscorrection
         rx[9] ^= 1;
-        let (_, stats) = decode_bits_reported(&rx);
+        let (_, stats) = decode_bits(&rx);
         let audit = codeword_audit(&tx, &rx);
         // The decoder alone sees two "corrections"; only the audit can
         // tell that one of them silently produced wrong data.

@@ -48,15 +48,10 @@ impl TxConfig {
     /// paper's authors tuned LOOP_PERIOD per laptop: the busy phase is
     /// sized by *measured* duration (which depends on the DVFS
     /// governor — short bursts may never reach P0), not by nominal
-    /// instruction rates.
-    pub fn calibrated(machine: &Machine, active_s: f64, sleep_period_s: f64) -> Self {
-        TxConfig::calibrated_with_overhead(machine, active_s, sleep_period_s, 8e-6)
-    }
-
-    /// Like [`TxConfig::calibrated`] with an explicit per-bit
-    /// housekeeping cost (Windows' `Sleep` + APC path is several times
-    /// heavier than a Linux `usleep`).
-    pub fn calibrated_with_overhead(
+    /// instruction rates. `overhead_s` is the per-bit housekeeping
+    /// cost (Windows' `Sleep` + APC path is several times heavier than
+    /// a Linux `usleep`).
+    pub fn calibrated(
         machine: &Machine,
         active_s: f64,
         sleep_period_s: f64,

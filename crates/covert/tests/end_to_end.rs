@@ -14,7 +14,7 @@ const F_SW: f64 = 970e3;
 
 fn transmit_and_receive(payload: &[u8], seed: u64) -> (Vec<u8>, emsc_covert::rx::RxReport) {
     let machine = Machine::intel_laptop();
-    let tx = Transmitter::new(TxConfig::calibrated(&machine, 100e-6, 100e-6));
+    let tx = Transmitter::new(TxConfig::calibrated(&machine, 100e-6, 100e-6, 8e-6));
     let mut program = emsc_pmu::workload::Program::new();
     // Lead-in idle so the receiver's window primes before the first bit.
     program.sleep(2e-3);

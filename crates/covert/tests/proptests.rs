@@ -39,9 +39,9 @@ proptest! {
     #[test]
     fn hamming_round_trips(data in bits(64)) {
         let coded = encode_bits(&data);
-        let (decoded, corrections) = decode_bits(&coded);
+        let (decoded, stats) = decode_bits(&coded);
         prop_assert_eq!(&decoded[..data.len()], &data[..]);
-        prop_assert_eq!(corrections, 0);
+        prop_assert_eq!(stats.corrected, 0);
     }
 
     #[test]

@@ -75,7 +75,7 @@ mod tests {
     use super::*;
     use crate::governor::{CStatePolicy, DvfsPolicy};
     use crate::noise::NoiseConfig;
-    use crate::sim::MachineBuilder;
+    use crate::sim::Machine;
     use crate::workload::Program;
 
     #[test]
@@ -103,7 +103,7 @@ mod tests {
     #[test]
     fn duty_cycle_workload_power_is_plausible() {
         // 50 % duty at mobile-class currents: a few watts mean power.
-        let m = MachineBuilder::new().noise(NoiseConfig::silent()).build();
+        let m = Machine { noise: NoiseConfig::silent(), ..Machine::intel_laptop() };
         let p = Program::alternating(500e-6, 500e-6, 100, m.steady_state_ips());
         let r = EnergyReport::from_trace(&m.run(&p, 1));
         assert!((1.0..15.0).contains(&r.mean_w), "mean power {} W out of laptop range", r.mean_w);
@@ -114,15 +114,15 @@ mod tests {
     #[test]
     fn disabling_power_states_costs_energy() {
         // §VI: disabling P/C-states has "significant" energy overheads.
-        let program_for = |m: &crate::sim::Machine| {
-            Program::alternating(500e-6, 500e-6, 100, m.steady_state_ips())
+        let program_for =
+            |m: &Machine| Program::alternating(500e-6, 500e-6, 100, m.steady_state_ips());
+        let normal = Machine { noise: NoiseConfig::silent(), ..Machine::intel_laptop() };
+        let hardened = Machine {
+            noise: NoiseConfig::silent(),
+            cstates: CStatePolicy::disabled(),
+            dvfs: DvfsPolicy::disabled(),
+            ..Machine::intel_laptop()
         };
-        let normal = MachineBuilder::new().noise(NoiseConfig::silent()).build();
-        let hardened = MachineBuilder::new()
-            .noise(NoiseConfig::silent())
-            .cstates(CStatePolicy::disabled())
-            .dvfs(DvfsPolicy::disabled())
-            .build();
         let e_normal = EnergyReport::from_trace(&normal.run(&program_for(&normal), 1));
         let e_hardened = EnergyReport::from_trace(&hardened.run(&program_for(&hardened), 1));
         assert!(

@@ -51,5 +51,5 @@ pub mod timer;
 pub mod trace;
 pub mod workload;
 
-pub use sim::{ExternalEvent, Machine, MachineBuilder};
+pub use sim::{ExternalEvent, Machine};
 pub use trace::{ActivityKind, PowerTrace, Segment};

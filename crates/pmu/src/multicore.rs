@@ -143,10 +143,9 @@ fn prefer(a: ActivityKind, b: ActivityKind) -> ActivityKind {
 mod tests {
     use super::*;
     use crate::noise::NoiseConfig;
-    use crate::sim::MachineBuilder;
 
     fn quiet_core() -> Machine {
-        MachineBuilder::new().noise(NoiseConfig::silent()).build()
+        Machine { noise: NoiseConfig::silent(), ..Machine::intel_laptop() }
     }
 
     #[test]

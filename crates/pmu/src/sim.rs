@@ -25,7 +25,9 @@ pub struct ExternalEvent {
     pub kind: ActivityKind,
 }
 
-/// A complete simulated machine.
+/// A complete simulated machine. Variants (other OSes,
+/// countermeasures) override fields of [`Machine::intel_laptop`] with
+/// struct-update syntax.
 ///
 /// # Examples
 ///
@@ -348,79 +350,13 @@ impl Default for Machine {
     }
 }
 
-/// Builder for [`Machine`] variants (countermeasures, other OSes).
-///
-/// # Examples
-///
-/// ```
-/// use emsc_pmu::sim::MachineBuilder;
-/// use emsc_pmu::timer::SleepModel;
-///
-/// let windows_box = MachineBuilder::new()
-///     .sleep_model(SleepModel::WindowsSleep)
-///     .build();
-/// assert_eq!(windows_box.sleep_model, SleepModel::WindowsSleep);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MachineBuilder {
-    machine: Machine,
-}
-
-impl MachineBuilder {
-    /// Starts from [`Machine::intel_laptop`] defaults.
-    pub fn new() -> Self {
-        MachineBuilder { machine: Machine::intel_laptop() }
-    }
-
-    /// Sets the power-state table.
-    pub fn table(mut self, table: PowerStateTable) -> Self {
-        self.machine.table = table;
-        self
-    }
-
-    /// Sets the OS sleep model.
-    pub fn sleep_model(mut self, model: SleepModel) -> Self {
-        self.machine.sleep_model = model;
-        self
-    }
-
-    /// Sets the DVFS policy.
-    pub fn dvfs(mut self, dvfs: DvfsPolicy) -> Self {
-        self.machine.dvfs = dvfs;
-        self
-    }
-
-    /// Sets the C-state policy.
-    pub fn cstates(mut self, cstates: CStatePolicy) -> Self {
-        self.machine.cstates = cstates;
-        self
-    }
-
-    /// Sets the noise configuration.
-    pub fn noise(mut self, noise: NoiseConfig) -> Self {
-        self.machine.noise = noise;
-        self
-    }
-
-    /// Finishes the build.
-    pub fn build(self) -> Machine {
-        self.machine
-    }
-}
-
-impl Default for MachineBuilder {
-    fn default() -> Self {
-        MachineBuilder::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::ActivityKind;
 
     fn quiet_machine() -> Machine {
-        MachineBuilder::new().noise(NoiseConfig::silent()).build()
+        Machine { noise: NoiseConfig::silent(), ..Machine::intel_laptop() }
     }
 
     #[test]
@@ -498,10 +434,11 @@ mod tests {
 
     #[test]
     fn disabled_cstates_spin_instead_of_idling() {
-        let m = MachineBuilder::new()
-            .noise(NoiseConfig::silent())
-            .cstates(CStatePolicy::disabled())
-            .build();
+        let m = Machine {
+            noise: NoiseConfig::silent(),
+            cstates: CStatePolicy::disabled(),
+            ..Machine::intel_laptop()
+        };
         let mut p = Program::new();
         p.sleep(1e-3);
         let trace = m.run(&p, 2);
@@ -512,11 +449,12 @@ mod tests {
 
     #[test]
     fn both_disabled_removes_all_contrast() {
-        let m = MachineBuilder::new()
-            .noise(NoiseConfig::silent())
-            .cstates(CStatePolicy::disabled())
-            .dvfs(DvfsPolicy::disabled())
-            .build();
+        let m = Machine {
+            noise: NoiseConfig::silent(),
+            cstates: CStatePolicy::disabled(),
+            dvfs: DvfsPolicy::disabled(),
+            ..Machine::intel_laptop()
+        };
         let mut p = Program::new();
         p.busy_for(1e-3, m.nominal_ips()).sleep(1e-3);
         let trace = m.run(&p, 2);
@@ -527,11 +465,12 @@ mod tests {
 
     #[test]
     fn only_cstates_disabled_keeps_contrast_via_pstates() {
-        let m = MachineBuilder::new()
-            .noise(NoiseConfig::silent())
-            .cstates(CStatePolicy::disabled())
-            .dvfs(DvfsPolicy::speed_shift())
-            .build();
+        let m = Machine {
+            noise: NoiseConfig::silent(),
+            cstates: CStatePolicy::disabled(),
+            dvfs: DvfsPolicy::speed_shift(),
+            ..Machine::intel_laptop()
+        };
         let mut p = Program::new();
         p.busy_for(5e-3, m.nominal_ips()).sleep(5e-3);
         let trace = m.run(&p, 2);
@@ -542,7 +481,7 @@ mod tests {
 
     #[test]
     fn noise_inserts_interrupt_segments_into_idle() {
-        let m = MachineBuilder::new().noise(NoiseConfig::normal()).build();
+        let m = Machine { noise: NoiseConfig::normal(), ..Machine::intel_laptop() };
         let p = Program::idle(0.5, 0.1);
         let trace = m.run(&p, 11);
         let interrupts =
@@ -567,7 +506,7 @@ mod tests {
     }
 
     fn quiet_machine_with(dvfs: DvfsPolicy) -> Machine {
-        MachineBuilder::new().noise(NoiseConfig::silent()).dvfs(dvfs).build()
+        Machine { noise: NoiseConfig::silent(), dvfs, ..Machine::intel_laptop() }
     }
 
     #[test]

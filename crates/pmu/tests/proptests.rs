@@ -1,7 +1,7 @@
 //! Property-based tests for the power-management simulator.
 
 use emsc_pmu::noise::NoiseConfig;
-use emsc_pmu::sim::{Machine, MachineBuilder};
+use emsc_pmu::sim::Machine;
 use emsc_pmu::timer::SleepModel;
 use emsc_pmu::workload::{Op, Program};
 use proptest::prelude::*;
@@ -38,7 +38,7 @@ proptest! {
     fn trace_lasts_at_least_the_nominal_program(program in small_program(), seed in any::<u64>()) {
         // Sleeps are never shortened and busy work must execute, so
         // the trace can't be shorter than the nominal duration.
-        let machine = MachineBuilder::new().noise(NoiseConfig::silent()).build();
+        let machine = Machine { noise: NoiseConfig::silent(), ..Machine::intel_laptop() };
         let nominal = program.nominal_duration_s(machine.nominal_ips());
         let trace = machine.run(&program, seed);
         prop_assert!(trace.duration_s() >= nominal - 1e-9);
@@ -46,7 +46,7 @@ proptest! {
 
     #[test]
     fn busy_iterations_are_conserved(iters in 1u64..20_000_000, seed in any::<u64>()) {
-        let machine = MachineBuilder::new().noise(NoiseConfig::silent()).build();
+        let machine = Machine { noise: NoiseConfig::silent(), ..Machine::intel_laptop() };
         let mut p = Program::new();
         p.busy(iters);
         let trace = machine.run(&p, seed);
@@ -81,11 +81,7 @@ proptest! {
     #[test]
     fn disabled_everything_is_flat(program in small_program(), seed in any::<u64>()) {
         use emsc_pmu::governor::{CStatePolicy, DvfsPolicy};
-        let machine = MachineBuilder::new()
-            .noise(NoiseConfig::silent())
-            .cstates(CStatePolicy::disabled())
-            .dvfs(DvfsPolicy::disabled())
-            .build();
+        let machine = Machine { noise: NoiseConfig::silent(), cstates: CStatePolicy::disabled(), dvfs: DvfsPolicy::disabled(), ..Machine::intel_laptop() };
         let trace = machine.run(&program, seed);
         if !trace.segments().is_empty() {
             let min = trace.segments().iter().map(|s| s.current_a).fold(f64::INFINITY, f64::min);

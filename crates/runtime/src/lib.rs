@@ -134,22 +134,10 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    par_map_indexed(items, |_, item| f(item))
-}
-
-/// Like [`par_map`], but the closure also receives the item's index —
-/// the natural shape for grids whose cells derive their seed from
-/// their position via [`seed_for`].
-pub fn par_map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let n = items.len();
     let threads = current_threads().min(n);
     if threads <= 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
+        return items.iter().map(f).collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -170,7 +158,7 @@ where
                         // A send only fails if the receiver is gone,
                         // which cannot happen while the scope holds
                         // `rx` alive.
-                        let _ = tx.send((i, f(i, &items[i])));
+                        let _ = tx.send((i, f(&items[i])));
                     }
                 })
             })
@@ -190,14 +178,6 @@ where
         slots[i] = Some(r);
     }
     slots.into_iter().map(|s| s.expect("par_map worker dropped an item")).collect()
-}
-
-/// Runs independent closures of a common result type concurrently,
-/// returning their results in argument order. The fan-out primitive
-/// for heterogeneous cells (e.g. the normal and stormy arms of
-/// Fig. 8, or the artefact list of the `reproduce` binary).
-pub fn par_invoke<R: Send>(tasks: Vec<Box<dyn Fn() -> R + Send + Sync + '_>>) -> Vec<R> {
-    par_map(&tasks, |task| task())
 }
 
 #[cfg(test)]
@@ -298,16 +278,6 @@ mod tests {
             (0..64u64).map(|i| (seed_for(2020, i) ^ seed_for(2021, i)).count_ones()).sum();
         let mean = flips as f64 / 64.0;
         assert!((20.0..44.0).contains(&mean), "weak avalanche: {mean} bits");
-    }
-
-    #[test]
-    fn par_invoke_runs_heterogeneous_tasks_in_order() {
-        let tasks: Vec<Box<dyn Fn() -> String + Send + Sync>> = vec![
-            Box::new(|| "a".to_string()),
-            Box::new(|| "b".to_string()),
-            Box::new(|| "c".to_string()),
-        ];
-        assert_eq!(with_threads(3, || par_invoke(tasks)), vec!["a", "b", "c"]);
     }
 
     #[test]

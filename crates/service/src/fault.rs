@@ -5,7 +5,7 @@
 //! (a wedged driver), transfers arrive truncated or reordered, and a
 //! dying front end pollutes its samples with garbage. [`FaultPlan`]
 //! encodes such a failure history as an explicit, seed-derivable
-//! schedule of [`FaultEvent`]s on the supervisor's simulated clock, so
+//! schedule of [`FaultEvent`]s on the supervisor's tick count, so
 //! an entire soak run — faults, restarts, backoff jitter and all — is
 //! a pure function of `(plan, seed)` and replays bit-identically.
 //!

@@ -16,10 +16,9 @@
 //!   and incremental spooled `rtl_sdr` u8 decoding;
 //! - [`fault`] — deterministic fault plans (disconnects, stalls,
 //!   truncation, corruption, reordering, poison) scheduled on the
-//!   simulated clock;
+//!   supervisor's tick count;
 //! - [`policy`] — the restart budget, backoff, watchdog and poison
 //!   constants, and the per-sensor backpressure and rotation policy;
-//! - [`clock`] — the simulated clock every timeout is counted on;
 //! - [`soak`](mod@soak) — experiment E5: a ten-sensor soak under an
 //!   escalating fault schedule, scored against unfaulted batch references.
 //!
@@ -31,14 +30,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
 pub mod fault;
 pub mod policy;
 pub mod soak;
 pub mod source;
 pub mod supervisor;
 
-pub use clock::SimClock;
 pub use fault::{Fault, FaultEvent, FaultPlan};
 pub use policy::{BackpressurePolicy, SensorPolicy};
 pub use soak::{render_soak_rows, soak, SoakOutcome, SoakRow};

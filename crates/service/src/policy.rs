@@ -5,8 +5,8 @@
 //! (2 consecutive majority-non-finite chunks); the pull rate,
 //! backpressure and rotation vary per sensor ([`SensorPolicy`]).
 //!
-//! Everything here is counted in ticks of the supervisor's
-//! [`crate::clock::SimClock`] and derives any randomness (backoff
+//! Everything here is counted in supervisor ticks, one per
+//! scheduling round, and derives any randomness (backoff
 //! jitter) positionally from seeds via [`emsc_runtime::seed_for`], so
 //! policy decisions replay bit-identically.
 

@@ -37,7 +37,7 @@ use emsc_core::laptop::Laptop;
 use emsc_core::session::SessionOutput;
 use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_keylog::detect::Detector;
-use emsc_runtime::{par_map_indexed, seed_for};
+use emsc_runtime::{par_map, seed_for};
 use emsc_sdr::iq::Complex;
 use emsc_sdr::record::{read_rtl_u8, write_rtl_u8};
 use emsc_sdr::Capture;
@@ -144,7 +144,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
     // recording (sensor 7, seed index 7).
     let entries: Vec<(usize, &Laptop)> =
         laptops.iter().take(6).enumerate().chain(std::iter::once((7usize, &laptops[0]))).collect();
-    let builds = par_map_indexed(&entries, |_, &(seed_index, laptop)| {
+    let builds = par_map(&entries, |&(seed_index, laptop)| {
         covert_build(laptop, seed_for(seed, seed_index as u64))
     });
 

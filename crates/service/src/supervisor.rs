@@ -26,11 +26,12 @@
 //!   [`Supervisor::shutdown`] drains every queue and finalises every
 //!   stream before the daemon exits.
 //!
-//! The whole loop runs on a [`SimClock`] and injects faults only from
-//! an explicit [`FaultPlan`], so a soak run — restarts, jitter,
-//! quarantines and all — replays bit-identically at any
-//! `EMSC_THREADS` setting: the only parallelism is the registry's
-//! `pump`, which is itself deterministic.
+//! The whole loop counts time in ticks, one per scheduling round,
+//! never in wall time, and injects faults only from an explicit
+//! [`FaultPlan`], so a soak run — restarts, jitter, quarantines and
+//! all — replays bit-identically at any `EMSC_THREADS` setting: the
+//! only parallelism is the registry's `pump`, which is itself
+//! deterministic.
 
 use std::collections::VecDeque;
 
@@ -40,7 +41,6 @@ use emsc_keylog::detect::DetectorConfig;
 use emsc_runtime::seed_for;
 use emsc_sdr::iq::Complex;
 
-use crate::clock::SimClock;
 use crate::fault::{Fault, FaultPlan};
 use crate::policy::{
     backoff_ticks, BackpressurePolicy, SensorPolicy, MAX_CORRUPT_CHUNKS, MAX_RESTARTS,
@@ -133,7 +133,8 @@ pub struct ServiceConfig {
     pub base_seed: u64,
     /// Per-session registry buffer limit, samples.
     pub buffer_limit: usize,
-    /// Simulated seconds per supervisor tick (reporting only).
+    /// Simulated seconds per supervisor tick (reporting only; a
+    /// duration that is not finite and positive reports 0 s).
     pub tick_duration_s: f64,
     /// Hard stop for [`Supervisor::run`], ticks.
     pub max_ticks: u64,
@@ -269,7 +270,9 @@ impl SensorSlot {
 /// The supervised, fault-tolerant capture daemon.
 pub struct Supervisor {
     config: ServiceConfig,
-    clock: SimClock,
+    /// Scheduling rounds run so far: the time every timeout, backoff
+    /// and fault schedule is counted in.
+    ticks: u64,
     registry: SessionRegistry,
     plan: FaultPlan,
     sensors: Vec<SensorSlot>,
@@ -281,7 +284,7 @@ impl Supervisor {
     /// (use [`FaultPlan::none`] for a clean run).
     pub fn new(config: ServiceConfig, plan: FaultPlan) -> Self {
         Supervisor {
-            clock: SimClock::new(config.tick_duration_s),
+            ticks: 0,
             registry: SessionRegistry::new(config.base_seed, config.buffer_limit),
             config,
             plan,
@@ -338,7 +341,7 @@ impl Supervisor {
             Err(why) => {
                 slot.state = LifecycleState::Quarantined;
                 self.events.push(ServiceEvent {
-                    tick: self.clock.now(),
+                    tick: self.ticks,
                     sensor: index,
                     what: format!("quarantined at admission: {why}"),
                 });
@@ -358,7 +361,8 @@ impl Supervisor {
     /// pumps the registry across the worker pool. Returns `false` once
     /// every sensor is terminal.
     pub fn tick(&mut self) -> bool {
-        let now = self.clock.advance();
+        self.ticks += 1;
+        let now = self.ticks;
         self.inject_due_faults(now);
         for k in 0..self.sensors.len() {
             self.step_sensor(k, now);
@@ -370,7 +374,7 @@ impl Supervisor {
     /// Drives [`Supervisor::tick`] until every sensor is terminal or
     /// `max_ticks` is reached, then drains, shuts down and reports.
     pub fn run(&mut self) -> ServiceReport {
-        while self.clock.now() < self.config.max_ticks && self.tick() {}
+        while self.ticks < self.config.max_ticks && self.tick() {}
         self.shutdown()
     }
 
@@ -381,7 +385,7 @@ impl Supervisor {
     /// mid-backoff keep their [`LifecycleState::Restarting`] state —
     /// the daemon stopped, they did not fail.
     pub fn shutdown(&mut self) -> ServiceReport {
-        let now = self.clock.now();
+        let now = self.ticks;
         for k in 0..self.sensors.len() {
             let slot = &mut self.sensors[k];
             let Some(id) = slot.session else { continue };
@@ -415,9 +419,14 @@ impl Supervisor {
     /// The report as of now (sensors may still be live; [`Supervisor::run`]
     /// and [`Supervisor::shutdown`] return the final one).
     pub fn report(&self) -> ServiceReport {
+        let tick_s = self.config.tick_duration_s;
         ServiceReport {
-            ticks: self.clock.now(),
-            elapsed_s: self.clock.elapsed_s(),
+            ticks: self.ticks,
+            elapsed_s: if tick_s.is_finite() && tick_s > 0.0 {
+                self.ticks as f64 * tick_s
+            } else {
+                0.0
+            },
             sensors: self
                 .sensors
                 .iter()
@@ -1067,5 +1076,17 @@ mod tests {
             sup.run()
         };
         assert_eq!(run(), run(), "same plan and seed must replay bit-identically");
+    }
+
+    #[test]
+    fn degenerate_tick_durations_clamp_to_zero() {
+        for bad in [f64::NAN, f64::NEG_INFINITY, -1.0] {
+            let config = ServiceConfig { tick_duration_s: bad, ..ServiceConfig::default() };
+            let mut sup = Supervisor::new(config, FaultPlan::none());
+            sup.tick();
+            let report = sup.report();
+            assert_eq!(report.ticks, 1);
+            assert_eq!(report.elapsed_s, 0.0, "tick duration {bad}");
+        }
     }
 }

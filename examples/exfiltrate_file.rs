@@ -30,8 +30,8 @@ fn main() {
     let scenario = CovertScenario::for_laptop(&laptop, chain);
 
     let bits = packetize(file, config);
-    let (rx_bits, report) = scenario.run_bits(&bits, 0xF12B);
-    let out = depacketize(&rx_bits, config, Some(n_packets));
+    let report = scenario.run_bits(&bits, 0xF12B);
+    let out = depacketize(&report.bits, config, Some(n_packets));
 
     println!();
     println!(

@@ -24,8 +24,8 @@ fn packetised_transfer_survives_the_air() {
     let n = file.len().div_ceil(config.packet_bytes);
 
     let bits = packetize(file, config);
-    let (rx_bits, _) = scenario.run_bits(&bits, 0xFA57);
-    let out = depacketize(&rx_bits, config, Some(n));
+    let report = scenario.run_bits(&bits, 0xFA57);
+    let out = depacketize(&report.bits, config, Some(n));
     // Indels can cost a packet, never the rest.
     assert!(out.packets.len() >= n - 1, "{} of {} packets", out.packets.len(), n);
     let recovered_bytes = out.payload.len();
@@ -111,7 +111,7 @@ fn two_transmitters_share_the_ether_by_frequency_division() {
         // Build the laptop's transmission and render it through a
         // noiseless scene tuned to the *shared* receiver frequency.
         let chain = Chain::new(laptop, Setup::NearField);
-        let tx = TxConfig::calibrated_with_overhead(
+        let tx = TxConfig::calibrated(
             &chain.machine,
             laptop.tx_active_period_s(),
             laptop.tx_sleep_period_s(),

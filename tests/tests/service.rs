@@ -41,6 +41,23 @@ fn soak_is_thread_invariant_rerunnable_and_meets_policy() {
 
     check_policy_and_references(&serial);
 
+    // The supervision log itself is pinned: every event (tick, sensor,
+    // text) and the bits of the tick count and elapsed time. Golden
+    // FNV-1a digest of seed 2020's run.
+    let report = &serial.report;
+    let mut bytes = report.ticks.to_le_bytes().to_vec();
+    bytes.extend(report.elapsed_s.to_bits().to_le_bytes());
+    for event in &report.events {
+        bytes.extend(event.tick.to_le_bytes());
+        bytes.extend((event.sensor as u64).to_le_bytes());
+        bytes.extend((event.what.len() as u64).to_le_bytes());
+        bytes.extend(event.what.as_bytes());
+    }
+    let digest = bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+    assert_eq!(digest, 0xc297_a819_c463_87eb, "E5 supervision log moved: {:?}", report.events);
+
     // A different seed must actually change the run (fault jitter,
     // captures, backoff) — otherwise the seed is decorative.
     let other = soak(seed + 1);
