@@ -97,24 +97,18 @@ impl Chain {
 
     /// Runs a program through the whole chain.
     pub fn run_program(&self, program: &Program, seed: u64) -> ChainRun {
-        let trace = self.machine.run(program, seed);
-        self.finish(trace, seed)
+        self.run_trace(self.machine.run(program, seed), seed)
     }
 
     /// Runs an event-driven scenario (idle machine + injected bursts).
     pub fn run_events(&self, duration_s: f64, events: &[ExternalEvent], seed: u64) -> ChainRun {
-        let trace = self.machine.run_events(duration_s, events, seed);
-        self.finish(trace, seed)
+        self.run_trace(self.machine.run_events(duration_s, events, seed), seed)
     }
 
-    /// Pushes an externally-built power trace (e.g. a multi-core
-    /// composition from [`emsc_pmu::multicore`]) through the VRM → EM
-    /// → SDR stages.
+    /// Pushes a power trace, from [`Machine::run`] or built outside
+    /// it (e.g. a multi-core composition from
+    /// [`emsc_pmu::multicore`]), through the VRM → EM → SDR stages.
     pub fn run_trace(&self, trace: PowerTrace, seed: u64) -> ChainRun {
-        self.finish(trace, seed)
-    }
-
-    fn finish(&self, trace: PowerTrace, seed: u64) -> ChainRun {
         // Fused blockwise path (see `crate::fused`): one
         // cache-resident pass per block, bit-identical at any block size.
         crate::fused::ChainStream::new(self, trace, seed).into_run()

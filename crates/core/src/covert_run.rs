@@ -15,6 +15,7 @@ use emsc_pmu::workload::Program;
 use emsc_sdr::impair::{apply_all, Impairment};
 
 use crate::chain::{Chain, ChainRun};
+use crate::fused::ChainStream;
 use crate::laptop::{Laptop, Os};
 
 /// Idle time the chain simulates before and after the transmission,
@@ -299,14 +300,15 @@ impl CovertScenario {
     }
 
     /// [`CovertScenario::run`] without ever materialising the capture:
-    /// the fused chain ([`Chain::stream_trace`]) digitises block by
+    /// the fused chain ([`ChainStream`]) digitises block by
     /// block into the chunk-oblivious [`StreamingReceiver`], so the
     /// run's peak resident sample count is the analog arena plus one
     /// block instead of analog + capture. Bit-identical metrics to the
     /// unimpaired batch path for the same `(payload, seed)`.
     pub fn run_streamed(&self, payload: &[u8], seed: u64) -> CovertOutcome<()> {
         let tx_bits = Transmitter::new(self.tx).on_air_bits(payload);
-        let mut stream = self.chain.stream_program(&self.transfer_program(&tx_bits), seed);
+        let trace = self.chain.machine.run(&self.transfer_program(&tx_bits), seed);
+        let mut stream = ChainStream::new(&self.chain, trace, seed);
         let sample_rate = self.chain.frontend.sample_rate;
         let center_freq = self.chain.frontend.center_freq;
         // A failure counts whether it surfaces at construction (bad

@@ -119,18 +119,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn severity_stacks_grow_monotonically() {
-        for s in 0..SEVERITY_LEVELS - 1 {
-            assert!(
-                severity_stack(s).len() <= severity_stack(s + 1).len(),
-                "severity {s} stack larger than severity {}",
-                s + 1
-            );
-        }
-        assert!(severity_stack(0).is_empty());
-    }
-
-    #[test]
     fn severity_zero_is_bit_identical_to_the_unimpaired_run() {
         // The clean row of the E3 sweep must be *exactly* the
         // unimpaired scenario — same capture bits, same decode — for

@@ -21,7 +21,7 @@
 //! `seed_for(seed, i)` — the same positional seed the registry
 //! derives for the i-th opened session.
 
-use emsc_covert::rx::{Receiver, RxConfig, RxError, RxReport};
+use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_keylog::detect::{Detector, DetectorConfig};
 use emsc_runtime::{par_map, seed_for};
 use emsc_sdr::iq::Complex;
@@ -57,18 +57,39 @@ pub struct StreamingRow {
     /// Whether the streamed output is exactly the batch output
     /// (reports compared field-for-field, errors compared as values).
     pub matches_batch: bool,
-    /// Human-readable result: decoded bit count, detected burst
-    /// count, or the stream's typed error.
+    /// Human-readable result ([`SessionOutput::label`]).
     pub outcome: String,
 }
 
-/// What one sensor feeds the registry and how it is checked.
-enum Sensor {
-    /// A covert transmission captured near-field from a laptop, with
-    /// the batch receiver's result on the same capture.
-    Covert { label: String, rx: RxConfig, capture: Capture, batch: Box<Result<RxReport, RxError>> },
-    /// A keylogging capture with tone bursts over a noise floor.
-    Keylog { label: String, config: DetectorConfig, capture: Capture },
+/// What one sensor feeds the registry, and the batch output its stream
+/// must equal.
+struct Sensor {
+    label: String,
+    receiver: SensorReceiver,
+    capture: Capture,
+    batch: SessionOutput,
+}
+
+/// The stream machine a sensor's session runs.
+enum SensorReceiver {
+    Covert(RxConfig),
+    Keylog(DetectorConfig),
+}
+
+/// Seeded uniform noise, `n` samples with both rails equal and within
+/// `±amplitude / 2`: the floor under every synthetic live-receive
+/// capture (xorshift64 from `seed | 1`).
+pub fn seeded_noise(seed: u64, n: usize, amplitude: f64) -> Vec<Complex> {
+    let mut state = seed | 1;
+    (0..n)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let u = (state % 10_000) as f64 / 10_000.0 - 0.5;
+            Complex::new(amplitude * u, amplitude * u)
+        })
+        .collect()
 }
 
 /// Synthetic keylogging capture: two keystroke-like tone bursts over
@@ -81,15 +102,7 @@ pub fn keylog_capture(seed: u64) -> (DetectorConfig, Capture) {
     let f_sw = 970e3;
     let f_bb = f_sw - center;
     let n = (0.4 * fs) as usize;
-    let mut samples = vec![Complex::ZERO; n];
-    let mut state = seed | 1;
-    for s in samples.iter_mut() {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        let u = (state % 10_000) as f64 / 10_000.0 - 0.5;
-        *s = Complex::new(0.02 * u, 0.02 * u);
-    }
+    let mut samples = seeded_noise(seed, n, 0.02);
     for &(t0, dur) in &[(0.08, 0.05), (0.25, 0.06)] {
         let a = (t0 * fs) as usize;
         let b = (((t0 + dur) * fs) as usize).min(n);
@@ -100,47 +113,60 @@ pub fn keylog_capture(seed: u64) -> (DetectorConfig, Capture) {
     (DetectorConfig::new(f_sw), Capture { samples, sample_rate: fs, center_freq: center })
 }
 
+/// Synthetic covert sensor: `laptop` sends `payload` near-field under
+/// `seed`. Returns the receiver configuration, the capture and the
+/// batch reference a stream of that capture must equal (the run's own
+/// batch decode). Shared with the E5 service soak.
+pub fn covert_capture(
+    laptop: &Laptop,
+    payload: &[u8],
+    seed: u64,
+) -> (RxConfig, Capture, SessionOutput) {
+    let chain = Chain::new(laptop, Setup::NearField);
+    let scenario = CovertScenario::for_laptop(laptop, chain);
+    let outcome = scenario.run(payload, seed);
+    let batch = outcome.rx_error.map_or(Ok(outcome.report), Err);
+    (scenario.rx, outcome.chain_run.capture, SessionOutput::Covert(batch))
+}
+
 /// Builds the sensor fleet for a base seed: one covert sensor per
 /// Table I laptop, one keylogging sensor, one poisoned stream. Sensor
 /// i's capture is synthesised under `seed_for(seed, i)`.
 fn build_sensors(seed: u64) -> Vec<Sensor> {
     let laptops = Laptop::all();
-    let keylog_index = laptops.len() as u64;
-    let poison_index = keylog_index + 1;
-
     let indices: Vec<usize> = (0..laptops.len()).collect();
     let mut sensors: Vec<Sensor> = par_map(&indices, |&i| {
         let laptop = &laptops[i];
-        let chain = Chain::new(laptop, Setup::NearField);
-        let scenario = CovertScenario::for_laptop(laptop, chain);
-        // The run's own batch decode is the reference.
-        let outcome = scenario.run(b"stream-e4", seed_for(seed, i as u64));
-        Sensor::Covert {
+        let (rx, capture, batch) = covert_capture(laptop, b"stream-e4", seed_for(seed, i as u64));
+        Sensor {
             label: laptop.model.to_string(),
-            rx: scenario.rx,
-            capture: outcome.chain_run.capture,
-            batch: Box::new(outcome.rx_error.map_or(Ok(outcome.report), Err)),
+            receiver: SensorReceiver::Covert(rx),
+            capture,
+            batch,
         }
     });
 
-    let (config, capture) = keylog_capture(seed_for(seed, keylog_index));
-    sensors.push(Sensor::Keylog { label: "keylog sensor".to_string(), config, capture });
+    let (config, capture) = keylog_capture(seed_for(seed, laptops.len() as u64));
+    let batch = SessionOutput::Keylog(Detector::new(config.clone()).try_detect(&capture));
+    sensors.push(Sensor {
+        label: "keylog sensor".to_string(),
+        receiver: SensorReceiver::Keylog(config),
+        capture,
+        batch,
+    });
 
     // A sensor whose radio went bad mid-run: every sample non-finite.
-    // SplitMix-derived seed recorded for the row, content is fixed.
-    let _ = seed_for(seed, poison_index);
     let dead = Capture {
         samples: vec![Complex::new(f64::NAN, f64::NAN); 50_000],
         sample_rate: 2.4e6,
         center_freq: 1.455e6,
     };
     let laptop = Laptop::dell_inspiron();
-    let chain = Chain::new(&laptop, Setup::NearField);
-    let scenario = CovertScenario::for_laptop(&laptop, chain);
-    let batch = Box::new(Receiver::new(scenario.rx.clone()).receive(&dead));
-    sensors.push(Sensor::Covert {
+    let rx = CovertScenario::for_laptop(&laptop, Chain::new(&laptop, Setup::NearField)).rx;
+    let batch = SessionOutput::Covert(Receiver::new(rx.clone()).receive(&dead));
+    sensors.push(Sensor {
         label: "poisoned stream".to_string(),
-        rx: scenario.rx,
+        receiver: SensorReceiver::Covert(rx),
         capture: dead,
         batch,
     });
@@ -157,13 +183,16 @@ pub fn streaming_sessions(seed: u64) -> Vec<StreamingRow> {
     // Open in fleet order so registry seeds line up positionally.
     let ids: Vec<_> = sensors
         .iter()
-        .map(|sensor| match sensor {
-            Sensor::Covert { rx, capture, .. } => reg
-                .open_covert(rx.clone(), capture.sample_rate, capture.center_freq)
-                .expect("covert sensor admits"),
-            Sensor::Keylog { config, capture, .. } => reg
-                .open_keylog(config.clone(), capture.sample_rate, capture.center_freq)
-                .expect("keylog sensor admits"),
+        .map(|sensor| {
+            let (fs, fc) = (sensor.capture.sample_rate, sensor.capture.center_freq);
+            match &sensor.receiver {
+                SensorReceiver::Covert(rx) => {
+                    reg.open_covert(rx.clone(), fs, fc).expect("covert sensor admits")
+                }
+                SensorReceiver::Keylog(config) => {
+                    reg.open_keylog(config.clone(), fs, fc).expect("keylog sensor admits")
+                }
+            }
         })
         .collect();
 
@@ -174,9 +203,7 @@ pub fn streaming_sessions(seed: u64) -> Vec<StreamingRow> {
     loop {
         let mut progressed = false;
         for (k, sensor) in sensors.iter().enumerate() {
-            let samples = match sensor {
-                Sensor::Covert { capture, .. } | Sensor::Keylog { capture, .. } => &capture.samples,
-            };
+            let samples = &sensor.capture.samples;
             if offsets[k] >= samples.len() {
                 continue;
             }
@@ -201,35 +228,14 @@ pub fn streaming_sessions(seed: u64) -> Vec<StreamingRow> {
         .enumerate()
         .map(|(k, (sensor, &id))| {
             let closed = reg.finish(id).expect("session closes");
-            let (label, samples, matches_batch, outcome) = match sensor {
-                Sensor::Covert { label, capture, batch, .. } => {
-                    let outcome = match &closed.output {
-                        SessionOutput::Covert(Ok(r)) => format!("bits={}", r.bits.len()),
-                        SessionOutput::Covert(Err(e)) => format!("error: {e}"),
-                        other => format!("wrong stream type: {other:?}"),
-                    };
-                    let matches = closed.output == SessionOutput::Covert(*batch);
-                    (label, capture.samples.len(), matches, outcome)
-                }
-                Sensor::Keylog { label, config, capture } => {
-                    let batch = Detector::new(config).try_detect(&capture);
-                    let outcome = match &closed.output {
-                        SessionOutput::Keylog(Ok(r)) => format!("bursts={}", r.bursts.len()),
-                        SessionOutput::Keylog(Err(e)) => format!("error: {e}"),
-                        other => format!("wrong stream type: {other:?}"),
-                    };
-                    let matches = closed.output == SessionOutput::Keylog(batch);
-                    (label, capture.samples.len(), matches, outcome)
-                }
-            };
             StreamingRow {
-                sensor: label,
+                sensor: sensor.label,
                 seed: closed.stats.seed,
                 chunk_samples: CHUNK_SIZES[k % CHUNK_SIZES.len()],
-                samples,
+                samples: sensor.capture.samples.len(),
                 chunks_rejected: closed.stats.chunks_rejected,
-                matches_batch,
-                outcome,
+                matches_batch: closed.output == sensor.batch,
+                outcome: closed.output.label(),
             }
         })
         .collect()

@@ -87,7 +87,7 @@ fn recycle_scratch(scratch: ChainScratch) {
 }
 
 /// A blockwise producer of digitised capture samples for one chain
-/// run. Created by [`Chain::stream_trace`]; drained by
+/// run. Created by [`ChainStream::new`]; drained by
 /// [`ChainStream::next_block`] into a streaming consumer, or collected
 /// whole by [`ChainStream::into_run`].
 #[derive(Debug)]
@@ -213,21 +213,6 @@ impl ChainStream {
     }
 }
 
-impl Chain {
-    /// Starts a fused blockwise run from an externally-built power
-    /// trace: the streaming sibling of [`Chain::run_trace`].
-    pub fn stream_trace(&self, trace: PowerTrace, seed: u64) -> ChainStream {
-        ChainStream::new(self, trace, seed)
-    }
-
-    /// [`Chain::stream_trace`] for a program (the streaming sibling of
-    /// [`Chain::run_program`]).
-    pub fn stream_program(&self, program: &emsc_pmu::workload::Program, seed: u64) -> ChainStream {
-        let trace = self.machine.run(program, seed);
-        self.stream_trace(trace, seed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,7 +295,7 @@ mod tests {
         let program = Program::alternating(250e-6, 250e-6, 8, chain.machine.steady_state_ips());
         let trace = chain.machine.run(&program, 11);
         let reference = chain.run_trace(trace.clone(), 11);
-        let mut stream = chain.stream_trace(trace, 11);
+        let mut stream = ChainStream::new(&chain, trace, 11);
         let first = stream.next_block().expect("non-empty run").to_vec();
         assert_eq!(first[..], reference.capture.samples[..first.len()]);
         let run = stream.into_run();

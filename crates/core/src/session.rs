@@ -76,29 +76,17 @@ impl std::fmt::Display for SessionError {
 impl std::error::Error for SessionError {}
 
 /// Per-session counters, maintained across [`SessionRegistry::offer`]
-/// and [`SessionRegistry::pump`] calls.
+/// and [`SessionRegistry::pump`] calls. A stream's own failure is
+/// read from its [`SessionOutput`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Seed derived for this stream at open time
     /// (`seed_for(base_seed, open_index)`).
     pub seed: u64,
-    /// Chunks accepted by [`SessionRegistry::offer`].
-    pub chunks_accepted: usize,
     /// Chunks rejected for backpressure.
     pub chunks_rejected: usize,
-    /// Samples accepted into the buffer overall.
-    pub samples_accepted: usize,
     /// Samples already pushed through the stream's state machine.
     pub samples_processed: usize,
-    /// Samples currently buffered (accepted, not yet pumped).
-    pub buffered: usize,
-    /// Typed stream errors this session has surfaced (today a stream
-    /// can fail at most once, at finish; the counter stays cumulative
-    /// so callers aggregating rotated sessions can just add stats).
-    pub stream_errors: usize,
-    /// Kind label of the most recent stream error, e.g.
-    /// `"rx-sync-lost"` (see [`SessionOutput::error_kind`]).
-    pub last_error: Option<&'static str>,
 }
 
 /// Final product of a finished session.
@@ -130,9 +118,20 @@ impl SessionOutput {
         }
     }
 
+    /// One-line outcome for tables: `bits=N` for a covert report,
+    /// `bursts=N` for a keylog report, or `error: …` with the stream's
+    /// typed error.
+    pub fn label(&self) -> String {
+        match self {
+            SessionOutput::Covert(Ok(r)) => format!("bits={}", r.bits.len()),
+            SessionOutput::Keylog(Ok(r)) => format!("bursts={}", r.bursts.len()),
+            SessionOutput::Covert(Err(e)) => format!("error: {e}"),
+            SessionOutput::Keylog(Err(e)) => format!("error: {e}"),
+        }
+    }
+
     /// Short static label of the stream's error kind, if it failed —
-    /// the value recorded in [`SessionStats::last_error`] and coarse
-    /// enough to aggregate across sessions (`"rx-capture"`,
+    /// coarse enough to aggregate across sessions (`"rx-capture"`,
     /// `"rx-no-carrier"`, `"rx-sync-lost"`, `"rx-config"`,
     /// `"keylog-capture"`, `"keylog-config"`).
     pub fn error_kind(&self) -> Option<&'static str> {
@@ -170,12 +169,8 @@ enum StreamMachine {
 impl StreamMachine {
     fn push(&mut self, chunk: &[Complex]) {
         match self {
-            StreamMachine::Covert(rx) => {
-                rx.push(chunk);
-            }
-            StreamMachine::Keylog(det) => {
-                det.push(chunk);
-            }
+            StreamMachine::Covert(rx) => rx.push(chunk),
+            StreamMachine::Keylog(det) => det.push(chunk),
         }
     }
 
@@ -312,9 +307,6 @@ impl SessionRegistry {
             });
         }
         slot.buffer.extend_from_slice(chunk);
-        slot.stats.chunks_accepted += 1;
-        slot.stats.samples_accepted += chunk.len();
-        slot.stats.buffered = slot.buffer.len();
         Ok(())
     }
 
@@ -342,7 +334,6 @@ impl SessionRegistry {
             let pushed = slot.buffer.len();
             slot.buffer.clear();
             slot.stats.samples_processed += pushed;
-            slot.stats.buffered = 0;
             pushed
         });
         counts.iter().sum()
@@ -362,14 +353,8 @@ impl SessionRegistry {
             let buffer = std::mem::take(&mut slot.buffer);
             slot.machine.push(&buffer);
             slot.stats.samples_processed += buffer.len();
-            slot.stats.buffered = 0;
         }
-        let output = slot.machine.finish();
-        if let Some(kind) = output.error_kind() {
-            slot.stats.stream_errors += 1;
-            slot.stats.last_error = Some(kind);
-        }
-        Ok(ClosedSession { output, stats: slot.stats })
+        Ok(ClosedSession { output: slot.machine.finish(), stats: slot.stats })
     }
 
     /// Abandons a session without finalising its stream: buffered
@@ -378,8 +363,7 @@ impl SessionRegistry {
     /// stalled or poisoned stream's half-built acquisition state is
     /// worthless, and running `finish` on it would waste a full decode
     /// only to produce a report nobody trusts. Returns the counters at
-    /// abort time (with `buffered` still reflecting the discarded
-    /// backlog, so callers can account for the loss).
+    /// abort time.
     ///
     /// # Errors
     ///
@@ -446,7 +430,6 @@ mod tests {
         assert!(reg.is_empty());
         assert_eq!(closed.output, SessionOutput::Covert(Ok(batch)));
         assert_eq!(closed.stats.samples_processed, capture.samples.len());
-        assert_eq!(closed.stats.buffered, 0);
     }
 
     #[test]
@@ -459,13 +442,10 @@ mod tests {
         reg.offer(id, &capture.samples[..800]).expect("fits");
         let err = reg.offer(id, &capture.samples[800..1800]).unwrap_err();
         assert_eq!(err, SessionError::RejectedFull { buffered: 800, offered: 1000, limit: 1000 });
-        let stats = reg.stats(id).unwrap();
-        assert_eq!(stats.chunks_rejected, 1);
-        assert_eq!(stats.samples_accepted, 800);
-        assert_eq!(stats.buffered, 800);
-        reg.pump();
-        assert_eq!(reg.stats(id).unwrap().buffered, 0);
+        assert_eq!(reg.stats(id).unwrap().chunks_rejected, 1);
+        assert_eq!(reg.pump(), 800, "the rejected chunk was not buffered");
         reg.offer(id, &capture.samples[800..1800]).expect("fits after pump");
+        assert_eq!(reg.stats(id).unwrap().samples_processed, 800);
     }
 
     #[test]
@@ -550,15 +530,18 @@ mod tests {
         reg.pump();
 
         let ok = reg.finish(good).expect("finish good");
-        assert_eq!(ok.stats.stream_errors, 0);
-        assert_eq!(ok.stats.last_error, None);
+        assert_eq!(ok.stats.samples_processed, capture.samples.len());
         assert!(!ok.output.is_err());
         assert_eq!(ok.output.error_kind(), None);
 
         let failed = reg.finish(bad).expect("finish bad");
-        assert_eq!(failed.stats.stream_errors, 1);
+        assert_eq!(
+            failed.stats.samples_processed, 50_000,
+            "a failed stream still counts its samples"
+        );
+        assert_eq!(failed.stats.chunks_rejected, 0);
         assert!(failed.output.is_err());
-        assert_eq!(failed.stats.last_error, failed.output.error_kind());
+        assert_eq!(failed.output.error_kind(), Some("rx-capture"));
         assert!(
             failed.output.is_retryable_err(),
             "an all-NaN capture is a transient device fault: {:?}",
@@ -573,10 +556,11 @@ mod tests {
         let id = reg
             .open_covert(scenario.rx.clone(), capture.sample_rate, capture.center_freq)
             .expect("open");
-        reg.offer(id, &capture.samples[..10_000]).unwrap();
+        reg.offer(id, &capture.samples[..4_000]).unwrap();
+        reg.pump();
+        reg.offer(id, &capture.samples[4_000..10_000]).unwrap();
         let stats = reg.abort(id).expect("abort");
-        assert_eq!(stats.samples_accepted, 10_000);
-        assert_eq!(stats.buffered, 10_000, "abort reports the discarded backlog");
+        assert_eq!(stats.samples_processed, 4_000, "the buffered backlog is discarded unprocessed");
         assert!(reg.is_empty());
         assert_eq!(reg.abort(id), Err(SessionError::UnknownSession), "double abort must fail");
         assert!(reg.finish(id).is_err(), "aborted session cannot be finished");

@@ -56,12 +56,10 @@ pub mod tx;
 pub use adapt::{AdaptPolicy, ProbeOutcome, RateController, RateLadder, RateStep};
 pub use coding::CodingStats;
 pub use frame::{on_air_frame_len, salvage_marker_bits, FrameError, Salvage};
-pub use marker::{
-    blind_lock, marker_decode, marker_encode, MarkerConfig, MarkerStats, MarkerStream,
-};
+pub use marker::{blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream};
 pub use metrics::{
     align, align_semiglobal, align_trace, codeword_audit, AlignOp, Alignment, CodewordAudit,
 };
 pub use rx::{Receiver, RxConfig, RxError, RxReport, SyncLoss};
-pub use stream::{Deframer, FrameEvent, RxProgress, StreamingReceiver};
+pub use stream::{Deframer, FrameEvent, StreamingReceiver};
 pub use tx::{Transmitter, TxConfig};

@@ -388,28 +388,6 @@ impl MarkerStream {
     }
 }
 
-/// Decodes a marker-coded stream in one call, pumping exactly
-/// `segments` segments (zero-padding any the stream no longer covers)
-/// and returning the recovered rigid bits plus decoder statistics.
-pub fn marker_decode(
-    cfg: MarkerConfig,
-    received: &[u8],
-    segments: usize,
-) -> (Vec<u8>, MarkerStats) {
-    let mut ms = MarkerStream::new(cfg);
-    ms.expect_segments(segments);
-    ms.push(received);
-    let mut rigid = Vec::with_capacity(segments * cfg.segment_len);
-    while rigid.len() < segments * cfg.segment_len && ms.next_segment(&mut rigid, true) {}
-    let mut stats = ms.stats();
-    let want = segments * cfg.segment_len;
-    if rigid.len() < want {
-        stats.truncated_bits += want - rigid.len();
-        rigid.resize(want, 0);
-    }
-    (rigid, stats)
-}
-
 /// Finds the marker *lattice* in a bit stream with no anchor at all:
 /// scores every phase of the marker period by its exact-marker hits
 /// and returns the position of the first exact marker on the winning
@@ -456,6 +434,28 @@ pub fn blind_lock(cfg: MarkerConfig, bits: &[u8]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decodes a marker-coded stream in one call, pumping exactly
+    /// `segments` segments (zero-padding any the stream no longer covers)
+    /// and returning the recovered rigid bits plus decoder statistics.
+    fn marker_decode(
+        cfg: MarkerConfig,
+        received: &[u8],
+        segments: usize,
+    ) -> (Vec<u8>, MarkerStats) {
+        let mut ms = MarkerStream::new(cfg);
+        ms.expect_segments(segments);
+        ms.push(received);
+        let mut rigid = Vec::with_capacity(segments * cfg.segment_len);
+        while rigid.len() < segments * cfg.segment_len && ms.next_segment(&mut rigid, true) {}
+        let mut stats = ms.stats();
+        let want = segments * cfg.segment_len;
+        if rigid.len() < want {
+            stats.truncated_bits += want - rigid.len();
+            rigid.resize(want, 0);
+        }
+        (rigid, stats)
+    }
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| ((i * 5 + 2) % 3 == 0) as u8).collect()

@@ -56,18 +56,6 @@ const SMOOTH_WIDTH: usize = 3;
 const BLIND_MIN_PERIOD_S: f64 = 50e-6;
 const BLIND_MAX_PERIOD_S: f64 = 5e-3;
 
-/// Per-push progress counters from a [`StreamingReceiver`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RxProgress {
-    /// Decimated energy samples completed by this chunk.
-    pub energy_samples: usize,
-    /// Edge-response samples completed by this chunk (always 0 in
-    /// blind mode, where the kernel length is only known at finish).
-    pub edge_samples: usize,
-    /// Non-finite input samples sanitised in this chunk.
-    pub sanitized_samples: usize,
-}
-
 /// The incremental covert-channel receiver.
 ///
 /// Feed IQ with [`StreamingReceiver::push`]; call
@@ -178,21 +166,13 @@ impl StreamingReceiver {
     /// Feeds one chunk of IQ samples. Steady-state allocation-free:
     /// all per-sample state lives in fixed-size rings, and the
     /// accumulated energy/edge vectors grow amortised.
-    pub fn push(&mut self, chunk: &[Complex]) -> RxProgress {
-        let sanitized_before = self.front.sanitized();
+    pub fn push(&mut self, chunk: &[Complex]) {
         self.raw_scratch.clear();
         self.front.push_into(chunk, &mut self.raw_scratch);
         let smoothed_from = self.energy.len();
         self.smoother.push_into(&self.raw_scratch, &mut self.energy);
-        let energy_samples = self.energy.len() - smoothed_from;
-        let edge_samples = match &mut self.conv {
-            Some(conv) => conv.push_into(&self.energy[smoothed_from..], &mut self.edge),
-            None => 0,
-        };
-        RxProgress {
-            energy_samples,
-            edge_samples,
-            sanitized_samples: self.front.sanitized() - sanitized_before,
+        if let Some(conv) = &mut self.conv {
+            conv.push_into(&self.energy[smoothed_from..], &mut self.edge);
         }
     }
 
@@ -718,13 +698,12 @@ mod tests {
         let batch = Receiver::new(rx_config(400e-6)).receive(&cap).expect("minority NaN decodes");
         let mut rx =
             StreamingReceiver::new(rx_config(400e-6), cap.sample_rate, cap.center_freq).unwrap();
-        let mut sanitized = 0;
         for c in cap.samples.chunks(997) {
-            sanitized += rx.push(c).sanitized_samples;
+            rx.push(c);
         }
+        assert_eq!(rx.front.sanitized(), batch.sanitized_samples);
         let report = rx.finish().expect("stream decodes");
         assert_eq!(report, batch);
-        assert_eq!(sanitized, batch.sanitized_samples);
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub use detect::{
     score_detections, DetectError, DetectedBurst, DetectionReport, DetectionScore, Detector,
     DetectorConfig,
 };
-pub use stream::{DetectProgress, StreamingDetector};
+pub use stream::StreamingDetector;
 
 pub use identify::{
     digraph_candidates, search_space_reduction, DigraphCandidates, SearchSpaceReduction,

@@ -27,17 +27,6 @@ use crate::detect::{
     DetectError, DetectionReport, Detector, DetectorConfig, HARMONICS, WINDOW_SAMPLES,
 };
 
-/// Progress counters returned by [`StreamingDetector::push`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DetectProgress {
-    /// Completed STFT windows so far (energies accumulated).
-    pub windows: usize,
-    /// Raw samples consumed so far (including the partial tail window).
-    pub samples_seen: usize,
-    /// Non-finite raw samples observed so far.
-    pub non_finite_samples: usize,
-}
-
 /// Resumable keystroke detector: push I/Q chunks, then [`finish`].
 ///
 /// [`finish`]: StreamingDetector::finish
@@ -95,14 +84,9 @@ impl StreamingDetector {
     /// # Panics
     ///
     /// Panics if called after [`StreamingDetector::finish`].
-    pub fn push(&mut self, chunk: &[Complex]) -> DetectProgress {
+    pub fn push(&mut self, chunk: &[Complex]) {
         assert!(!self.finished, "push after finish");
         self.band.push_into(chunk, &mut self.energies);
-        DetectProgress {
-            windows: self.energies.len(),
-            samples_seen: self.band.seen(),
-            non_finite_samples: self.band.non_finite(),
-        }
     }
 
     /// Classifies the stream and runs the global threshold/grouping
@@ -220,9 +204,12 @@ mod tests {
     fn progress_counters_track_the_stream() {
         let cfg = DetectorConfig::new(970e3);
         let mut det = StreamingDetector::new(cfg, 2.4e6, 1.455e6).unwrap();
-        let p = det.push(&[Complex::ZERO; 8191]);
-        assert_eq!(p, DetectProgress { windows: 0, samples_seen: 8191, non_finite_samples: 0 });
-        let p = det.push(&[Complex::new(f64::INFINITY, 0.0)]);
-        assert_eq!(p, DetectProgress { windows: 1, samples_seen: 8192, non_finite_samples: 1 });
+        // (windows completed, samples seen, non-finite samples seen)
+        let progress =
+            |det: &StreamingDetector| (det.energies.len(), det.band.seen(), det.band.non_finite());
+        det.push(&[Complex::ZERO; 8191]);
+        assert_eq!(progress(&det), (0, 8191, 0));
+        det.push(&[Complex::new(f64::INFINITY, 0.0)]);
+        assert_eq!(progress(&det), (1, 8192, 1));
     }
 }

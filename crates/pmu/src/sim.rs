@@ -344,12 +344,6 @@ impl Machine {
     }
 }
 
-impl Default for Machine {
-    fn default() -> Self {
-        Machine::intel_laptop()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

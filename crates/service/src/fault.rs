@@ -16,6 +16,11 @@
 
 use emsc_runtime::seed_for;
 
+/// Tick at which [`FaultPlan::escalating`]'s first phase opens.
+const ESCALATION_START_TICK: u64 = 2;
+/// Ticks per phase of [`FaultPlan::escalating`].
+const ESCALATION_PHASE_TICKS: u64 = 2;
+
 /// One injectable failure mode.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
@@ -135,8 +140,8 @@ impl FaultPlan {
     }
 
     /// A seeded escalating schedule against `targets`, the shape the
-    /// E5 soak uses: four phases of `phase_ticks` ticks starting at
-    /// `start_tick`, each strictly nastier than the last —
+    /// E5 soak uses: four phases of two ticks starting at tick 2, each
+    /// strictly nastier than the last —
     ///
     /// 1. **mild**: truncated and dropped chunks,
     /// 2. **moderate**: reordering and NaN corruption bursts,
@@ -149,13 +154,13 @@ impl FaultPlan {
     /// iteration order). [`Fault::Poison`] is deliberately excluded:
     /// it is a sensor death sentence, so callers add it explicitly to
     /// the sensors they mean to kill.
-    pub fn escalating(seed: u64, targets: &[usize], start_tick: u64, phase_ticks: u64) -> Self {
-        let span = phase_ticks.max(1);
+    pub fn escalating(seed: u64, targets: &[usize]) -> Self {
         let mut events = Vec::new();
         for phase in 0..4u64 {
             for (i, &sensor) in targets.iter().enumerate() {
-                let jitter = seed_for(seed, phase * targets.len() as u64 + i as u64) % span;
-                let tick = start_tick + phase * span + jitter;
+                let jitter = seed_for(seed, phase * targets.len() as u64 + i as u64)
+                    % ESCALATION_PHASE_TICKS;
+                let tick = ESCALATION_START_TICK + phase * ESCALATION_PHASE_TICKS + jitter;
                 let fault = match phase {
                     0 => {
                         if i % 2 == 0 {
@@ -202,17 +207,17 @@ mod tests {
 
     #[test]
     fn escalating_plans_are_seed_deterministic() {
-        let a = FaultPlan::escalating(2020, &[3, 4, 5], 5, 10);
-        let b = FaultPlan::escalating(2020, &[3, 4, 5], 5, 10);
+        let a = FaultPlan::escalating(2020, &[3, 4, 5]);
+        let b = FaultPlan::escalating(2020, &[3, 4, 5]);
         assert_eq!(a, b);
-        let c = FaultPlan::escalating(2021, &[3, 4, 5], 5, 10);
+        let c = FaultPlan::escalating(2021, &[3, 4, 5]);
         assert_ne!(a, c, "different seeds must jitter the schedule differently");
     }
 
     #[test]
     fn escalating_plans_cover_every_target_each_phase_and_never_poison() {
         let targets = [1usize, 2, 6];
-        let plan = FaultPlan::escalating(7, &targets, 0, 12);
+        let plan = FaultPlan::escalating(7, &targets);
         assert_eq!(plan.events().len(), 4 * targets.len());
         for &t in &targets {
             let mine: Vec<&FaultEvent> = plan.events().iter().filter(|e| e.sensor == t).collect();
@@ -222,9 +227,10 @@ mod tests {
             // severe-phase disconnect.
             assert_eq!(mine.last().unwrap().fault, Fault::Disconnect);
         }
-        // Every event lands inside its phase window.
+        // Every event lands inside the four phase windows.
+        let schedule = ESCALATION_START_TICK..ESCALATION_START_TICK + 4 * ESCALATION_PHASE_TICKS;
         for e in plan.events() {
-            assert!(e.tick < 4 * 12, "event past the schedule: {e:?}");
+            assert!(schedule.contains(&e.tick), "event off the schedule: {e:?}");
         }
     }
 }

@@ -30,15 +30,12 @@
 //! `EMSC_THREADS` settings and reruns (asserted by the service test
 //! suite).
 
-use emsc_core::chain::{Chain, Setup};
-use emsc_core::covert_run::CovertScenario;
-use emsc_core::experiments::streaming::keylog_capture;
+use emsc_core::experiments::streaming::{covert_capture, keylog_capture, seeded_noise};
 use emsc_core::laptop::Laptop;
 use emsc_core::session::SessionOutput;
-use emsc_covert::rx::{Receiver, RxConfig};
+use emsc_covert::rx::Receiver;
 use emsc_keylog::detect::Detector;
 use emsc_runtime::{par_map, seed_for};
-use emsc_sdr::iq::Complex;
 use emsc_sdr::record::{read_rtl_u8, write_rtl_u8};
 use emsc_sdr::Capture;
 
@@ -76,8 +73,6 @@ pub struct SoakRow {
     pub restarts: u32,
     /// Sessions completed (rotations plus the final flush).
     pub sessions: usize,
-    /// Sessions abandoned by restarts or quarantine.
-    pub aborted: u32,
     /// Covert bits decoded across completed sessions.
     pub decoded_bits: usize,
     /// Keylog bursts detected across completed sessions.
@@ -86,7 +81,8 @@ pub struct SoakRow {
     /// reference bit for bit; `None` when no reference applies (the
     /// doomed sensor).
     pub matches_reference: Option<bool>,
-    /// Human-readable result of the last completed session.
+    /// Human-readable result of the last completed session
+    /// ([`SessionOutput::label`]).
     pub outcome: String,
 }
 
@@ -97,39 +93,6 @@ pub struct SoakOutcome {
     pub report: ServiceReport,
     /// One row per sensor, in admission order.
     pub rows: Vec<SoakRow>,
-}
-
-/// What a sensor is expected to produce when its stream completes.
-struct Expectation {
-    /// Batch reference each completed session must equal, if one
-    /// applies.
-    reference: Option<SessionOutput>,
-}
-
-/// Builds one covert sensor's capture, receiver config and batch
-/// reference (the run's own batch decode) under a positional seed.
-fn covert_build(laptop: &Laptop, seed: u64) -> (RxConfig, Capture, SessionOutput) {
-    let chain = Chain::new(laptop, Setup::NearField);
-    let scenario = CovertScenario::for_laptop(laptop, chain);
-    let outcome = scenario.run(PAYLOAD, seed);
-    let batch = outcome.rx_error.map_or(Ok(outcome.report), Err);
-    (scenario.rx, outcome.chain_run.capture, SessionOutput::Covert(batch))
-}
-
-/// Seeded noise capture for the doomed sensor (its content never
-/// reaches a decoder — the registry cannot admit its chunks).
-fn noise_capture(seed: u64, n: usize) -> Capture {
-    let mut state = seed | 1;
-    let samples = (0..n)
-        .map(|_| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let u = (state % 10_000) as f64 / 10_000.0 - 0.5;
-            Complex::new(0.05 * u, 0.05 * u)
-        })
-        .collect();
-    Capture { samples, sample_rate: 2.4e6, center_freq: 1.455e6 }
 }
 
 /// Runs the E5 soak under one seed: builds the ten-sensor fleet, wires
@@ -145,12 +108,14 @@ pub fn soak(seed: u64) -> SoakOutcome {
     let entries: Vec<(usize, &Laptop)> =
         laptops.iter().take(6).enumerate().chain(std::iter::once((7usize, &laptops[0]))).collect();
     let builds = par_map(&entries, |&(seed_index, laptop)| {
-        covert_build(laptop, seed_for(seed, seed_index as u64))
+        covert_capture(laptop, PAYLOAD, seed_for(seed, seed_index as u64))
     });
 
     let policy = SensorPolicy { chunks_per_tick: 2, ..SensorPolicy::default() };
     let mut specs: Vec<SensorSpec> = Vec::new();
-    let mut expectations: Vec<Expectation> = Vec::new();
+    // The batch reference each completed session must equal, per
+    // sensor, where one applies.
+    let mut references: Vec<Option<SessionOutput>> = Vec::new();
 
     // Sensors 0-5: covert receivers (0-2 healthy, 3-5 under the
     // escalating schedule). A restarted sensor rewinds and replays, so
@@ -162,7 +127,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
             source: Box::new(ReplaySource::new(capture.clone(), CHUNK)),
             policy,
         });
-        expectations.push(Expectation { reference: Some(reference.clone()) });
+        references.push(Some(reference.clone()));
     }
 
     // Sensor 6: keylogging detector, stalled longer than its watchdog.
@@ -175,7 +140,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
         source: Box::new(ReplaySource::new(det_capture, CHUNK)),
         policy,
     });
-    expectations.push(Expectation { reference: Some(det_reference) });
+    references.push(Some(det_reference));
 
     // Sensor 7: the same receiver fed from a spooled rtl_sdr u8
     // recording. Quantisation happens on the wire, so the reference is
@@ -199,7 +164,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
         )),
         policy,
     });
-    expectations.push(Expectation { reference: Some(spool_reference) });
+    references.push(Some(spool_reference));
 
     // Sensor 8: rotating keylog sensor — the source loops twice and the
     // session rotates exactly at the pass boundary, so both flushed
@@ -214,19 +179,22 @@ pub fn soak(seed: u64) -> SoakOutcome {
         source: Box::new(ReplaySource::looping(rot_capture, CHUNK, 2)),
         policy: SensorPolicy { rotate_after_samples: Some(rot_len), ..policy },
     });
-    expectations.push(Expectation { reference: Some(rot_reference) });
+    references.push(Some(rot_reference));
 
     // Sensor 9: doomed. Its transfers are larger than the registry
     // buffer (never admitted; drop-oldest sheds the backlog) and its
     // front end is poisoned mid-run, so every restart meets the same
-    // NaN stream until the budget drains into quarantine.
+    // NaN stream until the budget drains into quarantine. Its noise
+    // never reaches a decoder.
+    let noise = Capture {
+        samples: seeded_noise(seed_for(seed, 9), 400_000, 0.05),
+        sample_rate: 2.4e6,
+        center_freq: 1.455e6,
+    };
     specs.push(SensorSpec {
         label: "doomed front end".to_string(),
         kind: SensorKind::Covert(builds[0].0.clone()),
-        source: Box::new(ReplaySource::new(
-            noise_capture(seed_for(seed, 9), 400_000),
-            DOOMED_CHUNK,
-        )),
+        source: Box::new(ReplaySource::new(noise, DOOMED_CHUNK)),
         policy: SensorPolicy {
             chunks_per_tick: 2,
             backpressure: BackpressurePolicy::DropOldest,
@@ -234,12 +202,12 @@ pub fn soak(seed: u64) -> SoakOutcome {
             ..SensorPolicy::default()
         },
     });
-    expectations.push(Expectation { reference: None });
+    references.push(None);
 
     // The escalating schedule: four phases against sensors 3-5, plus
     // targeted faults for the keylog, spool and doomed sensors. All
     // ticks land inside every capture's first playthrough.
-    let mut events = FaultPlan::escalating(seed, &[3, 4, 5], 2, 2).events().to_vec();
+    let mut events = FaultPlan::escalating(seed, &[3, 4, 5]).events().to_vec();
     events.push(FaultEvent { tick: 4, sensor: 6, fault: Fault::Stall { ticks: 12 } });
     events.push(FaultEvent { tick: 5, sensor: 7, fault: Fault::Disconnect });
     events.push(FaultEvent { tick: 4, sensor: 9, fault: Fault::Poison });
@@ -262,19 +230,13 @@ pub fn soak(seed: u64) -> SoakOutcome {
         .iter()
         .enumerate()
         .map(|(k, s)| {
-            let expectation = &expectations[k];
-            let matches_reference = expectation.reference.as_ref().map(|reference| {
+            let matches_reference = references[k].as_ref().map(|reference| {
                 !s.sessions.is_empty() && s.sessions.iter().all(|c| c.output == *reference)
             });
-            let outcome = match s.sessions.last() {
-                Some(c) => match &c.output {
-                    SessionOutput::Covert(Ok(r)) => format!("bits={}", r.bits.len()),
-                    SessionOutput::Keylog(Ok(r)) => format!("bursts={}", r.bursts.len()),
-                    SessionOutput::Covert(Err(e)) => format!("error: {e}"),
-                    SessionOutput::Keylog(Err(e)) => format!("error: {e}"),
-                },
-                None => "no completed session".to_string(),
-            };
+            let outcome = s
+                .sessions
+                .last()
+                .map_or_else(|| "no completed session".to_string(), |c| c.output.label());
             SoakRow {
                 sensor: s.label.clone(),
                 faults: plan.describe_sensor(k),
@@ -286,7 +248,6 @@ pub fn soak(seed: u64) -> SoakOutcome {
                 },
                 restarts: s.restarts,
                 sessions: s.sessions.len(),
-                aborted: s.aborted_sessions,
                 decoded_bits: s.decoded_bits,
                 bursts: s.bursts_detected,
                 matches_reference,
@@ -369,7 +330,6 @@ mod tests {
             uptime_pct: 87.5,
             restarts: 1,
             sessions: 1,
-            aborted: 1,
             decoded_bits: 120,
             bursts: 0,
             matches_reference: matches,

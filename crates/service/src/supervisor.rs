@@ -166,8 +166,6 @@ pub struct SensorReport {
     pub uptime_ticks: u64,
     /// Restarts performed.
     pub restarts: u32,
-    /// Fault events injected against this sensor.
-    pub faults_injected: usize,
     /// Chunks lost to injected drops plus backpressure drops.
     pub chunks_dropped: usize,
     /// Completed sessions (rotations plus the final flush), in order.
@@ -230,7 +228,6 @@ struct SensorSlot {
     // Metrics.
     active_ticks: u64,
     uptime_ticks: u64,
-    faults_injected: usize,
     chunks_dropped: usize,
     outputs: Vec<ClosedSession>,
     aborted_sessions: u32,
@@ -270,8 +267,8 @@ impl SensorSlot {
 /// The supervised, fault-tolerant capture daemon.
 pub struct Supervisor {
     config: ServiceConfig,
-    /// Scheduling rounds run so far: the time every timeout, backoff
-    /// and fault schedule is counted in.
+    /// Scheduling rounds run so far: the time every timeout, backoff,
+    /// fault schedule and event is counted in.
     ticks: u64,
     registry: SessionRegistry,
     plan: FaultPlan,
@@ -330,7 +327,6 @@ impl Supervisor {
             jitter_seed,
             active_ticks: 0,
             uptime_ticks: 0,
-            faults_injected: 0,
             chunks_dropped: 0,
             outputs: Vec::new(),
             aborted_sessions: 0,
@@ -340,11 +336,7 @@ impl Supervisor {
             Ok(id) => slot.session = Some(id),
             Err(why) => {
                 slot.state = LifecycleState::Quarantined;
-                self.events.push(ServiceEvent {
-                    tick: self.ticks,
-                    sensor: index,
-                    what: format!("quarantined at admission: {why}"),
-                });
+                self.log(index, format!("quarantined at admission: {why}"));
             }
         }
         self.sensors.push(slot);
@@ -362,10 +354,9 @@ impl Supervisor {
     /// every sensor is terminal.
     pub fn tick(&mut self) -> bool {
         self.ticks += 1;
-        let now = self.ticks;
-        self.inject_due_faults(now);
+        self.inject_due_faults();
         for k in 0..self.sensors.len() {
-            self.step_sensor(k, now);
+            self.step_sensor(k);
         }
         self.registry.pump();
         !self.all_terminal()
@@ -385,32 +376,21 @@ impl Supervisor {
     /// mid-backoff keep their [`LifecycleState::Restarting`] state —
     /// the daemon stopped, they did not fail.
     pub fn shutdown(&mut self) -> ServiceReport {
-        let now = self.ticks;
         for k in 0..self.sensors.len() {
             let slot = &mut self.sensors[k];
-            let Some(id) = slot.session else { continue };
-            // Drain what the registry will take; a chunk it rejects
-            // even after a pump cannot ever fit — drop it, counted.
-            while let Some(front) = slot.pending.pop_front() {
-                if self.registry.offer(id, &front).is_err() {
-                    self.registry.pump();
-                    if self.registry.offer(id, &front).is_err() {
-                        slot.chunks_dropped += 1;
-                    }
+            let Some(id) = slot.session.take() else { continue };
+            // A chunk the registry refuses even after a pump can never
+            // fit: drop it, counted.
+            while let Some(chunk) = slot.pending.pop_front() {
+                if !deliver(&mut self.registry, id, &chunk) {
+                    slot.chunks_dropped += 1;
                 }
             }
-            match self.registry.finish(id) {
-                Ok(closed) => slot.outputs.push(closed),
-                Err(_) => unreachable!("open session vanished from the registry"),
-            }
-            slot.session = None;
+            let closed = self.registry.finish(id).expect("open session is in the registry");
+            slot.outputs.push(closed);
             if !slot.state.is_terminal() {
                 slot.state = LifecycleState::Done;
-                self.events.push(ServiceEvent {
-                    tick: now,
-                    sensor: k,
-                    what: "drained and closed at shutdown".to_string(),
-                });
+                self.log(k, "drained and closed at shutdown");
             }
         }
         self.report()
@@ -436,7 +416,6 @@ impl Supervisor {
                     active_ticks: s.active_ticks,
                     uptime_ticks: s.uptime_ticks,
                     restarts: s.restarts,
-                    faults_injected: s.faults_injected,
                     chunks_dropped: s.chunks_dropped,
                     sessions: s.outputs.clone(),
                     aborted_sessions: s.aborted_sessions,
@@ -450,7 +429,14 @@ impl Supervisor {
         }
     }
 
-    fn inject_due_faults(&mut self, now: u64) {
+    /// The one event sink: logs `what` against sensor `k` at the
+    /// current tick.
+    fn log(&mut self, k: usize, what: impl Into<String>) {
+        self.events.push(ServiceEvent { tick: self.ticks, sensor: k, what: what.into() });
+    }
+
+    fn inject_due_faults(&mut self) {
+        let now = self.ticks;
         // The plan is immutable; collect indices first to appease the
         // borrow of `self.sensors`.
         let due: Vec<(usize, Fault)> = self.plan.due(now).map(|e| (e.sensor, e.fault)).collect();
@@ -459,7 +445,6 @@ impl Supervisor {
             if slot.state.is_terminal() {
                 continue;
             }
-            slot.faults_injected += 1;
             match fault {
                 Fault::Disconnect => slot.disconnect_pending = true,
                 Fault::Stall { ticks } => {
@@ -476,21 +461,18 @@ impl Supervisor {
                 Fault::ReorderNext => slot.reorder_request = true,
                 Fault::Poison => slot.poisoned = true,
             }
-            self.events.push(ServiceEvent {
-                tick: now,
-                sensor: k,
-                what: format!("fault injected: {}", fault.label()),
-            });
+            self.log(k, format!("fault injected: {}", fault.label()));
         }
     }
 
-    fn step_sensor(&mut self, k: usize, now: u64) {
+    fn step_sensor(&mut self, k: usize) {
+        let now = self.ticks;
         match self.sensors[k].state {
             LifecycleState::Done | LifecycleState::Quarantined => return,
             LifecycleState::Restarting { resume_tick } => {
                 self.sensors[k].active_ticks += 1;
                 if now >= resume_tick {
-                    self.resume_sensor(k, now);
+                    self.resume_sensor(k);
                 }
                 return;
             }
@@ -503,34 +485,29 @@ impl Supervisor {
 
         if slot.disconnect_pending {
             slot.disconnect_pending = false;
-            self.fail_sensor(k, now, "disconnect", true);
+            self.fail_sensor(k, "disconnect", true);
             return;
         }
 
-        if now >= self.sensors[k].stall_until {
-            if self.pull_chunks(k, now).is_err() {
+        if now >= slot.stall_until {
+            if self.pull_chunks(k).is_err() {
                 return; // fail path already taken
             }
         } else {
-            self.sensors[k].fault_seen_this_tick = true; // stalled
+            slot.fault_seen_this_tick = true; // stalled
         }
 
-        self.offer_pending(k, now);
+        self.offer_pending(k);
 
-        if self.maybe_rotate_or_finish(k, now) {
+        if self.finish_if_exhausted(k) {
             return;
         }
 
-        let slot = &mut self.sensors[k];
         // Watchdog: no forward progress for too long means the stream
         // is dead, whatever the cause looked like.
-        if now.saturating_sub(slot.last_progress_tick) >= WATCHDOG_TICKS {
-            self.events.push(ServiceEvent {
-                tick: now,
-                sensor: k,
-                what: "watchdog fired: no forward progress".to_string(),
-            });
-            self.fail_sensor(k, now, "watchdog stall", true);
+        if now.saturating_sub(self.sensors[k].last_progress_tick) >= WATCHDOG_TICKS {
+            self.log(k, "watchdog fired: no forward progress");
+            self.fail_sensor(k, "watchdog stall", true);
             return;
         }
 
@@ -540,21 +517,13 @@ impl Supervisor {
             slot.clean_ticks = 0;
             if slot.state == LifecycleState::Running {
                 slot.state = LifecycleState::Degraded;
-                self.events.push(ServiceEvent {
-                    tick: now,
-                    sensor: k,
-                    what: "degraded: fault observed".to_string(),
-                });
+                self.log(k, "degraded: fault observed");
             }
         } else if slot.state == LifecycleState::Degraded {
             slot.clean_ticks += 1;
             if slot.clean_ticks >= DEGRADED_RECOVERY_TICKS {
                 slot.state = LifecycleState::Running;
-                self.events.push(ServiceEvent {
-                    tick: now,
-                    sensor: k,
-                    what: "recovered: clean ticks elapsed".to_string(),
-                });
+                self.log(k, "recovered: clean ticks elapsed");
             }
         }
     }
@@ -562,7 +531,7 @@ impl Supervisor {
     /// Pulls up to `chunks_per_tick` chunks through the fault filter
     /// into the pending queue. `Err(())` means the sensor already took
     /// the fail path.
-    fn pull_chunks(&mut self, k: usize, now: u64) -> Result<(), ()> {
+    fn pull_chunks(&mut self, k: usize) -> Result<(), ()> {
         for _ in 0..self.sensors[k].policy.chunks_per_tick {
             let slot = &mut self.sensors[k];
             if slot.exhausted {
@@ -589,17 +558,11 @@ impl Supervisor {
                 }
                 Ok(_) => {}
                 Err(e) => {
-                    let retryable = e.is_retryable();
-                    self.events.push(ServiceEvent {
-                        tick: now,
-                        sensor: k,
-                        what: format!("source error: {e}"),
-                    });
-                    self.fail_sensor(k, now, "source error", retryable);
+                    self.log(k, format!("source error: {e}"));
+                    self.fail_sensor(k, "source error", e.is_retryable());
                     return Err(());
                 }
             }
-            let slot = &mut self.sensors[k];
 
             // In-transit faults, in wire order: loss, truncation,
             // corruption, reordering.
@@ -632,16 +595,10 @@ impl Supervisor {
                 chunk.iter().filter(|s| !s.re.is_finite() || !s.im.is_finite()).count();
             if !chunk.is_empty() && non_finite * 2 > chunk.len() {
                 slot.consecutive_corrupt += 1;
-                if slot.consecutive_corrupt >= MAX_CORRUPT_CHUNKS {
-                    self.events.push(ServiceEvent {
-                        tick: now,
-                        sensor: k,
-                        what: format!(
-                            "stream declared poisoned after {} corrupt chunks",
-                            slot.consecutive_corrupt
-                        ),
-                    });
-                    self.fail_sensor(k, now, "poisoned stream", true);
+                let corrupt = slot.consecutive_corrupt;
+                if corrupt >= MAX_CORRUPT_CHUNKS {
+                    self.log(k, format!("stream declared poisoned after {corrupt} corrupt chunks"));
+                    self.fail_sensor(k, "poisoned stream", true);
                     return Err(());
                 }
             } else if !chunk.is_empty() {
@@ -663,75 +620,46 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Offers queued chunks to the registry, pumping once on a
-    /// rejection; chunks the registry still refuses stay queued for
-    /// the next tick. Rotation happens *here*, at the exact budget
-    /// boundary between two offers — a once-per-tick check would let
-    /// post-boundary chunks leak into the pre-boundary session.
-    fn offer_pending(&mut self, k: usize, now: u64) {
+    /// Delivers queued chunks to the registry until one is refused;
+    /// that one stays queued for the next tick. Rotation happens
+    /// *here*, at the exact budget boundary between two offers — a
+    /// once-per-tick check would let post-boundary chunks leak into
+    /// the pre-boundary session.
+    fn offer_pending(&mut self, k: usize) {
         let Some(mut id) = self.sensors[k].session else { return };
-        loop {
-            let slot = &self.sensors[k];
-            if slot.pending.front().is_none() {
-                break;
-            }
+        while !self.sensors[k].pending.is_empty() {
             // Budget reached with more data queued: flush this
             // session's report and open the next one before offering
             // another sample. (A boundary that coincides with the end
             // of the stream is handled by the finish path instead.)
-            if let Some(budget) = slot.policy.rotate_after_samples {
-                if slot.session_samples >= budget {
-                    let closed = self.registry.finish(id).expect("rotating session exists");
-                    let slot = &mut self.sensors[k];
-                    slot.outputs.push(closed);
-                    slot.session = None;
-                    slot.session_samples = 0;
-                    match open_session(&mut self.registry, &slot.kind, slot.source.as_ref()) {
-                        Ok(new_id) => {
-                            let slot = &mut self.sensors[k];
-                            slot.session = Some(new_id);
-                            slot.last_progress_tick = now;
-                            id = new_id;
-                            self.events.push(ServiceEvent {
-                                tick: now,
-                                sensor: k,
-                                what: "session rotated: report flushed".to_string(),
-                            });
-                        }
-                        Err(why) => {
-                            self.quarantine(k, now, &format!("rotation failed: {why}"));
-                            return;
-                        }
+            let slot = &mut self.sensors[k];
+            let budget = slot.policy.rotate_after_samples;
+            if budget.is_some_and(|budget| slot.session_samples >= budget) {
+                let closed = self.registry.finish(id).expect("rotating session exists");
+                slot.outputs.push(closed);
+                slot.session = None;
+                slot.session_samples = 0;
+                match open_session(&mut self.registry, &slot.kind, slot.source.as_ref()) {
+                    Ok(new_id) => {
+                        slot.session = Some(new_id);
+                        slot.last_progress_tick = self.ticks;
+                        id = new_id;
+                        self.log(k, "session rotated: report flushed");
+                    }
+                    Err(why) => {
+                        self.quarantine(k, &format!("rotation failed: {why}"));
+                        return;
                     }
                 }
             }
             let slot = &mut self.sensors[k];
-            let front = slot.pending.front().expect("front still queued");
-            match self.registry.offer(id, front) {
-                Ok(()) => {
-                    let n = front.len();
-                    let slot = &mut self.sensors[k];
-                    slot.session_samples += n;
-                    slot.pending.pop_front();
-                    slot.last_progress_tick = now;
-                }
-                Err(_) => {
-                    // One pump-retry per tick: drain everybody, try
-                    // again, otherwise wait for the next tick.
-                    self.registry.pump();
-                    let slot = &mut self.sensors[k];
-                    let front = slot.pending.front().expect("front still queued");
-                    if self.registry.offer(id, front).is_ok() {
-                        let n = front.len();
-                        let slot = &mut self.sensors[k];
-                        slot.session_samples += n;
-                        slot.pending.pop_front();
-                        slot.last_progress_tick = now;
-                    } else {
-                        break;
-                    }
-                }
+            let front = slot.pending.front().expect("queue is not empty");
+            if !deliver(&mut self.registry, id, front) {
+                break;
             }
+            slot.session_samples += front.len();
+            slot.pending.pop_front();
+            slot.last_progress_tick = self.ticks;
         }
     }
 
@@ -739,42 +667,34 @@ impl Supervisor {
     /// marks the sensor done, or routes a stream error into the
     /// restart/quarantine path. Returns `true` when the sensor went
     /// terminal or restarted this tick.
-    fn maybe_rotate_or_finish(&mut self, k: usize, now: u64) -> bool {
-        let slot = &self.sensors[k];
+    fn finish_if_exhausted(&mut self, k: usize) -> bool {
+        let slot = &mut self.sensors[k];
         let Some(id) = slot.session else { return false };
-        if slot.exhausted && slot.pending.is_empty() && slot.reorder_held.is_none() {
-            let closed = self.registry.finish(id).expect("finishing session exists");
-            let slot = &mut self.sensors[k];
-            slot.session = None;
-            let failed = closed.output.is_err();
-            let retryable = closed.output.is_retryable_err();
-            let kind = closed.output.error_kind();
-            slot.outputs.push(closed);
-            if failed {
-                self.events.push(ServiceEvent {
-                    tick: now,
-                    sensor: k,
-                    what: format!("stream error at finish: {}", kind.unwrap_or("unknown")),
-                });
-                self.fail_sensor(k, now, kind.unwrap_or("stream error"), retryable);
-            } else {
-                let slot = &mut self.sensors[k];
-                slot.state = LifecycleState::Done;
-                self.events.push(ServiceEvent {
-                    tick: now,
-                    sensor: k,
-                    what: "completed: final report flushed".to_string(),
-                });
-            }
-            return true;
+        if !(slot.exhausted && slot.pending.is_empty() && slot.reorder_held.is_none()) {
+            return false;
         }
-        false
+        let closed = self.registry.finish(id).expect("finishing session exists");
+        slot.session = None;
+        let error = closed.output.error_kind();
+        let retryable = closed.output.is_retryable_err();
+        slot.outputs.push(closed);
+        match error {
+            Some(kind) => {
+                self.log(k, format!("stream error at finish: {kind}"));
+                self.fail_sensor(k, kind, retryable);
+            }
+            None => {
+                slot.state = LifecycleState::Done;
+                self.log(k, "completed: final report flushed");
+            }
+        }
+        true
     }
 
-    /// The restart/quarantine decision point: abandons the current
-    /// session and either schedules a backed-off restart (retryable
-    /// failure, budget remaining) or quarantines the sensor.
-    fn fail_sensor(&mut self, k: usize, now: u64, reason: &str, retryable: bool) {
+    /// The one abandon step: aborts sensor `k`'s open session, if any,
+    /// counting it and the samples it had processed, and drops
+    /// everything queued or held for it.
+    fn abandon(&mut self, k: usize) {
         let slot = &mut self.sensors[k];
         if let Some(id) = slot.session.take() {
             if let Ok(stats) = self.registry.abort(id) {
@@ -787,76 +707,71 @@ impl Supervisor {
         slot.exhausted = false;
         slot.session_samples = 0;
         slot.consecutive_corrupt = 0;
+    }
 
+    /// The restart/quarantine decision point: abandons the current
+    /// session and either schedules a backed-off restart (retryable
+    /// failure, budget remaining) or quarantines the sensor.
+    fn fail_sensor(&mut self, k: usize, reason: &str, retryable: bool) {
+        self.abandon(k);
         if !retryable {
-            self.quarantine(k, now, &format!("fatal: {reason}"));
+            self.quarantine(k, &format!("fatal: {reason}"));
             return;
         }
         let slot = &mut self.sensors[k];
         if slot.restarts >= MAX_RESTARTS {
-            self.quarantine(k, now, &format!("restart budget exhausted after: {reason}"));
+            self.quarantine(k, &format!("restart budget exhausted after: {reason}"));
             return;
         }
         slot.restarts += 1;
         let delay = backoff_ticks(slot.restarts, slot.jitter_seed);
-        let resume_tick = now + delay;
+        let resume_tick = self.ticks + delay;
         slot.state = LifecycleState::Restarting { resume_tick };
-        self.events.push(ServiceEvent {
-            tick: now,
-            sensor: k,
-            what: format!(
-                "restart {} scheduled after {reason} (backoff {delay}, resume @ {resume_tick})",
-                slot.restarts
+        let restart = slot.restarts;
+        self.log(
+            k,
+            format!(
+                "restart {restart} scheduled after {reason} (backoff {delay}, resume @ {resume_tick})"
             ),
-        });
+        );
     }
 
     /// Fires a scheduled restart: rewinds the source and opens a fresh
     /// session.
-    fn resume_sensor(&mut self, k: usize, now: u64) {
+    fn resume_sensor(&mut self, k: usize) {
         let slot = &mut self.sensors[k];
         if let Err(e) = slot.source.reset() {
-            let retryable = e.is_retryable();
-            self.events.push(ServiceEvent {
-                tick: now,
-                sensor: k,
-                what: format!("restart failed to rewind source: {e}"),
-            });
-            self.fail_sensor(k, now, "source rewind failed", retryable);
+            self.log(k, format!("restart failed to rewind source: {e}"));
+            self.fail_sensor(k, "source rewind failed", e.is_retryable());
             return;
         }
         match open_session(&mut self.registry, &slot.kind, slot.source.as_ref()) {
             Ok(id) => {
-                let slot = &mut self.sensors[k];
                 slot.session = Some(id);
                 slot.state = LifecycleState::Running;
-                slot.last_progress_tick = now;
+                slot.last_progress_tick = self.ticks;
                 slot.clean_ticks = 0;
-                self.events.push(ServiceEvent {
-                    tick: now,
-                    sensor: k,
-                    what: format!("restarted (attempt {})", slot.restarts),
-                });
+                let restart = slot.restarts;
+                self.log(k, format!("restarted (attempt {restart})"));
             }
-            Err(why) => self.quarantine(k, now, &format!("reopen failed: {why}")),
+            Err(why) => self.quarantine(k, &format!("reopen failed: {why}")),
         }
     }
 
-    fn quarantine(&mut self, k: usize, now: u64, why: &str) {
-        let slot = &mut self.sensors[k];
-        if let Some(id) = slot.session.take() {
-            if let Ok(stats) = self.registry.abort(id) {
-                slot.aborted_sessions += 1;
-                slot.aborted_samples += stats.samples_processed;
-            }
-        }
-        slot.pending.clear();
-        slot.state = LifecycleState::Quarantined;
-        self.events.push(ServiceEvent {
-            tick: now,
-            sensor: k,
-            what: format!("quarantined: {why}"),
-        });
+    fn quarantine(&mut self, k: usize, why: &str) {
+        self.abandon(k);
+        self.sensors[k].state = LifecycleState::Quarantined;
+        self.log(k, format!("quarantined: {why}"));
+    }
+}
+
+/// The one delivery step: offers `chunk` to session `id`, and on a
+/// refusal pumps every session once and offers it again. Returns
+/// whether the registry took the chunk.
+fn deliver(registry: &mut SessionRegistry, id: SessionId, chunk: &[Complex]) -> bool {
+    registry.offer(id, chunk).is_ok() || {
+        registry.pump();
+        registry.offer(id, chunk).is_ok()
     }
 }
 
@@ -899,6 +814,7 @@ fn corrupt_chunk(chunk: &mut [Complex], frac: f64, state: &mut u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emsc_core::experiments::streaming::seeded_noise;
     use emsc_keylog::detect::Detector;
     use emsc_sdr::Capture;
 
@@ -913,16 +829,7 @@ mod tests {
         let center = 1.455e6;
         let f_sw = 970e3;
         let f_bb = f_sw - center;
-        let n = (0.1 * fs) as usize;
-        let mut samples = vec![Complex::new(0.0, 0.0); n];
-        let mut state = seed | 1;
-        for s in samples.iter_mut() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            let u = (state % 10_000) as f64 / 10_000.0 - 0.5;
-            *s = Complex::new(0.02 * u, 0.02 * u);
-        }
+        let mut samples = seeded_noise(seed, (0.1 * fs) as usize, 0.02);
         let (a, b) = ((0.02 * fs) as usize, (0.06 * fs) as usize);
         for (i, s) in samples.iter_mut().enumerate().take(b).skip(a) {
             *s += Complex::from_polar(1.0, 2.0 * std::f64::consts::PI * f_bb * i as f64 / fs);
@@ -1061,6 +968,82 @@ mod tests {
         assert_eq!(reject.chunks_dropped, 0, "Reject must never lose a chunk");
         assert!(shed.chunks_dropped > 0, "DropOldest must shed the backlog");
         assert_eq!(reject.samples_processed, 0);
+    }
+
+    #[test]
+    fn shutdown_mid_stream_closes_the_session_on_what_arrived() {
+        // Two ticks of four 9973-sample chunks, then `max_ticks` stops
+        // the run: the session closes on that prefix alone.
+        let (config, capture) = tiny_keylog(37);
+        let spec = SensorSpec {
+            label: "stopped".to_string(),
+            kind: SensorKind::Keylog(config.clone()),
+            source: Box::new(ReplaySource::new(capture.clone(), 9973)),
+            policy: SensorPolicy::default(),
+        };
+        let mut sup = Supervisor::new(
+            ServiceConfig { max_ticks: 2, ..ServiceConfig::default() },
+            FaultPlan::none(),
+        );
+        sup.add_sensor(spec);
+        let report = sup.run();
+        let s = &report.sensors[0];
+        assert_eq!(report.ticks, 2);
+        assert_eq!(s.state, LifecycleState::Done);
+        assert_eq!(s.sessions.len(), 1);
+        assert_eq!(s.samples_processed, 79_784);
+        assert_eq!(s.sessions[0].stats.samples_processed, 79_784);
+        let prefix = Capture { samples: capture.samples[..79_784].to_vec(), ..capture };
+        let batch = SessionOutput::Keylog(Detector::new(config).try_detect(&prefix));
+        assert_eq!(
+            s.sessions[0].output, batch,
+            "the drained session must equal the prefix's batch"
+        );
+        assert_eq!(
+            report.events,
+            vec![ServiceEvent {
+                tick: 2,
+                sensor: 0,
+                what: "drained and closed at shutdown".into()
+            }]
+        );
+    }
+
+    #[test]
+    fn shutdown_counts_queued_chunks_that_can_never_fit() {
+        // 2048-sample chunks against a 1024-sample registry buffer:
+        // under `Reject` they queue, four per tick, and the run stops
+        // at tick 3, before the watchdog's sixth tick. The drain offers
+        // each one, pumps, offers again and counts it dropped.
+        let config = ServiceConfig { buffer_limit: 1024, max_ticks: 3, ..ServiceConfig::default() };
+        let (det, capture) = tiny_keylog(41);
+        let spec = SensorSpec {
+            label: "oversized".to_string(),
+            kind: SensorKind::Keylog(det),
+            source: Box::new(ReplaySource::new(capture, 2048)),
+            policy: SensorPolicy::default(),
+        };
+        let mut sup = Supervisor::new(config, FaultPlan::none());
+        sup.add_sensor(spec);
+        let report = sup.run();
+        let s = &report.sensors[0];
+        assert_eq!(s.state, LifecycleState::Done, "events: {:#?}", report.events);
+        assert_eq!(s.restarts, 0);
+        assert_eq!(s.chunks_dropped, 12, "every queued chunk is counted");
+        assert_eq!(s.samples_processed, 0);
+        assert_eq!(s.sessions.len(), 1);
+        // Two refused offers per tick (offer, pump, offer), then two
+        // per queued chunk at shutdown.
+        assert_eq!(s.sessions[0].stats.chunks_rejected, 3 * 2 + 12 * 2);
+        assert_eq!(s.sessions[0].output.error_kind(), Some("keylog-capture"));
+        assert_eq!(
+            report.events,
+            vec![ServiceEvent {
+                tick: 3,
+                sensor: 0,
+                what: "drained and closed at shutdown".into()
+            }]
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use emsc_core::chain::{Chain, Setup};
 use emsc_core::laptop::Laptop;
-use emsc_core::SessionRegistry;
+use emsc_core::{ChainStream, SessionRegistry};
 use emsc_covert::rx::RxConfig;
 use emsc_covert::stream::StreamingReceiver;
 use emsc_keylog::{DetectorConfig, StreamingDetector};
@@ -241,8 +241,8 @@ fn steady_state_streaming_is_allocation_free() {
     let trace = chain.machine.run(&program, 9);
     // Warm run: grows the pooled arena to this trace's size and the
     // block buffer to the block size, then recycles both.
-    drop(chain.stream_trace(trace.clone(), 9).into_run());
-    let mut stream = chain.stream_trace(trace, 9);
+    drop(ChainStream::new(&chain, trace.clone(), 9).into_run());
+    let mut stream = ChainStream::new(&chain, trace, 9);
     let blocks = stream.blocks_total();
     let before = allocations();
     let mut drained = 0usize;
