@@ -105,17 +105,18 @@ pub struct Fig6 {
 }
 
 impl Fig6 {
-    /// Renders the distance histogram with the fitted density.
+    /// Renders the distance histogram with the fitted density: the
+    /// header alone when there are no distances to bin.
     pub fn render(&self) -> String {
-        let hist = Histogram::from_data(&self.distances_s, 36);
-        let density = hist.density();
-        let peak = density.iter().cloned().fold(1e-30, f64::max);
         let mut s = format!(
             "Fig. 6 — pulse-width distribution: median {:.0} µs, skewness {:+.2}, Rayleigh σ {:.1} µs\n",
             self.median_s * 1e6,
             self.skewness,
             self.fit.sigma * 1e6
         );
+        let Ok(hist) = Histogram::try_from_data(&self.distances_s, 36) else { return s };
+        let density = hist.density();
+        let peak = density.iter().cloned().fold(1e-30, f64::max);
         for (i, &d) in density.iter().enumerate() {
             let bar = (d / peak * 60.0).round() as usize;
             s.push_str(&format!("{:7.0} µs | {}\n", hist.bin_center(i) * 1e6, "*".repeat(bar)));
@@ -162,11 +163,9 @@ pub struct Fig7 {
 }
 
 impl Fig7 {
-    /// Renders the power histogram with the threshold marked.
+    /// Renders the power histogram with the threshold marked: the
+    /// header alone when there are no powers to bin.
     pub fn render(&self) -> String {
-        let hist = Histogram::from_data(&self.powers, 36);
-        let counts = hist.counts();
-        let peak = counts.iter().cloned().max().unwrap_or(1) as f64;
         let mut s = match self.modes {
             Some((lo, hi)) => format!(
                 "Fig. 7 — per-bit power distribution: modes at {lo:.1} and {hi:.1}, threshold {:.1}\n",
@@ -174,6 +173,9 @@ impl Fig7 {
             ),
             None => format!("Fig. 7 — per-bit power distribution: threshold {:.1}\n", self.threshold),
         };
+        let Ok(hist) = Histogram::try_from_data(&self.powers, 36) else { return s };
+        let counts = hist.counts();
+        let peak = counts.iter().cloned().max().unwrap_or(1) as f64;
         for (i, &c) in counts.iter().enumerate() {
             let center = hist.bin_center(i);
             let mark =
@@ -294,6 +296,22 @@ mod tests {
         let (lo, hi) = f.modes.expect("bimodal power histogram");
         assert!(lo < f.threshold && f.threshold < hi);
         assert!(hi > 3.0 * lo, "modes too close: {lo} {hi}");
+    }
+
+    #[test]
+    fn fig6_and_fig7_without_data_render_their_header_alone() {
+        let fig6 = Fig6 {
+            distances_s: Vec::new(),
+            fit: RayleighFit { location: 0.0, sigma: 0.0 },
+            skewness: 0.0,
+            median_s: 0.0,
+        };
+        assert_eq!(
+            fig6.render(),
+            "Fig. 6 — pulse-width distribution: median 0 µs, skewness +0.00, Rayleigh σ 0.0 µs\n"
+        );
+        let fig7 = Fig7 { powers: Vec::new(), threshold: 0.0, modes: None };
+        assert_eq!(fig7.render(), "Fig. 7 — per-bit power distribution: threshold 0.0\n");
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! derives for the i-th opened session.
 
 use emsc_covert::rx::{Receiver, RxConfig};
-use emsc_keylog::detect::{Detector, DetectorConfig};
+use emsc_covert::tx::Transmitter;
+use emsc_keylog::detect::DetectorConfig;
+use emsc_keylog::stream::StreamingDetector;
 use emsc_runtime::{par_map, seed_for};
 use emsc_sdr::iq::Complex;
 use emsc_sdr::Capture;
@@ -114,19 +116,15 @@ pub fn keylog_capture(seed: u64) -> (DetectorConfig, Capture) {
 }
 
 /// Synthetic covert sensor: `laptop` sends `payload` near-field under
-/// `seed`. Returns the receiver configuration, the capture and the
-/// batch reference a stream of that capture must equal (the run's own
-/// batch decode). Shared with the E5 service soak.
-pub fn covert_capture(
-    laptop: &Laptop,
-    payload: &[u8],
-    seed: u64,
-) -> (RxConfig, Capture, SessionOutput) {
+/// `seed`. Returns the receiver configuration and the capture — the
+/// one [`CovertScenario::run`] decodes, bit for bit, without the
+/// decode. Shared with the E5 service soak.
+pub fn covert_capture(laptop: &Laptop, payload: &[u8], seed: u64) -> (RxConfig, Capture) {
     let chain = Chain::new(laptop, Setup::NearField);
     let scenario = CovertScenario::for_laptop(laptop, chain);
-    let outcome = scenario.run(payload, seed);
-    let batch = outcome.rx_error.map_or(Ok(outcome.report), Err);
-    (scenario.rx, outcome.chain_run.capture, SessionOutput::Covert(batch))
+    let on_air_bits = Transmitter::new(scenario.tx).on_air_bits(payload);
+    let program = scenario.transfer_program(&on_air_bits);
+    (scenario.rx, scenario.chain.run_program(&program, seed).capture)
 }
 
 /// Builds the sensor fleet for a base seed: one covert sensor per
@@ -137,7 +135,8 @@ fn build_sensors(seed: u64) -> Vec<Sensor> {
     let indices: Vec<usize> = (0..laptops.len()).collect();
     let mut sensors: Vec<Sensor> = par_map(&indices, |&i| {
         let laptop = &laptops[i];
-        let (rx, capture, batch) = covert_capture(laptop, b"stream-e4", seed_for(seed, i as u64));
+        let (rx, capture) = covert_capture(laptop, b"stream-e4", seed_for(seed, i as u64));
+        let batch = SessionOutput::Covert(Receiver::new(rx.clone()).receive(&capture));
         Sensor {
             label: laptop.model.to_string(),
             receiver: SensorReceiver::Covert(rx),
@@ -147,7 +146,7 @@ fn build_sensors(seed: u64) -> Vec<Sensor> {
     });
 
     let (config, capture) = keylog_capture(seed_for(seed, laptops.len() as u64));
-    let batch = SessionOutput::Keylog(Detector::new(config.clone()).try_detect(&capture));
+    let batch = SessionOutput::Keylog(StreamingDetector::detect(config.clone(), &capture));
     sensors.push(Sensor {
         label: "keylog sensor".to_string(),
         receiver: SensorReceiver::Keylog(config),

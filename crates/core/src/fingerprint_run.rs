@@ -6,7 +6,8 @@ use emsc_fingerprint::classify::{leave_one_out_accuracy, LabeledVisit};
 use emsc_fingerprint::features::FeatureVector;
 use emsc_fingerprint::workload::SiteProfile;
 use emsc_keylog::burst::BurstModel;
-use emsc_keylog::detect::{Detector, DetectorConfig};
+use emsc_keylog::detect::DetectorConfig;
+use emsc_keylog::stream::StreamingDetector;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -78,8 +79,8 @@ impl FingerprintScenario {
         events.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap_or(std::cmp::Ordering::Equal));
 
         let run = self.chain.run_events(end, &events, seed);
-        let detector = Detector::new(self.detector.clone());
-        let report = detector.try_detect(&run.capture).unwrap_or_default();
+        let report =
+            StreamingDetector::detect(self.detector.clone(), &run.capture).unwrap_or_default();
         ObservedVisit {
             label: site.name.clone(),
             features: FeatureVector::from_bursts(&report.bursts),

@@ -2,9 +2,10 @@
 
 use emsc_keylog::burst::BurstModel;
 use emsc_keylog::detect::{
-    detected_times, score_detections, DetectionReport, DetectionScore, Detector, DetectorConfig,
-    WINDOW_SAMPLES,
+    detect_from_energies, detected_times, score_detections, DetectionReport, DetectionScore,
+    DetectorConfig, WINDOW_SAMPLES,
 };
+use emsc_keylog::stream::StreamingDetector;
 use emsc_keylog::typist::{Keystroke, Typist};
 use emsc_keylog::words::{group_words, score_words, word_lengths, WordScore};
 use emsc_pmu::sim::ExternalEvent;
@@ -84,9 +85,10 @@ impl KeylogScenario {
         let chain_run = self.chain.run_events(end, &events, seed);
 
         // A chain capture is always analysable; should detection fail
-        // anyway, the run scores an empty report instead of panicking.
-        let detector = Detector::new(self.detector.clone());
-        let detection = detector.try_detect(&chain_run.capture).unwrap_or_default();
+        // anyway (a bad configuration included), the run scores an
+        // empty report instead of panicking.
+        let detection = StreamingDetector::detect(self.detector.clone(), &chain_run.capture)
+            .unwrap_or_default();
         KeylogOutcome::scored(text, keystrokes, detection, chain_run)
     }
 
@@ -127,16 +129,14 @@ impl KeylogScenario {
             // One StreamingDetector push per chunk; only its window
             // energies are kept (a chunk that cannot be analysed adds
             // none).
-            Detector::new(self.detector.clone())
-                .try_detect(&run.capture)
+            StreamingDetector::detect(self.detector.clone(), &run.capture)
                 .map(|report| report.window_energy)
                 .unwrap_or_default()
         });
         let energies: Vec<f64> = chunk_energies.into_iter().flatten().collect();
 
-        let detector = Detector::new(self.detector.clone());
         let window_s = WINDOW_SAMPLES as f64 / fs;
-        let detection = detector.detect_from_energies(energies, window_s);
+        let detection = detect_from_energies(energies, window_s);
         KeylogOutcome::scored(text, keystrokes, detection, ())
     }
 

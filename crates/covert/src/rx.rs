@@ -397,9 +397,9 @@ pub fn try_estimate_bit_period(
 /// kernel, whose length is a fraction of the bit period.
 const MAX_BIT_PERIOD_S: f64 = 1.0;
 
-/// Checks the invariants every receiver configuration must hold. The
-/// one rule set behind [`Receiver::new`], [`Receiver::try_new`] and
-/// [`StreamingReceiver`].
+/// Checks the invariants every receiver configuration must hold; its
+/// one caller is [`StreamingReceiver`]'s construction, which every
+/// receive path goes through.
 ///
 /// # Errors
 ///
@@ -430,7 +430,10 @@ pub(crate) fn validate(cfg: &RxConfig) -> Result<(), RxError> {
 }
 
 /// The whole-capture receiver: each call pushes one capture through a
-/// [`StreamingReceiver`] in a single chunk and finishes it.
+/// [`StreamingReceiver`] in a single chunk and finishes it. It holds
+/// the configuration and checks nothing itself: a bad configuration
+/// surfaces from [`Receiver::receive`] or [`Receiver::receive_blind`]
+/// as [`RxError::InvalidConfig`].
 #[derive(Debug, Clone)]
 pub struct Receiver {
     config: RxConfig,
@@ -438,30 +441,8 @@ pub struct Receiver {
 
 impl Receiver {
     /// Creates a receiver.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any configuration [`Receiver::try_new`] rejects.
     pub fn new(config: RxConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Receiver::new`]: reports a degenerate
-    /// configuration as [`RxError::InvalidConfig`] instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RxError::InvalidConfig`] naming the violated
-    /// invariant.
-    pub fn try_new(config: RxConfig) -> Result<Self, RxError> {
-        validate(&config)?;
-        Ok(Receiver { config })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &RxConfig {
-        &self.config
+        Receiver { config }
     }
 
     /// Demodulates a capture *blind*: the bit period is estimated from
@@ -495,11 +476,16 @@ impl Receiver {
     ///
     /// # Errors
     ///
+    /// In this precedence:
+    ///
+    /// - [`StreamingReceiver::new`]'s, for the configuration and the
+    ///   capture's tuning: [`RxError::InvalidConfig`] for a
+    ///   configuration that violates an invariant, then
+    ///   [`RxError::Capture`] for a bad sample rate, then
+    ///   [`RxError::NoCarrier`] when no configured VRM harmonic falls
+    ///   inside the captured band;
     /// - [`RxError::Capture`] for an empty capture, one shorter than a
-    ///   single analysis window, a majority-non-finite capture, or a
-    ///   non-positive sample rate;
-    /// - [`RxError::NoCarrier`] when no configured VRM harmonic falls
-    ///   inside the captured band.
+    ///   single analysis window, or a majority-non-finite capture.
     pub fn receive(&self, capture: &Capture) -> Result<RxReport, RxError> {
         let rx =
             StreamingReceiver::new(self.config.clone(), capture.sample_rate, capture.center_freq)?;
@@ -842,12 +828,12 @@ mod tests {
         Capture { samples, sample_rate: fs, center_freq: 1.5e6 }
     }
 
+    fn test_config(bit_s: f64) -> RxConfig {
+        RxConfig { fft_size: 256, decimation: 8, ..RxConfig::new(1.5e6 - 0.4e6, bit_s) }
+    }
+
     fn test_receiver(bit_s: f64) -> Receiver {
-        Receiver::new(RxConfig {
-            fft_size: 256,
-            decimation: 8,
-            ..RxConfig::new(1.5e6 - 0.4e6, bit_s)
-        })
+        Receiver::new(test_config(bit_s))
     }
 
     #[test]
@@ -958,15 +944,16 @@ mod tests {
         // preamble are what the estimator sees.)
         let bits: Vec<u8> = (0..64).map(|i| ((i * 3 + 1) % 4 < 2) as u8).collect();
         let cap = ook_capture(&bits, 400e-6, 2.4e6, -0.4e6, 1.0, 0.02);
-        let rx = test_receiver(400e-6);
-        let cfg = rx.config();
+        let cfg = test_config(400e-6);
         let bins = vec![emsc_sdr::fft::frequency_bin(
             cfg.switching_freq_hz - cap.center_freq,
             cfg.fft_size,
             cap.sample_rate,
         )];
         let energy =
-            emsc_sdr::sliding::energy_signal(&cap.samples, cfg.fft_size, &bins, cfg.decimation);
+            emsc_sdr::sliding::try_energy_signal(&cap.samples, cfg.fft_size, &bins, cfg.decimation)
+                .expect("clean capture")
+                .samples;
         let dt = cfg.decimation as f64 / cap.sample_rate;
         let est = try_estimate_bit_period(&energy, dt, 50e-6, 5e-3).expect("periodicity");
         assert!((est - 400e-6).abs() < 50e-6, "estimated {est}");
@@ -977,12 +964,7 @@ mod tests {
         let bits: Vec<u8> = (0..48).map(|i| ((i * 3 + 1) % 4 < 2) as u8).collect();
         let cap = ook_capture(&bits, 400e-6, 2.4e6, -0.4e6, 1.0, 0.02);
         // The blind receiver is primed with a WRONG expected period.
-        let rx = Receiver::new(RxConfig {
-            fft_size: 256,
-            decimation: 8,
-            ..RxConfig::new(1.5e6 - 0.4e6, 150e-6)
-        });
-        let blind = rx.receive_blind(&cap).expect("blind decode");
+        let blind = test_receiver(150e-6).receive_blind(&cap).expect("blind decode");
         assert_eq!(blind.bits, bits, "blind demod must recover the stream");
     }
 
@@ -1081,27 +1063,47 @@ mod tests {
 
     #[test]
     fn harmonic_count_is_respected() {
-        let cfg = RxConfig::new(970e3, 300e-6);
-        assert_eq!(cfg.harmonics, 2);
-        let rx = Receiver::new(RxConfig { harmonics: 1, ..cfg });
-        assert_eq!(rx.config().harmonics, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_fft_size_panics() {
-        Receiver::new(RxConfig { fft_size: 1000, ..RxConfig::new(970e3, 300e-6) });
+        assert_eq!(RxConfig::new(970e3, 300e-6).harmonics, 2);
+        // A transmission on the second harmonic alone (2.2 MHz, +0.7 MHz
+        // at baseband): the set S of two harmonics sees it, the
+        // fundamental alone sees the noise floor.
+        let bits = vec![1, 0, 1, 1, 0, 0, 1, 0];
+        let cap = ook_capture(&bits, 400e-6, 2.4e6, 0.7e6, 1.0, 0.02);
+        let peak = |harmonics| {
+            let rx = Receiver::new(RxConfig { harmonics, ..test_config(400e-6) });
+            let report = rx.receive(&cap).expect("clean capture decodes");
+            report.energy.iter().copied().fold(0.0, f64::max)
+        };
+        let (both, fundamental) = (peak(2), peak(1));
+        assert!(
+            both > 10.0 * fundamental,
+            "S = 2 harmonics {both}, fundamental only {fundamental}"
+        );
     }
 
     #[test]
     fn try_new_reports_config_errors() {
-        let bad = RxConfig { fft_size: 1000, ..RxConfig::new(970e3, 300e-6) };
-        assert!(matches!(Receiver::try_new(bad), Err(RxError::InvalidConfig(_))));
-        let bad = RxConfig { decimation: 0, ..RxConfig::new(970e3, 300e-6) };
-        assert!(matches!(Receiver::try_new(bad), Err(RxError::InvalidConfig(_))));
-        let bad = RxConfig { harmonics: 0, ..RxConfig::new(970e3, 300e-6) };
-        assert!(matches!(Receiver::try_new(bad), Err(RxError::InvalidConfig(_))));
-        assert!(Receiver::try_new(RxConfig::new(970e3, 300e-6)).is_ok());
+        let cap = ook_capture(&[1, 0, 1, 1], 400e-6, 2.4e6, -0.4e6, 1.0, 0.02);
+        let (fs, fc) = (cap.sample_rate, cap.center_freq);
+        for bad in [
+            RxConfig { fft_size: 1000, ..test_config(400e-6) },
+            RxConfig { decimation: 0, ..test_config(400e-6) },
+            RxConfig { harmonics: 0, ..test_config(400e-6) },
+        ] {
+            assert!(matches!(
+                StreamingReceiver::new(bad.clone(), fs, fc),
+                Err(RxError::InvalidConfig(_))
+            ));
+            let rx = Receiver::new(bad);
+            assert!(matches!(rx.receive(&cap), Err(RxError::InvalidConfig(_))));
+            assert!(matches!(rx.receive_blind(&cap), Err(RxError::InvalidConfig(_))));
+        }
+        assert!(StreamingReceiver::new(test_config(400e-6), fs, fc).is_ok());
+        // A bad configuration wins over a bad capture.
+        let empty = Capture { samples: Vec::new(), sample_rate: 0.0, center_freq: 100e6 };
+        let rx = Receiver::new(RxConfig { fft_size: 1000, ..test_config(400e-6) });
+        assert!(matches!(rx.receive(&empty), Err(RxError::InvalidConfig(_))));
+        assert!(test_receiver(400e-6).receive(&cap).is_ok());
     }
 
     #[test]

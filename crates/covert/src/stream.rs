@@ -12,7 +12,9 @@
 //! [`try_deframe`](crate::frame::try_deframe)) are one push of the
 //! whole input followed by `finish`. Their contract is chunk
 //! invariance: every chunking of a stream yields the same result as
-//! one push.
+//! one push. [`StreamingReceiver`]'s construction is the one place a
+//! receiver configuration is checked; the batch
+//! [`Receiver`](crate::rx::Receiver) only holds one.
 //!
 //! - [`StreamingReceiver`] — IQ chunks in, a final [`RxReport`] out.
 //!   The per-sample front end (energy, smoothing, edge convolution)
@@ -182,9 +184,7 @@ impl StreamingReceiver {
     /// # Errors
     ///
     /// [`RxError::Capture`] with the end-of-stream classification
-    /// (empty, too short for one window, majority-non-finite), or
-    /// [`RxError::InvalidConfig`] if a blind-estimated period is
-    /// degenerate.
+    /// (empty, too short for one window, majority-non-finite).
     pub fn finish(&mut self) -> Result<RxReport, RxError> {
         assert!(!self.finished, "finish() may only be called once");
         self.finished = true;
@@ -194,10 +194,14 @@ impl StreamingReceiver {
         let sanitized = self.front.sanitized();
         if self.blind {
             // Estimate the period over the whole smoothed energy
-            // signal, fall back to the prior, re-validate the tuned
-            // configuration, then size the edge kernel from it and
-            // decode. Only the bit period changed, so the energy
-            // signal accumulated here is already the tuned one.
+            // signal, fall back to the prior, then size the edge
+            // kernel from it and decode. Only the bit period changed,
+            // so the energy signal accumulated here is already the
+            // tuned one. The tuned configuration needs no second
+            // check: an estimate is a whole number of energy steps in
+            // [dt, BLIND_MAX_PERIOD_S), positive and under the 1 s
+            // ceiling, and construction sized the kernel bound for
+            // BLIND_MAX_PERIOD_S.
             let estimated = match try_estimate_bit_period(
                 &self.energy,
                 self.dt,
@@ -211,7 +215,6 @@ impl StreamingReceiver {
                 }
             };
             let tuned = RxConfig { expected_bit_period_s: estimated, ..self.config.clone() };
-            validate(&tuned)?;
             let energy = std::mem::take(&mut self.energy);
             let edge = convolve_same(&energy, &edge_kernel(edge_kernel_len(&tuned, self.dt)));
             Ok(decode_from_energy(&tuned, energy, edge, self.dt, sanitized))

@@ -6,8 +6,9 @@ use emsc_covert::metrics::align;
 use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_covert::tx::{Transmitter, TxConfig};
 use emsc_emfield::scene::Scene;
+use emsc_emfield::synth::samples_for;
 use emsc_pmu::sim::Machine;
-use emsc_sdr::{Frontend, FrontendConfig};
+use emsc_sdr::{Complex, Frontend, FrontendConfig};
 use emsc_vrm::buck::{Buck, BuckConfig};
 
 const F_SW: f64 = 970e3;
@@ -24,7 +25,8 @@ fn transmit_and_receive(payload: &[u8], seed: u64) -> (Vec<u8>, emsc_covert::rx:
     let trace = machine.run(&program, seed);
     let train = Buck::new(BuckConfig::laptop(F_SW)).convert(&trace);
     let scene = Scene::near_field(F_SW);
-    let analog = scene.render(&train, seed);
+    let mut analog = vec![Complex::ZERO; samples_for(&train, scene.synth)];
+    scene.window_renderer(&train, seed).render_into(0, &mut analog);
     let capture =
         Frontend::new(FrontendConfig::rtl_sdr_v3(scene.synth.center_freq)).digitize(&analog);
 

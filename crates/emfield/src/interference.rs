@@ -41,20 +41,15 @@ impl Interferer {
         Interferer { fundamental_hz: 64e3, amplitude, harmonics: 20, rolloff: 0.8 }
     }
 
-    /// Adds this interferer's comb to `buf` (complex baseband around
-    /// `center_freq` at `sample_rate`), with a deterministic per-
-    /// harmonic starting phase derived from `seed`.
-    pub fn add_to(&self, buf: &mut [Complex], sample_rate: f64, center_freq: f64, seed: u64) {
-        self.add_to_window(buf, sample_rate, center_freq, seed, 0);
-    }
-
-    /// [`Interferer::add_to`] for the window of the capture beginning
-    /// at absolute sample `start`: each sample's phase is the
-    /// *positional* `phase0 + step · n` for its absolute index `n`, so
-    /// any window decomposition reproduces the whole-buffer comb bit
-    /// for bit. The per-harmonic `phase0` draw happens only for
-    /// in-band harmonics (out-of-band harmonics consume no RNG draws),
-    /// exactly as the whole-buffer path always has.
+    /// Adds this interferer's comb (complex baseband around
+    /// `center_freq` at `sample_rate`) to `buf`, the window of the
+    /// capture beginning at absolute sample `start`, with a
+    /// deterministic per-harmonic starting phase derived from `seed`.
+    /// Each sample's phase is the *positional* `phase0 + step · n` for
+    /// its absolute index `n`, so any window decomposition of a
+    /// capture adds the same comb bit for bit. The per-harmonic
+    /// `phase0` draw happens only for in-band harmonics (out-of-band
+    /// harmonics consume no RNG draws).
     pub fn add_to_window(
         &self,
         buf: &mut [Complex],
@@ -94,7 +89,9 @@ impl Interferer {
 pub const AWGN_BLOCK: usize = 64;
 
 /// Adds circular complex AWGN of standard deviation `sigma` (per
-/// complex sample) to `buf`, deterministically from `seed`.
+/// complex sample) to `buf`, the window of the capture beginning at
+/// absolute sample `start`, deterministically from `seed`: any window
+/// decomposition of a capture adds the same noise bit for bit.
 ///
 /// The sampler is a 256-layer Marsaglia–Tsang ziggurat over a
 /// xoshiro256++ generator — an *exact* unit-normal distribution (the
@@ -103,15 +100,7 @@ pub const AWGN_BLOCK: usize = 64;
 /// a large, shared cost of every simulated capture, and nothing in the
 /// repo pins the per-sample bit pattern across implementations — only
 /// determinism per seed and the channel statistics, both of which this
-/// sampler preserves. The stream is blockwise sub-seeded on the
-/// [`AWGN_BLOCK`] grid (see [`add_awgn_window`]).
-pub fn add_awgn(buf: &mut [Complex], sigma: f64, seed: u64) {
-    add_awgn_window(buf, sigma, seed, 0);
-}
-
-/// [`add_awgn`] for the window of the capture beginning at absolute
-/// sample `start`: adds exactly the noise the whole-buffer call would
-/// have added to indices `start..start + buf.len()`, bit for bit.
+/// sampler preserves.
 ///
 /// Block `b` of the [`AWGN_BLOCK`] grid draws `2·AWGN_BLOCK` normals
 /// (re then im per sample, in index order) from its own positionally
@@ -205,8 +194,8 @@ const ZIG_V: f64 = 0.004_928_673_233_974_655;
 impl Ziggurat {
     /// The process-wide tables, built once with the classic
     /// Marsaglia–Tsang recurrence. They used to live on the stack of
-    /// each `add_awgn` call — negligible against a megasample buffer,
-    /// but the blockwise windowed path may be entered once per
+    /// each whole-buffer noise call — negligible against a megasample
+    /// buffer, but the blockwise windowed path may be entered once per
     /// [`AWGN_BLOCK`], so the few microseconds of `exp`/`ln`/`sqrt`
     /// now amortise to zero behind a `OnceLock` (same values bit for
     /// bit; the recurrence is deterministic).
@@ -277,7 +266,7 @@ mod tests {
     #[test]
     fn awgn_statistics() {
         let mut buf = vec![Complex::ZERO; 50_000];
-        add_awgn(&mut buf, 0.5, 7);
+        add_awgn_window(&mut buf, 0.5, 7, 0);
         let mean: Complex = buf.iter().copied().sum::<Complex>() / buf.len() as f64;
         assert!(mean.abs() < 0.01, "mean {}", mean.abs());
         let power: f64 = buf.iter().map(|z| z.norm_sqr()).sum::<f64>() / buf.len() as f64;
@@ -290,7 +279,7 @@ mod tests {
         // law, not just its variance: check the per-component exceedance
         // fractions at 1σ/2σ/3σ against erfc (0.3173 / 0.0455 / 0.0027).
         let mut buf = vec![Complex::ZERO; 200_000];
-        add_awgn(&mut buf, 1.0, 99);
+        add_awgn_window(&mut buf, 1.0, 99, 0);
         let s = 1.0 / 2f64.sqrt();
         let n = (buf.len() * 2) as f64;
         let frac = |k: f64| {
@@ -304,7 +293,7 @@ mod tests {
     #[test]
     fn awgn_zero_sigma_is_noop() {
         let mut buf = vec![Complex::new(1.0, -1.0); 16];
-        add_awgn(&mut buf, 0.0, 3);
+        add_awgn_window(&mut buf, 0.0, 3, 0);
         assert!(buf.iter().all(|z| *z == Complex::new(1.0, -1.0)));
     }
 
@@ -312,8 +301,8 @@ mod tests {
     fn awgn_deterministic_per_seed() {
         let mut a = vec![Complex::ZERO; 64];
         let mut b = vec![Complex::ZERO; 64];
-        add_awgn(&mut a, 1.0, 42);
-        add_awgn(&mut b, 1.0, 42);
+        add_awgn_window(&mut a, 1.0, 42, 0);
+        add_awgn_window(&mut b, 1.0, 42, 0);
         assert_eq!(a, b);
     }
 
@@ -334,7 +323,7 @@ mod tests {
         // windows all reproduce the whole-buffer noise bit for bit.
         let n = 10 * AWGN_BLOCK + 17;
         let mut whole = vec![Complex::ZERO; n];
-        add_awgn(&mut whole, 1.3, 2020);
+        add_awgn_window(&mut whole, 1.3, 2020, 0);
         for window in [1usize, 7, AWGN_BLOCK, 3 * AWGN_BLOCK + 5, n] {
             let mut composed = vec![Complex::ZERO; n];
             let mut start = 0;
@@ -354,7 +343,7 @@ mod tests {
         // its absolute offset and compare against the whole buffer.
         let n = 5 * AWGN_BLOCK;
         let mut whole = vec![Complex::ZERO; n];
-        add_awgn(&mut whole, 0.7, 99);
+        add_awgn_window(&mut whole, 0.7, 99, 0);
         let tail_at = 2 * AWGN_BLOCK + 13;
         let mut tail = vec![Complex::ZERO; n - tail_at];
         add_awgn_window(&mut tail, 0.7, 99, tail_at);
@@ -368,7 +357,7 @@ mod tests {
         let n = 4096 + 31;
         let intf = Interferer::printer(0.8);
         let mut whole = vec![Complex::ZERO; n];
-        intf.add_to(&mut whole, fs, fc, 5);
+        intf.add_to_window(&mut whole, fs, fc, 5, 0);
         for window in [1usize, 7, 997, n] {
             let mut composed = vec![Complex::ZERO; n];
             let mut start = 0;
@@ -388,7 +377,7 @@ mod tests {
         let n = 8192;
         let mut buf = vec![Complex::ZERO; n];
         let intf = Interferer { fundamental_hz: 300e3, amplitude: 1.0, harmonics: 8, rolloff: 0.5 };
-        intf.add_to(&mut buf, fs, fc, 1);
+        intf.add_to_window(&mut buf, fs, fc, 1, 0);
         let mut spec = buf.clone();
         plan_for(n).forward(&mut spec);
         // Harmonic 5 at 1.5 MHz is in-band at +100 kHz baseband.

@@ -11,7 +11,7 @@ use emsc_vrm::train::SwitchingTrain;
 
 use crate::interference::{add_awgn_window, Interferer};
 use crate::path::Path;
-use crate::synth::{render_train_window, samples_for, SynthConfig};
+use crate::synth::{render_train_window, SynthConfig};
 
 /// A complete RF scene.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,19 +59,12 @@ impl Scene {
         }
     }
 
-    /// Renders the received analog baseband waveform for a switching
-    /// train: the whole capture as one window of
-    /// [`WindowRenderer::render_into`]. Deterministic for a given
-    /// `(train, seed)`.
-    pub fn render(&self, train: &SwitchingTrain, seed: u64) -> Vec<Complex> {
-        let mut buf = vec![Complex::ZERO; samples_for(train, self.synth)];
-        self.window_renderer(train, seed).render_into(0, &mut buf);
-        buf
-    }
-
-    /// A renderer for the windows of one `(train, seed)` run, each
-    /// bit-identical to the same index range of [`Scene::render`].
-    /// This is what a blockwise producer holds for the run's lifetime.
+    /// A renderer for the windows of the received analog baseband
+    /// waveform of one `(train, seed)` run: deterministic, and the
+    /// same bit for bit however a capture is cut into windows. This is
+    /// what a blockwise producer holds for the run's lifetime; a whole
+    /// capture of [`samples_for`](crate::synth::samples_for) samples is
+    /// one window at 0.
     pub fn window_renderer<'a>(
         &'a self,
         train: &'a SwitchingTrain,
@@ -92,7 +85,7 @@ impl Scene {
 
 /// Windowed renderer bound to one `(scene, train, seed)` run — see
 /// [`Scene::window_renderer`]. Every window it renders is bit-identical
-/// to the matching range of [`Scene::render`].
+/// to the matching range of any other decomposition of the run.
 #[derive(Debug, Clone, Copy)]
 pub struct WindowRenderer<'a> {
     scene: &'a Scene,
@@ -131,6 +124,7 @@ impl WindowRenderer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::synth::samples_for;
     use emsc_sdr::fft::{frequency_bin, plan_for};
     use emsc_vrm::train::Pulse;
 
@@ -142,6 +136,13 @@ mod tests {
             nominal_period_s: period,
             duration_s,
         }
+    }
+
+    /// The whole capture of a run: one window at 0.
+    fn render(scene: &Scene, train: &SwitchingTrain, seed: u64) -> Vec<Complex> {
+        let mut buf = vec![Complex::ZERO; samples_for(train, scene.synth)];
+        scene.window_renderer(train, seed).render_into(0, &mut buf);
+        buf
     }
 
     fn line_amp(buf: &[Complex], fs: f64, f_bb: f64) -> f64 {
@@ -157,7 +158,7 @@ mod tests {
         let f_sw = 970e3;
         let scene = Scene::near_field(f_sw);
         let train = regular_train(f_sw, 8e-6, 8e-3);
-        let buf = scene.render(&train, 5);
+        let buf = render(&scene, &train, 5);
         let line = line_amp(&buf, scene.synth.sample_rate, scene.synth.baseband(f_sw));
         let noise_bin = line_amp(&buf, scene.synth.sample_rate, scene.synth.baseband(f_sw) + 200e3);
         assert!(line / noise_bin > 30.0, "line {line}, noise {noise_bin}");
@@ -170,7 +171,7 @@ mod tests {
         let mut amps = Vec::new();
         for d in [1.0, 1.5, 2.5] {
             let scene = Scene::line_of_sight(f_sw, d);
-            let buf = scene.render(&train, 5);
+            let buf = render(&scene, &train, 5);
             amps.push(line_amp(&buf, scene.synth.sample_rate, scene.synth.baseband(f_sw)));
         }
         assert!(amps[0] > amps[1] && amps[1] > amps[2], "{amps:?}");
@@ -181,7 +182,7 @@ mod tests {
         let f_sw = 970e3;
         let scene = Scene::through_wall(f_sw);
         let train = regular_train(f_sw, 8e-6, 8e-3);
-        let buf = scene.render(&train, 5);
+        let buf = render(&scene, &train, 5);
         let fs = scene.synth.sample_rate;
         let line = line_amp(&buf, fs, scene.synth.baseband(f_sw));
         // Printer harmonic (310 kHz × 4 = 1.24 MHz ⇒ −215 kHz baseband) is present…
@@ -213,7 +214,7 @@ mod tests {
         let f_sw = 970e3;
         let scene = Scene::through_wall(f_sw);
         let train = regular_train(f_sw, 8e-6, 4e-3);
-        let whole = scene.render(&train, 77);
+        let whole = render(&scene, &train, 77);
         let n = whole.len();
         let renderer = scene.window_renderer(&train, 77);
         for window in [7usize, 997, 4096, n] {
@@ -238,7 +239,7 @@ mod tests {
         let f_sw = 1e6;
         let scene = Scene::through_wall(f_sw);
         let train = regular_train(f_sw, 4e-6, 2e-3);
-        assert_eq!(scene.render(&train, 9), scene.render(&train, 9));
-        assert_ne!(scene.render(&train, 9), scene.render(&train, 10));
+        assert_eq!(render(&scene, &train, 9), render(&scene, &train, 9));
+        assert_ne!(render(&scene, &train, 9), render(&scene, &train, 10));
     }
 }

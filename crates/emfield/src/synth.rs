@@ -156,35 +156,6 @@ fn kernel_fast(x: f64, lut: &[f64]) -> f64 {
     lut[i] + (lut[i + 1] - lut[i]) * frac
 }
 
-/// Renders a switching train into an ideal (noise-free, unit-path)
-/// complex-baseband waveform of `n_samples` samples.
-///
-/// The output amplitude is in "source amperes": a VRM continuously
-/// replenishing `I` amperes produces a spectral line of complex
-/// amplitude ≈ `I` at baseband frequency `f_sw − f_c`.
-///
-/// # Examples
-///
-/// ```
-/// use emsc_vrm::train::{Pulse, SwitchingTrain};
-/// use emsc_emfield::synth::{render_train, SynthConfig};
-///
-/// // A perfectly regular 1 MHz train carrying 2 µC per pulse.
-/// let train = SwitchingTrain {
-///     pulses: (0..2000).map(|k| Pulse { t_s: k as f64 * 1e-6, charge_c: 2e-6 }).collect(),
-///     nominal_period_s: 1e-6,
-///     duration_s: 2e-3,
-/// };
-/// let cfg = SynthConfig::rtl_sdr_for(1e6);
-/// let iq = render_train(&train, cfg, 4096);
-/// assert_eq!(iq.len(), 4096);
-/// ```
-pub fn render_train(train: &SwitchingTrain, config: SynthConfig, n_samples: usize) -> Vec<Complex> {
-    let mut out = vec![Complex::ZERO; n_samples];
-    render_train_window(train, config, 0, &mut out);
-    out
-}
-
 /// Analytic renderer: per-pulse `cis` and the analytic kernel at
 /// absolute sample indices, walking every pulse. The accuracy oracle
 /// of the table-driven [`render_train_window`].
@@ -261,10 +232,16 @@ impl CarrierPhasor {
     }
 }
 
-/// Renders the window `[start, start + out.len())` of a capture,
+/// Renders the window `[start, start + out.len())` of a switching
+/// train's ideal (noise-free, unit-path) complex-baseband waveform,
 /// *adding* each pulse's contribution into the caller-zeroed `out`
 /// slice. Any decomposition of a capture into windows renders it bit
-/// for bit the same; [`render_train`] is the one-window case.
+/// for bit the same; a whole capture of [`samples_for`] samples is one
+/// window at 0.
+///
+/// The output amplitude is in "source amperes": a VRM continuously
+/// replenishing `I` amperes produces a spectral line of complex
+/// amplitude ≈ `I` at baseband frequency `f_sw − f_c`.
 ///
 /// This is the chunk-windowed entry the fused TX chain renders its
 /// cache-resident blocks through. It is table-driven (within −90 dB
@@ -278,7 +255,7 @@ impl CarrierPhasor {
 ///   `cis` at every `PHASOR_REFRESH`-th pulse *of the train*), and a
 ///   window warms it up from the nearest anchor at or before its first
 ///   pulse — the Δt rotator is a pure function of the pulse spacing,
-///   so the warm-up reproduces the whole-buffer product exactly;
+///   so the warm-up reproduces the one-window product exactly;
 /// - each pulse's kernel-LUT row and interpolation fraction are
 ///   computed from the pulse's *intrinsic* first tap (`⌈center − H⌉`,
 ///   which may precede the window); clipping at the window edge only
@@ -287,6 +264,25 @@ impl CarrierPhasor {
 /// Cost per window beyond the taps themselves: one binary search over
 /// the train and at most `PHASOR_REFRESH − 1` carrier warm-up
 /// multiplies, both negligible at kilosample block sizes.
+///
+/// # Examples
+///
+/// ```
+/// use emsc_sdr::iq::Complex;
+/// use emsc_vrm::train::{Pulse, SwitchingTrain};
+/// use emsc_emfield::synth::{render_train_window, SynthConfig};
+///
+/// // A perfectly regular 1 MHz train carrying 2 µC per pulse.
+/// let train = SwitchingTrain {
+///     pulses: (0..2000).map(|k| Pulse { t_s: k as f64 * 1e-6, charge_c: 2e-6 }).collect(),
+///     nominal_period_s: 1e-6,
+///     duration_s: 2e-3,
+/// };
+/// let cfg = SynthConfig::rtl_sdr_for(1e6);
+/// let mut iq = vec![Complex::ZERO; 4096];
+/// render_train_window(&train, cfg, 0, &mut iq);
+/// assert!(iq.iter().any(|s| s.abs() > 0.0));
+/// ```
 ///
 /// [`Buck::convert`]: emsc_vrm::buck::Buck::convert
 pub fn render_train_window(
@@ -452,7 +448,7 @@ mod tests {
         let f_sw = 937.5e3;
         let train = regular_train(f_sw, 8e-6, 10e-3);
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        let iq = render_train(&train, cfg, samples_for(&train, cfg));
+        let iq = render(&train, cfg, samples_for(&train, cfg));
         let line = spectrum_peak_near(&iq, cfg.sample_rate, cfg.baseband(f_sw), 8192);
         assert!((line - 8.0).abs() / 8.0 < 0.15, "line amplitude {line}");
     }
@@ -462,7 +458,7 @@ mod tests {
         let f_sw = 970e3;
         let train = regular_train(f_sw, 5e-6, 10e-3);
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
-        let iq = render_train(&train, cfg, samples_for(&train, cfg));
+        let iq = render(&train, cfg, samples_for(&train, cfg));
         let h1 = spectrum_peak_near(&iq, cfg.sample_rate, cfg.baseband(f_sw), 8192);
         let h2 = spectrum_peak_near(&iq, cfg.sample_rate, cfg.baseband(2.0 * f_sw), 8192);
         assert!(h1 > 2.0, "fundamental {h1}");
@@ -479,8 +475,8 @@ mod tests {
             pulses: dense.pulses.iter().step_by(16).copied().collect(),
             ..dense.clone()
         };
-        let iq_d = render_train(&dense, cfg, samples_for(&dense, cfg));
-        let iq_s = render_train(&sparse, cfg, samples_for(&sparse, cfg));
+        let iq_d = render(&dense, cfg, samples_for(&dense, cfg));
+        let iq_s = render(&sparse, cfg, samples_for(&sparse, cfg));
         let line_d = spectrum_peak_near(&iq_d, cfg.sample_rate, cfg.baseband(f_sw), 8192);
         let line_s = spectrum_peak_near(&iq_s, cfg.sample_rate, cfg.baseband(f_sw), 8192);
         let ratio = line_d / line_s;
@@ -504,8 +500,8 @@ mod tests {
             let u = (state % 10_000) as f64 / 10_000.0 - 0.5;
             p.t_s += u / f_sw;
         }
-        let iq_r = render_train(&regular, cfg, samples_for(&regular, cfg));
-        let iq_j = render_train(&jittered, cfg, samples_for(&jittered, cfg));
+        let iq_r = render(&regular, cfg, samples_for(&regular, cfg));
+        let iq_j = render(&jittered, cfg, samples_for(&jittered, cfg));
         let line_r = spectrum_peak_near(&iq_r, cfg.sample_rate, cfg.baseband(f_sw), 8192);
         let line_j = spectrum_peak_near(&iq_j, cfg.sample_rate, cfg.baseband(f_sw), 8192);
         assert!(line_r > 3.0 * line_j, "regular {line_r} vs jittered {line_j}");
@@ -520,7 +516,7 @@ mod tests {
         let f_sw = 970e3;
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let train = regular_train(f_sw, 8e-6, 10e-3);
-        let iq = render_train(&train, cfg, samples_for(&train, cfg));
+        let iq = render(&train, cfg, samples_for(&train, cfg));
         let in_band = spectrum_peak_near(&iq, cfg.sample_rate, cfg.baseband(f_sw), 8192);
         // Folded image of h3: offset 2.91 MHz − 1.455 MHz = 1.455 MHz
         // wraps to 1.455 − 2.4 = −0.945 MHz.
@@ -539,8 +535,8 @@ mod tests {
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let a = regular_train(f_sw, 2e-6, 2e-3);
         let b = regular_train(f_sw, 4e-6, 2e-3);
-        let ia = render_train(&a, cfg, 4096);
-        let ib = render_train(&b, cfg, 4096);
+        let ia = render(&a, cfg, 4096);
+        let ib = render(&b, cfg, 4096);
         for (x, y) in ia.iter().zip(&ib) {
             assert!((y.abs() - 2.0 * x.abs()).abs() < 1e-9);
         }
@@ -550,7 +546,7 @@ mod tests {
     fn empty_train_renders_silence() {
         let train = SwitchingTrain { pulses: Vec::new(), nominal_period_s: 1e-6, duration_s: 1e-3 };
         let cfg = SynthConfig::rtl_sdr_for(1e6);
-        let iq = render_train(&train, cfg, 2400);
+        let iq = render(&train, cfg, 2400);
         assert!(iq.iter().all(|z| z.abs() == 0.0));
     }
 
@@ -576,7 +572,7 @@ mod tests {
         let train = regular_train(f_sw, 8e-6, 60e-3);
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let n = samples_for(&train, cfg);
-        let fast = render_train(&train, cfg, n);
+        let fast = render(&train, cfg, n);
         let exact = render_exact(&train, cfg, n);
         let db = relative_error_db(&fast, &exact);
         assert!(db <= -90.0, "fast path error {db:.1} dB");
@@ -599,7 +595,7 @@ mod tests {
         train.pulses.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap());
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         let n = samples_for(&train, cfg);
-        let fast = render_train(&train, cfg, n);
+        let fast = render(&train, cfg, n);
         let exact = render_exact(&train, cfg, n);
         let db = relative_error_db(&fast, &exact);
         assert!(db <= -90.0, "fast path error {db:.1} dB");
@@ -622,10 +618,17 @@ mod tests {
         let h = KERNEL_HALF_WIDTH as f64;
         assert_eq!((center - h).ceil() - center + h, 1.0, "test must hit the rounding case");
         let n = samples_for(&train, cfg);
-        let fast = render_train(&train, cfg, n);
+        let fast = render(&train, cfg, n);
         let exact = render_exact(&train, cfg, n);
         let db = relative_error_db(&fast, &exact);
         assert!(db <= -90.0, "fast path error {db:.1} dB");
+    }
+
+    /// Renders `n` samples as one window at 0.
+    fn render(train: &SwitchingTrain, cfg: SynthConfig, n: usize) -> Vec<Complex> {
+        let mut out = vec![Complex::ZERO; n];
+        render_train_window(train, cfg, 0, &mut out);
+        out
     }
 
     /// Renders `n` samples as a sequence of `window`-sized blocks
@@ -677,7 +680,7 @@ mod tests {
         let cfg = SynthConfig::rtl_sdr_for(f_sw);
         for train in [regular_train(f_sw, 8e-6, 4e-3), jittered] {
             let n = samples_for(&train, cfg);
-            let whole = render_train(&train, cfg, n);
+            let whole = render(&train, cfg, n);
             for window in [1usize, 7, 997, 4096] {
                 let composed = render_by_windows(&train, cfg, n, window);
                 assert_bitwise_eq(&composed, &whole, &format!("window {window}"));
@@ -706,7 +709,7 @@ mod tests {
             duration_s: 200.0 / fs,
         };
         let n = 200;
-        let whole = render_train(&train, cfg, n);
+        let whole = render(&train, cfg, n);
         for (label, cuts) in [("even", vec![100usize]), ("odd", vec![153usize])] {
             let mut out = vec![Complex::ZERO; n];
             let mut edges = vec![0usize];
@@ -800,7 +803,7 @@ mod tests {
                 train.pulses.sort_by(|a, b| a.t_s.partial_cmp(&b.t_s).unwrap());
                 let cfg = SynthConfig::rtl_sdr_for(f_sw);
                 let n = samples_for(&train, cfg);
-                let fast = render_train(&train, cfg, n);
+                let fast = render(&train, cfg, n);
                 let exact = render_exact(&train, cfg, n);
                 let db = relative_error_db(&fast, &exact);
                 prop_assert!(db <= -90.0, "error {} dB", db);

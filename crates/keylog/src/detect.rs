@@ -11,9 +11,6 @@
 
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::stats::{quantile, Histogram};
-use emsc_sdr::Capture;
-
-use crate::stream::StreamingDetector;
 
 /// Why keystroke detection could not run over a capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,14 +156,14 @@ impl DetectionScore {
     }
 }
 
-/// Checks the invariants every detector configuration must hold. The
-/// one rule set behind [`Detector::new`], [`Detector::try_new`] and
-/// [`StreamingDetector::new`].
+/// Checks the invariants every detector configuration must hold; its
+/// one caller is
+/// [`StreamingDetector::new`](crate::stream::StreamingDetector::new).
 ///
 /// # Errors
 ///
 /// [`DetectError::InvalidConfig`] naming the first violated invariant.
-fn validate(cfg: &DetectorConfig) -> Result<(), DetectError> {
+pub(crate) fn validate(cfg: &DetectorConfig) -> Result<(), DetectError> {
     if cfg.switching_freq_hz.is_finite() {
         Ok(())
     } else {
@@ -174,108 +171,53 @@ fn validate(cfg: &DetectorConfig) -> Result<(), DetectError> {
     }
 }
 
-/// The keystroke detector.
-#[derive(Debug, Clone)]
-pub struct Detector {
-    config: DetectorConfig,
-}
-
-impl Detector {
-    /// Creates a detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on any configuration [`Detector::try_new`] rejects.
-    pub fn new(config: DetectorConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Detector::new`]: reports a degenerate
-    /// configuration as [`DetectError::InvalidConfig`] instead of
-    /// panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DetectError::InvalidConfig`] naming the violated
-    /// invariant.
-    pub fn try_new(config: DetectorConfig) -> Result<Self, DetectError> {
-        validate(&config)?;
-        Ok(Detector { config })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DetectorConfig {
-        &self.config
-    }
-
-    /// Runs detection over a whole capture: one push of it through a
-    /// [`StreamingDetector`], then the global threshold/grouping pass.
-    /// Non-finite window energies (from isolated corrupt samples) are
-    /// zeroed before thresholding; a capture whose samples are
-    /// *mostly* non-finite is rejected.
-    ///
-    /// # Errors
-    ///
-    /// [`DetectError::Capture`] for a non-positive/non-finite sample
-    /// rate, an empty capture, one shorter than a single STFT window,
-    /// or a majority-non-finite capture.
-    pub fn try_detect(&self, capture: &Capture) -> Result<DetectionReport, DetectError> {
-        let mut detector =
-            StreamingDetector::new(self.config.clone(), capture.sample_rate, capture.center_freq)?;
-        detector.push(&capture.samples);
-        detector.finish()
-    }
-
-    /// Thresholds and groups precomputed window energies (the
-    /// [`DetectionReport::window_energy`] of earlier detections, for
-    /// example chunks of one long recording). Non-finite energies are
-    /// zeroed first, so the report's energies are all finite.
-    pub fn detect_from_energies(
-        &self,
-        mut window_energy: Vec<f64>,
-        window_s: f64,
-    ) -> DetectionReport {
-        for e in &mut window_energy {
-            if !e.is_finite() {
-                *e = 0.0;
-            }
+/// Thresholds and groups window energies. It is the global pass
+/// [`StreamingDetector::finish`](crate::stream::StreamingDetector::finish)
+/// runs over the energies it accumulated, and what a caller runs over
+/// the concatenated [`DetectionReport::window_energy`] of several
+/// detections (for example chunks of one long recording). Non-finite
+/// energies are zeroed first, so the report's energies are all finite.
+pub fn detect_from_energies(mut window_energy: Vec<f64>, window_s: f64) -> DetectionReport {
+    for e in &mut window_energy {
+        if !e.is_finite() {
+            *e = 0.0;
         }
-        let threshold = select_threshold(&window_energy);
-        let active: Vec<bool> = window_energy.iter().map(|&e| e > threshold).collect();
+    }
+    let threshold = select_threshold(&window_energy);
+    let active: Vec<bool> = window_energy.iter().map(|&e| e > threshold).collect();
 
-        // Group active windows into bursts, bridging short gaps.
-        let mut bursts = Vec::new();
-        let mut rejected = Vec::new();
-        let mut start: Option<usize> = None;
-        let mut gap = 0usize;
-        let mut last_active = 0usize;
-        for (i, &a) in active.iter().enumerate() {
-            match (a, start) {
-                (true, None) => {
-                    start = Some(i);
-                    last_active = i;
-                }
-                (true, Some(_)) => {
+    // Group active windows into bursts, bridging short gaps.
+    let mut bursts = Vec::new();
+    let mut rejected = Vec::new();
+    let mut start: Option<usize> = None;
+    let mut gap = 0usize;
+    let mut last_active = 0usize;
+    for (i, &a) in active.iter().enumerate() {
+        match (a, start) {
+            (true, None) => {
+                start = Some(i);
+                last_active = i;
+            }
+            (true, Some(_)) => {
+                gap = 0;
+                last_active = i;
+            }
+            (false, Some(s)) => {
+                gap += 1;
+                if gap > MAX_GAP_WINDOWS {
+                    push_burst(&mut bursts, &mut rejected, s, last_active, window_s);
+                    start = None;
                     gap = 0;
-                    last_active = i;
                 }
-                (false, Some(s)) => {
-                    gap += 1;
-                    if gap > MAX_GAP_WINDOWS {
-                        push_burst(&mut bursts, &mut rejected, s, last_active, window_s);
-                        start = None;
-                        gap = 0;
-                    }
-                }
-                (false, None) => {}
             }
+            (false, None) => {}
         }
-        if let Some(s) = start {
-            push_burst(&mut bursts, &mut rejected, s, last_active, window_s);
-        }
-
-        DetectionReport { window_energy, window_s, threshold, bursts, rejected }
     }
+    if let Some(s) = start {
+        push_burst(&mut bursts, &mut rejected, s, last_active, window_s);
+    }
+
+    DetectionReport { window_energy, window_s, threshold, bursts, rejected }
 }
 
 fn push_burst(
@@ -364,7 +306,9 @@ pub fn detected_times(report: &DetectionReport) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamingDetector;
     use emsc_sdr::iq::Complex;
+    use emsc_sdr::Capture;
 
     /// Synthetic capture: tone bursts at given times over a noise floor.
     fn capture_with_bursts(bursts: &[(f64, f64)], duration_s: f64) -> Capture {
@@ -390,15 +334,15 @@ mod tests {
         Capture { samples, sample_rate: fs, center_freq: 1.455e6 }
     }
 
-    fn detector() -> Detector {
-        Detector::new(DetectorConfig::new(970e3))
+    fn detect(capture: &Capture) -> Result<DetectionReport, DetectError> {
+        StreamingDetector::detect(DetectorConfig::new(970e3), capture)
     }
 
     #[test]
     fn detects_well_separated_keystrokes() {
         let truth = [(0.2, 0.05), (0.5, 0.06), (0.9, 0.05)];
         let cap = capture_with_bursts(&truth, 1.2);
-        let report = detector().try_detect(&cap).expect("capture is usable");
+        let report = detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 3, "bursts: {:?}", report.bursts);
         let score = score_detections(
             &report.bursts,
@@ -414,7 +358,7 @@ mod tests {
     fn short_bursts_are_filtered_out() {
         // A 10 ms housekeeping blip must be rejected by the 30 ms rule.
         let cap = capture_with_bursts(&[(0.2, 0.05), (0.5, 0.010)], 0.8);
-        let report = detector().try_detect(&cap).expect("capture is usable");
+        let report = detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 1);
         assert_eq!(report.rejected.len(), 1);
         assert!(report.rejected[0].duration_s < 0.03);
@@ -423,7 +367,7 @@ mod tests {
     #[test]
     fn burst_duration_is_estimated() {
         let cap = capture_with_bursts(&[(0.3, 0.08)], 0.7);
-        let report = detector().try_detect(&cap).expect("capture is usable");
+        let report = detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 1);
         let b = report.bursts[0];
         assert!((b.start_s - 0.3).abs() < 0.01, "start {}", b.start_s);
@@ -434,7 +378,7 @@ mod tests {
     fn gap_bridging_merges_split_bursts() {
         // Two half-bursts 5 ms apart are one keystroke, not two.
         let cap = capture_with_bursts(&[(0.3, 0.025), (0.33, 0.03)], 0.7);
-        let report = detector().try_detect(&cap).expect("capture is usable");
+        let report = detect(&cap).expect("capture is usable");
         assert_eq!(report.bursts.len(), 1, "bursts {:?}", report.bursts);
     }
 
@@ -456,43 +400,44 @@ mod tests {
     #[test]
     fn empty_capture_detects_nothing() {
         let cap = capture_with_bursts(&[], 0.3);
-        let report = detector().try_detect(&cap).expect("capture is usable");
+        let report = detect(&cap).expect("capture is usable");
         assert!(report.bursts.is_empty());
     }
 
     #[test]
     fn try_new_reports_config_errors() {
+        let cap = capture_with_bursts(&[], 0.1);
         for switching_freq_hz in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let bad = DetectorConfig::new(switching_freq_hz);
-            assert!(matches!(Detector::try_new(bad), Err(DetectError::InvalidConfig(_))));
+            assert!(matches!(
+                StreamingDetector::new(bad.clone(), 2.4e6, 1.455e6),
+                Err(DetectError::InvalidConfig(_))
+            ));
+            assert!(matches!(
+                StreamingDetector::detect(bad, &cap),
+                Err(DetectError::InvalidConfig(_))
+            ));
         }
-        assert!(Detector::try_new(DetectorConfig::new(970e3)).is_ok());
+        assert!(StreamingDetector::new(DetectorConfig::new(970e3), 2.4e6, 1.455e6).is_ok());
     }
 
     #[test]
     fn try_detect_classifies_degenerate_captures() {
-        let d = detector();
         let empty = Capture { samples: Vec::new(), sample_rate: 2.4e6, center_freq: 1.455e6 };
-        assert_eq!(d.try_detect(&empty), Err(DetectError::Capture(CaptureError::Empty)));
+        assert_eq!(detect(&empty), Err(DetectError::Capture(CaptureError::Empty)));
         let short =
             Capture { samples: vec![Complex::ZERO; 100], sample_rate: 2.4e6, center_freq: 1.455e6 };
-        assert!(matches!(
-            d.try_detect(&short),
-            Err(DetectError::Capture(CaptureError::TooShort { .. }))
-        ));
+        assert!(matches!(detect(&short), Err(DetectError::Capture(CaptureError::TooShort { .. }))));
         let bad_rate =
             Capture { samples: vec![Complex::ZERO; 20_000], sample_rate: 0.0, center_freq: 0.0 };
-        assert_eq!(
-            d.try_detect(&bad_rate),
-            Err(DetectError::Capture(CaptureError::InvalidSampleRate))
-        );
+        assert_eq!(detect(&bad_rate), Err(DetectError::Capture(CaptureError::InvalidSampleRate)));
         let all_nan = Capture {
             samples: vec![Complex::new(f64::NAN, f64::NAN); 20_000],
             sample_rate: 2.4e6,
             center_freq: 1.455e6,
         };
         assert!(matches!(
-            d.try_detect(&all_nan),
+            detect(&all_nan),
             Err(DetectError::Capture(CaptureError::NonFinite { .. }))
         ));
     }
@@ -505,7 +450,7 @@ mod tests {
         for i in 0..50 {
             cap.samples[1_000_000 + i] = Complex::new(f64::NAN, 0.0);
         }
-        let report = detector().try_detect(&cap).expect("minority NaN is recoverable");
+        let report = detect(&cap).expect("minority NaN is recoverable");
         assert!(report.window_energy.iter().all(|e| e.is_finite()));
         assert_eq!(report.bursts.len(), 1, "bursts: {:?}", report.bursts);
     }

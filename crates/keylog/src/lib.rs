@@ -12,8 +12,9 @@
 //!   windows, band thresholding, and the ≥30 ms duration filter —
 //!   with TPR/FPR scoring against ground truth,
 //! - [`stream`]: the resumable [`stream::StreamingDetector`], fed I/Q
-//!   in chunks; [`detect::Detector::try_detect`] is one push of it, and
-//!   every chunking gives the same report,
+//!   in chunks; its whole-capture form
+//!   [`stream::StreamingDetector::detect`] is one push, and every
+//!   chunking gives the same report,
 //! - [`words`]: gap-based word grouping and the Table IV word-length
 //!   precision/recall metrics,
 //! - [`identify`]: §V-B's timing-based search-space reduction — how
@@ -33,8 +34,7 @@ pub mod words;
 
 pub use burst::BurstModel;
 pub use detect::{
-    score_detections, DetectError, DetectedBurst, DetectionReport, DetectionScore, Detector,
-    DetectorConfig,
+    score_detections, DetectError, DetectedBurst, DetectionReport, DetectionScore, DetectorConfig,
 };
 pub use stream::StreamingDetector;
 

@@ -8,9 +8,9 @@
 //! samples arrive and the rest as each window's last sample arrives,
 //! with no copy of the window.
 //! [`StreamingDetector::finish`] runs the global threshold/grouping
-//! pass over the accumulated window energies.
-//! [`Detector::try_detect`](crate::detect::Detector::try_detect) is
-//! one push of a whole capture followed by `finish`.
+//! pass ([`detect_from_energies`]) over the accumulated window
+//! energies. [`StreamingDetector::detect`], the whole-capture form, is
+//! one push of a capture followed by `finish`.
 //!
 //! Windows are non-overlapping and each sample enters the same
 //! floating-point operations wherever a chunk ends, so every chunking
@@ -22,9 +22,11 @@ use emsc_sdr::fft::frequency_bin;
 use emsc_sdr::iq::Complex;
 use emsc_sdr::stream::BandEnergyStream;
 use emsc_sdr::window::Window;
+use emsc_sdr::Capture;
 
 use crate::detect::{
-    DetectError, DetectionReport, Detector, DetectorConfig, HARMONICS, WINDOW_SAMPLES,
+    detect_from_energies, validate, DetectError, DetectionReport, DetectorConfig, HARMONICS,
+    WINDOW_SAMPLES,
 };
 
 /// Resumable keystroke detector: push I/Q chunks, then [`finish`].
@@ -32,7 +34,6 @@ use crate::detect::{
 /// [`finish`]: StreamingDetector::finish
 #[derive(Debug, Clone)]
 pub struct StreamingDetector {
-    detector: Detector,
     sample_rate: f64,
     band: BandEnergyStream,
     energies: Vec<f64>,
@@ -45,8 +46,8 @@ impl StreamingDetector {
     ///
     /// # Errors
     ///
-    /// [`DetectError::InvalidConfig`] for a degenerate configuration
-    /// (as [`Detector::try_new`]), then
+    /// [`DetectError::InvalidConfig`] for a non-finite switching
+    /// frequency, then
     /// [`DetectError::Capture`]([`CaptureError::InvalidSampleRate`])
     /// for a non-positive or non-finite sample rate.
     pub fn new(
@@ -54,11 +55,11 @@ impl StreamingDetector {
         sample_rate: f64,
         center_freq: f64,
     ) -> Result<Self, DetectError> {
-        let detector = Detector::try_new(config)?;
+        validate(&config)?;
         if !(sample_rate > 0.0 && sample_rate.is_finite()) {
             return Err(DetectError::Capture(CaptureError::InvalidSampleRate));
         }
-        let f_sw = detector.config().switching_freq_hz;
+        let f_sw = config.switching_freq_hz;
         // The VRM band: harmonics in order, out-of-capture harmonics
         // dropped, nearest-bin mapping.
         let band_bins: Vec<usize> = (1..=HARMONICS)
@@ -69,10 +70,28 @@ impl StreamingDetector {
         Ok(StreamingDetector {
             band: BandEnergyStream::new(WINDOW_SAMPLES, Window::Hann, &band_bins)?,
             energies: Vec::new(),
-            detector,
             sample_rate,
             finished: false,
         })
+    }
+
+    /// Runs detection over a whole capture: one push of it, then
+    /// [`StreamingDetector::finish`]. Non-finite window energies (from
+    /// isolated corrupt samples) are zeroed before thresholding; a
+    /// capture whose samples are *mostly* non-finite is rejected.
+    ///
+    /// # Errors
+    ///
+    /// [`StreamingDetector::new`]'s errors for the configuration and
+    /// the capture's sample rate, then [`StreamingDetector::finish`]'s
+    /// for its samples.
+    pub fn detect(
+        config: DetectorConfig,
+        capture: &Capture,
+    ) -> Result<DetectionReport, DetectError> {
+        let mut detector = Self::new(config, capture.sample_rate, capture.center_freq)?;
+        detector.push(&capture.samples);
+        detector.finish()
     }
 
     /// Feeds a chunk of raw I/Q samples.
@@ -90,8 +109,7 @@ impl StreamingDetector {
     }
 
     /// Classifies the stream and runs the global threshold/grouping
-    /// pass over the window energies
-    /// ([`Detector::detect_from_energies`]).
+    /// pass over the window energies ([`detect_from_energies`]).
     ///
     /// # Errors
     ///
@@ -106,14 +124,13 @@ impl StreamingDetector {
         self.finished = true;
         self.band.classify()?;
         let window_s = WINDOW_SAMPLES as f64 / self.sample_rate;
-        Ok(self.detector.detect_from_energies(std::mem::take(&mut self.energies), window_s))
+        Ok(detect_from_energies(std::mem::take(&mut self.energies), window_s))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emsc_sdr::Capture;
 
     fn capture_with_bursts(bursts: &[(f64, f64)], duration_s: f64) -> Capture {
         let fs = 2.4e6_f64;
@@ -151,8 +168,7 @@ mod tests {
     #[test]
     fn streaming_is_bit_identical_to_batch_at_every_chunk_size() {
         let cap = capture_with_bursts(&[(0.1, 0.05), (0.3, 0.06)], 0.5);
-        let batch =
-            Detector::new(DetectorConfig::new(970e3)).try_detect(&cap).expect("batch detects");
+        let batch = StreamingDetector::detect(DetectorConfig::new(970e3), &cap).expect("one push");
         for chunk in [1usize, 7, 8192, 10_000, usize::MAX] {
             let report = streaming(&cap, chunk).finish().expect("streaming detects");
             assert_eq!(report, batch, "chunk size {chunk}");
@@ -166,7 +182,7 @@ mod tests {
             cap.samples[500_000 + i] = Complex::new(f64::NAN, 0.0);
         }
         let batch =
-            Detector::new(DetectorConfig::new(970e3)).try_detect(&cap).expect("minority NaN ok");
+            StreamingDetector::detect(DetectorConfig::new(970e3), &cap).expect("minority NaN ok");
         let report = streaming(&cap, 997).finish().expect("streaming detects");
         assert_eq!(report, batch);
     }

@@ -90,31 +90,27 @@ pub struct Frontend {
 }
 
 impl Frontend {
-    /// Creates a front end with the given configuration.
+    /// Creates a front end with the given configuration. Every
+    /// configuration comes from the [`FrontendConfig`] presets, so a
+    /// bad one is a programming error.
     ///
     /// # Panics
     ///
-    /// Panics on any configuration [`Frontend::try_new`] rejects.
+    /// Panics with [`CaptureError::InvalidSampleRate`] if the sample
+    /// rate is not positive and finite, and with
+    /// [`CaptureError::InvalidConfig`] if `adc_bits` is zero.
     pub fn new(config: FrontendConfig) -> Self {
-        Self::try_new(config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`Frontend::new`]: reports a bad sample
-    /// rate or zero-bit ADC as a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// [`CaptureError::InvalidSampleRate`] if the sample rate is not
-    /// positive and finite; [`CaptureError::InvalidConfig`] if
-    /// `adc_bits` is zero.
-    pub fn try_new(config: FrontendConfig) -> Result<Self, CaptureError> {
-        if !(config.sample_rate > 0.0 && config.sample_rate.is_finite()) {
-            return Err(CaptureError::InvalidSampleRate);
-        }
-        if config.adc_bits == 0 {
-            return Err(CaptureError::InvalidConfig("ADC must have at least one bit"));
-        }
-        Ok(Frontend { config })
+        assert!(
+            config.sample_rate > 0.0 && config.sample_rate.is_finite(),
+            "{}",
+            CaptureError::InvalidSampleRate
+        );
+        assert!(
+            config.adc_bits > 0,
+            "{}",
+            CaptureError::InvalidConfig("ADC must have at least one bit")
+        );
+        Frontend { config }
     }
 
     /// The configuration this front end was built with.
@@ -465,14 +461,14 @@ mod tests {
     }
 
     #[test]
-    fn try_new_reports_bad_configs_instead_of_panicking() {
-        use crate::error::CaptureError;
-        let bad_rate = FrontendConfig { sample_rate: 0.0, ..FrontendConfig::ideal(1.0, 0.0) };
-        assert_eq!(Frontend::try_new(bad_rate).unwrap_err(), CaptureError::InvalidSampleRate);
-        let nan_rate = FrontendConfig { sample_rate: f64::NAN, ..FrontendConfig::ideal(1.0, 0.0) };
-        assert_eq!(Frontend::try_new(nan_rate).unwrap_err(), CaptureError::InvalidSampleRate);
-        let no_bits = FrontendConfig { adc_bits: 0, ..FrontendConfig::ideal(1.0, 0.0) };
-        assert!(matches!(Frontend::try_new(no_bits), Err(CaptureError::InvalidConfig(_))));
-        assert!(Frontend::try_new(FrontendConfig::rtl_sdr_v3(1.4e6)).is_ok());
+    #[should_panic(expected = "sample rate")]
+    fn nan_sample_rate_panics() {
+        Frontend::new(FrontendConfig { sample_rate: f64::NAN, ..FrontendConfig::ideal(1.0, 0.0) });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bit")]
+    fn zero_bit_adc_panics() {
+        Frontend::new(FrontendConfig { adc_bits: 0, ..FrontendConfig::ideal(1.0, 0.0) });
     }
 }

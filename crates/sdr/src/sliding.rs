@@ -30,6 +30,7 @@
 
 use crate::error::CaptureError;
 use crate::iq::Complex;
+use crate::stream::EnergyStream;
 
 /// Runs that [`SlidingDft::process_into`] advances in lockstep: four
 /// `f64` lanes fill one AVX register or two SSE2/NEON registers.
@@ -125,19 +126,13 @@ impl SlidingDft {
     /// Creates a tracker over a window of `window` samples for the
     /// given bin indices.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `window` is zero, `bins` is empty, or any bin index
-    /// is `>= window`.
-    pub fn new(window: usize, bins: &[usize]) -> Self {
-        Self::try_new(window, bins).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`SlidingDft::new`]: reports the violated
-    /// precondition as a [`CaptureError::InvalidConfig`] instead of
-    /// panicking. An empty `bins` slice is what the receiver sees when
-    /// no tracked harmonic falls inside the captured band, so callers
-    /// can map that case to a "no carrier" decode failure.
+    /// [`CaptureError::InvalidConfig`] if `window` is zero, `bins` is
+    /// empty, or any bin index is `>= window`. An empty `bins` slice
+    /// is what the receiver sees when no tracked harmonic falls inside
+    /// the captured band, so callers can map that case to a "no
+    /// carrier" decode failure.
     pub fn try_new(window: usize, bins: &[usize]) -> Result<Self, CaptureError> {
         if window == 0 {
             return Err(CaptureError::InvalidConfig("window must be positive"));
@@ -209,7 +204,7 @@ impl SlidingDft {
 
     /// Exactly recomputes every tracked bin from the ring buffer,
     /// clearing accumulated floating-point drift. Twiddles come from
-    /// the table built in [`SlidingDft::new`] and the ring is walked
+    /// the table built in [`SlidingDft::try_new`] and the ring is walked
     /// as two contiguous runs, so the summation order — and therefore
     /// every bit of the result — matches the original modular-index,
     /// trig-per-term loop.
@@ -450,47 +445,6 @@ impl SlidingDft {
     }
 }
 
-/// Computes the paper's Eq. (1) energy signal for an entire capture:
-/// `Y[n] = Σ_{k∈S} |F_n[k]|`, one value per input sample once the
-/// window is primed, optionally decimated by `decimation` to keep
-/// downstream processing tractable.
-///
-/// The signal has one entry per `decimation` input samples. It comes
-/// from the blocked [`SlidingDft::process_into`] path, bit-identical
-/// to a push-per-sample loop. The tracker's tables are built per call;
-/// hold an [`crate::stream::EnergyStream`] across chunks instead.
-///
-/// # Panics
-///
-/// Panics if `decimation` is zero (see [`SlidingDft::new`] for the
-/// window/bin preconditions).
-///
-/// # Examples
-///
-/// ```
-/// use emsc_sdr::iq::Complex;
-/// use emsc_sdr::sliding::energy_signal;
-///
-/// let fs = 1024.0;
-/// let tone: Vec<Complex> = (0..4096)
-///     .map(|n| Complex::cis(2.0 * std::f64::consts::PI * 128.0 * n as f64 / fs))
-///     .collect();
-/// let y = energy_signal(&tone, 256, &[32], 4);
-/// // steady tone ⇒ steady energy ≈ window size
-/// assert!(y.iter().all(|&v| (v - 256.0).abs() < 1.0));
-/// ```
-pub fn energy_signal(
-    samples: &[Complex],
-    window: usize,
-    bins: &[usize],
-    decimation: usize,
-) -> Vec<f64> {
-    assert!(decimation > 0, "decimation must be positive");
-    let mut out = Vec::with_capacity(samples.len().saturating_sub(window) / decimation + 1);
-    SlidingDft::new(window, bins).process_into(samples, decimation, &mut out);
-    out
-}
-
 /// Result of [`try_energy_signal`]: the energy samples plus how many
 /// non-finite input samples had to be zeroed before analysis.
 #[derive(Debug, Clone, PartialEq)]
@@ -501,9 +455,14 @@ pub struct EnergySignal {
     pub sanitized: usize,
 }
 
-/// Fallible variant of [`energy_signal`] for captures of unknown
-/// provenance. Reports degenerate input as a typed [`CaptureError`]
-/// instead of panicking or silently propagating NaN:
+/// Computes the paper's Eq. (1) energy signal for an entire capture:
+/// `Y[n] = Σ_{k∈S} |F_n[k]|`, one value per input sample once the
+/// window is primed, decimated by `decimation` to keep downstream
+/// processing tractable.
+///
+/// This is one push of an [`EnergyStream`] followed by its
+/// [`EnergyStream::classify`], so the sanitise-and-classify rule is
+/// the stream's:
 ///
 /// - an empty capture is [`CaptureError::Empty`],
 /// - a capture shorter than one analysis window is
@@ -514,50 +473,44 @@ pub struct EnergySignal {
 ///   with zero (a dropout, exactly what a dongle glitch produces) and
 ///   counted in [`EnergySignal::sanitized`].
 ///
-/// A fully-finite capture takes the same code path as
-/// [`energy_signal`], so the hot loop costs nothing extra.
+/// The output is reserved once, and a fully-finite capture runs
+/// straight off `samples` through one blocked
+/// [`SlidingDft::process_into`] call; only a capture holding a
+/// non-finite sample is copied. The tracker's tables are built per
+/// call; hold an [`EnergyStream`] across chunks instead.
 ///
 /// # Errors
 ///
 /// See above; configuration violations (zero window/decimation, empty
-/// or out-of-range bins) are [`CaptureError::InvalidConfig`].
+/// or out-of-range bins) are [`CaptureError::InvalidConfig`], and win
+/// over capture errors.
+///
+/// # Examples
+///
+/// ```
+/// use emsc_sdr::iq::Complex;
+/// use emsc_sdr::sliding::try_energy_signal;
+///
+/// let fs = 1024.0;
+/// let tone: Vec<Complex> = (0..4096)
+///     .map(|n| Complex::cis(2.0 * std::f64::consts::PI * 128.0 * n as f64 / fs))
+///     .collect();
+/// let y = try_energy_signal(&tone, 256, &[32], 4).unwrap();
+/// // steady tone ⇒ steady energy ≈ window size
+/// assert!(y.samples.iter().all(|&v| (v - 256.0).abs() < 1.0));
+/// assert_eq!(y.sanitized, 0);
+/// ```
 pub fn try_energy_signal(
     samples: &[Complex],
     window: usize,
     bins: &[usize],
     decimation: usize,
 ) -> Result<EnergySignal, CaptureError> {
-    if decimation == 0 {
-        return Err(CaptureError::InvalidConfig("decimation must be positive"));
-    }
-    // Validate window/bins before looking at the data so config errors
-    // win over capture errors (they are the caller's bug, not the
-    // channel's).
-    SlidingDft::try_new(window, bins)?;
-    if samples.is_empty() {
-        return Err(CaptureError::Empty);
-    }
-    if samples.len() < window {
-        return Err(CaptureError::TooShort { needed: window, got: samples.len() });
-    }
-    let non_finite = samples.iter().filter(|x| !(x.re.is_finite() && x.im.is_finite())).count();
-    if non_finite * 2 > samples.len() {
-        return Err(CaptureError::NonFinite { count: non_finite, total: samples.len() });
-    }
-    if non_finite == 0 {
-        return Ok(EnergySignal {
-            samples: energy_signal(samples, window, bins, decimation),
-            sanitized: 0,
-        });
-    }
-    let cleaned: Vec<Complex> = samples
-        .iter()
-        .map(|&x| if x.re.is_finite() && x.im.is_finite() { x } else { Complex::ZERO })
-        .collect();
-    Ok(EnergySignal {
-        samples: energy_signal(&cleaned, window, bins, decimation),
-        sanitized: non_finite,
-    })
+    let mut stream = EnergyStream::new(window, bins, decimation)?;
+    let mut out = Vec::with_capacity(samples.len().saturating_sub(window) / decimation + 1);
+    stream.push_into(samples, &mut out);
+    stream.classify()?;
+    Ok(EnergySignal { samples: out, sanitized: stream.sanitized() })
 }
 
 #[cfg(test)]
@@ -594,7 +547,7 @@ mod tests {
         let samples = chirpy_signal(700);
         let window = 128;
         let bins = [5usize, 31, 64];
-        let mut sdft = SlidingDft::new(window, &bins);
+        let mut sdft = SlidingDft::try_new(window, &bins).unwrap();
         for (n, &x) in samples.iter().enumerate() {
             sdft.push(x);
             if sdft.is_primed() {
@@ -611,7 +564,7 @@ mod tests {
     fn agrees_with_full_fft_at_window_boundary() {
         let samples = chirpy_signal(256);
         let window = 256;
-        let mut sdft = SlidingDft::new(window, &[3, 17]);
+        let mut sdft = SlidingDft::try_new(window, &[3, 17]).unwrap();
         for &x in &samples {
             sdft.push(x);
         }
@@ -628,7 +581,7 @@ mod tests {
         let samples = chirpy_signal(50_000);
         let window = 64;
         let k = 9;
-        let mut sdft = SlidingDft::new(window, &[k]);
+        let mut sdft = SlidingDft::try_new(window, &[k]).unwrap();
         let mut worst = 0.0f64;
         for (n, &x) in samples.iter().enumerate() {
             sdft.push(x);
@@ -638,6 +591,20 @@ mod tests {
             }
         }
         assert!(worst < 1e-7, "worst drift {worst}");
+    }
+
+    /// The energy signal from one [`SlidingDft::process_into`] call
+    /// over the whole input: the oracle [`try_energy_signal`] must
+    /// reproduce.
+    fn one_process_into(
+        samples: &[Complex],
+        window: usize,
+        bins: &[usize],
+        decimation: usize,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        SlidingDft::try_new(window, bins).unwrap().process_into(samples, decimation, &mut out);
+        out
     }
 
     #[test]
@@ -650,7 +617,7 @@ mod tests {
         for s in samples.iter_mut().skip(4096) {
             *s = Complex::ZERO;
         }
-        let y = energy_signal(&samples, 256, &[frequency_bin(f, 256, fs)], 1);
+        let y = try_energy_signal(&samples, 256, &[frequency_bin(f, 256, fs)], 1).unwrap().samples;
         // Energy high in the "on" region, low in the "off" region.
         assert!(y[1000] > 250.0);
         assert!(y[y.len() - 100] < 1.0);
@@ -663,8 +630,8 @@ mod tests {
     #[test]
     fn decimation_reduces_length() {
         let samples = chirpy_signal(4096);
-        let full = energy_signal(&samples, 128, &[7], 1);
-        let dec = energy_signal(&samples, 128, &[7], 8);
+        let full = try_energy_signal(&samples, 128, &[7], 1).unwrap().samples;
+        let dec = try_energy_signal(&samples, 128, &[7], 8).unwrap().samples;
         assert_eq!(full.len(), 4096 - 128 + 1);
         assert_eq!(dec.len(), (4096 - 128) / 8 + 1);
         // Decimated values are a strict subsequence of the full ones.
@@ -720,7 +687,7 @@ mod tests {
             chunkings.push(cycle.iter().copied().filter(|&c| c > 0).cycle().take(n).collect());
             for bins in &bin_sets {
                 // Reference: the per-sample push loop.
-                let mut reference_sdft = SlidingDft::new(window, bins);
+                let mut reference_sdft = SlidingDft::try_new(window, bins).unwrap();
                 let mut reference = Vec::new();
                 for (i, &x) in samples.iter().enumerate() {
                     reference_sdft.push(x);
@@ -730,7 +697,7 @@ mod tests {
                 }
                 for (c, lens) in chunkings.iter().enumerate() {
                     let case = format!("w={window} d={decimation} bins={bins:?} chunking {c}");
-                    let mut sdft = SlidingDft::new(window, bins);
+                    let mut sdft = SlidingDft::try_new(window, bins).unwrap();
                     let mut got = Vec::new();
                     let mut rest = &samples[..];
                     for &len in lens {
@@ -757,7 +724,7 @@ mod tests {
         for w in [16usize, 64] {
             let lens = [1, w - 1, w, w + 1, 5 * w + 3, 4096];
             let samples = chirpy_signal(2 * lens.iter().sum::<usize>());
-            let mut sdft = SlidingDft::new(w, &[1, w / 2]);
+            let mut sdft = SlidingDft::try_new(w, &[1, w / 2]).unwrap();
             let mut out = Vec::new();
             let mut rest = &samples[..];
             let mut round = || {
@@ -776,12 +743,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bin index")]
-    fn bin_out_of_range_panics() {
-        SlidingDft::new(64, &[64]);
-    }
-
-    #[test]
     fn try_new_reports_config_errors() {
         use crate::error::CaptureError;
         assert!(matches!(SlidingDft::try_new(0, &[1]), Err(CaptureError::InvalidConfig(_))));
@@ -791,9 +752,9 @@ mod tests {
     }
 
     #[test]
-    fn try_energy_signal_matches_panicking_path_on_clean_input() {
+    fn try_energy_signal_matches_one_process_into_call_on_clean_input() {
         let samples = chirpy_signal(2048);
-        let want = energy_signal(&samples, 128, &[7], 4);
+        let want = one_process_into(&samples, 128, &[7], 4);
         let got = try_energy_signal(&samples, 128, &[7], 4).unwrap();
         assert_eq!(got.samples, want);
         assert_eq!(got.sanitized, 0);
@@ -831,6 +792,6 @@ mod tests {
         let mut cleaned = samples.clone();
         cleaned[100] = Complex::ZERO;
         cleaned[700] = Complex::ZERO;
-        assert_eq!(got.samples, energy_signal(&cleaned, 128, &[7], 4));
+        assert_eq!(got.samples, one_process_into(&cleaned, 128, &[7], 4));
     }
 }

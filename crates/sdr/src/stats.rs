@@ -28,20 +28,11 @@ impl Histogram {
     /// binned, so one corrupt per-bit power cannot skew the span or
     /// pile spurious mass into bin 0.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `bins` is zero or `data` holds no finite value; use
-    /// [`Histogram::try_from_data`] for the fallible variant.
-    pub fn from_data(data: &[f64], bins: usize) -> Self {
-        match Histogram::try_from_data(data, bins) {
-            Ok(h) => h,
-            Err(StatsError::ZeroBins) => panic!("bins must be positive"),
-            Err(_) => panic!("cannot build a histogram of no data"),
-        }
-    }
-
-    /// Fallible [`Histogram::from_data`]: reports zero bins and
-    /// empty/all-non-finite data as typed errors instead of panicking.
+    /// [`StatsError::ZeroBins`] for zero bins, then
+    /// [`StatsError::EmptyData`] or [`StatsError::NoFiniteData`] for
+    /// data with no finite value.
     pub fn try_from_data(data: &[f64], bins: usize) -> Result<Self, StatsError> {
         if bins == 0 {
             return Err(StatsError::ZeroBins);
@@ -285,19 +276,13 @@ pub fn median(data: &[f64]) -> f64 {
     quantile(data, 0.5)
 }
 
-/// Sample mean.
+/// Sample mean. Non-finite values are excluded from the average, and
+/// data with no finite value at all is a typed error rather than a
+/// silent `NaN`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `data` is empty; use [`try_mean`] for the fallible
-/// variant.
-pub fn mean(data: &[f64]) -> f64 {
-    try_mean(data).expect("mean of no data")
-}
-
-/// Fallible [`mean`]: non-finite values are excluded from the
-/// average, and data with no finite value at all is a typed error
-/// rather than a silent `NaN`.
+/// [`StatsError::EmptyData`] or [`StatsError::NoFiniteData`].
 pub fn try_mean(data: &[f64]) -> Result<f64, StatsError> {
     if data.is_empty() {
         return Err(StatsError::EmptyData);
@@ -311,12 +296,13 @@ pub fn try_mean(data: &[f64]) -> Result<f64, StatsError> {
 }
 
 /// Fisher–Pearson sample skewness; positive for right-skewed data such
-/// as the paper's pulse-width distribution (Fig. 6).
+/// as the paper's pulse-width distribution (Fig. 6). Zero for fewer
+/// than three values or no finite one.
 pub fn skewness(data: &[f64]) -> f64 {
     if data.len() < 3 {
         return 0.0;
     }
-    let m = mean(data);
+    let Ok(m) = try_mean(data) else { return 0.0 };
     let n = data.len() as f64;
     let m2 = data.iter().map(|&v| (v - m).powi(2)).sum::<f64>() / n;
     let m3 = data.iter().map(|&v| (v - m).powi(3)).sum::<f64>() / n;
@@ -341,19 +327,12 @@ pub struct RayleighFit {
 impl RayleighFit {
     /// Maximum-likelihood fit of a shifted Rayleigh: location is the
     /// sample minimum (shrunk marginally so the smallest point has
-    /// nonzero density), and `σ² = mean((x−loc)²)/2`.
+    /// nonzero density), and `σ² = mean((x−loc)²)/2`. Non-finite values
+    /// are excluded from the fit.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `data` is empty; use [`RayleighFit::try_fit`] for the
-    /// fallible variant.
-    pub fn fit(data: &[f64]) -> Self {
-        RayleighFit::try_fit(data).expect("cannot fit to no data")
-    }
-
-    /// Fallible [`RayleighFit::fit`]: reports empty or all-non-finite
-    /// data as a typed error instead of panicking (non-finite values
-    /// are excluded from the fit).
+    /// [`StatsError::EmptyData`] or [`StatsError::NoFiniteData`].
     pub fn try_fit(data: &[f64]) -> Result<Self, StatsError> {
         if data.is_empty() {
             return Err(StatsError::EmptyData);
@@ -382,7 +361,7 @@ mod tests {
     #[test]
     fn histogram_counts_land_in_right_bins() {
         let data = [0.0, 0.1, 0.9, 1.0, 0.5];
-        let h = Histogram::from_data(&data, 2);
+        let h = Histogram::try_from_data(&data, 2).unwrap();
         assert_eq!(h.total(), 5);
         assert_eq!(h.counts()[0], 2); // 0.0, 0.1
         assert_eq!(h.counts()[1], 3); // 0.5, 0.9, 1.0 (0.5 is exactly the boundary → upper bin)
@@ -391,7 +370,7 @@ mod tests {
     #[test]
     fn histogram_density_integrates_to_one() {
         let data: Vec<f64> = (0..1000).map(|i| (i as f64 * 0.017).sin()).collect();
-        let h = Histogram::from_data(&data, 32);
+        let h = Histogram::try_from_data(&data, 32).unwrap();
         let width = 2.0 / 32.0; // sin spans [-1, 1] approx
         let integral: f64 = h.density().iter().map(|d| d * width).sum();
         assert!((integral - 1.0).abs() < 0.05, "integral {integral}");
@@ -399,7 +378,7 @@ mod tests {
 
     #[test]
     fn histogram_degenerate_data() {
-        let h = Histogram::from_data(&[2.0, 2.0, 2.0], 4);
+        let h = Histogram::try_from_data(&[2.0, 2.0, 2.0], 4).unwrap();
         assert_eq!(h.total(), 3);
         assert_eq!(h.counts().iter().sum::<usize>(), 3);
     }
@@ -412,7 +391,7 @@ mod tests {
             data.push(1.0 + 0.2 * ((i * 7 % 13) as f64 / 13.0 - 0.5));
             data.push(5.0 + 0.3 * ((i * 11 % 17) as f64 / 17.0 - 0.5));
         }
-        let h = Histogram::from_data(&data, 64);
+        let h = Histogram::try_from_data(&data, 64).unwrap();
         let (lo, hi) = h.two_modes().expect("bimodal data must yield two modes");
         assert!((lo - 1.0).abs() < 0.4, "low mode {lo}");
         assert!((hi - 5.0).abs() < 0.4, "high mode {hi}");
@@ -421,7 +400,7 @@ mod tests {
     #[test]
     fn two_modes_rejects_unimodal() {
         let data: Vec<f64> = (0..1000).map(|i| ((i * 37) % 100) as f64 * 0.001 + 3.0).collect();
-        let h = Histogram::from_data(&data, 32);
+        let h = Histogram::try_from_data(&data, 32).unwrap();
         // A flat/unimodal blob has no well-separated second peak.
         if let Some((lo, hi)) = h.two_modes() {
             // If the smoother finds two bumps in a flat blob they must be close together.
@@ -446,7 +425,7 @@ mod tests {
     #[test]
     fn mean_variance_known() {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        assert_eq!(mean(&data), 5.0);
+        assert_eq!(try_mean(&data), Ok(5.0));
     }
 
     #[test]
@@ -468,7 +447,7 @@ mod tests {
                 sigma * (-2.0 * (1.0 - u).ln()).sqrt()
             })
             .collect();
-        let fit = RayleighFit::fit(&data);
+        let fit = RayleighFit::try_fit(&data).unwrap();
         assert!((fit.sigma - sigma).abs() / sigma < 0.05, "sigma {}", fit.sigma);
         // The location estimate is the sample minimum, which for this
         // stratified grid is σ·√(−2 ln 0.999) ≈ 0.112.
@@ -489,7 +468,7 @@ mod tests {
         // One NaN among clean data must not land in bin 0 and must not
         // widen the span.
         let data = [1.0, 2.0, 3.0, f64::NAN, 4.0, f64::INFINITY];
-        let h = Histogram::from_data(&data, 4);
+        let h = Histogram::try_from_data(&data, 4).unwrap();
         assert_eq!(h.total(), 4);
         assert_eq!(h.skipped(), 2);
         assert_eq!(h.counts().iter().sum::<usize>(), 4);
@@ -500,17 +479,17 @@ mod tests {
     #[test]
     fn sliding_add_and_remove_match_a_rebuild() {
         let data = [2.0, 1.0, 4.0, f64::NAN, 2.5, 3.0, 1.5];
-        let mut h = Histogram::from_data(&data[..6], 4);
+        let mut h = Histogram::try_from_data(&data[..6], 4).unwrap();
         // Slide the six-wide window one step: both windows span [1, 4].
         assert!(h.fits(&data[1..], 4));
         assert_eq!(h.remove(data[0]), Some(1));
         assert_eq!(h.add(data[6]), Some(0));
-        assert_eq!(h, Histogram::from_data(&data[1..], 4));
+        assert_eq!(h, Histogram::try_from_data(&data[1..], 4).unwrap());
         // A skipped value is un-counted from `skipped`.
         assert_eq!(h.remove(f64::NAN), None);
         assert_eq!(h.skipped(), 0);
         assert_eq!(h.add(f64::NAN), None);
-        assert_eq!(h, Histogram::from_data(&data[1..], 4));
+        assert_eq!(h, Histogram::try_from_data(&data[1..], 4).unwrap());
         // Another span, bin count or no finite value does not fit.
         assert!(!h.fits(&[0.0, 4.0], 4));
         assert!(!h.fits(&data[1..], 5));
@@ -542,6 +521,6 @@ mod tests {
     fn rayleigh_fit_ignores_non_finite_samples() {
         let clean = [1.0, 1.2, 1.5, 2.0, 2.5];
         let dirty = [1.0, f64::NAN, 1.2, 1.5, f64::NEG_INFINITY, 2.0, 2.5];
-        assert_eq!(RayleighFit::fit(&clean), RayleighFit::try_fit(&dirty).unwrap());
+        assert_eq!(RayleighFit::try_fit(&clean), RayleighFit::try_fit(&dirty));
     }
 }

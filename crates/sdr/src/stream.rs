@@ -13,6 +13,11 @@
 //! | [`SmoothStream`] | [`crate::dsp::moving_average`] |
 //! | [`ConvolveSameStream`] | [`crate::dsp::convolve_same`] |
 //!
+//! The energy pair is one implementation: `try_energy_signal` is one
+//! push of an [`EnergyStream`] and its classification, and the stream
+//! is pinned to a single [`SlidingDft::process_into`] call over the
+//! whole input.
+//!
 //! Bit-identity is an invariant, not an aspiration: every accumulator
 //! here performs the *same floating-point operations in the same
 //! order* as its batch counterpart, so chunk boundaries can never
@@ -51,15 +56,16 @@ fn classify(seen: usize, window: usize, non_finite: usize) -> Result<(), Capture
     Ok(())
 }
 
-/// Incremental Eq. (1) energy signal: feeds a [`SlidingDft`] sample by
-/// sample and emits one decimated energy value whenever the batch
-/// [`crate::sliding::energy_signal`] would, carrying the DFT window,
-/// the decimation phase and the sanitisation counters across chunk
-/// boundaries.
+/// Incremental Eq. (1) energy signal: feeds a [`SlidingDft`] and emits
+/// one decimated energy value wherever one
+/// [`SlidingDft::process_into`] call over the whole input would,
+/// carrying the DFT window, the decimation phase and the sanitisation
+/// counters across chunk boundaries. The whole-capture form
+/// [`crate::sliding::try_energy_signal`] is one push of it.
 ///
-/// Non-finite samples are replaced with zero *inline* (the same value
-/// the batch sanitiser substitutes) and counted; whether the whole
-/// stream was usable is decided at the end via
+/// Non-finite samples are replaced with zero *inline* (a dropout, as a
+/// dongle glitch produces) and counted; whether the whole stream was
+/// usable is decided at the end via
 /// [`EnergyStream::classify`], because "majority non-finite" is a
 /// whole-capture property that cannot be known mid-stream.
 ///
@@ -84,9 +90,7 @@ impl EnergyStream {
     /// # Errors
     ///
     /// [`CaptureError::InvalidConfig`] for a zero window or
-    /// decimation, an empty bin set, or an out-of-range bin — the same
-    /// validation [`crate::sliding::try_energy_signal`] performs
-    /// before touching data.
+    /// decimation, an empty bin set, or an out-of-range bin.
     pub fn new(window: usize, bins: &[usize], decimation: usize) -> Result<Self, CaptureError> {
         if decimation == 0 {
             return Err(CaptureError::InvalidConfig("decimation must be positive"));
@@ -125,11 +129,10 @@ impl EnergyStream {
         self.sanitized
     }
 
-    /// End-of-stream classification, mirroring the error policy of
-    /// [`crate::sliding::try_energy_signal`] exactly (and in the same
-    /// precedence order): empty, shorter than one window, or
-    /// majority-non-finite streams are errors; anything else is a
-    /// legitimate (possibly silent) capture.
+    /// End-of-stream classification, in this precedence: empty,
+    /// shorter than one window, or majority-non-finite streams are
+    /// errors; anything else is a legitimate (possibly silent)
+    /// capture.
     ///
     /// # Errors
     ///
@@ -582,7 +585,6 @@ mod tests {
     use super::*;
     use crate::dsp::{convolve_same, edge_kernel, moving_average};
     use crate::fft::{frequency_bin, FftPlan};
-    use crate::sliding::{energy_signal, try_energy_signal};
     use crate::stft::{stft, StftConfig};
 
     fn chirpy(n: usize) -> Vec<Complex> {
@@ -601,10 +603,23 @@ mod tests {
         vec![1, 7, 64, 1000, usize::MAX]
     }
 
+    /// The energy signal from one [`SlidingDft::process_into`] call
+    /// over the whole (finite) input.
+    fn one_process_into(
+        samples: &[Complex],
+        window: usize,
+        bins: &[usize],
+        decimation: usize,
+    ) -> Vec<f64> {
+        let mut out = Vec::new();
+        SlidingDft::try_new(window, bins).unwrap().process_into(samples, decimation, &mut out);
+        out
+    }
+
     #[test]
     fn energy_stream_is_bit_identical_to_batch_at_any_chunking() {
         let samples = chirpy(5000);
-        let batch = energy_signal(&samples, 128, &[7, 31], 24);
+        let batch = one_process_into(&samples, 128, &[7, 31], 24);
         for chunk in chunk_sizes() {
             let mut stream = EnergyStream::new(128, &[7, 31], 24).unwrap();
             let mut got = Vec::new();
@@ -624,19 +639,22 @@ mod tests {
         let mut samples = chirpy(3000);
         samples[100] = Complex::new(f64::NAN, 0.0);
         samples[1700] = Complex::new(f64::INFINITY, f64::NEG_INFINITY);
-        let batch = try_energy_signal(&samples, 128, &[7], 8).unwrap();
+        let mut cleaned = samples.clone();
+        cleaned[100] = Complex::ZERO;
+        cleaned[1700] = Complex::ZERO;
+        let batch = one_process_into(&cleaned, 128, &[7], 8);
         // 700-sample chunks hold a lane group of four 128-sample runs
         // and end inside the next, so the sanitised copies of the
         // chunks with a NaN take the lane path too.
-        for chunk in [17, 700] {
+        for chunk in [17, 700, samples.len()] {
             let mut stream = EnergyStream::new(128, &[7], 8).unwrap();
             let mut got = Vec::new();
             for c in samples.chunks(chunk) {
                 stream.push_into(c, &mut got);
             }
-            assert_eq!(stream.sanitized(), batch.sanitized, "chunk {chunk}");
-            assert_eq!(got.len(), batch.samples.len(), "chunk {chunk}");
-            for (a, b) in got.iter().zip(&batch.samples) {
+            assert_eq!(stream.sanitized(), 2, "chunk {chunk}");
+            assert_eq!(got.len(), batch.len(), "chunk {chunk}");
+            for (a, b) in got.iter().zip(&batch) {
                 assert_eq!(a.to_bits(), b.to_bits(), "chunk {chunk}");
             }
         }

@@ -4,7 +4,7 @@ use emsc_sdr::dsp::{convolve_full_into, find_peaks, moving_average, Peak};
 use emsc_sdr::fft::{plan_for, FftPlan};
 use emsc_sdr::iq::Complex;
 use emsc_sdr::sliding::SlidingDft;
-use emsc_sdr::stats::{mean, median, quantile, try_quantile, Histogram};
+use emsc_sdr::stats::{median, quantile, try_mean, try_quantile, Histogram};
 use emsc_sdr::stream::BandEnergyStream;
 use emsc_sdr::window::Window;
 use proptest::prelude::*;
@@ -181,7 +181,7 @@ proptest! {
     #[test]
     fn sliding_dft_matches_direct(x in complex_vec(200), k in 0usize..32) {
         let window = 32;
-        let mut sdft = SlidingDft::new(window, &[k]);
+        let mut sdft = SlidingDft::try_new(window, &[k]).unwrap();
         for (n, &s) in x.iter().enumerate() {
             sdft.push(s);
             if n + 1 >= window && n % 37 == 0 {
@@ -215,7 +215,7 @@ proptest! {
             (state >> 11) as f64 / (1u64 << 52) as f64 - 1.0
         };
         let samples: Vec<Complex> = (0..n).map(|_| Complex::new(next(), next())).collect();
-        let mut reference_sdft = SlidingDft::new(window, &bins);
+        let mut reference_sdft = SlidingDft::try_new(window, &bins).unwrap();
         let mut reference = Vec::new();
         for (i, &x) in samples.iter().enumerate() {
             reference_sdft.push(x);
@@ -224,7 +224,7 @@ proptest! {
             }
         }
         // The chunk lengths in `lens`, cycled until the stream ends.
-        let mut sdft = SlidingDft::new(window, &bins);
+        let mut sdft = SlidingDft::try_new(window, &bins).unwrap();
         let mut got = Vec::new();
         let mut rest = &samples[..];
         for &len in lens.iter().cycle() {
@@ -289,13 +289,13 @@ proptest! {
         let lo = quantile(&x, 0.0);
         let hi = quantile(&x, 1.0);
         prop_assert!(lo <= q5 && q5 <= hi);
-        let m = mean(&x);
+        let m = try_mean(&x).unwrap();
         prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
     }
 
     #[test]
     fn histogram_conserves_counts(x in prop::collection::vec(-1e3f64..1e3, 1..300), bins in 1usize..64) {
-        let h = Histogram::from_data(&x, bins);
+        let h = Histogram::try_from_data(&x, bins).unwrap();
         prop_assert_eq!(h.total(), x.len());
         prop_assert_eq!(h.counts().iter().sum::<usize>(), x.len());
     }
@@ -327,7 +327,7 @@ proptest! {
                 c + spread * (((i * 7919) % 101) as f64 / 101.0 - 0.5)
             })
             .collect();
-        let h = Histogram::from_data(&x, bins);
+        let h = Histogram::try_from_data(&x, bins).unwrap();
         prop_assert_eq!(h.two_modes(), two_modes_by_ranking(&h));
     }
 

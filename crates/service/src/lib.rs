@@ -11,7 +11,8 @@
 //!   lifecycle (`Running → Degraded → Restarting → Quarantined/Done`),
 //!   watchdog timeouts, seeded exponential-backoff restarts, bounded
 //!   backpressure queues, session rotation and graceful
-//!   drain-and-shutdown;
+//!   drain-and-shutdown (a stream that closes there with a typed error
+//!   quarantines its sensor);
 //! - [`source`] — pluggable sensor sources: in-memory capture replay
 //!   and incremental spooled `rtl_sdr` u8 decoding;
 //! - [`fault`] — deterministic fault plans (disconnects, stalls,

@@ -34,7 +34,7 @@ use emsc_core::experiments::streaming::{covert_capture, keylog_capture, seeded_n
 use emsc_core::laptop::Laptop;
 use emsc_core::session::SessionOutput;
 use emsc_covert::rx::Receiver;
-use emsc_keylog::detect::Detector;
+use emsc_keylog::stream::StreamingDetector;
 use emsc_runtime::{par_map, seed_for};
 use emsc_sdr::record::{read_rtl_u8, write_rtl_u8};
 use emsc_sdr::Capture;
@@ -102,13 +102,17 @@ pub fn soak(seed: u64) -> SoakOutcome {
     let laptops = Laptop::all();
     assert!(laptops.len() >= 6, "the soak needs six Table I laptops");
 
-    // Seven covert builds in parallel under positional seeds: six
-    // laptop sensors (0-5) plus the capture behind the spooled
-    // recording (sensor 7, seed index 7).
+    // Seven covert captures in parallel under positional seeds: six
+    // laptop sensors (0-5), each with its batch reference, plus the
+    // capture behind the spooled recording (sensor 7, seed index 7),
+    // whose reference is the decode of its read-back below.
     let entries: Vec<(usize, &Laptop)> =
         laptops.iter().take(6).enumerate().chain(std::iter::once((7usize, &laptops[0]))).collect();
     let builds = par_map(&entries, |&(seed_index, laptop)| {
-        covert_capture(laptop, PAYLOAD, seed_for(seed, seed_index as u64))
+        let (rx, capture) = covert_capture(laptop, PAYLOAD, seed_for(seed, seed_index as u64));
+        let reference = (seed_index < 6)
+            .then(|| SessionOutput::Covert(Receiver::new(rx.clone()).receive(&capture)));
+        (rx, capture, reference)
     });
 
     let policy = SensorPolicy { chunks_per_tick: 2, ..SensorPolicy::default() };
@@ -127,13 +131,13 @@ pub fn soak(seed: u64) -> SoakOutcome {
             source: Box::new(ReplaySource::new(capture.clone(), CHUNK)),
             policy,
         });
-        references.push(Some(reference.clone()));
+        references.push(reference.clone());
     }
 
     // Sensor 6: keylogging detector, stalled longer than its watchdog.
     let (det_config, det_capture) = keylog_capture(seed_for(seed, 6));
     let det_reference =
-        SessionOutput::Keylog(Detector::new(det_config.clone()).try_detect(&det_capture));
+        SessionOutput::Keylog(StreamingDetector::detect(det_config.clone(), &det_capture));
     specs.push(SensorSpec {
         label: "keylog sensor".to_string(),
         kind: SensorKind::Keylog(det_config.clone()),
@@ -171,7 +175,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
     // reports must equal the single-pass batch reference.
     let (rot_config, rot_capture) = keylog_capture(seed_for(seed, 8));
     let rot_reference =
-        SessionOutput::Keylog(Detector::new(rot_config.clone()).try_detect(&rot_capture));
+        SessionOutput::Keylog(StreamingDetector::detect(rot_config.clone(), &rot_capture));
     let rot_len = rot_capture.samples.len();
     specs.push(SensorSpec {
         label: "rotating keylog".to_string(),

@@ -24,7 +24,8 @@
 //! - **Rotation and drain.** Sessions can rotate on a sample budget
 //!   (final report flushed, fresh session opened mid-stream), and
 //!   [`Supervisor::shutdown`] drains every queue and finalises every
-//!   stream before the daemon exits.
+//!   stream before the daemon exits; a stream that closes there with
+//!   a typed error quarantines its sensor, since no restart follows.
 //!
 //! The whole loop counts time in ticks, one per scheduling round,
 //! never in wall time, and injects faults only from an explicit
@@ -89,7 +90,9 @@ pub enum LifecycleState {
         /// Tick at which the restart fires.
         resume_tick: u64,
     },
-    /// Permanently isolated: fatal error or restart budget exhausted.
+    /// Permanently isolated: fatal error, restart budget exhausted, or
+    /// a stream that closed with an error at shutdown (no restart can
+    /// follow one).
     Quarantined,
     /// Source exhausted and final report flushed.
     Done,
@@ -371,10 +374,13 @@ impl Supervisor {
 
     /// Graceful drain-and-shutdown: stops pulling sources, flushes
     /// every queued chunk it can, finalises every open stream (final
-    /// reports flushed) and returns the final report. Sensors still
-    /// streaming are marked [`LifecycleState::Done`]; sensors caught
-    /// mid-backoff keep their [`LifecycleState::Restarting`] state —
-    /// the daemon stopped, they did not fail.
+    /// reports flushed) and returns the final report. A sensor still
+    /// streaming is marked [`LifecycleState::Done`] when its stream
+    /// closes cleanly, and [`LifecycleState::Quarantined`] when it
+    /// closes with a typed error, since no restart can follow a
+    /// shutdown. Sensors caught mid-backoff keep their
+    /// [`LifecycleState::Restarting`] state — the daemon stopped, they
+    /// did not fail.
     pub fn shutdown(&mut self) -> ServiceReport {
         for k in 0..self.sensors.len() {
             let slot = &mut self.sensors[k];
@@ -387,10 +393,17 @@ impl Supervisor {
                 }
             }
             let closed = self.registry.finish(id).expect("open session is in the registry");
+            let error = closed.output.error_kind();
             slot.outputs.push(closed);
-            if !slot.state.is_terminal() {
-                slot.state = LifecycleState::Done;
-                self.log(k, "drained and closed at shutdown");
+            if slot.state.is_terminal() {
+                continue;
+            }
+            match error {
+                Some(kind) => self.quarantine(k, &format!("stream error at shutdown: {kind}")),
+                None => {
+                    slot.state = LifecycleState::Done;
+                    self.log(k, "drained and closed at shutdown");
+                }
             }
         }
         self.report()
@@ -815,7 +828,7 @@ fn corrupt_chunk(chunk: &mut [Complex], frac: f64, state: &mut u64) {
 mod tests {
     use super::*;
     use emsc_core::experiments::streaming::seeded_noise;
-    use emsc_keylog::detect::Detector;
+    use emsc_keylog::stream::StreamingDetector;
     use emsc_sdr::Capture;
 
     use crate::fault::FaultEvent;
@@ -839,7 +852,7 @@ mod tests {
 
     fn keylog_spec(seed: u64, policy: SensorPolicy) -> (SensorSpec, SessionOutput) {
         let (config, capture) = tiny_keylog(seed);
-        let batch = SessionOutput::Keylog(Detector::new(config.clone()).try_detect(&capture));
+        let batch = SessionOutput::Keylog(StreamingDetector::detect(config.clone(), &capture));
         let spec = SensorSpec {
             label: format!("keylog-{seed}"),
             kind: SensorKind::Keylog(config),
@@ -923,7 +936,7 @@ mod tests {
     #[test]
     fn rotation_flushes_a_full_report_per_pass() {
         let (config, capture) = tiny_keylog(23);
-        let batch = SessionOutput::Keylog(Detector::new(config.clone()).try_detect(&capture));
+        let batch = SessionOutput::Keylog(StreamingDetector::detect(config.clone(), &capture));
         let n = capture.samples.len();
         let spec = SensorSpec {
             label: "rotating".to_string(),
@@ -994,7 +1007,7 @@ mod tests {
         assert_eq!(s.samples_processed, 79_784);
         assert_eq!(s.sessions[0].stats.samples_processed, 79_784);
         let prefix = Capture { samples: capture.samples[..79_784].to_vec(), ..capture };
-        let batch = SessionOutput::Keylog(Detector::new(config).try_detect(&prefix));
+        let batch = SessionOutput::Keylog(StreamingDetector::detect(config, &prefix));
         assert_eq!(
             s.sessions[0].output, batch,
             "the drained session must equal the prefix's batch"
@@ -1027,7 +1040,7 @@ mod tests {
         sup.add_sensor(spec);
         let report = sup.run();
         let s = &report.sensors[0];
-        assert_eq!(s.state, LifecycleState::Done, "events: {:#?}", report.events);
+        assert_eq!(s.state, LifecycleState::Quarantined, "events: {:#?}", report.events);
         assert_eq!(s.restarts, 0);
         assert_eq!(s.chunks_dropped, 12, "every queued chunk is counted");
         assert_eq!(s.samples_processed, 0);
@@ -1041,7 +1054,7 @@ mod tests {
             vec![ServiceEvent {
                 tick: 3,
                 sensor: 0,
-                what: "drained and closed at shutdown".into()
+                what: "quarantined: stream error at shutdown: keylog-capture".into()
             }]
         );
     }

@@ -16,7 +16,7 @@ use emsc_keylog::detect::{DetectorConfig, HARMONICS, WINDOW_SAMPLES};
 use emsc_sdr::dsp::{convolve_same, edge_kernel, moving_average};
 use emsc_sdr::error::CaptureError;
 use emsc_sdr::fft::frequency_bin;
-use emsc_sdr::sliding::try_energy_signal;
+use emsc_sdr::sliding::SlidingDft;
 use emsc_sdr::stft::{stft, StftConfig};
 use emsc_sdr::window::Window;
 use emsc_sdr::{Capture, Complex};
@@ -89,13 +89,17 @@ pub fn corpus() -> Vec<(&'static str, Capture)> {
 }
 
 /// Smoothed Eq. (1) energy signal of `capture` from the sdr batch
-/// kernels: [`try_energy_signal`] over the in-band harmonic bins, then
-/// a 3-sample [`moving_average`] — the covert receiver's stages 1–2a
-/// up to the edge convolution.
+/// kernels: one [`SlidingDft::process_into`] call over a sanitised
+/// copy of the capture (non-finite samples zeroed) at the in-band
+/// harmonic bins, then a 3-sample [`moving_average`] — the covert
+/// receiver's stages 1–2a up to the edge convolution.
 ///
 /// # Errors
 ///
-/// The [`CaptureError`] `try_energy_signal` reports.
+/// The tracker's [`CaptureError::InvalidConfig`], then, checked here,
+/// [`CaptureError::Empty`], [`CaptureError::TooShort`] for a capture
+/// shorter than one window, and [`CaptureError::NonFinite`] for a
+/// majority of non-finite samples.
 pub fn batch_energy(cfg: &RxConfig, capture: &Capture) -> Result<Vec<f64>, CaptureError> {
     let (fs, fc) = (capture.sample_rate, capture.center_freq);
     let bins: Vec<usize> = (1..=cfg.harmonics)
@@ -103,8 +107,24 @@ pub fn batch_energy(cfg: &RxConfig, capture: &Capture) -> Result<Vec<f64>, Captu
         .filter(|f| (f - fc).abs() < fs / 2.0)
         .map(|f| frequency_bin(f - fc, cfg.fft_size, fs))
         .collect();
-    let raw = try_energy_signal(&capture.samples, cfg.fft_size, &bins, cfg.decimation)?;
-    Ok(moving_average(&raw.samples, 3))
+    let mut sdft = SlidingDft::try_new(cfg.fft_size, &bins)?;
+    let samples = &capture.samples;
+    if samples.is_empty() {
+        return Err(CaptureError::Empty);
+    }
+    if samples.len() < cfg.fft_size {
+        return Err(CaptureError::TooShort { needed: cfg.fft_size, got: samples.len() });
+    }
+    let finite = |x: &Complex| x.re.is_finite() && x.im.is_finite();
+    let non_finite = samples.iter().filter(|x| !finite(x)).count();
+    if non_finite * 2 > samples.len() {
+        return Err(CaptureError::NonFinite { count: non_finite, total: samples.len() });
+    }
+    let sanitised: Vec<Complex> =
+        samples.iter().map(|&x| if finite(&x) { x } else { Complex::ZERO }).collect();
+    let mut raw = Vec::new();
+    sdft.process_into(&sanitised, cfg.decimation, &mut raw);
+    Ok(moving_average(&raw, 3))
 }
 
 /// §IV-B2 edge response of a smoothed energy signal sampled every

@@ -10,6 +10,7 @@ use emsc_core::laptop::Laptop;
 use emsc_covert::packets::{depacketize, packetize, PacketConfig};
 use emsc_covert::rx::{Receiver, RxConfig};
 use emsc_covert::tx::{Transmitter, TxConfig};
+use emsc_emfield::synth::samples_for;
 use emsc_fingerprint::workload::site_library;
 use emsc_sdr::record::{read_rtl_u8, write_rtl_u8};
 use emsc_sdr::{Capture, Frontend, FrontendConfig};
@@ -127,7 +128,9 @@ fn two_transmitters_share_the_ether_by_frequency_division() {
         let mut scene = chain.scene.clone();
         scene.synth.center_freq = tuned_to;
         scene.noise_sigma = 0.0; // noise added once, after summing
-        (scene.render(&train, 77), tx, transmitter.on_air_bits(payload))
+        let mut analog = vec![emsc_sdr::Complex::ZERO; samples_for(&train, scene.synth)];
+        scene.window_renderer(&train, 77).render_into(0, &mut analog);
+        (analog, tx, transmitter.on_air_bits(payload))
     };
 
     // Tune midway between the two fundamentals so both (and their
@@ -138,7 +141,7 @@ fn two_transmitters_share_the_ether_by_frequency_division() {
 
     let n = sig_a.len().min(sig_b.len());
     let mut sum: Vec<emsc_sdr::Complex> = (0..n).map(|i| sig_a[i] + sig_b[i]).collect();
-    emsc_emfield::interference::add_awgn(&mut sum, 2.0, 99);
+    emsc_emfield::interference::add_awgn_window(&mut sum, 2.0, 99, 0);
     let analog = Capture { samples: sum, sample_rate: 2.4e6, center_freq: f_tune };
     let capture = Frontend::new(FrontendConfig::rtl_sdr_v3(f_tune)).digitize(&analog.samples);
     let capture = Capture { center_freq: f_tune, ..capture };

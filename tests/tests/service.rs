@@ -148,14 +148,14 @@ fn check_policy_and_references(outcome: &SoakOutcome) {
 fn severity_max_schedule_never_crashes_the_daemon() {
     use emsc_core::experiments::streaming::keylog_capture;
     use emsc_core::session::SessionOutput;
-    use emsc_keylog::detect::Detector;
+    use emsc_keylog::stream::StreamingDetector;
     use emsc_runtime::seed_for;
     use emsc_service::ReplaySource;
 
     let seed = 99;
     let (cfg_a, cap_a) = keylog_capture(seed_for(seed, 0));
     let (cfg_b, cap_b) = keylog_capture(seed_for(seed, 1));
-    let reference_b = SessionOutput::Keylog(Detector::new(cfg_b.clone()).try_detect(&cap_b));
+    let reference_b = SessionOutput::Keylog(StreamingDetector::detect(cfg_b.clone(), &cap_b));
 
     let policy = SensorPolicy { chunks_per_tick: 2, ..SensorPolicy::default() };
     let events = vec![

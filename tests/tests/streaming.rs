@@ -2,8 +2,8 @@
 //!
 //! The receive stages exist once, as streaming state machines; the
 //! whole-capture entry points (`Receiver::receive`/`receive_blind`,
-//! `Detector::try_detect`, `try_deframe`) push their whole input once
-//! and finish. The contract pinned here has two halves:
+//! `StreamingDetector::detect`, `try_deframe`) push their whole input
+//! once and finish. The contract pinned here has two halves:
 //!
 //! - **Chunk invariance.** Feeding a capture in chunks of 1, 7 and
 //!   64 Ki samples, or in a mixed walk of sizes, gives exactly the
@@ -21,7 +21,7 @@ use emsc_core::fused::{ChainStream, FUSED_BLOCK};
 use emsc_core::laptop::Laptop;
 use emsc_covert::rx::{try_estimate_bit_period, Receiver, RxConfig, RxError, RxReport};
 use emsc_covert::stream::StreamingReceiver;
-use emsc_keylog::detect::{DetectError, DetectionReport, Detector, DetectorConfig};
+use emsc_keylog::detect::{DetectError, DetectionReport, DetectorConfig};
 use emsc_keylog::stream::StreamingDetector;
 use emsc_pmu::workload::Program;
 use emsc_runtime::with_threads;
@@ -102,9 +102,8 @@ fn blind_receiver_is_bit_identical_to_batch_on_the_corpus() {
 
 #[test]
 fn keylog_detector_is_bit_identical_to_batch_on_the_corpus() {
-    let one_push = Detector::new(DetectorConfig::new(F_SW));
     for (label, cap) in corpus() {
-        let whole = one_push.try_detect(&cap);
+        let whole = StreamingDetector::detect(DetectorConfig::new(F_SW), &cap);
         for chunk in CHUNKINGS {
             let streamed = stream_detect(&fixed(&cap.samples, chunk), &cap);
             assert_eq!(streamed, whole, "{label} (keylog) diverged at chunk size {chunk}");
@@ -116,12 +115,12 @@ fn keylog_detector_is_bit_identical_to_batch_on_the_corpus() {
 fn streaming_survives_single_sample_pushes_interleaved_with_bulk() {
     // Mixed chunk sizes within ONE stream, for every machine.
     let rx = Receiver::new(rx_config());
-    let detector = Detector::new(DetectorConfig::new(F_SW));
     for (label, cap) in corpus() {
         let pieces = mixed(&cap.samples);
         assert_eq!(stream_receive(&pieces, &cap, false), rx.receive(&cap), "{label} (informed)");
         assert_eq!(stream_receive(&pieces, &cap, true), rx.receive_blind(&cap), "{label} (blind)");
-        assert_eq!(stream_detect(&pieces, &cap), detector.try_detect(&cap), "{label} (keylog)");
+        let whole = StreamingDetector::detect(DetectorConfig::new(F_SW), &cap);
+        assert_eq!(stream_detect(&pieces, &cap), whole, "{label} (keylog)");
     }
 }
 
@@ -164,10 +163,9 @@ fn one_push_receiver_front_end_equals_the_sdr_kernel_chain() {
 #[test]
 fn one_push_keylog_window_energy_equals_the_stft_chain() {
     let cfg = DetectorConfig::new(F_SW);
-    let detector = Detector::new(cfg.clone());
     let mut detected = 0;
     for (label, cap) in corpus() {
-        if let Ok(report) = detector.try_detect(&cap) {
+        if let Ok(report) = StreamingDetector::detect(cfg.clone(), &cap) {
             assert_eq!(report.window_energy, batch_window_energy(&cfg, &cap), "{label}");
             detected += 1;
         }

@@ -9,6 +9,7 @@
 
 use std::io::{self, Read};
 
+use emsc_core::session::SessionRegistry;
 use emsc_covert::frame::{
     frame_payload, try_deframe, FrameConfig, FrameError, START_MARKER, ZEROS_LEN,
 };
@@ -17,8 +18,9 @@ use emsc_covert::rx::{
     try_estimate_bit_period, try_find_switching_frequency, Receiver, RxConfig, RxError, SyncLoss,
     MAX_EDGE_KERNEL_TAPS,
 };
-use emsc_covert::stream::{Deframer, FrameEvent};
-use emsc_keylog::{Detector, DetectorConfig};
+use emsc_covert::stream::{Deframer, FrameEvent, StreamingReceiver};
+use emsc_keylog::detect::detect_from_energies;
+use emsc_keylog::{DetectError, DetectorConfig, StreamingDetector};
 use emsc_sdr::error::{CaptureError, StatsError};
 use emsc_sdr::impair::{apply_all, Impairment};
 use emsc_sdr::record::read_rtl_u8;
@@ -26,8 +28,12 @@ use emsc_sdr::stats::{quantile, try_mean, try_quantile, Histogram, RayleighFit};
 use emsc_sdr::{Capture, Complex};
 use emsc_tests::{capture, corpus, noise, FS, F_SW};
 
+fn rx_config() -> RxConfig {
+    RxConfig::new(F_SW, 250e-6)
+}
+
 fn receiver() -> Receiver {
-    Receiver::new(RxConfig::new(F_SW, 250e-6))
+    Receiver::new(rx_config())
 }
 
 #[test]
@@ -73,7 +79,7 @@ fn structural_failures_map_to_the_right_typed_errors() {
     // is a fraction of a bit period counted in samples, would exceed
     // its tap cap: the rate at which a `period_s` bit reaches the cap
     // is `cap_rate(period_s)`.
-    let cfg = rx.config();
+    let cfg = rx_config();
     let cap_rate = |period_s: f64| {
         MAX_EDGE_KERNEL_TAPS as f64 * cfg.decimation as f64 / (period_s * cfg.edge_kernel_fraction)
     };
@@ -99,7 +105,7 @@ fn structural_failures_map_to_the_right_typed_errors() {
 
 /// Receiver configurations that violate an invariant.
 fn bad_rx_configs() -> Vec<RxConfig> {
-    let good = RxConfig::new(F_SW, 250e-6);
+    let good = rx_config();
     vec![
         RxConfig { fft_size: 300, ..good.clone() },
         // Powers of two too large to allocate a window for.
@@ -127,34 +133,57 @@ fn bad_rx_configs() -> Vec<RxConfig> {
 
 #[test]
 fn receiver_constructor_rejects_bad_configs_without_panicking() {
+    // Every constructor checks a configuration through the one
+    // construction step, so each rejects every bad one the same way,
+    // before any sample is seen or any buffer is sized.
+    let is_invalid = |r: Result<(), RxError>| matches!(r, Err(RxError::InvalidConfig(_)));
+    let mut registry = SessionRegistry::new(7, 1 << 16);
     for cfg in bad_rx_configs() {
-        assert!(
-            matches!(Receiver::try_new(cfg.clone()), Err(RxError::InvalidConfig(_))),
-            "bad config accepted: {cfg:?}"
-        );
+        let streaming = StreamingReceiver::new(cfg.clone(), FS, F_SW).map(drop);
+        assert!(is_invalid(streaming), "StreamingReceiver::new accepted {cfg:?}");
+        let blind = StreamingReceiver::new_blind(cfg.clone(), FS, F_SW).map(drop);
+        assert!(is_invalid(blind), "StreamingReceiver::new_blind accepted {cfg:?}");
+        let session = registry.open_covert(cfg.clone(), FS, F_SW).map(drop);
+        assert!(is_invalid(session), "open_covert accepted {cfg:?}");
     }
-    assert!(Receiver::try_new(RxConfig::new(F_SW, 250e-6)).is_ok());
+    assert!(StreamingReceiver::new(rx_config(), FS, F_SW).is_ok());
 }
 
 #[test]
-fn receiver_new_panics_on_every_config_try_new_rejects() {
-    // `new` and `try_new` share one rule set, so `new` never hands
-    // `receive` a configuration `try_new` would reject.
+fn receiver_new_hands_every_bad_config_to_receive_as_a_typed_error() {
+    // `Receiver::new` only holds the configuration: `receive` and
+    // `receive_blind` check it through the same construction step,
+    // before they look at the capture.
+    let cap = capture(noise(10_000, 3));
+    let is_invalid = |r: Result<(), RxError>| matches!(r, Err(RxError::InvalidConfig(_)));
     for cfg in bad_rx_configs() {
-        let built = std::panic::catch_unwind(|| Receiver::new(cfg.clone()));
-        assert!(built.is_err(), "Receiver::new accepted {cfg:?}");
+        let rx = Receiver::new(cfg.clone());
+        assert!(is_invalid(rx.receive(&cap).map(drop)), "receive accepted {cfg:?}");
+        assert!(is_invalid(rx.receive_blind(&cap).map(drop)), "receive_blind accepted {cfg:?}");
     }
+    assert!(receiver().receive(&cap).is_ok());
+}
+
+#[test]
+fn every_keylog_entry_point_reports_a_nan_switching_frequency_as_a_typed_error() {
+    let bad = DetectorConfig::new(f64::NAN);
+    let cap = capture(noise(10_000, 3));
+    let is_invalid = |r: Result<(), DetectError>| matches!(r, Err(DetectError::InvalidConfig(_)));
+    assert!(is_invalid(StreamingDetector::new(bad.clone(), FS, F_SW).map(drop)));
+    assert!(is_invalid(StreamingDetector::detect(bad.clone(), &cap).map(drop)));
+    let mut registry = SessionRegistry::new(7, 1 << 16);
+    assert!(is_invalid(registry.open_keylog(bad, FS, F_SW).map(drop)));
 }
 
 #[test]
 fn keylog_detector_never_panics_on_the_corpus() {
-    let detector = Detector::new(DetectorConfig::new(F_SW));
+    let detect = |cap: &Capture| StreamingDetector::detect(DetectorConfig::new(F_SW), cap);
     for (label, cap) in corpus() {
-        let _ = detector.try_detect(&cap).map_err(|e| format!("{label}: {e}"));
+        let _ = detect(&cap).map_err(|e| format!("{label}: {e}"));
     }
     for rate in [0.0, f64::NAN] {
         let cap = Capture { samples: noise(10_000, 3), sample_rate: rate, center_freq: F_SW };
-        assert!(detector.try_detect(&cap).is_err(), "sample rate {rate} must be an error");
+        assert!(detect(&cap).is_err(), "sample rate {rate} must be an error");
     }
 }
 
@@ -162,7 +191,6 @@ fn keylog_detector_never_panics_on_the_corpus() {
 fn keylog_thresholding_zeroes_non_finite_energies() {
     // Window energies as a capture with corrupt stretches leaves them:
     // every one, or some, NaN or infinite.
-    let detector = Detector::new(DetectorConfig::new(F_SW));
     let laced: Vec<f64> = (0..300)
         .map(|i| match i % 11 {
             0 => f64::NAN,
@@ -178,7 +206,7 @@ fn keylog_thresholding_zeroes_non_finite_energies() {
     {
         let zeroed: Vec<f64> =
             energies.iter().map(|&e| if e.is_finite() { e } else { 0.0 }).collect();
-        let report = detector.detect_from_energies(energies, 3.4e-3);
+        let report = detect_from_energies(energies, 3.4e-3);
         assert_eq!(report.window_energy, zeroed);
         assert!(report.threshold.is_finite(), "threshold {}", report.threshold);
     }
@@ -339,11 +367,11 @@ fn impaired_corpus_still_never_panics() {
         Impairment::Clipping { level: 0.2 },
     ];
     let rx = receiver();
-    let detector = Detector::new(DetectorConfig::new(F_SW));
     for (label, mut cap) in corpus() {
         apply_all(&mut cap, &stack, 0xDEAD_BEEF);
         let _ = rx.receive(&cap).map_err(|e| format!("{label}: {e}"));
         let _ = rx.receive_blind(&cap).map_err(|e| format!("{label}: {e}"));
-        let _ = detector.try_detect(&cap).map_err(|e| format!("{label}: {e}"));
+        let detected = StreamingDetector::detect(DetectorConfig::new(F_SW), &cap);
+        let _ = detected.map_err(|e| format!("{label}: {e}"));
     }
 }
