@@ -3,7 +3,6 @@
 //! its twins) and scored (`CovertOutcome::score`, averaged over a row's
 //! runs by `mean`).
 
-use emsc_covert::adapt::RateStep;
 use emsc_covert::coding::bytes_to_bits;
 use emsc_covert::frame::{salvage_marker_bits, try_deframe, Deframed, FrameConfig};
 use emsc_covert::metrics::{align_semiglobal, align_trace, AlignOp, Alignment};
@@ -99,8 +98,6 @@ impl<S> CovertOutcome<S> {
             resyncs: marker.map_or(0, |s| s.resyncs),
             markers_missed: marker.map_or(0, |s| s.markers_missed),
             corrected: deframed.map_or(0, |d| d.coding.corrected),
-            probes: 0,
-            retransmits: 0,
         }
     }
 }
@@ -118,8 +115,7 @@ pub(crate) struct TransferScore {
     /// Measured transmission rate, bits/second.
     pub tr_bps: f64,
     /// Payload bits delivered per second of air time: `delivered_bits`
-    /// over the air time of every attempt (see
-    /// [`TransferScore::resent`]).
+    /// over the transfer's air time.
     pub goodput_bps: f64,
     /// Whether the exact payload was recovered.
     pub recovered: bool,
@@ -141,24 +137,6 @@ pub(crate) struct TransferScore {
     pub markers_missed: usize,
     /// Hamming codewords with a nonzero syndrome in the deframed frame.
     pub corrected: usize,
-    /// Probe frames spent before the transfer (E6's adaptive mode).
-    pub probes: usize,
-    /// Earlier attempts of the transfer that delivered nothing and were
-    /// resent (E6's adaptive mode).
-    pub retransmits: usize,
-}
-
-impl TransferScore {
-    /// This score after `retransmits` earlier attempts that delivered
-    /// nothing: goodput is charged against `airtime_bits`, the on-air
-    /// bits of every attempt.
-    pub(crate) fn resent(self, retransmits: usize, airtime_bits: usize) -> Self {
-        TransferScore {
-            goodput_bps: goodput_bps(self.delivered_bits, self.tr_bps, airtime_bits),
-            retransmits,
-            ..self
-        }
-    }
 }
 
 /// The mean of `field` over a row's transfer scores. The sum runs
@@ -380,20 +358,6 @@ impl CovertScenario {
         program.extend(Transmitter::new(self.tx).program_for_bits(bits).ops().iter().copied());
         program.sleep(LEAD_SILENCE_S);
         program
-    }
-
-    /// The same physical chain operated at a rung of the adaptive rate
-    /// ladder: the transmitter clock is stretched by the step's factor
-    /// and the step's coding armour (marker layer, interleaving)
-    /// replaces the frame's, while the receiver is re-primed with the
-    /// bit period the stretched transmitter actually produces on this
-    /// machine.
-    pub fn at_rate_step(&self, step: &RateStep) -> CovertScenario {
-        let mut tx = self.tx.stretched(step.stretch);
-        tx.frame.marker = step.marker;
-        tx.frame.interleave_depth = step.interleave_depth;
-        let expected_bit = tx.expected_bit_period_on(&self.chain.machine);
-        CovertScenario { chain: self.chain.clone(), tx, rx: self.rx.with_bit_period(expected_bit) }
     }
 }
 

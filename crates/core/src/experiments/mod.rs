@@ -27,7 +27,7 @@
 //! | E3 (BER vs. channel impairments) | [`impairments::impairment_sweep`] |
 //! | E4 (multi-tenant streaming vs. batch) | [`streaming::streaming_sessions`] |
 //! | E5 (supervised capture-daemon soak) | `emsc_service::soak` (service crate) |
-//! | E6 (deletion robustness: rigid vs. marker vs. adaptive) | [`robust::robust_sweep`] |
+//! | E6 (deletion robustness: rigid vs. marker) | [`robust::robust_sweep`] |
 //! | Ablations (receiver, harmonics, window, label feature, parity, sleep period, countermeasures) | [`ablations::ablations`] |
 
 pub mod ablations;

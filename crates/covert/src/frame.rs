@@ -8,7 +8,6 @@
 //! the actual data."
 
 use crate::coding::{bits_to_bytes, bytes_to_bits, decode_bits, encode_bits, CodingStats};
-use crate::interleave::Interleaver;
 use crate::marker::{
     blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream, SEARCH_RADIUS,
     SEGMENT_MARKER,
@@ -32,10 +31,6 @@ pub struct FrameConfig {
     pub sync_len: usize,
     /// Apply Hamming(7,4) to the payload.
     pub parity: bool,
-    /// Interleave the coded body at this depth (codewords per block),
-    /// spreading §IV-B4 error bursts across codewords. `None`
-    /// transmits codewords in order, as the paper does.
-    pub interleave_depth: Option<usize>,
     /// Wrap the coded body in the synchronization-robust marker code
     /// (see [`crate::marker`]): periodic known markers let the decoder
     /// track bit-clock drift and recover from insertions/deletions
@@ -46,12 +41,7 @@ pub struct FrameConfig {
 
 impl Default for FrameConfig {
     fn default() -> Self {
-        FrameConfig {
-            sync_len: DEFAULT_SYNC_LEN,
-            parity: true,
-            interleave_depth: None,
-            marker: None,
-        }
+        FrameConfig { sync_len: DEFAULT_SYNC_LEN, parity: true, marker: None }
     }
 }
 
@@ -74,15 +64,7 @@ pub fn frame_payload(payload: &[u8], config: FrameConfig) -> Vec<u8> {
     let mut body = (payload.len() as u16).to_be_bytes().to_vec();
     body.extend_from_slice(payload);
     let payload_bits = bytes_to_bits(&body);
-    let rigid = if config.parity {
-        let coded = encode_bits(&payload_bits);
-        match config.interleave_depth {
-            Some(depth) => Interleaver::new(7, depth).interleave(&coded),
-            None => coded,
-        }
-    } else {
-        payload_bits
-    };
+    let rigid = if config.parity { encode_bits(&payload_bits) } else { payload_bits };
     match config.marker {
         Some(mcfg) => bits.extend(marker_encode(mcfg, &rigid)),
         None => bits.extend(rigid),
@@ -343,9 +325,8 @@ pub(crate) fn body_span(config: FrameConfig, declared: usize) -> usize {
 }
 
 /// Declared payload byte count peeked from the first
-/// [`header_span`] bits after the marker, or `None` when fewer bits
-/// are available yet. Only meaningful for non-interleaved frames,
-/// where the header occupies a fixed prefix of the on-air body.
+/// [`header_span`] bits of a rigid body, or `None` when fewer bits
+/// are available yet.
 pub(crate) fn peek_declared(body: &[u8], config: FrameConfig) -> Option<usize> {
     let span = header_span(config);
     if body.len() < span {
@@ -358,61 +339,9 @@ pub(crate) fn peek_declared(body: &[u8], config: FrameConfig) -> Option<usize> {
 }
 
 /// Rigid coded bits of the frame body (length header + `declared`
-/// payload bytes) after interleaver padding, before marker wrapping.
+/// payload bytes), before marker wrapping.
 pub(crate) fn rigid_body_span(config: FrameConfig, declared: usize) -> usize {
-    let rigid = header_span(config) + body_span(config, declared);
-    match (config.parity, config.interleave_depth) {
-        (true, Some(depth)) => {
-            let block = Interleaver::new(7, depth).block_len();
-            rigid.div_ceil(block).max(1) * block
-        }
-        _ => rigid,
-    }
-}
-
-/// On-air bits of the frame body for a `declared` payload byte count:
-/// the rigid coded span, wrapped in the marker code when configured.
-pub(crate) fn on_air_body_span(config: FrameConfig, declared: usize) -> usize {
-    let rigid = rigid_body_span(config, declared);
-    match config.marker {
-        Some(mcfg) => crate::marker::on_air_len(mcfg, rigid),
-        None => rigid,
-    }
-}
-
-/// Total on-air bits of a frame carrying `payload_len` bytes —
-/// preamble, start marker and (marker-coded) body. Equals
-/// `frame_payload(payload, config).len()` without building the frame;
-/// experiments use it to convert payload sizes into air time.
-pub fn on_air_frame_len(config: FrameConfig, payload_len: usize) -> usize {
-    config.sync_len + ZEROS_LEN + START_MARKER.len() + on_air_body_span(config, payload_len)
-}
-
-/// Rigid bits that hold the length header: the whole interleaver
-/// blocks it is spread across when interleaved, otherwise just the
-/// header span.
-pub(crate) fn peek_need(config: FrameConfig) -> usize {
-    let header = header_span(config);
-    match (config.parity, config.interleave_depth) {
-        (true, Some(depth)) => {
-            let block = Interleaver::new(7, depth).block_len();
-            header.div_ceil(block) * block
-        }
-        _ => header,
-    }
-}
-
-/// Declared payload byte count peeked from a *rigid* prefix of at
-/// least [`peek_need`] bits (deinterleaving its blocks if needed), or
-/// `None` when too few bits are available.
-pub(crate) fn peek_declared_rigid(rigid: &[u8], config: FrameConfig) -> Option<usize> {
-    match (config.parity, config.interleave_depth) {
-        (true, Some(depth)) => {
-            let header = rigid.get(..peek_need(config))?;
-            peek_declared(&Interleaver::new(7, depth).deinterleave(header), config)
-        }
-        _ => peek_declared(rigid, config),
-    }
+    header_span(config) + body_span(config, declared)
 }
 
 /// A decoded frame body, before its stream position is known.
@@ -441,24 +370,14 @@ impl BodyDecode {
 }
 
 /// Decodes a rigid coded body — a rigid frame's on-air body, or a
-/// marker-coded one after the marker layer is unwrapped: undoes the
-/// interleaving, reads the 16-bit length header, then exactly the
-/// declared number of payload bytes — anything after belongs to the
-/// channel (or the next packet), not to this frame.
+/// marker-coded one after the marker layer is unwrapped: reads the
+/// 16-bit length header, then exactly the declared number of payload
+/// bytes — anything after belongs to the channel (or the next
+/// packet), not to this frame.
 pub(crate) fn decode_rigid_body(
     body: &[u8],
     config: FrameConfig,
 ) -> Result<BodyDecode, FrameError> {
-    // Undo interleaving first, if the frame used it: the whole coded
-    // body (length header + payload) shares the interleaver blocks.
-    let deinterleaved;
-    let body = match (config.parity, config.interleave_depth) {
-        (true, Some(depth)) => {
-            deinterleaved = Interleaver::new(7, depth).deinterleave(body);
-            deinterleaved.as_slice()
-        }
-        _ => body,
-    };
     let mut coding = CodingStats::default();
     let (header_bits, len_span) = if config.parity {
         let span = header_span(config).min(body.len());
@@ -511,14 +430,10 @@ pub struct Salvage {
 /// boundaries preserve, because [`MarkerConfig::segment_len`] is a
 /// multiple of 7.
 ///
-/// Returns `None` when the frame is not marker-coded, when the body
-/// is interleaved (deinterleaving needs the segment index the salvage
-/// does not know), or when no lattice is found.
+/// Returns `None` when the frame is not marker-coded or when no
+/// lattice is found.
 pub fn salvage_marker_bits(received: &[u8], config: FrameConfig) -> Option<Salvage> {
     let mcfg = config.marker?;
-    if config.parity && config.interleave_depth.is_some() {
-        return None;
-    }
     let lock = blind_lock(mcfg, received)?;
     let mut ms = MarkerStream::new(mcfg);
     ms.push(&received[lock..]);
@@ -534,7 +449,7 @@ mod tests {
 
     #[test]
     fn frame_layout() {
-        let cfg = FrameConfig { sync_len: 6, parity: false, interleave_depth: None, marker: None };
+        let cfg = FrameConfig { sync_len: 6, parity: false, marker: None };
         let bits = frame_payload(&[0xFF], cfg);
         assert_eq!(&bits[..6], &[1, 0, 1, 0, 1, 0]);
         assert_eq!(&bits[6..14], &[0; ZEROS_LEN]);
@@ -609,69 +524,36 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_frame_round_trips() {
-        let cfg = FrameConfig { interleave_depth: Some(7), ..FrameConfig::default() };
-        let payload = b"interleaved payload";
-        let bits = frame_payload(payload, cfg);
-        let out = try_deframe(&bits, cfg, 0).expect("marker");
-        assert_eq!(out.payload, payload.to_vec());
-    }
-
-    #[test]
-    fn interleaved_frame_survives_a_burst() {
-        let cfg = FrameConfig { interleave_depth: Some(7), ..FrameConfig::default() };
-        let payload = b"burst-proof";
-        let mut bits = frame_payload(payload, cfg);
-        let body_start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
-        // A 6-bit burst inside the body (≤ depth−1 to guarantee ≤1 hit
-        // per codeword even when the burst straddles codeword phase).
-        for b in bits.iter_mut().skip(body_start + 30).take(6) {
-            *b ^= 1;
-        }
-        let out = try_deframe(&bits, cfg, 0).expect("marker");
-        assert_eq!(out.payload, payload.to_vec(), "interleaving must absorb the burst");
-        // The same burst without interleaving corrupts the payload.
-        let plain_cfg = FrameConfig::default();
-        let mut plain = frame_payload(payload, plain_cfg);
-        for b in plain.iter_mut().skip(body_start + 30).take(6) {
-            *b ^= 1;
-        }
-        let broken = try_deframe(&plain, plain_cfg, 0).expect("marker");
-        assert_ne!(broken.payload, payload.to_vec());
-    }
-
-    #[test]
     fn marker_coded_frame_round_trips() {
-        for (parity, depth) in [(true, None), (true, Some(7)), (false, None)] {
+        for parity in [true, false] {
             let cfg = FrameConfig {
                 parity,
-                interleave_depth: depth,
                 marker: Some(MarkerConfig::standard()),
                 ..FrameConfig::default()
             };
             let payload = b"marker-coded payload";
             let bits = frame_payload(payload, cfg);
             let out = try_deframe(&bits, cfg, 0).expect("marker frame deframes");
-            assert_eq!(out.payload, payload.to_vec(), "parity={parity} depth={depth:?}");
+            assert_eq!(out.payload, payload.to_vec(), "parity={parity}");
             assert!(out.marker.is_some());
             assert_eq!(out.marker.unwrap().resyncs, 0, "clean channel never resyncs");
         }
     }
 
     #[test]
-    fn on_air_body_span_matches_framed_length() {
-        for marker in [None, Some(MarkerConfig::standard()), Some(MarkerConfig::dense())] {
-            for depth in [None, Some(4)] {
-                let cfg = FrameConfig { marker, interleave_depth: depth, ..FrameConfig::default() };
+    fn framed_length_matches_rigid_and_marker_spans() {
+        for marker in [None, Some(MarkerConfig::standard()), Some(MarkerConfig::new(14))] {
+            for parity in [true, false] {
+                let cfg = FrameConfig { parity, marker, ..FrameConfig::default() };
                 let payload = b"span check";
-                let bits = frame_payload(payload, cfg);
+                let rigid = rigid_body_span(cfg, payload.len());
+                let body = marker.map_or(rigid, |mcfg| crate::marker::on_air_len(mcfg, rigid));
                 let preamble = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
                 assert_eq!(
-                    bits.len(),
-                    preamble + on_air_body_span(cfg, payload.len()),
-                    "marker={marker:?} depth={depth:?}"
+                    frame_payload(payload, cfg).len(),
+                    preamble + body,
+                    "marker={marker:?} parity={parity}"
                 );
-                assert_eq!(bits.len(), on_air_frame_len(cfg, payload.len()));
             }
         }
     }
@@ -703,25 +585,6 @@ mod tests {
         let rigid_wrong = broken.payload.iter().zip(payload).filter(|(a, b)| a != b).count()
             + payload.len().saturating_sub(broken.payload.len());
         assert!(rigid_wrong > wrong, "rigid framing must fare worse ({rigid_wrong} vs {wrong})");
-    }
-
-    #[test]
-    fn marker_interleaved_frame_survives_indels_and_a_burst() {
-        let cfg = FrameConfig {
-            interleave_depth: Some(7),
-            marker: Some(MarkerConfig::standard()),
-            ..FrameConfig::default()
-        };
-        let payload = b"belt and braces";
-        let mut bits = frame_payload(payload, cfg);
-        let body_start = cfg.sync_len + ZEROS_LEN + START_MARKER.len();
-        bits.remove(body_start + 90); // a deletion…
-        for b in bits.iter_mut().skip(body_start + 200).take(4) {
-            *b ^= 1; // …and a short burst
-        }
-        let out = try_deframe(&bits, cfg, 0).expect("marker frame deframes");
-        assert_eq!(out.payload, payload.to_vec(), "marker + interleaver absorb both");
-        assert!(out.marker.unwrap().resyncs >= 1);
     }
 
     #[test]
@@ -757,17 +620,10 @@ mod tests {
     }
 
     #[test]
-    fn salvage_declines_interleaved_and_unmarked_frames() {
+    fn salvage_declines_unmarked_frames() {
         let plain = FrameConfig::default();
         let bits = frame_payload(b"x", plain);
         assert!(salvage_marker_bits(&bits, plain).is_none());
-        let il = FrameConfig {
-            interleave_depth: Some(7),
-            marker: Some(MarkerConfig::standard()),
-            ..FrameConfig::default()
-        };
-        let bits = frame_payload(b"x", il);
-        assert!(salvage_marker_bits(&bits, il).is_none());
     }
 
     #[test]

@@ -23,15 +23,10 @@
 //!   BER/IP/DP numbers of Tables II and III,
 //! - [`capacity`]: information-theoretic bounds on the measured
 //!   channel (BSC capacity, indel-discounted effective rate),
-//! - [`interleave`]: block interleaving so error bursts spread across
-//!   codewords (a natural strengthening of §IV-B4's parity scheme),
 //! - [`marker`]: synchronisation-robust marker coding — periodic known
 //!   markers with a drift-tracking decoder that re-aligns the bit
 //!   clock between markers, so insertions/deletions corrupt one
-//!   segment instead of shifting the rest of the frame,
-//! - [`adapt`]: the closed-loop rate controller that walks a
-//!   rate/robustness ladder from probe-frame quality (automating the
-//!   paper's manual rate-vs-distance tuning, Table II → §V).
+//!   segment instead of shifting the rest of the frame.
 //!
 //! The full physical chain (machine → VRM → EM scene → SDR) is
 //! composed in `emsc-core`; this crate's end-to-end tests wire it up
@@ -40,11 +35,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod adapt;
 pub mod capacity;
 pub mod coding;
 pub mod frame;
-pub mod interleave;
 pub mod marker;
 pub mod matched;
 pub mod metrics;
@@ -53,9 +46,8 @@ pub mod rx;
 pub mod stream;
 pub mod tx;
 
-pub use adapt::{AdaptPolicy, ProbeOutcome, RateController, RateLadder, RateStep};
 pub use coding::CodingStats;
-pub use frame::{on_air_frame_len, salvage_marker_bits, FrameError, Salvage};
+pub use frame::{salvage_marker_bits, FrameError, Salvage};
 pub use marker::{blind_lock, marker_encode, MarkerConfig, MarkerStats, MarkerStream};
 pub use metrics::{
     align, align_semiglobal, align_trace, codeword_audit, AlignOp, Alignment, CodewordAudit,

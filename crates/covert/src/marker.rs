@@ -2,8 +2,8 @@
 //!
 //! The E3 impairment sweep showed the reproduced channel's real
 //! failure mode is *deletions*: dropped-sample gaps shift every bit
-//! after them, and the rigid Hamming(7,4)+interleaver stack (§IV-B4)
-//! only corrects substitutions, so one deletion destroys everything
+//! after them, and the rigid Hamming(7,4) code (§IV-B4) only
+//! corrects substitutions, so one deletion destroys everything
 //! downstream. This module adds the classic remedy — a
 //! marker/watermark-style code: a short known marker
 //! ([`SEGMENT_MARKER`], a Barker-7 word chosen for its aperiodic
@@ -85,12 +85,6 @@ impl MarkerConfig {
     /// The standard rate: 28 coded bits per marker (1.25× overhead).
     pub fn standard() -> Self {
         Self::new(28)
-    }
-
-    /// A denser code for bad channels: 14 coded bits per marker
-    /// (1.5× overhead), halving the drift each marker must absorb.
-    pub fn dense() -> Self {
-        Self::new(14)
     }
 
     /// On-air bits per segment (marker + data).
@@ -476,7 +470,7 @@ mod tests {
 
     #[test]
     fn encode_layout_and_padding() {
-        let cfg = MarkerConfig::dense(); // segment 14
+        let cfg = MarkerConfig::new(14);
         let coded = data(20); // 2 segments, 8 pad bits
         let wire = marker_encode(cfg, &coded);
         assert_eq!(wire.len(), on_air_len(cfg, 20));
@@ -586,7 +580,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_pads_and_reports() {
-        let cfg = MarkerConfig::dense();
+        let cfg = MarkerConfig::new(14);
         let coded = data(42); // 3 segments
         let wire = marker_encode(cfg, &coded);
         let (rigid, stats) = marker_decode(cfg, &wire[..30], 3);

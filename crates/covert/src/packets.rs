@@ -205,28 +205,21 @@ mod tests {
     #[test]
     fn clean_round_trip_for_every_frame_layout() {
         for parity in [true, false] {
-            for interleave_depth in [None, Some(4)] {
-                for marker in [None, Some(MarkerConfig::standard())] {
-                    let (cfg, payload) = layout_train(parity, interleave_depth, marker);
-                    let frame = cfg.frame;
-                    let out = depacketize(&packetize(&payload, cfg), cfg, Some(4));
-                    assert!(out.missing.is_empty(), "{frame:?}: missing {:?}", out.missing);
-                    assert_eq!(out.payload, payload, "{frame:?}");
-                }
+            for marker in [None, Some(MarkerConfig::standard())] {
+                let (cfg, payload) = layout_train(parity, marker);
+                let frame = cfg.frame;
+                let out = depacketize(&packetize(&payload, cfg), cfg, Some(4));
+                assert!(out.missing.is_empty(), "{frame:?}: missing {:?}", out.missing);
+                assert_eq!(out.payload, payload, "{frame:?}");
             }
         }
     }
 
     /// The 4-packet train of `clean_round_trip_for_every_frame_layout`
     /// for one frame layout.
-    fn layout_train(
-        parity: bool,
-        interleave_depth: Option<usize>,
-        marker: Option<MarkerConfig>,
-    ) -> (PacketConfig, Vec<u8>) {
+    fn layout_train(parity: bool, marker: Option<MarkerConfig>) -> (PacketConfig, Vec<u8>) {
         let payload: Vec<u8> = (0..32u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
-        let frame =
-            FrameConfig { parity, interleave_depth, marker, ..PacketConfig::default().frame };
+        let frame = FrameConfig { parity, marker, ..PacketConfig::default().frame };
         let cfg = PacketConfig { packet_bytes: 8, frame };
         (cfg, payload)
     }
@@ -262,18 +255,16 @@ mod tests {
     #[test]
     fn a_destroyed_packet_costs_only_itself_in_every_frame_layout() {
         for parity in [true, false] {
-            for interleave_depth in [None, Some(4)] {
-                for marker in [None, Some(MarkerConfig::standard())] {
-                    let (cfg, payload) = layout_train(parity, interleave_depth, marker);
-                    let mut bits = packetize(&payload, cfg);
-                    let packet_len = bits.len() / 4;
-                    bits[packet_len..2 * packet_len].fill(0);
-                    let out = depacketize(&bits, cfg, Some(4));
-                    assert_eq!(out.missing, vec![1], "{:?}", cfg.frame);
-                    let mut survivors = payload[..8].to_vec();
-                    survivors.extend_from_slice(&payload[16..]);
-                    assert_eq!(out.payload, survivors, "{:?}", cfg.frame);
-                }
+            for marker in [None, Some(MarkerConfig::standard())] {
+                let (cfg, payload) = layout_train(parity, marker);
+                let mut bits = packetize(&payload, cfg);
+                let packet_len = bits.len() / 4;
+                bits[packet_len..2 * packet_len].fill(0);
+                let out = depacketize(&bits, cfg, Some(4));
+                assert_eq!(out.missing, vec![1], "{:?}", cfg.frame);
+                let mut survivors = payload[..8].to_vec();
+                survivors.extend_from_slice(&payload[16..]);
+                assert_eq!(out.payload, survivors, "{:?}", cfg.frame);
             }
         }
     }

@@ -222,15 +222,6 @@ impl RxConfig {
             label_feature: LabelFeature::default(),
         }
     }
-
-    /// The same configuration retargeted at a different bit period —
-    /// what the adaptive rate controller uses when the transmitter
-    /// stretches its clock: every other knob (FFT, decimation,
-    /// thresholds) is bit-period-relative and carries over unchanged.
-    pub fn with_bit_period(&self, expected_bit_period_s: f64) -> Self {
-        assert!(expected_bit_period_s > 0.0, "bit period must be positive");
-        RxConfig { expected_bit_period_s, ..self.clone() }
-    }
 }
 
 /// Everything the receiver computed, intermediates included.

@@ -24,9 +24,9 @@
 //!   energy signal (`decode_from_energy`).
 //! - [`Deframer`] — demodulated bits in, [`FrameEvent`]s out: the only
 //!   code that cuts a bit stream into frames. It commits to an exact
-//!   start marker as soon as it appears and emits the frame, rigid,
-//!   interleaved or marker-coded, the moment its last bit is on hand,
-//!   so payloads surface mid-stream; then it scans on after the frame.
+//!   start marker as soon as it appears and emits the frame, rigid or
+//!   marker-coded, the moment its last bit is on hand, so payloads
+//!   surface mid-stream; then it scans on after the frame.
 //!   [`Deframer::finish`] resolves every frame left in the tail with
 //!   the same step, by the earliest-minimum rule (rigid frames, in
 //!   linear time) or the ranked anchor chain re-ranked after each
@@ -42,8 +42,8 @@ use emsc_sdr::iq::Complex;
 use emsc_sdr::stream::{ConvolveSameStream, EnergyStream, SmoothStream};
 
 use crate::frame::{
-    decode_rigid_body, lattice_score, lattice_window, marker_errors_at, peek_declared_rigid,
-    peek_need, ranked_marker_anchors, rigid_body_span, Deframed, FrameConfig, FrameError,
+    decode_rigid_body, header_span, lattice_score, lattice_window, marker_errors_at, peek_declared,
+    ranked_marker_anchors, rigid_body_span, Deframed, FrameConfig, FrameError,
     LATTICE_PROBE_MARKERS, START_MARKER,
 };
 use crate::marker::{segments_for, MarkerConfig, MarkerStream};
@@ -252,13 +252,11 @@ pub enum FrameEvent {
 ///
 /// One pass cuts the stream into every frame it carries, and one
 /// resolve step completes each frame, on the push path and at
-/// [`Deframer::finish`] alike. A rigid frame, interleaved or not, ends
-/// `rigid_body_span(declared)` bits after its start marker: its
-/// interleaver blocks are padded whole, so they deinterleave alone as
-/// inside a longer stream. A marker-coded frame ends where its
-/// drift-tracking decoder stopped. After a frame its bits are retired
-/// and the scan goes on, so a long-running session recovers a
-/// *sequence* of frames.
+/// [`Deframer::finish`] alike. A rigid frame ends
+/// `rigid_body_span(declared)` bits after its start marker; a
+/// marker-coded frame ends where its drift-tracking decoder stopped.
+/// After a frame its bits are retired and the scan goes on, so a
+/// long-running session recovers a *sequence* of frames.
 ///
 /// The push path commits only to a marker no later position can beat,
 /// an exact one (for marker-coded frames with an exact, un-aliased
@@ -333,12 +331,12 @@ impl MarkerRx {
         }
         let s = self.ms.config().segment_len;
         if self.declared.is_none() {
-            let need = peek_need(config);
+            let need = header_span(config);
             while self.rigid.len() < need && self.ms.next_segment(&mut self.rigid, end_of_stream) {}
             if self.rigid.len() < need && !end_of_stream {
                 return false;
             }
-            self.declared = peek_declared_rigid(&self.rigid, config);
+            self.declared = peek_declared(&self.rigid, config);
         }
         let Some(declared) = self.declared else {
             // Stream exhausted inside the header; nothing more can
@@ -463,7 +461,7 @@ impl Deframer {
         let body = &self.bits[self.retired + body_at..];
         let payload_start = self.base + body_at;
         let Some(mcfg) = self.config.marker else {
-            let span = peek_declared_rigid(body, self.config)
+            let span = peek_declared(body, self.config)
                 .map(|declared| rigid_body_span(self.config, declared));
             let end = match span {
                 Some(span) if span <= body.len() => span,
@@ -838,25 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn interleaved_frames_stream_out_of_push_and_match_batch() {
-        let cfg = FrameConfig { interleave_depth: Some(7), ..FrameConfig::default() };
-        let mut bits = frame_payload(b"interleaved stream", cfg);
-        bits.extend(frame_payload(b"and the next one", cfg));
-        let batch = try_deframe(&bits, cfg, 0).expect("frame");
-        for chunk in CHUNKINGS {
-            let mut d = Deframer::new(cfg, 0);
-            let pushed: Vec<FrameEvent> = bits.chunks(chunk).flat_map(|c| d.push(c)).collect();
-            assert_eq!(
-                payloads(&pushed),
-                [b"interleaved stream".as_slice(), b"and the next one"],
-                "chunk {chunk}: both frames must stream out of push()"
-            );
-            assert!(pushed.contains(&FrameEvent::Frame(batch.clone())), "chunk {chunk}");
-            assert!(d.finish().is_empty());
-        }
-    }
-
-    #[test]
     fn one_pass_resolves_every_inexact_rigid_frame() {
         let config = crate::packets::PacketConfig { packet_bytes: 8, ..Default::default() };
         let cfg = config.frame;
@@ -988,37 +967,6 @@ mod tests {
                 .collect();
             assert_eq!(frames.len(), 1, "chunk {chunk}: {events:?}");
             assert_eq!(*frames[0], batch, "chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn marker_interleaved_deframer_matches_batch() {
-        use crate::marker::MarkerConfig;
-        let cfg = FrameConfig {
-            interleave_depth: Some(7),
-            marker: Some(MarkerConfig::standard()),
-            ..FrameConfig::default()
-        };
-        let payload = b"marker+interleave";
-        let mut bits = frame_payload(payload, cfg);
-        bits.extend([1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 0]);
-        let batch = try_deframe(&bits, cfg, 0).expect("frame");
-        assert_eq!(batch.payload, payload.to_vec());
-        for chunk in CHUNKINGS {
-            let mut d = Deframer::new(cfg, 0);
-            let mut events = Vec::new();
-            for c in bits.chunks(chunk) {
-                events.extend(d.push(c));
-            }
-            events.extend(d.finish());
-            let frame = events
-                .iter()
-                .find_map(|e| match e {
-                    FrameEvent::Frame(f) => Some(f.clone()),
-                    _ => None,
-                })
-                .expect("frame");
-            assert_eq!(frame, batch, "chunk {chunk}");
         }
     }
 

@@ -65,26 +65,6 @@ impl TxConfig {
         }
     }
 
-    /// Slows the transmitter down by `factor`: the busy phase and the
-    /// sleep period both scale, so the duty cycle (and therefore the
-    /// receiver's edge/threshold geometry) is preserved while the bit
-    /// period grows. The per-bit housekeeping overhead is fixed cost
-    /// and does not scale. This is the knob the adaptive rate
-    /// controller turns — the paper's manual rate-vs-distance ladder
-    /// (3.7 kbps at 10 cm down to 821 bps through a wall), automated.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive and finite.
-    pub fn stretched(&self, factor: f64) -> Self {
-        assert!(factor.is_finite() && factor > 0.0, "stretch factor must be positive");
-        TxConfig {
-            loop_iterations: ((self.loop_iterations as f64 * factor).round() as u64).max(1),
-            sleep_period_s: self.sleep_period_s * factor,
-            ..*self
-        }
-    }
-
     /// Nominal on-air duration of one bit (ignoring jitter): the mean
     /// of the `1` (loop + sleep) and `0` (2 × sleep) durations, given
     /// the machine's iteration rate.
@@ -216,19 +196,6 @@ mod tests {
         // sync + zeros + marker + (16 length + 8 payload) bits coded
         // at rate 4/7: 24 bits → 42.
         assert_eq!(bits.len(), cfg.sync_len + ZEROS_LEN + 8 + 42);
-    }
-
-    #[test]
-    fn stretched_config_scales_period_but_not_overhead() {
-        let base = TxConfig::unix_default();
-        let slow = base.stretched(2.5);
-        assert_eq!(slow.loop_iterations, 750_000);
-        assert!((slow.sleep_period_s - 250e-6).abs() < 1e-12);
-        assert_eq!(slow.overhead_iterations, base.overhead_iterations);
-        assert_eq!(slow.frame, base.frame);
-        let ips = 3.0e9;
-        let ratio = slow.nominal_bit_period_s(ips) / base.nominal_bit_period_s(ips);
-        assert!(ratio > 2.0 && ratio < 2.6, "bit period must stretch ~2.5x, got {ratio}");
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use emsc_covert::coding::{bits_to_bytes, bytes_to_bits, decode_bits, encode_bits};
 use emsc_covert::frame::{frame_payload, try_deframe, FrameConfig, ZEROS_LEN};
-use emsc_covert::interleave::Interleaver;
 use emsc_covert::marker::MarkerConfig;
 use emsc_covert::metrics::{align, align_semiglobal};
 use emsc_covert::packets::{depacketize, packetize, PacketConfig};
@@ -13,13 +12,12 @@ fn bits(max: usize) -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(0u8..=1, 0..max)
 }
 
-/// Packet framing over every layout: parity × interleave (depth 0
-/// draws none) × marker code (none, standard or dense).
+/// Packet framing over every layout: parity × marker code (none, or
+/// 28 or 14 coded bits per marker).
 fn packet_layout() -> impl Strategy<Value = FrameConfig> {
-    (any::<bool>(), 0usize..8, 0usize..3).prop_map(|(parity, depth, marker)| FrameConfig {
+    (any::<bool>(), 0usize..3).prop_map(|(parity, marker)| FrameConfig {
         parity,
-        interleave_depth: (depth > 0).then_some(depth),
-        marker: [None, Some(MarkerConfig::standard()), Some(MarkerConfig::dense())][marker],
+        marker: [None, Some(MarkerConfig::standard()), Some(MarkerConfig::new(14))][marker],
         ..PacketConfig::default().frame
     })
 }
@@ -142,37 +140,6 @@ proptest! {
         let g_cost = g.substitutions + g.insertions + g.deletions;
         let s_cost = s.substitutions + s.insertions + s.deletions;
         prop_assert!(s_cost <= g_cost, "semiglobal {} vs global {}", s_cost, g_cost);
-    }
-
-    #[test]
-    fn interleaver_round_trips(
-        data in bits(140),
-        cw in 1usize..12,
-        depth in 1usize..12,
-    ) {
-        let il = Interleaver::new(cw, depth);
-        let wire = il.interleave(&data);
-        prop_assert_eq!(wire.len() % il.block_len(), 0);
-        let back = il.deinterleave(&wire);
-        prop_assert_eq!(&back[..data.len()], &data[..]);
-        prop_assert!(back[data.len()..].iter().all(|&b| b == 0));
-    }
-
-    #[test]
-    fn interleaved_hamming_survives_any_short_burst(
-        data in prop::collection::vec(0u8..=1, 28..=28),
-        burst_start in 0usize..40,
-    ) {
-        // 7 codewords at depth 7: any ≤7-bit wire burst is correctable.
-        let il = Interleaver::new(7, 7);
-        let coded = encode_bits(&data);
-        let mut wire = il.interleave(&coded);
-        for i in burst_start..(burst_start + 7).min(wire.len()) {
-            wire[i] ^= 1;
-        }
-        let received = il.deinterleave(&wire);
-        let (decoded, _) = decode_bits(&received[..coded.len()]);
-        prop_assert_eq!(&decoded[..28], &data[..]);
     }
 
     #[test]

@@ -34,10 +34,9 @@ use emsc_runtime::par_map;
 /// What the artefact renderers share.
 struct Inputs {
     seed: u64,
-    /// Table II rows, computed up front whenever `table2` is wanted.
+    /// Table II rows, computed up front whenever `table2` or `fig9`
+    /// (which plots their best rate) is wanted.
     table2: Option<Vec<ChannelRow>>,
-    /// Fig. 9's measured rate: the best Table II rate when it ran.
-    best_tr: f64,
 }
 
 /// Renders one artefact.
@@ -71,7 +70,8 @@ const ARTEFACTS: &[(&str, Render)] = &[
         )
     }),
     ("fig9", |i| {
-        let (baselines, measured) = fig9(i.best_tr);
+        let rows = i.table2.as_deref().expect("table2 rows are computed when fig9 is wanted");
+        let (baselines, measured) = fig9(rows.iter().map(|r| r.tr_bps).fold(0.0, f64::max));
         render_fig9(&baselines, measured)
     }),
     ("table3", |i| {
@@ -116,12 +116,8 @@ fn main() {
 
     // Table II runs first on the full pool (6 laptops × 5 runs of
     // cells) because Fig. 9 needs its best measured rate.
-    let table2_rows = want("table2").then(|| table2(TableScale::paper(), seed));
-    let best_tr = table2_rows
-        .as_ref()
-        .map(|rows| rows.iter().map(|r| r.tr_bps).fold(0.0, f64::max))
-        .unwrap_or(3700.0);
-    let inputs = Inputs { seed, table2: table2_rows, best_tr };
+    let table2_rows = (want("table2") || want("fig9")).then(|| table2(TableScale::paper(), seed));
+    let inputs = Inputs { seed, table2: table2_rows };
 
     // Every artefact is independent; they fan out across the pool and
     // print in table order regardless of which finishes first.

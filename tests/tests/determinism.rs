@@ -167,12 +167,10 @@ fn robust_sweep_is_identical_across_thread_counts_and_meets_e6_acceptance() {
             r.resyncs as u64,
             r.markers_missed as u64,
             r.corrected as u64,
-            r.selected_rate_bps.to_bits(),
-            r.probes as u64,
-            r.retransmits as u64,
+            r.tr_bps.to_bits(),
         ]
     }));
-    assert_eq!(digest, 0x5b55_cfe7_0b26_1985, "E6 rows moved: {serial:?}");
+    assert_eq!(digest, 0x6cdf_92d8_647b_1f31, "E6 rows moved: {serial:?}");
     assert_eq!(serial.len(), pooled.len(), "row counts differ");
     for (ra, rb) in serial.iter().zip(&pooled) {
         let at = format!("severity {} mode {}", ra.severity, ra.mode);
@@ -187,17 +185,10 @@ fn robust_sweep_is_identical_across_thread_counts_and_meets_e6_acceptance() {
         assert_eq!(ra.resyncs, rb.resyncs, "resyncs at {at}");
         assert_eq!(ra.markers_missed, rb.markers_missed, "markers_missed at {at}");
         assert_eq!(ra.corrected, rb.corrected, "corrected at {at}");
-        assert_eq!(
-            ra.selected_rate_bps.to_bits(),
-            rb.selected_rate_bps.to_bits(),
-            "selected_rate at {at}"
-        );
-        assert_eq!(ra.probes, rb.probes, "probes at {at}");
-        assert_eq!(ra.retransmits, rb.retransmits, "retransmits at {at}");
+        assert_eq!(ra.tr_bps.to_bits(), rb.tr_bps.to_bits(), "tr_bps at {at}");
     }
     // E6 acceptance on the same rows: at the severe stack the rigid
-    // mode delivers nothing while marker and adaptive still deliver,
-    // and the controller settles strictly below its clean-channel rate.
+    // mode delivers nothing while the marker mode still delivers.
     let row = |sev: usize, mode: &str| {
         serial
             .iter()
@@ -206,11 +197,6 @@ fn robust_sweep_is_identical_across_thread_counts_and_meets_e6_acceptance() {
     };
     assert_eq!(row(4, "rigid").goodput_bps, 0.0, "severity 4 must silence the rigid mode");
     assert!(row(4, "marker").goodput_bps > 0.0, "marker mode must deliver at severity 4");
-    assert!(row(4, "adaptive").goodput_bps > 0.0, "adaptive mode must deliver at severity 4");
-    assert!(
-        row(4, "adaptive").selected_rate_bps < row(0, "adaptive").selected_rate_bps,
-        "the controller must settle strictly below its clean-channel rate at severity 4"
-    );
 }
 
 #[test]
