@@ -410,6 +410,28 @@ mod tests {
     }
 
     #[test]
+    fn severity_zero_is_bit_identical_to_the_unimpaired_run() {
+        // Severity 0 is the empty stack, so an impaired run at it must
+        // be *exactly* the unimpaired run — same capture bits, same
+        // decode — for any impair seed.
+        use emsc_sdr::impair::severity_stack;
+        let laptop = Laptop::dell_inspiron();
+        let chain = Chain::new(&laptop, Setup::NearField);
+        let scenario = CovertScenario::for_laptop(&laptop, chain);
+        let clean = scenario.run(b"severity-zero", 31);
+        let impaired = scenario.run_impaired(b"severity-zero", 31, &severity_stack(0), 0xABCD);
+        assert!(clean
+            .chain_run
+            .capture
+            .samples
+            .iter()
+            .zip(&impaired.chain_run.capture.samples)
+            .all(|(a, b)| a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()));
+        assert_eq!(clean.report.bits, impaired.report.bits);
+        assert_eq!(clean.rx_error, impaired.rx_error);
+    }
+
+    #[test]
     fn unix_laptop_reaches_kbps_class_rates() {
         let laptop = Laptop::macbook_pro_2015();
         let chain = Chain::new(&laptop, Setup::NearField);

@@ -24,16 +24,14 @@
 //! | Fig. 11 (keylog spectrogram) | [`spectral::fig11`] |
 //! | Table IV (keylogging accuracy) | [`keylog_table::table4`] |
 //! | E1/E2 (extensions: fingerprinting, timing) | [`extensions`] |
-//! | E3 (BER vs. channel impairments) | [`impairments::impairment_sweep`] |
 //! | E4 (multi-tenant streaming vs. batch) | [`streaming::streaming_sessions`] |
 //! | E5 (supervised capture-daemon soak) | `emsc_service::soak` (service crate) |
-//! | E6 (deletion robustness: rigid vs. marker) | [`robust::robust_sweep`] |
+//! | E6 (channel impairments: rigid vs. marker framing) | [`robust::robust_sweep`] |
 //! | Ablations (receiver, harmonics, window, label feature, parity, sleep period, countermeasures) | [`ablations::ablations`] |
 
 pub mod ablations;
 pub mod covert_figs;
 pub mod extensions;
-pub mod impairments;
 pub mod keylog_table;
 pub mod robust;
 pub mod spectral;

@@ -1,21 +1,27 @@
-//! E6 — the deletion failure mode, fixed: rigid vs. marker-coded
-//! framing across impairment severities.
+//! E6 — the channel's deletion failure mode under RTL-SDR
+//! impairments, and its fix: rigid vs. marker-coded framing across
+//! impairment severities.
 //!
-//! E3 established *why* the reproduced channel dies at severity 4: the
-//! dropped-sample gap deletes ~33 bits, the rigid bit grid shifts, and
-//! the Hamming layer (substitution-only) recovers nothing — BER looks
-//! fine, recovery is zero. This sweep measures the fix. Two modes run
-//! the same impaired channel:
+//! The paper's numbers come from a clean near-field capture; a real
+//! deployment sees clock drift, AGC re-ranging, USB overruns,
+//! impulsive interference and front-end saturation. This sweep drives
+//! the standard near-field scenario through growing stacks of those
+//! impairments ([`emsc_sdr::impair`]) in two modes:
 //!
-//! - **rigid** — the paper's frame exactly (Hamming(7,4), rigid grid),
+//! - **rigid** — the paper's frame exactly (Hamming(7,4), rigid grid).
+//!   Its rows show why the channel dies at severity 4: the
+//!   dropped-sample gap deletes ~33 bits, the rigid bit grid shifts,
+//!   and the Hamming layer (substitution-only) recovers nothing — BER
+//!   looks fine, recovery is zero.
 //! - **marker** — the same frame wrapped in the synchronization-robust
 //!   marker code ([`emsc_covert::marker`]), scored with the blind
 //!   lattice salvage when even the start marker is destroyed.
 //!
-//! Reported per (severity × mode): channel BER/DP, *goodput* (payload
-//! bits actually delivered per second of air time — zero when nothing
-//! decodes), exact-recovery rate, deframe failures, marker-decoder
-//! activity and the on-air rate.
+//! Reported per (severity × mode): the channel statistics Tables II
+//! and III report (BER, IP, DP, exact recovery, typed receiver
+//! failures and the on-air rate, one [`ChannelRow`]), *goodput*
+//! (payload bits actually delivered per second of air time — zero when
+//! nothing decodes), lost transfers and marker-decoder activity.
 //!
 //! Deterministic: the (mode × severity × run) grid flattens into one
 //! [`par_map`] with positional sub-seeds, so rows are bit-identical
@@ -27,7 +33,7 @@ use emsc_sdr::impair::{severity_label, severity_stack, SEVERITY_LEVELS};
 
 use crate::chain::{Chain, Setup};
 use crate::covert_run::{mean, CovertScenario, TransferScore};
-use crate::experiments::tables::{pseudo_payload, TableScale};
+use crate::experiments::tables::{channel_row, pseudo_payload, ChannelRow, TableScale};
 use crate::laptop::Laptop;
 
 /// The two transmission modes the sweep compares.
@@ -53,25 +59,20 @@ impl Mode {
 pub struct RobustRow {
     /// Severity level, 0 (clean) through 4 (severe).
     pub severity: usize,
-    /// Impairment-stack description.
-    pub label: String,
     /// Transmission mode (`rigid` or `marker`).
     pub mode: String,
-    /// Mean on-air bit-error rate (substitutions).
-    pub ber: f64,
-    /// Mean on-air deletion probability — the quantity that kills the
-    /// rigid mode.
-    pub dp: f64,
+    /// The channel statistics every covert table reports, labelled
+    /// with the impairment stack. Its DP is the quantity that kills
+    /// the rigid mode.
+    pub channel: ChannelRow,
     /// Mean payload bits delivered per second of air time. Exact
     /// recovery delivers the whole payload; a salvaged wreck delivers
     /// the bits the lattice recovered; a lost frame delivers zero.
     pub goodput_bps: f64,
-    /// Fraction of runs whose payload was exactly recovered.
-    pub recovery_rate: f64,
     /// Runs that delivered no payload bits at all: the frame was never
     /// found, or deframed to bytes that are wrong at every claimed
     /// position (a misframed read any checksum would reject).
-    pub decode_failures: usize,
+    pub lost: usize,
     /// Marker-decoder resynchronisations (recovered indel events),
     /// summed over runs.
     pub resyncs: usize,
@@ -79,8 +80,6 @@ pub struct RobustRow {
     pub markers_missed: usize,
     /// Hamming codewords with a nonzero syndrome, summed over runs.
     pub corrected: usize,
-    /// Mean transmission rate, bits/second.
-    pub tr_bps: f64,
 }
 
 /// One transfer of the sweep: run `run` of `MODES[m]` at `severity`.
@@ -116,17 +115,13 @@ fn robust_row(severity: usize, mode: Mode, scores: &[TransferScore]) -> RobustRo
     let total = |field: fn(&TransferScore) -> usize| scores.iter().map(field).sum();
     RobustRow {
         severity,
-        label: severity_label(severity).to_string(),
         mode: mode.label().to_string(),
-        ber: mean(scores, |s| s.ber),
-        dp: mean(scores, |s| s.dp),
+        channel: channel_row(severity_label(severity), scores),
         goodput_bps: mean(scores, |s| s.goodput_bps),
-        recovery_rate: mean(scores, |s| f64::from(s.recovered)),
-        decode_failures: scores.iter().filter(|s| s.delivered_bits == 0).count(),
+        lost: scores.iter().filter(|s| s.delivered_bits == 0).count(),
         resyncs: total(|s| s.resyncs),
         markers_missed: total(|s| s.markers_missed),
         corrected: total(|s| s.corrected),
-        tr_bps: mean(scores, |s| s.tr_bps),
     }
 }
 
@@ -165,10 +160,12 @@ pub fn render_robust_rows(rows: &[RobustRow]) -> String {
             "Stack",
             "Mode",
             "BER",
+            "IP",
             "DP",
             "Goodput b/s",
             "Recovery",
             "Lost",
+            "Rx err",
             "Resyncs",
             "Rate b/s",
         ],
@@ -177,15 +174,17 @@ pub fn render_robust_rows(rows: &[RobustRow]) -> String {
             .map(|r| {
                 vec![
                     r.severity.to_string(),
-                    r.label.clone(),
+                    r.channel.label.clone(),
                     r.mode.clone(),
-                    super::fmt_prob(r.ber),
-                    super::fmt_prob(r.dp),
+                    super::fmt_prob(r.channel.ber),
+                    super::fmt_prob(r.channel.ip),
+                    super::fmt_prob(r.channel.dp),
                     format!("{:.0}", r.goodput_bps),
-                    format!("{:.2}", r.recovery_rate),
-                    r.decode_failures.to_string(),
+                    format!("{:.2}", r.channel.recovery_rate),
+                    r.lost.to_string(),
+                    r.channel.decode_failures.to_string(),
                     r.resyncs.to_string(),
-                    format!("{:.0}", r.tr_bps),
+                    format!("{:.0}", r.channel.tr_bps),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -206,8 +205,9 @@ mod tests {
         assert_eq!(rows.len(), SEVERITY_LEVELS * MODES.len());
         for mode in ["rigid", "marker"] {
             let r = row(&rows, 0, mode);
-            assert!(r.recovery_rate > 0.99, "{mode} failed on a clean channel: {r:?}");
+            assert!(r.channel.recovery_rate > 0.99, "{mode} failed on a clean channel: {r:?}");
             assert!(r.goodput_bps > 0.0, "{mode} clean goodput {}", r.goodput_bps);
+            assert_eq!(r.channel.decode_failures, 0, "{mode} clean channel failed to decode");
         }
     }
 
@@ -220,7 +220,7 @@ mod tests {
             rigid.goodput_bps, 0.0,
             "rigid framing must deliver nothing through the severity-4 gap"
         );
-        assert!(rigid.decode_failures > 0);
+        assert!(rigid.lost > 0);
         let marker = row(&rows, worst, "marker");
         assert!(
             marker.goodput_bps > 0.0,

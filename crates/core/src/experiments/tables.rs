@@ -65,10 +65,12 @@ pub fn table1() -> String {
     )
 }
 
-/// One Table II / Table III row: averaged channel quality.
+/// One row of averaged channel quality: a Table II / Table III row,
+/// and the shared part of an E6 row
+/// ([`RobustRow`](crate::experiments::robust::RobustRow)).
 #[derive(Debug, Clone)]
 pub struct ChannelRow {
-    /// Row label (laptop model or distance).
+    /// Row label (laptop model, distance or impairment stack).
     pub label: String,
     /// Mean bit-error rate.
     pub ber: f64,
@@ -105,7 +107,7 @@ fn channel_cell(
 }
 
 /// The row of a label's run scores.
-fn channel_row(label: &str, scores: &[TransferScore]) -> ChannelRow {
+pub(crate) fn channel_row(label: &str, scores: &[TransferScore]) -> ChannelRow {
     ChannelRow {
         label: label.to_string(),
         ber: mean(scores, |s| s.ber),

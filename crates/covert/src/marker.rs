@@ -1,6 +1,6 @@
 //! Synchronization-robust marker coding for the deletion channel.
 //!
-//! The E3 impairment sweep showed the reproduced channel's real
+//! E6's impairment sweep shows the reproduced channel's real
 //! failure mode is *deletions*: dropped-sample gaps shift every bit
 //! after them, and the rigid Hamming(7,4) code (§IV-B4) only
 //! corrects substitutions, so one deletion destroys everything

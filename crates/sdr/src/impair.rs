@@ -132,12 +132,13 @@ pub fn apply_all(capture: &mut Capture, impairments: &[Impairment], seed: u64) {
 /// Severity levels [`severity_stack`] defines (0 = clean … 4 = severe).
 pub const SEVERITY_LEVELS: usize = 5;
 
-/// The canonical impairment stack at a given severity, shared by every
-/// sweep that reports "severity 0–4" (E3's BER table, E6's robustness
-/// comparison): levels compose, each adding impairments and raising
-/// the magnitudes of the ones it keeps. Times assume the transmission
-/// body of the standard near-field capture (tens of milliseconds).
-/// Severities above 4 saturate at the severe stack.
+/// The canonical impairment stack at a given severity, shared by
+/// everything that reports "severity 0–4" (E6's rigid-vs-marker sweep
+/// and the covert-impaired benchmark): levels compose, each adding
+/// impairments and raising the magnitudes of the ones it keeps. Times
+/// assume the transmission body of the standard near-field capture
+/// (tens of milliseconds). Severities above 4 saturate at the severe
+/// stack.
 pub fn severity_stack(severity: usize) -> Vec<Impairment> {
     match severity {
         0 => Vec::new(),
@@ -164,8 +165,8 @@ pub fn severity_stack(severity: usize) -> Vec<Impairment> {
         // standard transmission, positioned (0.037 s) to swallow the
         // start marker and the first body bits — the frame envelope is
         // still detectable but the rigid bit grid has nothing to
-        // anchor to, which is precisely the deletion failure mode E3
-        // diagnosed and E6 measures the fix for.
+        // anchor to, which is precisely the deletion failure mode E6's
+        // rigid rows show and its marker rows fix.
         _ => vec![
             Impairment::ClockDrift { ppm: 300.0 },
             Impairment::AgcStep { at_s: 0.03, gain: 0.35 },
@@ -427,8 +428,8 @@ mod tests {
 
     #[test]
     fn empty_impairment_list_is_bit_identical_to_the_clean_path() {
-        // Severity 0 of the E3 sweep maps to an empty stack: applying
-        // it must not move a single bit, whatever the seed.
+        // Severity 0 maps to an empty stack: applying it must not move
+        // a single bit, whatever the seed.
         let mut cap = test_capture(4096);
         let orig = cap.samples.clone();
         for seed in [0, 1, 0xDEAD_BEEF] {

@@ -58,7 +58,8 @@ pub enum Fault {
         chunks: u32,
     },
     /// The next two chunks are delivered in swapped order (reordered
-    /// transfer completion).
+    /// transfer completion). A chunk with no successor (the source's
+    /// last, or one still held at shutdown) is delivered on its own.
     ReorderNext,
     /// The sensor's front end dies for good: every subsequent chunk is
     /// all-NaN until the end of the run. Restarting cannot help, so a

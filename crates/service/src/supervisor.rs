@@ -385,8 +385,10 @@ impl Supervisor {
         for k in 0..self.sensors.len() {
             let slot = &mut self.sensors[k];
             let Some(id) = slot.session.take() else { continue };
-            // A chunk the registry refuses even after a pump can never
-            // fit: drop it, counted.
+            // A chunk held for reordering goes out last. A chunk the
+            // registry refuses even after a pump can never fit: drop
+            // it, counted.
+            slot.pending.extend(slot.reorder_held.take());
             while let Some(chunk) = slot.pending.pop_front() {
                 if !deliver(&mut self.registry, id, &chunk) {
                     slot.chunks_dropped += 1;
@@ -566,7 +568,10 @@ impl Supervisor {
             let mut chunk = Vec::new();
             match slot.source.next_chunk(&mut chunk) {
                 Ok(0) => {
+                    // A chunk held for reordering has no successor
+                    // left: it goes out on its own.
                     slot.exhausted = true;
+                    slot.pending.extend(slot.reorder_held.take());
                     break;
                 }
                 Ok(_) => {}
@@ -683,7 +688,7 @@ impl Supervisor {
     fn finish_if_exhausted(&mut self, k: usize) -> bool {
         let slot = &mut self.sensors[k];
         let Some(id) = slot.session else { return false };
-        if !(slot.exhausted && slot.pending.is_empty() && slot.reorder_held.is_none()) {
+        if !(slot.exhausted && slot.pending.is_empty()) {
             return false;
         }
         let closed = self.registry.finish(id).expect("finishing session exists");
@@ -1057,6 +1062,39 @@ mod tests {
                 what: "quarantined: stream error at shutdown: keylog-capture".into()
             }]
         );
+    }
+
+    #[test]
+    fn a_reordered_last_chunk_is_delivered_on_its_own() {
+        // Five 48 000-sample chunks, one per tick, and the reorder
+        // lands on the fifth: nothing follows it, so it goes out alone
+        // once the source runs dry, or at shutdown if the run stops
+        // first. Either way the session sees the whole capture in
+        // order and the watchdog never fires.
+        let (config, capture) = tiny_keylog(43);
+        let batch = SessionOutput::Keylog(StreamingDetector::detect(config.clone(), &capture));
+        let n = capture.samples.len();
+        for max_ticks in [100, 5] {
+            let spec = SensorSpec {
+                label: "reordered".to_string(),
+                kind: SensorKind::Keylog(config.clone()),
+                source: Box::new(ReplaySource::new(capture.clone(), n / 5)),
+                policy: SensorPolicy { chunks_per_tick: 1, ..SensorPolicy::default() },
+            };
+            let plan =
+                FaultPlan::new(vec![FaultEvent { tick: 5, sensor: 0, fault: Fault::ReorderNext }]);
+            let mut sup =
+                Supervisor::new(ServiceConfig { max_ticks, ..ServiceConfig::default() }, plan);
+            sup.add_sensor(spec);
+            let report = sup.run();
+            let s = &report.sensors[0];
+            assert_eq!(s.state, LifecycleState::Done, "events: {:#?}", report.events);
+            assert_eq!(s.restarts, 0, "events: {:#?}", report.events);
+            assert!(!report.events.iter().any(|e| e.what.contains("watchdog")));
+            assert_eq!(s.samples_processed, n);
+            assert_eq!(s.sessions.len(), 1);
+            assert_eq!(s.sessions[0].output, batch);
+        }
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! Everything is deterministic: the soak's faults, restarts and
 //! backoff jitter derive from `--seed`, so two invocations with the
 //! same arguments print byte-identical output at any `EMSC_THREADS`.
+//! A flag the chosen mode does not take, or a value flag with nothing
+//! after it, prints the usage to stderr and exits with status 2.
 
 use emsc_covert::rx::RxConfig;
 use emsc_service::{
@@ -22,17 +24,68 @@ use emsc_service::{
     SpoolSource, Supervisor,
 };
 
-/// Returns the value following `--name`, if present.
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+const USAGE: &str = "usage: emsc_service [--seed N] [--events]
+       emsc_service --spool FILE [--seed N] [--sample-rate HZ] [--center-freq HZ]
+                    [--switching-freq HZ] [--bit-period S] [--chunk SAMPLES] [--ticks N]";
+
+/// Every flag that takes a value. All but `--seed` belong to spool
+/// mode.
+const VALUE_FLAGS: [&str; 8] = [
+    "--seed",
+    "--spool",
+    "--sample-rate",
+    "--center-freq",
+    "--switching-freq",
+    "--bit-period",
+    "--chunk",
+    "--ticks",
+];
+
+/// The command line, read in one pass.
+struct Args {
+    /// Each value flag given, with its value, in command-line order.
+    values: Vec<(&'static str, String)>,
+    /// Whether `--events` was given (soak mode only).
+    events: bool,
 }
 
-fn parse_f64(args: &[String], name: &str, default: f64) -> f64 {
-    flag_value(args, name).map(|v| v.parse().unwrap_or_else(|_| die(name))).unwrap_or(default)
+impl Args {
+    /// Reads `args`, or prints the usage and exits 2 on a flag this
+    /// mode does not take or a value flag with nothing after it.
+    fn parse(args: &[String]) -> Args {
+        let mut parsed = Args { values: Vec::new(), events: false };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if arg == "--events" {
+                parsed.events = true;
+                continue;
+            }
+            match (VALUE_FLAGS.iter().find(|f| **f == arg), rest.next()) {
+                (Some(name), Some(value)) => parsed.values.push((name, value.clone())),
+                _ => usage(),
+            }
+        }
+        let spool = parsed.value("--spool").is_some();
+        let soak_only = parsed.values.iter().all(|(name, _)| *name == "--seed");
+        if (spool && parsed.events) || (!spool && !soak_only) {
+            usage();
+        }
+        parsed
+    }
+
+    /// The value of the first `name` given, if any.
+    fn value(&self, name: &str) -> Option<&str> {
+        self.values.iter().find(|(n, _)| *n == name).map(|(_, v)| v.as_str())
+    }
+
+    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
+        self.value(name).map(|v| v.parse().unwrap_or_else(|_| die(name))).unwrap_or(default)
+    }
 }
 
-fn parse_u64(args: &[String], name: &str, default: u64) -> u64 {
-    flag_value(args, name).map(|v| v.parse().unwrap_or_else(|_| die(name))).unwrap_or(default)
+fn usage() -> ! {
+    eprintln!("{USAGE}");
+    std::process::exit(2);
 }
 
 fn die(name: &str) -> ! {
@@ -42,17 +95,18 @@ fn die(name: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = parse_u64(&args, "--seed", 2020);
+    let args = Args::parse(&args);
+    let seed = args.parse_or("--seed", 2020);
 
-    if let Some(path) = flag_value(&args, "--spool") {
-        supervise_spool(&args, seed, &path);
+    if let Some(path) = args.value("--spool") {
+        supervise_spool(&args, seed, path);
         return;
     }
 
     // Default mode: the E5 soak fleet.
     let outcome = soak(seed);
     print!("{}", render_soak_rows(&outcome));
-    if args.iter().any(|a| a == "--events") {
+    if args.events {
         println!("\nsupervision event log:");
         for e in &outcome.report.events {
             println!("  t={:<5} sensor {:<2} {}", e.tick, e.sensor, e.what);
@@ -64,13 +118,13 @@ fn main() {
 
 /// Supervises a single spooled `rtl_sdr` interleaved-u8 recording with
 /// a blind covert receiver (bit period estimated from the capture).
-fn supervise_spool(args: &[String], seed: u64, path: &str) {
-    let sample_rate = parse_f64(args, "--sample-rate", 2.4e6);
-    let center_freq = parse_f64(args, "--center-freq", 1.455e6);
-    let switching_freq = parse_f64(args, "--switching-freq", 970e3);
-    let bit_period = parse_f64(args, "--bit-period", 1e-3);
-    let chunk = parse_u64(args, "--chunk", 4096) as usize;
-    let max_ticks = parse_u64(args, "--ticks", 100_000);
+fn supervise_spool(args: &Args, seed: u64, path: &str) {
+    let sample_rate = args.parse_or("--sample-rate", 2.4e6);
+    let center_freq = args.parse_or("--center-freq", 1.455e6);
+    let switching_freq = args.parse_or("--switching-freq", 970e3);
+    let bit_period = args.parse_or("--bit-period", 1e-3);
+    let chunk = args.parse_or("--chunk", 4096);
+    let max_ticks = args.parse_or("--ticks", 100_000);
 
     let source =
         match SpoolSource::from_file(std::path::Path::new(path), sample_rate, center_freq, chunk) {

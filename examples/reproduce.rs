@@ -20,7 +20,6 @@
 
 use emsc_core::experiments::ablations::{ablations, render_ablation_rows};
 use emsc_core::experiments::covert_figs;
-use emsc_core::experiments::impairments::{impairment_sweep, render_impairment_rows};
 use emsc_core::experiments::keylog_table::{render_table4, table4, KeylogScale};
 use emsc_core::experiments::robust::{render_robust_rows, robust_sweep};
 use emsc_core::experiments::spectral::{fig11, fig2, fig2_bios, render_bios, Scale};
@@ -88,7 +87,6 @@ const ARTEFACTS: &[(&str, Render)] = &[
     }),
     ("fig11", |i| fig11(i.seed).render()),
     ("table4", |i| render_table4(&table4(KeylogScale::paper(), i.seed))),
-    ("impairments", |i| render_impairment_rows(&impairment_sweep(TableScale::paper(), i.seed))),
     ("streaming", |i| render_streaming_rows(&streaming_sessions(i.seed))),
     ("robust", |i| render_robust_rows(&robust_sweep(TableScale::paper(), i.seed))),
     ("service", |i| emsc_service::render_soak_rows(&emsc_service::soak(i.seed))),
