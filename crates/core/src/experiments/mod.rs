@@ -4,7 +4,8 @@
 //! *shape* of the result) plus a `render()` that prints the same
 //! table/series the paper reports. The `reproduce` example binary
 //! drives these functions; `EXPERIMENTS.md` records paper-vs-measured
-//! for each.
+//! for each. [`streaming`] builds the synthetic live-receive captures
+//! that E5's sensors replay.
 //!
 //! | Paper artefact | Function |
 //! |---|---|
@@ -24,7 +25,6 @@
 //! | Fig. 11 (keylog spectrogram) | [`spectral::fig11`] |
 //! | Table IV (keylogging accuracy) | [`keylog_table::table4`] |
 //! | E1/E2 (extensions: fingerprinting, timing) | [`extensions`] |
-//! | E4 (multi-tenant streaming vs. batch) | [`streaming::streaming_sessions`] |
 //! | E5 (supervised capture-daemon soak) | `emsc_service::soak` (service crate) |
 //! | E6 (channel impairments: rigid vs. marker framing) | [`robust::robust_sweep`] |
 //! | Ablations (receiver, harmonics, window, label feature, parity, sleep period, countermeasures) | [`ablations::ablations`] |
@@ -40,8 +40,9 @@ pub mod tables;
 
 /// Renders a fixed-width text table: a header row plus data rows.
 /// Widths count characters, as the `{:<width$}` padding does, so cells
-/// such as "±20 %" stay aligned.
-pub(crate) fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+/// such as "±20 %" stay aligned. Every experiment table goes through
+/// it, E5's in `emsc-service` included.
+pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {

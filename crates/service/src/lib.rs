@@ -9,17 +9,18 @@
 //!
 //! - [`supervisor::Supervisor`] — the daemon loop: per-sensor
 //!   lifecycle (`Running → Degraded → Restarting → Quarantined/Done`),
-//!   watchdog timeouts, seeded exponential-backoff restarts, bounded
-//!   backpressure queues, session rotation and graceful
-//!   drain-and-shutdown (a stream that closes there with a typed error
-//!   quarantines its sensor);
+//!   watchdog timeouts, seeded exponential-backoff restarts, session
+//!   rotation and graceful shutdown (a stream that closes there with a
+//!   typed error quarantines its sensor). Each pulled chunk goes
+//!   straight to the registry, whose bounded session buffer is the one
+//!   backpressure rule: a chunk larger than that buffer is fatal;
 //! - [`source`] — pluggable sensor sources: in-memory capture replay
 //!   and incremental spooled `rtl_sdr` u8 decoding;
 //! - [`fault`] — deterministic fault plans (disconnects, stalls,
 //!   truncation, corruption, reordering, poison) scheduled on the
 //!   supervisor's tick count;
 //! - [`policy`] — the restart budget, backoff, watchdog and poison
-//!   constants, and the per-sensor backpressure and rotation policy;
+//!   constants, and the per-sensor pull rate and rotation policy;
 //! - [`soak`](mod@soak) — experiment E5: a ten-sensor soak under an
 //!   escalating fault schedule, scored against unfaulted batch references.
 //!
@@ -38,7 +39,7 @@ pub mod source;
 pub mod supervisor;
 
 pub use fault::{Fault, FaultEvent, FaultPlan};
-pub use policy::{BackpressurePolicy, SensorPolicy};
+pub use policy::SensorPolicy;
 pub use soak::{render_soak_rows, soak, SoakOutcome, SoakRow};
 pub use source::{ReplaySource, SensorSource, SourceError, SpoolSource};
 pub use supervisor::{

@@ -1,9 +1,10 @@
-//! Per-sensor robustness policies: restart backoff, watchdogs,
-//! backpressure and rotation. Every sensor shares one restart budget
+//! Per-sensor robustness policies: restart backoff, watchdogs and
+//! rotation. Every sensor shares one restart budget
 //! ([`MAX_RESTARTS`]), backoff (2, 4 and 8 ticks plus 0–3 ticks of
 //! seeded jitter), watchdog (6 ticks without progress) and poison rule
-//! (2 consecutive majority-non-finite chunks); the pull rate,
-//! backpressure and rotation vary per sensor ([`SensorPolicy`]).
+//! (2 consecutive majority-non-finite chunks); the pull rate and
+//! rotation vary per sensor ([`SensorPolicy`]). Backpressure is the
+//! registry's: its per-session buffer bound is the one rule.
 //!
 //! Everything here is counted in supervisor ticks, one per
 //! scheduling round, and derives any randomness (backoff
@@ -11,20 +12,6 @@
 //! policy decisions replay bit-identically.
 
 use emsc_runtime::seed_for;
-
-/// What the supervisor does when a sensor's supervisor-side delivery
-/// queue is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackpressurePolicy {
-    /// Stop pulling from the source until the queue drains: no data is
-    /// lost, the producer is slowed instead (correctness-first — the
-    /// covert-channel decode needs every sample).
-    Reject,
-    /// Drop the oldest queued chunk to admit the newest
-    /// (freshness-first — a monitoring sensor cares about *now*, not
-    /// about a backlog it can no longer influence).
-    DropOldest,
-}
 
 /// Restarts allowed before a sensor is quarantined.
 pub const MAX_RESTARTS: u32 = 3;
@@ -64,11 +51,6 @@ pub(crate) fn backoff_ticks(restart: u32, jitter_seed: u64) -> u64 {
 pub struct SensorPolicy {
     /// Chunks pulled from the source per supervisor tick.
     pub chunks_per_tick: usize,
-    /// What to do when the delivery queue is full.
-    pub backpressure: BackpressurePolicy,
-    /// Maximum chunks queued supervisor-side awaiting registry
-    /// admission.
-    pub pending_limit: usize,
     /// Rotate the session (flush its final report, open a fresh one)
     /// once it has accepted this many samples. `None` disables
     /// rotation.
@@ -77,12 +59,7 @@ pub struct SensorPolicy {
 
 impl Default for SensorPolicy {
     fn default() -> Self {
-        SensorPolicy {
-            chunks_per_tick: 4,
-            backpressure: BackpressurePolicy::Reject,
-            pending_limit: 16,
-            rotate_after_samples: None,
-        }
+        SensorPolicy { chunks_per_tick: 4, rotate_after_samples: None }
     }
 }
 

@@ -7,29 +7,33 @@
 //!
 //! | # | sensor | faults |
 //! |---|--------|--------|
-//! | 0–2 | covert receivers, Table I laptops (healthy) | none |
+//! | 0–2 | covert receivers, Table I laptops (healthy), in 65 536-, 1009- and 9973-sample chunks | none |
 //! | 3–5 | covert receivers, Table I laptops | escalating: truncate/drop → reorder/corrupt → stall → disconnect |
 //! | 6 | keylogging detector | watchdog-length stall |
 //! | 7 | covert receiver over a spooled `rtl_sdr` u8 recording | disconnect |
 //! | 8 | keylogging detector, looping source with session rotation | none |
-//! | 9 | doomed: oversized transfers + poisoned front end | poison |
+//! | 9 | doomed: poisoned front end | poison |
 //!
 //! The run demonstrates the service guarantees end to end: no injected
 //! fault crashes the daemon; every faulted sensor is restarted (with
 //! seeded backoff) or quarantined per policy; and every sensor that
 //! completes — healthy or restarted — produces a report **bit-identical
 //! to the unfaulted batch reference** for its capture, because a
-//! restart rewinds the source and replays the stream clean. The doomed
-//! sensor exercises the other exit: its chunks can never be admitted
-//! (larger than the registry buffer, shed by drop-oldest backpressure)
-//! and its front end emits NaN, so the restart budget drains into
-//! quarantine while nine neighbours stream on.
+//! restart rewinds the source and replays the stream clean. The
+//! healthy sensors' odd chunk sizes show that chunking changes no
+//! report, and the 65 536-sample one fills its session buffer every
+//! tick, so the registry refuses a chunk, pumps and admits it: the
+//! table's "Rejected" column. The doomed sensor exercises the other
+//! exit: its front end starts emitting NaN, so every restart meets the
+//! same poisoned stream and the budget drains into quarantine while
+//! nine neighbours stream on.
 //!
 //! Everything — captures, fault ticks, backoff jitter — derives from
 //! the one seed, so the whole soak is bit-identical across
 //! `EMSC_THREADS` settings and reruns (asserted by the service test
 //! suite).
 
+use emsc_core::experiments::render_table;
 use emsc_core::experiments::streaming::{covert_capture, keylog_capture, seeded_noise};
 use emsc_core::laptop::Laptop;
 use emsc_core::session::SessionOutput;
@@ -40,23 +44,29 @@ use emsc_sdr::record::{read_rtl_u8, write_rtl_u8};
 use emsc_sdr::Capture;
 
 use crate::fault::{Fault, FaultEvent, FaultPlan};
-use crate::policy::{BackpressurePolicy, SensorPolicy};
+use crate::policy::SensorPolicy;
 use crate::source::{ReplaySource, SpoolSource};
 use crate::supervisor::{SensorKind, SensorSpec, ServiceConfig, ServiceReport, Supervisor};
 
 /// Payload carried by every covert transmission in the soak.
 pub const PAYLOAD: &[u8] = b"emsc-e5-soak";
 
-/// Samples per source chunk (the doomed sensor uses
-/// [`DOOMED_CHUNK`] instead).
+/// Samples per source chunk, except for the healthy covert sensors
+/// 0–2 (`HEALTHY_CHUNKS`).
 pub const CHUNK: usize = 4096;
 
-/// The doomed sensor's chunk size — deliberately larger than
-/// [`BUFFER_LIMIT`], so the registry can never admit its transfers.
-pub const DOOMED_CHUNK: usize = 70_000;
+/// Chunk sizes of the healthy covert sensors 0–2: a whole session
+/// buffer, and two primes, whose boundaries fall across the
+/// receivers' power-of-two blocks.
+const HEALTHY_CHUNKS: [usize; 3] = [BUFFER_LIMIT, 1009, 9973];
 
 /// Per-session registry buffer limit, samples.
 pub const BUFFER_LIMIT: usize = 1 << 16;
+
+/// Samples per chunk of sensor `k`'s source.
+fn chunk_samples(k: usize) -> usize {
+    HEALTHY_CHUNKS.get(k).copied().unwrap_or(CHUNK)
+}
 
 /// One sensor's line in the E5 table.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +75,8 @@ pub struct SoakRow {
     pub sensor: String,
     /// Faults scheduled against the sensor (`"stall@4, disconnect@8"`).
     pub faults: String,
+    /// Samples per chunk the sensor's source delivers.
+    pub chunk: usize,
     /// Final lifecycle state.
     pub state: String,
     /// Healthy ticks as a percentage of the sensor's active ticks.
@@ -73,6 +85,10 @@ pub struct SoakRow {
     pub restarts: u32,
     /// Sessions completed (rotations plus the final flush).
     pub sessions: usize,
+    /// Offers the registry refused for a full session buffer, summed
+    /// over the completed sessions (each refused chunk was admitted
+    /// after a pump).
+    pub rejected: usize,
     /// Covert bits decoded across completed sessions.
     pub decoded_bits: usize,
     /// Keylog bursts detected across completed sessions.
@@ -128,7 +144,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
         specs.push(SensorSpec {
             label: format!("covert {}", laptops[k].model),
             kind: SensorKind::Covert(rx.clone()),
-            source: Box::new(ReplaySource::new(capture.clone(), CHUNK)),
+            source: Box::new(ReplaySource::new(capture.clone(), chunk_samples(k))),
             policy,
         });
         references.push(reference.clone());
@@ -185,11 +201,9 @@ pub fn soak(seed: u64) -> SoakOutcome {
     });
     references.push(Some(rot_reference));
 
-    // Sensor 9: doomed. Its transfers are larger than the registry
-    // buffer (never admitted; drop-oldest sheds the backlog) and its
-    // front end is poisoned mid-run, so every restart meets the same
-    // NaN stream until the budget drains into quarantine. Its noise
-    // never reaches a decoder.
+    // Sensor 9: doomed. Its front end is poisoned mid-run, so every
+    // restart meets the same NaN stream until the budget drains into
+    // quarantine. Only its first chunks, noise, reach a decoder.
     let noise = Capture {
         samples: seeded_noise(seed_for(seed, 9), 400_000, 0.05),
         sample_rate: 2.4e6,
@@ -198,13 +212,8 @@ pub fn soak(seed: u64) -> SoakOutcome {
     specs.push(SensorSpec {
         label: "doomed front end".to_string(),
         kind: SensorKind::Covert(builds[0].0.clone()),
-        source: Box::new(ReplaySource::new(noise, DOOMED_CHUNK)),
-        policy: SensorPolicy {
-            chunks_per_tick: 2,
-            backpressure: BackpressurePolicy::DropOldest,
-            pending_limit: 4,
-            ..SensorPolicy::default()
-        },
+        source: Box::new(ReplaySource::new(noise, CHUNK)),
+        policy,
     });
     references.push(None);
 
@@ -244,6 +253,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
             SoakRow {
                 sensor: s.label.clone(),
                 faults: plan.describe_sensor(k),
+                chunk: chunk_samples(k),
                 state: s.state.label().to_string(),
                 uptime_pct: if s.active_ticks == 0 {
                     0.0
@@ -252,6 +262,7 @@ pub fn soak(seed: u64) -> SoakOutcome {
                 },
                 restarts: s.restarts,
                 sessions: s.sessions.len(),
+                rejected: s.sessions.iter().map(|c| c.stats.chunks_rejected).sum(),
                 decoded_bits: s.decoded_bits,
                 bursts: s.bursts_detected,
                 matches_reference,
@@ -265,8 +276,6 @@ pub fn soak(seed: u64) -> SoakOutcome {
 
 /// Renders the E5 table plus a one-line run summary.
 pub fn render_soak_rows(outcome: &SoakOutcome) -> String {
-    let headers =
-        ["Sensor", "Faults", "State", "Uptime%", "Restarts", "Sessions", "Matches ref", "Outcome"];
     let rows: Vec<Vec<String>> = outcome
         .rows
         .iter()
@@ -274,10 +283,12 @@ pub fn render_soak_rows(outcome: &SoakOutcome) -> String {
             vec![
                 r.sensor.clone(),
                 r.faults.clone(),
+                r.chunk.to_string(),
                 r.state.clone(),
                 format!("{:.1}", r.uptime_pct),
                 r.restarts.to_string(),
                 r.sessions.to_string(),
+                r.rejected.to_string(),
                 match r.matches_reference {
                     Some(true) => "yes".to_string(),
                     Some(false) => "NO".to_string(),
@@ -287,29 +298,22 @@ pub fn render_soak_rows(outcome: &SoakOutcome) -> String {
             ]
         })
         .collect();
-
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in &rows {
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let mut out = String::from("E5: supervised capture daemon soak under escalating faults\n");
-    let line = |cells: &[String], widths: &[usize]| {
-        let mut s = String::new();
-        for (cell, w) in cells.iter().zip(widths) {
-            s.push_str(&format!("{cell:<w$}  "));
-        }
-        s.trim_end().to_string()
-    };
-    out.push_str(&line(&headers.iter().map(|h| h.to_string()).collect::<Vec<_>>(), &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in &rows {
-        out.push_str(&line(row, &widths));
-        out.push('\n');
-    }
+    let mut out = render_table(
+        "E5: supervised capture daemon soak under escalating faults",
+        &[
+            "Sensor",
+            "Faults",
+            "Chunk",
+            "State",
+            "Uptime%",
+            "Restarts",
+            "Sessions",
+            "Rejected",
+            "Matches ref",
+            "Outcome",
+        ],
+        &rows,
+    );
     out.push_str(&format!(
         "{} ticks ({:.1} simulated s), {} supervision events\n",
         outcome.report.ticks,
@@ -330,10 +334,12 @@ mod tests {
         let mk = |sensor: &str, matches: Option<bool>| SoakRow {
             sensor: sensor.to_string(),
             faults: "stall@4".to_string(),
+            chunk: 4096,
             state: "done".to_string(),
             uptime_pct: 87.5,
             restarts: 1,
             sessions: 1,
+            rejected: 0,
             decoded_bits: 120,
             bursts: 0,
             matches_reference: matches,

@@ -18,14 +18,17 @@
 //! - **Backoff.** Restarts wait out a seeded exponential backoff with
 //!   deterministic jitter (2, 4 and 8 ticks plus 0–3), up to
 //!   [`MAX_RESTARTS`] of them.
-//! - **Backpressure.** Chunks the registry rejects queue in a bounded
-//!   per-sensor buffer governed by [`BackpressurePolicy`]: reject
-//!   (slow the producer, lose nothing) or drop-oldest (stay fresh).
-//! - **Rotation and drain.** Sessions can rotate on a sample budget
+//! - **Backpressure.** Each pulled chunk goes straight to the registry,
+//!   whose bounded session buffer is the one backpressure rule: a
+//!   refused chunk is offered again after a pump. A chunk refused even
+//!   then is larger than the buffer, which neither a pump nor a restart
+//!   can change, so it quarantines its sensor as fatal.
+//! - **Rotation and shutdown.** Sessions can rotate on a sample budget
 //!   (final report flushed, fresh session opened mid-stream), and
-//!   [`Supervisor::shutdown`] drains every queue and finalises every
-//!   stream before the daemon exits; a stream that closes there with
-//!   a typed error quarantines its sensor, since no restart follows.
+//!   [`Supervisor::shutdown`] delivers any chunk still held for
+//!   reordering and finalises every stream before the daemon exits; a
+//!   stream that closes there with a typed error quarantines its
+//!   sensor, since no restart follows.
 //!
 //! The whole loop counts time in ticks, one per scheduling round,
 //! never in wall time, and injects faults only from an explicit
@@ -33,8 +36,6 @@
 //! all — replays bit-identically at any `EMSC_THREADS` setting: the
 //! only parallelism is the registry's `pump`, which is itself
 //! deterministic.
-
-use std::collections::VecDeque;
 
 use emsc_core::session::{ClosedSession, SessionId, SessionOutput, SessionRegistry};
 use emsc_covert::rx::RxConfig;
@@ -44,8 +45,7 @@ use emsc_sdr::iq::Complex;
 
 use crate::fault::{Fault, FaultPlan};
 use crate::policy::{
-    backoff_ticks, BackpressurePolicy, SensorPolicy, MAX_CORRUPT_CHUNKS, MAX_RESTARTS,
-    WATCHDOG_TICKS,
+    backoff_ticks, SensorPolicy, MAX_CORRUPT_CHUNKS, MAX_RESTARTS, WATCHDOG_TICKS,
 };
 use crate::source::SensorSource;
 
@@ -169,7 +169,7 @@ pub struct SensorReport {
     pub uptime_ticks: u64,
     /// Restarts performed.
     pub restarts: u32,
-    /// Chunks lost to injected drops plus backpressure drops.
+    /// Chunks lost to injected drops.
     pub chunks_dropped: usize,
     /// Completed sessions (rotations plus the final flush), in order.
     pub sessions: Vec<ClosedSession>,
@@ -218,7 +218,6 @@ struct SensorSlot {
     disconnect_pending: bool,
     corrupt_rng: u64,
     // Delivery.
-    pending: VecDeque<Vec<Complex>>,
     exhausted: bool,
     session_samples: usize,
     // Health.
@@ -319,7 +318,6 @@ impl Supervisor {
             reorder_held: None,
             disconnect_pending: false,
             corrupt_rng,
-            pending: VecDeque::new(),
             exhausted: false,
             session_samples: 0,
             last_progress_tick: 0,
@@ -366,14 +364,14 @@ impl Supervisor {
     }
 
     /// Drives [`Supervisor::tick`] until every sensor is terminal or
-    /// `max_ticks` is reached, then drains, shuts down and reports.
+    /// `max_ticks` is reached, then shuts down and reports.
     pub fn run(&mut self) -> ServiceReport {
         while self.ticks < self.config.max_ticks && self.tick() {}
         self.shutdown()
     }
 
-    /// Graceful drain-and-shutdown: stops pulling sources, flushes
-    /// every queued chunk it can, finalises every open stream (final
+    /// Graceful shutdown: stops pulling sources, delivers any chunk
+    /// still held for reordering, finalises every open stream (final
     /// reports flushed) and returns the final report. A sensor still
     /// streaming is marked [`LifecycleState::Done`] when its stream
     /// closes cleanly, and [`LifecycleState::Quarantined`] when it
@@ -383,17 +381,13 @@ impl Supervisor {
     /// did not fail.
     pub fn shutdown(&mut self) -> ServiceReport {
         for k in 0..self.sensors.len() {
+            // A chunk held for reordering goes out last. If it is
+            // refused, its sensor is quarantined and has no session.
+            if let Some(held) = self.sensors[k].reorder_held.take() {
+                let _ = self.deliver(k, &held);
+            }
             let slot = &mut self.sensors[k];
             let Some(id) = slot.session.take() else { continue };
-            // A chunk held for reordering goes out last. A chunk the
-            // registry refuses even after a pump can never fit: drop
-            // it, counted.
-            slot.pending.extend(slot.reorder_held.take());
-            while let Some(chunk) = slot.pending.pop_front() {
-                if !deliver(&mut self.registry, id, &chunk) {
-                    slot.chunks_dropped += 1;
-                }
-            }
             let closed = self.registry.finish(id).expect("open session is in the registry");
             let error = closed.output.error_kind();
             slot.outputs.push(closed);
@@ -512,8 +506,6 @@ impl Supervisor {
             slot.fault_seen_this_tick = true; // stalled
         }
 
-        self.offer_pending(k);
-
         if self.finish_if_exhausted(k) {
             return;
         }
@@ -544,7 +536,7 @@ impl Supervisor {
     }
 
     /// Pulls up to `chunks_per_tick` chunks through the fault filter
-    /// into the pending queue. `Err(())` means the sensor already took
+    /// and delivers each one. `Err(())` means the sensor already took
     /// the fail path.
     fn pull_chunks(&mut self, k: usize) -> Result<(), ()> {
         for _ in 0..self.sensors[k].policy.chunks_per_tick {
@@ -552,26 +544,15 @@ impl Supervisor {
             if slot.exhausted {
                 break;
             }
-            // Backpressure: a full pending queue stops the pull under
-            // `Reject` (no loss), or evicts the oldest under
-            // `DropOldest` (stay fresh, count the loss).
-            if slot.pending.len() >= slot.policy.pending_limit {
-                match slot.policy.backpressure {
-                    BackpressurePolicy::Reject => break,
-                    BackpressurePolicy::DropOldest => {
-                        slot.pending.pop_front();
-                        slot.chunks_dropped += 1;
-                        slot.fault_seen_this_tick = true;
-                    }
-                }
-            }
             let mut chunk = Vec::new();
             match slot.source.next_chunk(&mut chunk) {
                 Ok(0) => {
                     // A chunk held for reordering has no successor
                     // left: it goes out on its own.
                     slot.exhausted = true;
-                    slot.pending.extend(slot.reorder_held.take());
+                    if let Some(held) = slot.reorder_held.take() {
+                        self.deliver(k, &held)?;
+                    }
                     break;
                 }
                 Ok(_) => {}
@@ -630,55 +611,62 @@ impl Supervisor {
                 slot.fault_seen_this_tick = true;
                 continue;
             }
-            slot.pending.push_back(chunk);
-            if let Some(held) = slot.reorder_held.take() {
-                slot.pending.push_back(held);
+            let held = slot.reorder_held.take();
+            self.deliver(k, &chunk)?;
+            if let Some(held) = held {
+                self.deliver(k, &held)?;
             }
         }
         Ok(())
     }
 
-    /// Delivers queued chunks to the registry until one is refused;
-    /// that one stays queued for the next tick. Rotation happens
-    /// *here*, at the exact budget boundary between two offers — a
-    /// once-per-tick check would let post-boundary chunks leak into
-    /// the pre-boundary session.
-    fn offer_pending(&mut self, k: usize) {
-        let Some(mut id) = self.sensors[k].session else { return };
-        while !self.sensors[k].pending.is_empty() {
-            // Budget reached with more data queued: flush this
-            // session's report and open the next one before offering
-            // another sample. (A boundary that coincides with the end
-            // of the stream is handled by the finish path instead.)
-            let slot = &mut self.sensors[k];
-            let budget = slot.policy.rotate_after_samples;
-            if budget.is_some_and(|budget| slot.session_samples >= budget) {
-                let closed = self.registry.finish(id).expect("rotating session exists");
-                slot.outputs.push(closed);
-                slot.session = None;
-                slot.session_samples = 0;
-                match open_session(&mut self.registry, &slot.kind, slot.source.as_ref()) {
-                    Ok(new_id) => {
-                        slot.session = Some(new_id);
-                        slot.last_progress_tick = self.ticks;
-                        id = new_id;
-                        self.log(k, "session rotated: report flushed");
-                    }
-                    Err(why) => {
-                        self.quarantine(k, &format!("rotation failed: {why}"));
-                        return;
-                    }
+    /// The one delivery step: offers `chunk` to sensor `k`'s session,
+    /// and on a refusal pumps every session once and offers it again.
+    /// Rotation happens *here*, at the exact budget boundary between
+    /// two offers: a once-per-tick check would let post-boundary
+    /// samples leak into the pre-boundary session. A chunk refused
+    /// even after the pump is larger than the session buffer; a
+    /// restart would replay it unchanged, so the sensor is quarantined
+    /// as fatal. `Err(())` means the sensor took that path.
+    fn deliver(&mut self, k: usize, chunk: &[Complex]) -> Result<(), ()> {
+        let slot = &mut self.sensors[k];
+        let mut id = slot.session.expect("a delivering sensor has a session");
+        // Budget reached with more data arriving: flush this session's
+        // report and open the next one before offering another sample.
+        // (A boundary that coincides with the end of the stream is
+        // handled by the finish path instead.)
+        if slot.policy.rotate_after_samples.is_some_and(|budget| slot.session_samples >= budget) {
+            let closed = self.registry.finish(id).expect("rotating session exists");
+            slot.outputs.push(closed);
+            slot.session = None;
+            slot.session_samples = 0;
+            match open_session(&mut self.registry, &slot.kind, slot.source.as_ref()) {
+                Ok(new_id) => {
+                    slot.session = Some(new_id);
+                    id = new_id;
+                    self.log(k, "session rotated: report flushed");
+                }
+                Err(why) => {
+                    self.quarantine(k, &format!("rotation failed: {why}"));
+                    return Err(());
                 }
             }
-            let slot = &mut self.sensors[k];
-            let front = slot.pending.front().expect("queue is not empty");
-            if !deliver(&mut self.registry, id, front) {
-                break;
-            }
-            slot.session_samples += front.len();
-            slot.pending.pop_front();
-            slot.last_progress_tick = self.ticks;
         }
+        let admitted = self.registry.offer(id, chunk).is_ok() || {
+            self.registry.pump();
+            self.registry.offer(id, chunk).is_ok()
+        };
+        if !admitted {
+            let limit = self.config.buffer_limit;
+            let reason =
+                format!("{}-sample chunk exceeds the {limit}-sample session buffer", chunk.len());
+            self.fail_sensor(k, &reason, false);
+            return Err(());
+        }
+        let slot = &mut self.sensors[k];
+        slot.session_samples += chunk.len();
+        slot.last_progress_tick = self.ticks;
+        Ok(())
     }
 
     /// Finishes an exhausted sensor: flushes the final report and
@@ -688,7 +676,7 @@ impl Supervisor {
     fn finish_if_exhausted(&mut self, k: usize) -> bool {
         let slot = &mut self.sensors[k];
         let Some(id) = slot.session else { return false };
-        if !(slot.exhausted && slot.pending.is_empty()) {
+        if !slot.exhausted {
             return false;
         }
         let closed = self.registry.finish(id).expect("finishing session exists");
@@ -710,8 +698,8 @@ impl Supervisor {
     }
 
     /// The one abandon step: aborts sensor `k`'s open session, if any,
-    /// counting it and the samples it had processed, and drops
-    /// everything queued or held for it.
+    /// counting it and the samples it had processed, and drops any
+    /// chunk held for it.
     fn abandon(&mut self, k: usize) {
         let slot = &mut self.sensors[k];
         if let Some(id) = slot.session.take() {
@@ -720,7 +708,6 @@ impl Supervisor {
                 slot.aborted_samples += stats.samples_processed;
             }
         }
-        slot.pending.clear();
         slot.reorder_held = None;
         slot.exhausted = false;
         slot.session_samples = 0;
@@ -780,16 +767,6 @@ impl Supervisor {
         self.abandon(k);
         self.sensors[k].state = LifecycleState::Quarantined;
         self.log(k, format!("quarantined: {why}"));
-    }
-}
-
-/// The one delivery step: offers `chunk` to session `id`, and on a
-/// refusal pumps every session once and offers it again. Returns
-/// whether the registry took the chunk.
-fn deliver(registry: &mut SessionRegistry, id: SessionId, chunk: &[Complex]) -> bool {
-    registry.offer(id, chunk).is_ok() || {
-        registry.pump();
-        registry.offer(id, chunk).is_ok()
     }
 }
 
@@ -962,30 +939,38 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_policies_reject_or_shed_oversized_streams() {
-        // Chunks bigger than the registry buffer can never be admitted:
-        // Reject parks them (no loss, no progress), DropOldest sheds
-        // them. Either way the watchdog notices the stalled delivery
-        // and the restart budget drains into quarantine — the daemon
-        // survives a sensor that cannot make progress at all.
+    fn a_chunk_larger_than_the_session_buffer_is_fatal() {
+        // 2048-sample chunks against a 1024-sample session buffer: a
+        // pump cannot admit one, and a restart would replay the same
+        // chunks, so the first one quarantines the sensor at tick 1,
+        // with no restart and no watchdog stall.
         let config = ServiceConfig { buffer_limit: 1024, ..ServiceConfig::default() };
         let (det, capture) = tiny_keylog(29);
-        let mk = |backpressure| SensorSpec {
-            label: format!("{backpressure:?}"),
-            kind: SensorKind::Keylog(det.clone()),
-            source: Box::new(ReplaySource::new(capture.clone(), 2048)),
-            policy: SensorPolicy { backpressure, pending_limit: 4, ..SensorPolicy::default() },
+        let spec = SensorSpec {
+            label: "oversized".to_string(),
+            kind: SensorKind::Keylog(det),
+            source: Box::new(ReplaySource::new(capture, 2048)),
+            policy: SensorPolicy::default(),
         };
         let mut sup = Supervisor::new(config, FaultPlan::none());
-        sup.add_sensor(mk(BackpressurePolicy::Reject));
-        sup.add_sensor(mk(BackpressurePolicy::DropOldest));
+        sup.add_sensor(spec);
         let report = sup.run();
-        let (reject, shed) = (&report.sensors[0], &report.sensors[1]);
-        assert_eq!(reject.state, LifecycleState::Quarantined);
-        assert_eq!(shed.state, LifecycleState::Quarantined);
-        assert_eq!(reject.chunks_dropped, 0, "Reject must never lose a chunk");
-        assert!(shed.chunks_dropped > 0, "DropOldest must shed the backlog");
-        assert_eq!(reject.samples_processed, 0);
+        let s = &report.sensors[0];
+        assert_eq!(s.state, LifecycleState::Quarantined, "events: {:#?}", report.events);
+        assert_eq!(s.restarts, 0);
+        assert_eq!(s.samples_processed, 0);
+        assert!(s.sessions.is_empty());
+        assert_eq!(report.ticks, 1);
+        assert_eq!(
+            report.events,
+            vec![ServiceEvent {
+                tick: 1,
+                sensor: 0,
+                what: "quarantined: fatal: 2048-sample chunk exceeds the 1024-sample session \
+                       buffer"
+                    .into()
+            }]
+        );
     }
 
     #[test]
@@ -1028,36 +1013,28 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_counts_queued_chunks_that_can_never_fit() {
-        // 2048-sample chunks against a 1024-sample registry buffer:
-        // under `Reject` they queue, four per tick, and the run stops
-        // at tick 3, before the watchdog's sixth tick. The drain offers
-        // each one, pumps, offers again and counts it dropped.
-        let config = ServiceConfig { buffer_limit: 1024, max_ticks: 3, ..ServiceConfig::default() };
-        let (det, capture) = tiny_keylog(41);
-        let spec = SensorSpec {
-            label: "oversized".to_string(),
-            kind: SensorKind::Keylog(det),
-            source: Box::new(ReplaySource::new(capture, 2048)),
-            policy: SensorPolicy::default(),
-        };
-        let mut sup = Supervisor::new(config, FaultPlan::none());
+    fn a_stream_error_at_shutdown_quarantines_its_sensor() {
+        // `max_ticks: 0` stops the run before the first pull: the
+        // session closes on no samples, a typed capture error, and no
+        // restart can follow a shutdown.
+        let (spec, _) = keylog_spec(41, SensorPolicy::default());
+        let mut sup = Supervisor::new(
+            ServiceConfig { max_ticks: 0, ..ServiceConfig::default() },
+            FaultPlan::none(),
+        );
         sup.add_sensor(spec);
         let report = sup.run();
         let s = &report.sensors[0];
+        assert_eq!(report.ticks, 0);
         assert_eq!(s.state, LifecycleState::Quarantined, "events: {:#?}", report.events);
         assert_eq!(s.restarts, 0);
-        assert_eq!(s.chunks_dropped, 12, "every queued chunk is counted");
         assert_eq!(s.samples_processed, 0);
-        assert_eq!(s.sessions.len(), 1);
-        // Two refused offers per tick (offer, pump, offer), then two
-        // per queued chunk at shutdown.
-        assert_eq!(s.sessions[0].stats.chunks_rejected, 3 * 2 + 12 * 2);
-        assert_eq!(s.sessions[0].output.error_kind(), Some("keylog-capture"));
+        assert_eq!(s.sessions.len(), 1, "the failed stream's report is kept");
+        assert_eq!(s.last_error, Some("keylog-capture"));
         assert_eq!(
             report.events,
             vec![ServiceEvent {
-                tick: 3,
+                tick: 0,
                 sensor: 0,
                 what: "quarantined: stream error at shutdown: keylog-capture".into()
             }]

@@ -17,6 +17,9 @@
 //! same arguments print byte-identical output at any `EMSC_THREADS`.
 //! A flag the chosen mode does not take, or a value flag with nothing
 //! after it, prints the usage to stderr and exits with status 2.
+//! `--chunk` may be at most the 65 536-sample session buffer: the
+//! registry can never admit a larger chunk, so the sensor is
+//! quarantined at its first one.
 
 use emsc_covert::rx::RxConfig;
 use emsc_service::{
@@ -26,7 +29,8 @@ use emsc_service::{
 
 const USAGE: &str = "usage: emsc_service [--seed N] [--events]
        emsc_service --spool FILE [--seed N] [--sample-rate HZ] [--center-freq HZ]
-                    [--switching-freq HZ] [--bit-period S] [--chunk SAMPLES] [--ticks N]";
+                    [--switching-freq HZ] [--bit-period S] [--chunk SAMPLES] [--ticks N]
+--chunk is at most 65536, the session buffer: a larger chunk quarantines the sensor";
 
 /// Every flag that takes a value. All but `--seed` belong to spool
 /// mode.

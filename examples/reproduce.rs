@@ -23,7 +23,6 @@ use emsc_core::experiments::covert_figs;
 use emsc_core::experiments::keylog_table::{render_table4, table4, KeylogScale};
 use emsc_core::experiments::robust::{render_robust_rows, robust_sweep};
 use emsc_core::experiments::spectral::{fig11, fig2, fig2_bios, render_bios, Scale};
-use emsc_core::experiments::streaming::{render_streaming_rows, streaming_sessions};
 use emsc_core::experiments::tables::{
     fig10_nlos, fig9, render_channel_rows, render_fig9, table1, table2, table2_background, table3,
     ChannelRow, TableScale,
@@ -87,7 +86,6 @@ const ARTEFACTS: &[(&str, Render)] = &[
     }),
     ("fig11", |i| fig11(i.seed).render()),
     ("table4", |i| render_table4(&table4(KeylogScale::paper(), i.seed))),
-    ("streaming", |i| render_streaming_rows(&streaming_sessions(i.seed))),
     ("robust", |i| render_robust_rows(&robust_sweep(TableScale::paper(), i.seed))),
     ("service", |i| emsc_service::render_soak_rows(&emsc_service::soak(i.seed))),
     ("extensions", |i| {

@@ -167,24 +167,6 @@ fn robust_sweep_is_identical_across_thread_counts_and_meets_e6_acceptance() {
 }
 
 #[test]
-fn streaming_sessions_are_identical_across_thread_counts() {
-    use emsc_core::experiments::streaming::streaming_sessions;
-    let serial = with_threads(1, || streaming_sessions(2020));
-    let pooled = with_threads(4, || streaming_sessions(2020));
-    assert_eq!(serial.len(), pooled.len(), "row counts differ");
-    for (ra, rb) in serial.iter().zip(&pooled) {
-        assert_eq!(ra.sensor, rb.sensor);
-        assert_eq!(ra.seed, rb.seed, "seed for {}", ra.sensor);
-        assert_eq!(ra.samples, rb.samples, "samples for {}", ra.sensor);
-        assert_eq!(ra.matches_batch, rb.matches_batch, "matches_batch for {}", ra.sensor);
-        // The outcome string encodes the decoded bit/burst count or
-        // the exact typed error, so string equality pins the result.
-        assert_eq!(ra.outcome, rb.outcome, "outcome for {}", ra.sensor);
-        assert!(ra.matches_batch, "{} diverged from batch", ra.sensor);
-    }
-}
-
-#[test]
 fn cell_seeds_do_not_collide_on_a_real_grid() {
     // The per-cell seeds an experiment derives must be distinct even
     // for adjacent base seeds and cell indices.

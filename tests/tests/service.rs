@@ -12,14 +12,16 @@
 //!   with every sensor terminal, is the assertion);
 //! - every faulted sensor was restarted or quarantined per policy;
 //! - every sensor that completed — healthy or restarted — produced
-//!   reports equal to the unfaulted batch reference for its capture.
+//!   reports equal to the unfaulted batch reference for its capture,
+//!   at every chunk size, the one that fills its session buffer and
+//!   has offers refused included.
 //!
 //! The severity-max schedule is exercised separately: every fault type
 //! aimed at one sensor at once, plus neighbours, still panics nowhere.
 
 use emsc_runtime::with_threads;
 use emsc_service::policy::MAX_RESTARTS;
-use emsc_service::soak::{soak, SoakOutcome};
+use emsc_service::soak::{soak, SoakOutcome, BUFFER_LIMIT};
 use emsc_service::{
     render_soak_rows, Fault, FaultEvent, FaultPlan, LifecycleState, SensorKind, SensorPolicy,
     SensorSpec, ServiceConfig, Supervisor,
@@ -56,7 +58,7 @@ fn soak_is_thread_invariant_rerunnable_and_meets_policy() {
     let digest = bytes
         .iter()
         .fold(0xcbf2_9ce4_8422_2325_u64, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
-    assert_eq!(digest, 0xc297_a819_c463_87eb, "E5 supervision log moved: {:?}", report.events);
+    assert_eq!(digest, 0xbc59_0f63_1e41_7055, "E5 supervision log moved: {:?}", report.events);
 
     // A different seed must actually change the run (fault jitter,
     // captures, backoff) — otherwise the seed is decorative.
@@ -117,6 +119,14 @@ fn check_policy_and_references(outcome: &SoakOutcome) {
     let doomed = rows.last().expect("fleet is non-empty");
     assert_eq!(doomed.restarts, MAX_RESTARTS);
     assert_eq!(doomed.sessions, 0, "a poisoned stream must not flush a report");
+
+    // Backpressure loses nothing: the sensor whose chunks fill its
+    // whole session buffer has offers refused, and each refused chunk
+    // is admitted after a pump, so its report still equals the
+    // reference.
+    let full = rows.iter().find(|r| r.chunk == BUFFER_LIMIT).expect("a buffer-sized sensor");
+    assert!(full.rejected > 0, "the registry never refused an offer: {full:?}");
+    assert_eq!(full.matches_reference, Some(true), "{full:?}");
 
     // The rotating sensor flushed one report per pass.
     let rotating = rows.iter().find(|r| r.sensor == "rotating keylog").expect("rotating row");
